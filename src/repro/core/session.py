@@ -603,8 +603,8 @@ class MatchSession:
         :meth:`subscribe` query reports its exact embedding delta in the
         returned outcome, and the served snapshot swaps — in-flight
         matches keep the snapshot they captured, later matches see the
-        new epoch, and the epoch-keyed plan/prep caches invalidate
-        exactly the superseded entries.
+        new epoch, and the epoch-keyed plan/prep caches drop the
+        superseded entries.
         """
         dynamic = self._require_dynamic()
         batch = [
@@ -629,6 +629,11 @@ class MatchSession:
             updates = tuple(sub.on_delta(delta) for sub in self._subscriptions)
             if dynamic.epoch != self._resident[0]:
                 self._resident = dynamic.versioned_snapshot()
+                # Both caches key on the epoch and epochs only advance,
+                # so every entry is now unreachable; drop them rather
+                # than let them age out of the LRU. (An in-flight match
+                # at the old epoch may re-insert one dead entry.)
+                self.clear_caches()
                 with self._shared_lock:
                     # Retire published segments of superseded epochs now
                     # if nothing is in flight; otherwise the last

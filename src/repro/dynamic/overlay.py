@@ -19,17 +19,25 @@ Reads that matter to incremental candidate maintenance (``degree``,
 ``neighbors``, ``nlf``, ``has_edge``) are answered through the overlay
 in O(overlay) extra work, so a delta pass never pays for a CSR rebuild.
 :meth:`DynamicGraph.snapshot` materializes the current edge set as a
-plain immutable ``Graph`` **through the normal constructor**, which
-canonicalizes to the same sorted-CSR layout a from-scratch build would
-produce — snapshots are byte-identical to rebuilding the graph from its
-edge list, which is what makes the mutate-then-match differential in
-``repro.qa`` a byte-level comparison instead of a set-level one.
+plain immutable ``Graph`` by **splicing**: it keeps the last
+materialized snapshot (the base at epoch 0) and the set of vertices
+touched since, copies the untouched neighbor runs of that snapshot in
+bulk array slices, writes the overlay-resolved run of each touched
+vertex between them and re-derives the offsets with one cumulative
+sum. Per-vertex runs are sorted and the layout is canonical, so the
+result is byte-identical to ``Graph(labels_list(), list(edges()))`` —
+the from-scratch constructor call, which stays the independent oracle
+of the property suite and of ``repro.qa``'s mutate-then-match
+differential (a byte-level comparison, not a set-level one). The
+constructor's per-edge validation is not skipped: :meth:`apply` has
+already rejected out-of-range endpoints and self loops and skipped
+duplicates.
 
 When the overlay grows past ``compact_threshold`` × |E(base)| ops,
-:meth:`compact` folds it back into a canonical CSR base. Compaction
-changes the representation, never the graph: the epoch does not move,
-and the property suite pins snapshot byte-parity across arbitrary
-mutate/compact interleavings.
+:meth:`compact` makes the current snapshot the base and empties the
+overlay. Compaction changes the representation, never the graph: the
+epoch does not move, and the property suite pins snapshot byte-parity
+across arbitrary mutate/compact interleavings.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import InvalidGraphError
 from repro.graph.graph import Graph
@@ -112,8 +122,12 @@ class DynamicGraph:
         self._removed_adj: Dict[int, Set[int]] = {}
         self._extra_labels: List[int] = []
         self._num_edges = base.num_edges
-        self._snapshot: Optional[Graph] = None
-        self._snapshot_epoch = -1
+        self._overlay_ops = 0
+        # The last materialized snapshot and the vertices whose neighbor
+        # runs changed since it; snapshot() splices the two.
+        self._snapshot = base
+        self._snapshot_epoch = 0
+        self._dirty: Set[int] = set()
         self._compactions = 0
 
     # ------------------------------------------------------------------
@@ -141,9 +155,7 @@ class DynamicGraph:
     @property
     def overlay_size(self) -> int:
         """Number of live overlay edge ops (added + removed)."""
-        added = sum(len(s) for s in self._added_adj.values()) // 2
-        removed = sum(len(s) for s in self._removed_adj.values()) // 2
-        return added + removed
+        return self._overlay_ops
 
     @property
     def compactions(self) -> int:
@@ -250,6 +262,7 @@ class DynamicGraph:
                     self._extra_labels.append(int(mut.a))
                     new_vertices.append((vid, int(mut.a)))
                     touched.add(vid)
+                    self._dirty.add(vid)
                     continue
                 u, v = int(mut.a), int(mut.b)
                 if u == v:
@@ -283,13 +296,14 @@ class DynamicGraph:
                         self._discard(self._added_adj, u, v)
                     self._num_edges -= 1
                     removed.append(_norm(u, v))
-                touched.add(u)
-                touched.add(v)
+                touched.update((u, v))
+                # Marked per op, not per batch: a batch that raises
+                # part-way has still recorded its earlier ops.
+                self._dirty.update((u, v))
 
             if not (added or removed or new_vertices):
                 return MutationDelta(epoch=self._epoch)
             self._epoch += 1
-            self._snapshot = None
             delta = MutationDelta(
                 epoch=self._epoch,
                 added_edges=tuple(added),
@@ -301,19 +315,21 @@ class DynamicGraph:
                 self.compact()
             return delta
 
-    @staticmethod
-    def _record(adj: Dict[int, Set[int]], u: int, v: int) -> None:
+    # apply() records an op only when it is absent and discards one only
+    # when it is present, so each call moves the live op count by one.
+
+    def _record(self, adj: Dict[int, Set[int]], u: int, v: int) -> None:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
+        self._overlay_ops += 1
 
-    @staticmethod
-    def _discard(adj: Dict[int, Set[int]], u: int, v: int) -> None:
+    def _discard(self, adj: Dict[int, Set[int]], u: int, v: int) -> None:
         for a, b in ((u, v), (v, u)):
-            entry = adj.get(a)
-            if entry is not None:
-                entry.discard(b)
-                if not entry:
-                    del adj[a]
+            entry = adj[a]
+            entry.remove(b)
+            if not entry:
+                del adj[a]
+        self._overlay_ops -= 1
 
     def _compact_due(self) -> bool:
         if self._compact_threshold is None:
@@ -328,17 +344,58 @@ class DynamicGraph:
     def snapshot(self) -> Graph:
         """The current graph as an immutable canonical-CSR ``Graph``.
 
-        Cached per epoch; byte-identical (labels/offsets/neighbors
-        arrays) to ``Graph(labels_list(), list(edges()))`` built from
-        scratch, because it *is* that constructor call.
+        Cached per epoch. A new epoch's snapshot is spliced from the
+        previous one: the neighbor runs of untouched vertices are copied
+        in bulk slices, the runs of vertices touched since are written
+        from :meth:`neighbors`, and the offsets follow from one
+        ``cumsum`` over the patched degrees — work proportional to the
+        touched set plus a ``memcpy`` of the rest, and byte-identical
+        (labels/offsets/neighbors arrays) to
+        ``Graph(labels_list(), list(edges()))`` built from scratch.
+        Every array is freshly allocated except ``labels``, which is
+        shared with the previous snapshot while no vertex was appended;
+        nothing an earlier snapshot holds is ever written again.
         """
         with self._lock:
-            if self._snapshot is None or self._snapshot_epoch != self._epoch:
-                self._snapshot = Graph(
-                    labels=self.labels_list(), edges=list(self.edges())
-                )
+            if self._snapshot_epoch != self._epoch:
+                self._snapshot = self._splice(self._snapshot)
                 self._snapshot_epoch = self._epoch
+                self._dirty = set()
             return self._snapshot
+
+    def _splice(self, prev: Graph) -> Graph:
+        """``prev`` with the runs of every dirty vertex rewritten."""
+        prev_n = prev.num_vertices
+        n = self.num_vertices
+        prev_offsets, prev_neighbors = prev.csr
+        prev_m = int(prev_neighbors.size)
+        labels = prev.labels
+        if n > prev_n:
+            appended = self._extra_labels[prev_n - n:]
+            labels = np.concatenate(
+                [labels, np.asarray(appended, dtype=np.int64)]
+            )
+
+        dirty = sorted(self._dirty)
+        runs = [self.neighbors(v) for v in dirty]
+        degrees = np.zeros(n, dtype=np.int64)
+        degrees[:prev_n] = prev.degrees
+        degrees[dirty] = [len(run) for run in runs]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+
+        neighbors = np.empty(int(offsets[n]), dtype=np.int64)
+        src = dst = 0
+        for v, run in zip(dirty, runs):
+            # Untouched runs between the previous dirty vertex and v.
+            stop = int(prev_offsets[v]) if v < prev_n else prev_m
+            neighbors[dst:dst + stop - src] = prev_neighbors[src:stop]
+            dst += stop - src
+            neighbors[dst:dst + len(run)] = run
+            dst += len(run)
+            src = int(prev_offsets[v + 1]) if v < prev_n else prev_m
+        neighbors[dst:] = prev_neighbors[src:]
+        return Graph.from_csr(labels, offsets, neighbors, self._num_edges)
 
     def versioned_snapshot(self) -> Tuple[int, Graph]:
         """``(epoch, snapshot)`` read atomically under the graph lock.
@@ -352,7 +409,7 @@ class DynamicGraph:
             return self._epoch, self.snapshot()
 
     def compact(self) -> Graph:
-        """Fold the overlay into a fresh canonical CSR base.
+        """Make the current snapshot the base and empty the overlay.
 
         The epoch is untouched — compaction changes the representation,
         not the graph. Returns the new base.
@@ -363,6 +420,7 @@ class DynamicGraph:
             self._added_adj = {}
             self._removed_adj = {}
             self._extra_labels = []
+            self._overlay_ops = 0
             self._compactions += 1
             return base
 

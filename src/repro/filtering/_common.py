@@ -1,4 +1,4 @@
-"""Internal helpers shared by the BFS-tree-based filters (CFL/CECI/DP-iso).
+"""Internal helpers shared by the filters (CFL/CECI/DP-iso/GraphQL).
 
 These implement the primitive of Observation 3.1 / Filtering Rule 3.1:
 checking whether a candidate has at least one neighbor inside another
@@ -7,12 +7,13 @@ side is smaller; the vectorized pass (:func:`refine_keep` over
 :func:`neighbor_hit_mask`) gathers every candidate's CSR neighbor slice in
 one shot and reduces a membership bitmap over it, so a whole refinement
 sweep costs a handful of numpy calls instead of a Python loop per
-candidate-neighbor pair.
+candidate-neighbor pair. :func:`nlf_keep` runs the neighbor-label-frequency
+rule over the same gather.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "neighbor_expansion",
     "neighbor_hit_mask",
     "neighbor_union",
+    "nlf_keep",
     "refine_keep",
 ]
 
@@ -67,18 +69,34 @@ def _ragged_indices(starts: np.ndarray, lengths: np.ndarray, total: int) -> np.n
     return np.repeat(starts - seg_starts, lengths) + np.arange(total, dtype=np.int64)
 
 
-def neighbor_union(data: Graph, vertices: Sequence[int]) -> np.ndarray:
-    """``N(C)`` as a sorted unique array — vectorized neighbor expansion."""
-    vs = as_vertex_array(vertices)
-    if vs.size == 0:
-        return _EMPTY_I64
+def _gather_neighbors(
+    data: Graph, vs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The neighbor slices of ``vs`` laid end to end.
+
+    Returns ``(gathered, seg_starts, nonempty)``: the concatenated
+    slices, and the ``reduceat`` boundaries of the vertices flagged in
+    ``nonempty``. Zero-length segments share their start with the
+    following segment, so leaving them out gives boundaries that exactly
+    tile ``gathered``.
+    """
     offsets, neighbors = data.csr
     starts = offsets[vs]
     lengths = offsets[vs + 1] - starts
+    nonempty = lengths > 0
     total = int(lengths.sum())
     if total == 0:
-        return _EMPTY_I64
-    return np.unique(neighbors[_ragged_indices(starts, lengths, total)])
+        return _EMPTY_I64, _EMPTY_I64, nonempty
+    seg_starts = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=seg_starts[1:])
+    gathered = neighbors[_ragged_indices(starts, lengths, total)]
+    return gathered, seg_starts[nonempty], nonempty
+
+
+def neighbor_union(data: Graph, vertices: Sequence[int]) -> np.ndarray:
+    """``N(C)`` as a sorted unique array — vectorized neighbor expansion."""
+    gathered, _, _ = _gather_neighbors(data, as_vertex_array(vertices))
+    return np.unique(gathered)
 
 
 def neighbor_hit_mask(
@@ -92,24 +110,37 @@ def neighbor_hit_mask(
     """
     vs = as_vertex_array(vertices)
     out = np.zeros(vs.size, dtype=bool)
-    if vs.size == 0:
-        return out
-    offsets, neighbors = data.csr
-    starts = offsets[vs]
-    lengths = offsets[vs + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return out
-    idx = _ragged_indices(starts, lengths, total)
-    hits = member_mask[neighbors[idx]]
-    seg_starts = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=seg_starts[1:])
-    nonempty = lengths > 0
-    # reduceat boundaries: zero-length segments share their start with the
-    # following segment, so dropping them leaves boundaries that exactly
-    # tile the gathered hits array.
-    out[nonempty] = np.bitwise_or.reduceat(hits, seg_starts[nonempty])
+    gathered, seg_starts, nonempty = _gather_neighbors(data, vs)
+    if gathered.size:
+        out[nonempty] = np.bitwise_or.reduceat(member_mask[gathered], seg_starts)
     return out
+
+
+def nlf_keep(
+    data: Graph, vertices: Sequence[int], required: Mapping[int, int]
+) -> np.ndarray:
+    """The NLF rule, batched: keep ``v`` with ``|N(v, l)| ≥ required[l]``
+    for every label ``l`` (``required`` is a query vertex's
+    :meth:`~repro.graph.graph.Graph.nlf`, so every count is positive).
+
+    One gather of the neighbor labels plus one segmented sum per
+    required label — no per-vertex loop.
+    """
+    vs = as_vertex_array(vertices)
+    if not required:
+        return vs
+    gathered, seg_starts, nonempty = _gather_neighbors(data, vs)
+    vs = vs[nonempty]
+    if vs.size == 0:
+        return vs
+    neighbor_labels = data.labels[gathered]
+    keep = np.ones(vs.size, dtype=bool)
+    for label, needed in required.items():
+        counts = np.add.reduceat(
+            neighbor_labels == label, seg_starts, dtype=np.int64
+        )
+        keep &= counts >= needed
+    return vs[keep]
 
 
 def refine_keep(

@@ -16,6 +16,18 @@ The time complexity with ``k = 1, r = 1`` is
 ``O(|V(q)|·|E(G)| + Σ_u Σ_v (d(u)·d(v) + Θ(d(u), d(v))))`` — higher than
 CFL/CECI/DP-iso, which is the paper's explanation for GraphQL's slower
 preprocessing (Figure 7) despite competitive pruning power (Figure 8).
+
+Both steps run on the CSR arrays where the test allows it. At ``r = 1``
+the candidates of ``u`` already share its label, so "sorted profile of
+``u`` is a sub-sequence of ``v``'s" is exactly NLF containment,
+``|N(u, l)| ≤ |N(v, l)|`` for every label ``l`` in ``N(u)``: one batched
+:func:`~repro.filtering._common.nlf_keep` per query vertex. In the
+refinement, a semi-perfect matching needs every ``u' ∈ N(u)`` to have
+*some* neighbor of ``v`` in ``C(u')``; that necessary condition is one
+batched :func:`~repro.filtering._common.refine_keep` per query vertex,
+exact when ``d(u) = 1``, and only its survivors reach the matching
+test. :func:`profile` and :func:`is_subsequence` remain the scalar
+definition and the ``r > 1`` path.
 """
 
 from __future__ import annotations
@@ -23,6 +35,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Sequence, Set, Tuple
 
+import numpy as np
+
+from repro.filtering._common import as_vertex_array, nlf_keep, refine_keep
 from repro.filtering.base import Filter, ldf_candidates_for
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
@@ -138,33 +153,45 @@ class GraphQLFilter(Filter):
 
     # ------------------------------------------------------------------
 
-    def _local_pruning(self, query: Graph, data: Graph) -> List[List[int]]:
-        """LDF + profile sub-sequence check per candidate."""
+    def _local_pruning(self, query: Graph, data: Graph) -> List[np.ndarray]:
+        """LDF + profile containment per query vertex."""
+        if self.radius > 1:
+            return self._profile_pruning(query, data)
+        return [
+            nlf_keep(data, ldf_candidates_for(query, u, data), query.nlf(u))
+            for u in query.vertices()
+        ]
+
+    def _profile_pruning(self, query: Graph, data: Graph) -> List[np.ndarray]:
+        """The definition, candidate by candidate: profile sub-sequence."""
         data_profiles: Dict[int, Tuple[int, ...]] = {}
-        lists: List[List[int]] = []
+        lists: List[np.ndarray] = []
         for u in query.vertices():
             u_profile = profile(query, u, self.radius)
             survivors = []
-            for v in ldf_candidates_for(query, u, data):
+            for v in ldf_candidates_for(query, u, data).tolist():
                 v_profile = data_profiles.get(v)
                 if v_profile is None:
                     v_profile = profile(data, v, self.radius)
                     data_profiles[v] = v_profile
                 if is_subsequence(u_profile, v_profile):
                     survivors.append(v)
-            lists.append(survivors)
+            lists.append(as_vertex_array(survivors))
         return lists
 
     def _global_refinement(
-        self, query: Graph, data: Graph, lists: List[List[int]]
+        self, query: Graph, data: Graph, lists: List[np.ndarray]
     ) -> None:
         """k sweeps of the pseudo subgraph-isomorphism test, in place.
 
         Candidates are re-checked against the *current* sets (GraphQL
         refines along an order, so removals in earlier sets strengthen
-        later checks within the same sweep).
+        later checks within the same sweep). While ``u`` is processed
+        only ``C(u)`` changes and ``u ∉ N(u)``, so its candidates are
+        independent of each other and can be pre-checked as one batch.
         """
-        membership: List[Set[int]] = [set(lst) for lst in lists]
+        membership: List[Set[int]] = [set(lst.tolist()) for lst in lists]
+        scratch = np.zeros(data.num_vertices, dtype=bool)
         for sweep in range(self.refinement_rounds):
             with span("filter.refine", rule="pseudo_iso", sweep=sweep):
                 changed = False
@@ -172,14 +199,23 @@ class GraphQLFilter(Filter):
                     u_neighbors = query.neighbors(u).tolist()
                     if not u_neighbors:
                         continue
-                    kept = []
-                    for v in lists[u]:
-                        if self._pseudo_iso_ok(data, u_neighbors, v, membership):
-                            kept.append(v)
-                        else:
-                            membership[u].discard(v)
-                            changed = True
-                    lists[u] = kept
+                    kept = refine_keep(
+                        data, lists[u], [lists[w] for w in u_neighbors], scratch
+                    )
+                    if len(u_neighbors) > 1:
+                        kept = as_vertex_array(
+                            [
+                                v
+                                for v in kept.tolist()
+                                if self._pseudo_iso_ok(
+                                    data, u_neighbors, v, membership
+                                )
+                            ]
+                        )
+                    if kept.size != lists[u].size:
+                        lists[u] = kept
+                        membership[u] = set(kept.tolist())
+                        changed = True
             add_counter("filter.refinement_iterations")
             record_stage("pseudo_iso", total_candidates(lists))
             if not changed:
@@ -194,11 +230,10 @@ class GraphQLFilter(Filter):
     ) -> bool:
         """Semi-perfect matching test between ``N(u)`` and ``N(v)``."""
         v_neighbors = data.neighbors(v).tolist()
-        right_index = {w: j for j, w in enumerate(v_neighbors)}
         adjacency: List[List[int]] = []
         for u_prime in u_neighbors:
             allowed = membership[u_prime]
-            row = [right_index[w] for w in v_neighbors if w in allowed]
+            row = [j for j, w in enumerate(v_neighbors) if w in allowed]
             if not row:
                 return False
             adjacency.append(row)

@@ -17,8 +17,13 @@ batches, and compaction points:
   labels/edges, and the post-``compact()`` base all carry byte-identical
   CSR arrays (construction is canonical, so parity is exact, not just
   set-equal).
+
+:class:`TestSnapshotSplice` holds the spliced ``snapshot()`` to the same
+oracle array by array, over scripts built to hit the splice's corners,
+and pins snapshot isolation: a snapshot captured earlier never changes.
 """
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +38,7 @@ from repro.dynamic import (
     sanitize_batch,
 )
 from repro.graph.graph import Graph
+from repro.graph.store import MmapStore, write_rgf
 from repro.qa import plant_case
 
 _SETTINGS = settings(
@@ -169,3 +175,157 @@ def test_prep_cache_hit_iff_epoch_unchanged(seed, raw):
         assert prep_hit()              # and hits again at the new epoch
     finally:
         session.close()
+
+
+# ----------------------------------------------------------------------
+# Snapshot splice
+# ----------------------------------------------------------------------
+
+VERTEX = st.integers(0, 40)  # reduced modulo the live vertex count
+
+# Steps of a splice script. Batches are lists of *macro* ops expanded
+# against the graph as it stands when the batch is applied, so every
+# corner the splice has to get right is drawn often, not by luck.
+MACRO_OP = st.one_of(
+    st.tuples(st.just("add"), VERTEX, VERTEX),
+    st.tuples(st.just("remove"), VERTEX, VERTEX),
+    st.tuples(st.just("vertex"), st.integers(0, 3)),
+    # add_vertex then an edge onto the id it just created.
+    st.tuples(st.just("vertex+edge"), st.integers(0, 3), VERTEX),
+    # an op followed by its inverse: the overlay records cancel.
+    st.tuples(st.just("cancel"), VERTEX, VERTEX),
+    # remove every edge of one vertex, its last one included.
+    st.tuples(st.just("isolate"), VERTEX),
+)
+SPLICE_STEP = st.one_of(
+    st.just("snapshot"),
+    st.just("compact"),
+    st.lists(MACRO_OP, min_size=1, max_size=4),
+)
+
+
+def _expand(dyn: DynamicGraph, macros) -> list:
+    """Concrete mutations for one batch of macro ops."""
+    batch = []
+    n = dyn.num_vertices
+    for macro in macros:
+        kind = macro[0]
+        if kind == "vertex":
+            batch.append(Mutation(ADD_VERTEX, macro[1]))
+            n += 1
+        elif kind == "vertex+edge":
+            batch.append(Mutation(ADD_VERTEX, macro[1]))
+            if n:
+                batch.append(Mutation(ADD_EDGE, n, macro[2] % n))
+            n += 1
+        elif kind == "isolate":
+            v = macro[1] % n
+            if v < dyn.num_vertices:
+                batch.extend(
+                    Mutation(REMOVE_EDGE, v, w) for w in dyn.neighbors(v)
+                )
+        else:
+            u, v = macro[1] % n, macro[2] % n
+            if u == v:
+                continue
+            if kind == "add":
+                batch.append(Mutation(ADD_EDGE, u, v))
+            elif kind == "remove":
+                batch.append(Mutation(REMOVE_EDGE, u, v))
+            else:  # cancel
+                live = u < dyn.num_vertices and v < dyn.num_vertices
+                first = REMOVE_EDGE if live and dyn.has_edge(u, v) else ADD_EDGE
+                second = ADD_EDGE if first == REMOVE_EDGE else REMOVE_EDGE
+                batch += [Mutation(first, u, v), Mutation(second, u, v)]
+    return batch
+
+
+def _assert_is_constructor_rebuild(dyn: DynamicGraph, snap: Graph) -> None:
+    """``snap`` equals the from-scratch oracle, array by array."""
+    oracle = Graph(labels=dyn.labels_list(), edges=list(dyn.edges()))
+    offsets, neighbors = snap.csr
+    oracle_offsets, oracle_neighbors = oracle.csr
+    for got, want in (
+        (snap.labels, oracle.labels),
+        (offsets, oracle_offsets),
+        (neighbors, oracle_neighbors),
+        (snap.degrees, oracle.degrees),
+    ):
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+    assert snap.num_edges == oracle.num_edges == dyn.num_edges
+    assert snap.label_set == oracle.label_set
+    for label in oracle.label_set:
+        assert (
+            snap.vertices_with_label(label).tobytes()
+            == oracle.vertices_with_label(label).tobytes()
+        )
+
+
+def _frozen(snap: Graph) -> tuple:
+    offsets, neighbors = snap.csr
+    return (snap.labels.tobytes(), offsets.tobytes(), neighbors.tobytes())
+
+
+class TestSnapshotSplice:
+    @staticmethod
+    def _run_script(dyn: DynamicGraph, steps) -> None:
+        captured = []  # (snapshot, its bytes when it was taken)
+        for step in steps:
+            if step == "compact":
+                dyn.compact()
+            elif step == "snapshot":
+                snap = dyn.snapshot()
+                _assert_is_constructor_rebuild(dyn, snap)
+                captured.append((snap, _frozen(snap)))
+            else:
+                dyn.apply(_expand(dyn, step))
+        _assert_is_constructor_rebuild(dyn, dyn.snapshot())
+        # Snapshot isolation: no buffer an earlier snapshot holds was
+        # written by a later splice or compaction.
+        for snap, frozen in captured:
+            assert _frozen(snap) == frozen
+
+    @_SETTINGS
+    @given(seed=SEEDS, steps=st.lists(SPLICE_STEP, min_size=2, max_size=10))
+    def test_spliced_snapshot_is_the_constructor_rebuild(self, seed, steps):
+        case = plant_case(seed, max_data=20)
+        self._run_script(
+            DynamicGraph(case.data, compact_threshold=None), steps
+        )
+
+    @_SETTINGS
+    @given(seed=SEEDS, steps=st.lists(SPLICE_STEP, min_size=2, max_size=10))
+    def test_splice_over_an_mmap_backed_base(
+        self, seed, steps, tmp_path_factory
+    ):
+        case = plant_case(seed, max_data=20)
+        path = tmp_path_factory.mktemp("splice") / "base.rgf"
+        write_rgf(case.data, path)
+        with MmapStore(path) as store:
+            self._run_script(
+                DynamicGraph(store.graph(), compact_threshold=None), steps
+            )
+
+    def test_splice_never_reaches_the_graph_constructor(self, monkeypatch):
+        """An accidental fallback to the rebuild must not pass silently."""
+        base = Graph(labels=[0, 1, 0, 1], edges=[(0, 1), (1, 2), (2, 3)])
+        dyn = DynamicGraph(base, compact_threshold=None)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("snapshot() fell back to Graph.__init__")
+
+        monkeypatch.setattr(Graph, "__init__", rebuilt)
+        dyn.apply([Mutation(ADD_EDGE, 0, 2), Mutation(REMOVE_EDGE, 2, 3)])
+        dyn.apply([Mutation(ADD_VERTEX, 2), Mutation(ADD_EDGE, 4, 3)])
+        first = dyn.snapshot()
+        dyn.compact()
+        dyn.apply([Mutation(REMOVE_EDGE, 4, 3)])
+        second = dyn.snapshot()
+        monkeypatch.undo()
+        assert first == Graph(
+            labels=[0, 1, 0, 1, 2], edges=[(0, 1), (1, 2), (0, 2), (3, 4)]
+        )
+        assert second == Graph(
+            labels=[0, 1, 0, 1, 2], edges=[(0, 1), (1, 2), (0, 2)]
+        )

@@ -5,6 +5,8 @@ validation), epoch rules, overlay cancellation, snapshot caching and
 byte parity, and manual/automatic compaction.
 """
 
+import random
+
 import pytest
 
 from repro.dynamic import (
@@ -136,6 +138,43 @@ def test_overlay_cancellation_readd_and_unremove():
     assert not dyn.has_edge(1, 3)
     assert dyn.num_edges == square().num_edges
     assert same_bytes(dyn.snapshot(), square())
+
+
+def test_overlay_size_counter_equals_the_sum_over_the_overlay():
+    """The incrementally kept count is the O(overlay) sum it replaced."""
+
+    def summed(dyn):
+        added = sum(len(s) for s in dyn._added_adj.values()) // 2
+        removed = sum(len(s) for s in dyn._removed_adj.values()) // 2
+        return added + removed
+
+    rng = random.Random(13)
+    n = 12
+    base = Graph(
+        labels=[0] * n,
+        edges=[(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3],
+    )
+    dyn = DynamicGraph(base, compact_threshold=None)
+    for step in range(300):
+        u, v = rng.sample(range(dyn.num_vertices), 2)
+        roll = rng.random()
+        if roll < 0.4:
+            dyn.add_edge(u, v)
+        elif roll < 0.8:
+            dyn.remove_edge(u, v)
+        elif roll < 0.9:
+            # An op and its inverse in one batch cancel in the overlay.
+            first = REMOVE_EDGE if dyn.has_edge(u, v) else ADD_EDGE
+            second = ADD_EDGE if first == REMOVE_EDGE else REMOVE_EDGE
+            dyn.apply([Mutation(first, u, v), Mutation(second, u, v)])
+        else:
+            dyn.apply([Mutation(ADD_VERTEX, 0), Mutation(ADD_EDGE, dyn.num_vertices, u)])
+        assert dyn.overlay_size == summed(dyn)
+        if step == 150:
+            assert dyn.overlay_size > 0
+            dyn.compact()
+            assert dyn.overlay_size == summed(dyn) == 0
+    assert dyn.overlay_size > 0
 
 
 def test_reads_through_the_overlay_match_a_rebuild():

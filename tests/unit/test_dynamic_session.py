@@ -101,6 +101,28 @@ class TestSessionMutation:
         finally:
             session.close()
 
+    def test_mutate_drops_the_superseded_cache_entries(self):
+        """Epoch-keyed entries are dead after a write; they must not sit
+        in the LRU until newer ones push them out."""
+        session = MatchSession(DynamicGraph(host()), algorithm="GQL")
+        try:
+            session.match(triangle())
+            session.match(triangle())
+            before = session.cache_info()
+            assert before["plan"]["size"] == before["prep"]["size"] == 1
+
+            session.mutate([("add_edge", 0, 1)])  # no-op: epoch unchanged
+            assert session.cache_info() == before
+
+            session.mutate([("add_edge", 6, 0)])
+            after = session.cache_info()
+            for cache in ("plan", "prep"):
+                assert after[cache]["size"] == 0
+                assert after[cache]["hits"] == before[cache]["hits"]
+                assert after[cache]["misses"] == before[cache]["misses"]
+        finally:
+            session.close()
+
     def test_ingest_folds_an_externally_applied_delta(self):
         dyn = DynamicGraph(host())
         session = MatchSession(dyn)
