@@ -6,9 +6,12 @@ the enumeration actually produces: similar-size lists, skewed lists, and
 dense neighborhoods.
 
 Run directly (``python benchmarks/bench_kernels.py``) to time the
-registered kernel *backends* (scalar vs numpy vs bitset) on 10k-element
-sorted arrays and write ``BENCH_kernels.json`` (also copied to
-``benchmarks/results/``).
+registered kernel *backends* (scalar vs numpy vs bitset vs rows) on
+10k-element sorted arrays and write ``BENCH_kernels.json`` (also copied to
+``benchmarks/results/``). The ``rows`` row times that backend's *list*
+interface (encode against the smaller list, AND, decode) — the price of
+entering and leaving position space, which the engine pays once per
+prepared query rather than per intersection.
 """
 
 from __future__ import annotations
@@ -185,7 +188,7 @@ def run_backend_shootout(
 
     timings = {}
     resolved = {}
-    for name in ("scalar", "numpy", "bitset"):
+    for name in ("scalar", "numpy", "bitset", "rows"):
         kernel = get_kernel(name)
         resolved[name] = kernel.name
         kernel.intersect(a, b)  # warm caches / JIT-free sanity check

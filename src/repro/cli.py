@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument(
         "--kernel", "-k", choices=available_kernels(), default=None,
         help="intersection backend for the Algorithm 5 hot path "
-        "(default: $REPRO_KERNEL, else the auto heuristic)",
+        "(default: $REPRO_KERNEL, else auto: rows when they fit, numpy otherwise)",
     )
     p_match.add_argument(
         "--engine", "-e", choices=available_engines(), default=None,

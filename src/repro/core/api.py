@@ -68,10 +68,13 @@ def match(
         Check the query's preconditions up front (disable in tight loops).
     kernel:
         Intersection backend for the Algorithm 5 hot path: a registry name
-        (``"scalar"``, ``"numpy"``, ``"bitset"``, ``"qfilter"``,
-        ``"auto"``) or a :class:`~repro.utils.kernels.KernelBackend`
-        instance. ``None`` defers to the ``REPRO_KERNEL`` environment
-        variable, falling back to the auto heuristic. An explicit argument
+        (``"rows"``, ``"scalar"``, ``"numpy"``, ``"bitset"``,
+        ``"qfilter"``, ``"auto"``) or a
+        :class:`~repro.utils.kernels.KernelBackend` instance. ``None``
+        defers to the ``REPRO_KERNEL`` environment variable, falling back
+        to ``"auto"`` (candidate-space bitmap rows whenever a static order
+        reads them and they fit ``REPRO_BITSET_CACHE_MB``, numpy
+        otherwise). An explicit argument
         always wins; with ``None``, a spec constructed with its own
         explicit kernel keeps it. Ignored (and recorded as ``None`` on the
         result) when the algorithm's ComputeLC is not Algorithm 5.

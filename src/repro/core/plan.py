@@ -31,12 +31,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, List, Optional, Tuple, Union
+from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.algorithms import resolve
 from repro.core.result import MatchResult
 from repro.core.spec import AlgorithmSpec
 from repro.enumeration.engines import create_engine, resolve_engine_name
+from repro.enumeration.frames import FrameMachine
 from repro.enumeration.local_candidates import IntersectionLC
 from repro.errors import InvalidQueryError
 from repro.filtering.auxiliary import AuxiliaryStructure
@@ -53,6 +54,9 @@ __all__ = [
     "PreparedQuery",
     "LRUCache",
     "compile_plan",
+    "prepare_query",
+    "bind_enumeration",
+    "iter_leaf_batches",
     "run_plan",
     "validate_query",
 ]
@@ -113,10 +117,15 @@ class PreparedQuery:
 
     Everything here is read-only during enumeration (candidate arrays,
     auxiliary adjacency and the matching order are never mutated by the
-    engine), so one ``PreparedQuery`` can serve any number of runs. The
-    resolved kernel instance rides along: identity-keyed encode caches
-    (bitset/QFilter layouts over the auxiliary arrays) stay warm across
-    repeats — the "build the index once" amortization of CNI-style
+    engine), so one ``PreparedQuery`` can serve any number of runs, from
+    any number of threads. ``lc`` is the ComputeLC method *bound* to
+    these artifacts (:meth:`~repro.enumeration.local_candidates.LocalCandidateMethod.bind`):
+    it carries the static order's per-depth tables — for Algorithm 5 on
+    bitmap rows, the row and translation tables the frame machine runs
+    on — and the auxiliary pairs it reads are already materialized. The
+    resolved kernel instance rides along inside it: identity-keyed encode
+    caches (bitset/QFilter layouts over the auxiliary arrays) stay warm
+    across repeats — the "build the index once" amortization of CNI-style
     data-side indexing.
     """
 
@@ -238,34 +247,22 @@ def prepare_query(
 ) -> PreparedQuery:
     """Run the preprocessing phases of ``plan`` for one concrete query.
 
-    Filtering, auxiliary-structure construction, ordering and kernel
-    resolution — everything Algorithm 1 does before enumeration. The
-    caller owns metrics installation; phase timings are recorded on
-    ``metrics`` exactly as the one-shot pipeline always did.
+    Filtering, ordering, and :func:`bind_enumeration` (accounted to the
+    ``filter`` phase, like the auxiliary structure it materializes always
+    was) — everything Algorithm 1 does before enumeration. The caller
+    owns metrics installation; phase timings are recorded on ``metrics``
+    exactly as the one-shot pipeline always did.
     """
     spec = plan.algorithm
-    prepared = PreparedQuery()
     with Timer() as prep_timer:
-        # Filtering phase: candidate generation plus the auxiliary
-        # structure built from it (the paper accounts both to the
-        # filtering component of preprocessing).
         with span(
             "filter", filter=spec.filter.name if spec.filter else None
         ), Timer() as filter_timer:
             candidates = spec.filter.run(query, data) if spec.filter else None
-
             tree = None
             if spec.aux_scope == "tree":
                 assert spec.tree_source is not None, "tree scope requires tree_source"
                 tree = spec.tree_source(query, data)
-
-            auxiliary = None
-            if spec.aux_scope != "none":
-                assert candidates is not None, "auxiliary structure needs candidates"
-                with span("filter.auxiliary", scope=spec.aux_scope):
-                    auxiliary = AuxiliaryStructure.build(
-                        query, data, candidates, scope=spec.aux_scope, tree=tree
-                    )
         metrics.record_phase("filter", filter_timer.elapsed)
 
         with span("order", ordering=spec.ordering.name), Timer() as order_timer:
@@ -281,30 +278,125 @@ def prepare_query(
                 order = spec.ordering.order(query, data, candidates)
         metrics.record_phase("order", order_timer.elapsed)
 
-        # Resolve the intersection backend for the Algorithm 5 hot path.
-        # A spec constructed with an explicit kernel keeps it; the stock
-        # default is swapped for the plan's kernel policy (env var / auto
-        # heuristic / an explicit request).
-        lc = spec.lc
-        kernel_used = None
-        kernel = plan.kernel_policy
-        if isinstance(lc, IntersectionLC) and (
-            kernel is not None or lc.uses_default_kernel
-        ):
-            with span("kernel.resolve"):
-                backend = get_kernel(kernel, data=data, candidates=candidates)
-            lc = IntersectionLC(kernel=backend)
-            kernel_used = backend.name
-
-    prepared.candidates = candidates
-    prepared.tree = tree
-    prepared.auxiliary = auxiliary
-    prepared.order = order
-    prepared.adaptive_state = adaptive_state
-    prepared.lc = lc
-    prepared.kernel_used = kernel_used
+        with span("filter.auxiliary", scope=spec.aux_scope), Timer() as aux_timer:
+            prepared = bind_enumeration(
+                spec.lc,
+                spec.aux_scope,
+                plan.kernel_policy,
+                query,
+                data,
+                candidates,
+                order=order,
+                adaptive_state=adaptive_state,
+                tree=tree,
+            )
+        metrics.record_phase("filter", aux_timer.elapsed)
     prepared.preprocessing_seconds = prep_timer.elapsed
     return prepared
+
+
+def bind_enumeration(
+    lc: Any,
+    aux_scope: str,
+    kernel: Optional[KernelLike],
+    query: Graph,
+    data: Graph,
+    candidates: Any,
+    order: Optional[List[int]] = None,
+    adaptive_state: Any = None,
+    tree: Any = None,
+) -> PreparedQuery:
+    """Everything between ``(candidates, order)`` and a runnable engine.
+
+    Scopes the auxiliary structure, resolves the intersection backend for
+    the Algorithm 5 hot path, and binds the ComputeLC method to the order
+    — which materializes exactly the auxiliary pairs enumeration reads,
+    in the form it reads them (bitmap rows for mask frames, arrays
+    otherwise). The one place this wiring exists: :func:`prepare_query`
+    feeds it a filter's and an ordering's output, continuous queries
+    (:mod:`repro.dynamic.subscribe`) their maintained candidates and a
+    pinned order.
+    """
+    auxiliary = None
+    if aux_scope != "none":
+        assert candidates is not None, "auxiliary structure needs candidates"
+        auxiliary = AuxiliaryStructure.build(
+            query, data, candidates, scope=aux_scope, tree=tree
+        )
+    # Algorithm 5 reads every query edge in its backward direction.
+    backward_pairs = None
+    if isinstance(lc, IntersectionLC) and aux_scope == "all":
+        position = (
+            adaptive_state.position
+            if order is None
+            else {u: i for i, u in enumerate(order)}
+        )
+        backward_pairs = [
+            (w, u) if position[w] < position[u] else (u, w)
+            for w, u in query.edges()
+        ]
+    # A spec constructed with an explicit kernel keeps it; the stock
+    # default is swapped for the kernel policy (an explicit request, the
+    # env var, or auto: bitmap rows when a static order can run on them
+    # and they fit the byte budget).
+    kernel_used = None
+    if isinstance(lc, IntersectionLC) and (
+        kernel is not None or lc.uses_default_kernel
+    ):
+        on_rows = backward_pairs is not None and order is not None
+        with span("kernel.resolve"):
+            backend = get_kernel(
+                kernel,
+                row_bytes=auxiliary.row_bytes(backward_pairs) if on_rows else None,
+            )
+        lc = IntersectionLC(kernel=backend)
+        kernel_used = backend.name
+    if order is not None:
+        lc = lc.bind(
+            query,
+            candidates,
+            auxiliary,
+            order,
+            tree.parent if tree is not None else None,
+        )
+    elif backward_pairs is not None:
+        auxiliary.build_arrays(backward_pairs)  # the adaptive selector's reads
+    return PreparedQuery(
+        candidates=candidates,
+        tree=tree,
+        auxiliary=auxiliary,
+        order=order,
+        adaptive_state=adaptive_state,
+        lc=lc,
+        kernel_used=kernel_used,
+    )
+
+
+def iter_leaf_batches(
+    prepared: PreparedQuery,
+    query: Graph,
+    data: Graph,
+    failing_sets: bool = False,
+) -> Iterator[Any]:
+    """Lazily enumerate a prepared static-order query, one leaf batch (an
+    int64 array, one row per match, columns indexed by query vertex) at a
+    time — the frame machine's pause/resume protocol as a generator."""
+    machine = FrameMachine(prepared.lc, use_failing_sets=failing_sets)
+    machine.start(
+        query,
+        data,
+        prepared.candidates,
+        prepared.auxiliary,
+        prepared.order,
+        tree_parent=prepared.tree.parent if prepared.tree is not None else None,
+        store_limit=0,
+        emit_rows=True,
+    )
+    while True:
+        rows = machine.advance()
+        if rows is None:
+            return
+        yield rows
 
 
 def run_plan(

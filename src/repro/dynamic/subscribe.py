@@ -28,13 +28,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import InvalidQueryError
-from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
 from repro.graph.ops import connected
-from repro.enumeration.frames import FrameMachine
 from repro.enumeration.local_candidates import IntersectionLC
-from repro.utils.kernels import get_kernel
 from repro.dynamic.incremental import IncrementalCandidates
 from repro.dynamic.overlay import DynamicGraph, MutationDelta
 
@@ -68,7 +65,7 @@ class Subscription:
         The resident :class:`DynamicGraph`.
     kernel:
         Intersection-kernel registry name for the enumeration (``None``
-        defers to ``REPRO_KERNEL`` / the auto heuristic).
+        defers to ``REPRO_KERNEL`` / the auto rule).
     match_limit:
         Safety cap on stored embeddings; exceeding it raises rather
         than silently truncating the standing result set.
@@ -191,25 +188,21 @@ class Subscription:
         candidates = CandidateSets(self.query, [base[u] for u in range(nq)])
         if candidates.has_empty_set:
             return []
-        auxiliary = AuxiliaryStructure.build(
-            self.query, snapshot, candidates, scope="all"
-        )
-        backend = get_kernel(self._kernel, data=snapshot, candidates=candidates)
-        order = self._order_from(next(iter(restrict)) if restrict else 0)
-        machine = FrameMachine(IntersectionLC(kernel=backend))
-        machine.start(
+        # The plan layer imports this package (sessions own subscriptions),
+        # so its wiring helper is imported at the call, not at module level.
+        from repro.core.plan import bind_enumeration, iter_leaf_batches
+
+        prepared = bind_enumeration(
+            IntersectionLC(),
+            "all",
+            self._kernel,
             self.query,
             snapshot,
             candidates,
-            auxiliary,
-            order,
-            store_limit=0,
-            emit_rows=True,
+            order=self._order_from(next(iter(restrict)) if restrict else 0),
         )
-        out: List[Embedding] = []
-        while True:
-            rows = machine.advance()
-            if rows is None:
-                return out
-            for row in rows.tolist():
-                out.append(tuple(int(row[u]) for u in range(nq)))
+        return [
+            tuple(row)
+            for rows in iter_leaf_batches(prepared, self.query, snapshot)
+            for row in rows.tolist()
+        ]

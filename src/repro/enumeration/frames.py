@@ -3,43 +3,53 @@
 This replaces the recursive descent of
 :class:`~repro.enumeration.engine.BacktrackingEngine` with an explicit
 machine over per-depth *frames*. A DFS visits at most one search node per
-depth at a time, so the "stack" is a set of preallocated per-depth slots:
+depth at a time, so the "stack" is a set of preallocated per-depth slots.
 
-* ``mapping`` — one shared int64 array, ``mapping[u]`` = data vertex (-1);
-* ``visited``/``owner`` — boolean/int64 arrays over data vertices that
-  replace the ``used`` dict (``owner[v]`` = query vertex, valid while
-  ``visited[v]``);
-* per depth: the frame's query vertex, its *valid* candidate array
-  (conflicts filtered out in one vectorized pass), the original-index
-  array needed for exact counter parity, a cursor, and the failing-set
-  accumulators.
+**Position space.** A frame never holds candidate arrays. It holds a
+*universe* — a sequence of data vertices — and integer masks over its
+positions: ``full`` (the local candidates ``LC(u, M)``), ``bad`` (the
+members of ``full`` already used by an ancestor) and ``valid = full &
+~bad``. The next candidate is ``valid & -valid``, a leaf batch is
+``valid.bit_count()`` matches, and nothing is decoded unless embeddings
+are stored or emitted. Where the masks come from depends on the ComputeLC
+method:
 
-Two structural wins over the recursion:
+* **Algorithm 5 on bitmap rows** (a static order under the ``rows``
+  kernel, what ``auto`` resolves to): the universe of a depth is
+  ``C(u)`` itself, ``full`` is the AND of the backward neighbors' rows
+  ``A_u^w`` at their mapped *positions* (the machine tracks ``pos[w]``
+  beside ``mapping[w]``), and ``bad`` ORs, for each earlier query vertex
+  whose candidates overlap ``C(u)``, the bit of ``M[w]`` in ``C(u)``
+  (one translation table per such pair). All tables are bound once per
+  prepared query (:class:`~repro.enumeration.local_candidates.StaticOrderInfo`);
+  a search node costs a few integer ANDs and no numpy call.
+* **List-returning methods** (Algorithms 2–4, ``2PP-LC``, Algorithm 5
+  under an explicit array kernel, the adaptive selector) are adapted at
+  the frame boundary: the universe is the returned list, ``full`` is all
+  ones and ``bad`` is packed from the ``visited`` array. From there on
+  the same loop runs.
 
-1. **Vectorized conflict filtering.** ``used`` contains exactly the
-   ancestors of a frame, and ancestors do not change while the frame
-   iterates (descendants always unmap before control returns). The
-   injectivity mask is therefore computed once per frame —
-   ``visited[candidates]`` — instead of one dict probe per candidate per
-   step.
-2. **Leaf batching.** At depth ``n-1`` every valid candidate is a
-   complete match; the machine records the whole run of them at once
-   (one ``np.repeat`` row build, and none at all when embeddings are
-   neither stored nor emitted) instead of paying one recursive call plus
-   one tuple conversion per match.
-
-Counter parity with the recursive engine is exact — ``recursion_calls``,
-``candidates_scanned``, ``conflicts``, ``failing_set_prunes`` and
-``adaptive_lc_reused`` all match, as do the embeddings byte-for-byte.
-The engine-parity property suite and the QA differential harness enforce
-this.
+**Counters from popcounts.** ``candidates_scanned`` and ``conflicts``
+count, per frame, the members of ``full`` up to the last consumed bit:
+each consumed candidate scans itself plus the ``bad`` bits skipped below
+it (a popcount, taken only in frames that have conflicts at all), and an
+exhausted frame scans its remaining ``bad`` bits as a tail. A frame
+pruned by failing sets returns mid-list and accounts no tail. The
+failing-set *conflict class* of a frame is exactly the set of earlier
+vertices whose bit hit ``full``. Parity with the recursive engine is
+exact — ``recursion_calls``, ``candidates_scanned``, ``conflicts``,
+``failing_set_prunes`` and ``adaptive_lc_reused`` all match, as do the
+embeddings byte-for-byte; a checked-in golden table
+(``tests/corpus/engine_goldens.json``), the engine-parity property suite
+and the QA differential harness enforce this.
 
 Pause/resume: the machine's state lives on the object, so
 :meth:`FrameMachine.advance` yields one leaf batch at a time —
 :func:`repro.enumeration.streaming.iter_matches` is a thin generator over
 it. :meth:`FrameMachine.save_state` / :meth:`FrameMachine.restore_state`
 snapshot and rewind the full search position for checkpointing and fair
-scheduling.
+scheduling; masks are immutable ints, so a snapshot copies no candidate
+data.
 """
 
 from __future__ import annotations
@@ -59,9 +69,9 @@ from repro.enumeration.support import (
     DEADLINE_STRIDE,
     AdaptiveSelector,
     EmbeddingStore,
-    prepare_static_order,
 )
 from repro.ordering.dpiso import DPisoAdaptiveState
+from repro.utils.kernels import RowsKernel
 from repro.utils.timer import Deadline, Timer
 
 __all__ = ["FrameMachine", "FrameSnapshot"]
@@ -98,27 +108,27 @@ class FrameSnapshot:
     """A full search position, produced by :meth:`FrameMachine.save_state`.
 
     Restoring rewinds the machine to exactly this node of the search tree
-    (mapping, frames, counters, retained-embedding count). The adaptive
-    selector's memo cache is deliberately not captured — entries
-    self-validate against the current mapping, so a stale cache is
-    semantically inert (only ``adaptive_lc_reused`` may differ after a
-    rewind).
+    (mapping, frames, counters, retained-embedding count). Frame masks are
+    ints and universes are shared read-only sequences, so the slot lists
+    are copied by reference. The adaptive selector's memo cache is
+    deliberately not captured — entries self-validate against the current
+    mapping, so a stale cache is semantically inert (only
+    ``adaptive_lc_reused`` may differ after a rewind).
     """
 
     depth: int
+    opening: bool
     f_u: List[int]
-    f_v: List[int]
-    f_valid: List[Optional[np.ndarray]]
-    f_orig: List[Optional[np.ndarray]]
-    f_pos: List[int]
-    f_last: List[int]
-    f_lclen: List[int]
+    f_universe: List[Optional[Sequence[int]]]
+    f_valid: List[int]
+    f_bad: List[int]
     f_fs: List[int]
     f_bmask: List[int]
     f_cbits: List[int]
-    mapping: np.ndarray
-    visited: np.ndarray
-    owner: np.ndarray
+    mapping: List[int]
+    pos: List[int]
+    visited: Optional[np.ndarray]
+    owner: Optional[np.ndarray]
     num_matches: int
     solved: bool
     done: bool
@@ -231,29 +241,29 @@ class FrameMachine:
         request deadlines and shutdown onto.
 
         ``root_window=(lo, hi)`` restricts the search to the half-open
-        slice ``[lo, hi)`` of the root frame's local-candidate list. The
-        machine then explores exactly the subtrees rooted at those
-        candidates, in the same order the full search would visit them —
-        the partitioning primitive behind :mod:`repro.parallel`: windows
-        covering ``[0, len)`` without overlap reproduce the full run's
-        matches (and all depth-local counters) as the concatenation of the
-        per-window runs. Static orders only (adaptive selection has no
-        fixed root list).
+        range ``[lo, hi)`` of the root frame's local candidates (a bit
+        range of the root mask, ``0 <= lo <= hi``). The machine then
+        explores exactly the subtrees rooted at those candidates, in the
+        same order the full search would visit them — the partitioning
+        primitive behind :mod:`repro.parallel`: windows covering
+        ``[0, len)`` without overlap reproduce the full run's matches (and
+        all depth-local counters) as the concatenation of the per-window
+        runs. Static orders only (adaptive selection has no fixed root
+        list).
         """
         if root_window is not None and self.adaptive is not None:
             raise ValueError("root_window requires a static matching order")
         n = query.num_vertices
         self._n = n
-        self._mapping = np.full(n, -1, dtype=np.int64)
-        self._visited = np.zeros(data.num_vertices, dtype=bool)
-        self._owner = np.zeros(data.num_vertices, dtype=np.int64)
+        self._mapping = [-1] * n
+        self._pos = [0] * n
         ctx = LCContext(
             query=query,
             data=data,
             candidates=candidates,
             auxiliary=auxiliary,
             mapping=self._mapping,
-            used=_VisitedView(self._visited, self._owner),
+            used={},
         )
         self.lc_method.prepare(ctx)
 
@@ -274,7 +284,9 @@ class FrameMachine:
         if self.adaptive is None:
             if order is None:
                 raise ValueError("static mode requires a matching order")
-            self._static = prepare_static_order(query, list(order), tree_parent)
+            self._static = self.lc_method.static_info(
+                query, candidates, auxiliary, order, tree_parent
+            )
             self._selector = None
         else:
             self._static = None
@@ -283,21 +295,32 @@ class FrameMachine:
             )
 
         self._f_u = [0] * n
-        self._f_v = [0] * n
-        self._f_valid: List[Optional[np.ndarray]] = [None] * n
-        self._f_orig: List[Optional[np.ndarray]] = [None] * n
-        self._f_pos = [0] * n
-        self._f_last = [0] * n
-        self._f_lclen = [0] * n
+        self._f_universe: List[Optional[Sequence[int]]] = [None] * n
+        self._f_valid = [0] * n
+        self._f_bad = [0] * n
         self._f_fs = [0] * n
         self._f_bmask = [0] * n
         self._f_cbits = [0] * n
-        self._depth = -1
+        self._depth = 0
+        #: The frame at ``_depth`` was descended into but not resolved yet
+        #: (true of the root until the first :meth:`advance`).
+        self._opening = True
+
+        #: Mask frames straight off the bound row tables, or lists adapted
+        #: at the frame boundary (which need the visited/owner arrays).
+        self._on_rows = self._static is not None and self._static.rows is not None
+        if self._on_rows:
+            self._visited = self._owner = None
+            self._f_u[:] = self._static.order
+            self._f_universe[:] = self._static.universe
+            self._f_bmask[:] = self._static.backward_mask
+        else:
+            self._visited = np.zeros(data.num_vertices, dtype=bool)
+            self._owner = np.zeros(data.num_vertices, dtype=np.int64)
+            ctx.used = _VisitedView(self._visited, self._owner)
 
         if candidates is not None and candidates.has_empty_set:
             self._done = True  # no match possible; zero work, zero counters
-        elif not self._push(0):
-            self._done = True  # fs empty root LC: the search is one node
         return self
 
     @property
@@ -331,29 +354,26 @@ class FrameMachine:
     # ------------------------------------------------------------------
 
     def _check_budget(self) -> None:
-        if self._tick <= 0:
-            self._tick = DEADLINE_STRIDE
-            if self._deadline is not None and self._deadline.expired():
-                raise BudgetExceeded
-            if self._cancel is not None and self._cancel():
-                raise BudgetExceeded
+        if self._deadline is not None and self._deadline.expired():
+            raise BudgetExceeded
+        if self._cancel is not None and self._cancel():
+            raise BudgetExceeded
 
-    def _push(self, depth: int) -> bool:
-        """Enter a search node: select the vertex, resolve and filter its
-        local candidates. Returns False when the node returns immediately
-        (failing-sets empty-LC short circuit, ``self._ret_fs`` set)."""
-        stats = self._stats
-        stats.recursion_calls += 1
-        self._tick -= 1
-        if self._tick <= 0:
-            self._check_budget()
-        ctx = self._ctx
+    def _open_lists(self, depth: int) -> int:
+        """Resolve frame ``depth`` from a list-returning ComputeLC method:
+        the universe is the returned list, ``full`` all ones (the root
+        window aside) and ``bad`` packed from the visited array.
+
+        Returns -1, or — the failing-sets empty-LC short circuit, where
+        the node returns without a frame — the failing set it returns.
+        """
         if self._static is not None:
-            u = self._static.order[depth]
+            static = self._static
+            u = static.order[depth]
             lc = self.lc_method.compute(
-                ctx, u, self._static.backward[depth], self._static.parent[depth]
+                self._ctx, u, static.backward[depth], static.parent[depth]
             )
-            bmask = self._static.backward_mask[depth]
+            bmask = static.backward_mask[depth]
         else:
             selection = self._selector.select()
             assert (
@@ -363,199 +383,282 @@ class FrameMachine:
             bmask = 0
             for w in backward:
                 bmask |= 1 << w
-        u_bit = 1 << u
+        fs = self.use_failing_sets
+        universe = np.asarray(lc, dtype=np.int64)
+        full = (1 << universe.size) - 1
         if depth == 0 and self._root_window is not None:
-            # Partitioned run: only this window of root candidates belongs
-            # to us. Slicing before the length/conflict accounting keeps
-            # every counter window-local, so disjoint covering windows sum
-            # exactly to the sequential totals.
-            lo, hi = self._root_window
-            lc = lc[lo:hi]
-        lclen = len(lc)
-        if self.use_failing_sets and lclen == 0:
+            full &= self._window_mask()
+        if fs and not full:
             # Emptyset class: bypass the frame entirely and return the
             # failing set to the parent (u plus its backward neighbors).
-            self._ret_fs = u_bit | bmask
-            return False
-        cand = np.asarray(lc, dtype=np.int64)
-        orig: Optional[np.ndarray] = None
-        cbits = 0
-        if lclen:
-            bad = self._visited[cand]
-            if bad.any():
-                keep = ~bad
-                valid = cand[keep]
-                orig = np.flatnonzero(keep)
-                if self.use_failing_sets:
-                    # Conflict children are u_bit | owner_bit; they never
-                    # prune, so their union only matters at exhaustion.
-                    # Owners are ancestors, constant for the frame's life.
-                    obits = 0
-                    for w in self._owner[cand[bad]].tolist():
-                        obits |= 1 << w
-                    cbits = u_bit | obits
-            else:
-                valid = cand
-        else:
-            valid = cand
+            return (1 << u) | bmask
+        bad = 0
+        if full:
+            used = self._visited[universe]
+            if used.any():
+                bad = RowsKernel.pack_flags(used) & full
         self._f_u[depth] = u
-        self._f_valid[depth] = valid
-        self._f_orig[depth] = orig
-        self._f_pos[depth] = 0
-        self._f_last[depth] = -1
-        self._f_lclen[depth] = lclen
-        self._f_fs[depth] = 0
+        self._f_universe[depth] = universe
         self._f_bmask[depth] = bmask
-        self._f_cbits[depth] = cbits
-        self._depth = depth
-        return True
+        self._f_valid[depth] = full ^ bad
+        self._f_bad[depth] = bad
+        if fs:
+            self._f_fs[depth] = 0
+            cbits = 0
+            if bad:
+                cbits = 1 << u
+                for w in self._owner[universe[used]].tolist():
+                    cbits |= 1 << w
+            self._f_cbits[depth] = cbits
+        return -1
 
-    def _absorb(self, depth: int, ret: int) -> bool:
-        """A child of frame ``depth`` returned ``ret``: unmap the frame's
-        current candidate, then apply the failing-set prune test. Returns
-        True when the frame itself must return ``ret`` (prune)."""
-        u = self._f_u[depth]
-        self._visited[self._f_v[depth]] = False
-        self._mapping[u] = -1
-        if self.use_failing_sets:
-            if not ret & (1 << u):
-                # The failure below does not involve u: every sibling
-                # candidate fails identically — skip them all.
-                self._stats.failing_set_prunes += 1
-                return True
-            self._f_fs[depth] |= ret
-        return False
+    def _window_mask(self) -> int:
+        # Partitioned run: only this bit range of the root candidates
+        # belongs to us. Masking before any accounting keeps every counter
+        # window-local, so disjoint covering windows sum exactly to the
+        # sequential totals.
+        lo, hi = self._root_window
+        return (1 << hi) - (1 << lo) if hi > lo else 0
+
+    def _leaf_rows(self, depth: int, taken: int, take: int) -> np.ndarray:
+        """The ``take`` matches a leaf batch ``taken`` completes, one row
+        each: the current mapping with the leaf vertex's column decoded
+        (in bulk when the mask is wide)."""
+        universe = self._f_universe[depth]
+        rows = np.array(self._mapping, dtype=np.int64)[None, :]
+        if take == 1:
+            rows[0, self._f_u[depth]] = universe[taken.bit_length() - 1]
+        else:
+            if self._on_rows:
+                universe = self._static.arrays[depth]
+            rows = np.repeat(rows, take, axis=0)
+            rows[:, self._f_u[depth]] = universe[RowsKernel.decode(taken)]
+        return rows
 
     def _loop(self) -> Optional[np.ndarray]:
-        # The frame slot lists are bound once: _push mutates the same list
-        # objects in place, and restore_state (which rebinds them) cannot
-        # run while this loop owns the machine.
-        n = self._n
+        # One iteration = (1) resolve the frame if it was just descended
+        # into, (2) continue it — leaf batch, interior step or exhaustion —
+        # and (3) hand a returned failing set up the stack.
+        #
+        # The frame slot lists are bound once: they are mutated in place,
+        # and restore_state (which writes into them) cannot run while this
+        # loop owns the machine. Counters, the budget tick and the match
+        # count run in locals and are written back on every way out.
+        last = self._n - 1
         fs = self.use_failing_sets
-        stats = self._stats
+        full_mask = self._full_mask
+        on_rows = self._on_rows
+        if on_rows:
+            static = self._static
+            ones, row_tables, clash = static.ones, static.rows, static.clash
+        window = self._window_mask() if self._root_window is not None else -1
         mapping = self._mapping
+        pos = self._pos
         visited = self._visited
+        owner = self._owner
         store = self._store
+        emit = self._emit_rows
+        wants_rows = emit or not store.full
+        match_limit = self._match_limit
         f_u = self._f_u
-        f_v = self._f_v
+        f_universe = self._f_universe
         f_valid = self._f_valid
-        f_orig = self._f_orig
-        f_pos = self._f_pos
-        f_last = self._f_last
-        f_lclen = self._f_lclen
+        f_bad = self._f_bad
         f_fs = self._f_fs
         f_bmask = self._f_bmask
         f_cbits = self._f_cbits
-        while True:
-            d = self._depth
-            valid = f_valid[d]
-            pos = f_pos[d]
-            if pos >= len(valid):
-                # Frame exhausted: account the trailing conflicts, build
-                # the failing set, and return it to the parent.
-                tail = f_lclen[d] - 1 - f_last[d]
-                if tail > 0:
-                    stats.candidates_scanned += tail
-                    stats.conflicts += tail
-                ret = f_fs[d] | f_cbits[d] | f_bmask[d] if fs else 0
+        d = self._depth
+        opening = self._opening
+        tick = self._tick
+        num_matches = self._num_matches
+        calls = scanned = conflicts = prunes = 0
+        try:
+            while True:
+                ret = -1  # the failing set a node returned; -1: none did
+                if opening:
+                    # (1) Enter a search node: resolve (universe, full, bad).
+                    opening = False
+                    calls += 1
+                    tick -= 1
+                    if tick <= 0:
+                        tick = DEADLINE_STRIDE
+                        self._check_budget()
+                    if on_rows:
+                        # LC(u, M) is the AND of the backward neighbours'
+                        # rows at their mapped positions.
+                        full = ones[d]
+                        for w, rows in row_tables[d]:
+                            full &= rows[pos[w]]
+                        if d == 0:
+                            full &= window
+                        if fs and not full:
+                            ret = (1 << f_u[d]) | f_bmask[d]  # emptyset class
+                        else:
+                            # Injectivity: the bit of M[w] in C(u), for every
+                            # earlier w whose candidates overlap C(u). The
+                            # ws that hit are the frame's conflict class:
+                            # conflict children are u_bit | w_bit, they never
+                            # prune, so their union only matters at
+                            # exhaustion; ancestors are constant for the
+                            # frame's life.
+                            bad = owners = 0
+                            for w, translation in clash[d]:
+                                hit = translation[pos[w]] & full
+                                if hit:
+                                    bad |= hit
+                                    owners |= 1 << w
+                            f_valid[d] = full ^ bad
+                            f_bad[d] = bad
+                            if fs:
+                                f_fs[d] = 0
+                                f_cbits[d] = (1 << f_u[d]) | owners if bad else 0
+                    else:
+                        ret = self._open_lists(d)
+
+                if ret < 0:
+                    valid = f_valid[d]
+                    if valid and d == last:
+                        # (2a) Leaf batch: every remaining valid candidate
+                        # completes a match. The recursive engine stops only
+                        # after recording the match that reaches the limit,
+                        # so room is clamped to at least one.
+                        take = valid.bit_count()
+                        taken = valid
+                        if match_limit is not None:
+                            room = match_limit - num_matches
+                            if room < 1:
+                                room = 1
+                            if take > room:
+                                take = room
+                                cut = int(RowsKernel.decode(valid)[room - 1])
+                                taken = valid & ((2 << cut) - 1)
+                        f_valid[d] = valid ^ taken
+                        bad = f_bad[d]
+                        if bad:
+                            skipped = bad & ((1 << (taken.bit_length() - 1)) - 1)
+                            if skipped:
+                                f_bad[d] = bad ^ skipped
+                                skipped = skipped.bit_count()
+                                scanned += skipped
+                                conflicts += skipped
+                        scanned += take
+                        calls += take
+                        num_matches += take
+                        tick -= take
+                        if tick <= 0:
+                            tick = DEADLINE_STRIDE
+                            self._check_budget()
+                        if fs:
+                            f_fs[d] |= full_mask
+                        rows: Optional[np.ndarray] = None
+                        if wants_rows:
+                            rows = self._leaf_rows(d, taken, take)
+                            store.extend_rows(rows)
+                            wants_rows = emit or not store.full
+                        if match_limit is not None and num_matches >= match_limit:
+                            self._done = True
+                        if emit:
+                            return rows
+                        if self._done:
+                            return None
+                        continue
+
+                    if valid:
+                        # (2b) Interior step: consume the lowest valid
+                        # candidate (scanning the conflicts skipped below
+                        # it), map it, descend.
+                        low = valid & -valid
+                        f_valid[d] = valid ^ low
+                        bad = f_bad[d]
+                        if bad:
+                            skipped = bad & (low - 1)
+                            if skipped:
+                                f_bad[d] = bad ^ skipped
+                                skipped = skipped.bit_count()
+                                scanned += skipped
+                                conflicts += skipped
+                        scanned += 1
+                        u = f_u[d]
+                        at = low.bit_length() - 1
+                        if on_rows:
+                            mapping[u] = f_universe[d][at]
+                            pos[u] = at
+                        else:
+                            mapping[u] = v = int(f_universe[d][at])
+                            visited[v] = True
+                            owner[v] = u
+                        d += 1
+                        opening = True
+                        continue
+
+                    # (2c) Frame exhausted: the conflicts above the last
+                    # consumed candidate are its tail; build the failing
+                    # set and return it to the parent.
+                    bad = f_bad[d]
+                    if bad:
+                        bad = bad.bit_count()
+                        scanned += bad
+                        conflicts += bad
+                    ret = f_fs[d] | f_cbits[d] | f_bmask[d] if fs else 0
+
+                # (3) The child of frame d-1 returned ``ret``: unmap that
+                # frame's current candidate, then apply the failing-set
+                # prune test.
                 d -= 1
-                while d >= 0 and self._absorb(d, ret):
-                    d -= 1  # pruned frames return mid-loop: no tail accounting
+                while d >= 0:
+                    u = f_u[d]
+                    if not on_rows:
+                        visited[mapping[u]] = False
+                    mapping[u] = -1
+                    if fs:
+                        if not ret & (1 << u):
+                            # The failure below does not involve u: every
+                            # sibling candidate fails identically — skip
+                            # them all. The frame returns mid-list, so no
+                            # tail is accounted.
+                            prunes += 1
+                            d -= 1
+                            continue
+                        f_fs[d] |= ret
+                    break
                 if d < 0:
                     self._done = True
                     return None
-                self._depth = d
-                continue
-
-            u = f_u[d]
-            orig = f_orig[d]
-            last = f_last[d]
-
-            if d == n - 1:
-                # Leaf batch: every remaining valid candidate completes a
-                # match. The recursive engine stops only after recording
-                # the match that reaches the limit, so room is clamped to
-                # at least one.
-                take = len(valid) - pos
-                if self._match_limit is not None:
-                    room = self._match_limit - self._num_matches
-                    if room <= 0:
-                        room = 1
-                    if take > room:
-                        take = room
-                o_end = int(orig[pos + take - 1]) if orig is not None else pos + take - 1
-                delta = o_end - last
-                stats.candidates_scanned += delta
-                stats.conflicts += delta - take
-                stats.recursion_calls += take
-                self._tick -= take
-                if self._tick <= 0:
-                    self._check_budget()
-                f_last[d] = o_end
-                f_pos[d] = pos + take
-                self._num_matches += take
-                if fs:
-                    f_fs[d] |= self._full_mask
-                rows: Optional[np.ndarray] = None
-                if self._emit_rows or not store.full:
-                    rows = np.repeat(mapping[None, :], take, axis=0)
-                    rows[:, u] = valid[pos : pos + take]
-                    if not store.full:
-                        store.extend_rows(rows)
-                if (
-                    self._match_limit is not None
-                    and self._num_matches >= self._match_limit
-                ):
-                    self._done = True
-                if self._emit_rows:
-                    return rows
-                if self._done:
-                    return None
-                continue
-
-            # Interior step: consume one valid candidate, map it, descend.
-            o = int(orig[pos]) if orig is not None else pos
-            delta = o - last
-            stats.candidates_scanned += delta
-            stats.conflicts += delta - 1
-            f_last[d] = o
-            f_pos[d] = pos + 1
-            v = int(valid[pos])
-            mapping[u] = v
-            visited[v] = True
-            self._owner[v] = u
-            f_v[d] = v
-            if not self._push(d + 1):
-                # fs empty-LC: the virtual child returned self._ret_fs.
-                ret = self._ret_fs
-                while d >= 0 and self._absorb(d, ret):
-                    d -= 1
-                if d < 0:
-                    self._done = True
-                    return None
-                self._depth = d
+        finally:
+            stats = self._stats
+            stats.recursion_calls += calls
+            stats.candidates_scanned += scanned
+            stats.conflicts += conflicts
+            stats.failing_set_prunes += prunes
+            self._depth = max(d, 0)
+            self._opening = opening
+            self._tick = tick
+            self._num_matches = num_matches
 
     # ------------------------------------------------------------------
     # Pause / resume
     # ------------------------------------------------------------------
 
     def save_state(self) -> FrameSnapshot:
-        """Snapshot the full search position (cheap: O(depth + |V(G)|))."""
+        """Snapshot the full search position.
+
+        O(depth) on mask frames; the list-adapted path also copies its
+        ``|V(G)|`` visited/owner arrays.
+        """
         return FrameSnapshot(
             depth=self._depth,
+            opening=self._opening,
             f_u=list(self._f_u),
-            f_v=list(self._f_v),
+            f_universe=list(self._f_universe),
             f_valid=list(self._f_valid),
-            f_orig=list(self._f_orig),
-            f_pos=list(self._f_pos),
-            f_last=list(self._f_last),
-            f_lclen=list(self._f_lclen),
+            f_bad=list(self._f_bad),
             f_fs=list(self._f_fs),
             f_bmask=list(self._f_bmask),
             f_cbits=list(self._f_cbits),
-            mapping=self._mapping.copy(),
-            visited=self._visited.copy(),
-            owner=self._owner.copy(),
+            mapping=list(self._mapping),
+            pos=list(self._pos),
+            visited=None if self._visited is None else self._visited.copy(),
+            owner=None if self._owner is None else self._owner.copy(),
             num_matches=self._num_matches,
             solved=self._solved,
             done=self._done,
@@ -567,26 +670,24 @@ class FrameMachine:
     def restore_state(self, snapshot: FrameSnapshot) -> None:
         """Rewind to a snapshot taken by :meth:`save_state` on this run.
 
-        Arrays are copied *into* the live buffers (the LC context and the
-        visited view hold references to them); retained embeddings are
-        truncated back to the snapshot's count.
+        Everything is copied *into* the live lists and buffers (the LC
+        context and the visited view hold references to them); retained
+        embeddings are truncated back to the snapshot's count.
         """
         self._depth = snapshot.depth
-        # Slot lists are mutated in place, never rebound: _loop holds
-        # direct references to them.
+        self._opening = snapshot.opening
         self._f_u[:] = snapshot.f_u
-        self._f_v[:] = snapshot.f_v
+        self._f_universe[:] = snapshot.f_universe
         self._f_valid[:] = snapshot.f_valid
-        self._f_orig[:] = snapshot.f_orig
-        self._f_pos[:] = snapshot.f_pos
-        self._f_last[:] = snapshot.f_last
-        self._f_lclen[:] = snapshot.f_lclen
+        self._f_bad[:] = snapshot.f_bad
         self._f_fs[:] = snapshot.f_fs
         self._f_bmask[:] = snapshot.f_bmask
         self._f_cbits[:] = snapshot.f_cbits
         self._mapping[:] = snapshot.mapping
-        self._visited[:] = snapshot.visited
-        self._owner[:] = snapshot.owner
+        self._pos[:] = snapshot.pos
+        if self._visited is not None:
+            self._visited[:] = snapshot.visited
+            self._owner[:] = snapshot.owner
         self._num_matches = snapshot.num_matches
         self._solved = snapshot.solved
         self._done = snapshot.done

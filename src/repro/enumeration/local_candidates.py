@@ -19,13 +19,25 @@ backtracking of Algorithm 1 but compute ``LC(u, M)`` differently:
 
 Each method receives the immutable :class:`LCContext` once and is then
 called per search-tree node with the current partial embedding.
+
+A static matching order fixes, per depth, which backward neighbors a
+method will consult; :meth:`LocalCandidateMethod.bind` resolves that once
+(:class:`StaticOrderInfo`) and materializes the auxiliary pairs the method
+will read, so a prepared query pays neither per run. Algorithm 5 under
+the ``rows`` kernel additionally binds the per-depth bitmap-row and
+position-translation tables the frame machine runs on: there the local
+candidates of a node are the AND of a few integers and ``compute`` is
+never called.
 """
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.filtering.auxiliary import AuxiliaryStructure
@@ -33,9 +45,12 @@ from repro.filtering.base import ldf_check
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
 from repro.utils.intersection import intersect_hybrid, multi_intersect
+from repro.utils.kernels import RowsKernel
 
 __all__ = [
     "LCContext",
+    "StaticOrderInfo",
+    "prepare_static_order",
     "LocalCandidateMethod",
     "NeighborScanLC",
     "VF2ppLC",
@@ -63,6 +78,103 @@ class LCContext:
     used: Dict[int, int]
 
 
+class StaticOrderInfo:
+    """Per-depth artifacts of a static matching order φ.
+
+    ``order``/``backward``/``parent``/``backward_mask`` are what
+    :func:`prepare_static_order` derives from the query alone. A method
+    bound to one query's artifacts (:meth:`LocalCandidateMethod.bind`)
+    also records what it was bound to, and — Algorithm 5 on bitmap rows —
+    the tables of the mask frames, all indexed by depth:
+
+    * ``universe[d]`` / ``arrays[d]`` — ``C(order[d])`` as a list and as
+      an int64 array; a frame's masks are over these positions;
+    * ``ones[d]`` — the all-candidates mask ``(1 << |C(u)|) - 1``;
+    * ``rows[d]`` — ``(w, rows of (w → u))`` per backward neighbor ``w``;
+    * ``clash[d]`` — ``(w, translation of C(w) into C(u))`` for every
+      earlier vertex whose candidates overlap ``C(u)``.
+
+    ``rows`` is ``None`` when the method answers in lists.
+    """
+
+    __slots__ = (
+        "order",
+        "backward",
+        "parent",
+        "backward_mask",
+        "bound_to",
+        "universe",
+        "arrays",
+        "ones",
+        "rows",
+        "clash",
+    )
+
+    def __init__(
+        self,
+        order: List[int],
+        backward: List[List[int]],
+        parent: List[int],
+        backward_mask: List[int],
+    ) -> None:
+        self.order = order
+        self.backward = backward
+        self.parent = parent
+        self.backward_mask = backward_mask
+        self.bound_to: Optional[tuple] = None
+        self.universe: Optional[List[List[int]]] = None
+        self.arrays: Optional[List[np.ndarray]] = None
+        self.ones: Optional[List[int]] = None
+        self.rows: Optional[List[Tuple[Tuple[int, List[int]], ...]]] = None
+        self.clash: Optional[List[Tuple[Tuple[int, List[int]], ...]]] = None
+
+
+def prepare_static_order(
+    query: Graph,
+    order: List[int],
+    tree_parent: Optional[Sequence[int]],
+) -> StaticOrderInfo:
+    """Backward neighbors, parent ``u.p`` and fs masks per order position.
+
+    ``tree_parent`` optionally designates ``u.p`` per query vertex (CFL
+    must use its BFS-tree parent so Algorithm 4 hits the tree-scoped
+    index); otherwise the φ-earliest backward neighbor is the parent.
+    """
+    position = {u: i for i, u in enumerate(order)}
+    backward_lists: List[List[int]] = []
+    parents: List[int] = []
+    masks: List[int] = []
+    for i, u in enumerate(order):
+        backward = [
+            w for w in query.neighbors(u).tolist() if position[w] < i
+        ]
+        backward.sort(key=lambda w: position[w])
+        parent = -1
+        if backward:
+            parent = backward[0]
+            if tree_parent is not None and tree_parent[u] in backward:
+                parent = tree_parent[u]
+        backward_lists.append(backward)
+        parents.append(parent)
+        mask = 0
+        for w in backward:
+            mask |= 1 << w
+        masks.append(mask)
+    return StaticOrderInfo(order, backward_lists, parents, masks)
+
+
+def _binding(candidates, auxiliary, order, tree_parent) -> tuple:
+    """What a :class:`StaticOrderInfo` was computed for: the per-query
+    artifacts themselves (neither defines ``__eq__``, so tuples compare
+    them by identity) and the value of the order."""
+    return (
+        candidates,
+        auxiliary,
+        tuple(order),
+        None if tree_parent is None else tuple(tree_parent),
+    )
+
+
 class LocalCandidateMethod(ABC):
     """One ComputeLC strategy. Stateless across runs; bound via prepare()."""
 
@@ -79,6 +191,62 @@ class LocalCandidateMethod(ABC):
     #: ``ctx.used`` (the whole partial embedding) must set this False so
     #: the adaptive selector never serves them a stale memoized list.
     mapping_determined: bool = True
+
+    #: Set on the copy :meth:`bind` returns: the static-order artifacts of
+    #: the one prepared query that copy belongs to.
+    static: Optional[StaticOrderInfo] = None
+
+    def bind(
+        self,
+        query: Graph,
+        candidates: Optional[CandidateSets],
+        auxiliary: Optional[AuxiliaryStructure],
+        order: Sequence[int],
+        tree_parent: Optional[Sequence[int]] = None,
+    ) -> "LocalCandidateMethod":
+        """A copy of this method bound to one query's static order.
+
+        Preprocessing calls this once per prepared query: the copy carries
+        the :class:`StaticOrderInfo` every later run over the same
+        artifacts reuses, and the auxiliary pairs the method reads have
+        been materialized (in the form it reads them) — so neither is
+        paid inside enumeration. ``self`` is left untouched: spec-level
+        methods are shared between queries and threads.
+        """
+        bound = copy.copy(self)
+        bound.static = self.static_info(
+            query, candidates, auxiliary, order, tree_parent
+        )
+        return bound
+
+    def static_info(
+        self,
+        query: Graph,
+        candidates: Optional[CandidateSets],
+        auxiliary: Optional[AuxiliaryStructure],
+        order: Sequence[int],
+        tree_parent: Optional[Sequence[int]] = None,
+    ) -> StaticOrderInfo:
+        """The static-order artifacts for a run over these arguments: the
+        bound ones when this method was bound to exactly them, fresh ones
+        otherwise."""
+        binding = _binding(candidates, auxiliary, order, tree_parent)
+        static = self.static
+        if static is None or static.bound_to != binding:
+            static = prepare_static_order(query, list(order), tree_parent)
+            static.bound_to = binding
+            if candidates is not None and auxiliary is not None:
+                self._materialize(static, candidates, auxiliary)
+        return static
+
+    def _materialize(
+        self,
+        static: StaticOrderInfo,
+        candidates: CandidateSets,
+        auxiliary: AuxiliaryStructure,
+    ) -> None:
+        """Build what ``compute`` will read from ``auxiliary`` under
+        ``static`` (methods that read nothing build nothing)."""
 
     def prepare(self, ctx: LCContext) -> None:
         """Validate wiring before a run starts."""
@@ -224,6 +392,18 @@ class TreeAdjacencyLC(LocalCandidateMethod):
     needs_candidates = True
     needs_auxiliary = True
 
+    def _materialize(
+        self,
+        static: StaticOrderInfo,
+        candidates: CandidateSets,
+        auxiliary: AuxiliaryStructure,
+    ) -> None:
+        auxiliary.build_arrays(
+            (parent, u)
+            for u, parent in zip(static.order, static.parent)
+            if parent >= 0 and auxiliary.has_pair(parent, u)
+        )
+
     def compute(
         self,
         ctx: LCContext,
@@ -253,7 +433,7 @@ class IntersectionLC(LocalCandidateMethod):
       resolved :class:`~repro.utils.kernels.KernelBackend` for this
       default; an explicitly passed kernel is never overridden.
     * a registered backend name (``"scalar"``, ``"numpy"``, ``"bitset"``,
-      ``"qfilter"``, ``"auto"``) — resolved via
+      ``"qfilter"``, ``"rows"``, ``"auto"``) — resolved via
       :func:`repro.utils.kernels.get_kernel`.
     * a pairwise callable over sorted lists, or an object exposing
       ``multi_intersect`` (a :class:`~repro.utils.kernels.KernelBackend`,
@@ -261,6 +441,13 @@ class IntersectionLC(LocalCandidateMethod):
       their packed domain and encode-cache the long-lived auxiliary
       lists, which is how Figure 10 models QFilter's one-time layout
       conversion.
+
+    Under a :class:`~repro.utils.kernels.RowsKernel` and a static order
+    the method *answers in mask form*: binding fills the
+    :class:`StaticOrderInfo` row tables and the frame machine ANDs them
+    itself. ``compute`` still returns arrays under every kernel (decoded
+    from the rows where those are what the structure holds) — the
+    recursive engine and the adaptive selector consume those.
     """
 
     name = "ALG5"
@@ -285,6 +472,39 @@ class IntersectionLC(LocalCandidateMethod):
             kernel = get_kernel(kernel)
         self.kernel = kernel
         self._index = kernel if hasattr(kernel, "multi_intersect") else None
+
+    def _materialize(
+        self,
+        static: StaticOrderInfo,
+        candidates: CandidateSets,
+        auxiliary: AuxiliaryStructure,
+    ) -> None:
+        order = static.order
+        pairs = [
+            (w, u) for u, backward in zip(order, static.backward) for w in backward
+        ]
+        if not all(auxiliary.has_pair(w, u) for w, u in pairs):
+            return  # mis-scoped structure: the read raises, as it always did
+        if not isinstance(self.kernel, RowsKernel):
+            auxiliary.build_arrays(pairs)
+            return
+        auxiliary.build_rows(pairs)
+        static.universe = [candidates[u] for u in order]
+        static.arrays = [candidates.array(u) for u in order]
+        static.ones = [(1 << candidates.size(u)) - 1 for u in order]
+        static.rows = [
+            tuple((w, auxiliary.rows(w, u)) for w in backward)
+            for u, backward in zip(order, static.backward)
+        ]
+        static.clash = [
+            tuple(
+                (w, table)
+                for w in order[:depth]
+                for table in (auxiliary.translation(w, u),)
+                if table is not None
+            )
+            for depth, u in enumerate(order)
+        ]
 
     def compute(
         self,

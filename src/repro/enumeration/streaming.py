@@ -3,8 +3,10 @@
 ``match()`` materializes results; this module yields them one at a time
 so a consumer can stop after any number of matches without paying for
 the rest (``itertools.islice`` composes naturally). The pipeline is the
-paper's recommended one — GraphQL filter, all-edges auxiliary structure,
-Algorithm 5 — with the ordering chosen by data density as in Section 6.
+paper's recommended one (:func:`repro.core.algorithms.recommended_spec`:
+GraphQL filter, all-edges auxiliary structure, Algorithm 5, the ordering
+chosen by data density as in Section 6), compiled and prepared exactly
+as ``match()`` prepares it.
 
 The walk itself is the incremental face of the
 :class:`~repro.enumeration.frames.FrameMachine`: ``start(...,
@@ -17,16 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
-from repro.errors import InvalidQueryError
-from repro.filtering.auxiliary import AuxiliaryStructure
-from repro.filtering.graphql import GraphQLFilter
 from repro.graph.graph import Graph
-from repro.graph.ops import connected
-from repro.ordering.graphql import GraphQLOrdering
-from repro.ordering.ri import RIOrdering
-from repro.enumeration.frames import FrameMachine
-from repro.enumeration.local_candidates import IntersectionLC
-from repro.utils.kernels import get_kernel
 
 __all__ = ["iter_matches"]
 
@@ -39,9 +32,9 @@ def iter_matches(
 ) -> Iterator[Dict[int, int]]:
     """Yield matches lazily as ``{query_vertex: data_vertex}`` dicts.
 
-    ``kernel`` selects the intersection backend by registry name
-    (``"scalar"``, ``"numpy"``, ``"bitset"``, ``"qfilter"``, ``"auto"``);
-    ``None`` defers to ``REPRO_KERNEL`` / the auto heuristic.
+    ``kernel`` selects the intersection backend by registry name (see
+    :func:`repro.utils.kernels.available_kernels`); ``None`` defers to
+    ``REPRO_KERNEL`` / the auto rule.
 
     >>> from repro.graph import Graph
     >>> from itertools import islice
@@ -51,37 +44,24 @@ def iter_matches(
     >>> len(first_two)
     2
     """
-    if query.num_vertices < 3:
-        raise InvalidQueryError("queries must have at least 3 vertices")
-    if not connected(query):
-        raise InvalidQueryError("query graphs must be connected")
-
-    candidates = GraphQLFilter().run(query, data)
-    if candidates.has_empty_set:
-        return
-    auxiliary = AuxiliaryStructure.build(query, data, candidates, scope="all")
-    backend = get_kernel(kernel, data=data, candidates=candidates)
-    ordering = (
-        GraphQLOrdering()
-        if data.average_degree >= dense_degree
-        else RIOrdering()
+    # The plan layer sits above this package; imported here, not at module
+    # level, so ``repro.enumeration`` stays importable on its own.
+    from repro.core.algorithms import recommended_spec
+    from repro.core.plan import (
+        compile_plan,
+        iter_leaf_batches,
+        prepare_query,
+        validate_query,
     )
-    order = ordering.order(query, data, candidates)
+    from repro.obs import Metrics
 
+    validate_query(query)
+    spec = recommended_spec(query, data, dense_degree=dense_degree)
+    plan = compile_plan(spec, query, data, kernel=kernel)
+    prepared = prepare_query(plan, query, data, Metrics())
     n = query.num_vertices
-    machine = FrameMachine(IntersectionLC(kernel=backend))
-    machine.start(
-        query,
-        data,
-        candidates,
-        auxiliary,
-        order,
-        store_limit=0,
-        emit_rows=True,
-    )
-    while True:
-        rows = machine.advance()
-        if rows is None:
-            return
+    for rows in iter_leaf_batches(
+        prepared, query, data, failing_sets=spec.failing_sets
+    ):
         for row in rows.tolist():
             yield {w: row[w] for w in range(n)}

@@ -10,15 +10,41 @@ Given a query edge ``e(u, u')`` and ``v ∈ C(u)``, the paper defines
   every query edge,
 * GraphQL keeps none (its ComputeLC scans ``C(u)`` directly).
 
-``AuxiliaryStructure.build`` takes the final candidate sets and a scope and
-materializes exactly those adjacency lists; contents are identical to what
-an incremental construction would leave behind, since ``A`` is fully
-determined by the final ``C`` sets.
+``AuxiliaryStructure.build`` fixes that scope; the adjacency of a directed
+pair ``(u → u')`` is then materialized on demand, in one of two forms:
+
+* **rows** (:meth:`AuxiliaryStructure.rows`) — *position space*. The
+  ``i``-th entry is one arbitrary-precision ``int`` whose bit ``j`` is set
+  iff ``C(u')[j] ∈ N(C(u)[i])``. This is what the frame machine ANDs; a
+  row costs ``|C(u')|/8`` bytes, a pair ``|C(u)|·|C(u')|/8``
+  (:meth:`AuxiliaryStructure.row_bytes`, the number the ``auto`` kernel
+  rule compares with the bitset byte budget).
+* **arrays** (:meth:`AuxiliaryStructure.neighbors`) — ``{v: sorted int64
+  array}``, what the list-returning ComputeLC methods (Algorithm 4,
+  Algorithm 5 under an explicit array kernel, the adaptive selector) and
+  the recursive oracle read.
+
+Preparation (:meth:`repro.enumeration.local_candidates.LocalCandidateMethod.bind`)
+materializes exactly the pairs enumeration will read — the backward
+direction under the matching order, ``|E(q)|`` of the ``2|E(q)|`` directed
+pairs — in the one form its engine path uses; a pair is never held in
+both. A pair nobody prepared is built in array form on its first
+:meth:`neighbors` call (decoded from its rows if those exist), so the
+lookup API is total over the scope. Contents are fully determined by the
+final ``C`` sets, whichever form and whenever built; built tables are
+never mutated, so one structure serves concurrent readers.
+
+The data graph is referenced *weakly*: a prepared query sits in caches
+long after its request, and must not keep a replaced snapshot (or a
+worker's shared-memory mapping) alive. Everything enumeration reads was
+materialized while the graph was certainly there; only a first-time build
+after the graph is gone fails, with a ``ReferenceError``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Literal, Optional, Tuple
+import weakref
+from typing import Dict, Iterable, Iterator, List, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -27,33 +53,67 @@ from repro.filtering._common import _ragged_indices
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
 from repro.graph.ops import BFSTree
+from repro.utils.kernels import RowsKernel
 
 __all__ = ["AuxiliaryStructure", "Scope"]
 
 Scope = Literal["none", "tree", "all"]
+Pair = Tuple[int, int]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _gone() -> None:
+    """A dead graph reference (what an unpickled structure holds)."""
+    return None
 
 
 class AuxiliaryStructure:
     """Candidate-to-candidate adjacency for a chosen set of query edges.
 
     The structure is directional: the pair ``(u_from, u_to)`` maps each
-    ``v ∈ C(u_from)`` to the sorted list ``N(v) ∩ C(u_to)``. Query edges in
-    scope are materialized in both directions, which is what both Algorithm 4
-    (tree-edge lookups) and Algorithm 5 (set intersections over all backward
+    ``v ∈ C(u_from)`` to ``N(v) ∩ C(u_to)``. Query edges in scope can be
+    read in both directions, which is what both Algorithm 4 (tree-edge
+    lookups) and Algorithm 5 (set intersections over all backward
     neighbors) need.
     """
 
-    __slots__ = ("_tables", "_scope")
+    __slots__ = (
+        "_data",
+        "_candidates",
+        "_scope",
+        "_edges",
+        "_pairs",
+        "_rows",
+        "_arrays",
+        "_translations",
+        "_edge_entries",
+        "_num_entries",
+    )
 
     def __init__(
         self,
-        tables: Dict[Tuple[int, int], Dict[int, np.ndarray]],
+        data: Graph,
+        candidates: CandidateSets,
         scope: Scope,
+        edges: Iterable[Pair],
     ) -> None:
-        self._tables = tables
+        self._data = weakref.ref(data)
+        self._candidates = candidates
         self._scope = scope
+        #: In-scope query edges, one orientation each.
+        self._edges: Tuple[Pair, ...] = tuple(edges)
+        self._pairs: Dict[Pair, None] = {}
+        for u, u2 in self._edges:
+            self._pairs[(u, u2)] = None
+            self._pairs[(u2, u)] = None
+        self._rows: Dict[Pair, List[int]] = {}
+        self._arrays: Dict[Pair, Dict[int, np.ndarray]] = {}
+        self._translations: Dict[Pair, Optional[List[int]]] = {}
+        #: Candidate edges per in-scope query edge (keyed ``(min, max)``),
+        #: recorded by whichever build first scans the edge.
+        self._edge_entries: Dict[Pair, int] = {}
+        self._num_entries: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -68,62 +128,89 @@ class AuxiliaryStructure:
         scope: Scope = "all",
         tree: Optional[BFSTree] = None,
     ) -> "AuxiliaryStructure":
-        """Materialize ``A`` for the requested scope.
+        """Fix which query edges ``A`` covers; adjacency is built on demand.
 
         ``scope="tree"`` requires the BFS tree whose edges should be kept
         (CFL's ``q_t``); ``scope="all"`` keeps every query edge;
         ``scope="none"`` produces an empty structure (GraphQL).
         """
         if scope == "none":
-            return cls({}, scope)
-        if scope == "tree":
+            edges: List[Pair] = []
+        elif scope == "tree":
             if tree is None:
                 raise ConfigurationError("tree scope requires a BFSTree")
-            pairs = [(p, c) for p, c in tree.tree_edges]
+            edges = [(p, c) for p, c in tree.tree_edges]
         elif scope == "all":
-            pairs = list(query.edges())
+            edges = list(query.edges())
         else:
             raise ConfigurationError(f"unknown auxiliary scope {scope!r}")
+        return cls(data, candidates, scope, edges)
 
-        tables: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
-        member = np.zeros(data.num_vertices, dtype=bool)
-        for u, u2 in pairs:
-            tables[(u, u2)] = cls._adjacency(data, candidates, u, u2, member)
-            tables[(u2, u)] = cls._adjacency(data, candidates, u2, u, member)
-        return cls(tables, scope)
+    def _scan(
+        self, pairs: Iterable[Pair]
+    ) -> Iterator[Tuple[Pair, np.ndarray, np.ndarray]]:
+        """The candidate edges of each directed pair in ``pairs``.
 
-    @staticmethod
-    def _adjacency(
-        data: Graph,
-        candidates: CandidateSets,
-        u_from: int,
-        u_to: int,
-        member: np.ndarray,
-    ) -> Dict[int, np.ndarray]:
-        """``{v: N(v) ∩ C(u_to)}`` (sorted arrays) for each ``v ∈ C(u_from)``.
-
-        One ragged gather over the CSR slices of all of ``C(u_from)``, one
-        membership mask against ``C(u_to)``, then a segmented split — no
-        per-candidate Python loop. ``member`` is a reusable bool scratch of
-        size ``|V(G)|``.
+        Yields ``(pair, rows, positions)``: entry ``k`` says candidate
+        ``C(u_from)[rows[k]]`` is adjacent to ``C(u_to)[positions[k]]``,
+        sorted by ``(row, position)``. Pairs are grouped by source vertex:
+        one ragged gather over the CSR slices of all of ``C(u_from)``
+        serves every target, a target costs one scatter of its positions
+        into a ``|V(G)|`` scratch (allocated once per call) and one lookup
+        — no per-candidate Python loop. Raises ``KeyError`` for a pair
+        out of scope.
         """
-        source = candidates.array(u_from)
-        if source.size == 0:
-            return {}
-        target = candidates.array(u_to)
-        member[target] = True
+        by_source: Dict[int, List[int]] = {}
+        for pair in dict.fromkeys(pairs):
+            if pair not in self._pairs:
+                raise KeyError(pair)
+            by_source.setdefault(pair[0], []).append(pair[1])
+        if not by_source:
+            return
+        data = self._data()
+        if data is None:
+            raise ReferenceError("the data graph of this structure is gone")
         offsets, neighbors = data.csr
-        starts = offsets[source]
-        lengths = offsets[source + 1] - starts
-        total = int(lengths.sum())
-        gathered = neighbors[_ragged_indices(starts, lengths, total)]
-        keep = member[gathered]
-        member[target] = False
-        seg = np.repeat(np.arange(source.size), lengths)
-        kept_counts = np.bincount(seg[keep], minlength=source.size)
-        chunks = np.split(gathered[keep], np.cumsum(kept_counts)[:-1])
-        # data.neighbors(v) is sorted, so each filtered chunk stays sorted.
-        return {int(v): chunk for v, chunk in zip(source.tolist(), chunks)}
+        where = np.full(data.num_vertices, -1, dtype=np.int32)
+        for u_from, targets in by_source.items():
+            source = self._candidates.array(u_from)
+            starts = offsets[source]
+            lengths = offsets[source + 1] - starts
+            gathered = neighbors[_ragged_indices(starts, lengths, int(lengths.sum()))]
+            segment = np.repeat(np.arange(source.size), lengths)
+            for u_to in targets:
+                target = self._candidates.array(u_to)
+                where[target] = np.arange(target.size, dtype=np.int32)
+                positions = where[gathered]
+                where[target] = -1
+                keep = positions >= 0
+                rows = segment[keep]
+                self._edge_entries[(min(u_from, u_to), max(u_from, u_to))] = int(rows.size)
+                # data.neighbors(v) and C(u_to) are sorted, so positions
+                # ascend within each row.
+                yield (u_from, u_to), rows, positions[keep]
+
+    def build_rows(self, pairs: Iterable[Pair]) -> None:
+        """Materialize ``pairs`` as bitmap rows (and only as rows)."""
+        size = self._candidates.size
+        missing = [pair for pair in pairs if pair not in self._rows]
+        for pair, rows, positions in self._scan(missing):
+            self._arrays.pop(pair, None)
+            self._rows[pair] = RowsKernel.pack(
+                rows, positions, size(pair[0]), size(pair[1])
+            )
+
+    def build_arrays(self, pairs: Iterable[Pair]) -> None:
+        """Materialize ``pairs`` as ``{v: array}`` tables (and only so)."""
+        missing = [pair for pair in pairs if pair not in self._arrays]
+        for (u_from, u_to), rows, positions in self._scan(missing):
+            source = self._candidates.array(u_from)
+            counts = np.bincount(rows, minlength=source.size)
+            chunks = np.split(
+                self._candidates.array(u_to)[positions], np.cumsum(counts)[:-1]
+            )
+            self._rows.pop((u_from, u_to), None)
+            self._arrays[(u_from, u_to)] = dict(zip(source.tolist(), chunks))
 
     # ------------------------------------------------------------------
     # Lookups
@@ -131,42 +218,137 @@ class AuxiliaryStructure:
 
     @property
     def scope(self) -> Scope:
-        """Which query edges were materialized."""
+        """Which query edges are covered."""
         return self._scope
 
     def has_pair(self, u_from: int, u_to: int) -> bool:
-        """Whether the directed pair ``(u_from, u_to)`` is materialized."""
-        return (u_from, u_to) in self._tables
+        """Whether the directed pair ``(u_from, u_to)`` is in scope."""
+        return (u_from, u_to) in self._pairs
+
+    def pairs(self) -> Iterable[Pair]:
+        """All directed pairs in scope."""
+        return self._pairs.keys()
+
+    def form(self, u_from: int, u_to: int) -> Optional[str]:
+        """How the pair is materialized right now: ``"rows"``,
+        ``"arrays"`` or ``None`` (not built). Never both."""
+        pair = (u_from, u_to)
+        if pair in self._rows:
+            return "rows"
+        return "arrays" if pair in self._arrays else None
+
+    def rows(self, u_from: int, u_to: int) -> List[int]:
+        """The pair's bitmap rows, indexed by position in ``C(u_from)``.
+
+        Bit ``j`` of row ``i`` is set iff ``C(u_to)[j] ∈ N(C(u_from)[i])``.
+        Do not mutate. Raises ``KeyError`` for a pair out of scope.
+        """
+        pair = (u_from, u_to)
+        rows = self._rows.get(pair)
+        if rows is None:
+            self.build_rows([pair])
+            rows = self._rows[pair]
+        return rows
 
     def neighbors(self, u_from: int, u_to: int, v: int) -> np.ndarray:
         """``A_{u_to}^{u_from}(v)``: candidates of ``u_to`` adjacent to ``v``.
 
         Returns a sorted int64 array (do not mutate). Empty if ``v`` is not
         a candidate of ``u_from``; raises ``KeyError`` if the pair itself is
-        not materialized (that is a wiring bug, not a data condition).
+        out of scope (that is a wiring bug, not a data condition).
         """
-        return self._tables[(u_from, u_to)].get(v, _EMPTY)
+        pair = (u_from, u_to)
+        table = self._arrays.get(pair)
+        if table is None:
+            rows = self._rows.get(pair)
+            if rows is not None:
+                source = self._candidates.array(u_from)
+                i = int(np.searchsorted(source, v))
+                if i == source.size or source[i] != v:
+                    return _EMPTY
+                return self._candidates.array(u_to)[RowsKernel.decode(rows[i])]
+            self.build_arrays([pair])
+            table = self._arrays[pair]
+        return table.get(v, _EMPTY)
 
-    def pairs(self) -> Iterable[Tuple[int, int]]:
-        """All materialized directed pairs."""
-        return self._tables.keys()
+    def translation(self, u_from: int, u_to: int) -> Optional[List[int]]:
+        """Where the candidates of ``u_from`` sit inside ``C(u_to)``.
+
+        Entry ``i`` is the one-bit mask of ``C(u_from)[i]``'s position in
+        ``C(u_to)``, or 0 when it is not a candidate there; ``None`` when
+        the two sets are disjoint (always, for differently labelled query
+        vertices). The frame machine ORs these into a frame's injectivity
+        mask: the only data vertices an earlier query vertex can take away
+        from ``u_to`` are the ones both sets hold.
+        """
+        pair = (u_from, u_to)
+        if pair not in self._translations:
+            candidates = self._candidates
+            table = None
+            if not candidates.membership(u_from).isdisjoint(candidates.membership(u_to)):
+                _, at_from, at_to = np.intersect1d(
+                    candidates.array(u_from),
+                    candidates.array(u_to),
+                    assume_unique=True,
+                    return_indices=True,
+                )
+                table = [0] * candidates.size(u_from)
+                for i, j in zip(at_from.tolist(), at_to.tolist()):
+                    table[i] = 1 << j
+            self._translations[pair] = table
+        return self._translations[pair]
+
+    # ------------------------------------------------------------------
+    # Accounting
+    # ------------------------------------------------------------------
+
+    def row_bytes(self, pairs: Iterable[Pair]) -> int:
+        """Bytes ``pairs`` occupy as dense rows: ``|C(w)|·|C(u)|/8`` each."""
+        size = self._candidates.size
+        return sum(size(w) * ((size(u) + 7) >> 3) for w, u in pairs)
 
     @property
     def num_entries(self) -> int:
-        """Total stored candidate-edge endpoints (both directions)."""
-        return sum(
-            len(adj)
-            for table in self._tables.values()
-            for adj in table.values()
-        )
+        """Total candidate-edge endpoints over the scope (both directions).
+
+        The paper's Section 5.6 accounting, independent of which pairs are
+        materialized and in which form: both directions of a query edge
+        hold the same candidate edges, so one scan of an edge counts it.
+        Summed once — every edge enumeration reads was counted when it was
+        built — and cached.
+        """
+        total = self._num_entries
+        if total is None:
+            uncounted = [
+                (u, u2)
+                for u, u2 in self._edges
+                if (min(u, u2), max(u, u2)) not in self._edge_entries
+            ]
+            for _ in self._scan(uncounted):
+                pass  # the scan records each edge's count
+            total = self._num_entries = 2 * sum(self._edge_entries.values())
+        return total
 
     @property
     def memory_bytes(self) -> int:
         """Estimated footprint at 8 bytes per stored endpoint."""
         return 8 * self.num_entries
 
+    def __getstate__(self) -> dict:
+        # A weak reference cannot cross a process boundary, and the copy of
+        # the graph that would travel has no owner on the other side: ship
+        # what is materialized, without the graph.
+        return {
+            name: getattr(self, name) for name in self.__slots__ if name != "_data"
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._data = _gone
+
     def __repr__(self) -> str:
         return (
             f"AuxiliaryStructure(scope={self._scope!r}, "
-            f"pairs={len(self._tables)}, entries={self.num_entries})"
+            f"pairs={len(self._pairs)}, entries={self.num_entries})"
         )

@@ -109,10 +109,12 @@ def save_repro(path: str, record: Dict) -> str:
     return path
 
 
-def load_repro(path: str) -> Dict:
-    """Load and schema-check one repro record."""
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
+        return json.load(fh)
+
+
+def _checked(path: str, record: Dict) -> Dict:
     if record.get("schema") != CORPUS_SCHEMA:
         raise ValueError(
             f"{path}: unsupported schema {record.get('schema')!r} "
@@ -124,14 +126,28 @@ def load_repro(path: str) -> Dict:
     return record
 
 
+def load_repro(path: str) -> Dict:
+    """Load and schema-check one repro record."""
+    return _checked(path, _read_json(path))
+
+
 def iter_corpus(directory: str) -> Iterator[Tuple[str, Dict]]:
-    """Yield ``(path, record)`` for every ``*.json`` repro in a directory."""
+    """Yield ``(path, record)`` for every ``*.json`` repro in a directory.
+
+    ``tests/corpus/`` also holds artefacts of other schema families (the
+    engine golden table); those are skipped. A ``repro.qa/`` record of
+    another *version* is a repro, and is refused loudly.
+    """
     if not os.path.isdir(directory):
         return
     for name in sorted(os.listdir(directory)):
         if name.endswith(".json"):
             path = os.path.join(directory, name)
-            yield path, load_repro(path)
+            record = _read_json(path)
+            schema = record.get("schema") if isinstance(record, dict) else None
+            if isinstance(schema, str) and not schema.startswith("repro.qa/"):
+                continue
+            yield path, _checked(path, record)
 
 
 def replay_repro(record: Dict) -> bool:

@@ -200,7 +200,7 @@ def run_algorithm_on_set(
     metrics. ``algorithm`` may be any preset name, an
     :class:`AlgorithmSpec`, or ``"GLW"`` for the Glasgow solver.
     ``kernel`` pins the intersection backend for every query (default:
-    ``REPRO_KERNEL`` / auto heuristic).
+    ``REPRO_KERNEL`` / the auto rule).
 
     The whole set runs through one :class:`~repro.core.session.MatchSession`
     in measurement mode: the plan cache amortizes spec/kernel resolution,

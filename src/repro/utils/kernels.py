@@ -19,12 +19,20 @@ candidate data in numpy end-to-end instead:
   paper reports for QFilter;
 * :class:`QFilterKernel` — the base-and-state model from
   :mod:`repro.utils.intersection`, registered so the property suite can
-  cross-check every backend against the merge reference.
+  cross-check every backend against the merge reference;
+* :class:`RowsKernel` — the same bitmap idea over the universe that is
+  actually intersected: a set is one arbitrary-precision ``int`` whose
+  bit ``j`` stands for the ``j``-th element of a reference list (for the
+  engine, the ``j``-th candidate of ``C(u)``). The auxiliary structure
+  stores its adjacency as such rows and the frame machine ANDs them, so
+  a search node costs a few integer operations and no numpy call.
 
 Backends are resolved by name through :func:`get_kernel`; ``"auto"``
 (the default, also the ``REPRO_KERNEL`` environment fallback) picks the
-bitset kernel when the candidate sets are dense relative to the data
-graph and the numpy hybrid otherwise.
+rows whenever the caller states how many bytes the rows it will read
+take and that fits the bitset byte budget (``REPRO_BITSET_CACHE_MB``,
+dense rows cost ``|C(w)|·|C(u)|/8`` bytes per directed pair), and the
+numpy hybrid otherwise.
 
 All kernels expect **sorted, duplicate-free arrays (or lists) of
 non-negative ints** and return sorted results; numpy-backed kernels
@@ -54,26 +62,20 @@ __all__ = [
     "NumpyKernel",
     "BitsetKernel",
     "QFilterKernel",
+    "RowsKernel",
     "available_kernels",
     "get_kernel",
     "register_kernel",
     "kernel_name",
-    "AUTO_DENSITY_THRESHOLD",
 ]
-
-#: Average candidate density (``avg |C(u)| / |V(G)|``) above which the auto
-#: heuristic switches from the numpy hybrid to the bitset kernel. Word-wise
-#: AND touches ``|V(G)|/64`` words and decoding ``|V(G)|/8`` bytes, so the
-#: bitset only wins once the lists it replaces are a comparable fraction of
-#: the universe.
-AUTO_DENSITY_THRESHOLD = 1.0 / 16.0
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
-#: Default byte budget for the bitset kernel's cached encodings, in MB.
+#: Default byte budget for bitmap encodings, in MB: the bitset kernel's
+#: encode cache and the candidate-space rows of one prepared query.
 #: Overridable via the ``REPRO_BITSET_CACHE_MB`` environment variable —
 #: the out-of-core regime (memmap-backed graphs larger than RAM) needs
-#: this one unbounded per-graph cache to stop growing with the graph.
+#: both to stop growing with the graph.
 DEFAULT_BITSET_CACHE_MB = 64.0
 
 
@@ -358,6 +360,93 @@ class QFilterKernel(KernelBackend):
         self._index = QFilterIndex(block_bits=state["block_bits"])
 
 
+class RowsKernel(KernelBackend):
+    """Bitmap rows in *position space*: one Python ``int`` per set.
+
+    A set is encoded against a reference list (its *universe*): bit ``j``
+    is set iff ``universe[j]`` is a member. Intersecting sets that share
+    a universe is ``&`` on two ints, emptiness is truthiness, cardinality
+    is ``int.bit_count`` and the next member is ``mask & -mask`` — which
+    is what lets :class:`~repro.enumeration.frames.FrameMachine` walk the
+    search tree on integers. The long-lived rows are built by
+    :class:`~repro.filtering.auxiliary.AuxiliaryStructure` through
+    :meth:`pack`; the list interface below (the smallest input is the
+    universe) exists so the backend is checked against the merge
+    reference like every other one.
+
+    >>> RowsKernel().multi_intersect([[1, 3, 65], [3, 65, 70], [0, 3, 65]]).tolist()
+    [3, 65]
+    """
+
+    name = "rows"
+
+    @staticmethod
+    def pack(rows: np.ndarray, bits: np.ndarray, num_rows: int, width: int) -> List[int]:
+        """``num_rows`` masks of ``width`` bits from ``(row, bit)`` pairs.
+
+        The pairs must be distinct and sorted by ``(row, bit)`` — what a
+        segmented scan of sorted adjacency lists produces. Bits are OR-ed
+        into 64-bit words with one ``reduceat`` (memory is
+        ``num_rows·width/8`` bytes, never a dense byte matrix), then each
+        row of words becomes one ``int``.
+        """
+        nwords = max(1, (width + 63) >> 6)
+        words = np.zeros(num_rows * nwords, dtype="<u8")
+        if rows.size:
+            key = rows * nwords + (bits >> 6)
+            val = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            words[key[starts]] = np.bitwise_or.reduceat(val, starts)
+        if nwords == 1:
+            return words.tolist()
+        raw = words.tobytes()
+        step = 8 * nwords
+        return [
+            int.from_bytes(raw[i : i + step], "little")
+            for i in range(0, len(raw), step)
+        ]
+
+    @staticmethod
+    def pack_flags(flags: np.ndarray) -> int:
+        """The mask with bit ``j`` set iff ``flags[j]`` (a bool array)."""
+        return int.from_bytes(
+            np.packbits(flags, bitorder="little").tobytes(), "little"
+        )
+
+    @staticmethod
+    def encode(universe: np.ndarray, values: np.ndarray) -> int:
+        """The mask of ``universe`` positions whose element is in ``values``."""
+        if universe.size == 0 or values.size == 0:
+            return 0
+        at = np.minimum(np.searchsorted(values, universe), values.size - 1)
+        return RowsKernel.pack_flags(values[at] == universe)
+
+    @staticmethod
+    def decode(mask: int) -> np.ndarray:
+        """Positions of the set bits of ``mask``, ascending (int64)."""
+        if not mask:
+            return _EMPTY_I64
+        raw = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return np.flatnonzero(bits)
+
+    def intersect(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+        return self.multi_intersect([a, b])
+
+    def multi_intersect(self, lists: Sequence[Sequence[int]]) -> np.ndarray:
+        """AND the other lists' rows over the smallest list's positions."""
+        if not lists:
+            raise ValueError("multi_intersect requires at least one list")
+        ordered = sorted((_as_i64(lst) for lst in lists), key=lambda arr: arr.size)
+        universe = ordered[0]
+        mask = (1 << universe.size) - 1
+        for other in ordered[1:]:
+            if not mask:
+                return _EMPTY_I64
+            mask &= self.encode(universe, other)
+        return universe[self.decode(mask)]
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -376,6 +465,7 @@ register_kernel("scalar", ScalarKernel)
 register_kernel("numpy", NumpyKernel)
 register_kernel("bitset", BitsetKernel)
 register_kernel("qfilter", QFilterKernel)
+register_kernel("rows", RowsKernel)
 
 
 def available_kernels() -> List[str]:
@@ -383,30 +473,28 @@ def available_kernels() -> List[str]:
     return sorted(_REGISTRY) + ["auto"]
 
 
-def _auto_backend(data=None, candidates=None) -> KernelBackend:
-    """The auto heuristic: bitset on dense candidate sets, numpy otherwise.
+def _auto_backend(row_bytes: Optional[int]) -> KernelBackend:
+    """The auto rule: the rows when they fit the byte budget, else numpy.
 
-    ``data`` needs ``num_vertices``; ``candidates`` needs ``average_size``
-    (duck-typed so this module stays below the graph/filtering layers).
+    ``row_bytes`` is what the rows the caller is about to read would
+    occupy (``None``: the caller cannot run on rows at all).
     """
-    if data is not None and candidates is not None:
-        universe = getattr(data, "num_vertices", 0)
-        avg = getattr(candidates, "average_size", 0.0)
-        if universe and avg / universe >= AUTO_DENSITY_THRESHOLD:
-            return BitsetKernel()
+    if row_bytes is not None and row_bytes <= _bitset_cache_budget():
+        return RowsKernel()
     return NumpyKernel()
 
 
 KernelLike = Union[str, KernelBackend, None]
 
 
-def get_kernel(name: KernelLike = None, *, data=None, candidates=None) -> KernelBackend:
+def get_kernel(name: KernelLike = None, *, row_bytes: Optional[int] = None) -> KernelBackend:
     """Resolve a backend by name.
 
     ``None`` falls back to the ``REPRO_KERNEL`` environment variable, then
-    to ``"auto"``. ``"auto"`` consults the optional ``data``/``candidates``
-    context (candidate density) and returns a concrete backend. Backend
-    instances pass through unchanged. Unknown names raise
+    to ``"auto"``. ``"auto"`` returns :class:`RowsKernel` when the caller
+    passes the size of the rows it would read (``row_bytes``) and that
+    fits ``REPRO_BITSET_CACHE_MB``, :class:`NumpyKernel` otherwise.
+    Backend instances pass through unchanged. Unknown names raise
     :class:`~repro.errors.ConfigurationError`.
 
     >>> get_kernel("scalar").name
@@ -420,7 +508,7 @@ def get_kernel(name: KernelLike = None, *, data=None, candidates=None) -> Kernel
         name = os.environ.get("REPRO_KERNEL") or "auto"
     key = name.strip().lower()
     if key == "auto":
-        return _auto_backend(data=data, candidates=candidates)
+        return _auto_backend(row_bytes)
     try:
         factory = _REGISTRY[key]
     except KeyError:

@@ -2,8 +2,8 @@
 
 The backend only changes *how* Algorithm 5 intersects candidate adjacency
 lists, never *what* the intersection is — so embeddings, match counts and
-solved status must be bit-identical across scalar, numpy, bitset and
-qfilter on any workload.
+solved status must be bit-identical across scalar, numpy, bitset,
+qfilter and rows on any workload.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from fixtures import PAPER_DATA, PAPER_QUERY
 from repro.core import match
 from repro.graph import extract_query, rmat_graph
 
-KERNELS = ["scalar", "numpy", "bitset", "qfilter"]
+KERNELS = ["scalar", "numpy", "bitset", "qfilter", "rows"]
 
 #: Presets whose ComputeLC is Algorithm 5 (IntersectionLC) plus the
 #: adaptive DP pipeline — the paths a kernel backend actually serves.

@@ -88,6 +88,38 @@ class TestMetrics:
         assert aux.memory_bytes == 8 * aux.num_entries
         assert aux.num_entries > 0
 
+    @pytest.mark.parametrize("build", ["build_rows", "build_arrays", None])
+    def test_num_entries_is_the_definition_however_pairs_are_built(
+        self, refined, build
+    ):
+        # Candidate-edge endpoints over both directions of every query
+        # edge — whichever pairs were materialized, in whichever form,
+        # before or after the first read.
+        definition = sum(
+            len(set(PAPER_DATA.neighbors(v).tolist()) & set(refined[u2]))
+            for u, u2 in list(PAPER_QUERY.edges())
+            + [(b, a) for a, b in PAPER_QUERY.edges()]
+            for v in refined[u]
+        )
+        aux = AuxiliaryStructure.build(PAPER_QUERY, PAPER_DATA, refined, scope="all")
+        edges = list(PAPER_QUERY.edges())
+        if build is not None:
+            getattr(aux, build)(edges[:2])  # some pairs, one direction
+        assert aux.num_entries == definition
+        aux.neighbors(*edges[-1][::-1], refined[edges[-1][1]][0])  # a lazy build
+        aux.rows(*edges[0][::-1])
+        assert aux.num_entries == definition
+        assert aux.memory_bytes == 8 * definition
+
+    def test_num_entries_is_computed_once(self, refined, monkeypatch):
+        aux = AuxiliaryStructure.build(PAPER_QUERY, PAPER_DATA, refined, scope="all")
+        first = aux.num_entries
+        monkeypatch.setattr(
+            AuxiliaryStructure, "_scan", lambda *a, **k: pytest.fail("rescanned")
+        )
+        assert aux.num_entries == first
+        assert aux.memory_bytes == 8 * first
+
     def test_repr(self, refined):
         aux = AuxiliaryStructure.build(PAPER_QUERY, PAPER_DATA, refined, scope="all")
         assert "scope='all'" in repr(aux)

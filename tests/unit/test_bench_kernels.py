@@ -35,7 +35,8 @@ class TestShootoutPayload:
 
     def test_resolved_kernel_names_stamped(self, payload):
         assert payload["kernels"] == {
-            "scalar": "scalar", "numpy": "numpy", "bitset": "bitset"
+            "scalar": "scalar", "numpy": "numpy", "bitset": "bitset",
+            "rows": "rows",
         }
 
     def test_payload_validates(self, payload):

@@ -6,11 +6,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.utils.intersection import intersect_merge, multi_intersect
 from repro.utils.kernels import (
-    AUTO_DENSITY_THRESHOLD,
     BitsetKernel,
     KernelBackend,
     NumpyKernel,
     QFilterKernel,
+    RowsKernel,
     ScalarKernel,
     _REGISTRY,
     available_kernels,
@@ -23,7 +23,7 @@ from repro.utils.kernels import (
 class TestRegistry:
     def test_builtin_backends_listed(self):
         names = available_kernels()
-        assert {"scalar", "numpy", "bitset", "qfilter", "auto"} <= set(names)
+        assert {"scalar", "numpy", "bitset", "qfilter", "rows", "auto"} <= set(names)
         assert names == sorted(set(names) - {"auto"}) + ["auto"]
 
     @pytest.mark.parametrize(
@@ -33,6 +33,7 @@ class TestRegistry:
             ("numpy", NumpyKernel),
             ("bitset", BitsetKernel),
             ("qfilter", QFilterKernel),
+            ("rows", RowsKernel),
         ],
     )
     def test_get_by_name(self, name, cls):
@@ -81,52 +82,46 @@ class TestRegistry:
 
 
 class TestAutoHeuristic:
-    class _Data:
-        def __init__(self, n):
-            self.num_vertices = n
+    """``auto`` = the rows when the caller's rows fit the byte budget."""
 
-    class _Cands:
-        def __init__(self, avg):
-            self.average_size = avg
+    def test_rows_within_budget_pick_rows(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BITSET_CACHE_MB", "1")
+        assert isinstance(get_kernel("auto", row_bytes=2**20), RowsKernel)
+        assert isinstance(get_kernel("auto", row_bytes=0), RowsKernel)
 
-    def test_dense_candidates_pick_bitset(self):
-        data = self._Data(1000)
-        cands = self._Cands(1000 * AUTO_DENSITY_THRESHOLD * 2)
-        assert isinstance(
-            get_kernel("auto", data=data, candidates=cands), BitsetKernel
-        )
-
-    def test_sparse_candidates_pick_numpy(self):
-        data = self._Data(1000)
-        cands = self._Cands(1000 * AUTO_DENSITY_THRESHOLD / 2)
-        assert isinstance(
-            get_kernel("auto", data=data, candidates=cands), NumpyKernel
-        )
+    def test_rows_over_budget_pick_numpy(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BITSET_CACHE_MB", "1")
+        assert isinstance(get_kernel("auto", row_bytes=2**20 + 1), NumpyKernel)
 
     def test_no_context_picks_numpy(self):
         assert isinstance(get_kernel("auto"), NumpyKernel)
 
+    def test_explicit_names_ignore_the_rule(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BITSET_CACHE_MB", "0")
+        assert isinstance(get_kernel("rows", row_bytes=2**30), RowsKernel)
+        assert isinstance(get_kernel("bitset", row_bytes=0), BitsetKernel)
+
 
 class TestBackendSemantics:
-    @pytest.mark.parametrize("name", ["scalar", "numpy", "bitset", "qfilter"])
+    @pytest.mark.parametrize("name", ["scalar", "numpy", "bitset", "qfilter", "rows"])
     def test_pairwise(self, name):
         kernel = get_kernel(name)
         got = kernel.intersect([1, 3, 5, 9], [3, 4, 5, 6])
         assert [int(v) for v in got] == [3, 5]
 
-    @pytest.mark.parametrize("name", ["scalar", "numpy", "bitset", "qfilter"])
+    @pytest.mark.parametrize("name", ["scalar", "numpy", "bitset", "qfilter", "rows"])
     def test_multiway(self, name):
         kernel = get_kernel(name)
         got = kernel.multi_intersect([[1, 2, 3, 4], [2, 4, 6], [0, 2, 4, 8]])
         assert [int(v) for v in got] == [2, 4]
 
-    @pytest.mark.parametrize("name", ["scalar", "numpy", "bitset", "qfilter"])
+    @pytest.mark.parametrize("name", ["scalar", "numpy", "bitset", "qfilter", "rows"])
     def test_empty_input(self, name):
         kernel = get_kernel(name)
         assert list(kernel.intersect([], [1, 2, 3])) == []
         assert list(kernel.intersect([1, 2, 3], [])) == []
 
-    @pytest.mark.parametrize("name", ["scalar", "numpy", "bitset", "qfilter"])
+    @pytest.mark.parametrize("name", ["scalar", "numpy", "bitset", "qfilter", "rows"])
     def test_multiway_rejects_no_lists(self, name):
         with pytest.raises(ValueError):
             get_kernel(name).multi_intersect([])
