@@ -8,18 +8,24 @@ side is smaller; the vectorized pass (:func:`refine_keep` over
 one shot and reduces a membership bitmap over it, so a whole refinement
 sweep costs a handful of numpy calls instead of a Python loop per
 candidate-neighbor pair. :func:`nlf_keep` runs the neighbor-label-frequency
-rule over the same gather.
+rule over the same gather, and :func:`anchor_masks` generalises the
+membership bitmap from one anchor set to up to :data:`MASK_BITS` of them:
+one gather tells, for every neighbor of every candidate, *which* anchor
+sets it belongs to — what GraphQL's batched semi-perfect-matching test
+is read from.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Mapping, Sequence, Tuple
+from typing import AbstractSet, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Graph
 
 __all__ = [
+    "MASK_BITS",
+    "anchor_masks",
     "as_vertex_array",
     "has_candidate_neighbor",
     "neighbor_expansion",
@@ -27,18 +33,23 @@ __all__ = [
     "neighbor_union",
     "nlf_keep",
     "refine_keep",
+    "segment_starts",
 ]
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
+#: Anchor lists one :func:`anchor_masks` gather can tell apart: the
+#: non-negative bits of the int64 scratch.
+MASK_BITS = 63
 
-def as_vertex_array(values: Sequence[int]) -> np.ndarray:
+
+def as_vertex_array(values: Iterable[int]) -> np.ndarray:
     """``values`` as an int64 vertex-id array (no copy for int64 arrays)."""
     if isinstance(values, np.ndarray):
         if values.dtype == np.int64:
             return values
         return values.astype(np.int64)
-    return np.asarray(values, dtype=np.int64)
+    return np.fromiter(values, dtype=np.int64)
 
 
 def has_candidate_neighbor(
@@ -62,11 +73,18 @@ def neighbor_expansion(data: Graph, candidate_list: Sequence[int]) -> set:
     return pool
 
 
+def segment_starts(lengths: np.ndarray) -> np.ndarray:
+    """Where each of ``lengths`` consecutive segments begins (exclusive cumsum)."""
+    starts = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return starts
+
+
 def _ragged_indices(starts: np.ndarray, lengths: np.ndarray, total: int) -> np.ndarray:
     """Flat CSR indices selecting each ``starts[i] .. +lengths[i]`` slice."""
-    seg_starts = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=seg_starts[1:])
-    return np.repeat(starts - seg_starts, lengths) + np.arange(total, dtype=np.int64)
+    return np.repeat(starts - segment_starts(lengths), lengths) + np.arange(
+        total, dtype=np.int64
+    )
 
 
 def _gather_neighbors(
@@ -87,10 +105,8 @@ def _gather_neighbors(
     total = int(lengths.sum())
     if total == 0:
         return _EMPTY_I64, _EMPTY_I64, nonempty
-    seg_starts = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=seg_starts[1:])
     gathered = neighbors[_ragged_indices(starts, lengths, total)]
-    return gathered, seg_starts[nonempty], nonempty
+    return gathered, segment_starts(lengths)[nonempty], nonempty
 
 
 def neighbor_union(data: Graph, vertices: Sequence[int]) -> np.ndarray:
@@ -143,6 +159,42 @@ def nlf_keep(
     return vs[keep]
 
 
+def anchor_masks(
+    data: Graph,
+    target: Sequence[int],
+    anchor_lists: Sequence[np.ndarray],
+    scratch: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which anchor lists each neighbor of each ``v ∈ target`` belongs to,
+    from one gather.
+
+    Bit ``i`` of ``scratch[w]`` is set for ``w ∈ anchor_lists[i]`` (at most
+    :data:`MASK_BITS` lists), the scratch is gathered over the neighbor
+    slices of ``target``, and the neighbors in no anchor list — most of
+    them, on a labelled graph — are dropped. Returns ``(vs, masks,
+    hits)``: the vertices of ``target`` with at least one neighbor in
+    some anchor list, the non-zero masks of their neighbors laid end to
+    end, and how many of those each vertex has (``hits > 0``;
+    :func:`segment_starts` of it gives the ``reduceat`` boundaries).
+
+    ``scratch`` is a reusable int64 array over the data-vertex universe
+    (all zero on entry; restored to all zero on exit).
+    """
+    vs = as_vertex_array(target)
+    for i, anchor in enumerate(anchor_lists):
+        scratch[anchor] |= 1 << i
+    gathered, seg_starts, nonempty = _gather_neighbors(data, vs)
+    masks = scratch[gathered]
+    for anchor in anchor_lists:
+        scratch[anchor] = 0
+    hit = masks != 0
+    if not hit.any():
+        return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
+    hits = np.add.reduceat(hit, seg_starts, dtype=np.int64)
+    some = hits > 0
+    return vs[nonempty][some], masks[hit], hits[some]
+
+
 def refine_keep(
     data: Graph,
     target: Sequence[int],
@@ -152,10 +204,10 @@ def refine_keep(
     """Filtering Rule 3.1, batched: keep ``v ∈ target`` with at least one
     neighbor in every anchor list.
 
-    ``scratch`` is a reusable bool array over the data-vertex universe
-    (all ``False`` on entry; restored to all ``False`` on exit). The
-    surviving candidates shrink after each anchor, so later anchors scan
-    progressively smaller gather sets.
+    ``scratch`` is a reusable bool (or integer) array over the
+    data-vertex universe (all zero on entry; restored to all zero on
+    exit). The surviving candidates shrink after each anchor, so later
+    anchors scan progressively smaller gather sets.
     """
     vs = as_vertex_array(target)
     for anchor in anchor_lists:

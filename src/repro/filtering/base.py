@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+from repro.filtering._common import nlf_keep
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
 from repro.obs import record_stage, span, total_candidates
@@ -34,7 +35,9 @@ def nlf_check(query: Graph, u: int, data: Graph, v: int) -> bool:
     """Neighbor-label-frequency check.
 
     For every label ``l`` appearing among ``u``'s neighbors, ``v`` must have
-    at least as many neighbors with that label.
+    at least as many neighbors with that label. The scalar definition;
+    :func:`~repro.filtering._common.nlf_keep` is the batched form the
+    filters run.
     """
     v_nlf = data.nlf(v)
     for label, needed in query.nlf(u).items():
@@ -100,7 +103,7 @@ class NLFFilter(Filter):
         record_stage("ldf", total_candidates(ldf_lists))
         with span("filter.nlf"):
             lists = [
-                [v for v in ldf_list if nlf_check(query, u, data, v)]
+                nlf_keep(data, ldf_list, query.nlf(u))
                 for u, ldf_list in enumerate(ldf_lists)
             ]
         record_stage("nlf", total_candidates(lists))

@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.filtering._common import as_vertex_array
 from repro.graph.graph import Graph
 
 __all__ = ["CandidateSets"]
@@ -38,14 +39,16 @@ class CandidateSets:
                 f"expected {query.num_vertices} candidate sets, got {len(sets)}"
             )
         self._query = query
+        # Sort and deduplicate at array level (the filters hand over int64
+        # arrays); the lists and sets of Python ints are derived from that.
+        self._arrays: Tuple[np.ndarray, ...] = tuple(
+            np.unique(as_vertex_array(s)) for s in sets
+        )
         self._lists: Tuple[List[int], ...] = tuple(
-            sorted(set(int(v) for v in s)) for s in sets
+            arr.tolist() for arr in self._arrays
         )
         self._sets: Tuple[frozenset, ...] = tuple(
             frozenset(lst) for lst in self._lists
-        )
-        self._arrays: Tuple[np.ndarray, ...] = tuple(
-            np.asarray(lst, dtype=np.int64) for lst in self._lists
         )
 
     @property

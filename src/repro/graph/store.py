@@ -486,8 +486,11 @@ class MmapStore(GraphStore):
                 f"{self.path}: cannot map {layout.total_bytes} data bytes "
                 f"at offset {RGF_HEADER_SIZE}: {exc}"
             ) from exc
+        # Plain ndarray views of the mapping: indexing an ``np.memmap``
+        # goes through its Python-level ``__getitem__``/``__array_finalize__``
+        # on every neighbor slice. The views' ``.base`` chain holds the map.
         self.labels, self.offsets, self.neighbors, self.by_label = (
-            layout.split(self._base)
+            layout.split(np.asarray(self._base))
         )
         self._graph = None
         self._closed = False

@@ -5,9 +5,10 @@ every data vertex that participates in any match. A filter that violates
 this silently loses answers.
 """
 
+import numpy as np
 from hypothesis import given, settings
 
-from strategies import query_data_pairs
+from strategies import graphs, query_data_pairs
 
 from repro.baselines import brute_force_matches
 from repro.filtering import (
@@ -18,7 +19,10 @@ from repro.filtering import (
     LDFFilter,
     NLFFilter,
     SteadyFilter,
+    nlf_check,
 )
+from repro.filtering._common import nlf_keep
+from repro.graph import Graph
 
 ALL_FILTERS = [
     LDFFilter(),
@@ -90,3 +94,38 @@ def test_candidates_always_pass_ldf(pair):
             for v in candidates[u]:
                 assert data.label(v) == query.label(u)
                 assert data.degree(v) >= query.degree(u)
+
+
+def assert_nlf_parity(query, data):
+    """Batched ``nlf_keep`` ≡ the scalar ``nlf_check``, vertex by vertex."""
+    everyone = np.arange(data.num_vertices, dtype=np.int64)
+    for u in query.vertices():
+        want = [v for v in data.vertices() if nlf_check(query, u, data, v)]
+        assert nlf_keep(data, everyone, query.nlf(u)).tolist() == want
+
+
+# Every data vertex is tested, not just the LDF pool, and both graphs may
+# be disconnected: isolated data vertices and neighbourless query vertices
+# (whose requirement is empty, so everything passes) both occur.
+@given(
+    query=graphs(max_vertices=5, max_labels=3),
+    data=graphs(max_vertices=12, max_labels=3, edge_probability=0.3),
+)
+@SETTINGS
+def test_nlf_keep_matches_nlf_check(query, data):
+    assert_nlf_parity(query, data)
+    want = [
+        [v for v in LDFFilter().run(query, data)[u] if nlf_check(query, u, data, v)]
+        for u in query.vertices()
+    ]
+    assert NLFFilter().run(query, data).as_dict() == dict(enumerate(want))
+
+
+def test_nlf_keep_on_isolated_vertices_and_a_neighbourless_query_vertex():
+    query = Graph(labels=[0, 1, 0], edges=[(0, 1)])  # u2 has no neighbours
+    data = Graph(labels=[0, 1, 0, 1, 0], edges=[(0, 1), (1, 2)])  # 3, 4 isolated
+    assert_nlf_parity(query, data)
+    everyone = np.arange(5, dtype=np.int64)
+    assert nlf_keep(data, everyone, query.nlf(2)).tolist() == [0, 1, 2, 3, 4]
+    assert nlf_keep(data, everyone, query.nlf(0)).tolist() == [0, 2]
+    assert NLFFilter().run(query, data).as_dict() == {0: [0, 2], 1: [1], 2: [0, 2, 4]}

@@ -22,7 +22,9 @@ from strategies import corpus_seeds, graphs
 from repro.filtering import graphql
 from repro.filtering.base import ldf_candidates_for
 from repro.filtering.candidates import CandidateSets
+from repro.filtering._common import MASK_BITS
 from repro.filtering.graphql import (
+    HALL_MAX_DEGREE,
     GraphQLFilter,
     has_semi_perfect_matching,
     is_subsequence,
@@ -126,6 +128,29 @@ def test_array_filter_matches_the_scalar_definition(query, data, radius, rounds)
     assert_parity(query, data, radius, rounds)
 
 
+@st.composite
+def hub_queries(draw, min_degree, max_degree):
+    """A hub with ``min_degree..max_degree`` spokes and random rim edges."""
+    spokes = draw(st.integers(min_degree, max_degree))
+    labels = draw(st.lists(st.integers(0, 1), min_size=spokes + 1, max_size=spokes + 1))
+    rim = [(a, b) for a in range(1, spokes + 1) for b in range(a + 1, spokes + 1)]
+    chosen = draw(st.lists(st.sampled_from(rim), max_size=spokes, unique=True))
+    return Graph(labels=labels, edges=[(0, leaf) for leaf in range(1, spokes + 1)] + chosen)
+
+
+# A query vertex above HALL_MAX_DEGREE: the residue of the batched tests
+# goes to the scalar matching test. Few labels and a dense data graph, so
+# some data vertices have the degree to be the hub's candidates.
+@_SETTINGS
+@given(
+    query=hub_queries(HALL_MAX_DEGREE + 1, HALL_MAX_DEGREE + 3),
+    data=graphs(min_vertices=10, max_vertices=16, max_labels=2, edge_probability=0.8),
+    rounds=ROUNDS,
+)
+def test_parity_with_a_query_vertex_above_the_subset_bound(query, data, rounds):
+    assert_parity(query, data, rounds=rounds)
+
+
 @_pin_corpus_seeds
 @_SETTINGS
 @given(seed=SEEDS, rounds=ROUNDS)
@@ -163,6 +188,50 @@ def test_degree_one_query_vertices_skip_the_matching_test(monkeypatch):
 
     monkeypatch.setattr(graphql, "has_semi_perfect_matching", unreachable)
     assert GraphQLFilter().run(query, data).as_dict() == want
+
+
+@_SETTINGS
+@given(
+    query=hub_queries(3, HALL_MAX_DEGREE),
+    data=graphs(min_vertices=8, max_vertices=16, max_labels=2, edge_probability=0.75),
+    rounds=ROUNDS,
+)
+def test_the_scalar_matching_test_is_unreachable_up_to_the_subset_bound(
+    query, data, rounds
+):
+    """Every ``d(u) ≤ HALL_MAX_DEGREE``: Hall's condition decides it all."""
+    want = scalar_graphql(query, data, refinement_rounds=rounds).as_dict()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("matching test ran at or under the subset bound")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphql, "has_semi_perfect_matching", unreachable)
+        got = GraphQLFilter(refinement_rounds=rounds).run(query, data).as_dict()
+    assert got == want
+
+
+def test_star_query_wider_than_the_anchor_mask():
+    """``d(u) > 63``: Rule 3.1 in batch, then the scalar matching test."""
+    spokes = MASK_BITS + 1
+
+    def star(hub, first_leaf, tagged):
+        """A hub, its leaves, and a label-2 pendant on ``tagged`` of them."""
+        leaves = range(first_leaf, first_leaf + spokes)
+        pendants = range(first_leaf + spokes, first_leaf + spokes + tagged)
+        edges = [(hub, leaf) for leaf in leaves]
+        edges += [(leaf, pendant) for leaf, pendant in zip(leaves, pendants)]
+        return [0] + [1] * spokes + [2] * tagged, edges
+
+    query = Graph(*star(0, 1, tagged=2))
+    # The second hub passes LDF, NLF and Rule 3.1, but both tagged spokes
+    # of the query can only go to its one tagged leaf.
+    labels, edges = star(0, 1, tagged=2)
+    more_labels, more_edges = star(len(labels), len(labels) + 1, tagged=1)
+    data = Graph(labels + more_labels, edges + more_edges)
+    assert_parity(query, data)
+    assert GraphQLFilter().run(query, data)[0] == [0]
+    assert GraphQLFilter(refinement_rounds=0).run(query, data)[0] == [0, len(labels)]
 
 
 def test_radius_two_stays_on_the_scalar_profile_path(monkeypatch):

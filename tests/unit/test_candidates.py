@@ -1,5 +1,6 @@
 """Unit tests for the CandidateSets container."""
 
+import numpy as np
 import pytest
 
 from repro.filtering import CandidateSets
@@ -17,6 +18,37 @@ class TestConstruction:
         assert cs[0] == [1, 3]
         assert cs[1] == [2]
         assert cs[2] == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda vs: np.asarray(vs, dtype=np.int64),
+            lambda vs: np.asarray(vs, dtype=np.int32),
+            list,
+            lambda vs: (v for v in vs),
+            lambda vs: [np.int64(v) for v in vs],
+            set,
+        ],
+        ids=["int64-array", "int32-array", "list", "generator", "numpy-scalars", "set"],
+    )
+    def test_every_input_form_builds_the_same_container(self, query, make):
+        raw = [[7, 3, 7, 1, 3], [2], []]
+        want = [[1, 3, 7], [2], []]
+        cs = CandidateSets(query, [make(vs) for vs in raw])
+        for u, expected in enumerate(want):
+            assert cs[u] == expected
+            assert all(type(v) is int for v in cs[u])
+            assert cs.membership(u) == frozenset(expected)
+            assert all(type(v) is int for v in cs.membership(u))
+            assert cs.array(u).dtype == np.int64
+            assert cs.array(u).tolist() == expected
+
+    def test_does_not_alias_the_arrays_it_was_given(self, query):
+        given = np.asarray([1, 3, 7], dtype=np.int64)
+        cs = CandidateSets(query, [given, [2], []])
+        given[0] = 5
+        assert cs[0] == [1, 3, 7]
+        assert cs.array(0).tolist() == [1, 3, 7]
 
     def test_wrong_length_rejected(self, query):
         with pytest.raises(ValueError, match="expected 3"):

@@ -112,6 +112,30 @@ class TestRgfFormat:
         with MmapStore(path, validate=True) as store:
             assert store.graph() == empty
 
+    def test_arrays_are_plain_readonly_views_that_outlive_close(
+        self, graph, tmp_path
+    ):
+        # np.memmap's Python-level __getitem__ must not sit on the hot
+        # path; the views' .base chain, not the store, holds the mapping.
+        path = tmp_path / "g.rgf"
+        write_rgf(graph, path)
+        store = MmapStore(path)
+        labels, offsets, neighbors, by_label = graph_arrays(graph)
+        for name in ("labels", "offsets", "neighbors", "by_label"):
+            array = getattr(store, name)
+            assert type(array) is np.ndarray
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            store.neighbors[0] = 0
+        start, stop = int(offsets[1]), int(offsets[2])
+        run = store.neighbors[start:stop]
+        assert type(run) is np.ndarray
+        view = store.graph()
+        store.close()
+        assert run.tolist() == neighbors[start:stop].tolist()
+        assert view.neighbors(1).tolist() == graph.neighbors(1).tolist()
+        assert view.labels.tolist() == labels.tolist()
+
     def test_write_is_atomic(self, graph, tmp_path):
         path = tmp_path / "g.rgf"
         write_rgf(graph, path)
