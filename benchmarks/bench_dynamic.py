@@ -22,8 +22,7 @@ between the overlay snapshot and a from-scratch graph. The benchmark
 refuses to emit a payload otherwise.
 
 Run directly (``python benchmarks/bench_dynamic.py``) to write
-``BENCH_dynamic.json`` (also copied to ``benchmarks/results/``),
-schema-stamped and validated by
+``BENCH_dynamic.json``, schema-stamped and validated by
 :func:`repro.obs.schema.validate_bench_dynamic` — which enforces the
 ``MIN_DYNAMIC_SPEEDUP`` floor and zero shared-memory/tempfile leaks.
 Flags scale the workload down for CI smoke runs
@@ -257,7 +256,7 @@ def main(argv=None) -> int:
     parser.add_argument("--match-limit", type=int, default=DEFAULT_MATCH_LIMIT)
     parser.add_argument(
         "--output", default="BENCH_dynamic.json",
-        help="payload path (a copy also lands in benchmarks/results/)",
+        help="payload path",
     )
     args = parser.parse_args(argv)
 
@@ -273,9 +272,6 @@ def main(argv=None) -> int:
     payload = json.dumps(results, indent=2) + "\n"
     out = Path(args.output)
     out.write_text(payload)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "BENCH_dynamic.json").write_text(payload)
     print(payload, end="")
     print(f"wrote {out.resolve()}", file=sys.stderr)
     return 0

@@ -18,31 +18,20 @@ from typing import List, Optional
 from conftest import bench_match_cap, bench_time_limit
 from shared import dataset, query_set, DEFAULT_SIZE
 
-from repro.enumeration import BacktrackingEngine, IntersectionLC
-from repro.filtering import AuxiliaryStructure, GraphQLFilter
+from repro.filtering import GraphQLFilter
 from repro.ordering import GraphQLOrdering, RIOrdering, sample_orders
-from repro.study import format_table
+from repro.study import format_table, time_order
 
 
 def _orders_per_query() -> int:
     return int(os.environ.get("REPRO_SPECTRUM_ORDERS", "60"))
 
 
-def _time_with_order(query, data, candidates, auxiliary, order) -> Optional[float]:
-    engine = BacktrackingEngine(IntersectionLC())
-    outcome = engine.run(
-        query,
-        data,
-        candidates,
-        auxiliary,
-        order,
-        match_limit=bench_match_cap(),
-        time_limit=bench_time_limit(),
-        store_limit=0,
+def _time_with_order(query, data, candidates, order) -> Optional[float]:
+    return time_order(
+        query, data, candidates, order,
+        match_limit=bench_match_cap(), time_limit=bench_time_limit(),
     )
-    if not outcome.solved:
-        return None
-    return outcome.elapsed * 1000.0
 
 
 def _percentile(values: List[float], q: float) -> float:
@@ -58,23 +47,22 @@ def _experiment() -> str:
         qs = query_set(key, DEFAULT_SIZE[key], density)
         query = qs.queries[0]
         candidates = GraphQLFilter().run(query, data)
-        auxiliary = AuxiliaryStructure.build(query, data, candidates, scope="all")
 
         sampled: List[float] = []
         timeouts = 0
         for order in sample_orders(query, _orders_per_query(), seed=999):
-            t = _time_with_order(query, data, candidates, auxiliary, order)
+            t = _time_with_order(query, data, candidates, order)
             if t is None:
                 timeouts += 1
             else:
                 sampled.append(t)
 
         gql_t = _time_with_order(
-            query, data, candidates, auxiliary,
+            query, data, candidates,
             GraphQLOrdering().order(query, data, candidates),
         )
         ri_t = _time_with_order(
-            query, data, candidates, auxiliary,
+            query, data, candidates,
             RIOrdering().order(query, data, candidates),
         )
         if not sampled:

@@ -7,11 +7,11 @@ dense neighborhoods.
 
 Run directly (``python benchmarks/bench_kernels.py``) to time the
 registered kernel *backends* (scalar vs numpy vs bitset vs rows) on
-10k-element sorted arrays and write ``BENCH_kernels.json`` (also copied to
-``benchmarks/results/``). The ``rows`` row times that backend's *list*
-interface (encode against the smaller list, AND, decode) — the price of
-entering and leaving position space, which the engine pays once per
-prepared query rather than per intersection.
+10k-element sorted arrays and write ``BENCH_kernels.json``. The ``rows``
+row times that backend's *list* interface (encode against the smaller
+list, AND, decode) — the price of entering and leaving position space,
+which the engine pays once per prepared query rather than per
+intersection.
 """
 
 from __future__ import annotations
@@ -213,9 +213,6 @@ def main() -> int:
     payload = json.dumps(results, indent=2) + "\n"
     out = Path("BENCH_kernels.json")
     out.write_text(payload)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "BENCH_kernels.json").write_text(payload)
     print(payload, end="")
     print(f"wrote {out.resolve()}", file=sys.stderr)
     return 0

@@ -23,9 +23,8 @@ least-loaded worker). The payload says which via ``speedup_source``, and
 either way.
 
 Run directly (``python benchmarks/bench_parallel.py``) to write
-``BENCH_parallel.json`` (also copied to ``benchmarks/results/``). Flags
-scale the workload down for CI smoke runs (``--vertices 600 --queries 2
---repeats 1``).
+``BENCH_parallel.json``. Flags scale the workload down for CI smoke runs
+(``--vertices 600 --queries 2 --repeats 1``).
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ if __name__ == "__main__":  # standalone run: make src/ importable
 from repro.core.plan import compile_plan, prepare_query, run_plan
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.query_gen import extract_query
+from repro.graph.store import SharedMemoryStore
 from repro.obs.metrics import Metrics
 from repro.obs.schema import (
     BENCH_PARALLEL_SCHEMA_VERSION,
@@ -50,11 +50,10 @@ from repro.obs.schema import (
 from repro.parallel import (
     DEFAULT_CHUNKS,
     ParallelContext,
-    SharedGraph,
     shutdown_pools,
 )
 
-#: Enumeration-bound like bench_engine, with two deliberate differences.
+#: Enumeration-bound, with two deliberate choices.
 #: The workload *finishes under* the match cap: a capped sequential run
 #: stops mid-graph while every chunk still enumerates its whole window,
 #: so sequential-vs-chunked timings are only comparable on runs the cap
@@ -110,7 +109,7 @@ def run_parallel_benchmark(
         for seed in range(num_queries)
     ]
 
-    shared = SharedGraph(data)
+    shared = SharedMemoryStore.publish(data)
     contexts = {
         workers: ParallelContext(workers, lambda: shared.handle)
         for workers in (WORKER_COUNTS if measured else (1,))
@@ -229,7 +228,7 @@ def run_parallel_benchmark(
                 }
             )
     finally:
-        shared.unlink()
+        shared.close()
         shutdown_pools()
 
     payload = {
@@ -272,7 +271,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output", default="BENCH_parallel.json",
-        help="payload path (a copy also lands in benchmarks/results/)",
+        help="payload path",
     )
     args = parser.parse_args(argv)
 
@@ -289,9 +288,6 @@ def main(argv=None) -> int:
     payload = json.dumps(results, indent=2) + "\n"
     out = Path(args.output)
     out.write_text(payload)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "BENCH_parallel.json").write_text(payload)
     print(payload, end="")
     print(f"wrote {out.resolve()}", file=sys.stderr)
     return 0

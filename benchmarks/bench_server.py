@@ -15,8 +15,7 @@ A barrier lines all client threads up before the clock starts so the
 burst actually overlaps.
 
 Run directly (``python benchmarks/bench_server.py``) to write
-``BENCH_server.json`` (also copied to ``benchmarks/results/``),
-schema-stamped and validated by
+``BENCH_server.json``, schema-stamped and validated by
 :func:`repro.obs.schema.validate_bench_server`. Flags scale the workload
 down for CI smoke runs (``--vertices 300 --clients 4 --requests 5``).
 """
@@ -234,7 +233,7 @@ def main(argv=None) -> int:
     parser.add_argument("--algorithm", default=DEFAULT_ALGORITHM)
     parser.add_argument(
         "--output", default="BENCH_server.json",
-        help="payload path (a copy also lands in benchmarks/results/)",
+        help="payload path",
     )
     args = parser.parse_args(argv)
 
@@ -252,9 +251,6 @@ def main(argv=None) -> int:
     payload = json.dumps(results, indent=2) + "\n"
     out = Path(args.output)
     out.write_text(payload)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "BENCH_server.json").write_text(payload)
     print(payload, end="")
     print(f"wrote {out.resolve()}", file=sys.stderr)
     return 0

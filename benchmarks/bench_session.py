@@ -9,8 +9,7 @@ auxiliary structure / order on every repeat, and keeps the kernel's
 encode caches warm.
 
 Run directly (``python benchmarks/bench_session.py``) to write
-``BENCH_session.json`` (also copied to ``benchmarks/results/``),
-schema-stamped and validated by
+``BENCH_session.json``, schema-stamped and validated by
 :func:`repro.obs.schema.validate_bench_session`. Flags scale the workload
 down for CI smoke runs (``--vertices 300 --distinct 2 --repeats 3``).
 """
@@ -137,7 +136,7 @@ def main(argv=None) -> int:
     parser.add_argument("--algorithm", default=DEFAULT_ALGORITHM)
     parser.add_argument(
         "--output", default="BENCH_session.json",
-        help="payload path (a copy also lands in benchmarks/results/)",
+        help="payload path",
     )
     args = parser.parse_args(argv)
 
@@ -152,9 +151,6 @@ def main(argv=None) -> int:
     payload = json.dumps(results, indent=2) + "\n"
     out = Path(args.output)
     out.write_text(payload)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "BENCH_session.json").write_text(payload)
     print(payload, end="")
     print(f"wrote {out.resolve()}", file=sys.stderr)
     return 0

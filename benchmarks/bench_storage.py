@@ -24,8 +24,7 @@ its correctness attestation baked in:
   the arrays genuinely exceed the declared budget.
 
 Run directly (``python benchmarks/bench_storage.py``) to write
-``BENCH_storage.json`` (also copied to ``benchmarks/results/``). Flags
-scale the workload (CI smoke: ``--warm-vertices 1000 --queries 2
+``BENCH_storage.json``. Flags scale the workload (CI smoke: ``--warm-vertices 1000 --queries 2
 --repeats 1 --ooc-vertices 750000``; shrinking the out-of-core graph
 much below that makes the interpreter's own footprint dominate both
 children and the RSS ratio meaningless).
@@ -405,7 +404,7 @@ def main(argv=None) -> int:
                         default=DEFAULT_OOC_QUERIES)
     parser.add_argument(
         "--output", default="BENCH_storage.json",
-        help="payload path (a copy also lands in benchmarks/results/)",
+        help="payload path",
     )
     args = parser.parse_args(argv)
 
@@ -424,9 +423,6 @@ def main(argv=None) -> int:
     payload = json.dumps(results, indent=2) + "\n"
     out = Path(args.output)
     out.write_text(payload)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "BENCH_storage.json").write_text(payload)
     print(payload, end="")
     print(f"wrote {out.resolve()}", file=sys.stderr)
     return 0

@@ -31,7 +31,6 @@ from repro.graph import (
 )
 from repro.obs import Tracer, tracing
 from repro.study import DATASETS, format_table, load_dataset
-from repro.enumeration.engines import available_engines
 from repro.utils.kernels import available_kernels
 
 __all__ = ["main", "build_parser"]
@@ -57,11 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel", "-k", choices=available_kernels(), default=None,
         help="intersection backend for the Algorithm 5 hot path "
         "(default: $REPRO_KERNEL, else auto: rows when they fit, numpy otherwise)",
-    )
-    p_match.add_argument(
-        "--engine", "-e", choices=available_engines(), default=None,
-        help="enumeration engine (default: $REPRO_ENGINE, else the "
-        "iterative frame machine)",
     )
     p_match.add_argument(
         "--workers", "-w", type=int, default=None,
@@ -97,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument(
         "--kernel", "-k", choices=available_kernels(), default=None,
         help="intersection backend used by every preset",
-    )
-    p_compare.add_argument(
-        "--engine", "-e", choices=available_engines(), default=None,
-        help="enumeration engine used by every preset",
     )
 
     p_convert = sub.add_parser(
@@ -249,8 +239,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
             query, data,
             algorithm=args.algorithm,
             match_limit=args.match_limit, time_limit=args.time_limit,
-            kernel=args.kernel, engine=args.engine,
-            n_workers=args.workers,
+            kernel=args.kernel, n_workers=args.workers,
         )
 
     if tracer is not None:
@@ -262,8 +251,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
     print(f"algorithm     : {result.algorithm}")
     if getattr(result, "kernel", None) is not None:
         print(f"kernel        : {result.kernel}")
-    if getattr(result, "engine", None) is not None:
-        print(f"engine        : {result.engine}")
     print(f"status        : {status}")
     print(f"matches       : {result.num_matches}")
     print(f"preprocessing : {result.preprocessing_ms:.3f} ms")
@@ -289,7 +276,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # One session serves every preset: the data graph and kernel indexes
     # are resident once, and only the per-preset pipeline re-runs.
     session = MatchSession(
-        data, kernel=args.kernel, engine=args.engine,
+        data, kernel=args.kernel,
         prep_cache_size=0, record_cache_metrics=False,
     )
     rows = []

@@ -40,7 +40,6 @@ def match(
     store_limit: int = 10_000,
     validate: bool = True,
     kernel: Optional[KernelLike] = None,
-    engine: Optional[str] = None,
     cancel: Optional[Callable[[], bool]] = None,
     n_workers: Optional[int] = None,
 ) -> MatchResult:
@@ -78,14 +77,6 @@ def match(
         always wins; with ``None``, a spec constructed with its own
         explicit kernel keeps it. Ignored (and recorded as ``None`` on the
         result) when the algorithm's ComputeLC is not Algorithm 5.
-    engine:
-        Enumeration engine by registry name (``"iterative"`` is the
-        default and the only engine registered out of the box; the
-        retired ``"recursive"`` baseline needs the opt-in described in
-        :mod:`repro.enumeration.engines`). ``None`` defers to the
-        ``REPRO_ENGINE`` environment variable, falling back to the
-        registry default. The resolved name is recorded as
-        ``MatchResult.engine``.
     cancel:
         Optional zero-argument callable polled by the engine at the
         deadline stride; once it returns True the enumeration stops and
@@ -113,7 +104,6 @@ def match(
         data,
         algorithm=algorithm,
         kernel=kernel,
-        engine=engine,
         plan_cache_size=0,
         prep_cache_size=0,
         record_cache_metrics=False,
@@ -141,7 +131,6 @@ def count_matches(
     match_limit: Optional[int] = None,
     time_limit: Optional[float] = None,
     kernel: Optional[KernelLike] = None,
-    engine: Optional[str] = None,
     store_limit: int = 0,
     validate: bool = True,
     n_workers: Optional[int] = None,
@@ -161,7 +150,6 @@ def count_matches(
         store_limit=store_limit,
         validate=validate,
         kernel=kernel,
-        engine=engine,
         n_workers=n_workers,
     ).num_matches
 
@@ -172,7 +160,6 @@ def has_match(
     algorithm: AlgorithmLike = "recommended",
     time_limit: Optional[float] = None,
     kernel: Optional[KernelLike] = None,
-    engine: Optional[str] = None,
     store_limit: int = 0,
     validate: bool = True,
     n_workers: Optional[int] = None,
@@ -191,7 +178,6 @@ def has_match(
             store_limit=store_limit,
             validate=validate,
             kernel=kernel,
-            engine=engine,
             n_workers=n_workers,
         ).num_matches
         > 0

@@ -36,7 +36,6 @@ from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple, Uni
 from repro.core.algorithms import resolve
 from repro.core.result import MatchResult
 from repro.core.spec import AlgorithmSpec
-from repro.enumeration.engines import create_engine, resolve_engine_name
 from repro.enumeration.frames import FrameMachine
 from repro.enumeration.local_candidates import IntersectionLC
 from repro.errors import InvalidQueryError
@@ -98,11 +97,6 @@ class MatchPlan:
     aux_scope: str
     query_vertices: int
     query_edges: int
-    #: The enumeration-engine request this plan was compiled under
-    #: (registry name or ``None`` for the env/registry default) —
-    #: resolution to a concrete engine happens at :func:`run_plan` time,
-    #: mirroring the kernel policy.
-    engine_policy: Optional[str] = None
 
     def __repr__(self) -> str:
         return (
@@ -217,7 +211,6 @@ def compile_plan(
     data: Graph,
     kernel: Optional[KernelLike] = None,
     fingerprint: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> MatchPlan:
     """Compile ``(algorithm, query, data)`` into an immutable plan.
 
@@ -235,7 +228,6 @@ def compile_plan(
         aux_scope=spec.aux_scope,
         query_vertices=query.num_vertices,
         query_edges=query.num_edges,
-        engine_policy=engine,
     )
 
 
@@ -428,16 +420,15 @@ def run_plan(
 
     ``root_window=(lo, hi)`` restricts enumeration to a slice of the root
     frame's local candidates — the partition primitive
-    :mod:`repro.parallel` workers run chunks with (iterative engine only).
+    :mod:`repro.parallel` workers run chunks with.
 
     ``parallel`` is an optional
     :class:`~repro.parallel.executor.ParallelContext`; when the plan is
-    eligible (static order, materialized candidates, iterative engine),
-    the enumeration phase is fanned out across its worker pool and the
-    merged outcome — byte-identical to the sequential run — takes the
-    place of ``engine.run``. Everything around enumeration (preparation,
-    spans, counters, result construction) is shared with the sequential
-    path.
+    eligible (static order, materialized candidates), the enumeration
+    phase is fanned out across its worker pool and the merged outcome —
+    byte-identical to the sequential run — takes the place of the frame
+    machine's ``run``. Everything around enumeration (preparation, spans,
+    counters, result construction) is shared with the sequential path.
     """
     spec = plan.algorithm
     if metrics is None:
@@ -454,27 +445,12 @@ def run_plan(
         else:
             preprocessing_seconds = 0.0
 
-        # Resolve the engine per run (the env fallback may change between
-        # calls), the same late-binding the kernel policy gets.
-        engine_name = resolve_engine_name(plan.engine_policy)
         use_parallel = (
             parallel is not None
             and root_window is None
-            and parallel.eligible(plan, prepared, engine_name)
+            and parallel.eligible(prepared)
         )
-        run_kwargs = {}
-        if cancel is not None:
-            # Keyword-only and omitted when unused, so engines registered
-            # before the cancellation protocol keep working untouched.
-            run_kwargs["cancel"] = cancel
-        if root_window is not None:
-            # Partition primitive for repro.parallel workers; only the
-            # iterative engine understands root windows, and only workers
-            # (which pin the engine) pass this.
-            run_kwargs["root_window"] = root_window
-        with span(
-            "enumerate", kernel=prepared.kernel_used, engine=engine_name
-        ) as enum_span:
+        with span("enumerate", kernel=prepared.kernel_used) as enum_span:
             outcome = None
             if use_parallel:
                 from repro.parallel.pool import ParallelUnavailable
@@ -496,13 +472,12 @@ def run_plan(
                     # always available, and results are identical.
                     outcome = None
             if outcome is None:
-                engine = create_engine(
-                    engine_name,
+                machine = FrameMachine(
                     prepared.lc,
                     use_failing_sets=spec.failing_sets,
                     adaptive=prepared.adaptive_state,
                 )
-                outcome = engine.run(
+                outcome = machine.run(
                     query,
                     data,
                     prepared.candidates,
@@ -516,7 +491,8 @@ def run_plan(
                     match_limit=match_limit,
                     time_limit=time_limit,
                     store_limit=store_limit,
-                    **run_kwargs,
+                    cancel=cancel,
+                    root_window=root_window,
                 )
             enum_span.annotate(
                 num_matches=outcome.num_matches, solved=outcome.solved
@@ -541,7 +517,6 @@ def run_plan(
         # runs, so the result must not alias it.
         order=list(prepared.order) if prepared.order is not None else None,
         kernel=prepared.kernel_used,
-        engine=engine_name,
         preprocessing_seconds=preprocessing_seconds,
         enumeration_seconds=outcome.elapsed,
         candidate_average=candidate_average,

@@ -35,11 +35,6 @@ class MatchResult:
     #: None when the algorithm has no Algorithm 5 intersection hot path.
     kernel: Optional[str] = None
 
-    #: Registry name of the enumeration engine that ran the search
-    #: (``"iterative"``, or ``"recursive"`` when the retired baseline
-    #: is opted in; see :mod:`repro.enumeration.engines`).
-    engine: Optional[str] = None
-
     preprocessing_seconds: float = 0.0
     enumeration_seconds: float = 0.0
 

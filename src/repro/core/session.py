@@ -32,7 +32,7 @@ lock per operation (see :class:`~repro.core.plan.LRUCache`) and the
 session-wide counters are guarded here, so one session may be shared by
 a worker pool — the shape :mod:`repro.serve` runs at traffic scale.
 Each :meth:`match` call still builds its own per-query state (metrics,
-engine, frame machine), so concurrent calls never share mutable
+frame machine), so concurrent calls never share mutable
 enumeration state; cached :class:`~repro.core.plan.PreparedQuery`
 artifacts are read-only during enumeration by contract. CPU-bound
 workloads that want parallel *speedup* under the GIL should still prefer
@@ -66,11 +66,15 @@ from repro.dynamic.overlay import DynamicGraph, MutationDelta
 from repro.dynamic.subscribe import Subscription, SubscriptionUpdate
 from repro.graph.fingerprint import query_fingerprint
 from repro.graph.graph import Graph
-from repro.graph.store import GraphSource, SharedMemoryStore, as_graph
+from repro.graph.store import (
+    GraphSource,
+    SharedGraphHandle,
+    SharedMemoryStore,
+    as_graph,
+)
 from repro.obs import Metrics
 from repro.parallel.executor import ParallelContext
 from repro.parallel.pool import resolve_workers
-from repro.parallel.shared_graph import SharedGraph, SharedGraphHandle
 from repro.utils.kernels import KernelBackend
 
 __all__ = ["MatchSession", "MutationOutcome"]
@@ -115,12 +119,6 @@ class MatchSession:
     kernel:
         Default intersection-backend request (see
         :func:`repro.core.api.match`); per-call ``kernel=`` wins.
-    engine:
-        Default enumeration-engine request by registry name
-        (``"iterative"``; the retired ``"recursive"`` baseline needs the
-        opt-in in :mod:`repro.enumeration.engines`); per-call
-        ``engine=`` wins and ``None`` defers to ``REPRO_ENGINE`` / the
-        registry default.
     plan_cache_size:
         LRU capacity for compiled plans (``None`` unbounded, ``0`` off).
     prep_cache_size:
@@ -147,7 +145,6 @@ class MatchSession:
         data: GraphSource,
         algorithm: AlgorithmLike = "recommended",
         kernel: Optional[KernelLike] = None,
-        engine: Optional[str] = None,
         plan_cache_size: Optional[int] = 256,
         prep_cache_size: Optional[int] = 64,
         record_cache_metrics: bool = True,
@@ -162,7 +159,6 @@ class MatchSession:
             self._resident = (0, as_graph(data))
         self.algorithm = algorithm
         self.kernel = kernel
-        self.engine = engine
         self.n_workers = n_workers
         # Shared-memory published copies of the served snapshot, keyed
         # by epoch: created on the first parallel-eligible match of an
@@ -235,8 +231,8 @@ class MatchSession:
         with self._shared_lock:
             entry = self._shared_graphs.get(epoch)
             if entry is None:
-                shared = SharedGraph(data)
-                finalizer = weakref.finalize(self, shared.unlink)
+                shared = SharedMemoryStore.publish(data)
+                finalizer = weakref.finalize(self, shared.close)
                 entry = (shared, finalizer)
                 self._shared_graphs[epoch] = entry
             return entry[0].handle
@@ -338,18 +334,17 @@ class MatchSession:
         query: Graph,
         algorithm: Optional[AlgorithmLike] = None,
         kernel: Optional[KernelLike] = None,
-        engine: Optional[str] = None,
     ) -> Tuple[MatchPlan, bool]:
         """Resolve (or fetch) the plan for ``query``; returns (plan, hit).
 
-        The cache key is ``(algorithm, kernel policy, engine policy,
-        graph epoch, fingerprint)`` — order-invariant in the query, so
+        The cache key is ``(algorithm, kernel policy, graph epoch,
+        fingerprint)`` — order-invariant in the query, so
         isomorphic renumberings share a slot; keyed by epoch, so a
         mutation invalidates exactly the stale entries (static sessions
         sit at epoch 0 forever).
         """
         epoch, data = self._resident
-        return self._compile_on(epoch, data, query, algorithm, kernel, engine)
+        return self._compile_on(epoch, data, query, algorithm, kernel)
 
     def _compile_on(
         self,
@@ -358,16 +353,13 @@ class MatchSession:
         query: Graph,
         algorithm: Optional[AlgorithmLike],
         kernel: Optional[KernelLike],
-        engine: Optional[str],
     ) -> Tuple[MatchPlan, bool]:
         algo = self.algorithm if algorithm is None else algorithm
         kern = self.kernel if kernel is None else kernel
-        eng = self.engine if engine is None else engine
         fingerprint = query_fingerprint(query)
         key = (
             self._algorithm_key(algo),
             self._kernel_key(kern),
-            eng,
             epoch,
             fingerprint,
         )
@@ -380,7 +372,6 @@ class MatchSession:
             data,
             kernel=kern,
             fingerprint=fingerprint,
-            engine=eng,
         )
         self._plans.put(key, plan)
         return plan, False
@@ -398,7 +389,6 @@ class MatchSession:
         store_limit: int = 10_000,
         validate: bool = True,
         kernel: Optional[KernelLike] = None,
-        engine: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
         n_workers: Optional[int] = None,
     ) -> MatchResult:
@@ -418,13 +408,12 @@ class MatchSession:
             validate_query(query)
         algo = self.algorithm if algorithm is None else algorithm
         kern = self.kernel if kernel is None else kernel
-        eng = self.engine if engine is None else engine
 
         # One atomic read pins this call to a single epoch's snapshot;
         # a concurrent mutate() swaps the pair but never this view.
         epoch, data = self._resident
 
-        plan, plan_hit = self._compile_on(epoch, data, query, algo, kern, eng)
+        plan, plan_hit = self._compile_on(epoch, data, query, algo, kern)
 
         prep_enabled = self._prep.capacity != 0
         prep_key = None
@@ -433,9 +422,7 @@ class MatchSession:
             # Exact-graph key: Graph hashes/compares its label and CSR
             # arrays, so only a byte-identical query reuses artifacts —
             # and only at the same graph epoch (cache hit iff the graph
-            # is unchanged). The engine is deliberately absent —
-            # preprocessing artifacts are engine-independent, so both
-            # engines share warm entries.
+            # is unchanged).
             prep_key = (
                 self._algorithm_key(algo),
                 self._kernel_key(kern),
@@ -490,7 +477,6 @@ class MatchSession:
         store_limit: int = 10_000,
         validate: bool = True,
         kernel: Optional[KernelLike] = None,
-        engine: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
         n_workers: Optional[int] = None,
     ) -> List[MatchResult]:
@@ -509,7 +495,6 @@ class MatchSession:
                 store_limit=store_limit,
                 validate=validate,
                 kernel=kernel,
-                engine=engine,
                 cancel=cancel,
                 n_workers=n_workers,
             )
@@ -525,15 +510,14 @@ class MatchSession:
         store_limit: int = 0,
         validate: bool = True,
         kernel: Optional[KernelLike] = None,
-        engine: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
         n_workers: Optional[int] = None,
     ) -> int:
         """Number of matches (all of them by default); stores no embeddings.
 
-        Delegates to :meth:`match`, so per-call ``kernel``/``engine``
-        overrides resolve — and are recorded on the underlying
-        :class:`~repro.core.result.MatchResult` — exactly as they are for
+        Delegates to :meth:`match`, so a per-call ``kernel`` override
+        resolves — and is recorded on the underlying
+        :class:`~repro.core.result.MatchResult` — exactly as it does for
         a direct :meth:`match` call (pinned by a regression test).
         """
         return self.match(
@@ -544,7 +528,6 @@ class MatchSession:
             store_limit=store_limit,
             validate=validate,
             kernel=kernel,
-            engine=engine,
             cancel=cancel,
             n_workers=n_workers,
         ).num_matches
@@ -556,7 +539,6 @@ class MatchSession:
         time_limit: Optional[float] = None,
         validate: bool = True,
         kernel: Optional[KernelLike] = None,
-        engine: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
         n_workers: Optional[int] = None,
     ) -> bool:
@@ -574,7 +556,6 @@ class MatchSession:
                 store_limit=0,
                 validate=validate,
                 kernel=kernel,
-                engine=engine,
                 cancel=cancel,
                 n_workers=n_workers,
             ).num_matches

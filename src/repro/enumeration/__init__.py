@@ -1,26 +1,17 @@
 """Enumeration: the backtracking search of Algorithm 1 (paper Section 3.3).
 
-The study's third axis. Two engines implement the same semantics — the
-iterative :class:`~repro.enumeration.frames.FrameMachine` (default;
-explicit frame stacks, vectorized conflict filtering, leaf batching,
-pause/resume) and the recursive
-:class:`~repro.enumeration.engine.BacktrackingEngine` (retired from the
-default registry; opt-in differential baseline for one more release) —
-selected through the :mod:`~repro.enumeration.engines` registry. The
+The study's third axis. One engine runs every algorithm: the iterative
+:class:`~repro.enumeration.frames.FrameMachine` (explicit frame stacks on
+integer masks, leaf batching, pause/resume, root windows). The recursive
+:class:`~repro.enumeration.engine.BacktrackingEngine` is the line-by-line
+transcription of Algorithm 1 that the parity tests construct and compare
+the frame machine against; nothing under ``src/`` constructs it. The
 :mod:`~repro.enumeration.local_candidates` module provides the four
 ComputeLC strategies (Algorithms 2–5); failing-sets pruning (Section 3.4)
-is a flag on either engine.
+is a constructor flag.
 """
 
 from repro.enumeration.engine import BacktrackingEngine
-from repro.enumeration.engines import (
-    DEFAULT_ENGINE,
-    available_engines,
-    create_engine,
-    enable_recursive_baseline,
-    register_engine,
-    resolve_engine_name,
-)
 from repro.enumeration.frames import FrameMachine, FrameSnapshot
 from repro.enumeration.local_candidates import (
     CandidateScanLC,
@@ -39,12 +30,6 @@ __all__ = [
     "BacktrackingEngine",
     "FrameMachine",
     "FrameSnapshot",
-    "DEFAULT_ENGINE",
-    "enable_recursive_baseline",
-    "register_engine",
-    "available_engines",
-    "resolve_engine_name",
-    "create_engine",
     "AdaptiveSelector",
     "EmbeddingStore",
     "LocalCandidateMethod",

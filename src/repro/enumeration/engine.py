@@ -14,14 +14,13 @@ The recursion mirrors Algorithm 1 lines 4–12: select an extendable vertex,
 compute ``LC(u, M)``, loop over candidates not already used, extend and
 recurse.
 
-This engine is the *reference semantics*: the iterative
-:class:`~repro.enumeration.frames.FrameMachine` must produce byte-identical
-embeddings and identical counters, which the QA differential harness and
-the engine-parity property suite enforce. It is retired from the default
-engine registry and retained one more release as that differential
-baseline — opt in with ``REPRO_ENGINE=recursive`` or
-:func:`repro.enumeration.engines.enable_recursive_baseline`, then select
-it with ``engine="recursive"``.
+This class is the *reference implementation*, not a selectable engine:
+every served, benchmarked and study path runs the iterative
+:class:`~repro.enumeration.frames.FrameMachine`, which must produce
+byte-identical embeddings and identical counters. The parity suites under
+``tests/`` construct this class beside the frame machine over one
+prepared query and compare; under ``src/`` only the
+:mod:`repro.enumeration` export imports it.
 """
 
 from __future__ import annotations
@@ -63,9 +62,6 @@ class BacktrackingEngine:
         When given, ignore the static order and run DP-iso's adaptive
         extendable-vertex selection against this state.
     """
-
-    #: Registry name (see :mod:`repro.enumeration.engines`).
-    name = "recursive"
 
     def __init__(
         self,

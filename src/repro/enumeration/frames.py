@@ -1,9 +1,10 @@
-"""The iterative frame-machine enumeration engine.
+"""The enumeration engine: Algorithm 1 as an iterative frame machine.
 
-This replaces the recursive descent of
-:class:`~repro.enumeration.engine.BacktrackingEngine` with an explicit
-machine over per-depth *frames*. A DFS visits at most one search node per
-depth at a time, so the "stack" is a set of preallocated per-depth slots.
+The one engine every plan, parallel worker and study run constructs. It
+replaces the recursive descent of the reference implementation
+(:mod:`repro.enumeration.engine`) with an explicit machine over per-depth
+*frames*. A DFS visits at most one search node per depth at a time, so the
+"stack" is a set of preallocated per-depth slots.
 
 **Position space.** A frame never holds candidate arrays. It holds a
 *universe* — a sequence of data vertices — and integer masks over its
@@ -36,12 +37,13 @@ it (a popcount, taken only in frames that have conflicts at all), and an
 exhausted frame scans its remaining ``bad`` bits as a tail. A frame
 pruned by failing sets returns mid-list and accounts no tail. The
 failing-set *conflict class* of a frame is exactly the set of earlier
-vertices whose bit hit ``full``. Parity with the recursive engine is
+vertices whose bit hit ``full``. Parity with the recursive reference is
 exact — ``recursion_calls``, ``candidates_scanned``, ``conflicts``,
 ``failing_set_prunes`` and ``adaptive_lc_reused`` all match, as do the
 embeddings byte-for-byte; a checked-in golden table
-(``tests/corpus/engine_goldens.json``), the engine-parity property suite
-and the QA differential harness enforce this.
+(``tests/corpus/engine_goldens.json``) and the engine-parity property
+suite, which runs both classes over the same prepared query, enforce
+this.
 
 Pause/resume: the machine's state lives on the object, so
 :meth:`FrameMachine.advance` yields one leaf batch at a time —
@@ -140,14 +142,11 @@ class FrameSnapshot:
 class FrameMachine:
     """Iterative Algorithm 1: frames instead of recursion.
 
-    Drop-in engine: same constructor and :meth:`run` contract as
-    :class:`~repro.enumeration.engine.BacktrackingEngine`, same
-    embeddings and counters. Additionally exposes the incremental
+    Same constructor and :meth:`run` contract as the recursive
+    reference (:mod:`repro.enumeration.engine`), same embeddings and
+    counters. Additionally exposes the incremental
     :meth:`start` / :meth:`advance` protocol for streaming consumers.
     """
-
-    #: Registry name (see :mod:`repro.enumeration.engines`).
-    name = "iterative"
 
     def __init__(
         self,
@@ -160,7 +159,7 @@ class FrameMachine:
         self.adaptive = adaptive
 
     # ------------------------------------------------------------------
-    # One-shot API (mirrors BacktrackingEngine.run)
+    # One-shot API (mirrors the recursive reference's run)
     # ------------------------------------------------------------------
 
     def run(
@@ -519,9 +518,9 @@ class FrameMachine:
                     valid = f_valid[d]
                     if valid and d == last:
                         # (2a) Leaf batch: every remaining valid candidate
-                        # completes a match. The recursive engine stops only
-                        # after recording the match that reaches the limit,
-                        # so room is clamped to at least one.
+                        # completes a match. The recursive reference stops
+                        # only after recording the match that reaches the
+                        # limit, so room is clamped to at least one.
                         take = valid.bit_count()
                         taken = valid
                         if match_limit is not None:

@@ -447,7 +447,7 @@ class IntersectionLC(LocalCandidateMethod):
     :class:`StaticOrderInfo` row tables and the frame machine ANDs them
     itself. ``compute`` still returns arrays under every kernel (decoded
     from the rows where those are what the structure holds) — the
-    recursive engine and the adaptive selector consume those.
+    recursive reference and the adaptive selector consume those.
     """
 
     name = "ALG5"

@@ -1,8 +1,9 @@
-"""Shared plumbing for the two enumeration engines.
+"""Plumbing shared by the engine and its recursive reference.
 
-Both the recursive :class:`~repro.enumeration.engine.BacktrackingEngine`
-and the iterative :class:`~repro.enumeration.frames.FrameMachine` need
-the same three pieces, factored here so they cannot drift apart:
+The iterative :class:`~repro.enumeration.frames.FrameMachine` and the
+recursive reference the parity tests compare it with
+(:mod:`repro.enumeration.engine`) need the same three pieces, factored
+here so they cannot drift apart:
 
 * :func:`prepare_static_order` — per-depth backward neighbors, designated
   parent ``u.p`` and failing-set backward masks for a static order φ

@@ -29,6 +29,7 @@ from itertools import combinations, permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.result import MatchResult
+from repro.enumeration.support import DEADLINE_STRIDE
 from repro.errors import BudgetExceeded
 from repro.filtering.base import ldf_candidates_for, nlf_check
 from repro.graph.graph import Graph
@@ -190,6 +191,7 @@ class _CompressedEnumerator:
         self.match_limit = match_limit
         self.store_limit = store_limit
         self.deadline = Deadline(time_limit) if time_limit else None
+        self._tick = DEADLINE_STRIDE
         self.num_matches = 0
         self.embeddings: List[Tuple[int, ...]] = []
         self.solved = True
@@ -292,6 +294,14 @@ class _CompressedEnumerator:
             return
 
         for chosen in combinations(local, size):
+            # A clique class can reject billions of tuples in a row
+            # without ever re-entering _extend, so the budget is also
+            # checked here, on the engine's stride.
+            self._tick -= 1
+            if self._tick <= 0:
+                self._tick = DEADLINE_STRIDE
+                if self.deadline is not None and self.deadline.expired():
+                    raise BudgetExceeded
             if c.clique[index] and not self._mutually_adjacent(chosen):
                 continue
             assignment[index] = chosen

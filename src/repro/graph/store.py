@@ -677,6 +677,12 @@ class SharedMemoryStore(GraphStore):
         if self._owner:
             self._shm.unlink()
 
+    def __del__(self) -> None:
+        # Dropped without close() — pool workers just drop their graph —
+        # the views must still die before the mapping they export, or the
+        # segment's own finalizer cannot close it.
+        self.labels = self.offsets = self.neighbors = self.by_label = None  # type: ignore[assignment]
+
     def __repr__(self) -> str:
         role = "owner" if self._owner else "attached"
         return (

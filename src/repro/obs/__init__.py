@@ -33,7 +33,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.schema import (
     BENCH_DYNAMIC_SCHEMA_VERSION,
-    BENCH_ENGINE_SCHEMA_VERSION,
     BENCH_KERNELS_SCHEMA_VERSION,
     BENCH_PARALLEL_SCHEMA_VERSION,
     BENCH_SERVER_SCHEMA_VERSION,
@@ -46,7 +45,6 @@ from repro.obs.schema import (
     TRACE_SCHEMA,
     TraceSchemaError,
     validate_bench_dynamic,
-    validate_bench_engine,
     validate_bench_kernels,
     validate_bench_parallel,
     validate_bench_server,
@@ -85,7 +83,6 @@ __all__ = [
     # schema
     "TRACE_SCHEMA",
     "BENCH_DYNAMIC_SCHEMA_VERSION",
-    "BENCH_ENGINE_SCHEMA_VERSION",
     "BENCH_KERNELS_SCHEMA_VERSION",
     "BENCH_PARALLEL_SCHEMA_VERSION",
     "BENCH_SERVER_SCHEMA_VERSION",
@@ -97,7 +94,6 @@ __all__ = [
     "MIN_PARALLEL_SPEEDUP",
     "TraceSchemaError",
     "validate_bench_dynamic",
-    "validate_bench_engine",
     "validate_bench_kernels",
     "validate_bench_parallel",
     "validate_bench_server",

@@ -25,12 +25,6 @@ dependency):
   :class:`~repro.core.session.MatchSession` batch latency on a
   repeated-query workload, with the session's cache counters.
 
-* **BENCH_engine.json** (``benchmarks/bench_engine.py``): the
-  enumeration-engine comparison — recursive
-  :class:`~repro.enumeration.engine.BacktrackingEngine` vs the iterative
-  :class:`~repro.enumeration.frames.FrameMachine` per preset, with match
-  totals and a byte-identical-embeddings attestation.
-
 * **BENCH_server.json** (``benchmarks/bench_server.py``): the serving
   tier under a duplicate-heavy multi-tenant workload — sustained QPS and
   p50/p99 latency through :class:`~repro.serve.service.MatchService`
@@ -81,8 +75,6 @@ __all__ = [
     "validate_bench_kernels",
     "BENCH_SESSION_SCHEMA_VERSION",
     "validate_bench_session",
-    "BENCH_ENGINE_SCHEMA_VERSION",
-    "validate_bench_engine",
     "BENCH_SERVER_SCHEMA_VERSION",
     "validate_bench_server",
     "BENCH_PARALLEL_SCHEMA_VERSION",
@@ -105,9 +97,6 @@ BENCH_KERNELS_SCHEMA_VERSION = 2
 
 #: Version stamped into BENCH_session.json payloads.
 BENCH_SESSION_SCHEMA_VERSION = 1
-
-#: Version stamped into BENCH_engine.json payloads.
-BENCH_ENGINE_SCHEMA_VERSION = 1
 
 #: Version stamped into BENCH_server.json payloads.
 BENCH_SERVER_SCHEMA_VERSION = 1
@@ -362,93 +351,6 @@ def validate_bench_session(payload: Dict[str, Any]) -> None:
     _require(
         payload.get("matches_agree") is True,
         "matches_agree must be true (one-shot and session disagreed)",
-    )
-
-
-def validate_bench_engine(payload: Dict[str, Any]) -> None:
-    """Validate a BENCH_engine.json payload against the current schema.
-
-    The payload compares the recursive and iterative enumeration engines
-    per algorithm preset on one repeated-enumeration workload. Besides
-    shape, the validator enforces the correctness side of the benchmark:
-    every engine must report the same match totals and the byte-identical
-    embeddings flag must be true — a fast but wrong engine fails here.
-    """
-    _require(isinstance(payload, dict), "payload must be an object")
-    _require(
-        payload.get("schema_version") == BENCH_ENGINE_SCHEMA_VERSION,
-        f"schema_version must be {BENCH_ENGINE_SCHEMA_VERSION}: "
-        f"{payload.get('schema_version')!r}",
-    )
-    _require(
-        payload.get("benchmark") == "engine-comparison",
-        f"unexpected benchmark id {payload.get('benchmark')!r}",
-    )
-    workload = payload.get("workload")
-    _require(isinstance(workload, dict), "workload must be an object")
-    for key in ("data_vertices", "query_vertices", "num_queries", "repeats"):
-        _require(
-            isinstance(workload.get(key), int) and workload[key] > 0,
-            f"workload.{key} must be a positive int",
-        )
-    _require(
-        isinstance(workload.get("match_limit"), int)
-        and workload["match_limit"] > 0,
-        "workload.match_limit must be a positive int",
-    )
-    presets = payload.get("presets")
-    _require(
-        isinstance(presets, list) and presets,
-        "presets must be a non-empty list",
-    )
-    for i, entry in enumerate(presets):
-        where = f"presets[{i}]"
-        _require(isinstance(entry, dict), f"{where} must be an object")
-        _require(
-            isinstance(entry.get("algorithm"), str) and entry["algorithm"],
-            f"{where}.algorithm must be a non-empty string",
-        )
-        engines = entry.get("engines")
-        _require(
-            isinstance(engines, dict) and len(engines) >= 2,
-            f"{where}.engines must map at least two engine names",
-        )
-        totals = set()
-        for name, stats in engines.items():
-            _require(
-                isinstance(stats, dict),
-                f"{where}.engines[{name!r}] must be an object",
-            )
-            _require(
-                isinstance(stats.get("seconds_total"), (int, float))
-                and stats["seconds_total"] > 0,
-                f"{where}.engines[{name!r}].seconds_total must be positive",
-            )
-            _require(
-                isinstance(stats.get("matches_total"), int)
-                and stats["matches_total"] >= 0,
-                f"{where}.engines[{name!r}].matches_total must be a "
-                "non-negative int",
-            )
-            totals.add(stats["matches_total"])
-        _require(
-            len(totals) == 1,
-            f"{where}: engines disagree on matches_total {sorted(totals)}",
-        )
-        _require(
-            isinstance(entry.get("speedup_iterative_vs_recursive"), (int, float))
-            and entry["speedup_iterative_vs_recursive"] > 0,
-            f"{where}.speedup_iterative_vs_recursive must be positive",
-        )
-        _require(
-            entry.get("embeddings_identical") is True,
-            f"{where}.embeddings_identical must be true (the engines "
-            "returned different embeddings)",
-        )
-    _require(
-        isinstance(payload.get("overall_speedup"), (int, float))
-        and payload["overall_speedup"] > 0,
-        "overall_speedup must be a positive number",
     )
 
 

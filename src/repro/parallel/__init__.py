@@ -8,8 +8,9 @@ into an outcome byte-identical to the sequential engine's.
 
 Layers:
 
-* :mod:`~repro.parallel.shared_graph` — publish the data graph's CSR
-  arrays once in a shared-memory segment; workers attach zero-copy.
+* :class:`repro.graph.store.SharedMemoryStore` — publishes the data
+  graph's CSR arrays once in a shared-memory segment; workers attach
+  zero-copy by the picklable :class:`~repro.graph.store.SharedGraphHandle`.
 * :mod:`~repro.parallel.pool` — process-wide persistent pools (one per
   worker count) plus the shared cancel flags that carry preemption
   across the process boundary.
@@ -38,7 +39,6 @@ from repro.parallel.pool import (
     resolve_workers,
     shutdown_pools,
 )
-from repro.parallel.shared_graph import SharedGraph, SharedGraphHandle, attach
 from repro.parallel.worker import ChunkResult
 
 __all__ = [
@@ -48,10 +48,7 @@ __all__ = [
     "ChunkResult",
     "ParallelContext",
     "ParallelUnavailable",
-    "SharedGraph",
-    "SharedGraphHandle",
     "WorkerPool",
-    "attach",
     "chunk_bounds",
     "get_pool",
     "merge_chunks",

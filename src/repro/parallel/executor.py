@@ -36,9 +36,9 @@ from typing import Callable, ContextManager, List, Optional, Sequence, Tuple
 from repro.core.plan import MatchPlan, PreparedQuery
 from repro.enumeration.stats import EnumerationOutcome, EnumerationStats
 from repro.graph.graph import Graph
+from repro.graph.store import SharedGraphHandle
 from repro.obs import Metrics, add_counter, span
 from repro.parallel.pool import ParallelUnavailable, WorkerPool, get_pool
-from repro.parallel.shared_graph import SharedGraphHandle
 from repro.parallel.worker import ChunkResult, _run_chunk
 from repro.utils.timer import Timer
 
@@ -126,7 +126,7 @@ class ParallelContext:
     Built by :class:`~repro.core.session.MatchSession` (or the one-shot
     API) when an effective worker count is set; holds the worker count
     and a zero-argument provider returning the published graph's
-    :class:`~repro.parallel.shared_graph.SharedGraphHandle` (lazily, so
+    :class:`~repro.graph.store.SharedGraphHandle` (lazily, so
     ineligible matches never publish anything).
     """
 
@@ -150,19 +150,14 @@ class ParallelContext:
 
     # -- gate -----------------------------------------------------------
 
-    def eligible(
-        self, plan: MatchPlan, prepared: PreparedQuery, engine_name: str
-    ) -> bool:
-        """Can this plan's enumeration be partitioned at the root?
+    def eligible(self, prepared: PreparedQuery) -> bool:
+        """Can this prepared query's enumeration be partitioned at the root?
 
-        Requires the iterative engine (root windows are a frame-machine
-        contract), a static order, and materialized candidate sets — the
+        Requires a static order and materialized candidate sets — the
         adaptive DP-iso selector has no fixed root list, and
         direct-enumeration presets resolve their root pool lazily.
         """
         if self.n_workers <= 0:
-            return False
-        if engine_name != "iterative":
             return False
         if prepared.adaptive_state is not None:
             return False

@@ -3,8 +3,8 @@
 Each pool process attaches the cancel-flag segment once at init, then
 serves :func:`_run_chunk` tasks: attach the shared data graph (cached by
 segment name), rebuild/reuse the per-query preprocessing artifacts
-(cached by a structural plan token + exact query), and run the iterative
-engine over one window of the root-candidate list. Only the slim
+(cached by a structural plan token + exact query), and run the frame
+machine over one window of the root-candidate list. Only the slim
 :class:`ChunkResult` travels back — counts, stats, stored embeddings and
 the chunk's wall-clock — never graphs or candidate structures.
 
@@ -31,8 +31,8 @@ import numpy as np
 from repro.core.plan import MatchPlan, PreparedQuery, run_plan
 from repro.enumeration.stats import EnumerationStats
 from repro.graph.graph import Graph
+from repro.graph.store import SharedGraphHandle, SharedMemoryStore
 from repro.obs import Metrics
-from repro.parallel.shared_graph import SharedGraphHandle, attach
 
 __all__ = ["ChunkResult", "_run_chunk", "_worker_init"]
 
@@ -43,9 +43,7 @@ PREP_CACHE_SIZE = 32
 
 _FLAGS: Optional[np.ndarray] = None
 _FLAGS_SHM: Optional[shared_memory.SharedMemory] = None
-_GRAPHS: "OrderedDict[str, Tuple[shared_memory.SharedMemory, Graph]]" = (
-    OrderedDict()
-)
+_GRAPHS: "OrderedDict[str, Graph]" = OrderedDict()
 _PREPARED: "OrderedDict[tuple, PreparedQuery]" = OrderedDict()
 
 
@@ -73,12 +71,13 @@ def _worker_init(flags_name: str) -> None:
 
 
 def _attach_graph(handle: SharedGraphHandle) -> Graph:
-    entry = _GRAPHS.get(handle.name)
-    if entry is not None:
+    graph = _GRAPHS.get(handle.name)
+    if graph is not None:
         _GRAPHS.move_to_end(handle.name)
-        return entry[1]
-    shm, graph = attach(handle)
-    _GRAPHS[handle.name] = (shm, graph)
+        return graph
+    # The graph view holds its store, and the store the mapping.
+    graph = SharedMemoryStore.attach(handle).graph()
+    _GRAPHS[handle.name] = graph
     while len(_GRAPHS) > GRAPH_CACHE_SIZE:
         # Drop the reference only; the mapping lives until the arrays die
         # (an eager close would raise BufferError on the exported views).
@@ -115,7 +114,6 @@ def _plan_token(plan: MatchPlan) -> tuple:
         spec.failing_sets,
         kernel,
         plan.aux_scope,
-        plan.engine_policy,
     )
 
 

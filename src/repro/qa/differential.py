@@ -4,8 +4,8 @@ For a planted case this module executes the query across
 
 * every built-in registry preset (plus ``"recommended"``),
 * every kernel backend on an Algorithm 5 preset,
-* both enumeration engines (recursive vs iterative frame machine) on
-  static-failing-sets and adaptive presets, compared byte-for-byte,
+* sequential vs chunked parallel enumeration on static-failing-sets and
+  adaptive presets, compared byte-for-byte,
 * :class:`~repro.core.session.MatchSession` (cache miss *and* cache hit)
   vs the one-shot :func:`~repro.core.api.match`,
 * the independent :mod:`repro.baselines` oracles — VF2 always (cases are
@@ -102,12 +102,13 @@ class Config:
 
     ``mode`` is ``"oneshot"`` (plain :func:`match`), ``"session"``
     (:class:`MatchSession`, run twice to cover cache miss and hit),
-    ``"vf2"`` or ``"bruteforce"`` (the oracles; ``algorithm``/``kernel``/
-    ``engine`` are ignored there). ``engine`` ``None`` defers to the
-    registry default, so historical corpus records replay unchanged —
-    and so do ``n_workers`` ``None`` (sequential), the intra-query
-    parallelism axis (:mod:`repro.parallel`), and ``storage`` ``None``
-    (the in-memory arrays), the residency axis: ``"rgf"`` round-trips
+    ``"vf2"`` or ``"bruteforce"`` (the oracles; ``algorithm``/``kernel``
+    are ignored there). The later axes default to ``None`` so that
+    historical corpus records replay unchanged, and :meth:`from_dict`
+    ignores the key of a retired axis (``"engine"``): ``n_workers``
+    ``None`` (sequential), the intra-query parallelism axis
+    (:mod:`repro.parallel`), and ``storage`` ``None`` (the in-memory
+    arrays), the residency axis: ``"rgf"`` round-trips
     the data graph through the binary format and runs off the memmap
     view, ``"shm"`` runs off a shared-memory segment
     (:mod:`repro.graph.store`). ``mutations`` ``None`` (the static
@@ -122,7 +123,6 @@ class Config:
     algorithm: str = "GQL"
     kernel: Optional[str] = None
     mode: str = "oneshot"
-    engine: Optional[str] = None
     n_workers: Optional[int] = None
     storage: Optional[str] = None
     mutations: Optional[MutationScript] = None
@@ -132,7 +132,6 @@ class Config:
             "algorithm": self.algorithm,
             "kernel": self.kernel,
             "mode": self.mode,
-            "engine": self.engine,
             "n_workers": self.n_workers,
             "storage": self.storage,
             "mutations": (
@@ -150,7 +149,6 @@ class Config:
             algorithm=payload.get("algorithm") or "GQL",
             kernel=payload.get("kernel"),
             mode=payload.get("mode") or "oneshot",
-            engine=payload.get("engine"),
             n_workers=int(n_workers) if n_workers is not None else None,
             storage=payload.get("storage"),
             mutations=script_from_json(script) if script else None,
@@ -160,7 +158,6 @@ class Config:
         if self.mode in ("vf2", "bruteforce"):
             return self.mode
         kernel = f"/{self.kernel}" if self.kernel else ""
-        engine = f"@{self.engine}" if self.engine else ""
         workers = f"|w{self.n_workers}" if self.n_workers else ""
         storage = f"~{self.storage}" if self.storage else ""
         session = "+session" if self.mode == "session" else ""
@@ -170,7 +167,7 @@ class Config:
             else ""
         )
         return (
-            f"{self.algorithm}{kernel}{engine}{workers}{storage}"
+            f"{self.algorithm}{kernel}{workers}{storage}"
             f"{session}{mutate}"
         )
 
@@ -264,7 +261,6 @@ def _run_resident(
             data,
             algorithm=config.algorithm,
             kernel=config.kernel,
-            engine=config.engine,
             n_workers=config.n_workers,
         )
         try:
@@ -289,7 +285,6 @@ def _run_resident(
         data,
         algorithm=config.algorithm,
         kernel=config.kernel,
-        engine=config.engine,
         n_workers=config.n_workers,
         match_limit=match_limit,
         store_limit=match_limit,
@@ -342,7 +337,6 @@ def run_mutation_config(
         dyn,
         algorithm=config.algorithm,
         kernel=config.kernel,
-        engine=config.engine,
     )
     try:
         subscription = session.subscribe(query, match_limit=match_limit)
@@ -369,7 +363,6 @@ def run_mutation_config(
                 rebuilt,
                 algorithm=config.algorithm,
                 kernel=config.kernel,
-                engine=config.engine,
                 match_limit=match_limit,
                 store_limit=match_limit,
             )
@@ -493,16 +486,9 @@ def default_kernels() -> List[str]:
     return [name for name in available_kernels() if name != "auto"]
 
 
-def default_engines() -> List[str]:
-    """Engines swept by default: the iterative engine only.
-
-    The recursive engine is the retired reference implementation — it
-    is no longer in the default registry at all. To sweep it, call
-    :func:`repro.enumeration.engines.enable_recursive_baseline` (or set
-    ``REPRO_ENGINE=recursive``) and pass ``engines=available_engines()``;
-    the default fuzz run no longer spends its budget re-validating it.
-    """
-    return ["iterative"]
+#: Presets the parallel axis runs: static order with failing sets (root
+#: windows under pruning) and adaptive (must fall back to sequential).
+PARALLEL_ALGORITHMS = ("GQLfs", "DPfs")
 
 
 def run_case(
@@ -511,8 +497,6 @@ def run_case(
     kernels: Optional[Sequence[str]] = None,
     kernel_algorithm: str = "CECI",
     session_algorithm: str = "GQL-opt",
-    engines: Optional[Sequence[str]] = None,
-    engine_algorithms: Sequence[str] = ("GQLfs", "DPfs"),
     worker_counts: Sequence[int] = (2,),
     storages: Sequence[str] = ("rgf", "shm"),
     oracle: bool = True,
@@ -529,12 +513,11 @@ def run_case(
     framework bug still surfaces as an ``oracle_mismatch``. When
     ``mutations`` is given, the mutate-then-match differential
     (:func:`run_mutation_config`) additionally sweeps the script over
-    the baseline preset, the session preset, one kernel config, every
-    requested engine, and every storage backend.
+    the baseline preset, the session preset, one kernel config, a
+    failing-sets preset, and every storage backend.
     """
     presets = list(presets) if presets is not None else default_presets()
     kernels = list(kernels) if kernels is not None else default_kernels()
-    engines = list(engines) if engines is not None else default_engines()
     divergences: List[Divergence] = []
 
     def run_checked(config: Config) -> Optional[Outcome]:
@@ -632,53 +615,24 @@ def run_case(
                 )
             )
 
-    # Both enumeration engines, pairwise: the engines promise *byte
-    # identical* results (embedding order included), a stronger contract
-    # than the set equality presets are held to. Order-only differences
-    # are reported as ``session_mismatch``, whose replay path compares
-    # embedding lists.
-    for algo in engine_algorithms:
-        first_config = Config(algorithm=algo, engine=engines[0])
+    # Parallel enumeration against the sequential run of the same
+    # preset, held to a *byte identical* contract (embedding order
+    # included), stronger than the set equality presets are held to:
+    # chunked fan-out must reassemble the exact sequential embedding
+    # order. Order-only differences are reported as ``session_mismatch``,
+    # whose replay path compares embedding lists. Small cases fall below
+    # the parallel eligibility floor and silently run sequentially — that
+    # degenerate comparison passing is fine; the axis earns its keep on
+    # the cases with enough root candidates.
+    for algo in PARALLEL_ALGORITHMS:
+        first_config = Config(algorithm=algo)
         first = run_checked(first_config)
         if first is None:
             continue
-        for engine in engines[1:]:
-            config = Config(algorithm=algo, engine=engine)
+        for n_workers in worker_counts:
+            config = Config(algorithm=algo, n_workers=n_workers)
             outcome = run_checked(config)
             if outcome is None:
-                continue
-            why = _outcomes_differ(first, outcome)
-            if why is not None:
-                divergences.append(
-                    _pair_divergence(
-                        "count_mismatch" if why == "count" else "set_mismatch",
-                        first_config, config, first, outcome, case,
-                        f"{why} differs between engines",
-                    )
-                )
-            elif not (first.capped or outcome.capped) and (
-                first.emb_list != outcome.emb_list
-            ):
-                divergences.append(
-                    _pair_divergence(
-                        "session_mismatch", first_config, config,
-                        first, outcome, case,
-                        "engines returned differently ordered embeddings",
-                    )
-                )
-
-        # Parallel enumeration against the same sequential run, held to
-        # the engines' byte-identical contract: chunked fan-out must
-        # reassemble the exact sequential embedding order. Small cases
-        # fall below the parallel eligibility floor and silently run
-        # sequentially — that degenerate comparison passing is fine; the
-        # axis earns its keep on the cases with enough root candidates.
-        for n_workers in worker_counts:
-            config = Config(
-                algorithm=algo, engine=engines[0], n_workers=n_workers
-            )
-            outcome = run_checked(config)
-            if outcome is None or first is None:
                 continue
             why = _outcomes_differ(first, outcome)
             if why is not None:
@@ -705,7 +659,7 @@ def run_case(
     # shared memory). The CSR arrays are byte-identical by construction
     # (store fingerprints are compared first), so the match itself is
     # held to the byte-identical contract: order-only differences are
-    # ``session_mismatch``, like the engine and parallel sweeps.
+    # ``session_mismatch``, like the parallel sweep.
     base_fingerprint = case.data.store.fingerprint()
     for storage in storages:
         config = Config(algorithm=presets[0], storage=storage)
@@ -865,13 +819,12 @@ def run_case(
                     mode="session", mutations=mutations,
                 )
             )
-        for engine in engines:
-            mutation_configs.append(
-                Config(
-                    algorithm=engine_algorithms[0], engine=engine,
-                    mode="session", mutations=mutations,
-                )
+        mutation_configs.append(
+            Config(
+                algorithm=PARALLEL_ALGORITHMS[0], mode="session",
+                mutations=mutations,
             )
+        )
         for storage in storages:
             mutation_configs.append(
                 Config(

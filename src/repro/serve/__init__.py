@@ -16,7 +16,7 @@ Layering::
         │  one per (tenant, graph)
     MatchSession  (plan/prep caches; core/session.py — thread-safe)
         │
-    engines + kernels
+    engine + kernels
 
 Start one from the command line with ``repro serve`` (see
 :mod:`repro.cli`), or embed :class:`MatchService` directly for

@@ -138,7 +138,6 @@ def match_response(
         payload["num_matches"] = result.num_matches
         payload["solved"] = result.solved
         payload["algorithm"] = result.algorithm
-        payload["engine"] = result.engine
         payload["kernel"] = result.kernel
         if include_embeddings:
             payload["embeddings"] = [

@@ -194,7 +194,7 @@ class MatchServer:
             "tenant": request.get("tenant", "public"),
             "budget": budget,
         }
-        for key in ("algorithm", "kernel", "engine"):
+        for key in ("algorithm", "kernel"):
             if request.get(key) is not None:
                 submit_kwargs[key] = request[key]
         if "match_limit" in request:

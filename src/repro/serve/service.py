@@ -160,7 +160,6 @@ class _Entry:
     tenant: str
     algorithm: Optional[AlgorithmLike]
     kernel: Optional[KernelLike]
-    engine: Optional[str]
     match_limit: Optional[int]
     store_limit: int
     waiters: List[_Waiter] = field(default_factory=list)
@@ -185,7 +184,7 @@ class MatchService:
         (``None`` = unbounded).
     coalesce:
         Share one execution among identical in-flight requests.
-    algorithm / kernel / engine:
+    algorithm / kernel:
         Service-wide defaults, overridable per request.
     clock:
         Time source for admission and deadline bookkeeping (tests inject
@@ -198,7 +197,7 @@ class MatchService:
         enumeration out across this many worker *processes*, which is
         the real CPU scaling the GIL denies the thread pool. Request
         deadlines and shutdown cancellation propagate to the workers
-        through a shared flag polled at the engines' leaf-batch stride.
+        through a shared flag polled at the engine's leaf-batch stride.
         ``None`` defers to ``REPRO_WORKERS`` (absent → sequential).
     """
 
@@ -210,7 +209,6 @@ class MatchService:
         coalesce: bool = True,
         algorithm: AlgorithmLike = "recommended",
         kernel: Optional[KernelLike] = None,
-        engine: Optional[str] = None,
         clock: Optional[Clock] = None,
         plan_cache_size: Optional[int] = 256,
         prep_cache_size: Optional[int] = 64,
@@ -225,7 +223,6 @@ class MatchService:
         self.coalesce = coalesce
         self.algorithm = algorithm
         self.kernel = kernel
-        self.engine = engine
         self.clock = clock if clock is not None else SystemClock()
         self._plan_cache_size = plan_cache_size
         self._prep_cache_size = prep_cache_size
@@ -310,7 +307,6 @@ class MatchService:
                 data,
                 algorithm=self.algorithm,
                 kernel=self.kernel,
-                engine=self.engine,
                 plan_cache_size=self._plan_cache_size,
                 prep_cache_size=self._prep_cache_size,
                 n_workers=self.n_workers,
@@ -398,7 +394,6 @@ class MatchService:
         query: Graph,
         algorithm: Optional[AlgorithmLike],
         kernel: Optional[KernelLike],
-        engine: Optional[str],
         match_limit: Optional[int],
         store_limit: int,
     ) -> Tuple:
@@ -410,7 +405,6 @@ class MatchService:
         # answering from the pre-mutation snapshot.
         algo = self.algorithm if algorithm is None else algorithm
         kern = self.kernel if kernel is None else kernel
-        eng = self.engine if engine is None else engine
         with self._lock:
             target = self._graphs.get(graph_name)
         epoch = target.epoch if isinstance(target, DynamicGraph) else 0
@@ -419,7 +413,6 @@ class MatchService:
             epoch,
             MatchSession._algorithm_key(algo),
             MatchSession._kernel_key(kern),
-            eng,
             match_limit,
             store_limit,
             query,
@@ -432,7 +425,6 @@ class MatchService:
         tenant: str = "public",
         algorithm: Optional[AlgorithmLike] = None,
         kernel: Optional[KernelLike] = None,
-        engine: Optional[str] = None,
         match_limit: Optional[int] = 100_000,
         store_limit: int = 10_000,
         budget: Optional[float] = None,
@@ -467,7 +459,7 @@ class MatchService:
             now + effective_budget if effective_budget is not None else None
         )
         key = self._coalesce_key(
-            graph, query, algorithm, kernel, engine, match_limit, store_limit
+            graph, query, algorithm, kernel, match_limit, store_limit
         )
 
         with self._lock:
@@ -500,7 +492,6 @@ class MatchService:
                 tenant=tenant,
                 algorithm=algorithm,
                 kernel=kernel,
-                engine=engine,
                 match_limit=match_limit,
                 store_limit=store_limit,
                 waiters=[waiter],
@@ -597,7 +588,6 @@ class MatchService:
                         store_limit=entry.store_limit,
                         validate=False,  # validated at admission
                         kernel=entry.kernel,
-                        engine=entry.engine,
                         cancel=cancelled,
                     )
                 self._metrics_add("serve.executed")
@@ -687,7 +677,7 @@ class MatchService:
     def close(self, wait: bool = True, cancel_inflight: bool = False) -> None:
         """Stop admitting; optionally preempt running enumerations.
 
-        ``cancel_inflight=True`` trips the engines' cancel hook so
+        ``cancel_inflight=True`` trips the engine's cancel hook so
         long-running enumerations stop at their next leaf-batch boundary
         (their waiters see ``solved=False`` partial results).
         """

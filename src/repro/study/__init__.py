@@ -19,6 +19,7 @@ from repro.study.experiments import (
     compare_filters,
     default_study_filters,
     order_spectrum,
+    time_order,
 )
 from repro.study.parallel import run_algorithm_on_set_parallel
 from repro.study.runner import QueryRecord, RunSummary, run_algorithm_on_set
@@ -48,6 +49,7 @@ __all__ = [
     "compare_filters",
     "compare_algorithms",
     "order_spectrum",
+    "time_order",
     "default_study_filters",
     "format_table",
     "format_series",

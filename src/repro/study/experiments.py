@@ -9,7 +9,10 @@ downstream user can point at any graph/workload:
 * :func:`compare_algorithms` — Figure 11/16-style: per-preset timing
   summary over one query set;
 * :func:`order_spectrum` — Figure 14-style: the distribution of
-  enumeration times across sampled matching orders for one query.
+  enumeration times across sampled matching orders for one query;
+* :func:`time_order` — the measurement under it (and under the Figure 14
+  and Table 6 benchmarks): enumeration time of one matching order on a
+  given candidate space.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.core.plan import bind_enumeration
 from repro.core.spec import AlgorithmSpec
-from repro.enumeration.engine import BacktrackingEngine
+from repro.enumeration.frames import FrameMachine
 from repro.enumeration.local_candidates import IntersectionLC
 from repro.filtering import (
-    AuxiliaryStructure,
+    CandidateSets,
     CECIFilter,
     CFLFilter,
     DPisoFilter,
@@ -41,6 +45,7 @@ __all__ = [
     "compare_filters",
     "compare_algorithms",
     "order_spectrum",
+    "time_order",
     "default_study_filters",
 ]
 
@@ -167,6 +172,33 @@ class SpectrumReport:
         return algorithm_ms / max(1e-6, self.best_ms)
 
 
+def time_order(
+    query: Graph,
+    data: Graph,
+    candidates: CandidateSets,
+    order: Sequence[int],
+    match_limit: Optional[int] = None,
+    time_limit: Optional[float] = None,
+) -> Optional[float]:
+    """Enumeration milliseconds of ``order``; ``None`` if the limit kills it.
+
+    The optimized GQL configuration of Section 5.3 (Algorithm 5 over the
+    full candidate space) on the engine and ``auto`` kernel policy every
+    preset runs with, wired by :func:`~repro.core.plan.bind_enumeration`;
+    only the search itself is timed, so orders compared on one candidate
+    space differ in nothing but the ordering axis.
+    """
+    prepared = bind_enumeration(
+        IntersectionLC(), "all", None, query, data, candidates,
+        order=list(order),
+    )
+    outcome = FrameMachine(prepared.lc).run(
+        query, data, candidates, prepared.auxiliary, prepared.order,
+        match_limit=match_limit, time_limit=time_limit, store_limit=0,
+    )
+    return outcome.elapsed * 1000.0 if outcome.solved else None
+
+
 def order_spectrum(
     query: Graph,
     data: Graph,
@@ -177,19 +209,16 @@ def order_spectrum(
 ) -> SpectrumReport:
     """Sample matching orders and measure each (optimized GQL pipeline).
 
-    All orders share one candidate space and auxiliary structure, so the
-    spectrum isolates the ordering axis exactly as Section 5.3 does.
+    All orders share one candidate space, so the spectrum isolates the
+    ordering axis exactly as Section 5.3 does.
     """
     candidates = GraphQLFilter().run(query, data)
-    auxiliary = AuxiliaryStructure.build(query, data, candidates, scope="all")
 
     def measure(order) -> Optional[float]:
-        engine = BacktrackingEngine(IntersectionLC())
-        outcome = engine.run(
-            query, data, candidates, auxiliary, order,
-            match_limit=match_limit, time_limit=time_limit, store_limit=0,
+        return time_order(
+            query, data, candidates, order,
+            match_limit=match_limit, time_limit=time_limit,
         )
-        return outcome.elapsed * 1000.0 if outcome.solved else None
 
     report = SpectrumReport()
     for order in sample_orders(query, num_orders, seed=seed):

@@ -7,7 +7,7 @@ pool and reassembles the same :class:`~repro.study.runner.RunSummary`
 the sequential runner produces.
 
 The data graph is **not** shipped to workers: it is published once as a
-:class:`~repro.parallel.shared_graph.SharedGraph` (one shared-memory
+:class:`~repro.graph.store.SharedMemoryStore` (one shared-memory
 segment holding the CSR arrays) and every worker attaches zero-copy via
 the tiny handle the pool initializer receives — attach cost is
 independent of graph size, and all workers read the same physical pages.
@@ -26,15 +26,18 @@ identity-keyed caches at the process boundary.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import shared_memory
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.core.session import MatchSession
 from repro.core.spec import AlgorithmSpec
 from repro.glasgow.solver import glasgow_match
 from repro.graph.graph import Graph
-from repro.graph.store import GraphSource, SharedMemoryStore, as_graph
-from repro.parallel.shared_graph import SharedGraph, SharedGraphHandle, attach
+from repro.graph.store import (
+    GraphSource,
+    SharedGraphHandle,
+    SharedMemoryStore,
+    as_graph,
+)
 from repro.study.runner import (
     QueryRecord,
     RunSummary,
@@ -47,11 +50,10 @@ __all__ = ["run_algorithm_on_set_parallel"]
 AlgorithmLike = Union[str, AlgorithmSpec]
 
 # Worker-process globals, set once by the pool initializer. Each worker
-# attaches the published data graph (keeping the segment alive alongside
-# it) and holds one MatchSession in measurement mode: no preprocessing
-# reuse, no cache counters — records must match the sequential runner's
-# byte for byte. GLW runs have no session.
-_WORKER_SHM: Optional[shared_memory.SharedMemory] = None
+# attaches the published data graph (the view holds its store, and the
+# store the mapping) and holds one MatchSession in measurement mode: no
+# preprocessing reuse, no cache counters — records must match the
+# sequential runner's byte for byte. GLW runs have no session.
 _WORKER_DATA: Optional[Graph] = None
 _WORKER_ALGORITHM: Optional[AlgorithmLike] = None
 _WORKER_SESSION: Optional[MatchSession] = None
@@ -64,9 +66,9 @@ def _init_worker(
     match_limit: Optional[int],
     time_limit: Optional[float],
 ) -> None:
-    global _WORKER_SHM, _WORKER_DATA, _WORKER_ALGORITHM
+    global _WORKER_DATA, _WORKER_ALGORITHM
     global _WORKER_SESSION, _WORKER_LIMITS
-    _WORKER_SHM, _WORKER_DATA = attach(handle)
+    _WORKER_DATA = SharedMemoryStore.attach(handle).graph()
     _WORKER_ALGORITHM = algorithm
     _WORKER_SESSION = (
         None
@@ -158,7 +160,7 @@ def run_algorithm_on_set_parallel(
     if isinstance(store, SharedMemoryStore):
         shared, handle = None, store.handle
     else:
-        shared = SharedGraph(data)
+        shared = SharedMemoryStore.publish(data)
         handle = shared.handle
     try:
         with ProcessPoolExecutor(
@@ -170,6 +172,6 @@ def run_algorithm_on_set_parallel(
                 summary.records.append(record)
     finally:
         if shared is not None:
-            shared.unlink()
+            shared.close()
     summary.records.sort(key=lambda r: r.query_index)
     return summary

@@ -203,22 +203,3 @@ class TestFallback:
         )
         assert par.num_matches == seq.num_matches
         assert par.embeddings == seq.embeddings
-
-    def test_recursive_engine_falls_back(self, workload):
-        from repro.enumeration.engines import enable_recursive_baseline
-
-        enable_recursive_baseline()
-        query, data = workload
-        seq = match(
-            query, data, algorithm=ALGORITHM, engine="recursive",
-            match_limit=5000, store_limit=5000,
-        )
-        par = match(
-            query, data, algorithm=ALGORITHM, engine="recursive",
-            match_limit=5000, store_limit=5000, n_workers=2,
-        )
-        assert par.num_matches == seq.num_matches
-        assert par.embeddings == seq.embeddings
-        assert (
-            "parallel.matches" not in par.metrics.to_dict()["counters"]
-        )

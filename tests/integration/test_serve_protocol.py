@@ -100,6 +100,29 @@ class TestServeProtocol:
         assert response["num_matches"] == direct.num_matches
         assert [tuple(e) for e in response["embeddings"]] == direct.embeddings
 
+    def test_retired_engine_key_is_ignored(self, service, query):
+        # Clients written while the engine was selectable still send the
+        # key; the server ignores unknown keys, so they keep working.
+        request = {
+            "op": "match",
+            "graph": "g",
+            "query": graph_to_payload(query),
+            "include_embeddings": True,
+        }
+
+        async def scenario(server):
+            client = await Client.connect(server.port)
+            plain = await client.rpc(request)
+            legacy = await client.rpc({**request, "engine": "recursive"})
+            await client.close()
+            return plain, legacy
+
+        plain, legacy = run(with_server(service, scenario))
+        assert legacy["ok"] and legacy["status"] == "ok"
+        assert legacy["num_matches"] == plain["num_matches"]
+        assert legacy["embeddings"] == plain["embeddings"]
+        assert "engine" not in legacy and "engine" not in plain
+
     def test_ping_graphs_stats_ops(self, service, query):
         async def scenario(server):
             client = await Client.connect(server.port)

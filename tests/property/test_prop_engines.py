@@ -1,28 +1,25 @@
-"""Engine-parity properties: the frame machine IS the recursive engine.
+"""Engine-parity properties: the frame machine IS the recursive reference.
 
-The iterative frame machine replaces the recursive backtracker as the
-default enumeration engine; its contract is *exact* equivalence — same
-matches in the same order, same ``solved`` flag, and byte-identical
-work counters (the counters feed the paper's Figure 15/16 analyses, so
-"close enough" is not enough). These properties pit the two engines
-against each other over random planted cases, across every algorithm
-preset and every set-intersection kernel. Pinned corpus seeds from
-historical fuzz findings ride along as ``@example``s.
+The iterative frame machine is the one enumeration engine; its contract
+is *exact* equivalence with the recursive ``BacktrackingEngine``, the
+line-by-line transcription of Algorithm 1 — same matches in the same
+order, same ``solved`` flag, and byte-identical work counters (the
+counters feed the paper's Figure 15/16 analyses, so "close enough" is
+not enough). These properties run both classes over one prepared query
+(``engine_parity.run_both``) on random planted cases, across every
+algorithm preset and every set-intersection kernel. Pinned corpus seeds
+from historical fuzz findings ride along as ``@example``s.
 """
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from engine_parity import run_both
 from strategies import corpus_seeds
 
-from repro.core import MatchSession
 from repro.core.algorithms import PRESETS
-from repro.enumeration.engines import enable_recursive_baseline
 from repro.qa import plant_case
 from repro.utils.kernels import available_kernels
-
-# The whole point of this suite is the retired baseline — opt in.
-enable_recursive_baseline()
 
 SEEDS = st.integers(0, 2**20)
 
@@ -45,23 +42,11 @@ def _pin_corpus_seeds(test):
     return test
 
 
-def _outcome(case, algorithm, engine, kernel="auto"):
-    session = MatchSession(
-        case.data, algorithm=algorithm, kernel=kernel, engine=engine
+def _both(case, algorithm, kernel="auto"):
+    return run_both(
+        algorithm, case.query, case.data, kernel=kernel,
+        match_limit=5000, store_limit=5000,
     )
-    result = session.match(
-        case.query, match_limit=5000, store_limit=5000, validate=False
-    )
-    counters = result.metrics.counters
-    return {
-        "num_matches": result.num_matches,
-        "embeddings": result.embeddings,
-        "solved": result.solved,
-        "recursion_calls": counters.get("enumerate.recursion_calls", 0),
-        "candidates_scanned": counters.get("enumerate.candidates_scanned", 0),
-        "conflicts": counters.get("enumerate.conflicts", 0),
-        "failing_set_prunes": counters.get("enumerate.failing_set_prunes", 0),
-    }
 
 
 @_pin_corpus_seeds
@@ -70,8 +55,7 @@ def _outcome(case, algorithm, engine, kernel="auto"):
 def test_engines_agree_on_every_preset(seed):
     case = plant_case(seed, max_data=24)
     for algorithm in ENGINE_PRESETS:
-        recursive = _outcome(case, algorithm, "recursive")
-        iterative = _outcome(case, algorithm, "iterative")
+        recursive, iterative = _both(case, algorithm)
         assert iterative == recursive, algorithm
 
 
@@ -81,26 +65,22 @@ def test_engines_agree_on_every_preset(seed):
 def test_engines_agree_on_every_kernel(seed):
     case = plant_case(seed, max_data=24)
     for kernel in available_kernels():
-        recursive = _outcome(case, "GQLfs", "recursive", kernel=kernel)
-        iterative = _outcome(case, "GQLfs", "iterative", kernel=kernel)
+        recursive, iterative = _both(case, "GQLfs", kernel=kernel)
         assert iterative == recursive, kernel
 
 
 @_SETTINGS
 @given(seed=SEEDS)
 def test_embedding_sets_match_across_all_presets(seed):
-    # Order-free cross-check over the full preset table: any engine, any
-    # preset, one embedding multiset.
+    # Order-free cross-check over the full preset table: either class,
+    # any preset, one embedding multiset.
     case = plant_case(seed, max_data=20)
     reference = None
     for algorithm in PRESETS:
-        counts = {
-            engine: _outcome(case, algorithm, engine)
-            for engine in ("recursive", "iterative")
-        }
-        found = set(counts["iterative"]["embeddings"])
-        assert counts["recursive"]["num_matches"] == counts["iterative"]["num_matches"]
-        if counts["iterative"]["num_matches"] < 5000:  # uncapped: comparable
+        recursive, iterative = _both(case, algorithm)
+        found = set(iterative["embeddings"])
+        assert recursive["num_matches"] == iterative["num_matches"]
+        if iterative["num_matches"] < 5000:  # uncapped: comparable
             if reference is None:
                 reference = found
             else:

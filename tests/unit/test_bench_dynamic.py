@@ -73,10 +73,7 @@ class TestPayload:
 
 
 class TestCheckedInPayloads:
-    @pytest.mark.parametrize(
-        "path",
-        ["BENCH_dynamic.json", "benchmarks/results/BENCH_dynamic.json"],
-    )
+    @pytest.mark.parametrize("path", ["BENCH_dynamic.json"])
     def test_committed_payload_still_validates(self, path):
         committed = json.loads((_REPO / path).read_text())
         validate_bench_dynamic(committed)

@@ -56,10 +56,7 @@ class TestShootoutPayload:
 class TestCheckedInArtifact:
     """The repository's committed BENCH_kernels.json matches the schema."""
 
-    @pytest.mark.parametrize(
-        "relative",
-        ["BENCH_kernels.json", "benchmarks/results/BENCH_kernels.json"],
-    )
+    @pytest.mark.parametrize("relative", ["BENCH_kernels.json"])
     def test_artifact_validates(self, relative):
         path = Path(__file__).resolve().parents[2] / relative
         if not path.exists():  # pragma: no cover - fresh clone without runs

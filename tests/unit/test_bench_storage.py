@@ -32,10 +32,6 @@ class TestCheckedInPayload:
         validate_bench_storage(payload)
         json.dumps(payload)
 
-    def test_results_payload_matches_schema_too(self):
-        path = _REPO / "benchmarks" / "results" / "BENCH_storage.json"
-        validate_bench_storage(json.loads(path.read_text()))
-
     def test_schema_stamp(self, payload):
         assert payload["schema_version"] == BENCH_STORAGE_SCHEMA_VERSION
         assert payload["benchmark"] == "storage-backends"

@@ -1,5 +1,7 @@
 """Unit tests for NEC query compression (TurboIso-style, Section 3.4)."""
 
+import time
+
 import pytest
 
 from fixtures import PAPER_DATA, PAPER_MATCHES, PAPER_QUERY
@@ -123,11 +125,15 @@ class TestMatching:
             labels=[0] * 5,
             edges=[(a, b) for a in range(5) for b in range(a + 1, 5)],
         )
+        started = time.perf_counter()
         result = match_compressed(
             clique, host, match_limit=None, time_limit=0.01
         )
-        # Either finishes very fast or reports unsolved — never hangs.
-        assert result.solved or result.num_matches >= 0
+        elapsed = time.perf_counter() - started
+        # C(239, 5) ≈ 6.2e9 tuples cannot finish in 10 ms: the run must
+        # report unsolved, and within 100× its budget.
+        assert result.solved is False
+        assert elapsed <= 1.0
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -35,7 +35,6 @@ class TestSpecAndPlanPickling:
         assert clone.algorithm.name == plan.algorithm.name
         assert clone.fingerprint == plan.fingerprint
         assert clone.aux_scope == plan.aux_scope
-        assert clone.engine_policy == plan.engine_policy
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_unpickled_plan_still_answers(self, name, workload):

@@ -1,10 +1,6 @@
 """Unit tests for the differential harness Config, n_workers axis included."""
 
-from repro.qa.differential import (
-    Config,
-    default_engines,
-    run_config,
-)
+from repro.qa.differential import Config, run_config
 from repro.qa.generator import plant_case
 
 
@@ -14,7 +10,7 @@ class TestConfigRoundTrip:
         assert Config.from_dict(config.to_dict()) == config
 
     def test_n_workers_round_trips(self):
-        config = Config(algorithm="GQLfs", engine="iterative", n_workers=2)
+        config = Config(algorithm="GQLfs", n_workers=2)
         clone = Config.from_dict(config.to_dict())
         assert clone == config
         assert clone.n_workers == 2
@@ -26,6 +22,16 @@ class TestConfigRoundTrip:
             {"algorithm": "GQL", "kernel": None, "mode": "oneshot"}
         )
         assert config.n_workers is None
+
+    def test_retired_engine_key_is_ignored(self):
+        # Corpus records written while the engine axis existed carry an
+        # "engine" key (three pinned ones, all null); they replay as the
+        # same config a record without the key does.
+        legacy = {"algorithm": "GQLfs", "kernel": None, "mode": "session"}
+        for value in (None, "recursive", "iterative"):
+            config = Config.from_dict({**legacy, "engine": value})
+            assert config == Config.from_dict(legacy)
+            assert "engine" not in config.to_dict()
 
     def test_label_shows_worker_count(self):
         assert "w2" in Config(algorithm="GQL", n_workers=2).label()
@@ -46,13 +52,6 @@ class TestConfigRoundTrip:
     def test_label_shows_storage_backend(self):
         assert "~shm" in Config(algorithm="GQL", storage="shm").label()
         assert "~" not in Config(algorithm="GQL").label()
-
-
-class TestDefaultEngines:
-    def test_recursive_engine_is_opt_in(self):
-        # The retired reference engine stays in the registry but out of
-        # the default sweep.
-        assert default_engines() == ["iterative"]
 
 
 class TestParallelConfigRuns:
@@ -110,7 +109,6 @@ class TestStorageConfigRuns:
             case,
             presets=["GQL"],
             kernels=[],
-            engines=["iterative"],
             worker_counts=(),
             oracle=False,
             metamorphic=False,

@@ -103,15 +103,6 @@ class TestServiceBasics:
         assert served.embeddings == direct.embeddings
         assert served.num_matches == direct.num_matches
 
-    def test_per_request_engine_override_recorded(self, service, query):
-        from repro.enumeration.engines import enable_recursive_baseline
-
-        enable_recursive_baseline()
-        response = service.match(query, graph="g", engine="recursive")
-        assert response.result.engine == "recursive"
-        response = service.match(query, graph="g", engine="iterative")
-        assert response.result.engine == "iterative"
-
     def test_counters_accounting(self, data, query):
         service = MatchService(workers=1)
         service.add_graph("g", data)
@@ -249,7 +240,7 @@ class TestProtocol:
         assert payload["ok"] and payload["status"] == "ok"
         assert payload["id"] == 9
         assert payload["num_matches"] == response.result.num_matches
-        assert payload["engine"] == response.result.engine
+        assert payload["kernel"] == response.result.kernel
         assert len(payload["embeddings"]) == len(response.result.embeddings)
         json.dumps(payload)  # wire-safe
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro import MatchSession, compile_plan, count_matches, has_match, match
 from repro.core.plan import LRUCache, run_plan
-from repro.enumeration.engines import enable_recursive_baseline
 from repro.errors import InvalidQueryError
 from repro.graph import Graph
 from fixtures import PAPER_DATA, PAPER_MATCHES, PAPER_QUERY
@@ -238,18 +237,18 @@ class TestApiPassthrough:
         )
 
 
-class TestEngineOverrideRecording:
-    """Per-call engine overrides must be resolved AND recorded identically
+class TestOverrideRecording:
+    """A per-call override must be resolved AND recorded identically
     whether the caller uses match(), count_matches() or has_match().
 
     count_matches/has_match delegate to match(), so the override flows
     through one code path; this pins that the MatchResult the internal
-    run produces carries the resolved engine name for every entry point
+    run produces carries the resolved kernel name for every entry point
     (the serving tier reports it to clients verbatim).
     """
 
     @pytest.fixture
-    def captured_engines(self, monkeypatch):
+    def captured_kernels(self, monkeypatch):
         import repro.core.session as session_module
 
         captured = []
@@ -257,36 +256,29 @@ class TestEngineOverrideRecording:
 
         def spy(*args, **kwargs):
             result, prepared = inner(*args, **kwargs)
-            captured.append(result.engine)
+            captured.append(result.kernel)
             return result, prepared
 
         monkeypatch.setattr(session_module, "run_plan", spy)
         return captured
 
-    @pytest.mark.parametrize("engine", ["recursive", "iterative"])
     def test_session_count_and_has_match_record_override(
-        self, captured_engines, engine
+        self, captured_kernels
     ):
-        enable_recursive_baseline()
-        session = MatchSession(PAPER_DATA, algorithm="GQL")
-        n = session.count_matches(PAPER_QUERY, engine=engine)
-        found = session.has_match(PAPER_QUERY, engine=engine)
-        direct = session.match(PAPER_QUERY, engine=engine)
+        session = MatchSession(PAPER_DATA, algorithm="GQLfs")
+        n = session.count_matches(PAPER_QUERY, kernel="numpy")
+        found = session.has_match(PAPER_QUERY, kernel="numpy")
+        direct = session.match(PAPER_QUERY, kernel="numpy")
         assert n == len(PAPER_MATCHES) and found
-        assert direct.engine == engine
-        assert captured_engines == [engine] * 3
+        assert direct.kernel == "numpy"
+        assert captured_kernels == ["numpy"] * 3
 
-    @pytest.mark.parametrize("engine", ["recursive", "iterative"])
-    def test_api_count_and_has_match_record_override(
-        self, captured_engines, engine
-    ):
-        enable_recursive_baseline()
-        n = count_matches(PAPER_QUERY, PAPER_DATA, algorithm="GQL", engine=engine)
-        found = has_match(PAPER_QUERY, PAPER_DATA, algorithm="GQL", engine=engine)
+    def test_api_count_and_has_match_record_override(self, captured_kernels):
+        n = count_matches(
+            PAPER_QUERY, PAPER_DATA, algorithm="GQLfs", kernel="numpy"
+        )
+        found = has_match(
+            PAPER_QUERY, PAPER_DATA, algorithm="GQLfs", kernel="numpy"
+        )
         assert n == len(PAPER_MATCHES) and found
-        assert captured_engines == [engine] * 2
-
-    def test_default_engine_still_recorded(self, captured_engines):
-        session = MatchSession(PAPER_DATA, algorithm="GQL")
-        session.count_matches(PAPER_QUERY)
-        assert captured_engines == ["iterative"]
+        assert captured_kernels == ["numpy"] * 2

@@ -1,4 +1,9 @@
-"""Unit tests for the zero-copy shared-memory graph (repro.parallel)."""
+"""Unit tests for the zero-copy shared-memory graph (SharedMemoryStore).
+
+Lifecycle under test: the owner publishes and later closes (which
+unlinks); an attacher maps by handle, reads through the graph view,
+drops the view and closes its mapping.
+"""
 
 import pickle
 
@@ -9,7 +14,7 @@ from repro.core.api import match
 from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
 from repro.graph.query_gen import extract_query
-from repro.parallel import SharedGraph, SharedGraphHandle, attach
+from repro.graph.store import SharedGraphHandle, SharedMemoryStore
 
 
 @pytest.fixture(scope="module")
@@ -19,82 +24,62 @@ def data():
 
 class TestSharedGraph:
     def test_attach_round_trips_csr(self, data):
-        shared = SharedGraph(data)
-        try:
-            shm, attached = attach(shared.handle)
-            try:
+        with SharedMemoryStore.publish(data) as shared:
+            with SharedMemoryStore.attach(shared.handle) as store:
+                attached = store.graph()
                 assert attached.num_vertices == data.num_vertices
                 assert attached.num_edges == data.num_edges
                 np.testing.assert_array_equal(attached.labels, data.labels)
                 np.testing.assert_array_equal(attached.csr[0], data.csr[0])
                 np.testing.assert_array_equal(attached.csr[1], data.csr[1])
-            finally:
                 del attached
-                shm.close()
-        finally:
-            shared.unlink()
 
     def test_attached_graph_answers_queries(self, data):
         query = extract_query(data, 5, seed=2)
         expected = match(query, data, algorithm="GQL")
-        shared = SharedGraph(data)
-        try:
-            shm, attached = attach(shared.handle)
-            result = match(query, attached, algorithm="GQL")
-            assert result.num_matches == expected.num_matches
-            assert result.embeddings == expected.embeddings
-            del attached
-            shm.close()
-        finally:
-            shared.unlink()
+        with SharedMemoryStore.publish(data) as shared:
+            with SharedMemoryStore.attach(shared.handle) as store:
+                attached = store.graph()
+                result = match(query, attached, algorithm="GQL")
+                assert result.num_matches == expected.num_matches
+                assert result.embeddings == expected.embeddings
+                del attached
 
     def test_label_index_matches(self, data):
-        shared = SharedGraph(data)
-        try:
-            shm, attached = attach(shared.handle)
-            for label in range(int(data.labels.max()) + 1):
-                np.testing.assert_array_equal(
-                    attached.vertices_with_label(label),
-                    data.vertices_with_label(label),
-                )
-            del attached
-            shm.close()
-        finally:
-            shared.unlink()
+        with SharedMemoryStore.publish(data) as shared:
+            with SharedMemoryStore.attach(shared.handle) as store:
+                attached = store.graph()
+                for label in range(int(data.labels.max()) + 1):
+                    np.testing.assert_array_equal(
+                        attached.vertices_with_label(label),
+                        data.vertices_with_label(label),
+                    )
+                del attached
 
     def test_unlink_is_idempotent(self, data):
-        shared = SharedGraph(data)
-        shared.unlink()
-        shared.unlink()
+        shared = SharedMemoryStore.publish(data)
+        shared.close()
+        shared.close()
 
     def test_context_manager_unlinks(self, data):
-        with SharedGraph(data) as shared:
+        with SharedMemoryStore.publish(data) as shared:
             handle = shared.handle
         # The segment is gone: a fresh attach must fail.
         with pytest.raises(FileNotFoundError):
-            attach(handle)
+            SharedMemoryStore.attach(handle)
 
     def test_handle_pickles(self, data):
-        shared = SharedGraph(data)
-        try:
+        with SharedMemoryStore.publish(data) as shared:
             handle = pickle.loads(pickle.dumps(shared.handle))
             assert handle == shared.handle
             assert isinstance(handle, SharedGraphHandle)
-            shm, attached = attach(handle)
-            assert attached.num_edges == data.num_edges
-            del attached
-            shm.close()
-        finally:
-            shared.unlink()
+            with SharedMemoryStore.attach(handle) as store:
+                assert store.graph().num_edges == data.num_edges
 
     def test_empty_graph(self):
-        empty = Graph([0], [])
-        shared = SharedGraph(empty)
-        try:
-            shm, attached = attach(shared.handle)
-            assert attached.num_vertices == 1
-            assert attached.num_edges == 0
-            del attached
-            shm.close()
-        finally:
-            shared.unlink()
+        with SharedMemoryStore.publish(Graph([0], [])) as shared:
+            with SharedMemoryStore.attach(shared.handle) as store:
+                attached = store.graph()
+                assert attached.num_vertices == 1
+                assert attached.num_edges == 0
+                del attached
