@@ -6,7 +6,7 @@ the enumeration actually produces: similar-size lists, skewed lists, and
 dense neighborhoods.
 
 Run directly (``python benchmarks/bench_kernels.py``) to time the
-registered kernel *backends* (scalar vs numpy vs bitset vs rows) on
+registered kernel *backends* (every registry name) on
 10k-element sorted arrays and write ``BENCH_kernels.json``. The ``rows``
 row times that backend's *list* interface (encode against the smaller
 list, AND, decode) — the price of entering and leaving position space,
@@ -27,14 +27,13 @@ if __name__ == "__main__":  # standalone run: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs.schema import BENCH_KERNELS_SCHEMA_VERSION, validate_bench_kernels
-from repro.utils.intersection import (
-    BitmapSetIndex,
-    QFilterIndex,
+from repro.utils.kernels import (
+    available_kernels,
+    get_kernel,
     intersect_galloping,
     intersect_hybrid,
     intersect_merge,
 )
-from repro.utils.kernels import get_kernel
 
 _RNG = np.random.default_rng(7)
 
@@ -77,7 +76,7 @@ def bench_hybrid_skewed(benchmark):
 
 def bench_bitmap_dense_warm(benchmark):
     """Bitmap kernel with the layout already built (QFilter's steady state)."""
-    index = BitmapSetIndex()
+    index = get_kernel("bitset")
     index.intersect(DENSE_A, DENSE_B)  # warm the cache
     benchmark(index.intersect, DENSE_A, DENSE_B)
 
@@ -90,21 +89,21 @@ def bench_bitmap_sparse_cold(benchmark):
     """Bitmap kernel paying the encode cost every call (sparse worst case)."""
 
     def cold():
-        BitmapSetIndex().intersect(SKEWED_SMALL, SKEWED_LARGE)
+        get_kernel("bitset").intersect(SKEWED_SMALL, SKEWED_LARGE)
 
     benchmark(cold)
 
 
 def bench_bsr_dense_warm(benchmark):
     """BSR (QFilter) kernel with the layout already built, dense sets."""
-    index = QFilterIndex()
+    index = get_kernel("qfilter")
     index.intersect(DENSE_A, DENSE_B)  # warm the cache
     benchmark(index.intersect, DENSE_A, DENSE_B)
 
 
 def bench_bsr_skewed_warm(benchmark):
     """BSR kernel on scattered values: ~1 element per block, pure overhead."""
-    index = QFilterIndex()
+    index = get_kernel("qfilter")
     index.intersect(SKEWED_SMALL, SKEWED_LARGE)
     benchmark(index.intersect, SKEWED_SMALL, SKEWED_LARGE)
 
@@ -113,7 +112,7 @@ def bench_bsr_sparse_cold(benchmark):
     """BSR kernel paying the encode cost every call."""
 
     def cold():
-        QFilterIndex().intersect(SKEWED_SMALL, SKEWED_LARGE)
+        get_kernel("qfilter").intersect(SKEWED_SMALL, SKEWED_LARGE)
 
     benchmark(cold)
 
@@ -188,7 +187,7 @@ def run_backend_shootout(
 
     timings = {}
     resolved = {}
-    for name in ("scalar", "numpy", "bitset", "rows"):
+    for name in [n for n in available_kernels() if n != "auto"]:
         kernel = get_kernel(name)
         resolved[name] = kernel.name
         kernel.intersect(a, b)  # warm caches / JIT-free sanity check

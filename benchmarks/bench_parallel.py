@@ -38,11 +38,10 @@ from pathlib import Path
 if __name__ == "__main__":  # standalone run: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.plan import compile_plan, prepare_query, run_plan
+from repro.core.plan import compile_plan, run_plan
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.query_gen import extract_query
 from repro.graph.store import SharedMemoryStore
-from repro.obs.metrics import Metrics
 from repro.obs.schema import (
     BENCH_PARALLEL_SCHEMA_VERSION,
     validate_bench_parallel,

@@ -23,12 +23,11 @@ from repro.core.result import MatchResult
 from repro.core.session import MatchSession
 from repro.core.spec import AlgorithmSpec
 from repro.graph.graph import Graph
-from repro.utils.kernels import KernelBackend
+from repro.utils.kernels import KernelLike
 
 __all__ = ["match", "count_matches", "has_match"]
 
 AlgorithmLike = Union[str, AlgorithmSpec]
-KernelLike = Union[str, KernelBackend]
 
 
 def match(
@@ -73,10 +72,12 @@ def match(
         defers to the ``REPRO_KERNEL`` environment variable, falling back
         to ``"auto"`` (candidate-space bitmap rows whenever a static order
         reads them and they fit ``REPRO_BITSET_CACHE_MB``, numpy
-        otherwise). An explicit argument
+        otherwise). Any other value raises
+        :class:`~repro.errors.ConfigurationError`. An explicit argument
         always wins; with ``None``, a spec constructed with its own
-        explicit kernel keeps it. Ignored (and recorded as ``None`` on the
-        result) when the algorithm's ComputeLC is not Algorithm 5.
+        explicit kernel keeps it, and the result's ``kernel`` names the
+        backend that ran either way. Ignored (and recorded as ``None`` on
+        the result) when the algorithm's ComputeLC is not Algorithm 5.
     cancel:
         Optional zero-argument callable polled by the engine at the
         deadline stride; once it returns True the enumeration stops and

@@ -45,7 +45,7 @@ from repro.graph.graph import Graph
 from repro.graph.ops import connected
 from repro.obs import Metrics, collecting, span
 from repro.ordering.dpiso import DPisoOrdering
-from repro.utils.kernels import KernelBackend, get_kernel
+from repro.utils.kernels import KernelLike, get_kernel
 from repro.utils.timer import Timer
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 AlgorithmLike = Union[str, AlgorithmSpec]
-KernelLike = Union[str, KernelBackend]
 
 
 def validate_query(query: Graph) -> None:
@@ -330,19 +329,19 @@ def bind_enumeration(
     # A spec constructed with an explicit kernel keeps it; the stock
     # default is swapped for the kernel policy (an explicit request, the
     # env var, or auto: bitmap rows when a static order can run on them
-    # and they fit the byte budget).
+    # and they fit the byte budget). Either way the result names the
+    # backend Algorithm 5 ran on.
     kernel_used = None
-    if isinstance(lc, IntersectionLC) and (
-        kernel is not None or lc.uses_default_kernel
-    ):
-        on_rows = backward_pairs is not None and order is not None
-        with span("kernel.resolve"):
-            backend = get_kernel(
-                kernel,
-                row_bytes=auxiliary.row_bytes(backward_pairs) if on_rows else None,
-            )
-        lc = IntersectionLC(kernel=backend)
-        kernel_used = backend.name
+    if isinstance(lc, IntersectionLC):
+        if kernel is not None or lc.uses_default_kernel:
+            on_rows = backward_pairs is not None and order is not None
+            with span("kernel.resolve"):
+                backend = get_kernel(
+                    kernel,
+                    row_bytes=auxiliary.row_bytes(backward_pairs) if on_rows else None,
+                )
+            lc = IntersectionLC(kernel=backend)
+        kernel_used = lc.kernel.name
     if order is not None:
         lc = lc.bind(
             query,

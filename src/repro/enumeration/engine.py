@@ -25,7 +25,7 @@ prepared query and compare; under ``src/`` only the
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from repro.errors import BudgetExceeded
 from repro.filtering.auxiliary import AuxiliaryStructure

@@ -35,7 +35,7 @@ from __future__ import annotations
 import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.filtering.base import ldf_check
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
-from repro.utils.intersection import intersect_hybrid, multi_intersect
-from repro.utils.kernels import RowsKernel
+from repro.utils.kernels import KernelLike, RowsKernel, ScalarKernel, get_kernel
 
 __all__ = [
     "LCContext",
@@ -426,7 +425,7 @@ class TreeAdjacencyLC(LocalCandidateMethod):
 class IntersectionLC(LocalCandidateMethod):
     """Algorithm 5: intersect candidate adjacency over all backward neighbors.
 
-    ``kernel`` selects the intersection backend:
+    ``kernel`` selects the intersection backend, in one of three forms:
 
     * ``None`` (default) — the paper's scalar hybrid merge/galloping
       method. :func:`repro.core.api.match` swaps in the session's
@@ -435,12 +434,12 @@ class IntersectionLC(LocalCandidateMethod):
     * a registered backend name (``"scalar"``, ``"numpy"``, ``"bitset"``,
       ``"qfilter"``, ``"rows"``, ``"auto"``) — resolved via
       :func:`repro.utils.kernels.get_kernel`.
-    * a pairwise callable over sorted lists, or an object exposing
-      ``multi_intersect`` (a :class:`~repro.utils.kernels.KernelBackend`,
-      ``QFilterIndex``, ``BitmapSetIndex``) — index objects intersect in
-      their packed domain and encode-cache the long-lived auxiliary
-      lists, which is how Figure 10 models QFilter's one-time layout
-      conversion.
+    * a :class:`~repro.utils.kernels.KernelBackend` instance. The caching
+      backends (``bitset``, ``qfilter``) intersect in their packed domain
+      and encode-cache the long-lived auxiliary lists, which is how
+      Figure 10 models QFilter's one-time layout conversion.
+
+    Anything else raises :class:`~repro.errors.ConfigurationError`.
 
     Under a :class:`~repro.utils.kernels.RowsKernel` and a static order
     the method *answers in mask form*: binding fills the
@@ -454,24 +453,12 @@ class IntersectionLC(LocalCandidateMethod):
     needs_candidates = True
     needs_auxiliary = True
 
-    def __init__(
-        self,
-        kernel: Optional[
-            Callable[[Sequence[int], Sequence[int]], List[int]]
-        ] = None,
-    ) -> None:
+    def __init__(self, kernel: Optional[KernelLike] = None) -> None:
         #: True when no kernel was requested, letting ``match(kernel=...)``
         #: substitute the session backend without clobbering an explicit
         #: choice.
         self.uses_default_kernel = kernel is None
-        if kernel is None:
-            kernel = intersect_hybrid
-        elif isinstance(kernel, str):
-            from repro.utils.kernels import get_kernel
-
-            kernel = get_kernel(kernel)
-        self.kernel = kernel
-        self._index = kernel if hasattr(kernel, "multi_intersect") else None
+        self.kernel = ScalarKernel() if kernel is None else get_kernel(kernel)
 
     def _materialize(
         self,
@@ -523,6 +510,4 @@ class IntersectionLC(LocalCandidateMethod):
             aux.neighbors(w, u, mapping[w])  # type: ignore[union-attr]
             for w in backward
         ]
-        if self._index is not None:
-            return self._index.multi_intersect(lists)
-        return multi_intersect(lists, kernel=self.kernel)
+        return self.kernel.multi_intersect(lists)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 

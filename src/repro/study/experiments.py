@@ -18,7 +18,7 @@ downstream user can point at any graph/workload:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.core.plan import bind_enumeration
 from repro.core.spec import AlgorithmSpec

@@ -1,14 +1,5 @@
 """Shared low-level utilities: set-intersection kernels and timing helpers."""
 
-from repro.utils.intersection import (
-    BitmapSetIndex,
-    QFilterIndex,
-    intersect,
-    intersect_galloping,
-    intersect_hybrid,
-    intersect_merge,
-    multi_intersect,
-)
 from repro.utils.kernels import (
     BitsetKernel,
     KernelBackend,
@@ -17,14 +8,15 @@ from repro.utils.kernels import (
     ScalarKernel,
     available_kernels,
     get_kernel,
+    intersect_galloping,
+    intersect_hybrid,
+    intersect_merge,
+    multi_intersect,
     register_kernel,
 )
 from repro.utils.timer import Deadline, Timer
 
 __all__ = [
-    "BitmapSetIndex",
-    "QFilterIndex",
-    "intersect",
     "intersect_galloping",
     "intersect_hybrid",
     "intersect_merge",

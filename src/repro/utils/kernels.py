@@ -1,31 +1,26 @@
-"""Vectorized set-intersection kernel backends and their registry.
+"""Set-intersection kernels for sorted integer sets, and their registry.
 
-Section 3.3.2 / Figure 10 of the paper show that set-intersection kernels
-dominate enumeration time once Algorithm 5 is in place. The scalar kernels
-in :mod:`repro.utils.intersection` stay faithful to the paper's analysis
-(merge vs galloping vs QFilter trade-offs), but they pay CPython's
-per-element interpretation cost on every probe. This module keeps the
-candidate data in numpy end-to-end instead:
+Section 3.3.2 of the paper: "We implement a hybrid set intersection method:
+if the cardinalities of two sets are similar, we use the merge-based method;
+otherwise, we adopt the Galloping algorithm." Figure 10 compares that
+hybrid against QFilter, a SIMD method with a compact bitmap-like layout
+that wins on dense graphs but pays a conversion overhead on sparse ones.
+Once Algorithm 5 is in place these kernels dominate enumeration time, so
+every way this repository intersects two sets lives here, once, behind a
+registry name:
 
-* :class:`ScalarKernel` — the paper's hybrid merge/galloping kernel,
-  wrapped in the backend interface (the reference semantics);
-* :class:`NumpyKernel` — ``np.intersect1d`` on contiguous sorted arrays
-  when cardinalities are similar, a ``np.searchsorted``-based vectorized
-  galloping pass when they are skewed;
-* :class:`BitsetKernel` — packed-``uint64`` bitmaps over the data-vertex
-  universe; intersection is a word-wise ``&``, decoding is one
-  ``np.unpackbits`` pass.  Wins when candidate sets are dense, pays the
-  encode/decode overhead when they are sparse — the same trade-off the
-  paper reports for QFilter;
-* :class:`QFilterKernel` — the base-and-state model from
-  :mod:`repro.utils.intersection`, registered so the property suite can
-  cross-check every backend against the merge reference;
-* :class:`RowsKernel` — the same bitmap idea over the universe that is
-  actually intersected: a set is one arbitrary-precision ``int`` whose
-  bit ``j`` stands for the ``j``-th element of a reference list (for the
-  engine, the ``j``-th candidate of ``C(u)``). The auxiliary structure
-  stores its adjacency as such rows and the frame machine ANDs them, so
-  a search node costs a few integer operations and no numpy call.
+* ``scalar`` — :class:`ScalarKernel`: the paper's hybrid on Python lists
+  (:func:`intersect_hybrid` picks :func:`intersect_merge` or
+  :func:`intersect_galloping`), the reference the others are checked against;
+* ``numpy`` — :class:`NumpyKernel`: the same hybrid vectorized over
+  contiguous sorted arrays;
+* ``bitset`` — :class:`BitsetKernel`: packed-``uint64`` bitmaps over the
+  data-vertex universe, the throughput side of QFilter's trade-off;
+* ``qfilter`` — :class:`QFilterKernel`: QFilter's base-and-state (BSR)
+  blocks, the layout-overhead side of it;
+* ``rows`` — :class:`RowsKernel`: bitmaps over the universe that is
+  actually intersected (bit ``j`` = the ``j``-th candidate of ``C(u)``),
+  which the auxiliary structure stores and the frame machine ANDs.
 
 Backends are resolved by name through :func:`get_kernel`; ``"auto"``
 (the default, also the ``REPRO_KERNEL`` environment fallback) picks the
@@ -35,29 +30,29 @@ dense rows cost ``|C(w)|·|C(u)|/8`` bytes per directed pair), and the
 numpy hybrid otherwise.
 
 All kernels expect **sorted, duplicate-free arrays (or lists) of
-non-negative ints** and return sorted results; numpy-backed kernels
-return ``np.ndarray`` views/arrays of dtype ``int64``.
+non-negative ints** and return sorted results: ``scalar`` and ``qfilter``
+return lists, the numpy-backed kernels ``int64`` arrays.
 """
 
 from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.utils.intersection import (
-    GALLOP_RATIO,
-    QFilterIndex,
-    intersect_hybrid,
-    multi_intersect,
-)
 
 __all__ = [
+    "intersect_merge",
+    "intersect_galloping",
+    "intersect_hybrid",
+    "multi_intersect",
     "KernelBackend",
+    "KernelLike",
     "ScalarKernel",
     "NumpyKernel",
     "BitsetKernel",
@@ -66,8 +61,11 @@ __all__ = [
     "available_kernels",
     "get_kernel",
     "register_kernel",
-    "kernel_name",
 ]
+
+#: Cardinality ratio above which the hybrid method switches from merge to
+#: galloping. 32 is the conventional crossover for scalar implementations.
+GALLOP_RATIO = 32
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -105,6 +103,75 @@ def _as_i64(values: Sequence[int]) -> np.ndarray:
             return values
         return values.astype(np.int64)
     return np.asarray(values, dtype=np.int64)
+
+
+def intersect_merge(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Two-pointer merge intersection; O(|a| + |b|).
+
+    >>> intersect_merge([1, 3, 5, 7], [3, 4, 5, 6])
+    [3, 5]
+    """
+    result: List[int] = []
+    i = j = 0
+    len_a, len_b = len(a), len(b)
+    while i < len_a and j < len_b:
+        x, y = a[i], b[j]
+        if x == y:
+            result.append(x)
+            i += 1
+            j += 1
+        elif x < y:
+            i += 1
+        else:
+            j += 1
+    return result
+
+
+def _gallop(haystack: Sequence[int], needle: int, lo: int) -> int:
+    """Exponential probe then binary search: first index ≥ needle from lo."""
+    hi = lo + 1
+    n = len(haystack)
+    while hi < n and haystack[hi] < needle:
+        lo = hi
+        hi = min(n, hi * 2)
+    return bisect_left(haystack, needle, lo, min(hi + 1, n))
+
+
+def intersect_galloping(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Galloping intersection; O(|small| · log |large|).
+
+    The smaller input drives the search regardless of argument order.
+
+    >>> intersect_galloping([5], list(range(0, 100, 5)))
+    [5]
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    result: List[int] = []
+    pos = 0
+    len_b = len(b)
+    for x in a:
+        pos = _gallop(b, x, pos)
+        if pos >= len_b:
+            break
+        if b[pos] == x:
+            result.append(x)
+            pos += 1
+    return result
+
+
+def intersect_hybrid(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The paper's hybrid kernel: merge when sizes are similar, else gallop.
+
+    >>> intersect_hybrid([2, 4, 6], [1, 2, 3, 4])
+    [2, 4]
+    """
+    if len(a) == 0 or len(b) == 0:
+        return []
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    if len(large) > GALLOP_RATIO * len(small):
+        return intersect_galloping(small, large)
+    return intersect_merge(small, large)
 
 
 class KernelBackend(ABC):
@@ -150,8 +217,18 @@ class ScalarKernel(KernelBackend):
     def intersect(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
         return intersect_hybrid(a, b)
 
-    def multi_intersect(self, lists: Sequence[Sequence[int]]) -> List[int]:
-        return multi_intersect(lists, kernel=intersect_hybrid)
+
+def multi_intersect(lists: Sequence[Sequence[int]]) -> List[int]:
+    """Intersect several sorted lists with the scalar hybrid kernel.
+
+    The cost is proportional to the smallest input, matching the analysis
+    of Algorithm 5 in Section 3.3.2. An empty input sequence is an error —
+    the intersection of zero sets is undefined here.
+
+    >>> multi_intersect([[1, 2, 3, 4], [2, 4, 6], [0, 2, 4, 8]])
+    [2, 4]
+    """
+    return list(ScalarKernel().multi_intersect(lists))
 
 
 class NumpyKernel(KernelBackend):
@@ -187,17 +264,6 @@ class NumpyKernel(KernelBackend):
         hit[in_range] = large[pos[in_range]] == small[in_range]
         return small[hit]
 
-    def multi_intersect(self, lists: Sequence[Sequence[int]]) -> np.ndarray:
-        if not lists:
-            raise ValueError("multi_intersect requires at least one list")
-        ordered = sorted((_as_i64(lst) for lst in lists), key=lambda arr: arr.size)
-        result = ordered[0]
-        for other in ordered[1:]:
-            if result.size == 0:
-                break
-            result = self.intersect(result, other)
-        return result
-
 
 class BitsetKernel(KernelBackend):
     """Packed-uint64 bitset intersection over the vertex universe.
@@ -207,8 +273,8 @@ class BitsetKernel(KernelBackend):
     bit ``v`` set for each member ``v``. Intersection ANDs the word arrays
     — 64 members per instruction — and decoding is one ``np.unpackbits``
     pass over the surviving words. Dense candidate sets amortize the
-    encode/decode overhead; sparse ones do not, which is why the auto
-    heuristic gates this backend on candidate density.
+    encode/decode overhead; sparse ones do not, so ``auto`` never picks
+    this backend: it is a Figure 10 series and a differential-test axis.
 
     >>> BitsetKernel().multi_intersect([[1, 3, 65], [3, 65, 70], [0, 3, 65]]).tolist()
     [3, 65]
@@ -279,12 +345,7 @@ class BitsetKernel(KernelBackend):
         return words
 
     def intersect(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
-        wa = self.encode_cached(a)
-        wb = self.encode_cached(b)
-        n = min(wa.size, wb.size)
-        if n == 0:
-            return _EMPTY_I64
-        return self.decode(wa[:n] & wb[:n])
+        return self.multi_intersect([a, b])
 
     def multi_intersect(self, lists: Sequence[Sequence[int]]) -> np.ndarray:
         """Fold ANDs in the packed domain; decode once at the end.
@@ -333,31 +394,135 @@ class BitsetKernel(KernelBackend):
         )
 
 
+#: A BSR encoding: parallel ``(bases, states)`` arrays.
+_Packed = Tuple[List[int], List[int]]
+
+
 class QFilterKernel(KernelBackend):
-    """The base-and-state (BSR) QFilter model behind the backend interface."""
+    """Base-and-state (BSR) intersection — the closest Python model of QFilter.
+
+    QFilter (Han, Zou & Yu, SIGMOD'18) packs a sorted set into blocks:
+    per block a *base* (the high bits) and a *state* bitmap of which of
+    the next ``block_bits`` values are present; intersection merges the
+    base arrays and ANDs the states of matching blocks.
+
+    This reproduces QFilter's *trade-off*, not just its wins: when
+    values cluster (dense neighborhoods), each base comparison covers
+    many elements and the kernel beats element-wise merging; when values
+    are scattered (sparse graphs), blocks hold ~1 element each and the
+    base merge plus mask decoding is pure overhead — the crossover the
+    paper's Figure 10 reports.
+
+    >>> QFilterKernel().intersect([1, 3, 5, 200], [3, 5, 6, 200])
+    [3, 5, 200]
+    """
 
     name = "qfilter"
 
     def __init__(self, block_bits: int = 64) -> None:
-        self._index = QFilterIndex(block_bits=block_bits)
+        if block_bits < 2 or block_bits & (block_bits - 1):
+            raise ValueError("block_bits must be a power of two >= 2")
+        self.block_bits = block_bits
+        # id -> (keyed object, encoding); see BitsetKernel for why the
+        # object reference must be retained.
+        self._cache: Dict[int, Tuple[Sequence[int], _Packed]] = {}
+
+    def encode(self, values: Sequence[int]) -> _Packed:
+        """Pack a sorted list into parallel (bases, states) arrays."""
+        shift = self.block_bits.bit_length() - 1
+        mask = self.block_bits - 1
+        bases: List[int] = []
+        states: List[int] = []
+        for v in values:
+            v = int(v)  # numpy scalars would overflow the state shifts
+            base = v >> shift
+            if bases and bases[-1] == base:
+                states[-1] |= 1 << (v & mask)
+            else:
+                bases.append(base)
+                states.append(1 << (v & mask))
+        return bases, states
+
+    def encode_cached(self, values: Sequence[int]) -> _Packed:
+        """Pack with memoization keyed on object identity (one-time layout)."""
+        entry = self._cache.get(id(values))
+        if entry is None:
+            packed = self.encode(values)
+            self._cache[id(values)] = (values, packed)
+            return packed
+        return entry[1]
+
+    @staticmethod
+    def _intersect_packed(a: _Packed, b: _Packed) -> _Packed:
+        """Merge two BSR encodings without decoding (the QFilter inner loop)."""
+        bases_a, states_a = a
+        bases_b, states_b = b
+        out_bases: List[int] = []
+        out_states: List[int] = []
+        i = j = 0
+        len_a, len_b = len(bases_a), len(bases_b)
+        while i < len_a and j < len_b:
+            base_a, base_b = bases_a[i], bases_b[j]
+            if base_a == base_b:
+                bits = states_a[i] & states_b[j]
+                if bits:
+                    out_bases.append(base_a)
+                    out_states.append(bits)
+                i += 1
+                j += 1
+            elif base_a < base_b:
+                i += 1
+            else:
+                j += 1
+        return out_bases, out_states
+
+    def decode(self, packed: _Packed) -> List[int]:
+        """Unpack a BSR encoding into a sorted list."""
+        shift = self.block_bits.bit_length() - 1
+        result: List[int] = []
+        for base, bits in zip(*packed):
+            prefix = base << shift
+            while bits:
+                low = bits & -bits
+                result.append(prefix | (low.bit_length() - 1))
+                bits ^= low
+        return result
 
     def intersect(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        return self._index.intersect(a, b)
+        return self.multi_intersect([a, b])
 
     def multi_intersect(self, lists: Sequence[Sequence[int]]) -> List[int]:
-        return self._index.multi_intersect(lists)
+        """Intersect several sorted lists entirely in the packed domain.
+
+        Only the *input* lists are encode-cached; intermediates never
+        leave BSR form, so nothing short-lived enters the cache. Pass
+        long-lived lists (e.g. candidate adjacency arrays), not
+        temporaries — those stay referenced by the cache until
+        :meth:`clear`.
+        """
+        if not lists:
+            raise ValueError("multi_intersect requires at least one list")
+        ordered = sorted(lists, key=len)
+        packed = self.encode_cached(ordered[0])
+        for other in ordered[1:]:
+            if not packed[0]:
+                break
+            packed = self._intersect_packed(packed, self.encode_cached(other))
+        return self.decode(packed)
 
     def clear(self) -> None:
-        self._index.clear()
+        """Drop all cached encodings."""
+        self._cache.clear()
 
     def __getstate__(self) -> dict:
-        # QFilterIndex memoizes encodings by object identity — same
-        # cross-process hazard as BitsetKernel. Only the configuration
-        # crosses the boundary; the receiver re-encodes lazily.
-        return {"block_bits": self._index.block_bits}
+        # Encodings are memoized by object identity — same cross-process
+        # hazard as BitsetKernel. Only the configuration crosses the
+        # boundary; the receiver re-encodes lazily.
+        return {"block_bits": self.block_bits}
 
     def __setstate__(self, state: dict) -> None:
-        self._index = QFilterIndex(block_bits=state["block_bits"])
+        self.block_bits = state["block_bits"]
+        self._cache = {}
 
 
 class RowsKernel(KernelBackend):
@@ -484,17 +649,22 @@ def _auto_backend(row_bytes: Optional[int]) -> KernelBackend:
     return NumpyKernel()
 
 
-KernelLike = Union[str, KernelBackend, None]
+#: The two spellable forms of a kernel request; ``None`` (everywhere
+#: ``Optional[KernelLike]``) defers to ``REPRO_KERNEL``, then ``"auto"``.
+KernelLike = Union[str, KernelBackend]
 
 
-def get_kernel(name: KernelLike = None, *, row_bytes: Optional[int] = None) -> KernelBackend:
+def get_kernel(
+    name: Optional[KernelLike] = None, *, row_bytes: Optional[int] = None
+) -> KernelBackend:
     """Resolve a backend by name.
 
     ``None`` falls back to the ``REPRO_KERNEL`` environment variable, then
     to ``"auto"``. ``"auto"`` returns :class:`RowsKernel` when the caller
     passes the size of the rows it would read (``row_bytes``) and that
     fits ``REPRO_BITSET_CACHE_MB``, :class:`NumpyKernel` otherwise.
-    Backend instances pass through unchanged. Unknown names raise
+    Backend instances pass through unchanged. Unknown names, and values
+    that are none of the three accepted forms, raise
     :class:`~repro.errors.ConfigurationError`.
 
     >>> get_kernel("scalar").name
@@ -506,6 +676,11 @@ def get_kernel(name: KernelLike = None, *, row_bytes: Optional[int] = None) -> K
         return name
     if name is None:
         name = os.environ.get("REPRO_KERNEL") or "auto"
+    if not isinstance(name, str):
+        raise ConfigurationError(
+            "kernel must be None, a registry name or a KernelBackend "
+            f"instance, got {name!r}"
+        )
     key = name.strip().lower()
     if key == "auto":
         return _auto_backend(row_bytes)
@@ -517,13 +692,3 @@ def get_kernel(name: KernelLike = None, *, row_bytes: Optional[int] = None) -> K
             f"unknown kernel backend {name!r}; available: {known}"
         ) from None
     return factory()
-
-
-def kernel_name(kernel: object) -> Optional[str]:
-    """Best-effort display name for a kernel backend or callable."""
-    if kernel is None:
-        return None
-    name = getattr(kernel, "name", None)
-    if isinstance(name, str) and name != "?":
-        return name
-    return getattr(kernel, "__name__", type(kernel).__name__)

@@ -6,11 +6,14 @@ solved status must be bit-identical across scalar, numpy, bitset,
 qfilter and rows on any workload.
 """
 
+import dataclasses
+
 import pytest
 
 from fixtures import PAPER_DATA, PAPER_QUERY
 
-from repro.core import match
+from repro.core import get_algorithm, match
+from repro.enumeration import IntersectionLC
 from repro.graph import extract_query, rmat_graph
 
 KERNELS = ["scalar", "numpy", "bitset", "qfilter", "rows"]
@@ -52,6 +55,14 @@ class TestPaperFixture:
     def test_default_resolves_backend(self):
         result = match(PAPER_QUERY, PAPER_DATA, algorithm="CECI")
         assert result.kernel in KERNELS
+
+    def test_spec_with_its_own_kernel_records_it(self):
+        # How Figure 10 builds its series: the kernel rides in the spec,
+        # no kernel= argument — the result still names what ALG5 ran on.
+        spec = dataclasses.replace(
+            get_algorithm("GQL-opt"), lc=IntersectionLC(kernel="qfilter")
+        )
+        assert match(PAPER_QUERY, PAPER_DATA, algorithm=spec).kernel == "qfilter"
 
     def test_non_intersection_algorithm_records_none(self):
         result = match(PAPER_QUERY, PAPER_DATA, algorithm="QSI", kernel="numpy")

@@ -241,6 +241,23 @@ class TestServeProtocol:
         assert spent["code"] == "DeadlineExceededError"
         assert alive["ok"]
 
+    def test_malformed_kernel_answers_configuration_error(self, service, query):
+        request = {"op": "match", "graph": "g", "query": graph_to_payload(query)}
+
+        async def scenario(server):
+            client = await Client.connect(server.port)
+            not_a_name = await client.rpc({**request, "kernel": 5})
+            unknown = await client.rpc({**request, "kernel": "nope"})
+            alive = await client.rpc({"op": "ping"})
+            await client.close()
+            return not_a_name, unknown, alive
+
+        not_a_name, unknown, alive = run(with_server(service, scenario))
+        assert not not_a_name["ok"] and not unknown["ok"]
+        assert not_a_name["code"] == "ConfigurationError"
+        assert unknown["code"] == "ConfigurationError"
+        assert alive["ok"]
+
     def test_concurrent_connections_interleave(self, service, data, query):
         direct = MatchSession(data).match(query)
 

@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from strategies import sorted_int_lists
 
-from repro.utils.intersection import (
-    BitmapSetIndex,
+from repro.utils.kernels import (
+    BitsetKernel,
+    available_kernels,
+    get_kernel,
     intersect_galloping,
     intersect_hybrid,
     intersect_merge,
     multi_intersect,
 )
-from repro.utils.kernels import available_kernels, get_kernel
 
 #: Every registered backend (scalar, numpy, bitset, qfilter, plus any
 #: session-registered extras) — each must agree with the merge reference.
@@ -37,7 +38,7 @@ def test_hybrid_matches_set_semantics(a, b):
 
 @given(sorted_int_lists(), sorted_int_lists())
 def test_bitmap_matches_set_semantics(a, b):
-    assert BitmapSetIndex().intersect(a, b) == sorted(set(a) & set(b))
+    assert BitsetKernel().intersect(a, b).tolist() == sorted(set(a) & set(b))
 
 
 @given(st.lists(sorted_int_lists(max_value=60, max_size=20), min_size=1, max_size=5))
@@ -50,7 +51,7 @@ def test_multi_intersect_matches_set_semantics(lists):
 
 @given(st.lists(sorted_int_lists(max_value=60, max_size=20), min_size=1, max_size=5))
 def test_bitmap_multi_agrees_with_hybrid_multi(lists):
-    assert BitmapSetIndex().multi_intersect(lists) == multi_intersect(lists)
+    assert list(BitsetKernel().multi_intersect(lists)) == multi_intersect(lists)
 
 
 @given(sorted_int_lists())
@@ -66,8 +67,8 @@ def test_intersection_commutative(a, b):
 @given(sorted_int_lists(max_value=500))
 @settings(max_examples=50)
 def test_bitmap_roundtrip(a):
-    idx = BitmapSetIndex()
-    assert idx.decode(idx.encode(a)) == a
+    idx = BitsetKernel()
+    assert idx.decode(idx.encode(a)).tolist() == a
 
 
 # ----------------------------------------------------------------------

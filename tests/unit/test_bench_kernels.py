@@ -11,6 +11,7 @@ from repro.obs import (
     TraceSchemaError,
     validate_bench_kernels,
 )
+from repro.utils.kernels import available_kernels
 
 _BENCH_PATH = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_kernels.py"
 
@@ -34,10 +35,9 @@ class TestShootoutPayload:
         assert payload["schema_version"] == BENCH_KERNELS_SCHEMA_VERSION
 
     def test_resolved_kernel_names_stamped(self, payload):
-        assert payload["kernels"] == {
-            "scalar": "scalar", "numpy": "numpy", "bitset": "bitset",
-            "rows": "rows",
-        }
+        names = [n for n in available_kernels() if n != "auto"]
+        assert payload["kernels"] == {name: name for name in names}
+        assert "qfilter" in names
 
     def test_payload_validates(self, payload):
         validate_bench_kernels(payload)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.utils.intersection import intersect_merge, multi_intersect
+from repro.utils import kernels
 from repro.utils.kernels import (
     BitsetKernel,
     KernelBackend,
@@ -15,7 +15,8 @@ from repro.utils.kernels import (
     _REGISTRY,
     available_kernels,
     get_kernel,
-    kernel_name,
+    intersect_merge,
+    multi_intersect,
     register_kernel,
 )
 
@@ -57,6 +58,13 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError, match="unknown kernel"):
             get_kernel("simd512")
+
+    @pytest.mark.parametrize("bad", [5, intersect_merge], ids=["int", "callable"])
+    def test_non_name_non_backend_raises_typed_error(self, bad):
+        # Only None, a registry name or a KernelBackend are accepted; the
+        # rest must not surface as AttributeError from ``.strip()``.
+        with pytest.raises(ConfigurationError, match="registry name"):
+            get_kernel(bad)
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "scalar")
@@ -137,11 +145,6 @@ class TestBackendSemantics:
         large = np.arange(0, 1000, 5, dtype=np.int64)
         assert NumpyKernel().intersect(small, large).tolist() == [5, 500]
 
-    def test_kernel_name_helper(self):
-        assert kernel_name(None) is None
-        assert kernel_name(NumpyKernel()) == "numpy"
-        assert kernel_name(intersect_merge) == "intersect_merge"
-
 
 class TestBitsetEncoding:
     def test_roundtrip(self):
@@ -167,7 +170,7 @@ class TestBitsetEncoding:
 
 
 class TestMultiIntersectShortCircuit:
-    def test_scalar_function_stops_on_empty_intermediate(self):
+    def test_scalar_function_stops_on_empty_intermediate(self, monkeypatch):
         # Satellite pin: once the running intersection is empty the
         # remaining pairwise kernel calls are skipped entirely.
         calls = []
@@ -176,8 +179,9 @@ class TestMultiIntersectShortCircuit:
             calls.append((list(a), list(b)))
             return intersect_merge(a, b)
 
+        monkeypatch.setattr(kernels, "intersect_hybrid", counting)
         lists = [[1, 2], [3, 4], [5, 6], [7, 8]]
-        assert multi_intersect(lists, kernel=counting) == []
+        assert multi_intersect(lists) == []
         assert len(calls) == 1
 
     def test_backend_default_stops_on_empty_intermediate(self):
@@ -189,9 +193,7 @@ class TestMultiIntersectShortCircuit:
                 self.calls += 1
                 return intersect_merge(a, b)
 
-            # Use the KernelBackend fold, not ScalarKernel's delegation.
-            multi_intersect = KernelBackend.multi_intersect
-
+        assert Counting.multi_intersect is KernelBackend.multi_intersect
         kernel = Counting()
         assert kernel.multi_intersect([[1], [2], [3], [4]]) == []
         assert kernel.calls == 1
@@ -224,6 +226,22 @@ class TestMultiIntersectShortCircuit:
         result = kernel.multi_intersect([[1], [2], [3], [4]])
         assert list(result) == []
         # First two lists encode; their AND is empty, so the rest skip.
+        assert kernel.encodes == 2
+
+
+    def test_qfilter_backend_skips_encodes_after_empty(self):
+        class Counting(QFilterKernel):
+            def __init__(self):
+                super().__init__()
+                self.encodes = 0
+
+            def encode_cached(self, values):
+                self.encodes += 1
+                return QFilterKernel.encode_cached(self, values)
+
+        kernel = Counting()
+        assert kernel.multi_intersect([[1], [2], [3], [4]]) == []
+        # First two lists encode; their merge is empty, so the rest skip.
         assert kernel.encodes == 2
 
 

@@ -15,7 +15,7 @@ from repro.enumeration.local_candidates import (
 from repro.errors import ConfigurationError
 from repro.filtering import AuxiliaryStructure, GraphQLFilter
 from repro.graph.ops import bfs_tree
-from repro.utils.intersection import BitmapSetIndex
+from repro.utils.kernels import KernelBackend, available_kernels, intersect_merge
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +140,33 @@ class TestIntersection:
         assert lc == [10]
 
     def test_custom_kernel(self, candidates, auxiliary):
-        bitmap = BitmapSetIndex()
-        lc_method = IntersectionLC(kernel=bitmap.intersect)
+        class MergeKernel(KernelBackend):
+            def intersect(self, a, b):
+                return intersect_merge(a, b)
+
+        lc_method = IntersectionLC(kernel=MergeKernel())
         ctx = make_ctx(candidates=candidates, auxiliary=auxiliary, mapping=[0, 4, 3, -1])
         assert lc_method.compute(ctx, 3, [1, 2], 1) == [10]
+
+    @pytest.mark.parametrize(
+        "name", [n for n in available_kernels() if n != "auto"]
+    )
+    def test_every_registered_kernel_matches_scalar(self, name, candidates, auxiliary):
+        # One contract for the whole registry: on every multi-backward
+        # state of the paper example, element for element the scalar answer.
+        for u, backward, mapping in [
+            (3, [1, 2], [0, 4, 3, -1]),
+            (3, [1, 2], [0, 4, 5, -1]),
+            (2, [0, 1], [0, 4, -1, -1]),
+        ]:
+            ctx = make_ctx(candidates, auxiliary, list(mapping))
+            expected = IntersectionLC(kernel="scalar").compute(ctx, u, backward, backward[0])
+            got = IntersectionLC(kernel=name).compute(ctx, u, backward, backward[0])
+            assert [int(v) for v in got] == [int(v) for v in expected]
+
+    def test_rejects_a_pairwise_callable(self):
+        with pytest.raises(ConfigurationError, match="registry name"):
+            IntersectionLC(kernel=intersect_merge)
 
     def test_prepare_validates_scope(self, candidates):
         none_aux = AuxiliaryStructure.build(

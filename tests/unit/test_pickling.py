@@ -80,11 +80,13 @@ class TestKernelPickling:
         assert clone._cache == {}
 
     def test_qfilter_kernel_keeps_block_bits(self):
-        kernel = QFilterKernel()
+        kernel = QFilterKernel(block_bits=16)
+        kernel.intersect([1, 2, 40], [2, 40, 41])
+        assert kernel._cache
         clone = pickle.loads(pickle.dumps(kernel))
-        assert (
-            clone._index.block_bits == kernel._index.block_bits
-        )
+        assert clone.block_bits == kernel.block_bits == 16
+        assert clone._cache == {}
+        assert clone.intersect([1, 2, 40], [2, 40, 41]) == [2, 40]
 
     @pytest.mark.parametrize(
         "name", [k for k in available_kernels() if k != "auto"]
