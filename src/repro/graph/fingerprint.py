@@ -60,7 +60,16 @@ def query_fingerprint(graph: Graph) -> str:
     ...     Graph(labels=[0, 1, 1], edges=[(0, 1), (1, 2)])
     ... )
     False
+
+    The value is a pure function of the graph's immutable arrays, so it is
+    computed once per :class:`Graph` object and memoized on it.
     """
+    if graph._fingerprint is None:
+        graph._fingerprint = _compute_fingerprint(graph)
+    return graph._fingerprint
+
+
+def _compute_fingerprint(graph: Graph) -> str:
     signatures = vertex_signatures(graph)
     vertex_part = sorted(repr(sig) for sig in signatures)
     edge_part = sorted(

@@ -61,6 +61,15 @@ class Graph:
         Iterable of ``(u, v)`` pairs. Duplicates are collapsed; self loops
         are rejected.
 
+    "Do not mutate" is what licenses the derived data a graph caches:
+    besides the lazy neighbor sets and NLF/ELF tables, ``hash(graph)`` and
+    the order-invariant fingerprint
+    (:func:`~repro.graph.fingerprint.query_fingerprint`) are computed once
+    and memoized, so a graph object that is asked about again — a cached
+    query used as a dict key on every request — costs a slot read, not two
+    ``tobytes()`` or a sha256. Neither memo rides a pickle: ``hash(bytes)``
+    is salted per process, so an unpickled graph recomputes both.
+
     Examples
     --------
     >>> g = Graph(labels=[0, 1, 1], edges=[(0, 1), (1, 2)])
@@ -83,6 +92,8 @@ class Graph:
         "_elf_cache",
         "_num_edges",
         "_store",
+        "_hash",
+        "_fingerprint",
         "__weakref__",
     )
 
@@ -129,6 +140,8 @@ class Graph:
         self._nlf_cache: List[Dict[int, int]] | None = None
         self._elf_cache: Dict[Tuple[int, int], int] | None = None
         self._store = None
+        self._hash: Optional[int] = None
+        self._fingerprint: Optional[str] = None
 
     @staticmethod
     def _build_label_index(
@@ -185,6 +198,8 @@ class Graph:
         graph._nlf_cache = None
         graph._elf_cache = None
         graph._store = store
+        graph._hash = None
+        graph._fingerprint = None
         return graph
 
     @classmethod
@@ -407,7 +422,9 @@ class Graph:
         # Residency is process-local: a memmap or shared-memory store
         # must not ride a pickle (workers re-attach through handles), and
         # the backing arrays may be read-only buffer views — materialize
-        # them so the unpickled graph stands alone.
+        # them so the unpickled graph stands alone. The memoized hash
+        # and fingerprint stay behind too: hash(bytes) is salted per
+        # process, so a shipped hash would be wrong in a pool worker.
         return {
             "_labels": np.array(self._labels, dtype=np.int64),
             "_offsets": np.array(self._offsets, dtype=np.int64),
@@ -426,6 +443,8 @@ class Graph:
         self._nlf_cache = None
         self._elf_cache = None
         self._store = None
+        self._hash = None
+        self._fingerprint = None
 
     def __repr__(self) -> str:
         return (
@@ -443,11 +462,14 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                self.num_vertices,
-                self.num_edges,
-                self._labels.tobytes(),
-                self._neighbors.tobytes(),
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(
+                (
+                    self.num_vertices,
+                    self.num_edges,
+                    self._labels.tobytes(),
+                    self._neighbors.tobytes(),
+                )
             )
-        )
+        return value

@@ -14,10 +14,18 @@ Request shape::
      "algorithm": "GQL", "budget_ms": 500, "match_limit": 1000,
      "include_embeddings": false}
 
-Ops: ``match``, ``add_graph`` (inline graph payload), ``graphs``,
-``stats``, ``ping``. Responses always carry ``ok`` (bool) and echo
-``id`` when the request had one; failures carry ``error`` (message) and
-``code`` (the :mod:`repro.errors` class name, e.g. ``"QueueFullError"``).
+Ops: ``match``, ``add_graph`` (inline graph payload), ``mutate``,
+``graphs``, ``stats``, ``ping``. Responses always carry ``ok`` (bool) and
+echo ``id`` when the request had one; failures carry ``error`` (message)
+and ``code`` (the :mod:`repro.errors` class name, e.g.
+``"QueueFullError"``).
+
+Decoding a graph payload is two steps: :func:`check_graph_payload` (the
+type checks, run on every arrival) and building the :class:`Graph`
+(:func:`graph_from_payload` does both). The server runs the first on
+every ``match`` and the second once per distinct query — the checked
+``(labels, pairs)`` is the key of its table of already-validated query
+graphs (see :class:`~repro.serve.server.MatchServer`).
 
 This module is transport-independent: it only maps dicts/lines to and
 from domain objects, so the asyncio server and any test client share one
@@ -27,7 +35,7 @@ implementation.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import GraphFormatError
 from repro.graph.graph import Graph
@@ -35,6 +43,7 @@ from repro.serve.service import ServeResponse
 
 __all__ = [
     "graph_to_payload",
+    "check_graph_payload",
     "graph_from_payload",
     "parse_request",
     "encode_response",
@@ -51,11 +60,14 @@ def graph_to_payload(graph: Graph) -> Dict[str, Any]:
     }
 
 
-def graph_from_payload(payload: Any) -> Graph:
-    """Rebuild a :class:`Graph` from :func:`graph_to_payload` output.
+def check_graph_payload(payload: Any) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """Type-check a graph payload; returns its ``(labels, pairs)``.
 
     Raises :class:`~repro.errors.GraphFormatError` on malformed input so
     wire errors surface as framework errors, not ``KeyError`` noise.
+    What comes back holds only ``int`` values, which is what makes
+    ``(tuple(labels), tuple(pairs))`` a sound lookup key: ``1.0`` hashes
+    equal to ``1`` but never gets this far.
     """
     if not isinstance(payload, dict):
         raise GraphFormatError("graph payload must be an object")
@@ -76,6 +88,16 @@ def graph_from_payload(payload: Any) -> Graph:
         ):
             raise GraphFormatError(f"bad edge {e!r}: expected [u, v]")
         pairs.append((e[0], e[1]))
+    return labels, pairs
+
+
+def graph_from_payload(payload: Any) -> Graph:
+    """Rebuild a fresh :class:`Graph` from :func:`graph_to_payload` output.
+
+    Raises :class:`~repro.errors.GraphFormatError` on malformed input
+    (see :func:`check_graph_payload`).
+    """
+    labels, pairs = check_graph_payload(payload)
     return Graph(labels=labels, edges=pairs)
 
 

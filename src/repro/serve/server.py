@@ -8,11 +8,21 @@ pool owns the CPU-bound matching. The bridge is
 enumeration — slow queries on one connection do not stall pings on
 another.
 
+A ``match`` request goes parse → check the query payload → look the
+checked payload up in the table of decoded queries → (first sight only)
+build the :class:`~repro.graph.graph.Graph` → ``submit``, which validates
+a query it has not seen pass, checks the options and admits. A resident
+service is asked the same few query shapes over and over, and everything
+before admission is a pure function of the payload: a repeated query is
+the *same object* as last time, so its validation is skipped and its
+memoized hash and fingerprint answer the coalescing, plan-cache and
+prep-cache probes.
+
 Admission failures (queue full, spent budget, unknown graph, invalid
-query) raise synchronously in ``submit``; the handler converts them to
-error payloads with the exception class name as ``code``, which is how a
-remote client distinguishes backpressure (retry later) from a bad
-request (don't).
+query, malformed option) raise synchronously in ``submit``; the handler
+converts them to error payloads with the exception class name as
+``code``, which is how a remote client distinguishes backpressure (retry
+later) from a bad request (don't).
 
 Usage::
 
@@ -30,7 +40,9 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional
 
+from repro.core.plan import LRUCache
 from repro.errors import GraphFormatError, ReproError
+from repro.graph.graph import Graph
 from repro.obs import span
 from repro.serve import protocol
 from repro.serve.service import MatchService
@@ -40,6 +52,17 @@ __all__ = ["MatchServer"]
 #: Generous per-line cap: a request line holds at most a small query
 #: graph (or an ``add_graph`` payload), never a data graph of real size.
 _MAX_LINE_BYTES = 16 * 1024 * 1024
+
+#: How many decoded queries the server keeps: the plan cache's default
+#: capacity — a query whose plan was evicted has no claim on staying
+#: decoded.
+_INTERN_CAPACITY = 256
+
+#: Largest query kept, as ``len(labels) + len(edges)`` of its payload:
+#: 32 vertices, the paper's largest query sets, with every possible edge.
+#: Up to here decoding costs about what matching does; past it the payload
+#: decodes on every arrival, so 256 hostile 16 MB lines pin nothing.
+_INTERN_MAX_SIZE = 32 + 32 * 31 // 2
 
 
 class MatchServer:
@@ -55,6 +78,11 @@ class MatchServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        # Checked payload -> the Graph built from it, which submit() has
+        # accepted once. Read and written only between awaits of
+        # _handle_match, i.e. on the event-loop thread: a lookup and its
+        # insert never interleave with another connection's.
+        self._queries = LRUCache(_INTERN_CAPACITY)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -129,7 +157,9 @@ class MatchServer:
                 if op == "graphs":
                     return self._ok(request_id, graphs=self.service.graphs())
                 if op == "stats":
-                    return self._ok(request_id, stats=self.service.stats())
+                    stats = self.service.stats()
+                    stats["interned"] = len(self._queries)
+                    return self._ok(request_id, stats=stats)
                 if op == "add_graph":
                     return self._handle_add_graph(request, request_id)
                 if op == "mutate":
@@ -186,13 +216,27 @@ class MatchServer:
     async def _handle_match(
         self, request: Dict[str, Any], request_id: Any
     ) -> Dict[str, Any]:
-        query = protocol.graph_from_payload(request.get("query"))
-        budget_ms = request.get("budget_ms")
-        budget = budget_ms / 1000.0 if budget_ms is not None else None
+        labels, pairs = protocol.check_graph_payload(request.get("query"))
+        slot = query = None
+        if len(labels) + len(pairs) > _INTERN_MAX_SIZE:
+            self.service.count("serve.interned_skipped")
+        else:
+            slot = (tuple(labels), tuple(pairs))
+            query = self._queries.get(slot)
+            self.service.count(
+                "serve.interned_misses" if query is None else "serve.interned_hits"
+            )
+        known = query is not None
+        if not known:
+            query = Graph(labels=labels, edges=pairs)
+        budget = request.get("budget_ms")
+        if isinstance(budget, (int, float)):
+            budget /= 1000.0  # anything else is for submit to reject
         submit_kwargs: Dict[str, Any] = {
             "graph": request.get("graph", "default"),
             "tenant": request.get("tenant", "public"),
             "budget": budget,
+            "validate": not known,
         }
         for key in ("algorithm", "kernel"):
             if request.get(key) is not None:
@@ -202,6 +246,10 @@ class MatchServer:
         if "store_limit" in request:
             submit_kwargs["store_limit"] = request["store_limit"]
         future = self.service.submit(query, **submit_kwargs)
+        if slot is not None and not known:
+            # Admitted, so it passed validate_query: invalid queries are
+            # never kept and are rejected (and counted) on every arrival.
+            self._queries.put(slot, query)
         response = await asyncio.wrap_future(future)
         return protocol.match_response(
             response,

@@ -54,7 +54,14 @@ Counter glossary (``service.metrics.counters``):
 ``serve.rejected_queue_full``   backpressure rejections at admission
 ``serve.rejected_deadline``     spent-budget rejections at admission
 ``serve.rejected_unknown_graph``/``serve.rejected_invalid``
-                                admission rejections for bad requests
+                                admission rejections for bad requests (invalid
+                                query, or an option of the wrong type or naming
+                                no registered algorithm/kernel)
+``serve.interned_hits``/``serve.interned_misses``/``serve.interned_skipped``
+                                recorded by :class:`~repro.serve.server.MatchServer`:
+                                wire queries answered from its table of decoded
+                                queries, built and validated afresh, or too large
+                                to be kept
 """
 
 from __future__ import annotations
@@ -64,15 +71,18 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.algorithms import get_algorithm
 from repro.core.plan import AlgorithmLike, KernelLike, validate_query
 from repro.core.result import MatchResult
 from repro.core.session import MatchSession
+from repro.core.spec import AlgorithmSpec
 from repro.dynamic.mutations import Mutation
 from repro.dynamic.overlay import DynamicGraph, MutationDelta
 from repro.dynamic.subscribe import SubscriptionUpdate
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
+    GraphFormatError,
     InvalidQueryError,
     QueueFullError,
     ServiceClosedError,
@@ -82,6 +92,7 @@ from repro.graph.graph import Graph
 from repro.graph.store import GraphSource, as_graph
 from repro.obs import Metrics, span
 from repro.serve.clock import Clock, SystemClock
+from repro.utils.kernels import get_kernel
 
 __all__ = ["MatchService", "ServeResponse", "ServiceMutation"]
 
@@ -165,6 +176,50 @@ class _Entry:
     waiters: List[_Waiter] = field(default_factory=list)
     #: Once True the entry left the in-flight map; no waiter may attach.
     closed: bool = False
+
+
+def _check_options(
+    graph: Any,
+    tenant: Any,
+    algorithm: Any,
+    kernel: Any,
+    match_limit: Any,
+    store_limit: Any,
+    budget: Any,
+) -> None:
+    """Reject a request whose options could only fail later, in a worker.
+
+    The server hands wire values through verbatim, so this is where
+    ``"match_limit": "ten"`` becomes a typed error instead of a
+    ``TypeError`` from inside the engine: wrong types raise
+    :class:`~repro.errors.GraphFormatError`, names nothing is registered
+    under :class:`~repro.errors.ConfigurationError` (from the resolvers
+    themselves, so the check accepts exactly what they do).
+    """
+    for name, value in (("graph", graph), ("tenant", tenant)):
+        if not isinstance(value, str):
+            raise GraphFormatError(f"{name!r} must be a string, got {value!r}")
+    if match_limit is not None and not (
+        isinstance(match_limit, int) and match_limit >= 0
+    ):
+        raise GraphFormatError(
+            f"'match_limit' must be null or an integer >= 0, got {match_limit!r}"
+        )
+    if not (isinstance(store_limit, int) and store_limit >= 0):
+        raise GraphFormatError(
+            f"'store_limit' must be an integer >= 0, got {store_limit!r}"
+        )
+    if budget is not None and not isinstance(budget, (int, float)):
+        raise GraphFormatError(f"budget must be null or a number, got {budget!r}")
+    if isinstance(algorithm, str):
+        if algorithm != "recommended":  # resolves per query, always known
+            get_algorithm(algorithm)
+    elif algorithm is not None and not isinstance(algorithm, AlgorithmSpec):
+        raise GraphFormatError(
+            f"'algorithm' must be a preset name, got {algorithm!r}"
+        )
+    if kernel is not None:
+        get_kernel(kernel)
 
 
 class MatchService:
@@ -333,16 +388,16 @@ class MatchService:
         :class:`~repro.dynamic.mutations.Mutation` objects or plain op
         tuples (``("add_edge", u, v)`` …).
         """
-        self._metrics_add("serve.mutations")
+        self.count("serve.mutations")
         if self._closed:
             raise ServiceClosedError("service is shut down")
         with self._lock:
             target = self._graphs.get(graph)
             if target is None:
-                self._metrics_add("serve.rejected_unknown_graph")
+                self.count("serve.rejected_unknown_graph")
                 raise UnknownGraphError(f"no resident graph named {graph!r}")
             if not isinstance(target, DynamicGraph):
-                self._metrics_add("serve.rejected_invalid")
+                self.count("serve.rejected_invalid")
                 raise ConfigurationError(
                     f"resident graph {graph!r} is immutable; register it "
                     "with add_graph(..., dynamic=True) to mutate"
@@ -364,11 +419,11 @@ class MatchService:
                 tenant: session.ingest(delta).updates
                 for tenant, session in sessions.items()
             }
-        self._metrics_add(
+        self.count(
             "serve.mutated_edges",
             len(delta.added_edges) + len(delta.removed_edges),
         )
-        self._metrics_add("serve.mutated_vertices", len(delta.added_vertices))
+        self.count("serve.mutated_vertices", len(delta.added_vertices))
         return ServiceMutation(
             graph=graph,
             epoch=target.epoch,
@@ -380,7 +435,9 @@ class MatchService:
     # Admission
     # ------------------------------------------------------------------
 
-    def _metrics_add(self, name: str, amount: int = 1) -> None:
+    def count(self, name: str, amount: int = 1) -> None:
+        """Bump one ``serve.*`` counter (thread-safe; the server front-end
+        records what it decides before :meth:`submit` here too)."""
         with self._metrics_lock:
             self.metrics.add(name, amount)
 
@@ -433,24 +490,32 @@ class MatchService:
         """Admit one request; returns a future resolving to its response.
 
         Rejections raise synchronously — :class:`UnknownGraphError`,
-        :class:`InvalidQueryError`, :class:`DeadlineExceededError` (spent
-        budget), :class:`QueueFullError` (backpressure) — so a rejected
-        request never occupies a queue slot and never reaches an engine.
+        :class:`InvalidQueryError`, :class:`GraphFormatError` /
+        :class:`ConfigurationError` (an option of the wrong type, or
+        naming no registered algorithm or kernel),
+        :class:`DeadlineExceededError` (spent budget),
+        :class:`QueueFullError` (backpressure) — so a rejected request
+        never occupies a queue slot and never reaches an engine.
+        ``validate=False`` is for a caller that holds a query object it
+        has already seen pass (the server's interned queries).
         """
-        self._metrics_add("serve.requests")
+        self.count("serve.requests")
         if self._closed:
             raise ServiceClosedError("service is shut down")
-        if validate:
-            try:
+        try:
+            if validate:
                 validate_query(query)
-            except InvalidQueryError:
-                self._metrics_add("serve.rejected_invalid")
-                raise
+            _check_options(
+                graph, tenant, algorithm, kernel, match_limit, store_limit, budget
+            )
+        except (InvalidQueryError, GraphFormatError, ConfigurationError):
+            self.count("serve.rejected_invalid")
+            raise
         effective_budget = (
             self.default_budget if budget is None else budget
         )
         if effective_budget is not None and effective_budget <= 0:
-            self._metrics_add("serve.rejected_deadline")
+            self.count("serve.rejected_deadline")
             raise DeadlineExceededError(
                 f"request budget {effective_budget!r}s is already spent"
             )
@@ -466,17 +531,17 @@ class MatchService:
             if self._closed:
                 raise ServiceClosedError("service is shut down")
             if graph not in self._graphs:
-                self._metrics_add("serve.rejected_unknown_graph")
+                self.count("serve.rejected_unknown_graph")
                 raise UnknownGraphError(f"no resident graph named {graph!r}")
             entry = self._inflight.get(key) if self.coalesce else None
             if entry is not None and not entry.closed:
                 waiter = _Waiter(tenant, now, deadline, coalesced=True)
                 entry.waiters.append(waiter)
-                self._metrics_add("serve.admitted")
-                self._metrics_add("serve.coalesced")
+                self.count("serve.admitted")
+                self.count("serve.coalesced")
                 return waiter.future
             if self._pending >= self.max_queue_depth:
-                self._metrics_add("serve.rejected_queue_full")
+                self.count("serve.rejected_queue_full")
                 raise QueueFullError(
                     f"pending queue is full ({self.max_queue_depth}); "
                     "retry later"
@@ -498,7 +563,7 @@ class MatchService:
             )
             if self.coalesce:
                 self._inflight[key] = entry
-            self._metrics_add("serve.admitted")
+            self.count("serve.admitted")
 
         try:
             self._executor.submit(self._run, entry)
@@ -590,12 +655,12 @@ class MatchService:
                         kernel=entry.kernel,
                         cancel=cancelled,
                     )
-                self._metrics_add("serve.executed")
+                self.count("serve.executed")
                 if not result.solved:
-                    self._metrics_add("serve.unsolved")
+                    self.count("serve.unsolved")
             except BaseException as exc:  # delivered via the futures
                 error = exc
-                self._metrics_add("serve.errors")
+                self.count("serve.errors")
             finally:
                 self._close_entry(entry)
             self._record_phase("serve.queue", started - entry.waiters[0].admitted_at)
@@ -619,7 +684,7 @@ class MatchService:
                 waiter.future.set_exception(error)
                 continue
             if waiter.expired or result is None:
-                self._metrics_add("serve.expired")
+                self.count("serve.expired")
                 waiter.future.set_result(
                     ServeResponse(
                         status="expired",
@@ -631,7 +696,7 @@ class MatchService:
                     )
                 )
                 continue
-            self._metrics_add("serve.completed")
+            self.count("serve.completed")
             # The session stamps the epoch its snapshot answered from
             # (dynamic graphs only) — surface it as the response's
             # snapshot-isolation witness.

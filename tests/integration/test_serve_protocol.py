@@ -258,6 +258,47 @@ class TestServeProtocol:
         assert unknown["code"] == "ConfigurationError"
         assert alive["ok"]
 
+    @pytest.mark.parametrize(
+        "option, value, code",
+        [
+            ("match_limit", "ten", "GraphFormatError"),
+            ("match_limit", -1, "GraphFormatError"),
+            ("store_limit", "x", "GraphFormatError"),
+            ("store_limit", None, "GraphFormatError"),
+            ("budget_ms", "x", "GraphFormatError"),
+            ("graph", 5, "GraphFormatError"),
+            ("tenant", ["a"], "GraphFormatError"),
+            ("algorithm", 5, "GraphFormatError"),
+            ("algorithm", "nope", "ConfigurationError"),
+            ("kernel", 5, "ConfigurationError"),
+            ("kernel", "nope", "ConfigurationError"),
+        ],
+    )
+    def test_bad_option_is_rejected_at_admission(
+        self, service, query, option, value, code
+    ):
+        # A typed error before the request takes a queue slot: never a
+        # TypeError/ValueError from inside a worker.
+        request = {"op": "match", "graph": "g", "query": graph_to_payload(query)}
+
+        async def scenario(server):
+            client = await Client.connect(server.port)
+            good = await client.rpc(request)
+            bad = await client.rpc({**request, option: value})
+            alive = await client.rpc({"op": "ping"})
+            await client.close()
+            return good, bad, alive
+
+        good, bad, alive = run(with_server(service, scenario))
+        assert good["ok"]
+        assert not bad["ok"] and bad["code"] == code
+        counters = service.metrics.counters
+        assert counters["serve.requests"] == 2
+        assert counters["serve.admitted"] == 1
+        assert counters["serve.rejected_invalid"] == 1
+        assert counters.get("serve.errors", 0) == 0
+        assert alive["ok"]
+
     def test_concurrent_connections_interleave(self, service, data, query):
         direct = MatchSession(data).match(query)
 

@@ -37,6 +37,19 @@ class TestInvariance:
         assert query_fingerprint(shuffled) == query_fingerprint(TRIANGLE_PLUS)
 
 
+class TestMemo:
+    def test_memoized_value_equals_a_fresh_computation(self):
+        first = query_fingerprint(TRIANGLE_PLUS)
+        assert TRIANGLE_PLUS._fingerprint == first
+        assert query_fingerprint(TRIANGLE_PLUS) is first  # the slot, not a rehash
+        twin = Graph(
+            labels=TRIANGLE_PLUS.labels.tolist(),
+            edges=list(TRIANGLE_PLUS.edges()),
+        )
+        assert twin._fingerprint is None
+        assert query_fingerprint(twin) == first
+
+
 class TestSensitivity:
     def test_label_change_changes_fingerprint(self):
         relabeled = Graph(labels=[0, 1, 1, 2],

@@ -13,8 +13,10 @@ import pytest
 
 from repro.core.algorithms import PRESETS
 from repro.core.plan import compile_plan, prepare_query, run_plan
+from repro.graph import Graph, query_fingerprint
 from repro.graph.generators import rmat_graph
 from repro.graph.query_gen import extract_query
+from repro.graph.store import MmapStore, SharedMemoryStore, write_rgf
 from repro.obs.metrics import Metrics
 from repro.utils.kernels import BitsetKernel, QFilterKernel, available_kernels
 
@@ -100,3 +102,63 @@ class TestKernelPickling:
         expected = kernel.intersect(data.neighbors(0), data.neighbors(1))
         got = clone.intersect(data.neighbors(0), data.neighbors(1))
         assert list(got) == list(expected)
+
+
+class TestGraphMemoPickling:
+    """``hash(bytes)`` is salted per process: a memoized hash must never
+    ride a pickle to a pool worker, and no constructor path may leave the
+    two memo slots unset."""
+
+    @staticmethod
+    def assert_fresh_and_equivalent(view: Graph, original: Graph):
+        fingerprint = query_fingerprint(original)
+        assert view._hash is None and view._fingerprint is None
+        assert view == original
+        assert hash(view) == hash(original)
+        assert view._hash is not None  # recomputed, then kept
+        assert query_fingerprint(view) == fingerprint
+        assert {original: 1}[view] == 1
+
+    def test_state_ships_neither_memo(self, workload):
+        query, _ = workload
+        hash(query), query_fingerprint(query)
+        assert set(query.__getstate__()) == {
+            "_labels", "_offsets", "_neighbors", "_num_edges",
+        }
+
+    def test_unpickled_graph_recomputes(self, workload):
+        query, _ = workload
+        hash(query), query_fingerprint(query)
+        clone = pickle.loads(pickle.dumps(query))
+        self.assert_fresh_and_equivalent(clone, query)
+        fresh = Graph(
+            labels=query.labels.tolist(), edges=list(query.edges())
+        )
+        assert clone == fresh and hash(clone) == hash(fresh)
+
+    def test_from_csr_starts_unmemoized(self, workload):
+        query, _ = workload
+        offsets, neighbors = query.csr
+        view = Graph.from_csr(
+            query.labels, offsets, neighbors, num_edges=query.num_edges
+        )
+        self.assert_fresh_and_equivalent(view, query)
+
+    def test_mmap_view_starts_unmemoized(self, workload, tmp_path):
+        query, _ = workload
+        path = tmp_path / "q.rgf"
+        write_rgf(query, path)
+        with MmapStore(path) as store:
+            self.assert_fresh_and_equivalent(store.graph(), query)
+
+    def test_shared_memory_attach_starts_unmemoized(self, workload):
+        query, _ = workload
+        owner = SharedMemoryStore.publish(query)
+        try:
+            attached = SharedMemoryStore.attach(owner.handle)
+            try:
+                self.assert_fresh_and_equivalent(attached.graph(), query)
+            finally:
+                attached.close()
+        finally:
+            owner.close()

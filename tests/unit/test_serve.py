@@ -160,12 +160,19 @@ class TestServiceBasics:
         ):
             assert issubclass(exc_type, ServeError)
 
-    def test_execution_error_propagates_to_future(self, data, query):
+    def test_execution_error_propagates_to_future(self, data, query, monkeypatch):
+        # An unknown algorithm name no longer gets this far (admission
+        # rejects it), so the failure is injected where executions run.
         service = MatchService(workers=1)
         service.add_graph("g", data)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("engine failure")
+
+        monkeypatch.setattr(service.session_for("public", "g"), "match", boom)
         try:
-            future = service.submit(query, graph="g", algorithm="no-such")
-            with pytest.raises(Exception):
+            future = service.submit(query, graph="g")
+            with pytest.raises(RuntimeError, match="engine failure"):
                 future.result(timeout=60)
             assert service.metrics.counters["serve.errors"] == 1
         finally:
