@@ -9,15 +9,21 @@ every request pays its own enumeration. The benchmark measures sustained
 QPS and p50/p99 response latency in both modes and reports the effective
 QPS speedup — the acceptance bar is >= 2x on this duplicate-heavy shape.
 
-Clients call ``service.submit`` directly (no sockets): the benchmark
-isolates the admission/coalescing/execution machinery, not TCP framing.
-A barrier lines all client threads up before the clock starts so the
-burst actually overlaps.
+Clients call ``service.match`` directly (no sockets), as the server's
+connection threads do: the benchmark isolates the
+admission/coalescing/execution machinery, not TCP framing. ``match`` runs
+a lone caller's execution on the caller's thread and hands the rest to
+the pool, so clients overlap — and coalesce — only while executions
+outlast the interpreter's 5 ms switch interval; scale a smoke run down in
+requests, not below ``--vertices 800 --match-limit 30000``. A barrier
+lines all client threads up before the clock starts so the burst
+actually overlaps.
 
 Run directly (``python benchmarks/bench_server.py``) to write
 ``BENCH_server.json``, schema-stamped and validated by
 :func:`repro.obs.schema.validate_bench_server`. Flags scale the workload
-down for CI smoke runs (``--vertices 300 --clients 4 --requests 5``).
+down for CI smoke runs (``--vertices 800 --clients 4 --requests 8
+--match-limit 30000``).
 """
 
 from __future__ import annotations

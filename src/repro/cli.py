@@ -456,8 +456,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.serve import MatchServer, MatchService
 
     service = MatchService(
@@ -482,25 +480,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not args.graph:
         print("no --graph given: clients must add_graph over the wire")
 
-    async def run() -> None:
-        server = MatchServer(service, host=args.host, port=args.port)
-        await server.start()
-        print(f"serving on {args.host}:{server.port} "
-              f"(workers={args.workers}, queue={args.queue_depth}, "
-              f"coalesce={not args.no_coalesce})")
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await server.stop()
-
+    server = MatchServer(service, host=args.host, port=args.port)
+    server.start()
+    print(f"serving on {args.host}:{server.port} "
+          f"(workers={args.workers}, queue={args.queue_depth}, "
+          f"coalesce={not args.no_coalesce})")
     try:
-        asyncio.run(run())
+        server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down")
     finally:
         service.close(wait=False, cancel_inflight=True)
+        server.stop()
     return 0
 
 

@@ -4,14 +4,14 @@ This package turns the library's query-compilation layer
 (:class:`~repro.core.session.MatchSession`) into a long-running service:
 named resident data graphs, per-tenant session pools, admission control
 with per-request deadlines and bounded-queue backpressure, coalescing of
-identical in-flight queries, and an asyncio JSON-lines front-end — all
-observable through ``serve.*`` counters in the :mod:`repro.obs`
-currency.
+identical in-flight queries, and a thread-per-connection JSON-lines
+front-end — all observable through ``serve.*`` counters in the
+:mod:`repro.obs` currency.
 
 Layering::
 
-    MatchServer   (asyncio sockets; server.py)
-        │  asyncio.wrap_future
+    MatchServer   (one blocking thread per connection; server.py)
+        │  MatchService.match, on the thread that read the request
     MatchService  (admission, coalescing, deadlines; service.py)
         │  one per (tenant, graph)
     MatchSession  (plan/prep caches; core/session.py — thread-safe)

@@ -28,7 +28,7 @@ every ``match`` and the second once per distinct query — the checked
 graphs (see :class:`~repro.serve.server.MatchServer`).
 
 This module is transport-independent: it only maps dicts/lines to and
-from domain objects, so the asyncio server and any test client share one
+from domain objects, so the server and any test client share one
 implementation.
 """
 

@@ -1,35 +1,38 @@
-"""Asyncio front-end for :class:`~repro.serve.service.MatchService`.
+"""Thread-per-connection front end for :class:`~repro.serve.service.MatchService`.
 
-The split of labor: asyncio owns the sockets (accept, read lines, write
-lines — thousands of idle connections are cheap), the service's thread
-pool owns the CPU-bound matching. The bridge is
-``asyncio.wrap_future`` over the ``concurrent.futures.Future`` that
-``MatchService.submit`` returns, so the event loop never blocks on an
-enumeration — slow queries on one connection do not stall pings on
-another.
+A request runs on the thread that read it. One daemon thread per
+connection reads a line, dispatches it and ``sendall``s the reply; a
+``match`` goes through :meth:`MatchService.match`, which runs a lone
+caller's execution on the caller's thread — no event loop, no hand-off to
+a pool, no wake-up back. Every client the repository ships holds one
+connection and waits for each reply (``benchmarks/e2e/README.md``), so a
+thread per connection costs a handful of threads, each blocked in
+``recv`` between requests. A slow query occupies its own connection's
+thread only — pings on another connection keep answering — and the
+service's ``workers`` bound, queue depth and coalescing hold across
+connections as they do across :meth:`MatchService.submit` callers.
 
 A ``match`` request goes parse → check the query payload → look the
 checked payload up in the table of decoded queries → (first sight only)
-build the :class:`~repro.graph.graph.Graph` → ``submit``, which validates
-a query it has not seen pass, checks the options and admits. A resident
-service is asked the same few query shapes over and over, and everything
-before admission is a pure function of the payload: a repeated query is
-the *same object* as last time, so its validation is skipped and its
+build the :class:`~repro.graph.graph.Graph` → ``match``, which validates
+a query it has not seen pass, checks the options and admits. Everything
+before admission is a pure function of the payload, so a repeated query
+is the *same object* as last time: its validation is skipped and its
 memoized hash and fingerprint answer the coalescing, plan-cache and
 prep-cache probes.
 
 Admission failures (queue full, spent budget, unknown graph, invalid
-query, malformed option) raise synchronously in ``submit``; the handler
-converts them to error payloads with the exception class name as
-``code``, which is how a remote client distinguishes backpressure (retry
-later) from a bad request (don't).
+query, malformed option) raise synchronously in ``match``; the handler
+answers them with the exception class name as ``code``, which is how a
+client tells backpressure (retry later) from a bad request (don't). A
+request line over 16 MB gets one ``GraphFormatError`` line, then its
+connection is closed.
 
 Usage::
 
     service = MatchService(workers=4)
     service.add_graph("default", data)
-    server = MatchServer(service, host="127.0.0.1", port=7437)
-    asyncio.run(server.serve_forever())
+    MatchServer(service, host="127.0.0.1", port=7437).serve_forever()
 
 Tests bind ``port=0`` and read the chosen port from
 :attr:`MatchServer.port` after :meth:`MatchServer.start`.
@@ -37,11 +40,13 @@ Tests bind ``port=0`` and read the chosen port from
 
 from __future__ import annotations
 
-import asyncio
+import socket
+import threading
+import time
 from typing import Any, Dict, Optional
 
 from repro.core.plan import LRUCache
-from repro.errors import GraphFormatError, ReproError
+from repro.errors import GraphFormatError
 from repro.graph.graph import Graph
 from repro.obs import span
 from repro.serve import protocol
@@ -64,6 +69,9 @@ _INTERN_CAPACITY = 256
 #: decodes on every arrival, so 256 hostile 16 MB lines pin nothing.
 _INTERN_MAX_SIZE = 32 + 32 * 31 // 2
 
+#: How long :meth:`MatchServer.stop` waits for connection threads in all.
+_STOP_JOIN_SECONDS = 0.5
+
 
 class MatchServer:
     """A JSON-lines TCP server over one :class:`MatchService`."""
@@ -77,75 +85,110 @@ class MatchServer:
         self.service = service
         self.host = host
         self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        # Checked payload -> the Graph built from it, which submit() has
-        # accepted once. Read and written only between awaits of
-        # _handle_match, i.e. on the event-loop thread: a lookup and its
-        # insert never interleave with another connection's.
+        self._listener: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
+        # Open connections and their threads, for stop() to shut down.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._lock = threading.Lock()
+        # Checked payload -> the Graph built from it, which match() has
+        # accepted once. Shared by every connection thread under the
+        # LRUCache's own lock: two threads that miss on the same payload
+        # both build and validate it, and the last put wins.
         self._queries = LRUCache(_INTERN_CAPACITY)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> None:
+    def start(self) -> None:
         """Bind and start accepting; resolves :attr:`port` when 0."""
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.host,
-            port=self.port,
-            limit=_MAX_LINE_BYTES,
+        self._listener = socket.create_server((self.host, self.port))
+        self.port = self._listener.getsockname()[1]
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, args=(self._listener,),
+            name="repro-serve-accept", daemon=True,
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._acceptor.start()
 
-    async def stop(self) -> None:
-        """Stop accepting and close the listening socket."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    def stop(self) -> None:
+        """Stop accepting, close the listening socket and every open
+        connection; a thread mid-request exits when its request ends."""
+        listener, self._listener = self._listener, None
+        if listener is None:
+            return
+        try:
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+        except OSError:
+            pass
+        listener.close()
+        self._acceptor.join()  # after which nothing is added below
+        with self._lock:
+            connections = dict(self._connections)
+        for conn in connections:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)  # its readline() sees EOF
+            except OSError:
+                pass
+        deadline = time.monotonic() + _STOP_JOIN_SECONDS
+        for thread in connections.values():
+            thread.join(max(0.0, deadline - time.monotonic()))
 
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+    def serve_forever(self) -> None:
+        """Start (if needed) and serve until :meth:`stop` or an interrupt."""
+        if self._listener is None:
+            self.start()
+        self._acceptor.join()
+
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                if self._listener is None:  # stop() shut the listener down
+                    return
+                time.sleep(0.05)  # out of descriptors, or the peer gave up
+                continue
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._handle_connection, args=(conn,),
+                name="repro-serve-conn", daemon=True,
+            )
+            with self._lock:
+                self._connections[conn] = thread
+            thread.start()
 
     # ------------------------------------------------------------------
     # Per-connection loop
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _handle_connection(self, conn: socket.socket) -> None:
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
-                    break
-                if not line:
-                    break
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                payload = await self._dispatch(text)
-                writer.write(protocol.encode_response(payload))
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    break
+            with conn, conn.makefile("rb") as reader:
+                while True:
+                    line = reader.readline(_MAX_LINE_BYTES + 1)
+                    if len(line) > _MAX_LINE_BYTES:
+                        # Read the rest out (in pieces, keeping none) so
+                        # the reply is not lost to a reset, then hang up.
+                        while line and not line.endswith(b"\n"):
+                            line = reader.readline(1 << 20)
+                        payload = protocol.error_response(GraphFormatError(
+                            f"request line exceeds {_MAX_LINE_BYTES} bytes"
+                        ))
+                        conn.sendall(protocol.encode_response(payload))
+                        break
+                    if not line:
+                        break
+                    text = line.decode("utf-8", errors="replace").strip()
+                    if text:
+                        payload = self._dispatch(text)
+                        conn.sendall(protocol.encode_response(payload))
+        except OSError:  # the peer went away, or stop() shut us down
+            pass
         finally:
-            # Fire-and-forget close: awaiting wait_closed() here would be
-            # cancelled (and raise) when the loop tears down mid-handler.
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
+            with self._lock:
+                self._connections.pop(conn, None)
 
-    async def _dispatch(self, text: str) -> Dict[str, Any]:
+    def _dispatch(self, text: str) -> Dict[str, Any]:
         request_id: Any = None
         try:
             request = protocol.parse_request(text)
@@ -163,11 +206,9 @@ class MatchServer:
                 if op == "add_graph":
                     return self._handle_add_graph(request, request_id)
                 if op == "mutate":
-                    return await self._handle_mutate(request, request_id)
-                return await self._handle_match(request, request_id)
-        except ReproError as exc:
-            return protocol.error_response(exc, request_id)
-        except Exception as exc:  # keep the connection alive on bugs too
+                    return self._handle_mutate(request, request_id)
+                return self._handle_match(request, request_id)
+        except Exception as exc:  # a ReproError, or a bug: answer either
             return protocol.error_response(exc, request_id)
 
     @staticmethod
@@ -193,17 +234,13 @@ class MatchServer:
             num_edges=graph.num_edges,
         )
 
-    async def _handle_mutate(
+    def _handle_mutate(
         self, request: Dict[str, Any], request_id: Any
     ) -> Dict[str, Any]:
         mutations = request.get("mutations")
         if not isinstance(mutations, list):
             raise GraphFormatError("mutate needs a 'mutations' list")
-        # The apply + session fan-out is CPU work (snapshot rebuild,
-        # subscription re-enumeration) — keep it off the event loop.
-        outcome = await asyncio.to_thread(
-            self.service.mutate, request.get("graph", "default"), mutations
-        )
+        outcome = self.service.mutate(request.get("graph", "default"), mutations)
         return self._ok(
             request_id,
             graph=outcome.graph,
@@ -213,7 +250,7 @@ class MatchServer:
             added_vertices=len(outcome.delta.added_vertices),
         )
 
-    async def _handle_match(
+    def _handle_match(
         self, request: Dict[str, Any], request_id: Any
     ) -> Dict[str, Any]:
         labels, pairs = protocol.check_graph_payload(request.get("query"))
@@ -231,8 +268,8 @@ class MatchServer:
             query = Graph(labels=labels, edges=pairs)
         budget = request.get("budget_ms")
         if isinstance(budget, (int, float)):
-            budget /= 1000.0  # anything else is for submit to reject
-        submit_kwargs: Dict[str, Any] = {
+            budget /= 1000.0  # anything else is for match to reject
+        options: Dict[str, Any] = {
             "graph": request.get("graph", "default"),
             "tenant": request.get("tenant", "public"),
             "budget": budget,
@@ -240,17 +277,15 @@ class MatchServer:
         }
         for key in ("algorithm", "kernel"):
             if request.get(key) is not None:
-                submit_kwargs[key] = request[key]
-        if "match_limit" in request:
-            submit_kwargs["match_limit"] = request["match_limit"]
-        if "store_limit" in request:
-            submit_kwargs["store_limit"] = request["store_limit"]
-        future = self.service.submit(query, **submit_kwargs)
+                options[key] = request[key]
+        for key in ("match_limit", "store_limit"):
+            if key in request:
+                options[key] = request[key]
+        response = self.service.match(query, **options)
         if slot is not None and not known:
-            # Admitted, so it passed validate_query: invalid queries are
+            # Answered, so it passed validate_query: invalid queries are
             # never kept and are rejected (and counted) on every arrival.
             self._queries.put(slot, query)
-        response = await asyncio.wrap_future(future)
         return protocol.match_response(
             response,
             request_id,

@@ -228,7 +228,8 @@ class MatchService:
     Parameters
     ----------
     workers:
-        Executor threads running the CPU-bound matching. Under the GIL
+        Executions that may run at once, on the executor's threads
+        (:meth:`submit`) or their callers' (:meth:`match`). Under the GIL
         the win is latency overlap and coalescing, not parallel speedup.
     max_queue_depth:
         Maximum pending executions (queued + running). Admission beyond
@@ -290,6 +291,7 @@ class MatchService:
         self._sessions: Dict[Tuple[str, str], MatchSession] = {}
         self._inflight: Dict[Tuple, _Entry] = {}
         self._pending = 0
+        self._callers = 0  # threads inside match(), resolved-not-yet-returned too
         self.queue_depth_peak = 0
         self._closed = False
         self._cancel_event = threading.Event()
@@ -300,6 +302,9 @@ class MatchService:
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
+        # The `workers` bound: held for the length of _run by whoever runs
+        # it, a pool thread (submit) or the caller itself (match).
+        self._slots = threading.BoundedSemaphore(workers)
 
     # ------------------------------------------------------------------
     # Resident graphs and sessions
@@ -445,37 +450,7 @@ class MatchService:
         with self._metrics_lock:
             self.metrics.record_phase(phase, seconds)
 
-    def _coalesce_key(
-        self,
-        graph_name: str,
-        query: Graph,
-        algorithm: Optional[AlgorithmLike],
-        kernel: Optional[KernelLike],
-        match_limit: Optional[int],
-        store_limit: int,
-    ) -> Tuple:
-        # Exact-graph keying (Graph hashes its label and CSR arrays):
-        # fingerprint-equal renumberings have *different* embeddings, so
-        # only byte-identical queries may share an execution. Dynamic
-        # graphs additionally key on their epoch at admission — a
-        # request admitted after a mutation must not ride an execution
-        # answering from the pre-mutation snapshot.
-        algo = self.algorithm if algorithm is None else algorithm
-        kern = self.kernel if kernel is None else kernel
-        with self._lock:
-            target = self._graphs.get(graph_name)
-        epoch = target.epoch if isinstance(target, DynamicGraph) else 0
-        return (
-            graph_name,
-            epoch,
-            MatchSession._algorithm_key(algo),
-            MatchSession._kernel_key(kern),
-            match_limit,
-            store_limit,
-            query,
-        )
-
-    def submit(
+    def _admit(
         self,
         query: Graph,
         graph: str = "default",
@@ -486,18 +461,10 @@ class MatchService:
         store_limit: int = 10_000,
         budget: Optional[float] = None,
         validate: bool = True,
-    ) -> "Future[ServeResponse]":
-        """Admit one request; returns a future resolving to its response.
-
-        Rejections raise synchronously — :class:`UnknownGraphError`,
-        :class:`InvalidQueryError`, :class:`GraphFormatError` /
-        :class:`ConfigurationError` (an option of the wrong type, or
-        naming no registered algorithm or kernel),
-        :class:`DeadlineExceededError` (spent budget),
-        :class:`QueueFullError` (backpressure) — so a rejected request
-        never occupies a queue slot and never reaches an engine.
-        ``validate=False`` is for a caller that holds a query object it
-        has already seen pass (the server's interned queries).
+    ) -> Tuple[_Waiter, Optional[_Entry]]:
+        """Admission for :meth:`submit` and :meth:`match`, whose options
+        and defaults these are: the request's waiter plus, when it leads
+        an execution instead of riding one, the entry its caller must run.
         """
         self.count("serve.requests")
         if self._closed:
@@ -523,23 +490,37 @@ class MatchService:
         deadline = (
             now + effective_budget if effective_budget is not None else None
         )
-        key = self._coalesce_key(
-            graph, query, algorithm, kernel, match_limit, store_limit
+        algo = self.algorithm if algorithm is None else algorithm
+        kern = self.kernel if kernel is None else kernel
+        options = (
+            MatchSession._algorithm_key(algo),
+            MatchSession._kernel_key(kern),
+            match_limit,
+            store_limit,
         )
 
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("service is shut down")
-            if graph not in self._graphs:
+            target = self._graphs.get(graph)
+            if target is None:
                 self.count("serve.rejected_unknown_graph")
                 raise UnknownGraphError(f"no resident graph named {graph!r}")
+            # Exact-graph keying (Graph hashes its label and CSR arrays):
+            # fingerprint-equal renumberings have *different* embeddings,
+            # so only byte-identical queries may share an execution. A
+            # dynamic graph also keys on its epoch at admission — a request
+            # admitted after a mutation must not ride an execution
+            # answering from the pre-mutation snapshot.
+            epoch = target.epoch if isinstance(target, DynamicGraph) else 0
+            key = (graph, epoch, *options, query)
             entry = self._inflight.get(key) if self.coalesce else None
             if entry is not None and not entry.closed:
                 waiter = _Waiter(tenant, now, deadline, coalesced=True)
                 entry.waiters.append(waiter)
                 self.count("serve.admitted")
                 self.count("serve.coalesced")
-                return waiter.future
+                return waiter, None
             if self._pending >= self.max_queue_depth:
                 self.count("serve.rejected_queue_full")
                 raise QueueFullError(
@@ -564,24 +545,62 @@ class MatchService:
             if self.coalesce:
                 self._inflight[key] = entry
             self.count("serve.admitted")
+        return waiter, entry
 
-        try:
-            self._executor.submit(self._run, entry)
-        except RuntimeError:
-            # Executor shut down between the check and the submit.
-            with self._lock:
-                self._inflight.pop(key, None)
-                entry.closed = True
-                self._pending -= 1
-            raise ServiceClosedError("service is shut down") from None
+    def submit(self, query: Graph, **options: Any) -> "Future[ServeResponse]":
+        """Admit one request; returns a future resolving to its response.
+
+        Options, all by keyword: ``graph="default"``, ``tenant="public"``,
+        ``algorithm`` / ``kernel`` (``None`` = the service's),
+        ``match_limit=100_000``, ``store_limit=10_000``, ``budget``
+        (seconds; ``None`` = the service's default) and ``validate``.
+        Rejections raise synchronously — :class:`UnknownGraphError`,
+        :class:`InvalidQueryError`, :class:`GraphFormatError` /
+        :class:`ConfigurationError` (an option of the wrong type, or
+        naming no registered algorithm or kernel),
+        :class:`DeadlineExceededError` (spent budget),
+        :class:`QueueFullError` (backpressure) — so a rejected request
+        never occupies a queue slot and never reaches an engine.
+        ``validate=False`` is for a caller that holds a query object it
+        has already seen pass (the server's interned queries).
+        """
+        waiter, entry = self._admit(query, **options)
+        if entry is not None:
+            try:
+                self._executor.submit(self._run, entry)
+            except RuntimeError:
+                # Executor shut down between the check and the submit.
+                self._close_entry(entry)
+                raise ServiceClosedError("service is shut down") from None
         return waiter.future
 
-    def match(self, query: Graph, **kwargs: Any) -> ServeResponse:
-        """Synchronous convenience: :meth:`submit` then wait."""
-        return self.submit(query, **kwargs).result()
+    def match(self, query: Graph, **options: Any) -> ServeResponse:
+        """Synchronous :meth:`submit`: same options, admission and rejections.
+
+        A caller alone in here runs the execution it leads on its own
+        thread: it was going to block on the result anyway, so the pool
+        hand-off and the wake-up back buy nothing. With other callers
+        inside, the execution goes to the pool as ``submit``'s does — the
+        hand-off is the window in which duplicates arriving together find
+        one entry to attach to, which a caller that began enumerating at
+        once, holding the interpreter lock, would not leave them.
+        """
+        with self._lock:
+            self._callers += 1
+            alone = self._callers == 1
+        try:
+            if not alone:
+                return self.submit(query, **options).result()
+            waiter, entry = self._admit(query, **options)
+            if entry is not None:
+                self._run(entry)
+            return waiter.future.result()
+        finally:
+            with self._lock:
+                self._callers -= 1
 
     # ------------------------------------------------------------------
-    # Execution (worker threads)
+    # Execution (pool threads and match() callers)
     # ------------------------------------------------------------------
 
     def _close_entry(self, entry: _Entry) -> None:
@@ -598,75 +617,79 @@ class MatchService:
                 self._pending -= 1
 
     def _run(self, entry: _Entry) -> None:
-        clock = self.clock
         try:
-            started = clock.now()
-            with self._lock:
-                live = [w for w in entry.waiters if not w.is_past(started)]
-                for w in entry.waiters:
-                    if w not in live:
-                        w.expired = True
-                if not live:
-                    # Every waiter's deadline passed while queued: close
-                    # the entry under the lock (so nobody attaches to a
-                    # skipped execution) and run nothing at all.
-                    self._inflight.pop(entry.key, None)
-            if not live:
-                self._close_entry(entry)
-                self._resolve(entry, started, result=None, error=None)
-                return
-
-            # The most generous live deadline drives the execution: every
-            # live waiter shares this one run.
-            if any(w.deadline is None for w in live):
-                exec_deadline = None
-                time_limit = None
-            else:
-                exec_deadline = max(w.deadline for w in live)
-                time_limit = max(exec_deadline - started, 1e-6)
-
-            def cancelled() -> bool:
-                # Polled by the engine between leaf batches: stop when the
-                # service shuts down or the service-clock deadline passes
-                # (the wall-clock time_limit is the belt to this brace).
-                if self._cancel_event.is_set():
-                    return True
-                return (
-                    exec_deadline is not None
-                    and clock.now() >= exec_deadline
-                )
-
-            result: Optional[MatchResult] = None
-            error: Optional[BaseException] = None
-            try:
-                session = self.session_for(entry.tenant, entry.graph_name)
-                with span(
-                    "serve.execute",
-                    graph=entry.graph_name,
-                    tenant=entry.tenant,
-                ):
-                    result = session.match(
-                        entry.query,
-                        algorithm=entry.algorithm,
-                        match_limit=entry.match_limit,
-                        time_limit=time_limit,
-                        store_limit=entry.store_limit,
-                        validate=False,  # validated at admission
-                        kernel=entry.kernel,
-                        cancel=cancelled,
-                    )
-                self.count("serve.executed")
-                if not result.solved:
-                    self.count("serve.unsolved")
-            except BaseException as exc:  # delivered via the futures
-                error = exc
-                self.count("serve.errors")
-            finally:
-                self._close_entry(entry)
-            self._record_phase("serve.queue", started - entry.waiters[0].admitted_at)
-            self._resolve(entry, started, result=result, error=error)
+            with self._slots:  # queued until one of `workers` slots frees
+                self._execute(entry)
         finally:
             self._close_entry(entry)  # idempotent leak guard
+
+    def _execute(self, entry: _Entry) -> None:
+        clock = self.clock
+        started = clock.now()
+        with self._lock:
+            live = [w for w in entry.waiters if not w.is_past(started)]
+            for w in entry.waiters:
+                if w not in live:
+                    w.expired = True
+            if not live:
+                # Every waiter's deadline passed while queued: close
+                # the entry under the lock (so nobody attaches to a
+                # skipped execution) and run nothing at all.
+                self._inflight.pop(entry.key, None)
+        if not live:
+            self._close_entry(entry)
+            self._resolve(entry, started, result=None, error=None)
+            return
+
+        # The most generous live deadline drives the execution: every
+        # live waiter shares this one run.
+        if any(w.deadline is None for w in live):
+            exec_deadline = None
+            time_limit = None
+        else:
+            exec_deadline = max(w.deadline for w in live)
+            time_limit = max(exec_deadline - started, 1e-6)
+
+        def cancelled() -> bool:
+            # Polled by the engine between leaf batches: stop when the
+            # service shuts down or the service-clock deadline passes
+            # (the wall-clock time_limit is the belt to this brace).
+            if self._cancel_event.is_set():
+                return True
+            return (
+                exec_deadline is not None
+                and clock.now() >= exec_deadline
+            )
+
+        result: Optional[MatchResult] = None
+        error: Optional[BaseException] = None
+        try:
+            session = self.session_for(entry.tenant, entry.graph_name)
+            with span(
+                "serve.execute",
+                graph=entry.graph_name,
+                tenant=entry.tenant,
+            ):
+                result = session.match(
+                    entry.query,
+                    algorithm=entry.algorithm,
+                    match_limit=entry.match_limit,
+                    time_limit=time_limit,
+                    store_limit=entry.store_limit,
+                    validate=False,  # validated at admission
+                    kernel=entry.kernel,
+                    cancel=cancelled,
+                )
+            self.count("serve.executed")
+            if not result.solved:
+                self.count("serve.unsolved")
+        except BaseException as exc:  # delivered via the futures
+            error = exc
+            self.count("serve.errors")
+        finally:
+            self._close_entry(entry)
+        self._record_phase("serve.queue", started - entry.waiters[0].admitted_at)
+        self._resolve(entry, started, result=result, error=error)
 
     def _resolve(
         self,
@@ -677,40 +700,29 @@ class MatchService:
     ) -> None:
         """Fan the outcome out to every waiter (entry is closed by now)."""
         end = self.clock.now()
+        epoch = None
         if result is not None:
             self._record_phase("serve.execute", end - started)
-        for waiter in entry.waiters:
-            if error is not None:
-                waiter.future.set_exception(error)
-                continue
-            if waiter.expired or result is None:
-                self.count("serve.expired")
-                waiter.future.set_result(
-                    ServeResponse(
-                        status="expired",
-                        tenant=waiter.tenant,
-                        graph=entry.graph_name,
-                        coalesced=waiter.coalesced,
-                        queue_seconds=started - waiter.admitted_at,
-                        total_seconds=end - waiter.admitted_at,
-                    )
-                )
-                continue
-            self.count("serve.completed")
             # The session stamps the epoch its snapshot answered from
             # (dynamic graphs only) — surface it as the response's
             # snapshot-isolation witness.
             epoch = result.metrics.counters.get("session.data_epoch")
+        for waiter in entry.waiters:
+            if error is not None:
+                waiter.future.set_exception(error)
+                continue
+            ok = result is not None and not waiter.expired
+            self.count("serve.completed" if ok else "serve.expired")
             waiter.future.set_result(
                 ServeResponse(
-                    status="ok",
+                    status="ok" if ok else "expired",
                     tenant=waiter.tenant,
                     graph=entry.graph_name,
                     coalesced=waiter.coalesced,
                     queue_seconds=started - waiter.admitted_at,
                     total_seconds=end - waiter.admitted_at,
-                    result=result,
-                    epoch=epoch,
+                    result=result if ok else None,
+                    epoch=epoch if ok else None,
                 )
             )
 

@@ -1,10 +1,11 @@
-"""End-to-end serving over TCP: asyncio server, JSON-lines protocol.
+"""End-to-end serving over TCP: threaded server, JSON-lines protocol.
 
 One real socketed round trip per behavior: served matches equal a direct
 in-process session's, admission failures come back as typed error codes
-(not dropped connections), concurrent clients interleave safely, and the
-event loop never blocks on an enumeration (a slow request on one
-connection must not stall a ping on another).
+(not dropped connections), concurrent clients interleave safely, and an
+enumeration occupies only its own connection's thread (a slow request on
+one connection must not stall a ping on another). The clients are
+asyncio ones on purpose: the server does not care what its peers run on.
 """
 
 from __future__ import annotations
@@ -67,11 +68,11 @@ def service(data):
 
 async def with_server(service, scenario):
     server = MatchServer(service, port=0)
-    await server.start()
+    server.start()
     try:
         return await scenario(server)
     finally:
-        await server.stop()
+        server.stop()
 
 
 class TestServeProtocol:
@@ -331,8 +332,8 @@ class TestServeProtocol:
             assert response["num_matches"] == direct.num_matches
 
     def test_slow_match_does_not_block_pings(self, service, data, query):
-        # The slow request fans out through the thread pool; the ping on a
-        # second connection must answer while it is still in flight.
+        # The slow request runs on its own connection's thread; the ping
+        # on a second connection must answer while it is still in flight.
         async def scenario(server):
             slow_client = await Client.connect(server.port)
             ping_client = await Client.connect(server.port)

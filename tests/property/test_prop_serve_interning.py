@@ -8,7 +8,6 @@ server seeing it for the first time does, and the admission counters
 advance identically. Only ``serve.interned_*`` may tell the two apart.
 """
 
-import asyncio
 import json
 
 from hypothesis import given, settings
@@ -61,7 +60,7 @@ def streams(draw):
 
 def _ask(server, payload):
     request = {"op": "match", "graph": "g", "query": payload, "include_embeddings": True}
-    answer = asyncio.run(server._dispatch(json.dumps(request)))
+    answer = server._dispatch(json.dumps(request))
     return {field: answer.get(field) for field in ANSWER_FIELDS}
 
 

@@ -294,9 +294,9 @@ class TestServeCommand:
         # runs end to end in-process.
         from repro.serve.server import MatchServer
 
-        async def return_immediately(self):
-            if self._server is None:
-                await self.start()
+        def return_immediately(self):
+            if self._listener is None:
+                self.start()
 
         monkeypatch.setattr(MatchServer, "serve_forever", return_immediately)
 

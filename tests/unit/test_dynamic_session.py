@@ -8,7 +8,6 @@ protocol's ``mutate`` op.
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
@@ -204,7 +203,7 @@ class TestServiceMutation:
 class TestServerMutateOp:
     def dispatch(self, service, payload):
         server = MatchServer(service, port=0)
-        return asyncio.run(server._dispatch(json.dumps(payload)))
+        return server._dispatch(json.dumps(payload))
 
     def test_mutate_op_round_trip(self, service):
         response = self.dispatch(

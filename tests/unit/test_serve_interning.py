@@ -6,7 +6,6 @@ identical object, both bounds hold, invalid queries are never kept, and
 an interned query on a dynamic graph is still answered at the new epoch.
 """
 
-import asyncio
 import json
 
 import pytest
@@ -32,7 +31,7 @@ def server(service):
 def send(server, **request):
     request.setdefault("op", "match")
     request.setdefault("graph", "g")
-    return asyncio.run(server._dispatch(json.dumps(request)))
+    return server._dispatch(json.dumps(request))
 
 
 def path(first_label, edges=((0, 1), (1, 2))):
@@ -48,17 +47,17 @@ def counter(service, name):
 
 
 class TestInternedQueries:
-    def test_a_hit_hands_submit_the_identical_object(
+    def test_a_hit_hands_match_the_identical_object(
         self, service, server, monkeypatch
     ):
         seen = []
-        submit = service.submit
+        match = service.match
 
         def spy(query, **kwargs):
             seen.append((query, kwargs["validate"]))
-            return submit(query, **kwargs)
+            return match(query, **kwargs)
 
-        monkeypatch.setattr(service, "submit", spy)
+        monkeypatch.setattr(service, "match", spy)
         for _ in range(3):
             assert send(server, query=path(0))["ok"]
         (first, v1), (second, v2), (third, v3) = seen
