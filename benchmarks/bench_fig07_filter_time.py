@@ -6,16 +6,22 @@ Paper findings to reproduce in shape:
     edges) despite the same asymptotic complexity;
 (3) preprocessing grows with |V(q)| and differs little between dense and
     sparse queries; absolute values stay small.
+
+Every time table has a work twin: ``filter.neighbors_gathered``, the CSR
+entries the filter read, which does not move with the machine. Each
+filter runs once untimed on a column's first query before the column is
+measured, so no cell carries import or first-touch cost.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from conftest import bench_queries
 from shared import ALL_DATASETS, DEFAULT_SIZE, SIZE_LADDER, dataset, query_set
 
 from repro.filtering import CECIFilter, CFLFilter, DPisoFilter, GraphQLFilter
+from repro.obs import Metrics, collecting
 from repro.study import format_series
 from repro.utils.timer import Timer
 
@@ -27,51 +33,69 @@ FILTERS = {
 }
 
 
-def _avg_filter_ms(filter_cls, data, queries) -> float:
+def _avg_filter_cost(filter_cls, data, queries) -> Tuple[float, float]:
+    """Average ``(ms, CSR entries gathered)`` of one filter over ``queries``."""
+    metrics = Metrics()
     total = 0.0
     for query in queries:
         filt = filter_cls()
-        with Timer() as t:
+        with collecting(metrics), Timer() as t:
             filt.run(query, data)
         total += t.elapsed_ms
-    return total / max(1, len(queries))
+    n = max(1, len(queries))
+    return total / n, metrics.counters.get("filter.neighbors_gathered", 0) / n
+
+
+def _panel(title: str, columns, cells) -> Tuple[str, str]:
+    """The time table and the work table of one panel.
+
+    ``cells`` yields one ``(data, queries)`` per column.
+    """
+    times: Dict[str, List[float]] = {name: [] for name in FILTERS}
+    work: Dict[str, List[float]] = {name: [] for name in FILTERS}
+    for data, queries in cells:
+        for cls in FILTERS.values():
+            cls().run(queries[0], data)
+        for name, cls in FILTERS.items():
+            ms, gathered = _avg_filter_cost(cls, data, queries)
+            times[name].append(ms)
+            work[name].append(gathered)
+    return (
+        format_series(f"{title} — avg filtering time (ms)", columns, times),
+        format_series(f"{title} — avg CSR entries gathered", columns, work),
+    )
 
 
 def _experiment() -> str:
-    blocks: List[str] = []
+    panels: List[Tuple[str, str]] = []
 
     # (a) + (c): per dataset, dense and sparse default sets.
     for density in ("dense", "sparse"):
-        series: Dict[str, List[float]] = {name: [] for name in FILTERS}
-        for key in ALL_DATASETS:
-            data = dataset(key)
-            qs = query_set(key, DEFAULT_SIZE[key], density)
-            for name, cls in FILTERS.items():
-                series[name].append(_avg_filter_ms(cls, data, qs.queries))
-        blocks.append(
-            format_series(
-                f"Figure 7(a/c) — avg filtering time (ms), {density} default sets",
+        panels.append(
+            _panel(
+                f"Figure 7(a/c), {density} default sets",
                 ALL_DATASETS,
-                series,
+                (
+                    (dataset(key), query_set(key, DEFAULT_SIZE[key], density).queries)
+                    for key in ALL_DATASETS
+                ),
             )
         )
 
     # (b): vary |V(q)| on yt.
     sizes = SIZE_LADDER["yt"]
-    series_b: Dict[str, List[float]] = {name: [] for name in FILTERS}
-    data = dataset("yt")
-    for size in sizes:
-        qs = query_set("yt", size, "dense" if size > 4 else None)
-        for name, cls in FILTERS.items():
-            series_b[name].append(_avg_filter_ms(cls, data, qs.queries))
-    blocks.append(
-        format_series(
-            "Figure 7(b) — avg filtering time (ms) on yt, |V(q)| varied",
+    panels.append(
+        _panel(
+            "Figure 7(b), yt, |V(q)| varied",
             sizes,
-            series_b,
+            (
+                (dataset("yt"), query_set("yt", size, "dense" if size > 4 else None).queries)
+                for size in sizes
+            ),
         )
     )
 
+    blocks = [time for time, _ in panels] + [work for _, work in panels]
     blocks.append(
         f"[{bench_queries()} queries/set] paper: GQL slowest; CECI/DP slower "
         "than CFL; time grows with |V(q)|; dense vs sparse gap small."

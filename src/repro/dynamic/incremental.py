@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.filtering.base import ldf_check, nlf_candidates_for, nlf_check
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
 from repro.dynamic.overlay import DynamicGraph, MutationDelta
@@ -149,15 +150,9 @@ class IncrementalCandidates:
 
     def _seed_ok(self, u: int, v: int) -> bool:
         self.counters["dynamic.seed_checks"] += 1
-        g = self.data
-        q = self.query
-        if g.label(v) != q.label(u) or g.degree(v) < q.degree(u):
-            return False
-        nlf_v = g.nlf(v)
-        for lbl, cnt in q.nlf(u).items():
-            if nlf_v.get(lbl, 0) < cnt:
-                return False
-        return True
+        return ldf_check(self.query, u, self.data, v) and nlf_check(
+            self.query, u, self.data, v
+        )
 
     # ------------------------------------------------------------------
     # From-scratch build (also the differential oracle)
@@ -171,12 +166,7 @@ class IncrementalCandidates:
 
         seed = np.zeros((nq, n), dtype=bool)
         for u in range(nq):
-            mask = (g.labels == q.label(u)) & (g.degrees >= q.degree(u))
-            need = q.nlf(u)
-            for v in np.flatnonzero(mask).tolist():
-                nlf_v = g.nlf(v)
-                if all(nlf_v.get(lbl, 0) >= cnt for lbl, cnt in need.items()):
-                    seed[u, v] = True
+            seed[u, nlf_candidates_for(q, u, g)] = True
         self.seed = seed
 
         d1 = np.zeros((nq, n), dtype=bool)

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.filtering.auxiliary import AuxiliaryStructure
-from repro.filtering.base import ldf_check
+from repro.filtering.base import ldf_candidates_for, ldf_check
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
 from repro.utils.kernels import KernelLike, RowsKernel, ScalarKernel, get_kernel
@@ -279,9 +279,7 @@ class LocalCandidateMethod(ABC):
         """LC at a position with no backward neighbors."""
         if ctx.candidates is not None:
             return ctx.candidates[u]
-        query, data = ctx.query, ctx.data
-        pool = data.vertices_with_label(query.label(u))
-        return pool[data.degrees[pool] >= query.degree(u)]
+        return ldf_candidates_for(ctx.query, u, ctx.data)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

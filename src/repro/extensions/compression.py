@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.core.result import MatchResult
 from repro.enumeration.support import DEADLINE_STRIDE
 from repro.errors import BudgetExceeded
-from repro.filtering.base import ldf_candidates_for, nlf_check
+from repro.filtering.base import nlf_candidates_for
 from repro.graph.graph import Graph
 from repro.utils.timer import Deadline, Timer
 
@@ -253,12 +253,7 @@ class _CompressedEnumerator:
     def _base_candidates(self, index: int) -> List[int]:
         """LDF + NLF candidates of the class representative."""
         rep = self.c.classes[index][0]
-        query = self.c.original
-        return [
-            v
-            for v in ldf_candidates_for(query, rep, self.data)
-            if nlf_check(query, rep, self.data, v)
-        ]
+        return nlf_candidates_for(self.c.original, rep, self.data).tolist()
 
     def _extend(
         self,

@@ -1,18 +1,23 @@
-"""Internal helpers shared by the filters (CFL/CECI/DP-iso/GraphQL).
+"""The array substrate every filter runs on.
 
-These implement the primitive of Observation 3.1 / Filtering Rule 3.1:
-checking whether a candidate has at least one neighbor inside another
-candidate set. The scalar :func:`has_candidate_neighbor` iterates whichever
-side is smaller; the vectorized pass (:func:`refine_keep` over
-:func:`neighbor_hit_mask`) gathers every candidate's CSR neighbor slice in
-one shot and reduces a membership bitmap over it, so a whole refinement
-sweep costs a handful of numpy calls instead of a Python loop per
-candidate-neighbor pair. :func:`nlf_keep` runs the neighbor-label-frequency
-rule over the same gather, and :func:`anchor_masks` generalises the
-membership bitmap from one anchor set to up to :data:`MASK_BITS` of them:
-one gather tells, for every neighbor of every candidate, *which* anchor
-sets it belongs to — what GraphQL's batched semi-perfect-matching test
-is read from.
+Section 3.1 has the filters differ only in *schedule* — which query
+vertex, in which order, against which anchor sets, how many rounds — over
+the same rules, and each rule exists here once, as a batch over the CSR
+arrays: **seed**, :func:`nlf_keep` over an LDF pool; **generate**,
+:func:`neighbor_union` (Generation Rule 3.1); **refine**,
+:func:`refine_keep` (Filtering Rule 3.1). All three reduce over one ragged
+gather of the candidates' neighbor slices (:func:`_gather_neighbors`,
+which counts the CSR entries it reads as ``filter.neighbors_gathered``),
+so a sweep costs a handful of numpy calls instead of a Python loop per
+candidate-neighbor pair, and nothing is cached on the graph.
+:func:`anchor_masks` generalises :func:`refine_keep`'s membership bitmap
+from one anchor set to up to :data:`MASK_BITS` of them: one gather tells,
+for every neighbor of every candidate, *which* anchor sets it belongs to —
+what GraphQL's batched semi-perfect-matching test is read from.
+
+The scalar :func:`has_candidate_neighbor`, like
+:func:`~repro.filtering.base.nlf_check`, is the rule's *definition*: the
+property suite holds the batched form equal to it, and no filter calls it.
 """
 
 from __future__ import annotations
@@ -22,13 +27,13 @@ from typing import AbstractSet, Iterable, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.obs import add_counter
 
 __all__ = [
     "MASK_BITS",
     "anchor_masks",
     "as_vertex_array",
     "has_candidate_neighbor",
-    "neighbor_expansion",
     "neighbor_hit_mask",
     "neighbor_union",
     "nlf_keep",
@@ -65,14 +70,6 @@ def has_candidate_neighbor(
     return any(w in candidate_set for w in neighbor_set)
 
 
-def neighbor_expansion(data: Graph, candidate_list: Sequence[int]) -> set:
-    """``N(C) = ∪_{v ∈ C} N(v)`` — the pool of Generation Rule 3.1."""
-    pool: set = set()
-    for v in candidate_list:
-        pool.update(data.neighbor_set(v))
-    return pool
-
-
 def segment_starts(lengths: np.ndarray) -> np.ndarray:
     """Where each of ``lengths`` consecutive segments begins (exclusive cumsum)."""
     starts = np.zeros(lengths.size, dtype=np.int64)
@@ -105,14 +102,23 @@ def _gather_neighbors(
     total = int(lengths.sum())
     if total == 0:
         return _EMPTY_I64, _EMPTY_I64, nonempty
+    add_counter("filter.neighbors_gathered", total)
     gathered = neighbors[_ragged_indices(starts, lengths, total)]
     return gathered, segment_starts(lengths)[nonempty], nonempty
 
 
-def neighbor_union(data: Graph, vertices: Sequence[int]) -> np.ndarray:
-    """``N(C)`` as a sorted unique array — vectorized neighbor expansion."""
-    gathered, _, _ = _gather_neighbors(data, as_vertex_array(vertices))
-    return np.unique(gathered)
+def neighbor_union(
+    data: Graph, parents: Sequence[int], label: int, min_degree: int
+) -> np.ndarray:
+    """Generation Rule 3.1's pool, sorted: the neighbors of ``parents``
+    that pass LDF (``L(w) = label``, ``d(w) ≥ min_degree``).
+
+    LDF is applied to the gathered entries, duplicates included, so the
+    sort behind ``np.unique`` sees only the few that pass it.
+    """
+    gathered, _, _ = _gather_neighbors(data, as_vertex_array(parents))
+    labelled = gathered[data.labels[gathered] == label]
+    return np.unique(labelled[data.degrees[labelled] >= min_degree])
 
 
 def neighbor_hit_mask(

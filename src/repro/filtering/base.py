@@ -22,6 +22,7 @@ __all__ = [
     "NLFFilter",
     "ldf_check",
     "ldf_candidates_for",
+    "nlf_candidates_for",
     "nlf_check",
 ]
 
@@ -35,9 +36,9 @@ def nlf_check(query: Graph, u: int, data: Graph, v: int) -> bool:
     """Neighbor-label-frequency check.
 
     For every label ``l`` appearing among ``u``'s neighbors, ``v`` must have
-    at least as many neighbors with that label. The scalar definition;
-    :func:`~repro.filtering._common.nlf_keep` is the batched form the
-    filters run.
+    at least as many neighbors with that label. The scalar definition:
+    :func:`~repro.filtering._common.nlf_keep` is the batched form every
+    filter runs, and the property suite holds the two equal.
     """
     v_nlf = data.nlf(v)
     for label, needed in query.nlf(u).items():
@@ -54,6 +55,11 @@ def ldf_candidates_for(query: Graph, u: int, data: Graph):
     """
     pool = data.vertices_with_label(query.label(u))
     return pool[data.degrees[pool] >= query.degree(u)]
+
+
+def nlf_candidates_for(query: Graph, u: int, data: Graph):
+    """The sorted LDF + NLF candidates of one query vertex — the seed."""
+    return nlf_keep(data, ldf_candidates_for(query, u, data), query.nlf(u))
 
 
 class Filter(ABC):

@@ -15,9 +15,9 @@ Section 3.1.1: CECI shares CFL's two rules but differs in the sweep —
 Time and space complexity are both ``O(|E(q)|·|E(G)|)``. CECI's auxiliary
 structure covers every query edge (scope ``"all"``), enabling Algorithm 5.
 
-Candidate lists live in int64 arrays; generation pools neighbors with one
-ragged CSR gather and every pruning step is a batched
-:func:`~repro.filtering._common.refine_keep`.
+Both phases are a sweep over the three array primitives of
+:mod:`repro.filtering._common`: generation is ``neighbor_union`` +
+``nlf_keep``, every pruning step a ``refine_keep``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.filtering._common import neighbor_union, refine_keep
-from repro.filtering.base import Filter, nlf_check
+from repro.filtering._common import neighbor_union, nlf_keep, refine_keep
+from repro.filtering.base import Filter, nlf_candidates_for
 from repro.filtering.candidates import CandidateSets
 from repro.filtering.roots import ceci_root
 from repro.graph.graph import Graph
@@ -69,26 +69,16 @@ class CECIFilter(Filter):
         position = {v: i for i, v in enumerate(tree.order)}
 
         root = tree.root
-        pool = data.vertices_with_label(query.label(root))
-        pool = pool[data.degrees[pool] >= query.degree(root)]
-        lists[root] = np.asarray(
-            [v for v in pool.tolist() if nlf_check(query, root, data, v)],
-            dtype=np.int64,
-        )
+        lists[root] = nlf_candidates_for(query, root, data)
 
         for u in tree.order[1:]:
             parent = tree.parent[u]
-            # Generate C(u) from the parent set alone (X = {u_p}): one
-            # ragged gather over the parent candidates, then LDF + NLF.
-            pool = neighbor_union(data, lists[parent])  # type: ignore[arg-type]
-            pool = pool[
-                (data.labels[pool] == query.label(u))
-                & (data.degrees[pool] >= query.degree(u))
-            ]
-            lists[u] = np.asarray(
-                [v for v in pool.tolist() if nlf_check(query, u, data, v)],
-                dtype=np.int64,
+            # Generate C(u) from the parent set alone (X = {u_p}), under
+            # LDF + NLF.
+            pool = neighbor_union(
+                data, lists[parent], query.label(u), query.degree(u)  # type: ignore[arg-type]
             )
+            lists[u] = nlf_keep(data, pool, query.nlf(u))
 
             # Rule out parent candidates with no child in C(u).
             self._prune_against(data, parent, u, lists, scratch)

@@ -18,9 +18,9 @@ Time complexity ``O(|E(q)|·|E(G)|)``; the auxiliary structure CFL pairs with
 these sets covers *tree edges only* (scope ``"tree"``), which is what limits
 its ComputeLC to Algorithm 4.
 
-Both phases run on the CSR arrays directly: candidate lists are int64
-arrays, neighbor expansion is one ragged gather + ``np.unique``, and every
-Filtering Rule 3.1 sweep is a batched :func:`~repro.filtering._common.refine_keep`.
+Both phases are a sweep over the three array primitives of
+:mod:`repro.filtering._common`: generation is ``neighbor_union`` +
+``nlf_keep``, every Filtering Rule 3.1 step a ``refine_keep``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.filtering._common import neighbor_union, refine_keep
-from repro.filtering.base import Filter, nlf_check
+from repro.filtering._common import neighbor_union, nlf_keep, refine_keep
+from repro.filtering.base import Filter, ldf_candidates_for
 from repro.filtering.candidates import CandidateSets
 from repro.filtering.roots import cfl_root
 from repro.graph.graph import Graph
@@ -110,23 +110,16 @@ class CFLFilter(Filter):
         """Generation Rule 3.1 for one vertex, under LDF + NLF checks."""
         if not backward:
             # The root: plain LDF + NLF.
-            pool = data.vertices_with_label(query.label(u))
-            pool = pool[data.degrees[pool] >= query.degree(u)]
+            pool = ldf_candidates_for(query, u, data)
             others: List[np.ndarray] = []
         else:
-            # Expand from the smallest backward candidate set, then apply
-            # LDF in one vectorized pass over the pooled neighbors.
+            # Expand from the smallest backward candidate set.
             seed = min(backward, key=lambda w: len(lists[w]))  # type: ignore[arg-type]
             others = [lists[w] for w in backward if w != seed]  # type: ignore[misc]
-            pool = neighbor_union(data, lists[seed])  # type: ignore[arg-type]
-            pool = pool[
-                (data.labels[pool] == query.label(u))
-                & (data.degrees[pool] >= query.degree(u))
-            ]
-        survivors = np.asarray(
-            [v for v in pool.tolist() if nlf_check(query, u, data, v)],
-            dtype=np.int64,
-        )
+            pool = neighbor_union(
+                data, lists[seed], query.label(u), query.degree(u)  # type: ignore[arg-type]
+            )
+        survivors = nlf_keep(data, pool, query.nlf(u))
         return refine_keep(data, survivors, others, scratch)
 
     @staticmethod

@@ -22,8 +22,8 @@ from typing import List
 
 import numpy as np
 
-from repro.filtering._common import as_vertex_array, refine_keep
-from repro.filtering.base import Filter, ldf_candidates_for, nlf_check
+from repro.filtering._common import nlf_keep, refine_keep
+from repro.filtering.base import Filter, ldf_candidates_for
 from repro.filtering.candidates import CandidateSets
 from repro.filtering.roots import dpiso_root
 from repro.graph.graph import Graph
@@ -56,8 +56,7 @@ class DPisoFilter(Filter):
 
         with span("filter.ldf"):
             lists: List[np.ndarray] = [
-                as_vertex_array(ldf_candidates_for(query, u, data))
-                for u in query.vertices()
+                ldf_candidates_for(query, u, data) for u in query.vertices()
             ]
         record_stage("ldf", total_candidates(lists))
         scratch = np.zeros(data.num_vertices, dtype=bool)
@@ -87,10 +86,7 @@ class DPisoFilter(Filter):
                         ]
                     vs = lists[u]
                     if apply_nlf:
-                        vs = np.asarray(
-                            [v for v in vs.tolist() if nlf_check(query, u, data, v)],
-                            dtype=np.int64,
-                        )
+                        vs = nlf_keep(data, vs, query.nlf(u))
                     lists[u] = refine_keep(
                         data, vs, [lists[w] for w in anchors], scratch
                     )

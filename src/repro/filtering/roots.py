@@ -16,23 +16,11 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.filtering.base import ldf_candidates_for, nlf_check
+from repro.filtering.base import ldf_candidates_for, nlf_candidates_for
 from repro.graph.graph import Graph
 from repro.graph.ops import two_core
 
 __all__ = ["cfl_root", "ceci_root", "dpiso_root"]
-
-
-def _nlf_candidate_count(query: Graph, u: int, data: Graph) -> int:
-    return sum(
-        1
-        for v in ldf_candidates_for(query, u, data)
-        if nlf_check(query, u, data, v)
-    )
-
-
-def _ldf_candidate_count(query: Graph, u: int, data: Graph) -> int:
-    return len(ldf_candidates_for(query, u, data))
 
 
 def _argmin(vertices: Iterable[int], key) -> int:
@@ -55,14 +43,14 @@ def cfl_root(query: Graph, data: Graph) -> int:
         return data.label_frequency(query.label(u)) / max(1, query.degree(u))
 
     top3 = sorted(pool, key=lambda u: (rarity(u), u))[:3]
-    return _argmin(top3, lambda u: (_nlf_candidate_count(query, u, data), u))
+    return _argmin(top3, lambda u: (len(nlf_candidates_for(query, u, data)), u))
 
 
 def ceci_root(query: Graph, data: Graph) -> int:
     """CECI's root: ``argmin |C_NLF(u)| / d(u)``."""
     return _argmin(
         query.vertices(),
-        lambda u: (_nlf_candidate_count(query, u, data) / max(1, query.degree(u)), u),
+        lambda u: (len(nlf_candidates_for(query, u, data)) / max(1, query.degree(u)), u),
     )
 
 
@@ -70,5 +58,5 @@ def dpiso_root(query: Graph, data: Graph) -> int:
     """DP-iso's root: ``argmin |C_LDF(u)| / d(u)``."""
     return _argmin(
         query.vertices(),
-        lambda u: (_ldf_candidate_count(query, u, data) / max(1, query.degree(u)), u),
+        lambda u: (len(ldf_candidates_for(query, u, data)) / max(1, query.degree(u)), u),
     )

@@ -13,8 +13,10 @@ constraint, so the fixpoint is unique regardless of sweep order.
 
 from __future__ import annotations
 
-from repro.filtering._common import has_candidate_neighbor
-from repro.filtering.base import Filter, ldf_candidates_for, nlf_check
+import numpy as np
+
+from repro.filtering._common import refine_keep
+from repro.filtering.base import Filter, nlf_candidates_for
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
 from repro.obs import add_counter, record_stage, span, total_candidates
@@ -23,7 +25,11 @@ __all__ = ["SteadyFilter"]
 
 
 class SteadyFilter(Filter):
-    """Fixpoint refinement under Filtering Rule 3.1 (Figure 8's STEADY)."""
+    """Fixpoint refinement under Filtering Rule 3.1 (Figure 8's STEADY).
+
+    A sweep is one batched ``refine_keep`` per query vertex, Gauss–Seidel:
+    a later vertex already sees the sweep's earlier prunes.
+    """
 
     name = "STEADY"
 
@@ -36,17 +42,9 @@ class SteadyFilter(Filter):
 
     def run(self, query: Graph, data: Graph) -> CandidateSets:
         with span("filter.nlf"):
-            lists = [
-                [
-                    v
-                    for v in ldf_candidates_for(query, u, data)
-                    if nlf_check(query, u, data, v)
-                ]
-                for u in query.vertices()
-            ]
+            lists = [nlf_candidates_for(query, u, data) for u in query.vertices()]
         record_stage("ldf+nlf", total_candidates(lists))
-        sets = [set(lst) for lst in lists]
-        neighbor_lists = [query.neighbors(u).tolist() for u in query.vertices()]
+        scratch = np.zeros(data.num_vertices, dtype=bool)
 
         self.last_iterations = 0
         for sweep in range(self.max_iterations):
@@ -54,18 +52,10 @@ class SteadyFilter(Filter):
             with span("filter.refine", rule="steady", sweep=sweep):
                 changed = False
                 for u in query.vertices():
-                    anchors = neighbor_lists[u]
-                    kept = [
-                        v
-                        for v in lists[u]
-                        if all(
-                            has_candidate_neighbor(data, v, lists[w], sets[w])
-                            for w in anchors
-                        )
-                    ]
+                    anchors = [lists[w] for w in query.neighbors(u).tolist()]
+                    kept = refine_keep(data, lists[u], anchors, scratch)
                     if len(kept) != len(lists[u]):
                         lists[u] = kept
-                        sets[u] = set(kept)
                         changed = True
             add_counter("filter.refinement_iterations")
             if not changed:

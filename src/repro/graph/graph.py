@@ -137,7 +137,7 @@ class Graph:
         # shared-memory workers) never pay for them.
         self._neighbor_sets: Optional[Tuple[frozenset, ...]] = None
         self._label_index = self._build_label_index(labels_arr, None)
-        self._nlf_cache: List[Dict[int, int]] | None = None
+        self._nlf_cache: Dict[int, Dict[int, int]] = {}
         self._elf_cache: Dict[Tuple[int, int], int] | None = None
         self._store = None
         self._hash: Optional[int] = None
@@ -195,7 +195,7 @@ class Graph:
         graph._num_edges = int(num_edges)
         graph._neighbor_sets = None
         graph._label_index = cls._build_label_index(labels, by_label)
-        graph._nlf_cache = None
+        graph._nlf_cache = {}
         graph._elf_cache = None
         graph._store = store
         graph._hash = None
@@ -326,20 +326,18 @@ class Graph:
     def nlf(self, v: int) -> Dict[int, int]:
         """Neighbor label frequency of ``v``: ``{label: |N(v, label)|}``.
 
-        This is the signature used by the NLF filter (Section 3.1.1);
-        computed once per graph and cached.
+        The signature used by the NLF filter (Section 3.1.1), cached per
+        asked-for vertex: a query graph's amortise over its fingerprint and
+        every filter run; nothing walks a data graph's ``V(G)`` for them
+        (filters read it through the batched ``nlf_keep``).
         """
-        if self._nlf_cache is None:
-            labels = self._labels
-            cache: List[Dict[int, int]] = []
-            for u in self.vertices():
-                counts: Dict[int, int] = {}
-                for w in self.neighbors(u).tolist():
-                    lbl = int(labels[w])
-                    counts[lbl] = counts.get(lbl, 0) + 1
-                cache.append(counts)
-            self._nlf_cache = cache
-        return self._nlf_cache[v]
+        counts = self._nlf_cache.get(v)
+        if counts is None:
+            counts = {}
+            for lbl in self._labels[self.neighbors(v)].tolist():
+                counts[lbl] = counts.get(lbl, 0) + 1
+            self._nlf_cache[v] = counts
+        return counts
 
     def edge_label_frequency(self, label_a: int, label_b: int) -> int:
         """Number of edges whose endpoint labels are ``{label_a, label_b}``.
@@ -440,7 +438,7 @@ class Graph:
         self._degrees = np.diff(self._offsets)
         self._neighbor_sets = None
         self._label_index = self._build_label_index(self._labels, None)
-        self._nlf_cache = None
+        self._nlf_cache = {}
         self._elf_cache = None
         self._store = None
         self._hash = None

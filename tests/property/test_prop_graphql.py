@@ -111,6 +111,9 @@ def assert_parity(query, data, radius=1, rounds=1):
         want = scalar_graphql(query, data, radius, rounds)
     assert got.as_dict() == want.as_dict()
     assert got_metrics.filter_stages == want_metrics.filter_stages
+    # The CSR entries the array substrate read: work the definition,
+    # which gathers nothing, has no counterpart for.
+    got_metrics.counters.pop("filter.neighbors_gathered", None)
     assert got_metrics.counters == want_metrics.counters
 
 

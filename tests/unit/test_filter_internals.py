@@ -2,7 +2,7 @@
 
 from fixtures import PAPER_DATA, PAPER_QUERY
 
-from repro.filtering._common import has_candidate_neighbor, neighbor_expansion
+from repro.filtering._common import has_candidate_neighbor, neighbor_union
 from repro.graph import Graph
 from repro.ordering.cfl import _path_suffix_counts
 from repro.filtering import GraphQLFilter
@@ -29,19 +29,28 @@ class TestHasCandidateNeighbor:
 
 
 class TestNeighborExpansion:
+    """Generation Rule 3.1's pool ``N(C)``: ``neighbor_union`` asked one
+    label at a time with no degree bound is plain neighbor expansion."""
+
+    @staticmethod
+    def expand(parents):
+        return {
+            w
+            for label in PAPER_DATA.label_set
+            for w in neighbor_union(PAPER_DATA, parents, label, 0).tolist()
+        }
+
     def test_union_of_neighborhoods(self):
-        pool = neighbor_expansion(PAPER_DATA, [0])
-        assert pool == set(PAPER_DATA.neighbors(0).tolist())
+        assert self.expand([0]) == set(PAPER_DATA.neighbors(0).tolist())
 
     def test_multiple_seeds(self):
-        pool = neighbor_expansion(PAPER_DATA, [10, 12])
         expected = set(PAPER_DATA.neighbors(10).tolist()) | set(
             PAPER_DATA.neighbors(12).tolist()
         )
-        assert pool == expected
+        assert self.expand([10, 12]) == expected
 
     def test_empty(self):
-        assert neighbor_expansion(PAPER_DATA, []) == set()
+        assert self.expand([]) == set()
 
 
 class TestCFLPathWeights:

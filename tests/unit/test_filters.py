@@ -1,5 +1,8 @@
 """Unit tests for every filtering method, anchored to the paper's examples."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from fixtures import (
@@ -22,11 +25,14 @@ from repro.filtering import (
     ldf_check,
     nlf_check,
 )
+from repro.dynamic import IncrementalCandidates
+from repro.extensions.compression import match_compressed
 from repro.filtering.graphql import (
     has_semi_perfect_matching,
     is_subsequence,
     profile,
 )
+from repro.filtering.roots import ceci_root, cfl_root, dpiso_root
 from repro.graph import Graph
 
 ALL_FILTERS = [
@@ -185,3 +191,44 @@ class TestCompleteness:
         for u in PAPER_QUERY.vertices():
             for v in result[u]:
                 assert PAPER_DATA.label(v) == PAPER_QUERY.label(u)
+
+
+class TestNoDataGraphSizedPythonWork:
+    """Filters read the data graph through the array substrate only: no
+    per-vertex Python pass over ``V(G)``, nothing left cached on it."""
+
+    def test_graph_nlf_is_never_asked_about_a_data_vertex(self, monkeypatch):
+        want = [filt.run(PAPER_QUERY, PAPER_DATA).as_dict() for filt in ALL_FILTERS]
+        roots = [root(PAPER_QUERY, PAPER_DATA) for root in (cfl_root, ceci_root, dpiso_root)]
+        state = IncrementalCandidates(PAPER_QUERY, PAPER_DATA)
+        query_nlf = Graph.nlf
+
+        def nlf(graph, v):
+            assert graph is not PAPER_DATA, "Graph.nlf called on the data graph"
+            return query_nlf(graph, v)
+
+        monkeypatch.setattr(Graph, "nlf", nlf)
+        assert [filt.run(PAPER_QUERY, PAPER_DATA).as_dict() for filt in ALL_FILTERS] == want
+        assert [
+            root(PAPER_QUERY, PAPER_DATA) for root in (cfl_root, ceci_root, dpiso_root)
+        ] == roots
+        assert match_compressed(PAPER_QUERY, PAPER_DATA).num_matches == len(PAPER_MATCHES)
+        assert IncrementalCandidates(PAPER_QUERY, PAPER_DATA).equal_state(state)
+
+    def test_a_run_leaves_nothing_on_a_large_graph(self):
+        """100 000 isolated vertices of a label no query uses cost a
+        filter run its scratch bitmap, and nothing once it has returned."""
+        padding = 100_000
+        data = Graph(
+            labels=PAPER_DATA.labels.tolist() + [99] * padding,
+            edges=list(PAPER_DATA.edges()),
+        )
+        want = CFLFilter().run(PAPER_QUERY, PAPER_DATA).as_dict()
+        tracemalloc.start()
+        try:
+            assert CFLFilter().run(PAPER_QUERY, data).as_dict() == want
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000, retained
