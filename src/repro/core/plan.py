@@ -368,10 +368,12 @@ def iter_leaf_batches(
     query: Graph,
     data: Graph,
     failing_sets: bool = False,
-) -> Iterator[Any]:
-    """Lazily enumerate a prepared static-order query, one leaf batch (an
-    int64 array, one row per match, columns indexed by query vertex) at a
-    time — the frame machine's pause/resume protocol as a generator."""
+    match_limit: Optional[int] = None,
+) -> Iterator[List[Tuple[int, ...]]]:
+    """Lazily enumerate a prepared static-order query, one leaf batch (a
+    list of plain-int tuples, one per match, indexed by query vertex) at a
+    time — the frame machine's pause/resume protocol as a generator.
+    ``match_limit`` stops the search after that many matches."""
     machine = FrameMachine(prepared.lc, use_failing_sets=failing_sets)
     machine.start(
         query,
@@ -380,6 +382,7 @@ def iter_leaf_batches(
         prepared.auxiliary,
         prepared.order,
         tree_parent=prepared.tree.parent if prepared.tree is not None else None,
+        match_limit=match_limit,
         store_limit=0,
         emit_rows=True,
     )

@@ -352,8 +352,9 @@ class DynamicGraph:
         touched set plus a ``memcpy`` of the rest, and byte-identical
         (labels/offsets/neighbors arrays) to
         ``Graph(labels_list(), list(edges()))`` built from scratch.
-        Every array is freshly allocated except ``labels``, which is
-        shared with the previous snapshot while no vertex was appended;
+        Every array is freshly allocated except ``labels`` and the label
+        index, which are shared with the previous snapshot while no vertex
+        was appended;
         nothing an earlier snapshot holds is ever written again.
         """
         with self._lock:
@@ -395,6 +396,12 @@ class DynamicGraph:
             dst += len(run)
             src = int(prev_offsets[v + 1]) if v < prev_n else prev_m
         neighbors[dst:] = prev_neighbors[src:]
+        if labels is prev.labels:
+            # The label index is a function of the labels alone and is
+            # never written: share it instead of re-sorting |V| labels.
+            return Graph._adopt(
+                labels, offsets, neighbors, self._num_edges, prev._label_index
+            )
         return Graph.from_csr(labels, offsets, neighbors, self._num_edges)
 
     def versioned_snapshot(self) -> Tuple[int, Graph]:

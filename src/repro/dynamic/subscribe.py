@@ -68,7 +68,9 @@ class Subscription:
         defers to ``REPRO_KERNEL`` / the auto rule).
     match_limit:
         Safety cap on stored embeddings; exceeding it raises rather
-        than silently truncating the standing result set.
+        than silently truncating the standing result set. Each
+        enumeration stops one match past the cap, so a query with far
+        more embeddings raises without materialising them.
     """
 
     def __init__(
@@ -177,7 +179,10 @@ class Subscription:
         """Enumerate embeddings over the maintained candidate sets.
 
         ``restrict`` pins query vertices to single data vertices (the
-        added-edge anchors); ``None`` enumerates the full set.
+        added-edge anchors); ``None`` enumerates the full set. At most
+        ``match_limit + 1`` embeddings are enumerated: a truncated list
+        already exceeds the cap, so :meth:`_guard_limit` raises as it
+        would on the full list.
         """
         snapshot = self.data.snapshot()
         nq = self.query.num_vertices
@@ -202,7 +207,9 @@ class Subscription:
             order=self._order_from(next(iter(restrict)) if restrict else 0),
         )
         return [
-            tuple(row)
-            for rows in iter_leaf_batches(prepared, self.query, snapshot)
-            for row in rows.tolist()
+            row
+            for batch in iter_leaf_batches(
+                prepared, self.query, snapshot, match_limit=self._match_limit + 1
+            )
+            for row in batch
         ]

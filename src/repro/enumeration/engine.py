@@ -116,7 +116,7 @@ class BacktrackingEngine:
         self._tick = DEADLINE_STRIDE
         self._match_limit = match_limit
         self._num_matches = 0
-        self._store = EmbeddingStore(n, store_limit)
+        self._store = EmbeddingStore(store_limit)
         self._full_mask = (1 << n) - 1
 
         if self.adaptive is None:

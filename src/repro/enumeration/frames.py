@@ -12,8 +12,9 @@ positions: ``full`` (the local candidates ``LC(u, M)``), ``bad`` (the
 members of ``full`` already used by an ancestor) and ``valid = full &
 ~bad``. The next candidate is ``valid & -valid``, a leaf batch is
 ``valid.bit_count()`` matches, and nothing is decoded unless embeddings
-are stored or emitted. Where the masks come from depends on the ComputeLC
-method:
+are stored or emitted — then each is a tuple of plain ints built straight
+from the mapping (:meth:`FrameMachine._leaf_batch`). Where the masks come
+from depends on the ComputeLC method:
 
 * **Algorithm 5 on bitmap rows** (a static order under the ``rows``
   kernel, what ``auto`` resolves to): the universe of a depth is
@@ -77,6 +78,19 @@ from repro.utils.kernels import RowsKernel
 from repro.utils.timer import Deadline, Timer
 
 __all__ = ["FrameMachine", "FrameSnapshot"]
+
+#: Leaf batches that build more than this many embeddings decode the
+#: leaf column with one numpy call; narrower ones walk the mask bit by
+#: bit, one ``tuple(mapping)`` per match, as interior steps do (and a
+#: ``match_limit`` cut inside a batch is found the same way). Per batch
+#: of ``k`` (2-CPU x86 box, 3-12 query vertices): the walk costs ~0.21 µs
+#: per match on mask frames and ~0.36 µs on list frames (an ``int()`` per
+#: numpy scalar); the decode ~5-7 µs plus ~0.1 µs per match. Crossover
+#: ~48 on mask frames and ~20 on list frames, measured between 8 and 64;
+#: at 32 mask frames stay within 1.2x of the better choice and list
+#: frames within 1.6x. Typical batches hold ~3 matches (the e2e pools),
+#: hub-shaped ones hundreds.
+WIDE_LEAF_BATCH = 32
 
 
 class _VisitedView:
@@ -228,9 +242,9 @@ class FrameMachine:
         """Initialize the machine at the root of the search tree.
 
         With ``emit_rows=True`` each :meth:`advance` call returns the next
-        leaf batch as an int64 row array (one row per match, columns
-        indexed by query vertex); with ``emit_rows=False`` matches are
-        only counted/stored and :meth:`advance` runs to completion.
+        leaf batch as a list of plain-int tuples (one per match, indexed
+        by query vertex); with ``emit_rows=False`` matches are only
+        counted/stored and :meth:`advance` runs to completion.
 
         ``cancel`` (a zero-argument callable) is polled together with the
         deadline every :data:`~repro.enumeration.support.DEADLINE_STRIDE`
@@ -274,7 +288,7 @@ class FrameMachine:
         self._tick = DEADLINE_STRIDE
         self._match_limit = match_limit
         self._num_matches = 0
-        self._store = EmbeddingStore(n, store_limit)
+        self._store = EmbeddingStore(store_limit)
         self._emit_rows = emit_rows
         self._full_mask = (1 << n) - 1
         self._solved = True
@@ -334,10 +348,10 @@ class FrameMachine:
     def stats(self) -> EnumerationStats:
         return self._stats
 
-    def advance(self) -> Optional[np.ndarray]:
+    def advance(self) -> Optional[List[Tuple[int, ...]]]:
         """Run until the next leaf batch (``emit_rows=True``) or to
-        completion. Returns the batch rows, or ``None`` when the search
-        is exhausted (or the time budget expired — ``solved`` goes
+        completion. Returns the batch's embeddings, or ``None`` when the
+        search is exhausted (or the time budget expired — ``solved`` goes
         False)."""
         if self._done:
             return None
@@ -419,22 +433,37 @@ class FrameMachine:
         lo, hi = self._root_window
         return (1 << hi) - (1 << lo) if hi > lo else 0
 
-    def _leaf_rows(self, depth: int, taken: int, take: int) -> np.ndarray:
-        """The ``take`` matches a leaf batch ``taken`` completes, one row
-        each: the current mapping with the leaf vertex's column decoded
-        (in bulk when the mask is wide)."""
+    def _leaf_batch(
+        self, depth: int, taken: int, count: int
+    ) -> List[Tuple[int, ...]]:
+        """The first ``count`` matches the leaf batch ``taken`` completes,
+        as plain-int tuples: the current mapping with the leaf vertex's
+        column set to each taken candidate in turn."""
+        u = self._f_u[depth]
+        mapping = self._mapping
+        if count > WIDE_LEAF_BATCH:
+            # One decode of the whole mask; the tuples come out of one
+            # C-level zip over per-vertex columns.
+            universe = (
+                self._static.arrays[depth] if self._on_rows
+                else self._f_universe[depth]
+            )
+            columns = [[v] * count for v in mapping]
+            columns[u] = universe[RowsKernel.decode(taken)[:count]].tolist()
+            return list(zip(*columns))
         universe = self._f_universe[depth]
-        rows = np.array(self._mapping, dtype=np.int64)[None, :]
-        if take == 1:
-            rows[0, self._f_u[depth]] = universe[taken.bit_length() - 1]
-        else:
-            if self._on_rows:
-                universe = self._static.arrays[depth]
-            rows = np.repeat(rows, take, axis=0)
-            rows[:, self._f_u[depth]] = universe[RowsKernel.decode(taken)]
-        return rows
+        on_rows = self._on_rows
+        batch = []
+        for _ in range(count):
+            low = taken & -taken
+            taken ^= low
+            v = universe[low.bit_length() - 1]
+            mapping[u] = v if on_rows else int(v)
+            batch.append(tuple(mapping))
+        mapping[u] = -1
+        return batch
 
-    def _loop(self) -> Optional[np.ndarray]:
+    def _loop(self) -> Optional[List[Tuple[int, ...]]]:
         # One iteration = (1) resolve the frame if it was just descended
         # into, (2) continue it — leaf batch, interior step or exhaustion —
         # and (3) hand a returned failing set up the stack.
@@ -528,9 +557,18 @@ class FrameMachine:
                             if room < 1:
                                 room = 1
                             if take > room:
+                                # The batch is the lowest `room` bits: cleared
+                                # one at a time when few (no numpy call), cut
+                                # at the room-th bit of one decode when many.
                                 take = room
-                                cut = int(RowsKernel.decode(valid)[room - 1])
-                                taken = valid & ((2 << cut) - 1)
+                                if room > WIDE_LEAF_BATCH:
+                                    cut = int(RowsKernel.decode(valid)[room - 1])
+                                    taken = valid & ((2 << cut) - 1)
+                                else:
+                                    rest = valid
+                                    for _ in range(room):
+                                        rest &= rest - 1
+                                    taken = valid ^ rest
                         f_valid[d] = valid ^ taken
                         bad = f_bad[d]
                         if bad:
@@ -549,15 +587,17 @@ class FrameMachine:
                             self._check_budget()
                         if fs:
                             f_fs[d] |= full_mask
-                        rows: Optional[np.ndarray] = None
+                        batch = None
                         if wants_rows:
-                            rows = self._leaf_rows(d, taken, take)
-                            store.extend_rows(rows)
+                            batch = self._leaf_batch(
+                                d, taken, take if emit else min(take, store.room)
+                            )
+                            store.extend(batch)
                             wants_rows = emit or not store.full
                         if match_limit is not None and num_matches >= match_limit:
                             self._done = True
                         if emit:
-                            return rows
+                            return batch
                         if self._done:
                             return None
                         continue

@@ -10,7 +10,8 @@ as ``match()`` prepares it.
 
 The walk itself is the incremental face of the
 :class:`~repro.enumeration.frames.FrameMachine`: ``start(...,
-emit_rows=True)`` then one ``advance()`` per leaf batch. There is no
+emit_rows=True)`` then one ``advance()`` per leaf batch, each a list of
+plain-int tuples yielded here as dicts. There is no
 second hand-rolled stack walker here — pausing between batches *is* the
 frame machine's pause/resume contract.
 """
@@ -60,8 +61,8 @@ def iter_matches(
     plan = compile_plan(spec, query, data, kernel=kernel)
     prepared = prepare_query(plan, query, data, Metrics())
     n = query.num_vertices
-    for rows in iter_leaf_batches(
+    for batch in iter_leaf_batches(
         prepared, query, data, failing_sets=spec.failing_sets
     ):
-        for row in rows.tolist():
+        for row in batch:
             yield {w: row[w] for w in range(n)}

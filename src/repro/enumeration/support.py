@@ -8,9 +8,8 @@ here so they cannot drift apart:
 * :func:`prepare_static_order` — per-depth backward neighbors, designated
   parent ``u.p`` and failing-set backward masks for a static order φ
   (defined beside the ComputeLC methods that bind it, re-exported here);
-* :class:`EmbeddingStore` — the int64 row store for retained embeddings.
-  Matches stay numpy end-to-end on the hot path and are converted to
-  plain-int tuples exactly once, when the outcome is built;
+* :class:`EmbeddingStore` — the capped list of retained embeddings, each
+  a tuple of plain ints built where the match is found;
 * :class:`AdaptiveSelector` — DP-iso's extendable-vertex selection with
   ComputeLC memoization: a vertex's local candidates are fully determined
   by its backward neighbors' current mappings (for mapping-determined
@@ -22,8 +21,6 @@ here so they cannot drift apart:
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.enumeration.local_candidates import (
     LCContext,
@@ -47,69 +44,49 @@ DEADLINE_STRIDE = 2048
 
 
 class EmbeddingStore:
-    """Retained embeddings as int64 rows, converted to tuples once.
+    """Retained embeddings: at most ``limit`` tuples of plain ints.
 
-    The engines used to pay ``tuple(map(int, mapping))`` per stored match
-    on the hot path; here a match is one row assignment into a
-    preallocated (geometrically grown) array, and the plain-int tuples the
-    public API promises are produced in a single ``tolist()`` pass at
-    outcome construction.
+    The engines build each tuple where the match is found (the frame
+    machine from its leaf batch, the reference per recorded match), so
+    storing is a list append and the outcome is a copy of the list.
     """
 
-    __slots__ = ("limit", "_rows", "_count")
+    __slots__ = ("limit", "_rows")
 
-    def __init__(self, width: int, limit: int) -> None:
+    def __init__(self, limit: int) -> None:
         self.limit = max(0, int(limit))
-        self._count = 0
-        self._rows = np.empty(
-            (min(self.limit, 1024), max(1, width)), dtype=np.int64
-        )
+        self._rows: List[Tuple[int, ...]] = []
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._rows)
+
+    @property
+    def room(self) -> int:
+        """How many more embeddings fit."""
+        return self.limit - len(self._rows)
 
     @property
     def full(self) -> bool:
-        return self._count >= self.limit
-
-    def _grow_to(self, needed: int) -> None:
-        capacity = self._rows.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = min(self.limit, max(needed, capacity * 2, 16))
-        grown = np.empty((new_capacity, self._rows.shape[1]), dtype=np.int64)
-        grown[: self._count] = self._rows[: self._count]
-        self._rows = grown
+        return len(self._rows) >= self.limit
 
     def append(self, mapping: Sequence[int]) -> None:
         """Store one full mapping (no-op once the limit is reached)."""
-        if self._count >= self.limit:
-            return
-        self._grow_to(self._count + 1)
-        self._rows[self._count] = mapping
-        self._count += 1
+        if len(self._rows) < self.limit:
+            self._rows.append(tuple(map(int, mapping)))
 
-    def extend_rows(self, rows: np.ndarray) -> None:
-        """Store a batch of mapping rows, truncated to the remaining room."""
-        room = self.limit - self._count
-        if room <= 0:
-            return
-        take = min(room, rows.shape[0])
-        self._grow_to(self._count + take)
-        self._rows[self._count : self._count + take] = rows[:take]
-        self._count += take
+    def extend(self, embeddings: List[Tuple[int, ...]]) -> None:
+        """Store a batch of plain-int tuples, truncated to the room left."""
+        self._rows.extend(embeddings[: self.room])
 
     def truncate(self, count: int) -> None:
-        """Roll back to ``count`` rows (pause/resume support)."""
-        if not 0 <= count <= self._count:
-            raise ValueError(f"cannot truncate {self._count} rows to {count}")
-        self._count = count
+        """Roll back to ``count`` embeddings (pause/resume support)."""
+        if not 0 <= count <= len(self._rows):
+            raise ValueError(f"cannot truncate {len(self._rows)} rows to {count}")
+        del self._rows[count:]
 
     def as_tuples(self) -> List[Tuple[int, ...]]:
-        """The stored embeddings as tuples of plain Python ints."""
-        # Column lists zipped back into rows: one C-level pass builds the
-        # tuples, ~2.5x faster than tuple() per row of a row-major tolist().
-        return list(zip(*self._rows[: self._count].T.tolist()))
+        """The stored embeddings, in the order they were found."""
+        return list(self._rows)
 
 
 class AdaptiveSelector:

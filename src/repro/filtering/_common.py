@@ -77,9 +77,12 @@ def segment_starts(lengths: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _ragged_indices(starts: np.ndarray, lengths: np.ndarray, total: int) -> np.ndarray:
-    """Flat CSR indices selecting each ``starts[i] .. +lengths[i]`` slice."""
-    return np.repeat(starts - segment_starts(lengths), lengths) + np.arange(
+def _ragged_indices(
+    starts: np.ndarray, lengths: np.ndarray, seg_starts: np.ndarray, total: int
+) -> np.ndarray:
+    """Flat CSR indices selecting each ``starts[i] .. +lengths[i]`` slice
+    (``seg_starts`` is :func:`segment_starts` of ``lengths``)."""
+    return np.repeat(starts - seg_starts, lengths) + np.arange(
         total, dtype=np.int64
     )
 
@@ -103,8 +106,9 @@ def _gather_neighbors(
     if total == 0:
         return _EMPTY_I64, _EMPTY_I64, nonempty
     add_counter("filter.neighbors_gathered", total)
-    gathered = neighbors[_ragged_indices(starts, lengths, total)]
-    return gathered, segment_starts(lengths)[nonempty], nonempty
+    seg_starts = segment_starts(lengths)
+    gathered = neighbors[_ragged_indices(starts, lengths, seg_starts, total)]
+    return gathered, seg_starts[nonempty], nonempty
 
 
 def neighbor_union(

@@ -49,7 +49,7 @@ from typing import Dict, Iterable, Iterator, List, Literal, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.filtering._common import _ragged_indices
+from repro.filtering._common import _ragged_indices, segment_starts
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
 from repro.graph.ops import BFSTree
@@ -176,7 +176,11 @@ class AuxiliaryStructure:
             source = self._candidates.array(u_from)
             starts = offsets[source]
             lengths = offsets[source + 1] - starts
-            gathered = neighbors[_ragged_indices(starts, lengths, int(lengths.sum()))]
+            gathered = neighbors[
+                _ragged_indices(
+                    starts, lengths, segment_starts(lengths), int(lengths.sum())
+                )
+            ]
             segment = np.repeat(np.arange(source.size), lengths)
             for u_to in targets:
                 target = self._candidates.array(u_to)

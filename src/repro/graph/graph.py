@@ -187,6 +187,27 @@ class Graph:
         arrays; the graph keeps a reference so the backing buffer (a
         memmap or shared-memory segment) outlives any cached views.
         """
+        return cls._adopt(
+            labels,
+            offsets,
+            neighbors,
+            num_edges,
+            cls._build_label_index(labels, by_label),
+            store,
+        )
+
+    @classmethod
+    def _adopt(
+        cls,
+        labels: np.ndarray,
+        offsets: np.ndarray,
+        neighbors: np.ndarray,
+        num_edges: int,
+        label_index: Dict[int, np.ndarray],
+        store: Optional[object] = None,
+    ) -> "Graph":
+        """:meth:`from_csr` with the label index already built — a spliced
+        snapshot that shares its predecessor's ``labels`` shares its index."""
         graph = cls.__new__(cls)
         graph._labels = labels
         graph._offsets = offsets
@@ -194,7 +215,7 @@ class Graph:
         graph._degrees = np.diff(offsets)
         graph._num_edges = int(num_edges)
         graph._neighbor_sets = None
-        graph._label_index = cls._build_label_index(labels, by_label)
+        graph._label_index = label_index
         graph._nlf_cache = {}
         graph._elf_cache = None
         graph._store = store

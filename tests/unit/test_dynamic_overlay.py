@@ -198,6 +198,31 @@ def test_reads_through_the_overlay_match_a_rebuild():
     assert same_bytes(dyn.snapshot(), rebuilt)
 
 
+def test_spliced_snapshots_keep_a_correct_label_index():
+    dyn = DynamicGraph(square())
+    first = dyn.snapshot()
+
+    def assert_index_matches_a_rebuild(snap):
+        rebuilt = Graph(labels=dyn.labels_list(), edges=list(dyn.edges()))
+        assert same_bytes(snap, rebuilt)
+        assert snap.label_set == rebuilt.label_set
+        for label in rebuilt.label_set | {7}:
+            assert (
+                snap.vertices_with_label(label).tobytes()
+                == rebuilt.vertices_with_label(label).tobytes()
+            )
+
+    dyn.apply([Mutation(ADD_EDGE, 1, 3), Mutation(REMOVE_EDGE, 0, 2)])
+    edges_only = dyn.snapshot()
+    assert edges_only.labels is first.labels  # shared, so is its index
+    assert_index_matches_a_rebuild(edges_only)
+    dyn.apply([Mutation(ADD_VERTEX, 7), Mutation(ADD_VERTEX, 0), Mutation(ADD_EDGE, 4, 0)])
+    grown = dyn.snapshot()
+    assert grown.labels is not edges_only.labels  # appended: rebuilt
+    assert_index_matches_a_rebuild(grown)
+    assert edges_only.vertices_with_label(7).size == 0  # earlier view intact
+
+
 def test_snapshot_is_cached_per_epoch():
     dyn = DynamicGraph(square())
     first = dyn.snapshot()

@@ -5,6 +5,8 @@ through new edges, removals through deleted edges, idempotent stale
 deltas, and the stored-set safety cap.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.dynamic import (
@@ -120,3 +122,55 @@ def test_match_limit_guards_construction_and_growth():
     sub = Subscription(triangle(), dyn, match_limit=2)
     with pytest.raises(InvalidQueryError, match="match_limit"):
         sub.on_delta(dyn.add_edge(6, 0))
+
+
+def hub(leaves):
+    return Graph(labels=[0] * (leaves + 1), edges=[(0, v) for v in range(1, leaves + 1)])
+
+
+PATH3 = Graph(labels=[0, 0, 0], edges=[(0, 1), (1, 2)])
+
+
+def _peak_bytes(action):
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_match_limit_stops_the_enumeration_not_just_the_result():
+    # A path-3 on a 1 000-leaf hub has 999 000 embeddings; the cap must
+    # stop the search one past the limit rather than check afterwards.
+    def construct():
+        with pytest.raises(InvalidQueryError, match="match_limit"):
+            Subscription(PATH3, DynamicGraph(hub(1000)), match_limit=10)
+
+    assert _peak_bytes(construct) < 5 * 2**20
+    # The same inside on_delta: no standing match (no vertex carries
+    # label 2) until one new edge pins 1 000 of them at once.
+    pinned = Graph(labels=[1, 0, 2], edges=[(0, 1), (1, 2)])
+    dyn = DynamicGraph(Graph(labels=[0] + [1] * 1000, edges=hub(1000).edges()))
+    sub = Subscription(pinned, dyn, match_limit=10)
+    assert sub.num_matches == 0
+    delta = dyn.apply([Mutation(ADD_VERTEX, 2), Mutation(ADD_EDGE, 0, 1001)])
+
+    def grow():
+        with pytest.raises(InvalidQueryError, match="match_limit"):
+            sub.on_delta(delta)
+
+    assert _peak_bytes(grow) < 5 * 2**20
+
+
+def test_a_capped_subscription_below_its_limit_is_complete():
+    dyn = DynamicGraph(hub(30))
+    capped = Subscription(PATH3, dyn, match_limit=31 * 30)
+    uncapped = Subscription(PATH3, dyn)
+    assert capped.num_matches == 30 * 29
+    assert capped.matches() == uncapped.matches()
+    delta = dyn.apply([Mutation(ADD_VERTEX, 0), Mutation(ADD_EDGE, 0, 31)])
+    update = capped.on_delta(delta)
+    assert update == uncapped.on_delta(delta)
+    assert len(update.added) == 2 * 30
+    assert capped.matches() == uncapped.matches()  # exactly at the cap

@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 import pytest
 
 from fixtures import PAPER_DATA, PAPER_MATCHES, PAPER_QUERY
@@ -147,9 +146,11 @@ class TestIncremental:
             batch = machine.advance()
             if batch is None:
                 break
-            assert isinstance(batch, np.ndarray)
-            assert batch.ndim == 2 and batch.shape[1] == query.num_vertices
-            rows.extend(tuple(r) for r in batch.tolist())
+            assert isinstance(batch, list) and batch
+            for row in batch:
+                assert type(row) is tuple and len(row) == query.num_vertices
+                assert all(type(v) is int for v in row)
+            rows.extend(batch)
         assert rows == rec.embeddings
         assert machine.num_matches == rec.num_matches
 
@@ -180,7 +181,7 @@ class TestPauseResume:
             batch = machine.advance()
             if batch is None:
                 break
-            first.extend(map(tuple, batch.tolist()))
+            first.extend(batch)
         total = machine.num_matches
         # ...rewind and the continuation must replay byte-for-byte.
         machine.restore_state(snapshot)
@@ -190,7 +191,7 @@ class TestPauseResume:
             batch = machine.advance()
             if batch is None:
                 break
-            second.extend(map(tuple, batch.tolist()))
+            second.extend(batch)
         assert second == first
         assert machine.num_matches == total
 
@@ -203,12 +204,17 @@ class TestPauseResume:
         while machine.advance() is not None:
             pass
         assert machine.num_matches == 2
+        stored = machine._store.as_tuples()
+        assert sorted(stored) == sorted(PAPER_MATCHES)
         machine.restore_state(snapshot)
         assert machine.num_matches == 0
+        assert len(machine._store) == 0
         while machine.advance() is not None:
             pass
         assert machine.num_matches == 2
-        assert len(machine._store) == 2
+        assert machine._store.as_tuples() == stored
+        with pytest.raises(ValueError):
+            machine._store.truncate(3)
 
     def test_snapshot_preserves_stats(self, heavy):
         query, data, cand, aux, order = heavy

@@ -1,5 +1,6 @@
 """Candidate-space bitmap rows and the mask frames that run on them."""
 
+import itertools
 import sys
 import threading
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.api import match
 from repro.core.plan import compile_plan, prepare_query, run_plan
-from repro.enumeration import FrameMachine, IntersectionLC
+from repro.enumeration import BacktrackingEngine, FrameMachine, IntersectionLC
 from repro.filtering import AuxiliaryStructure, CandidateSets, GraphQLFilter
 from repro.graph import Graph, extract_query, rmat_graph
 from repro.obs import Metrics
@@ -152,7 +153,8 @@ def _drain(machine):
         batch = machine.advance()
         if batch is None:
             return rows
-        rows.extend(map(tuple, batch.tolist()))
+        assert type(batch) is list and batch
+        rows.extend(batch)
 
 
 class TestMaskFrames:
@@ -227,31 +229,48 @@ class TestMaskFrames:
         assert run((7, 7)).num_matches == 0
 
     @pytest.mark.parametrize("match_limit", [None, 149 + 60, 149, 1])
-    def test_wide_leaf_masks_count_store_emit_agree(self, hub, match_limit):
-        query, data, candidates, auxiliary, order = hub
+    def test_wide_leaf_masks_count_store_emit_agree(self, hub, heavy, match_limit):
+        # hub: leaf batches of ~149 (the bulk decode); heavy: mostly a few
+        # matches per batch (the bit walk). Store limits 7 and 100 cut a
+        # hub batch on either side of WIDE_LEAF_BATCH.
+        cases = [
+            (hub, match_limit, match_limit or 150 * 149),
+            (heavy, match_limit or 3000, None),
+        ]
+        for (query, data, candidates, auxiliary, order), limit, total in cases:
+            for kernel, fs in itertools.product(["rows", "numpy"], [False, True]):
 
-        def machine(**kwargs):
-            return FrameMachine(IntersectionLC(kernel="rows")).start(
-                query, data, candidates, auxiliary, order,
-                match_limit=match_limit, **kwargs,
-            )
+                def machine(**kwargs):
+                    return FrameMachine(
+                        IntersectionLC(kernel=kernel), use_failing_sets=fs
+                    ).start(
+                        query, data, candidates, auxiliary, order,
+                        match_limit=limit, **kwargs,
+                    )
 
-        counted = machine(store_limit=0)
-        assert counted.advance() is None
-        stored = machine(store_limit=10**6)
-        assert stored.advance() is None
-        emitted = machine(store_limit=0, emit_rows=True)
-        rows = _drain(emitted)
-        reference = FrameMachine(IntersectionLC(kernel="numpy")).run(
-            query, data, candidates, auxiliary, order,
-            match_limit=match_limit, store_limit=10**6,
-        )
-        assert reference.num_matches == (match_limit or 150 * 149)
-        assert rows == stored._store.as_tuples() == reference.embeddings
-        for m in (counted, stored, emitted):
-            assert m.num_matches == reference.num_matches
-            assert m.stats == reference.stats
-        assert counted._store.as_tuples() == []
+                reference = BacktrackingEngine(
+                    IntersectionLC(kernel="numpy"), use_failing_sets=fs
+                ).run(
+                    query, data, candidates, auxiliary, order,
+                    match_limit=limit, store_limit=10**6,
+                )
+                assert reference.num_matches == (total or limit)
+                counted = machine(store_limit=0)
+                assert counted.advance() is None
+                assert counted._store.as_tuples() == []
+                runs = [counted]
+                for store_limit in (7, 100, 10**6):
+                    stored = machine(store_limit=store_limit)
+                    assert stored.advance() is None
+                    assert stored._store.as_tuples() == (
+                        reference.embeddings[:store_limit]
+                    )
+                    runs.append(stored)
+                emitted = machine(store_limit=0, emit_rows=True)
+                assert _drain(emitted) == reference.embeddings
+                for m in runs + [emitted]:
+                    assert m.num_matches == reference.num_matches
+                    assert m.stats == reference.stats
 
 
 # ----------------------------------------------------------------------
