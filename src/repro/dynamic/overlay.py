@@ -247,17 +247,18 @@ class DynamicGraph:
         Ops inside a batch see the effects of earlier ops in the same
         batch (an ``add_vertex`` followed by an ``add_edge`` to the new
         id is the canonical insert pattern). An entirely no-op batch
-        leaves the epoch unchanged and returns an empty delta.
+        leaves the epoch unchanged and returns an empty delta. A batch
+        with an invalid op raises :class:`InvalidGraphError` before any
+        op is recorded, and leaves the graph as it was.
         """
         with self._lock:
+            self._check(batch)
             added: List[Tuple[int, int]] = []
             removed: List[Tuple[int, int]] = []
             new_vertices: List[Tuple[int, int]] = []
             touched: Set[int] = set()
             for mut in batch:
                 if mut.op == ADD_VERTEX:
-                    if mut.a < 0:
-                        raise InvalidGraphError("labels must be non-negative integers")
                     vid = self.num_vertices
                     self._extra_labels.append(int(mut.a))
                     new_vertices.append((vid, int(mut.a)))
@@ -265,13 +266,6 @@ class DynamicGraph:
                     self._dirty.add(vid)
                     continue
                 u, v = int(mut.a), int(mut.b)
-                if u == v:
-                    raise InvalidGraphError(f"self loop on vertex {u} is not allowed")
-                n = self.num_vertices
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InvalidGraphError(
-                        f"edge ({u}, {v}) out of range for {n} vertices"
-                    )
                 base_n = self._base.num_vertices
                 in_base = (
                     u < base_n and v < base_n and self._base.has_edge(u, v)
@@ -297,8 +291,6 @@ class DynamicGraph:
                     self._num_edges -= 1
                     removed.append(_norm(u, v))
                 touched.update((u, v))
-                # Marked per op, not per batch: a batch that raises
-                # part-way has still recorded its earlier ops.
                 self._dirty.update((u, v))
 
             if not (added or removed or new_vertices):
@@ -314,6 +306,26 @@ class DynamicGraph:
             if self._compact_due():
                 self.compact()
             return delta
+
+    def _check(self, batch: Sequence[Mutation]) -> None:
+        """Reject ``batch`` if any op in it is invalid — a self loop, an
+        endpoint out of range, a negative label — before :meth:`apply`
+        records anything. Ranges count the vertices the batch's own
+        earlier ``add_vertex`` ops append."""
+        n = self.num_vertices
+        for mut in batch:
+            if mut.op == ADD_VERTEX:
+                if int(mut.a) < 0:
+                    raise InvalidGraphError("labels must be non-negative integers")
+                n += 1
+                continue
+            u, v = int(mut.a), int(mut.b)
+            if u == v:
+                raise InvalidGraphError(f"self loop on vertex {u} is not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidGraphError(
+                    f"edge ({u}, {v}) out of range for {n} vertices"
+                )
 
     # apply() records an op only when it is absent and discards one only
     # when it is present, so each call moves the live op count by one.
@@ -354,8 +366,10 @@ class DynamicGraph:
         ``Graph(labels_list(), list(edges()))`` built from scratch.
         Every array is freshly allocated except ``labels`` and the label
         index, which are shared with the previous snapshot while no vertex
-        was appended;
-        nothing an earlier snapshot holds is ever written again.
+        was appended; the neighbour-label columns the previous snapshot
+        holds are handed on, to be patched at the touched vertices when
+        first read (:meth:`Graph._inherit_label_counts`). Nothing an
+        earlier snapshot holds is ever written again.
         """
         with self._lock:
             if self._snapshot_epoch != self._epoch:
@@ -399,10 +413,13 @@ class DynamicGraph:
         if labels is prev.labels:
             # The label index is a function of the labels alone and is
             # never written: share it instead of re-sorting |V| labels.
-            return Graph._adopt(
+            graph = Graph._adopt(
                 labels, offsets, neighbors, self._num_edges, prev._label_index
             )
-        return Graph.from_csr(labels, offsets, neighbors, self._num_edges)
+        else:
+            graph = Graph.from_csr(labels, offsets, neighbors, self._num_edges)
+        graph._inherit_label_counts(prev, np.asarray(dirty, dtype=np.int64))
+        return graph
 
     def versioned_snapshot(self) -> Tuple[int, Graph]:
         """``(epoch, snapshot)`` read atomically under the graph lock.

@@ -5,11 +5,16 @@ vertex, in which order, against which anchor sets, how many rounds — over
 the same rules, and each rule exists here once, as a batch over the CSR
 arrays: **seed**, :func:`nlf_keep` over an LDF pool; **generate**,
 :func:`neighbor_union` (Generation Rule 3.1); **refine**,
-:func:`refine_keep` (Filtering Rule 3.1). All three reduce over one ragged
-gather of the candidates' neighbor slices (:func:`_gather_neighbors`,
-which counts the CSR entries it reads as ``filter.neighbors_gathered``),
-so a sweep costs a handful of numpy calls instead of a Python loop per
-candidate-neighbor pair, and nothing is cached on the graph.
+:func:`refine_keep` (Filtering Rule 3.1). Generate and refine reduce over
+one ragged gather of the candidates' neighbor slices
+(:func:`_gather_neighbors`, which counts the CSR entries it reads as
+``filter.neighbors_gathered``), so a sweep costs a handful of numpy calls
+instead of a Python loop per candidate-neighbor pair. Seed reads a
+per-label column of neighbour-label counts that the data graph keeps
+(:meth:`~repro.graph.graph.Graph.neighbor_label_counts`) — the one fact
+cached on the graph for the filters. Like the label index, a column is
+graph data: building or patching it is charged to no counter, so a run's
+counters do not depend on which runs came before it.
 :func:`anchor_masks` generalises :func:`refine_keep`'s membership bitmap
 from one anchor set to up to :data:`MASK_BITS` of them: one gather tells,
 for every neighbor of every candidate, *which* anchor sets it belongs to —
@@ -149,24 +154,20 @@ def nlf_keep(
     for every label ``l`` (``required`` is a query vertex's
     :meth:`~repro.graph.graph.Graph.nlf`, so every count is positive).
 
-    One gather of the neighbor labels plus one segmented sum per
-    required label — no per-vertex loop.
+    One lookup per required label into the data graph's resident
+    :meth:`~repro.graph.graph.Graph.neighbor_label_counts` column — no
+    gather of the pool's neighbors, no per-vertex loop. ``vertices`` may
+    mix labels. A label the data graph lacks keeps no vertex, and asks
+    for no column.
     """
     vs = as_vertex_array(vertices)
-    if not required:
-        return vs
-    gathered, seg_starts, nonempty = _gather_neighbors(data, vs)
-    vs = vs[nonempty]
-    if vs.size == 0:
-        return vs
-    neighbor_labels = data.labels[gathered]
-    keep = np.ones(vs.size, dtype=bool)
     for label, needed in required.items():
-        counts = np.add.reduceat(
-            neighbor_labels == label, seg_starts, dtype=np.int64
-        )
-        keep &= counts >= needed
-    return vs[keep]
+        if vs.size == 0:
+            break
+        if data.label_frequency(label) == 0:
+            return vs[:0]
+        vs = vs[data.neighbor_label_counts(label)[vs] >= needed]
+    return vs
 
 
 def anchor_masks(

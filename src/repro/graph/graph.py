@@ -49,6 +49,21 @@ def _normalize_edges(
     return normalized
 
 
+def _count_label(
+    neighbor_labels: np.ndarray, bounds: np.ndarray, label: int
+) -> np.ndarray:
+    """How many entries of each run ``neighbor_labels[bounds[s]:bounds[s + 1]]``
+    equal ``label`` (int32) — the one place neighbour labels are counted."""
+    hits = np.flatnonzero(neighbor_labels == label)
+    return np.diff(np.searchsorted(hits, bounds)).astype(np.int32)
+
+
+#: An inherited neighbour-label column: exact for some earlier snapshot,
+#: the vertex arrays rewritten since as a linked list ``(newest, (older,
+#: ... None))``, and their total length.
+_StaleColumn = Tuple[np.ndarray, Optional[tuple], int]
+
+
 class Graph:
     """An immutable, undirected, vertex-labeled graph in CSR form.
 
@@ -62,13 +77,24 @@ class Graph:
         are rejected.
 
     "Do not mutate" is what licenses the derived data a graph caches:
-    besides the lazy neighbor sets and NLF/ELF tables, ``hash(graph)`` and
-    the order-invariant fingerprint
+    besides the lazy neighbor sets and per-vertex NLF dicts, ``hash(graph)``
+    and the order-invariant fingerprint
     (:func:`~repro.graph.fingerprint.query_fingerprint`) are computed once
     and memoized, so a graph object that is asked about again — a cached
     query used as a dict key on every request — costs a slot read, not two
     ``tobytes()`` or a sha256. Neither memo rides a pickle: ``hash(bytes)``
     is salted per process, so an unpickled graph recomputes both.
+
+    The one fact a graph caches *for the filters* is
+    :meth:`neighbor_label_counts`: one int32 column of ``|N(v, l)|`` over
+    all of ``V(G)`` per label ``l ∈ Σ`` somebody asked about — at most
+    4 B × ``|V|`` × ``|Σ|``; a label the graph lacks is never kept —
+    built in one pass over the CSR on first touch. A spliced
+    snapshot (:class:`~repro.dynamic.overlay.DynamicGraph`) inherits its
+    predecessor's columns and, the first time it is asked for one,
+    recounts only the vertices rewritten since, so a graph one mutation
+    old answers as cheaply as a resident one and a write copies nothing.
+    The columns do not ride a pickle either.
 
     Examples
     --------
@@ -89,7 +115,8 @@ class Graph:
         "_neighbor_sets",
         "_label_index",
         "_nlf_cache",
-        "_elf_cache",
+        "_label_counts",
+        "_stale_counts",
         "_num_edges",
         "_store",
         "_hash",
@@ -138,7 +165,8 @@ class Graph:
         self._neighbor_sets: Optional[Tuple[frozenset, ...]] = None
         self._label_index = self._build_label_index(labels_arr, None)
         self._nlf_cache: Dict[int, Dict[int, int]] = {}
-        self._elf_cache: Dict[Tuple[int, int], int] | None = None
+        self._label_counts: Dict[int, np.ndarray] = {}
+        self._stale_counts: Dict[int, _StaleColumn] = {}
         self._store = None
         self._hash: Optional[int] = None
         self._fingerprint: Optional[str] = None
@@ -217,7 +245,8 @@ class Graph:
         graph._neighbor_sets = None
         graph._label_index = label_index
         graph._nlf_cache = {}
-        graph._elf_cache = None
+        graph._label_counts = {}
+        graph._stale_counts = {}
         graph._store = store
         graph._hash = None
         graph._fingerprint = None
@@ -349,8 +378,9 @@ class Graph:
 
         The signature used by the NLF filter (Section 3.1.1), cached per
         asked-for vertex: a query graph's amortise over its fingerprint and
-        every filter run; nothing walks a data graph's ``V(G)`` for them
-        (filters read it through the batched ``nlf_keep``).
+        every filter run. Nothing asks a data graph for it: filters read
+        the same counts column-wise, from :meth:`neighbor_label_counts`,
+        through the batched ``nlf_keep``.
         """
         counts = self._nlf_cache.get(v)
         if counts is None:
@@ -360,25 +390,101 @@ class Graph:
             self._nlf_cache[v] = counts
         return counts
 
+    def neighbor_label_counts(self, label: int) -> np.ndarray:
+        """``|N(v, label)|`` for every ``v ∈ V(G)``: an int32 column (do not
+        mutate).
+
+        The NLF rule read column-wise — ``nlf_keep`` keeps ``v`` with
+        ``column[v] ≥ |N(u, label)|``. Built on first touch by one
+        vectorised pass over the CSR and memoised, 4 B × ``|V|`` per label
+        of ``Σ`` asked about; it spans all of ``V(G)`` because a caller's
+        pool may mix labels. A label no vertex carries gets a fresh zero
+        column that is not kept, so what a graph holds is bounded by its
+        own ``|Σ|`` whatever labels callers ask about. A spliced snapshot
+        patches an inherited column instead (:meth:`_inherit_label_counts`).
+        """
+        column = self._label_counts.get(label)
+        if column is not None:
+            return column
+        if label not in self._label_index:
+            return np.zeros(self.num_vertices, dtype=np.int32)
+        stale = self._stale_counts.get(label)
+        if stale is None:
+            column = _count_label(
+                self._labels[self._neighbors], self._offsets, label
+            )
+        else:
+            inherited, pending, _ = stale
+            parts = []
+            while pending is not None:
+                part, pending = pending
+                parts.append(part)
+            rewritten = np.unique(np.concatenate(parts))
+            starts = self._offsets[rewritten]
+            lengths = self._offsets[rewritten + 1] - starts
+            bounds = np.zeros(rewritten.size + 1, dtype=np.int64)
+            np.cumsum(lengths, out=bounds[1:])
+            runs = np.repeat(starts - bounds[:-1], lengths) + np.arange(
+                bounds[-1], dtype=np.int64
+            )
+            column = np.zeros(self.num_vertices, dtype=np.int32)
+            column[:inherited.size] = inherited
+            column[rewritten] = _count_label(
+                self._labels[self._neighbors[runs]], bounds, label
+            )
+        # Publish before releasing the inherited column, so a concurrent
+        # reader or splice always finds one of the two.
+        self._label_counts[label] = column
+        self._stale_counts.pop(label, None)
+        return column
+
+    def _inherit_label_counts(self, prev: "Graph", rewritten: np.ndarray) -> None:
+        """Hand this snapshot ``prev``'s neighbour-label columns, to be
+        patched at the vertices rewritten since each was exact the first
+        time it is asked for (:meth:`neighbor_label_counts`).
+
+        ``rewritten`` holds the vertices whose neighbour run differs from
+        ``prev``'s, appended ones included; labels never change, so no
+        other vertex's counts can. Nothing is copied or counted here — a
+        write costs a tuple per column — and nothing ``prev`` holds is
+        written. A column whose pending rewrites add up to ``|V|``
+        vertices is dropped instead and rebuilt when next asked for, which
+        bounds both what the pending lists hold and what a patch recounts.
+        """
+        n = self.num_vertices
+        size = int(rewritten.size)
+        # A reader of prev may be patching a column right now — adding it
+        # to _label_counts, then popping it from _stale_counts: iterate over
+        # copies taken in one C-level call each, stale first.
+        inherited = {
+            label: (column, (rewritten, pending), pending_size + size)
+            for label, (column, pending, pending_size) in list(
+                prev._stale_counts.items()
+            )
+            if pending_size + size < n
+        }
+        for label, column in list(prev._label_counts.items()):
+            inherited[label] = (column, (rewritten, None), size)
+        self._stale_counts = inherited
+
     def edge_label_frequency(self, label_a: int, label_b: int) -> int:
         """Number of edges whose endpoint labels are ``{label_a, label_b}``.
 
         This is QuickSI's edge weight
         ``w(e(u, u')) = |{e(v, v') ∈ E(G) | L(v) = L(u) ∧ L(v') = L(u')}|``
-        (Section 3.2); the full table is computed once per graph and cached.
+        (Section 3.2): the ``label_b`` neighbours of every ``label_a``
+        vertex, summed off :meth:`neighbor_label_counts` — halved when the
+        labels are equal, since each such edge is then counted from both
+        ends. A label no vertex carries has no edges and builds no column.
         """
-        if self._elf_cache is None:
-            table: Dict[Tuple[int, int], int] = {}
-            labels = self._labels
-            for u, v in self.edges():
-                la, lb = int(labels[u]), int(labels[v])
-                key = (la, lb) if la <= lb else (lb, la)
-                table[key] = table.get(key, 0) + 1
-            self._elf_cache = table
-        key = (
-            (label_a, label_b) if label_a <= label_b else (label_b, label_a)
+        if label_a not in self._label_index or label_b not in self._label_index:
+            return 0
+        total = int(
+            self.neighbor_label_counts(label_b)[
+                self.vertices_with_label(label_a)
+            ].sum()
         )
-        return self._elf_cache.get(key, 0)
+        return total // 2 if label_a == label_b else total
 
     # ------------------------------------------------------------------
     # Aggregate properties
@@ -460,7 +566,8 @@ class Graph:
         self._neighbor_sets = None
         self._label_index = self._build_label_index(self._labels, None)
         self._nlf_cache = {}
-        self._elf_cache = None
+        self._label_counts = {}
+        self._stale_counts = {}
         self._store = None
         self._hash = None
         self._fingerprint = None

@@ -34,13 +34,17 @@ class QuickSIOrdering(Ordering):
         def vertex_weight(u: int) -> int:
             return data.label_frequency(query.label(u))
 
-        def edge_weight(u: int, u2: int) -> int:
-            return data.edge_label_frequency(query.label(u), query.label(u2))
+        # Each query edge's weight once: the grow loop below revisits
+        # every crossing edge on every step.
+        edge_weight = {}
+        for u, u2 in query.edges():
+            w = data.edge_label_frequency(query.label(u), query.label(u2))
+            edge_weight[u, u2] = edge_weight[u2, u] = w
 
         # Seed: the globally lightest edge; endpoints by ascending w(u).
         first_edge = min(
             query.edges(),
-            key=lambda e: (edge_weight(*e), e),
+            key=lambda e: (edge_weight[e], e),
         )
         a, b = first_edge
         if (vertex_weight(a), a) <= (vertex_weight(b), b):
@@ -57,7 +61,7 @@ class QuickSIOrdering(Ordering):
                 for u2 in query.neighbors(u).tolist():
                     if u2 in placed:
                         continue
-                    key = (edge_weight(u, u2), vertex_weight(u2), u2)
+                    key = (edge_weight[u, u2], vertex_weight(u2), u2)
                     if best_key is None or key < best_key:
                         best, best_key = u2, key
             assert best is not None, "query must be connected"

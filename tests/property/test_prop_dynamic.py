@@ -307,6 +307,45 @@ class TestSnapshotSplice:
                 DynamicGraph(store.graph(), compact_threshold=None), steps
             )
 
+    @_SETTINGS
+    @given(seed=SEEDS, steps=st.lists(SPLICE_STEP, min_size=2, max_size=10))
+    def test_spliced_snapshots_carry_exact_neighbor_label_columns(
+        self, seed, steps
+    ):
+        """Columns built once on the base ride every splice, patched at
+        the touched vertices when first read, and equal a from-scratch
+        graph's — after several epochs in which nobody read them, too.
+        Half of each captured snapshot's columns are read when it is
+        taken, the rest only at the end: neither later splices nor late
+        patches may disturb what an earlier snapshot holds."""
+        case = plant_case(seed, max_data=20)
+        dyn = DynamicGraph(case.data, compact_threshold=None)
+        labels = sorted(case.data.label_set | {0, 1, 2, 3, 99})  # 99 never occurs
+        for label in labels:
+            dyn.snapshot().neighbor_label_counts(label)
+
+        def oracle():
+            return Graph(labels=dyn.labels_list(), edges=list(dyn.edges()))
+
+        captured = []
+        for step in steps:
+            if step == "compact":
+                dyn.compact()
+            elif step == "snapshot":
+                snap = dyn.snapshot()
+                for label in labels[::2]:
+                    snap.neighbor_label_counts(label)
+                captured.append((snap, oracle()))
+            else:
+                dyn.apply(_expand(dyn, step))
+        captured.append((dyn.snapshot(), oracle()))
+        for snap, want in captured:
+            for label in labels:
+                assert (
+                    snap.neighbor_label_counts(label).tobytes()
+                    == want.neighbor_label_counts(label).tobytes()
+                )
+
     def test_splice_never_reaches_the_graph_constructor(self, monkeypatch):
         """An accidental fallback to the rebuild must not pass silently."""
         base = Graph(labels=[0, 1, 0, 1], edges=[(0, 1), (1, 2), (2, 3)])

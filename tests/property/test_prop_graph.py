@@ -1,5 +1,8 @@
 """Property tests for the Graph substrate."""
 
+from collections import Counter
+
+import numpy as np
 from hypothesis import given, settings
 
 from strategies import connected_graphs, graphs
@@ -37,13 +40,29 @@ def test_nlf_sums_to_degree(g):
         assert sum(g.nlf(v).values()) == g.degree(v)
 
 
+@given(graphs(edge_probability=0.25))
+def test_neighbor_label_counts_are_the_nlf_column_wise(g):
+    """Every column equals ``nlf(v).get(l, 0)`` vertex by vertex, isolated
+    vertices and a label absent from the graph included; only the labels
+    of ``Σ`` are kept."""
+    absent = max(g.label_set) + 1
+    for label in sorted(g.label_set) + [absent]:
+        column = g.neighbor_label_counts(label)
+        assert column.dtype == np.int32
+        assert column.tolist() == [g.nlf(v).get(label, 0) for v in g.vertices()]
+    assert set(g._label_counts) == g.label_set
+    assert g.neighbor_label_counts(absent) is not g.neighbor_label_counts(absent)
+
+
 @given(graphs(min_vertices=2))
 def test_edge_label_frequency_totals(g):
-    pairs = set()
+    pairs = Counter()
     for u, v in g.edges():
         la, lb = g.label(u), g.label(v)
-        pairs.add((min(la, lb), max(la, lb)))
+        pairs[min(la, lb), max(la, lb)] += 1
     assert sum(g.edge_label_frequency(a, b) for a, b in pairs) == g.num_edges
+    for (a, b), count in pairs.items():
+        assert g.edge_label_frequency(a, b) == g.edge_label_frequency(b, a) == count
 
 
 @given(graphs())

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import repro.graph.graph as graph_module
 from repro.dynamic import (
     ADD_EDGE,
     ADD_VERTEX,
@@ -111,6 +112,35 @@ def test_invalid_mutations_raise(batch):
     dyn = DynamicGraph(square())
     with pytest.raises(InvalidGraphError):
         dyn.apply(batch)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        [Mutation(ADD_EDGE, 0, 3), Mutation(ADD_EDGE, 1, 99)],
+        [Mutation(ADD_EDGE, 0, 3), Mutation(REMOVE_EDGE, 2, 2)],
+        [Mutation(REMOVE_EDGE, 0, 1), Mutation(ADD_VERTEX, -1)],
+        # The appended vertex 4 is in range; 5 is not.
+        [Mutation(ADD_VERTEX, 0), Mutation(ADD_EDGE, 4, 0), Mutation(ADD_EDGE, 5, 0)],
+    ],
+)
+def test_a_batch_that_fails_part_way_leaves_no_trace(batch):
+    base = Graph(labels=[0, 1, 0, 1], edges=[(0, 1), (1, 2)])
+    dyn = DynamicGraph(base, compact_threshold=None)
+    with pytest.raises(InvalidGraphError):
+        dyn.apply(batch)
+    assert dyn.epoch == 0
+    assert dyn.num_vertices == 4 and dyn.num_edges == 2
+    assert dyn.has_edge(0, 1) and not dyn.has_edge(0, 3)
+    assert dyn.overlay_size == 0 and dyn._dirty == set()
+    assert dyn.snapshot() is base
+    # The next batch's delta and its snapshot agree: nothing rode along.
+    delta = dyn.apply([Mutation(ADD_EDGE, 2, 3)])
+    assert delta.added_edges == ((2, 3),) and delta.touched == frozenset({2, 3})
+    assert same_bytes(
+        dyn.snapshot(),
+        Graph(labels=[0, 1, 0, 1], edges=[(0, 1), (1, 2), (2, 3)]),
+    )
 
 
 def test_add_vertex_returns_consecutive_dense_ids():
@@ -221,6 +251,45 @@ def test_spliced_snapshots_keep_a_correct_label_index():
     assert grown.labels is not edges_only.labels  # appended: rebuilt
     assert_index_matches_a_rebuild(grown)
     assert edges_only.vertices_with_label(7).size == 0  # earlier view intact
+
+
+def test_spliced_snapshots_patch_inherited_columns_when_read(monkeypatch):
+    """A write copies no neighbour-label column; the first read of one on
+    a snapshot two writes later recounts only the vertices both rewrote,
+    and then lets the inherited column go."""
+    recounted = []
+    count_label = graph_module._count_label
+
+    def recording(neighbor_labels, bounds, label):
+        recounted.append((bounds.size - 1, neighbor_labels.size))
+        return count_label(neighbor_labels, bounds, label)
+
+    n = 30
+    base = Graph(
+        labels=[v % 3 for v in range(n)],
+        edges=[(v, (v + 1) % n) for v in range(n)] + [(v, (v + 7) % n) for v in range(n)],
+    )
+    for label in (0, 1, 2):
+        base.neighbor_label_counts(label)
+    dyn = DynamicGraph(base, compact_threshold=None)
+    dyn.apply([Mutation(ADD_EDGE, 0, 2)])
+    dyn.snapshot()
+    dyn.apply([Mutation(REMOVE_EDGE, 4, 5), Mutation(ADD_VERTEX, 1), Mutation(ADD_EDGE, n, 4)])
+    snap = dyn.snapshot()
+    assert snap._label_counts == {}
+    rebuilt = Graph(labels=dyn.labels_list(), edges=list(dyn.edges()))
+    rewritten = (0, 2, 4, 5, n)
+    monkeypatch.setattr(graph_module, "_count_label", recording)
+    for label in (0, 1, 2):
+        column = snap.neighbor_label_counts(label)
+        assert recounted.pop() == (
+            len(rewritten), sum(rebuilt.degree(v) for v in rewritten)
+        )
+        assert label not in snap._stale_counts
+        assert column.tobytes() == rebuilt.neighbor_label_counts(label).tobytes()
+        recounted.clear()  # the oracle's full build
+        assert snap.neighbor_label_counts(label) is column
+        assert recounted == []
 
 
 def test_snapshot_is_cached_per_epoch():

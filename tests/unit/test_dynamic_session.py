@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.session import MatchSession, MutationOutcome
 from repro.dynamic import DynamicGraph, Mutation
-from repro.errors import ConfigurationError, UnknownGraphError
+from repro.errors import ConfigurationError, InvalidGraphError, UnknownGraphError
 from repro.graph.graph import Graph
 from repro.serve import MatchService
 from repro.serve.server import MatchServer
@@ -179,6 +179,26 @@ class TestServiceMutation:
     def test_static_graph_responses_have_no_epoch(self, service):
         response = service.match(triangle(), graph="static", tenant="a")
         assert response.epoch is None
+
+    def test_a_rejected_batch_reaches_no_subscriber(self, service):
+        sub = service.session_for("alice", "live").subscribe(triangle())
+        bad = [["add_edge", 6, 0], ["add_edge", 1, 99]]  # (6, 0) alone would match
+        with pytest.raises(InvalidGraphError):
+            service.mutate("live", bad)
+        response = MatchServer(service, port=0)._dispatch(
+            json.dumps({"op": "mutate", "graph": "live", "mutations": bad})
+        )
+        assert response["ok"] is False
+        assert response["code"] == "InvalidGraphError"
+
+        applied = service.mutate("live", [("add_edge", 6, 3)])
+        assert applied.epoch == 1
+        assert applied.delta.added_edges == ((3, 6),)
+        assert applied.updates["alice"][0].empty
+        assert sub.matches() == [(0, 1, 2), (3, 4, 5)]
+        response = service.match(triangle(), graph="live", tenant="alice")
+        assert response.epoch == 1
+        assert response.result.num_matches == 2
 
     def test_mutate_fans_out_to_subscribed_tenants_only(self, service):
         sub = service.session_for("alice", "live").subscribe(triangle())

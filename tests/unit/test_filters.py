@@ -195,7 +195,8 @@ class TestCompleteness:
 
 class TestNoDataGraphSizedPythonWork:
     """Filters read the data graph through the array substrate only: no
-    per-vertex Python pass over ``V(G)``, nothing left cached on it."""
+    per-vertex Python pass over ``V(G)``, and nothing left cached on it
+    but the neighbour-label columns the seed reads."""
 
     def test_graph_nlf_is_never_asked_about_a_data_vertex(self, monkeypatch):
         want = [filt.run(PAPER_QUERY, PAPER_DATA).as_dict() for filt in ALL_FILTERS]
@@ -217,18 +218,42 @@ class TestNoDataGraphSizedPythonWork:
 
     def test_a_run_leaves_nothing_on_a_large_graph(self):
         """100 000 isolated vertices of a label no query uses cost a
-        filter run its scratch bitmap, and nothing once it has returned."""
+        filter run its scratch bitmap and, once it has returned, one int32
+        column per label in the query's NLF: no per-vertex Python object,
+        and nothing more after a second run."""
         padding = 100_000
         data = Graph(
             labels=PAPER_DATA.labels.tolist() + [99] * padding,
             edges=list(PAPER_DATA.edges()),
         )
         want = CFLFilter().run(PAPER_QUERY, PAPER_DATA).as_dict()
+        nlf_labels = {
+            label for u in PAPER_QUERY.vertices() for label in PAPER_QUERY.nlf(u)
+        }
+        columns = len(nlf_labels) * 4 * data.num_vertices
         tracemalloc.start()
         try:
             assert CFLFilter().run(PAPER_QUERY, data).as_dict() == want
             gc.collect()
-            retained, _ = tracemalloc.get_traced_memory()
+            first, _ = tracemalloc.get_traced_memory()
+            assert CFLFilter().run(PAPER_QUERY, data).as_dict() == want
+            gc.collect()
+            second, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert retained < 1_000_000, retained
+        # Slack well under one 8-byte reference per padded vertex.
+        assert first < columns + 100_000, (first, columns)
+        assert second - first < 10_000, (first, second)
+        assert set(data._label_counts) == nlf_labels
+
+    def test_a_neighbour_label_the_data_graph_lacks_builds_no_column(self):
+        """Query labels come from clients: one the data graph lacks prunes
+        its neighbours' pools to nothing and leaves no column behind."""
+        data = Graph(labels=PAPER_DATA.labels.tolist(), edges=list(PAPER_DATA.edges()))
+        query = Graph(labels=[PAPER_DATA.label(0), 77], edges=[(0, 1)])
+        for filt in ALL_FILTERS[1:]:  # LDF reads no neighbour labels
+            assert filt.run(query, data).as_dict() == {0: [], 1: []}, filt.name
+        for root in (cfl_root, ceci_root, dpiso_root):
+            root(query, data)
+        IncrementalCandidates(query, data)
+        assert data._label_counts == {}

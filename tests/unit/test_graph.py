@@ -1,5 +1,7 @@
 """Unit tests for the CSR Graph class."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,30 @@ class TestNLF:
 
     def test_nlf_cached_identity(self, triangle):
         assert triangle.nlf(0) is triangle.nlf(0)
+
+
+class TestNeighborLabelCounts:
+    def test_columns_span_every_vertex(self):
+        g = Graph(labels=[0, 1, 1, 2, 0], edges=[(0, 1), (0, 2), (0, 3)])
+        assert g.neighbor_label_counts(1).tolist() == [2, 0, 0, 0, 0]
+        assert g.neighbor_label_counts(0).tolist() == [0, 1, 1, 1, 0]
+
+    def test_a_label_the_graph_lacks_is_answered_but_never_kept(self):
+        """Labels reach a data graph from client queries: an absent one
+        must not leave a 4 B × |V| column behind each time."""
+        g = Graph(labels=[0, 1, 1, 2, 0], edges=[(0, 1), (0, 2), (0, 3)])
+        assert g.neighbor_label_counts(42).tolist() == [0] * 5
+        assert g.edge_label_frequency(42, 1) == 0
+        assert g.edge_label_frequency(1, 42) == 0
+        assert g._label_counts == {}
+
+    def test_memoised_and_left_behind_by_a_pickle(self):
+        g = Graph(labels=[0, 1, 1], edges=[(0, 1), (0, 2)])
+        column = g.neighbor_label_counts(1)
+        assert g.neighbor_label_counts(1) is column
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone._label_counts == {}
+        assert clone.neighbor_label_counts(1).tolist() == column.tolist()
 
 
 class TestEdgeLabelFrequency:
