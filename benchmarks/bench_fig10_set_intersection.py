@@ -20,8 +20,10 @@ paper's dense-graph win and which its sparse-graph layout overhead.
 This repository's own two backends ride along, labelled as such — they
 are not the paper's series: ``numpy (this repo)`` is the hybrid
 vectorized, ``rows (this repo)`` the candidate-space bitmap rows
-``auto`` serves (the rows are built in preprocessing, outside the
-enumeration time tabulated here).
+``auto`` serves. A row is built the first time the search reads it, so
+the enumeration time tabulated here includes building the rows the
+search reached; the list series build their array tables in
+preprocessing, outside it.
 
 Paper findings to reproduce in shape: QFilter wins on the dense graphs
 (eu, hu) where each operation covers many set elements, and loses on

@@ -31,6 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.algorithms import resolve
@@ -108,14 +109,14 @@ class MatchPlan:
 class PreparedQuery:
     """Per-query preprocessing artifacts, reusable for the exact query.
 
-    Everything here is read-only during enumeration (candidate arrays,
-    auxiliary adjacency and the matching order are never mutated by the
-    engine), so one ``PreparedQuery`` can serve any number of runs, from
-    any number of threads. ``lc`` is the ComputeLC method *bound* to
-    these artifacts (:meth:`~repro.enumeration.local_candidates.LocalCandidateMethod.bind`):
+    Enumeration changes nothing here but the holes of row tables, each
+    filled once with the value the candidates determine, so one
+    ``PreparedQuery`` can serve any number of runs, from any number of
+    threads. ``lc`` is the ComputeLC method *bound* to these artifacts
+    (:meth:`~repro.enumeration.local_candidates.LocalCandidateMethod.bind`):
     it carries the static order's per-depth tables — for Algorithm 5 on
     bitmap rows, the row and translation tables the frame machine runs
-    on — and the auxiliary pairs it reads are already materialized. The
+    on. The
     resolved kernel instance rides along inside it: identity-keyed encode
     caches (bitset/QFilter layouts over the auxiliary arrays) stay warm
     across repeats — the "build the index once" amortization of CNI-style
@@ -301,9 +302,9 @@ def bind_enumeration(
 
     Scopes the auxiliary structure, resolves the intersection backend for
     the Algorithm 5 hot path, and binds the ComputeLC method to the order
-    — which materializes exactly the auxiliary pairs enumeration reads,
-    in the form it reads them (bitmap rows for mask frames, arrays
-    otherwise). The one place this wiring exists: :func:`prepare_query`
+    — which binds exactly the auxiliary pairs enumeration reads, in the
+    form it reads them (row tables for mask frames, arrays otherwise).
+    The one place this wiring exists: :func:`prepare_query`
     feeds it a filter's and an ordering's output, continuous queries
     (:mod:`repro.dynamic.subscribe`) their maintained candidates and a
     pinned order.
@@ -391,6 +392,12 @@ def iter_leaf_batches(
         if rows is None:
             return
         yield rows
+
+
+def _memory_bytes(prepared: PreparedQuery, data: Graph) -> int:
+    # Section 5.6's footprint; holding `data` keeps the weakly held graph alive.
+    parts = (prepared.candidates, prepared.auxiliary)
+    return sum(part.memory_bytes for part in parts if part is not None)
 
 
 def run_plan(
@@ -502,14 +509,6 @@ def run_plan(
         metrics.record_phase("enumerate", outcome.elapsed)
         metrics.record_enumeration(outcome.stats)
 
-    memory = 0
-    candidate_average = None
-    if prepared.candidates is not None:
-        memory += prepared.candidates.memory_bytes
-        candidate_average = prepared.candidates.average_size
-    if prepared.auxiliary is not None:
-        memory += prepared.auxiliary.memory_bytes
-
     result = MatchResult(
         algorithm=spec.name,
         num_matches=outcome.num_matches,
@@ -521,8 +520,8 @@ def run_plan(
         kernel=prepared.kernel_used,
         preprocessing_seconds=preprocessing_seconds,
         enumeration_seconds=outcome.elapsed,
-        candidate_average=candidate_average,
-        memory_bytes=memory,
+        candidate_average=getattr(prepared.candidates, "average_size", None),
+        memory_bytes=partial(_memory_bytes, prepared, data),
         stats=outcome.stats,
         metrics=metrics,
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.enumeration.stats import EnumerationStats
 from repro.obs.metrics import Metrics
@@ -11,15 +11,33 @@ from repro.obs.metrics import Metrics
 __all__ = ["MatchResult"]
 
 
+class _OnFirstRead:
+    """An ``int`` field that may be set to a zero-argument callable, which
+    runs on the first read and is replaced by its value."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.key = "_" + name
+
+    def __get__(self, obj: object, owner: Optional[type] = None) -> int:
+        if obj is None:
+            return 0  # the dataclass default
+        if callable(obj.__dict__[self.key]):
+            obj.__dict__[self.key] = obj.__dict__[self.key]()
+        return obj.__dict__[self.key]
+
+    def __set__(self, obj: object, value: Union[int, Callable[[], int]]) -> None:
+        obj.__dict__[self.key] = value
+
+
 @dataclass
 class MatchResult:
     """Outcome of one subgraph-matching run.
 
     Attributes mirror the paper's per-query metrics (Section 4, Metrics):
-    preprocessing time covers filtering, auxiliary-structure construction
-    and ordering; enumeration time covers the backtracking search;
-    ``solved`` is False when the time limit killed the query (the paper
-    then accounts the enumeration time as the full limit).
+    preprocessing time covers filtering, auxiliary-structure binding and
+    ordering; enumeration time covers the backtracking search, bitmap rows
+    built on first read included; ``solved`` is False when the time limit
+    killed the query (the paper then accounts it as the full limit).
     """
 
     algorithm: str
@@ -41,8 +59,9 @@ class MatchResult:
     #: Average candidate-set size (Figure 8's metric); None for
     #: direct-enumeration algorithms that build no candidate sets.
     candidate_average: Optional[float] = None
-    #: Estimated bytes held by candidates + auxiliary structure.
-    memory_bytes: int = 0
+    #: Estimated bytes held by candidates + auxiliary structure (§5.6);
+    #: counted on first read, so a served request never pays the scan.
+    memory_bytes: int = _OnFirstRead()  # type: ignore[assignment]
 
     stats: EnumerationStats = field(default_factory=EnumerationStats)
 

@@ -31,14 +31,13 @@ from repro.errors import BudgetExceeded
 from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
-from repro.enumeration.local_candidates import LCContext, LocalCandidateMethod
-from repro.enumeration.stats import EnumerationOutcome, EnumerationStats
-from repro.enumeration.support import (
-    DEADLINE_STRIDE,
-    AdaptiveSelector,
-    EmbeddingStore,
+from repro.enumeration.local_candidates import (
+    LCContext,
+    LocalCandidateMethod,
     prepare_static_order,
 )
+from repro.enumeration.stats import EnumerationOutcome, EnumerationStats
+from repro.enumeration.support import DEADLINE_STRIDE, AdaptiveSelector, EmbeddingStore
 from repro.ordering.dpiso import DPisoAdaptiveState
 from repro.utils.timer import Deadline, Timer
 

@@ -23,8 +23,9 @@ from depends on the ComputeLC method:
   beside ``mapping[w]``), and ``bad`` ORs, for each earlier query vertex
   whose candidates overlap ``C(u)``, the bit of ``M[w]`` in ``C(u)``
   (one translation table per such pair). All tables are bound once per
-  prepared query (:class:`~repro.enumeration.local_candidates.StaticOrderInfo`);
-  a search node costs a few integer ANDs and no numpy call.
+  prepared query (:class:`~repro.enumeration.local_candidates.StaticOrderInfo`),
+  row tables as holes the AND fills on first read. A search node costs a
+  few integer ANDs and no numpy call.
 * **List-returning methods** (Algorithms 2–4, ``2PP-LC``, Algorithm 5
   under an explicit array kernel, the adaptive selector) are adapted at
   the frame boundary: the universe is the returned list, ``full`` is all
@@ -114,9 +115,6 @@ class _VisitedView:
         if self._visited[v]:
             return int(self._owner[v])
         return default
-
-    def __len__(self) -> int:
-        return int(self._visited.sum())
 
 
 @dataclass
@@ -479,6 +477,7 @@ class FrameMachine:
         if on_rows:
             static = self._static
             ones, row_tables, clash = static.ones, static.rows, static.clash
+            build_row, data = self._ctx.auxiliary.build_row, self._ctx.data
         window = self._window_mask() if self._root_window is not None else -1
         mapping = self._mapping
         pos = self._pos
@@ -513,10 +512,13 @@ class FrameMachine:
                         self._check_budget()
                     if on_rows:
                         # LC(u, M) is the AND of the backward neighbours'
-                        # rows at their mapped positions.
+                        # rows at their mapped positions, built on first read.
                         full = ones[d]
                         for w, rows in row_tables[d]:
-                            full &= rows[pos[w]]
+                            row = rows[pos[w]]
+                            if row is None:
+                                row = rows[pos[w]] = build_row(data, w, f_u[d], pos[w])
+                            full &= row
                         if d == 0:
                             full &= window
                         if fs and not full:

@@ -22,12 +22,11 @@ called per search-tree node with the current partial embedding.
 
 A static matching order fixes, per depth, which backward neighbors a
 method will consult; :meth:`LocalCandidateMethod.bind` resolves that once
-(:class:`StaticOrderInfo`) and materializes the auxiliary pairs the method
-will read, so a prepared query pays neither per run. Algorithm 5 under
-the ``rows`` kernel additionally binds the per-depth bitmap-row and
-position-translation tables the frame machine runs on: there the local
-candidates of a node are the AND of a few integers and ``compute`` is
-never called.
+(:class:`StaticOrderInfo`) and binds the auxiliary pairs the method will
+read. Algorithm 5 under the ``rows`` kernel additionally binds the
+per-depth row tables (filled on first read) and position-translation
+tables the frame machine runs on: there the local candidates of a node
+are the AND of a few integers and ``compute`` is never called.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ class StaticOrderInfo:
     * ``universe[d]`` / ``arrays[d]`` — ``C(order[d])`` as a list and as
       an int64 array; a frame's masks are over these positions;
     * ``ones[d]`` — the all-candidates mask ``(1 << |C(u)|) - 1``;
-    * ``rows[d]`` — ``(w, rows of (w → u))`` per backward neighbor ``w``;
+    * ``rows[d]`` — ``(w, row table of (w → u))`` per backward neighbor ``w``;
     * ``clash[d]`` — ``(w, translation of C(w) into C(u))`` for every
       earlier vertex whose candidates overlap ``C(u)``.
 
@@ -126,6 +125,13 @@ class StaticOrderInfo:
         self.ones: Optional[List[int]] = None
         self.rows: Optional[List[Tuple[Tuple[int, List[int]], ...]]] = None
         self.clash: Optional[List[Tuple[Tuple[int, List[int]], ...]]] = None
+
+    def __getstate__(self) -> tuple:
+        # Holes fill from a weakly held graph, which does not travel.
+        for u, bound in zip(self.order, self.rows or ()):
+            for w, table in bound:
+                self.bound_to[1].fill(w, u, table)
+        return None, {name: getattr(self, name) for name in self.__slots__}
 
 
 def prepare_static_order(
@@ -207,10 +213,9 @@ class LocalCandidateMethod(ABC):
 
         Preprocessing calls this once per prepared query: the copy carries
         the :class:`StaticOrderInfo` every later run over the same
-        artifacts reuses, and the auxiliary pairs the method reads have
-        been materialized (in the form it reads them) — so neither is
-        paid inside enumeration. ``self`` is left untouched: spec-level
-        methods are shared between queries and threads.
+        artifacts reuses, and the auxiliary pairs the method reads are
+        bound in the form it reads them. ``self`` is left untouched:
+        spec-level methods are shared between queries and threads.
         """
         bound = copy.copy(self)
         bound.static = self.static_info(
@@ -473,12 +478,11 @@ class IntersectionLC(LocalCandidateMethod):
         if not isinstance(self.kernel, RowsKernel):
             auxiliary.build_arrays(pairs)
             return
-        auxiliary.build_rows(pairs)
         static.universe = [candidates[u] for u in order]
         static.arrays = [candidates.array(u) for u in order]
         static.ones = [(1 << candidates.size(u)) - 1 for u in order]
         static.rows = [
-            tuple((w, auxiliary.rows(w, u)) for w in backward)
+            tuple((w, auxiliary.table(w, u)) for w in backward)
             for u, backward in zip(order, static.backward)
         ]
         static.clash = [

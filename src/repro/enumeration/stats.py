@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 __all__ = ["EnumerationStats", "EnumerationOutcome"]
 
@@ -45,8 +45,3 @@ class EnumerationOutcome:
     stats: EnumerationStats = field(default_factory=EnumerationStats)
     #: Wall-clock seconds spent enumerating (set by the caller's timer).
     elapsed: float = 0.0
-
-    @property
-    def as_mapping_list(self) -> List[Dict[int, int]]:
-        """Stored embeddings as ``{query_vertex: data_vertex}`` dicts."""
-        return [dict(enumerate(t)) for t in self.embeddings]

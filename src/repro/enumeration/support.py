@@ -2,12 +2,9 @@
 
 The iterative :class:`~repro.enumeration.frames.FrameMachine` and the
 recursive reference the parity tests compare it with
-(:mod:`repro.enumeration.engine`) need the same three pieces, factored
+(:mod:`repro.enumeration.engine`) need the same two pieces, factored
 here so they cannot drift apart:
 
-* :func:`prepare_static_order` — per-depth backward neighbors, designated
-  parent ``u.p`` and failing-set backward masks for a static order φ
-  (defined beside the ComputeLC methods that bind it, re-exported here);
 * :class:`EmbeddingStore` — the capped list of retained embeddings, each
   a tuple of plain ints built where the match is found;
 * :class:`AdaptiveSelector` — DP-iso's extendable-vertex selection with
@@ -22,19 +19,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.enumeration.local_candidates import (
-    LCContext,
-    LocalCandidateMethod,
-    StaticOrderInfo,
-    prepare_static_order,
-)
+from repro.enumeration.local_candidates import LCContext, LocalCandidateMethod
 from repro.enumeration.stats import EnumerationStats
 from repro.ordering.dpiso import DPisoAdaptiveState
 
 __all__ = [
     "DEADLINE_STRIDE",
-    "StaticOrderInfo",
-    "prepare_static_order",
     "EmbeddingStore",
     "AdaptiveSelector",
 ]

@@ -3,7 +3,7 @@
 The study's first axis. Every filter implements
 :class:`~repro.filtering.base.Filter` and returns *complete*
 :class:`~repro.filtering.candidates.CandidateSets`; the
-:class:`~repro.filtering.auxiliary.AuxiliaryStructure` then materializes
+:class:`~repro.filtering.auxiliary.AuxiliaryStructure` then holds
 candidate-to-candidate adjacency for whichever query edges an algorithm's
 ComputeLC needs.
 """

@@ -13,37 +13,42 @@ Given a query edge ``e(u, u')`` and ``v ∈ C(u)``, the paper defines
 ``AuxiliaryStructure.build`` fixes that scope; the adjacency of a directed
 pair ``(u → u')`` is then materialized on demand, in one of two forms:
 
-* **rows** (:meth:`AuxiliaryStructure.rows`) — *position space*. The
+* **rows** (:meth:`AuxiliaryStructure.table`) — *position space*. The
   ``i``-th entry is one arbitrary-precision ``int`` whose bit ``j`` is set
   iff ``C(u')[j] ∈ N(C(u)[i])``. This is what the frame machine ANDs; a
   row costs ``|C(u')|/8`` bytes, a pair ``|C(u)|·|C(u')|/8``
   (:meth:`AuxiliaryStructure.row_bytes`, the number the ``auto`` kernel
-  rule compares with the bitset byte budget).
+  rule compares with the bitset byte budget). A table starts as
+  ``|C(u)|`` *holes* (``None``); a reader fills a hole the first time it
+  reaches it (:meth:`AuxiliaryStructure.build_row`), for every later run
+  of the prepared query — a capped search builds only the rows it reads.
 * **arrays** (:meth:`AuxiliaryStructure.neighbors`) — ``{v: sorted int64
   array}``, what the list-returning ComputeLC methods (Algorithm 4,
   Algorithm 5 under an explicit array kernel, the adaptive selector) and
-  the recursive oracle read.
+  the recursive oracle read, built whole in one vectorised scan.
 
 Preparation (:meth:`repro.enumeration.local_candidates.LocalCandidateMethod.bind`)
-materializes exactly the pairs enumeration will read — the backward
-direction under the matching order, ``|E(q)|`` of the ``2|E(q)|`` directed
-pairs — in the one form its engine path uses; a pair is never held in
-both. A pair nobody prepared is built in array form on its first
-:meth:`neighbors` call (decoded from its rows if those exist), so the
+binds exactly the pairs enumeration will read — the backward direction
+under the matching order, ``|E(q)|`` of the ``2|E(q)|`` directed pairs —
+in the one form its engine path uses; a pair is never held in both. A
+pair nobody prepared is built in array form on its first
+:meth:`neighbors` call (read through its row table if it has one), so the
 lookup API is total over the scope. Contents are fully determined by the
-final ``C`` sets, whichever form and whenever built; built tables are
-never mutated, so one structure serves concurrent readers.
+final ``C`` sets, whichever form and whenever built, so a fill is an
+idempotent single-slot store and one structure serves concurrent
+readers. The Section 5.6 accounting (:attr:`AuxiliaryStructure.num_entries`)
+is a scan of its own, run when first read.
 
 The data graph is referenced *weakly*: a prepared query sits in caches
 long after its request, and must not keep a replaced snapshot (or a
-worker's shared-memory mapping) alive. Everything enumeration reads was
-materialized while the graph was certainly there; only a first-time build
-after the graph is gone fails, with a ``ReferenceError``.
+worker's shared-memory mapping) alive. A build after the graph is gone
+fails with a ``ReferenceError``, so a pickle fills every hole first.
 """
 
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Literal, Optional, Tuple
 
 import numpy as np
@@ -87,7 +92,6 @@ class AuxiliaryStructure:
         "_rows",
         "_arrays",
         "_translations",
-        "_edge_entries",
         "_num_entries",
     )
 
@@ -107,12 +111,9 @@ class AuxiliaryStructure:
         for u, u2 in self._edges:
             self._pairs[(u, u2)] = None
             self._pairs[(u2, u)] = None
-        self._rows: Dict[Pair, List[int]] = {}
+        self._rows: Dict[Pair, List[Optional[int]]] = {}
         self._arrays: Dict[Pair, Dict[int, np.ndarray]] = {}
         self._translations: Dict[Pair, Optional[List[int]]] = {}
-        #: Candidate edges per in-scope query edge (keyed ``(min, max)``),
-        #: recorded by whichever build first scans the edge.
-        self._edge_entries: Dict[Pair, int] = {}
         self._num_entries: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -167,11 +168,8 @@ class AuxiliaryStructure:
             by_source.setdefault(pair[0], []).append(pair[1])
         if not by_source:
             return
-        data = self._data()
-        if data is None:
-            raise ReferenceError("the data graph of this structure is gone")
-        offsets, neighbors = data.csr
-        where = np.full(data.num_vertices, -1, dtype=np.int32)
+        offsets, neighbors = self._graph().csr
+        where = np.full(offsets.size - 1, -1, dtype=np.int32)
         for u_from, targets in by_source.items():
             source = self._candidates.array(u_from)
             starts = offsets[source]
@@ -188,21 +186,9 @@ class AuxiliaryStructure:
                 positions = where[gathered]
                 where[target] = -1
                 keep = positions >= 0
-                rows = segment[keep]
-                self._edge_entries[(min(u_from, u_to), max(u_from, u_to))] = int(rows.size)
                 # data.neighbors(v) and C(u_to) are sorted, so positions
                 # ascend within each row.
-                yield (u_from, u_to), rows, positions[keep]
-
-    def build_rows(self, pairs: Iterable[Pair]) -> None:
-        """Materialize ``pairs`` as bitmap rows (and only as rows)."""
-        size = self._candidates.size
-        missing = [pair for pair in pairs if pair not in self._rows]
-        for pair, rows, positions in self._scan(missing):
-            self._arrays.pop(pair, None)
-            self._rows[pair] = RowsKernel.pack(
-                rows, positions, size(pair[0]), size(pair[1])
-            )
+                yield (u_from, u_to), segment[keep], positions[keep]
 
     def build_arrays(self, pairs: Iterable[Pair]) -> None:
         """Materialize ``pairs`` as ``{v: array}`` tables (and only so)."""
@@ -234,25 +220,59 @@ class AuxiliaryStructure:
         return self._pairs.keys()
 
     def form(self, u_from: int, u_to: int) -> Optional[str]:
-        """How the pair is materialized right now: ``"rows"``,
-        ``"arrays"`` or ``None`` (not built). Never both."""
+        """How the pair is bound right now: ``"rows"`` (a row table, which
+        may still have holes), ``"arrays"`` (a complete ``{v: array}``
+        table) or ``None`` (not bound). Never both."""
         pair = (u_from, u_to)
         if pair in self._rows:
             return "rows"
         return "arrays" if pair in self._arrays else None
 
+    def table(self, u_from: int, u_to: int) -> List[Optional[int]]:
+        """The pair's row table (see :meth:`rows`) with ``None`` for each
+        row not built yet; binds the pair in rows form on first call.
+        Raises ``KeyError`` for a pair out of scope."""
+        pair = (u_from, u_to)
+        table = self._rows.get(pair)
+        if table is None:
+            if pair not in self._pairs:
+                raise KeyError(pair)
+            self._arrays.pop(pair, None)
+            table = self._rows.setdefault(pair, [None] * self._candidates.size(u_from))
+        return table
+
+    def _graph(self) -> Graph:
+        data = self._data()
+        if data is None:
+            raise ReferenceError("the data graph of this structure is gone")
+        return data
+
+    def build_row(self, data: Graph, u_from: int, u_to: int, i: int) -> int:
+        """Row ``i`` of the pair, computed from ``data`` (not stored): bit
+        ``j`` is set iff ``C(u_to)[j] ∈ N(C(u_from)[i])``. A search passes
+        the graph it runs on, which a cached prepared query may outlive."""
+        universe = self._candidates[u_to]
+        row = 0
+        for x in self._candidates.membership(u_to).intersection(
+            data.neighbors(self._candidates[u_from][i]).tolist()
+        ):
+            row |= 1 << bisect_left(universe, x)
+        return row
+
+    def fill(self, u_from: int, u_to: int, table: List[Optional[int]]) -> List[int]:
+        """Build every hole of ``table``, a row table of the pair."""
+        for i, row in enumerate(table):
+            if row is None:
+                table[i] = self.build_row(self._graph(), u_from, u_to, i)
+        return table  # type: ignore[return-value]
+
     def rows(self, u_from: int, u_to: int) -> List[int]:
-        """The pair's bitmap rows, indexed by position in ``C(u_from)``.
+        """The pair's bitmap rows, all built, indexed by position in ``C(u_from)``.
 
         Bit ``j`` of row ``i`` is set iff ``C(u_to)[j] ∈ N(C(u_from)[i])``.
         Do not mutate. Raises ``KeyError`` for a pair out of scope.
         """
-        pair = (u_from, u_to)
-        rows = self._rows.get(pair)
-        if rows is None:
-            self.build_rows([pair])
-            rows = self._rows[pair]
-        return rows
+        return self.fill(u_from, u_to, self.table(u_from, u_to))
 
     def neighbors(self, u_from: int, u_to: int, v: int) -> np.ndarray:
         """``A_{u_to}^{u_from}(v)``: candidates of ``u_to`` adjacent to ``v``.
@@ -266,11 +286,13 @@ class AuxiliaryStructure:
         if table is None:
             rows = self._rows.get(pair)
             if rows is not None:
-                source = self._candidates.array(u_from)
-                i = int(np.searchsorted(source, v))
-                if i == source.size or source[i] != v:
+                if v not in self._candidates.membership(u_from):
                     return _EMPTY
-                return self._candidates.array(u_to)[RowsKernel.decode(rows[i])]
+                i = bisect_left(self._candidates[u_from], v)
+                row = rows[i]
+                if row is None:
+                    row = rows[i] = self.build_row(self._graph(), u_from, u_to, i)
+                return self._candidates.array(u_to)[RowsKernel.decode(row)]
             self.build_arrays([pair])
             table = self._arrays[pair]
         return table.get(v, _EMPTY)
@@ -318,20 +340,14 @@ class AuxiliaryStructure:
         The paper's Section 5.6 accounting, independent of which pairs are
         materialized and in which form: both directions of a query edge
         hold the same candidate edges, so one scan of an edge counts it.
-        Summed once — every edge enumeration reads was counted when it was
-        built — and cached.
+        Computed by one scan on first read — no search ever pays it — and
+        cached.
         """
-        total = self._num_entries
-        if total is None:
-            uncounted = [
-                (u, u2)
-                for u, u2 in self._edges
-                if (min(u, u2), max(u, u2)) not in self._edge_entries
-            ]
-            for _ in self._scan(uncounted):
-                pass  # the scan records each edge's count
-            total = self._num_entries = 2 * sum(self._edge_entries.values())
-        return total
+        if self._num_entries is None:
+            self._num_entries = 2 * sum(
+                rows.size for _, rows, _ in self._scan(self._edges)
+            )
+        return self._num_entries
 
     @property
     def memory_bytes(self) -> int:
@@ -340,8 +356,11 @@ class AuxiliaryStructure:
 
     def __getstate__(self) -> dict:
         # A weak reference cannot cross a process boundary, and the copy of
-        # the graph that would travel has no owner on the other side: ship
-        # what is materialized, without the graph.
+        # the graph that would travel has no owner on the other side: read
+        # everything from it here, then ship without it.
+        for (u_from, u_to), table in list(self._rows.items()):
+            self.fill(u_from, u_to, table)
+        self.num_entries
         return {
             name: getattr(self, name) for name in self.__slots__ if name != "_data"
         }

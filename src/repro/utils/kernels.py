@@ -533,43 +533,16 @@ class RowsKernel(KernelBackend):
     a universe is ``&`` on two ints, emptiness is truthiness, cardinality
     is ``int.bit_count`` and the next member is ``mask & -mask`` — which
     is what lets :class:`~repro.enumeration.frames.FrameMachine` walk the
-    search tree on integers. The long-lived rows are built by
-    :class:`~repro.filtering.auxiliary.AuxiliaryStructure` through
-    :meth:`pack`; the list interface below (the smallest input is the
-    universe) exists so the backend is checked against the merge
-    reference like every other one.
+    search tree on integers. The long-lived rows are built on first read
+    by :class:`~repro.filtering.auxiliary.AuxiliaryStructure`; the list
+    interface below (the smallest input is the universe) exists so the
+    backend is checked against the merge reference like every other one.
 
     >>> RowsKernel().multi_intersect([[1, 3, 65], [3, 65, 70], [0, 3, 65]]).tolist()
     [3, 65]
     """
 
     name = "rows"
-
-    @staticmethod
-    def pack(rows: np.ndarray, bits: np.ndarray, num_rows: int, width: int) -> List[int]:
-        """``num_rows`` masks of ``width`` bits from ``(row, bit)`` pairs.
-
-        The pairs must be distinct and sorted by ``(row, bit)`` — what a
-        segmented scan of sorted adjacency lists produces. Bits are OR-ed
-        into 64-bit words with one ``reduceat`` (memory is
-        ``num_rows·width/8`` bytes, never a dense byte matrix), then each
-        row of words becomes one ``int``.
-        """
-        nwords = max(1, (width + 63) >> 6)
-        words = np.zeros(num_rows * nwords, dtype="<u8")
-        if rows.size:
-            key = rows * nwords + (bits >> 6)
-            val = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
-            starts = np.flatnonzero(np.diff(key, prepend=-1))
-            words[key[starts]] = np.bitwise_or.reduceat(val, starts)
-        if nwords == 1:
-            return words.tolist()
-        raw = words.tobytes()
-        step = 8 * nwords
-        return [
-            int.from_bytes(raw[i : i + step], "little")
-            for i in range(0, len(raw), step)
-        ]
 
     @staticmethod
     def pack_flags(flags: np.ndarray) -> int:

@@ -103,8 +103,12 @@ class TestMetrics:
         )
         aux = AuxiliaryStructure.build(PAPER_QUERY, PAPER_DATA, refined, scope="all")
         edges = list(PAPER_QUERY.edges())
-        if build is not None:
-            getattr(aux, build)(edges[:2])  # some pairs, one direction
+        if build == "build_rows":  # complete row tables, and one with holes
+            for pair in edges[:2]:
+                aux.rows(*pair)
+            aux.table(*edges[2])
+        elif build == "build_arrays":
+            aux.build_arrays(edges[:2])  # some pairs, one direction
         assert aux.num_entries == definition
         aux.neighbors(*edges[-1][::-1], refined[edges[-1][1]][0])  # a lazy build
         aux.rows(*edges[0][::-1])

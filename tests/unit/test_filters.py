@@ -33,7 +33,10 @@ from repro.filtering.graphql import (
     profile,
 )
 from repro.filtering.roots import ceci_root, cfl_root, dpiso_root
-from repro.graph import Graph
+from repro.core.plan import bind_enumeration
+from repro.enumeration import FrameMachine, IntersectionLC
+from repro.graph import Graph, extract_query, rmat_graph
+from repro.ordering import GraphQLOrdering
 
 ALL_FILTERS = [
     LDFFilter(),
@@ -245,6 +248,40 @@ class TestNoDataGraphSizedPythonWork:
         assert first < columns + 100_000, (first, columns)
         assert second - first < 10_000, (first, second)
         assert set(data._label_counts) == nlf_labels
+
+    def test_the_rows_path_allocates_nothing_graph_sized(self):
+        """Binding Algorithm 5 on bitmap rows and a capped run allocate by
+        candidates, not by ``|V(G)|``: padding the graph 100× with
+        vertices of an unused label leaves the traced peak within 1.2×."""
+        base = rmat_graph(2_000, 8.0, 3, seed=5, clustering=0.2)
+        padded = Graph(
+            labels=base.labels.tolist() + [99] * (100 * base.num_vertices),
+            edges=list(base.edges()),
+        )
+        query = extract_query(base, 6, seed=3)
+
+        def peak(data):
+            candidates = GraphQLFilter().run(query, data)
+            order = GraphQLOrdering().order(query, data, candidates)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                prepared = bind_enumeration(
+                    IntersectionLC(), "all", "rows", query, data, candidates, order=order
+                )
+                outcome = FrameMachine(prepared.lc).run(
+                    query, data, candidates, prepared.auxiliary, order, match_limit=50
+                )
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return top, (outcome.num_matches, outcome.embeddings, outcome.stats)
+
+        peak(base)  # warm-up: first-call caches are not the graph's size
+        small, want = peak(base)
+        large, got = peak(padded)
+        assert got == want and want[0] == 50
+        assert large <= 1.2 * small, (small, large)
 
     def test_a_neighbour_label_the_data_graph_lacks_builds_no_column(self):
         """Query labels come from clients: one the data graph lacks prunes

@@ -1,6 +1,8 @@
 """Candidate-space bitmap rows and the mask frames that run on them."""
 
+import gc
 import itertools
+import pickle
 import sys
 import threading
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.api import match
 from repro.core.plan import compile_plan, prepare_query, run_plan
+from repro.core.session import MatchSession
 from repro.enumeration import BacktrackingEngine, FrameMachine, IntersectionLC
 from repro.filtering import AuxiliaryStructure, CandidateSets, GraphQLFilter
 from repro.graph import Graph, extract_query, rmat_graph
@@ -54,12 +57,14 @@ class TestRows:
     def test_absent_candidate_and_unread_pair(self, data):
         candidates = CandidateSets(PATH3, [range(0, 50), range(40, 140), range(200)])
         aux = AuxiliaryStructure.build(PATH3, data, candidates, scope="all")
-        aux.build_rows([(0, 1)])
-        assert aux.form(0, 1) == "rows"
+        table = aux.table(0, 1)
+        assert aux.form(0, 1) == "rows" and set(table) == {None}
         assert aux.neighbors(0, 1, 77).tolist() == []  # 77 ∉ C(u0)
-        # Reading through the array API decodes; it does not add a second form.
+        # Reading through the array API fills the one row it reads and
+        # decodes it; it does not add a second form.
         assert aux.neighbors(0, 1, 3).tolist() == _definition(data, candidates, 1, 3)
         assert aux.form(0, 1) == "rows"
+        assert [i for i, row in enumerate(table) if row is not None] == [3]
         # Pairs nobody read are in scope but not built, in either form.
         for pair in [(1, 0), (1, 2), (2, 1)]:
             assert aux.has_pair(*pair) and aux.form(*pair) is None
@@ -71,7 +76,7 @@ class TestRows:
         aux = AuxiliaryStructure.build(PATH3, data, candidates, scope="all")
         aux.build_arrays([(0, 1)])
         assert aux.form(0, 1) == "arrays"
-        aux.build_rows([(0, 1)])
+        aux.table(0, 1)
         assert aux.form(0, 1) == "rows"
         aux.build_arrays([(0, 1)])
         assert aux.form(0, 1) == "arrays"
@@ -104,7 +109,8 @@ class TestRows:
         candidates = CandidateSets(PATH3, [draw(subsets) for _ in range(3)])
         as_rows = AuxiliaryStructure.build(PATH3, graph, candidates, scope="all")
         as_arrays = AuxiliaryStructure.build(PATH3, graph, candidates, scope="all")
-        as_rows.build_rows(as_rows.pairs())
+        for pair in as_rows.pairs():
+            as_rows.table(*pair)  # all holes: each read below fills one
         as_arrays.build_arrays(as_arrays.pairs())
         for u_from, u_to in as_rows.pairs():
             for v in range(n):
@@ -307,37 +313,110 @@ class TestAutoResolution:
         assert fallback.memory_bytes == on_rows.memory_bytes
 
     def test_prepared_query_holds_read_pairs_in_one_form(self, case):
+        """``form()`` names how a pair is bound, not how much of it is
+        built: ``"rows"`` is a row table that may still have holes,
+        ``"arrays"`` a complete array table. Binding puts each query edge,
+        in its backward direction, in the form its engine path reads; a
+        run fills rows of those tables and binds nothing else."""
         query, data = case
         for kernel, form in ((None, "rows"), ("numpy", "arrays")):
             plan = compile_plan("GQL-opt", query, data, kernel=kernel)
             prepared = prepare_query(plan, query, data, Metrics())
             aux, order = prepared.auxiliary, prepared.order
             position = {u: i for i, u in enumerate(order)}
-            for w, u in aux.pairs():
-                backward = position[w] < position[u]
-                assert aux.form(w, u) == (form if backward else None)
-            run_plan(plan, query, data, prepared=prepared)
-            # Enumeration built nothing further.
-            assert sum(aux.form(*p) is not None for p in aux.pairs()) == query.num_edges
+            backward = [p for p in aux.pairs() if position[p[0]] < position[p[1]]]
+            for pair in aux.pairs():
+                assert aux.form(*pair) == (form if pair in backward else None)
+            if form == "rows":
+                assert all(set(aux.table(*p)) == {None} for p in backward)
+            run_plan(plan, query, data, prepared=prepared, match_limit=50)
+            assert [p for p in aux.pairs() if aux.form(*p)] == backward
+            if form == "rows":
+                filled = [sum(r is not None for r in aux.table(*p)) for p in backward]
+                assert 0 < sum(filled) < sum(len(aux.table(*p)) for p in backward)
+
+    def test_memory_bytes_is_the_definition_when_read(self, case):
+        query, data = case
+        session = MatchSession(data, algorithm="GQL-opt")
+        first = session.match(query, match_limit=20)
+        hit = session.match(query, match_limit=20)
+        assert session.cache_info()["prep"]["hits"] == 1
+        candidates = GraphQLFilter().run(query, data)
+        entries = sum(
+            len(set(data.neighbors(v).tolist()) & candidates.membership(b))
+            for x, y in query.edges()
+            for a, b in ((x, y), (y, x))
+            for v in candidates[a]
+        )
+        assert first.memory_bytes == hit.memory_bytes == (
+            candidates.memory_bytes + 8 * entries
+        )
 
 
-def test_threads_share_one_prepared_query(case):
+def test_a_pickle_ships_complete_tables(case):
+    """Row tables fill from a graph held weakly: a pickle cannot carry
+    it, so it fills every hole while the graph is alive."""
     query, data = case
     plan = compile_plan("GQLfs", query, data)
     prepared = prepare_query(plan, query, data, Metrics())
+    aux = prepared.auxiliary
+    tables = {p: aux.table(*p) for p in aux.pairs() if aux.form(*p) == "rows"}
+    assert all(set(t) == {None} for t in tables.values())
+    clone = pickle.loads(pickle.dumps(aux))
+    for pair, table in tables.items():
+        assert None not in table  # filled in place, before it was copied
+        assert clone.table(*pair) == aux.rows(*pair)
+    assert clone.num_entries == aux.num_entries
+    with pytest.raises(ReferenceError):
+        clone.fill(*next(iter(tables)), [None])  # the graph stayed behind
+    # The bound tables travel the same way inside a prepared query.
+    fresh = prepare_query(plan, query, data, Metrics())
+    shipped = pickle.loads(pickle.dumps(fresh.lc))
+    assert all(
+        None not in table for bound in shipped.static.rows for _, table in bound
+    )
+
+
+def test_a_cached_prepared_query_fills_from_the_graph_it_runs_on(case):
+    """A prepared query may outlive the graph object it was bound on (a
+    pool worker re-attaches an evicted graph and hits its prepared
+    cache): holes fill from the graph the search runs on."""
+    query, data = case
+    bound_on = Graph.from_csr(data.labels, *data.csr, num_edges=data.num_edges)
+    plan = compile_plan("GQLfs", query, bound_on)
+    prepared = prepare_query(plan, query, bound_on, Metrics())
+    del bound_on
+    gc.collect()
+    assert prepared.auxiliary._data() is None
+    result, _ = run_plan(plan, query, data, prepared=prepared, match_limit=60)
+    assert _fields(result) == _fields(run_plan(plan, query, data, match_limit=60)[0])
+
+
+def test_threads_share_one_prepared_query(case):
+    """Threads running one cached prepared query whose tables start as
+    holes, at different match limits, each get the sequential answer."""
+    query, data = case
+    plan = compile_plan("GQLfs", query, data)
+    limits = [1, 7, 60, 3000, None]
+    expected = {
+        limit: _fields(run_plan(plan, query, data, match_limit=limit)[0])
+        for limit in limits
+    }
+    prepared = prepare_query(plan, query, data, Metrics())
     assert prepared.kernel_used == "rows"
-    expected = _fields(
-        run_plan(plan, query, data, prepared=prepared, match_limit=3000)[0]
+    assert all(
+        set(table) == {None} for bound in prepared.lc.static.rows for _, table in bound
     )
     results, errors = [], []
 
-    def worker():
+    def worker(offset):
         try:
-            for _ in range(3):
+            for k in range(len(limits)):
+                limit = limits[(offset + k) % len(limits)]
                 result, _ = run_plan(
-                    plan, query, data, prepared=prepared, match_limit=3000
+                    plan, query, data, prepared=prepared, match_limit=limit
                 )
-                results.append(_fields(result))
+                results.append((limit, _fields(result)))
         except BaseException as exc:  # surfaced by the assertion below
             errors.append(exc)
             raise
@@ -345,7 +424,7 @@ def test_threads_share_one_prepared_query(case):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=worker) for _ in range(6)]
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
         for t in threads:
             t.start()
         for t in threads:
@@ -354,4 +433,5 @@ def test_threads_share_one_prepared_query(case):
     finally:
         sys.setswitchinterval(interval)
     assert not errors
-    assert len(results) == 18 and all(r == expected for r in results)
+    assert len(results) == 6 * len(limits)
+    assert all(fields == expected[limit] for limit, fields in results)
