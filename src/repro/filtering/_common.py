@@ -14,11 +14,9 @@ per-label column of neighbour-label counts that the data graph keeps
 (:meth:`~repro.graph.graph.Graph.neighbor_label_counts`) — the one fact
 cached on the graph for the filters. Like the label index, a column is
 graph data: building or patching it is charged to no counter, so a run's
-counters do not depend on which runs came before it.
-:func:`anchor_masks` generalises :func:`refine_keep`'s membership bitmap
-from one anchor set to up to :data:`MASK_BITS` of them: one gather tells,
-for every neighbor of every candidate, *which* anchor sets it belongs to —
-what GraphQL's batched semi-perfect-matching test is read from.
+counters do not depend on which runs came before it. GraphQL's sweep
+gathers once with ``charge=False`` and charges each vertex's slice when
+that vertex reads it.
 
 The scalar :func:`has_candidate_neighbor`, like
 :func:`~repro.filtering.base.nlf_check`, is the rule's *definition*: the
@@ -36,7 +34,6 @@ from repro.obs import add_counter
 
 __all__ = [
     "MASK_BITS",
-    "anchor_masks",
     "as_vertex_array",
     "has_candidate_neighbor",
     "neighbor_hit_mask",
@@ -48,8 +45,8 @@ __all__ = [
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
-#: Anchor lists one :func:`anchor_masks` gather can tell apart: the
-#: non-negative bits of the int64 scratch.
+#: Anchor lists one int64 membership mask can tell apart: its
+#: non-negative bits.
 MASK_BITS = 63
 
 
@@ -93,7 +90,7 @@ def _ragged_indices(
 
 
 def _gather_neighbors(
-    data: Graph, vs: np.ndarray
+    data: Graph, vs: np.ndarray, charge: bool = True
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The neighbor slices of ``vs`` laid end to end.
 
@@ -101,7 +98,8 @@ def _gather_neighbors(
     slices, and the ``reduceat`` boundaries of the vertices flagged in
     ``nonempty``. Zero-length segments share their start with the
     following segment, so leaving them out gives boundaries that exactly
-    tile ``gathered``.
+    tile ``gathered``. With ``charge`` false the caller counts the
+    entries it reads.
     """
     offsets, neighbors = data.csr
     starts = offsets[vs]
@@ -110,7 +108,8 @@ def _gather_neighbors(
     total = int(lengths.sum())
     if total == 0:
         return _EMPTY_I64, _EMPTY_I64, nonempty
-    add_counter("filter.neighbors_gathered", total)
+    if charge:
+        add_counter("filter.neighbors_gathered", total)
     seg_starts = segment_starts(lengths)
     gathered = neighbors[_ragged_indices(starts, lengths, seg_starts, total)]
     return gathered, seg_starts[nonempty], nonempty
@@ -168,42 +167,6 @@ def nlf_keep(
             return vs[:0]
         vs = vs[data.neighbor_label_counts(label)[vs] >= needed]
     return vs
-
-
-def anchor_masks(
-    data: Graph,
-    target: Sequence[int],
-    anchor_lists: Sequence[np.ndarray],
-    scratch: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Which anchor lists each neighbor of each ``v ∈ target`` belongs to,
-    from one gather.
-
-    Bit ``i`` of ``scratch[w]`` is set for ``w ∈ anchor_lists[i]`` (at most
-    :data:`MASK_BITS` lists), the scratch is gathered over the neighbor
-    slices of ``target``, and the neighbors in no anchor list — most of
-    them, on a labelled graph — are dropped. Returns ``(vs, masks,
-    hits)``: the vertices of ``target`` with at least one neighbor in
-    some anchor list, the non-zero masks of their neighbors laid end to
-    end, and how many of those each vertex has (``hits > 0``;
-    :func:`segment_starts` of it gives the ``reduceat`` boundaries).
-
-    ``scratch`` is a reusable int64 array over the data-vertex universe
-    (all zero on entry; restored to all zero on exit).
-    """
-    vs = as_vertex_array(target)
-    for i, anchor in enumerate(anchor_lists):
-        scratch[anchor] |= 1 << i
-    gathered, seg_starts, nonempty = _gather_neighbors(data, vs)
-    masks = scratch[gathered]
-    for anchor in anchor_lists:
-        scratch[anchor] = 0
-    hit = masks != 0
-    if not hit.any():
-        return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
-    hits = np.add.reduceat(hit, seg_starts, dtype=np.int64)
-    some = hits > 0
-    return vs[nonempty][some], masks[hit], hits[some]
 
 
 def refine_keep(

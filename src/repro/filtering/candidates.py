@@ -9,6 +9,7 @@ memory footprint of Section 5.6.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,6 +22,10 @@ __all__ = ["CandidateSets"]
 
 class CandidateSets:
     """Per-query-vertex candidate lists, sorted and immutable once built.
+
+    Each ``C(u)`` is held as a sorted int64 array; its Python list and
+    frozenset are built when first read (two threads racing on a first
+    read each build one; both are equal).
 
     Parameters
     ----------
@@ -39,18 +44,15 @@ class CandidateSets:
                 f"expected {query.num_vertices} candidate sets, got {len(sets)}"
             )
         self._query = query
-        # Sort and deduplicate at array level (the filters hand over int64
-        # arrays); the lists and sets of Python ints are derived from that.
+        # The filters hand over sorted, duplicate-free int64 arrays: those
+        # are copied, anything else sorted and deduplicated.
         self._arrays: Tuple[np.ndarray, ...] = tuple(
-            np.unique(as_vertex_array(s)) for s in sets
+            a.copy() if a.size < 2 or (a[1:] > a[:-1]).all() else np.unique(a)
+            for a in map(as_vertex_array, sets)
         )
-        self._lists: Tuple[List[int], ...] = tuple(
-            arr.tolist() for arr in self._arrays
-        )
-        self._sets: Tuple[frozenset, ...] = tuple(
-            frozenset(lst) for lst in self._lists
-        )
-        self._translations: Dict[Tuple[int, int], Optional[List[int]]] = {}
+        self._lists: List[Optional[List[int]]] = [None] * len(self._arrays)
+        self._sets: List[Optional[frozenset]] = [None] * len(self._arrays)
+        self._translations: Optional[Dict[Tuple[int, int], Optional[array]]] = None
 
     @property
     def query(self) -> Graph:
@@ -59,14 +61,20 @@ class CandidateSets:
 
     def __getitem__(self, u: int) -> List[int]:
         """Sorted candidate list ``C(u)`` (do not mutate)."""
-        return self._lists[u]
+        lst = self._lists[u]
+        if lst is None:
+            lst = self._lists[u] = self._arrays[u].tolist()
+        return lst
 
     def __len__(self) -> int:
-        return len(self._lists)
+        return len(self._arrays)
 
     def membership(self, u: int) -> frozenset:
         """``C(u)`` as a frozenset for O(1) membership checks."""
-        return self._sets[u]
+        members = self._sets[u]
+        if members is None:
+            members = self._sets[u] = frozenset(self[u])
+        return members
 
     def array(self, u: int) -> np.ndarray:
         """``C(u)`` as a sorted int64 array (do not mutate).
@@ -79,53 +87,74 @@ class CandidateSets:
 
     def contains(self, u: int, v: int) -> bool:
         """Whether data vertex ``v`` is a candidate of query vertex ``u``."""
-        return v in self._sets[u]
+        return v in self.membership(u)
 
     def size(self, u: int) -> int:
         """``|C(u)|``."""
-        return len(self._lists[u])
+        return self._arrays[u].size
 
-    def translation(self, u_from: int, u_to: int) -> Optional[List[int]]:
+    def translation(self, u_from: int, u_to: int) -> Optional[array]:
         """Where the candidates of ``u_from`` sit inside ``C(u_to)``.
 
         Entry ``i`` is the position of ``C(u_from)[i]`` in ``C(u_to)``, or
-        -1 when it is not a candidate there; ``None`` when the two sets are
-        disjoint (always, for differently labelled query vertices). Built
-        on first call and kept. The frame machine reads these to mark the
+        -1 when it is not a candidate there, in a C ``int`` array; ``None``
+        when the two sets are disjoint. The first call finds every
+        overlapping pair from one sort of all the sets; a table is built on
+        its first call and kept. The frame machine reads these to mark the
         data vertices earlier query vertices hold in a frame over
         ``C(u_to)``: the only ones they can take away are those both sets
         hold.
         """
+        if self._translations is None:
+            self._translations = dict.fromkeys(self._overlapping_pairs())
         pair = (u_from, u_to)
         if pair not in self._translations:
-            table = None
-            if not self._sets[u_from].isdisjoint(self._sets[u_to]):
-                source = self._arrays[u_from]
-                _, at_from, at_to = np.intersect1d(
-                    source, self._arrays[u_to], assume_unique=True, return_indices=True
-                )
-                positions = np.full(source.size, -1, dtype=np.int64)
-                positions[at_from] = at_to
-                table = positions.tolist()
+            return None
+        table = self._translations[pair]
+        if table is None:
+            source, target = self._arrays[u_from], self._arrays[u_to]
+            at = np.searchsorted(target, source)
+            found = target[np.minimum(at, target.size - 1)] == source
+            table = array("i", np.where(found, at, -1).astype(np.intc).tobytes())
             self._translations[pair] = table
-        return self._translations[pair]
+        return table
+
+    def _overlapping_pairs(self) -> List[Tuple[int, int]]:
+        """Every ordered pair ``(a, b)``, ``a ≠ b``, with
+        ``C(a) ∩ C(b) ≠ ∅``."""
+        n = len(self._arrays)
+        values = np.concatenate(self._arrays)
+        owners = np.repeat(np.arange(n), [arr.size for arr in self._arrays])
+        by_value = np.argsort(values, kind="stable")
+        values, owners = values[by_value], owners[by_value]
+        # A vertex held by k sets is a run of k equal values, one per set
+        # in set order; pairs at distance 1..k-1 in the run name all of
+        # its pairs.
+        codes = [owners[:0]]
+        for gap in range(1, n):
+            same = values[gap:] == values[:-gap]
+            if not same.any():
+                break
+            codes.append(owners[:-gap][same] * n + owners[gap:][same])
+        found = [divmod(code, n) for code in np.unique(np.concatenate(codes)).tolist()]
+        return found + [(b, a) for a, b in found]
 
     @property
     def total_size(self) -> int:
         """``Σ_u |C(u)|``."""
-        return sum(len(lst) for lst in self._lists)
+        return sum(arr.size for arr in self._arrays)
 
     @property
     def average_size(self) -> float:
         """The paper's Figure 8 metric: ``(1/|V(q)|) Σ_u |C(u)|``."""
-        if not self._lists:
+        if not self._arrays:
             return 0.0
-        return self.total_size / len(self._lists)
+        return self.total_size / len(self._arrays)
 
     @property
     def has_empty_set(self) -> bool:
         """True when some ``C(u)`` is empty — the query has no match."""
-        return any(not lst for lst in self._lists)
+        return any(arr.size == 0 for arr in self._arrays)
 
     @property
     def memory_bytes(self) -> int:
@@ -138,20 +167,21 @@ class CandidateSets:
 
     def as_dict(self) -> Dict[int, List[int]]:
         """Copy out as ``{u: sorted list}`` (for display and tests)."""
-        return {u: list(lst) for u, lst in enumerate(self._lists)}
+        return {u: arr.tolist() for u, arr in enumerate(self._arrays)}
 
     def restricted(self, keep: Sequence[Iterable[int]]) -> "CandidateSets":
         """A new container intersecting each ``C(u)`` with ``keep[u]``."""
-        if len(keep) != len(self._lists):
+        if len(keep) != len(self._arrays):
             raise ValueError("keep must provide one set per query vertex")
         return CandidateSets(
             self._query,
             [
-                [v for v in lst if v in kset]
-                for lst, kset in zip(self._lists, [set(k) for k in keep])
+                [v for v in self[u] if v in kset]
+                for u, kset in enumerate(set(k) for k in keep)
             ],
         )
 
     def __repr__(self) -> str:
-        sizes = ", ".join(str(len(lst)) for lst in self._lists)
+        sizes = ", ".join(str(arr.size) for arr in self._arrays)
         return f"CandidateSets(sizes=[{sizes}])"
+

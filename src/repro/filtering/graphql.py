@@ -23,13 +23,13 @@ the candidates of ``u`` already share its label, so "sorted profile of
 ``|N(u, l)| ≤ |N(v, l)|`` for every label ``l`` in ``N(u)``: one batched
 :func:`~repro.filtering._common.nlf_keep` per query vertex.
 
-The refinement pays the matching term once per *query vertex*, not once
-per candidate (:func:`semi_perfect_keep`). While ``u`` is refined only
-``C(u)`` changes, so all of ``B_v^u, v ∈ C(u)`` can be read off one
-array: bit ``i`` of a scratch word over ``V(G)`` says "member of
-``C(u'_i)``", and gathering that scratch over the neighbor slices of
-``C(u)`` (:func:`~repro.filtering._common.anchor_masks`) gives, per
-neighbor ``w`` of ``v``, the set of anchors ``w`` may be matched to. By
+The refinement pays the matching term once per *query*, not once per
+candidate or per query vertex (:func:`semi_perfect_keep`). ``C(u)``
+changes only while ``u`` itself is refined, so one gather per sweep
+lays out the neighbor slices of every ``C(u)``. At ``u``'s turn bit
+``i`` of a scratch word over ``V(G)`` says "member of ``C(u'_i)``", and
+reading that scratch over ``u``'s own slice gives, per neighbor ``w`` of
+``v``, the set of anchors ``w`` may be matched to. By
 Hall's theorem a semi-perfect matching exists iff every anchor subset
 ``S`` reaches at least ``|S|`` neighbors, and "reached by ``S``" is
 ``mask & S != 0`` — a segmented count, no augmenting paths. Three tests
@@ -57,7 +57,7 @@ import numpy as np
 from repro.filtering._common import (
     _EMPTY_I64,
     MASK_BITS,
-    anchor_masks,
+    _gather_neighbors,
     as_vertex_array,
     nlf_keep,
     refine_keep,
@@ -179,21 +179,24 @@ _HALL_SUBSETS: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
 
 def semi_perfect_keep(
     data: Graph,
-    target: Sequence[int],
-    anchor_lists: Sequence[Sequence[int]],
+    target: np.ndarray,
+    anchor_lists: Sequence[np.ndarray],
     scratch: np.ndarray,
+    neighbors: Tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """The pseudo-isomorphism test for all candidates of one query vertex.
 
-    ``target`` is ``C(u)`` and ``anchor_lists`` the candidate sets of
-    ``N(u)``; keeps the ``v`` whose bipartite graph ``B_v^u`` (an edge
+    ``target`` is ``C(u)``, ``anchor_lists`` the candidate sets of
+    ``N(u)``, ``neighbors`` the neighbor slices of ``target`` as
+    :func:`~repro.filtering._common._gather_neighbors` lays them out
+    (charged to ``filter.neighbors_gathered`` here, where they are read).
+    Keeps the ``v`` whose bipartite graph ``B_v^u`` (an edge
     ``(u'_i, w)`` for ``w ∈ N(v) ∩ C(u'_i)``) has a semi-perfect matching.
     By Hall's theorem that is: every subset ``S`` of anchors reaches at
-    least ``|S|`` distinct neighbors of ``v``. With the anchors a
-    neighbor belongs to packed into one mask per neighbor
-    (:func:`~repro.filtering._common.anchor_masks`), ``S`` reaches the
-    neighbors whose mask meets ``S``, so each condition is one segmented
-    count over the same array:
+    least ``|S|`` distinct neighbors of ``v``. Bit ``i`` of the scratch
+    marks anchor ``i``, so reading it over the slices gives each
+    neighbor's anchor mask; ``S`` reaches the neighbors whose mask meets
+    ``S``, so each condition is one segmented count over the same array:
 
     * singletons, i.e. Filtering Rule 3.1, and ``S = N(u)`` for every
       candidate — the whole test when ``d(u) ≤ 2``;
@@ -209,23 +212,35 @@ def semi_perfect_keep(
     """
     degree = len(anchor_lists)
     if degree == 0:
-        return as_vertex_array(target)
-    anchors = [as_vertex_array(anchor) for anchor in anchor_lists]
-    if any(anchor.size == 0 for anchor in anchors):
+        return target
+    if any(anchor.size == 0 for anchor in anchor_lists):
         return _EMPTY_I64
     if degree > MASK_BITS:
         # One anchor at a time, the scratch as a 0/1 membership bitmap.
-        vs = refine_keep(data, target, anchors, scratch)
-        return vs[_scalar_test(data, vs, anchors)]
+        vs = refine_keep(data, target, anchor_lists, scratch)
+        return vs[_scalar_test(data, vs, anchor_lists)]
 
-    vs, masks, hits = anchor_masks(data, target, anchors, scratch)
-    if vs.size == 0:
-        return vs
+    gathered, starts, nonempty = neighbors
+    if gathered.size == 0:
+        return _EMPTY_I64
+    add_counter("filter.neighbors_gathered", gathered.size)
+    for i, anchor in enumerate(anchor_lists):
+        scratch[anchor] |= 1 << i
+    masks = scratch[gathered]
+    for anchor in anchor_lists:
+        scratch[anchor] = 0
+    vs = target[nonempty]
+    if degree == 1:
+        return vs[np.bitwise_or.reduceat(masks, starts) != 0]
+    hit = masks != 0
+    hits = np.add.reduceat(hit, starts, dtype=np.int64)
     keep = hits >= degree
-    keep &= np.bitwise_or.reduceat(masks, segment_starts(hits)) == (1 << degree) - 1
-    if degree <= 2:
+    keep &= np.bitwise_or.reduceat(masks, starts) == (1 << degree) - 1
+    if degree == 2:
         return vs[keep]
-    vs, masks, hits = _restrict(vs, masks, hits, keep)
+    # The neighbors in no anchor set -- most of them, on a labelled
+    # graph -- play no part in the remaining tests.
+    vs, masks, hits = _restrict(vs, masks[hit], hits, keep)
     if vs.size == 0:
         return vs
 
@@ -247,7 +262,7 @@ def semi_perfect_keep(
                 )
                 holds &= reached >= size
         else:
-            holds = _scalar_test(data, residue, anchors)
+            holds = _scalar_test(data, residue, anchor_lists)
         keep[undecided] = holds
     return vs[keep]
 
@@ -255,7 +270,7 @@ def semi_perfect_keep(
 def _restrict(
     vs: np.ndarray, masks: np.ndarray, hits: np.ndarray, keep: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :func:`anchor_masks` triple of the vertices flagged in ``keep``."""
+    """The vertices flagged in ``keep``, with their masks and hit counts."""
     return vs[keep], masks[np.repeat(keep, hits)], hits[keep]
 
 
@@ -343,19 +358,31 @@ class GraphQLFilter(Filter):
         refines along an order, so removals in earlier sets strengthen
         later checks within the same sweep). While ``u`` is processed
         only ``C(u)`` changes and ``u ∉ N(u)``, so its candidates are
-        independent of each other and are decided as one batch.
+        independent of each other and are decided as one batch; and as
+        ``C(u)`` changes only then, the neighbor slices of every ``C(u)``
+        are gathered once, at the start of the sweep.
         """
         scratch = np.zeros(data.num_vertices, dtype=np.int64)
+        refined = [(u, query.neighbors(u).tolist()) for u in query.vertices()]
+        refined = [(u, u_neighbors) for u, u_neighbors in refined if u_neighbors]
         for sweep in range(self.refinement_rounds):
             with span("filter.refine", rule="pseudo_iso", sweep=sweep):
                 changed = False
-                for u in query.vertices():
-                    u_neighbors = query.neighbors(u).tolist()
-                    if not u_neighbors:
-                        continue
-                    kept = semi_perfect_keep(
-                        data, lists[u], [lists[w] for w in u_neighbors], scratch
-                    )
+                # One gather for the sweep (of nothing, when no vertex has
+                # a neighbor), cut at each vertex's slice.
+                targets = [lists[u] for u, _ in refined] or [_EMPTY_I64]
+                gathered, starts, nonempty = _gather_neighbors(
+                    data, np.concatenate(targets), charge=False
+                )
+                at = np.cumsum([0] + [t.size for t in targets])
+                cut = np.concatenate(([0], np.cumsum(nonempty)))[at]
+                begin = np.append(starts, gathered.size)[cut].tolist()
+                at, cut = at.tolist(), cut.tolist()
+                bounds = zip(at, at[1:], cut, cut[1:], begin, begin[1:])
+                for (u, u_neighbors), (a0, a1, c0, c1, g0, g1) in zip(refined, bounds):
+                    own = gathered[g0:g1], starts[c0:c1] - g0, nonempty[a0:a1]
+                    anchors = [lists[w] for w in u_neighbors]
+                    kept = semi_perfect_keep(data, lists[u], anchors, scratch, own)
                     if kept.size != lists[u].size:
                         lists[u] = kept
                         changed = True

@@ -7,10 +7,13 @@ vertex. The per-candidate loop it replaced is kept here, built only from
 the exported scalar pieces (:func:`profile`, :func:`is_subsequence`,
 :func:`has_semi_perfect_matching`), and the two must agree on the
 candidate lists *and* on everything the run records: the
-``ldf+profile``/``pseudo_iso`` stage totals and
-``filter.refinement_iterations``. Orders and embeddings downstream are
-functions of those sets, so parity here is what keeps them byte-identical.
-Pinned corpus seeds from historical fuzz findings ride along.
+``ldf+profile``/``pseudo_iso`` stage totals,
+``filter.refinement_iterations`` and ``filter.neighbors_gathered``, the
+work twin of Figure 7's time: every neighbor slice of ``C(u)`` read at
+``u``'s turn, however the array filter schedules its gathers. Orders and
+embeddings downstream are functions of those sets, so parity here is
+what keeps them byte-identical. Pinned corpus seeds from historical fuzz
+findings ride along.
 """
 
 import pytest
@@ -47,7 +50,7 @@ _SETTINGS = settings(
 )
 
 SEEDS = st.integers(0, 2**16)
-ROUNDS = st.sampled_from([0, 1, 2])
+ROUNDS = st.sampled_from([0, 1, 2, 3])
 RADIUS = st.sampled_from([1, 2])
 
 
@@ -81,6 +84,8 @@ def scalar_graphql(
             u_neighbors = query.neighbors(u).tolist()
             if not u_neighbors:
                 continue
+            if all(membership[x] for x in u_neighbors):
+                charge_neighbor_reads(data, lists[u], u_neighbors, membership)
             kept = []
             for v in lists[u]:
                 v_neighbors = data.neighbors(v).tolist()
@@ -103,6 +108,26 @@ def scalar_graphql(
     return CandidateSets(query, lists)
 
 
+def charge_neighbor_reads(data, target, u_neighbors, membership):
+    """``filter.neighbors_gathered`` for one refinement of ``u`` whose
+    anchor sets are all non-empty: every neighbor slice of ``C(u)`` is
+    read once; above :data:`MASK_BITS` anchors, once per anchor for the
+    candidates Rule 3.1 has kept so far."""
+    if len(u_neighbors) <= MASK_BITS:
+        read = sum(data.degree(v) for v in target)
+    else:
+        read, survivors = 0, list(target)
+        for x in u_neighbors:
+            if not survivors:
+                break
+            read += sum(data.degree(v) for v in survivors)
+            survivors = [
+                v for v in survivors if membership[x] & set(data.neighbors(v).tolist())
+            ]
+    if read:
+        add_counter("filter.neighbors_gathered", read)
+
+
 def assert_parity(query, data, radius=1, rounds=1):
     got_metrics, want_metrics = Metrics(), Metrics()
     with collecting(got_metrics):
@@ -111,9 +136,6 @@ def assert_parity(query, data, radius=1, rounds=1):
         want = scalar_graphql(query, data, radius, rounds)
     assert got.as_dict() == want.as_dict()
     assert got_metrics.filter_stages == want_metrics.filter_stages
-    # The CSR entries the array substrate read: work the definition,
-    # which gathers nothing, has no counterpart for.
-    got_metrics.counters.pop("filter.neighbors_gathered", None)
     assert got_metrics.counters == want_metrics.counters
 
 
@@ -248,3 +270,21 @@ def test_radius_two_stays_on_the_scalar_profile_path(monkeypatch):
     assert_parity(case.query, case.data, radius=2)
     with pytest.raises(AssertionError, match="NLF shortcut"):
         GraphQLFilter().run(case.query, case.data)
+
+
+def test_a_set_emptied_earlier_in_the_sweep_is_not_charged():
+    """u0 loses its only candidate at its own turn: u1 and u2 anchor on
+    it and u3 on u1, so only u0's slice (two entries) is read."""
+    query = Graph(labels=[0, 1, 3, 2], edges=[(0, 1), (0, 2), (1, 3)])
+    # v0 fits u0 but reaches no candidate of u1 (v1 has no label-2
+    # neighbor); v2 fits u1 but its label-0 neighbor v4 fits no u0.
+    data = Graph(labels=[0, 1, 1, 2, 0, 3], edges=[(0, 1), (0, 5), (2, 3), (2, 4)])
+    assert GraphQLFilter(refinement_rounds=0).run(query, data).as_dict() == {
+        0: [0], 1: [2], 2: [5], 3: [3]
+    }
+    for rounds in (1, 2, 3):
+        assert_parity(query, data, rounds=rounds)
+        metrics = Metrics()
+        with collecting(metrics):
+            assert GraphQLFilter(refinement_rounds=rounds).run(query, data).has_empty_set
+        assert metrics.counters["filter.neighbors_gathered"] == 2

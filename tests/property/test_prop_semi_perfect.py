@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from strategies import graphs
 
 from repro.filtering import graphql
-from repro.filtering._common import MASK_BITS, refine_keep
+from repro.filtering._common import MASK_BITS, _gather_neighbors, refine_keep
 from repro.filtering.graphql import (
     HALL_MAX_DEGREE,
     has_semi_perfect_matching,
@@ -54,11 +54,13 @@ def scalar_keep(data, target, anchor_lists):
 
 def batch_keep(data, target, anchor_lists):
     scratch = np.zeros(data.num_vertices, dtype=np.int64)
+    target = np.asarray(target, dtype=np.int64)
     kept = semi_perfect_keep(
         data,
-        np.asarray(target, dtype=np.int64),
+        target,
         [np.asarray(anchor, dtype=np.int64) for anchor in anchor_lists],
         scratch,
+        _gather_neighbors(data, target),
     )
     assert not scratch.any(), "scratch not restored"
     assert kept.dtype == np.int64

@@ -5,6 +5,7 @@ import itertools
 import pickle
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,33 @@ class TestRows:
             assert table[i] == expected
         assert candidates.translation(0, 2) is None  # disjoint sets never collide
         assert candidates.translation(0, 1) is table  # built once
+
+    def test_translation_tables_take_four_bytes_an_entry(self):
+        """QSI frames are over LDF universes: on a single-label graph every
+        pair of a same-label query overlaps in nearly all of ``V(G)``, so
+        binding builds ``|V(q)|·(|V(q)|-1)/2`` tables of ``~|V(G)|``
+        entries each. They are C ``int`` arrays, not lists of Python
+        ints (~36 bytes an entry above 256)."""
+        n = 20_000
+        ring = [(v, (v + 1) % n) for v in range(n)] + [(v, (v + 7) % n) for v in range(n)]
+        data = Graph(labels=[0] * n, edges=ring)
+        query = Graph(labels=[0] * 6, edges=[(u, (u + 1) % 6) for u in range(6)])
+        plan = compile_plan("QSI", query, data)
+        prepare_query(plan, query, data, Metrics())  # label index, warm
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            prepared = prepare_query(plan, query, data, Metrics())
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        static = prepared.lc.static
+        entries = sum(len(table) for clash in static.clash for _, table in clash)
+        assert entries == 15 * n
+        universes = sum(static.universes.array(u).nbytes for u in range(6))
+        assert (after - before - universes) / entries <= 5
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
