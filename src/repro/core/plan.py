@@ -17,6 +17,10 @@ split is made explicit here:
   come back as a :class:`PreparedQuery`, which a
   :class:`~repro.core.session.MatchSession` may hand back on a later call
   with the *identical* query to skip the whole preprocessing phase.
+* :func:`race_orders` runs the :data:`RACERS` configurations count-only
+  over a prepared query's candidates, each stopped once it passes the
+  fewest search calls so far, and returns the prepared query with the
+  winner attached (:attr:`PreparedQuery.raced`).
 
 Cache-soundness contract: a plan's contents may only depend on
 fingerprint-stable query features (``num_vertices``, ``num_edges``,
@@ -30,15 +34,27 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Hashable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.algorithms import resolve
+from repro.core.registry import ORDERINGS
 from repro.core.result import MatchResult
 from repro.core.spec import AlgorithmSpec
 from repro.enumeration.frames import FrameMachine
 from repro.enumeration.local_candidates import IntersectionLC
+from repro.enumeration.support import DEADLINE_STRIDE
 from repro.errors import InvalidQueryError
 from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.graph.fingerprint import query_fingerprint
@@ -56,6 +72,9 @@ __all__ = [
     "compile_plan",
     "prepare_query",
     "bind_enumeration",
+    "race_orders",
+    "RACERS",
+    "RaceWinner",
     "iter_leaf_batches",
     "run_plan",
     "validate_query",
@@ -122,6 +141,11 @@ class PreparedQuery:
     caches (bitset/QFilter layouts over the auxiliary arrays) stay warm
     across repeats — the "build the index once" amortization of CNI-style
     data-side indexing.
+
+    ``raced`` is ``None`` until :func:`race_orders` has run on these
+    artifacts; it then holds the winning configuration, which a session
+    runs for later count-only requests. A race never changes this object:
+    it returns a copy with ``raced`` set, which replaces it in the cache.
     """
 
     candidates: Any = None
@@ -132,6 +156,27 @@ class PreparedQuery:
     lc: Any = None
     kernel_used: Optional[str] = None
     preprocessing_seconds: float = 0.0
+    raced: Optional["RaceWinner"] = None
+
+
+class RaceWinner(NamedTuple):
+    """The configuration :func:`race_orders` chose for one prepared query.
+
+    ``plan`` is the raced plan with its spec's ordering and failing sets
+    swapped for the winner's (name unchanged); ``prepared`` holds the
+    winner's order and bound ComputeLC over the raced query's candidates.
+    ``match_limit`` is the cap the race ran under: fewest calls under one
+    cap says nothing about another, so only requests with that cap run it.
+    """
+
+    ordering: str
+    failing_sets: bool
+    match_limit: Optional[int]
+    plan: MatchPlan
+    prepared: PreparedQuery
+    #: ``recursion_calls`` of the winner's run, and of the whole race.
+    calls: int
+    race_calls: int
 
 
 class LRUCache:
@@ -364,6 +409,114 @@ def bind_enumeration(
         lc=lc,
         kernel_used=kernel_used,
     )
+
+
+#: The configurations :func:`race_orders` tries, in tie-break order:
+#: {GraphQL, RI, DP-iso, QuickSI} orderings × failing sets {off, on}.
+RACERS: Tuple[Tuple[str, bool], ...] = tuple(
+    (ordering, fs) for ordering in ("GQL", "RI", "DP", "QSI") for fs in (False, True)
+)
+
+
+def race_orders(
+    plan: MatchPlan,
+    query: Graph,
+    data: Graph,
+    prepared: PreparedQuery,
+    calls: int,
+    match_limit: Optional[int] = None,
+    cancel: Optional[Callable[[], bool]] = None,
+) -> Optional[PreparedQuery]:
+    """Race every other :data:`RACERS` configuration against a solved run.
+
+    ``prepared`` holds a static-order Algorithm 5 plan's artifacts and
+    ``calls`` the ``recursion_calls`` its own run took under
+    ``match_limit``. Each racer orders the same candidates, is bound
+    under the plan's kernel policy — a racer whose order resolves another
+    kernel (say, bitmap rows over the byte budget) sits the race out —
+    and runs count-only through :func:`run_plan` under the same
+    ``match_limit``. Its budget is the fewest calls seen so far, checked
+    through the engine's ``cancel`` poll: every poll stands for at least
+    :data:`~repro.enumeration.support.DEADLINE_STRIDE` more calls, so a
+    racer is stopped once it cannot finish under the budget, less than a
+    stride past it — plus, per poll, the rest of a leaf batch that
+    crossed the stride. The race costs about ``7 × (calls + stride)``
+    calls at most. The racer with strictly fewest calls wins; ties keep
+    the earlier configuration, the incumbent first.
+
+    Returns a copy of ``prepared`` whose :attr:`~PreparedQuery.raced` holds
+    the winner, or ``None`` when ``cancel`` stopped the race, which then
+    leaves nothing behind. Call counts are deterministic, so so is the
+    winner. The race's counters go to sinks of its own, never to the
+    caller's metrics.
+    """
+    spec = plan.algorithm
+    incumbent = (spec.ordering.name, spec.failing_sets)
+    best = RaceWinner(*incumbent, match_limit, plan, prepared, calls, 0)
+    spent = tried = 0
+    with span("plan.race", incumbent_calls=calls) as race_span, collecting(Metrics()):
+        for name, fs in RACERS:
+            if (name, fs) == incumbent:
+                continue
+            ordering = ORDERINGS.create(name)
+            racer = bind_enumeration(
+                spec.lc,
+                spec.aux_scope,
+                plan.kernel_policy,
+                query,
+                data,
+                prepared.candidates,
+                order=ordering.order(query, data, prepared.candidates),
+            )
+            if racer.kernel_used != prepared.kernel_used:
+                continue
+            racer_plan = replace(
+                plan, algorithm=replace(spec, ordering=ordering, failing_sets=fs)
+            )
+            budget = best.calls
+            polls = 0
+            aborted = False
+
+            def stop() -> bool:
+                nonlocal polls, aborted
+                if cancel is not None and cancel():
+                    aborted = True
+                    return True
+                polls += 1
+                return polls * DEADLINE_STRIDE >= budget
+
+            result, _ = run_plan(
+                racer_plan,
+                query,
+                data,
+                prepared=racer,
+                match_limit=match_limit,
+                store_limit=0,
+                cancel=stop,
+            )
+            tried += 1
+            spent += result.stats.recursion_calls
+            if aborted:
+                return None
+            if result.solved and result.stats.recursion_calls < budget:
+                best = RaceWinner(
+                    name,
+                    fs,
+                    match_limit,
+                    racer_plan,
+                    racer,
+                    result.stats.recursion_calls,
+                    0,
+                )
+        best = best._replace(race_calls=spent)
+        race_span.annotate(
+            racers=tried,
+            ordering=best.ordering,
+            failing_sets=best.failing_sets,
+            winner_calls=best.calls,
+            race_calls=spent,
+        )
+    return replace(prepared, raced=best)
 
 
 def iter_leaf_batches(

@@ -17,7 +17,10 @@ data graph plus the state that amortizes across queries:
   enumeration;
 * **hit/miss counters** flowing into :mod:`repro.obs` metrics — per-query
   (``plan.cache_hit`` … on ``MatchResult.metrics``) and session-wide
-  (:attr:`MatchSession.metrics`).
+  (:attr:`MatchSession.metrics`);
+* **order racing** for repeated count-only ``recommended`` queries (see
+  :class:`MatchSession`): the second such request races the matching
+  order once and later ones run the winner.
 
 Usage::
 
@@ -55,6 +58,7 @@ from repro.core.plan import (
     LRUCache,
     MatchPlan,
     compile_plan,
+    race_orders,
     run_plan,
     validate_query,
 )
@@ -138,6 +142,31 @@ class MatchSession:
         published graph. ``None`` defers to ``REPRO_WORKERS`` (absent →
         sequential); per-call ``n_workers=`` wins. Results are
         byte-identical to sequential execution either way.
+
+    Order racing: a prep-cache hit of the ``"recommended"`` algorithm
+    that stores no embeddings (``store_limit == 0``: every
+    :meth:`count_matches` and :meth:`has_match`), on a query that has not
+    raced, is answered by the cached configuration as always; if that run
+    solved and the call carries no ``time_limit``,
+    :func:`~repro.core.plan.race_orders` then tries the other
+    :data:`~repro.core.plan.RACERS` configurations under its
+    ``recursion_calls`` and ``match_limit``, and the copy carrying the
+    winner replaces the cached prepared query. A call with a deadline
+    never waits on a race past its own answer; ``cancel`` stops a race
+    like a search, and a stopped race records nothing. Later count-only
+    hits with the raced ``match_limit`` use the winner, sequential or
+    fanned out (workers rebuild the winner's order from its plan).
+    Replies carrying embeddings, named presets, cache misses and other
+    caps keep the cached configuration. The reply invariant: every
+    reply's ``num_matches``, ``solved``, ``algorithm`` and ``kernel``
+    (racers resolve the same kernel or sit out) are those of the unraced
+    configuration — a solved count is the same under any order — and
+    every reply carrying embeddings is byte-identical to it (embeddings,
+    ``order``, counters). Only a raced count reply's ``order`` and
+    enumeration counters show the winner's work. Session-wide counters
+    ``session.races``, ``session.race_switches`` (a winner other than
+    the cached configuration) and ``session.race_calls`` (the races'
+    ``recursion_calls``) account for it.
     """
 
     def __init__(
@@ -432,6 +461,16 @@ class MatchSession:
             prepared = self._prep.get(prep_key)
         prep_hit = prepared is not None
 
+        # Order racing (see the class docstring): race after answering,
+        # or run the winner on a count-only hit under the raced cap.
+        race = None
+        if prep_hit and store_limit == 0 and algo == "recommended":
+            winner = prepared.raced
+            if winner is None:
+                race = None if time_limit else prepared
+            elif winner.match_limit == match_limit:
+                plan, prepared = winner.plan, winner.prepared
+
         metrics = Metrics()
         if self.record_cache_metrics:
             metrics.add("plan.cache_hit", int(plan_hit))
@@ -458,6 +497,19 @@ class MatchSession:
         )
         if prep_enabled and not prep_hit:
             self._prep.put(prep_key, prepared)
+        raced = None
+        if race is not None and result.solved:
+            raced = race_orders(
+                plan,
+                query,
+                data,
+                race,
+                result.stats.recursion_calls,
+                match_limit=match_limit,
+                cancel=cancel,
+            )
+            if raced is not None:
+                self._prep.put(prep_key, raced)
 
         with self._metrics_lock:
             self.metrics.add("session.queries")
@@ -466,6 +518,14 @@ class MatchSession:
             if prep_enabled:
                 self.metrics.add("session.prep_cache_hits", int(prep_hit))
                 self.metrics.add("session.prep_cache_misses", int(not prep_hit))
+            if raced is not None:
+                winner = raced.raced
+                self.metrics.add("session.races")
+                self.metrics.add(
+                    "session.race_switches",
+                    int(winner.prepared is not race),
+                )
+                self.metrics.add("session.race_calls", winner.race_calls)
         return result
 
     def match_many(

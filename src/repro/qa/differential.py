@@ -7,7 +7,8 @@ For a planted case this module executes the query across
 * sequential vs chunked parallel enumeration on static-failing-sets and
   adaptive presets, compared byte-for-byte,
 * :class:`~repro.core.session.MatchSession` (cache miss *and* cache hit)
-  vs the one-shot :func:`~repro.core.api.match`,
+  vs the one-shot :func:`~repro.core.api.match`, for ``"recommended"``
+  plus count-only repeats whose last runs the order race's winner,
 * the independent :mod:`repro.baselines` oracles — VF2 always (cases are
   small by construction), brute force when the assignment space is tiny,
 * the metamorphic transforms of :mod:`repro.qa.generator`,
@@ -183,6 +184,10 @@ class Outcome:
     capped: bool = False
     #: Session mode only: the embeddings of the second (cache-hit) run.
     repeat_list: Optional[List[Tuple[int, ...]]] = None
+    #: Session mode of ``recommended`` only: ``(count, solved)`` of the
+    #: count-only repeats after the two runs; the last runs the winner of
+    #: the order race the first one triggers.
+    count_repeats: Optional[List[Tuple[int, bool]]] = None
 
 
 def normalize_embeddings(
@@ -270,6 +275,12 @@ def _run_resident(
             second = session.match(
                 query, match_limit=match_limit, store_limit=match_limit
             )
+            count_repeats = None
+            if config.algorithm == "recommended":
+                count_repeats = []
+                for _ in range(2):
+                    repeat = session.match(query, match_limit=match_limit, store_limit=0)
+                    count_repeats.append((repeat.num_matches, repeat.solved))
         finally:
             session.close()
         return Outcome(
@@ -279,6 +290,7 @@ def _run_resident(
             solved=first.solved and second.solved,
             capped=first.num_matches >= match_limit,
             repeat_list=list(second.embeddings),
+            count_repeats=count_repeats,
         )
     result = match(
         query,
@@ -474,6 +486,15 @@ def _outcomes_differ(a: Outcome, b: Outcome) -> Optional[str]:
     if a.emb_set != b.emb_set:
         return "set"
     return None
+
+
+def _count_repeats_differ(session: Outcome, oneshot: Outcome) -> bool:
+    """Whether a count-only session repeat disagrees with the one-shot
+    outcome on the count or the solved flag."""
+    return any(
+        repeat != (oneshot.count, oneshot.solved)
+        for repeat in session.count_repeats or ()
+    )
 
 
 def default_presets() -> List[str]:
@@ -714,12 +735,16 @@ def run_case(
                 )
             )
 
-    # MatchSession (miss then hit) vs the one-shot baseline result.
-    session_config = Config(algorithm=session_algorithm, mode="session")
-    oneshot_config = Config(algorithm=session_algorithm)
-    session_outcome = run_checked(session_config)
-    oneshot_outcome = run_checked(oneshot_config)
-    if session_outcome is not None and oneshot_outcome is not None:
+    # MatchSession (miss then hit) vs the one-shot result of the same
+    # preset; for ``recommended`` also its count-only repeats, the last
+    # of which runs the order race's winner.
+    for algorithm in dict.fromkeys((session_algorithm, "recommended")):
+        session_config = Config(algorithm=algorithm, mode="session")
+        oneshot_config = Config(algorithm=algorithm)
+        session_outcome = run_checked(session_config)
+        oneshot_outcome = run_checked(oneshot_config)
+        if session_outcome is None or oneshot_outcome is None:
+            continue
         if session_outcome.repeat_list is not None and (
             session_outcome.emb_list != session_outcome.repeat_list
         ):
@@ -744,6 +769,14 @@ def run_case(
                     "session_mismatch", session_config, oneshot_config,
                     session_outcome, oneshot_outcome, case,
                     "session and one-shot results differ",
+                )
+            )
+        elif _count_repeats_differ(session_outcome, oneshot_outcome):
+            divergences.append(
+                _pair_divergence(
+                    "session_mismatch", session_config, oneshot_config,
+                    session_outcome, oneshot_outcome, case,
+                    "a count-only repeat differs from the one-shot count",
                 )
             )
 
@@ -1013,7 +1046,7 @@ def divergence_reproduces(record: Dict, query: Graph, data: Graph) -> bool:
         if kind == "session_mismatch":
             if a.repeat_list is not None and a.emb_list != a.repeat_list:
                 return True
-            return a.emb_list != b.emb_list
+            return a.emb_list != b.emb_list or _count_repeats_differ(a, b)
         return _outcomes_differ(a, b) is not None
     except Exception:  # noqa: BLE001 — shrink must not mask a crash
         return True

@@ -62,6 +62,10 @@ Counter glossary (``service.metrics.counters``):
                                 wire queries answered from its table of decoded
                                 queries, built and validated afresh, or too large
                                 to be kept
+
+``stats()`` adds, summed over the resident sessions, their order-race
+counters (``session.races``, ``session.race_switches``,
+``session.race_calls``; see :class:`~repro.core.session.MatchSession`).
 """
 
 from __future__ import annotations
@@ -734,16 +738,20 @@ class MatchService:
         """A point-in-time snapshot: counters, queue depth, residents."""
         with self._lock:
             graphs = sorted(self._graphs)
-            sessions = len(self._sessions)
+            sessions = list(self._sessions.values())
             pending = self._pending
             inflight = len(self._inflight)
             peak = self.queue_depth_peak
         with self._metrics_lock:
             counters = dict(self.metrics.counters)
             phases = dict(self.metrics.phase_seconds)
+        for session in sessions:
+            for name, value in dict(session.metrics.counters).items():
+                if name.startswith("session.race"):
+                    counters[name] = counters.get(name, 0) + value
         return {
             "graphs": graphs,
-            "sessions": sessions,
+            "sessions": len(sessions),
             "pending": pending,
             "inflight": inflight,
             "queue_depth_peak": peak,

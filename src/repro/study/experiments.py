@@ -179,6 +179,7 @@ def time_order(
     order: Sequence[int],
     match_limit: Optional[int] = None,
     time_limit: Optional[float] = None,
+    failing_sets: bool = False,
 ) -> Optional[float]:
     """Enumeration milliseconds of ``order``; ``None`` if the limit kills it.
 
@@ -186,13 +187,14 @@ def time_order(
     full candidate space) on the engine and ``auto`` kernel policy every
     preset runs with, wired by :func:`~repro.core.plan.bind_enumeration`;
     only the search itself is timed, so orders compared on one candidate
-    space differ in nothing but the ordering axis.
+    space differ in nothing but the ordering axis (and ``failing_sets``,
+    for an order raced with them on).
     """
     prepared = bind_enumeration(
         IntersectionLC(), "all", None, query, data, candidates,
         order=list(order),
     )
-    outcome = FrameMachine(prepared.lc).run(
+    outcome = FrameMachine(prepared.lc, use_failing_sets=failing_sets).run(
         query, data, candidates, prepared.auxiliary, prepared.order,
         match_limit=match_limit, time_limit=time_limit, store_limit=0,
     )

@@ -76,6 +76,23 @@ def test_paper_fixture_full_parity():
             == _enumeration_counters(one_shot.metrics), name
 
 
+def test_paper_fixture_count_only_parity():
+    """The count-only twin: the second count of ``recommended`` races its
+    order after answering, and none of the race's work reaches that
+    reply's counters; the third runs the winner, with the same count."""
+    for name in ("GQL", "DPfs", "recommended"):
+        one_shot = match(PAPER_QUERY, PAPER_DATA, algorithm=name, store_limit=0)
+        session = MatchSession(PAPER_DATA, algorithm=name)
+        replies = [session.match(PAPER_QUERY, store_limit=0) for _ in range(3)]
+        assert _enumeration_counters(replies[1].metrics) \
+            == _enumeration_counters(one_shot.metrics), name
+        for reply in replies:
+            assert (reply.num_matches, reply.solved, reply.kernel) \
+                == (one_shot.num_matches, one_shot.solved, one_shot.kernel), name
+        races = session.metrics.counters.get("session.races", 0)
+        assert races == (name == "recommended"), name
+
+
 def test_session_kernel_override_matches_one_shot():
     for kernel in ("scalar", "numpy", "bitset"):
         one_shot = match(QUERY, DATA, algorithm="CECI", kernel=kernel)

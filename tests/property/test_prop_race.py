@@ -1,0 +1,380 @@
+"""Order racing: a raced ``recommended`` query answers exactly as before.
+
+A count-only prep-cache hit of ``recommended`` races the other
+:data:`~repro.core.plan.RACERS` configurations once, after answering
+with the incumbent, unless the call has a deadline; later count-only
+hits under the raced ``match_limit`` run the winner, sequential or
+fanned out. A racer whose order the kernel policy would run on another
+kernel sits out. What may change is the work a count costs, never its answer: every
+count reply equals the one-shot ``num_matches``, ``solved`` and
+``kernel``, and every reply that carries embeddings stays byte-identical
+to one-shot (embeddings, order and all five counters). The race itself
+is deterministic, picks the configuration with the fewest
+``recursion_calls`` (a racer over budget never wins), records nothing
+when cancelled, and costs at most ``7 × (incumbent calls + stride)``.
+"""
+
+import sys
+import threading
+from dataclasses import astuple, replace
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from strategies import connected_graphs, graphs
+
+from repro import MatchSession, match
+from repro.core.plan import RACERS, bind_enumeration, race_orders, run_plan
+from repro.core.registry import ORDERINGS
+from repro.enumeration.support import DEADLINE_STRIDE
+from repro.graph import extract_query, rmat_graph
+from repro.obs import Tracer, tracing
+
+_SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def race_cases(draw):
+    """A query of 3–10 vertices (failing sets on from 9), a data graph
+    sharing its two labels, and a match cap or none."""
+    query = draw(connected_graphs(min_vertices=3, max_vertices=10, max_labels=2))
+    data = draw(graphs(min_vertices=4, max_vertices=16, max_labels=2, edge_probability=0.5))
+    limit = draw(st.sampled_from([None, 1, 3, 50]))
+    return query, data, limit
+
+
+@pytest.fixture(scope="module")
+def dense():
+    """A dense RMAT graph and queries whose races switch configuration."""
+    data = rmat_graph(num_vertices=400, average_degree=12.0, num_labels=6, seed=3)
+    queries = [extract_query(data, size, seed=seed) for size, seed in
+               ((8, 2), (9, 2), (10, 2), (12, 2), (9, 3))]
+    return data, queries
+
+
+def _cached(session):
+    (prepared,) = session._prep._entries.values()
+    return prepared
+
+
+def _incumbent(session, query, data, limit):
+    """Prime ``session`` and return (plan, prepared, incumbent calls)."""
+    result = session.match(query, match_limit=limit, store_limit=0)
+    plan, _ = session.compile(query)
+    return plan, _cached(session), result.stats.recursion_calls
+
+
+def _counts(result):
+    return result.num_matches, result.solved, result.kernel, result.algorithm
+
+
+@given(race_cases())
+@_SETTINGS
+def test_every_count_reply_equals_one_shot(case):
+    query, data, limit = case
+    one_shot = match(query, data, match_limit=limit, store_limit=0)
+    session = MatchSession(data)
+    replies = [session.match(query, match_limit=limit, store_limit=0) for _ in range(4)]
+    replies.append(session.match(query, match_limit=limit, store_limit=0, n_workers=0))
+    for reply in replies:
+        assert _counts(reply) == _counts(one_shot)
+    assert session.count_matches(query, match_limit=limit) == one_shot.num_matches
+    assert session.has_match(query) == (one_shot.num_matches > 0)
+    races = session.metrics.counters.get("session.races", 0)
+    assert races == (1 if one_shot.solved else 0)
+    if races:
+        assert _cached(session).raced is not None
+
+
+def test_raced_counts_equal_one_shot_and_switch(dense):
+    data, queries = dense
+    session = MatchSession(data)
+    for query in queries:
+        for limit in (None, 200):
+            one_shot = match(query, data, match_limit=limit, store_limit=0)
+            for _ in range(3):
+                reply = session.match(query, match_limit=limit, store_limit=0)
+                assert _counts(reply) == _counts(one_shot)
+    counters = session.metrics.counters
+    assert counters["session.races"] == len(queries)
+    assert counters["session.race_switches"] > 0
+
+
+def test_embedding_replies_after_a_race_are_one_shot_bytes(dense):
+    data, queries = dense
+    session = MatchSession(data)
+    for query in queries:
+        for _ in range(2):
+            session.count_matches(query, match_limit=500)
+        assert session.metrics.counters["session.races"] >= 1
+        one_shot = match(query, data, match_limit=500, store_limit=100)
+        warm = session.match(query, match_limit=500, store_limit=100)
+        assert warm.embeddings == one_shot.embeddings
+        assert warm.order == one_shot.order
+        assert astuple(warm.stats) == astuple(one_shot.stats)
+        assert _counts(warm) == _counts(one_shot)
+
+
+def test_two_fresh_sessions_pick_the_same_winner(dense):
+    data, queries = dense
+    winners = []
+    for _ in range(2):
+        picked = []
+        for query in queries:
+            session = MatchSession(data)
+            for _ in range(3):
+                session.count_matches(query, match_limit=1000)
+            winner = _cached(session).raced
+            picked.append((winner.ordering, winner.failing_sets,
+                           winner.prepared.order, winner.calls, winner.race_calls))
+        winners.append(picked)
+    assert winners[0] == winners[1]
+
+
+@pytest.mark.parametrize("preset", ["GQLfs", "RI-opt", "DP", "CFL"])
+def test_named_presets_never_race(dense, preset):
+    data, queries = dense
+    session = MatchSession(data, algorithm=preset)
+    for _ in range(3):
+        session.count_matches(queries[0], match_limit=1000)
+    assert "session.races" not in session.metrics.counters
+    assert _cached(session).raced is None
+
+
+def _true_calls(plan, query, data, prepared, limit):
+    """Unbudgeted ``recursion_calls`` of every racer configuration that
+    resolves the incumbent's kernel (the others sit the race out)."""
+    spec = plan.algorithm
+    calls = {}
+    for name, fs in RACERS:
+        ordering = ORDERINGS.create(name)
+        bound = bind_enumeration(
+            spec.lc, spec.aux_scope, plan.kernel_policy, query, data,
+            prepared.candidates,
+            order=ordering.order(query, data, prepared.candidates),
+        )
+        if bound.kernel_used != prepared.kernel_used:
+            continue
+        racer = replace(plan, algorithm=replace(spec, ordering=ordering, failing_sets=fs))
+        result, _ = run_plan(racer, query, data, prepared=bound,
+                             match_limit=limit, store_limit=0)
+        calls[name, fs] = result.stats.recursion_calls
+    return calls
+
+
+def test_the_fewest_calls_win_and_a_racer_over_budget_never_does(dense):
+    data, queries = dense
+    for query in queries:
+        for limit in (None, 300):
+            session = MatchSession(data)
+            plan, prepared, calls = _incumbent(session, query, data, limit)
+            spec = plan.algorithm
+            incumbent = (spec.ordering.name, spec.failing_sets)
+            true = _true_calls(plan, query, data, prepared, limit)
+            assert true[incumbent] == calls
+            ranked = [incumbent] + [c for c in RACERS if c != incumbent and c in true]
+            best = min(ranked, key=lambda c: true[c])  # first of the fewest
+            winner = race_orders(plan, query, data, prepared, calls, limit).raced
+            assert (winner.ordering, winner.failing_sets) == best
+            assert winner.calls == true[best]
+            assert winner.race_calls <= 7 * (calls + DEADLINE_STRIDE)
+            # An incumbent claiming fewer calls than any racer can take
+            # keeps the race: everyone else runs over budget.
+            floor = min(true.values())
+            kept = race_orders(plan, query, data, prepared, floor - 1, limit).raced
+            assert (kept.ordering, kept.failing_sets) == incumbent
+            assert kept.prepared is prepared and kept.plan is plan
+            assert prepared.raced is None  # the cached object is never mutated
+
+
+def test_a_cancelled_race_records_nothing(dense):
+    data, queries = dense
+    query = queries[-1]
+    session = MatchSession(data)
+    plan, prepared, calls = _incumbent(session, query, data, None)
+    assert race_orders(plan, query, data, prepared, calls, cancel=lambda: True) is None
+
+    # Through the session: a cancel hook that lets the incumbent's own
+    # polls pass and stops the race at its first.
+    polls = []
+
+    def count_polls():
+        polls.append(1)
+        return False
+
+    match(query, data, match_limit=None, store_limit=0, cancel=count_polls)
+    seen = []
+
+    def cancel():
+        seen.append(1)
+        return len(seen) > len(polls)
+
+    one_shot = match(query, data, match_limit=None, store_limit=0)
+    reply = session.match(query, match_limit=None, store_limit=0, cancel=cancel)
+    assert len(seen) > len(polls)  # the race did poll, and was stopped
+    assert _counts(reply) == _counts(one_shot)
+    assert astuple(reply.stats) == astuple(one_shot.stats)
+    assert "session.races" not in session.metrics.counters
+    assert _cached(session).raced is None
+    session.match(query, match_limit=None, store_limit=0)  # races again
+    assert session.metrics.counters["session.races"] == 1
+
+
+def test_four_threads_racing_one_prepared_query_agree(dense):
+    data, queries = dense
+    query = queries[2]
+    reference = MatchSession(data)
+    plan, prepared, calls = _incumbent(reference, query, data, 2000)
+    want = race_orders(plan, query, data, prepared, calls, 2000).raced
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        session = MatchSession(data)
+        session.count_matches(query, match_limit=2000)
+        shared = _cached(session)
+        barrier = threading.Barrier(4)
+        seen = [None] * 4
+
+        def worker(slot):
+            barrier.wait()
+            direct = race_orders(plan, query, data, shared, calls, 2000).raced
+            replies = [_counts(session.match(query, match_limit=2000, store_limit=0))
+                       for _ in range(3)]
+            seen[slot] = (direct.ordering, direct.failing_sets, direct.prepared.order,
+                          direct.calls, direct.race_calls, replies)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    expected = (want.ordering, want.failing_sets, want.prepared.order, want.calls,
+                want.race_calls)
+    one_shot = _counts(match(query, data, match_limit=2000, store_limit=0))
+    for row in seen:
+        assert row[:5] == expected
+        assert row[5] == [one_shot] * 3
+    winner = _cached(session).raced
+    assert (winner.ordering, winner.failing_sets, winner.calls) \
+        == (want.ordering, want.failing_sets, want.calls)
+
+
+def test_parallel_session_returns_the_sequential_count_of_a_raced_query(dense):
+    data, queries = dense
+    query = queries[1]
+    one_shot = match(query, data, match_limit=None, store_limit=0)
+    session = MatchSession(data, n_workers=2)
+    try:
+        replies = [session.match(query, match_limit=None, store_limit=0) for _ in range(3)]
+        assert session.metrics.counters["session.races"] == 1
+        sequential = session.match(query, match_limit=None, store_limit=0, n_workers=0)
+        winner = _cached(session).raced
+        assert sequential.order == winner.prepared.order
+        # The fan-out runs the winner too: its workers rebuild the
+        # winner's order from the winner's plan.
+        assert replies[2].metrics.counters["parallel.matches"] == 1
+        assert replies[2].order == winner.prepared.order
+        assert replies[2].stats.recursion_calls == sequential.stats.recursion_calls
+        for reply in replies + [sequential]:
+            assert _counts(reply) == _counts(one_shot)
+    finally:
+        session.close()
+
+
+@given(race_cases())
+@_SETTINGS
+def test_a_winner_runs_only_under_the_cap_it_raced(case):
+    query, data, _ = case
+    one_shot = match(query, data, match_limit=None, store_limit=0)
+    session = MatchSession(data)
+    session.has_match(query)
+    session.has_match(query)  # races under match_limit=1
+    winner = _cached(session).raced
+    if winner is None:  # the first-match run did not solve
+        return
+    assert winner.match_limit == 1
+    for _ in range(2):
+        reply = session.match(query, match_limit=None, store_limit=0)
+        assert _counts(reply) == _counts(one_shot)
+        assert reply.order == one_shot.order
+        assert astuple(reply.stats) == astuple(one_shot.stats)
+    assert session.metrics.counters["session.races"] == 1
+
+
+def test_a_call_with_a_deadline_never_races(dense):
+    data, queries = dense
+    query = queries[3]
+    one_shot = match(query, data, match_limit=None, store_limit=0)
+    session = MatchSession(data)
+    # A deadline shorter than the race but long enough for one search:
+    # each deadline-bound hit runs exactly the one search, never a race.
+    for _ in range(3):
+        reply = session.match(query, match_limit=None, store_limit=0, time_limit=30.0)
+        assert _counts(reply) == _counts(one_shot)
+        assert astuple(reply.stats) == astuple(one_shot.stats)
+    assert "session.races" not in session.metrics.counters
+    assert _cached(session).raced is None
+    session.match(query, match_limit=None, store_limit=0)  # no deadline: races
+    assert session.metrics.counters["session.races"] == 1
+    reply = session.match(query, match_limit=None, store_limit=0, time_limit=30.0)
+    assert reply.order == _cached(session).raced.prepared.order
+    assert _counts(reply) == _counts(one_shot)
+
+
+def _backward_pairs(query, order):
+    position = {u: i for i, u in enumerate(order)}
+    return [(w, u) if position[w] < position[u] else (u, w) for w, u in query.edges()]
+
+
+def test_a_racer_refused_rows_sits_out(dense, monkeypatch):
+    data, queries = dense
+    for query in queries:
+        session = MatchSession(data)
+        plan, prepared, calls = _incumbent(session, query, data, None)
+        assert prepared.kernel_used == "rows"
+        aux = prepared.auxiliary
+        budget = aux.row_bytes(_backward_pairs(query, prepared.order))
+        over = {
+            name for name, _ in RACERS
+            if aux.row_bytes(_backward_pairs(
+                query, ORDERINGS.create(name).order(query, data, prepared.candidates)
+            )) > budget
+        }
+        if over:
+            break
+    else:
+        pytest.skip("every racer's rows fit the incumbent's")
+    # The auto policy's budget is now exactly the incumbent's rows.
+    monkeypatch.setattr("repro.utils.kernels._bitset_cache_budget", lambda: budget)
+    tracer = Tracer()
+    with tracing(tracer):
+        winner = race_orders(plan, query, data, prepared, calls).raced
+    (race,) = [s for s in tracer.spans if s.name == "plan.race"]
+    assert plan.algorithm.ordering.name not in over
+    assert race.attrs["racers"] == 7 - 2 * len(over)
+    assert winner.ordering not in over
+    assert winner.prepared.kernel_used == "rows"
+
+
+def test_service_stats_carry_the_race_counters(dense):
+    from repro.serve import MatchService
+
+    data, queries = dense
+    with MatchService(workers=1) as service:
+        service.add_graph("g", data)
+        assert "session.races" not in service.stats()["counters"]
+        for _ in range(3):
+            service.match(queries[4], graph="g", match_limit=5000, store_limit=0)
+        counters = service.stats()["counters"]
+    assert counters["session.races"] == 1
+    assert counters["session.race_calls"] > 0
+    assert "session.race_switches" in counters
