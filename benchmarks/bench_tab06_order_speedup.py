@@ -70,7 +70,7 @@ def _race(query, data) -> Tuple[Optional[RaceWinner], float]:
     began = time.perf_counter()
     raced = race_orders(
         plan, query, data, prepared, result.stats.recursion_calls,
-        match_limit=bench_match_cap(),
+        result.num_matches, match_limit=bench_match_cap(),
     )
     return raced.raced, (time.perf_counter() - began) * 1000.0
 

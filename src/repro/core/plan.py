@@ -17,10 +17,11 @@ split is made explicit here:
   come back as a :class:`PreparedQuery`, which a
   :class:`~repro.core.session.MatchSession` may hand back on a later call
   with the *identical* query to skip the whole preprocessing phase.
-* :func:`race_orders` runs the :data:`RACERS` configurations count-only
-  over a prepared query's candidates, each stopped once it passes the
-  fewest search calls so far, and returns the prepared query with the
-  winner attached (:attr:`PreparedQuery.raced`).
+* :func:`race_orders` runs the :data:`RACERS` configurations and
+  sampled orders count-only over a prepared query's candidates, each
+  stopped once it cannot beat the fewest search calls so far, and returns
+  the prepared query with the winner attached
+  (:attr:`PreparedQuery.raced`).
 
 Cache-soundness contract: a plan's contents may only depend on
 fingerprint-stable query features (``num_vertices``, ``num_edges``,
@@ -32,6 +33,7 @@ under exact :class:`~repro.graph.graph.Graph` equality.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -39,6 +41,7 @@ from functools import partial
 from typing import (
     Any,
     Callable,
+    Dict,
     Hashable,
     Iterator,
     List,
@@ -54,7 +57,6 @@ from repro.core.result import MatchResult
 from repro.core.spec import AlgorithmSpec
 from repro.enumeration.frames import FrameMachine
 from repro.enumeration.local_candidates import IntersectionLC
-from repro.enumeration.support import DEADLINE_STRIDE
 from repro.errors import InvalidQueryError
 from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.graph.fingerprint import query_fingerprint
@@ -62,6 +64,7 @@ from repro.graph.graph import Graph
 from repro.graph.ops import connected
 from repro.obs import Metrics, collecting, span
 from repro.ordering.dpiso import DPisoOrdering
+from repro.ordering.spectrum import sample_orders
 from repro.utils.kernels import KernelLike, get_kernel
 from repro.utils.timer import Timer
 
@@ -74,6 +77,8 @@ __all__ = [
     "bind_enumeration",
     "race_orders",
     "RACERS",
+    "SAMPLED_RACERS",
+    "SAMPLE_SEED",
     "RaceWinner",
     "iter_leaf_batches",
     "run_plan",
@@ -144,8 +149,10 @@ class PreparedQuery:
 
     ``raced`` is ``None`` until :func:`race_orders` has run on these
     artifacts; it then holds the winning configuration, which a session
-    runs for later count-only requests. A race never changes this object:
-    it returns a copy with ``raced`` set, which replaces it in the cache.
+    runs for later count-only requests. A race never replaces a field of
+    this object (its racers share the auxiliary structure, as any run
+    does): it returns a copy with ``raced`` set, which replaces it in the
+    cache.
     """
 
     candidates: Any = None
@@ -162,11 +169,14 @@ class PreparedQuery:
 class RaceWinner(NamedTuple):
     """The configuration :func:`race_orders` chose for one prepared query.
 
-    ``plan`` is the raced plan with its spec's ordering and failing sets
-    swapped for the winner's (name unchanged); ``prepared`` holds the
-    winner's order and bound ComputeLC over the raced query's candidates.
-    ``match_limit`` is the cap the race ran under: fewest calls under one
-    cap says nothing about another, so only requests with that cap run it.
+    ``ordering`` names a :data:`RACERS` ordering or ``sampled#i``, the
+    ``i``-th sampled order. ``plan`` is the raced plan with its spec's
+    failing sets swapped for the winner's (name and ordering unchanged);
+    ``prepared`` holds the winner's order — the one every run reads,
+    fanned-out ones too — and bound ComputeLC over the raced query's
+    candidates and auxiliary structure. ``match_limit`` is the cap the
+    race ran under: fewest calls under one cap says nothing about
+    another, so only requests with that cap run it.
     """
 
     ordering: str
@@ -282,6 +292,7 @@ def prepare_query(
     query: Graph,
     data: Graph,
     metrics: Metrics,
+    order: Optional[List[int]] = None,
 ) -> PreparedQuery:
     """Run the preprocessing phases of ``plan`` for one concrete query.
 
@@ -289,7 +300,10 @@ def prepare_query(
     ``filter`` phase, like the auxiliary structure it materializes always
     was) — everything Algorithm 1 does before enumeration. The caller
     owns metrics installation; phase timings are recorded on ``metrics``
-    exactly as the one-shot pipeline always did.
+    exactly as the one-shot pipeline always did. A static ``order``
+    replaces the plan's ordering: a :mod:`repro.parallel` worker runs the
+    order its parent prepared, which a seeded or raced ordering could not
+    derive again.
     """
     spec = plan.algorithm
     with Timer() as prep_timer:
@@ -305,14 +319,13 @@ def prepare_query(
 
         with span("order", ordering=spec.ordering.name), Timer() as order_timer:
             adaptive_state = None
-            order = None
             if spec.adaptive:
                 assert candidates is not None, "adaptive mode needs candidates"
                 assert isinstance(spec.ordering, DPisoOrdering)
                 adaptive_state = spec.ordering.adaptive_state(
                     query, data, candidates
                 )
-            else:
+            elif order is None:
                 order = spec.ordering.order(query, data, candidates)
         metrics.record_phase("order", order_timer.elapsed)
 
@@ -333,6 +346,51 @@ def prepare_query(
     return prepared
 
 
+def _backward_pairs(query: Graph, position: Dict[int, int]) -> List[Tuple[int, int]]:
+    """Every query edge in its backward direction: Algorithm 5's reads."""
+    return [
+        (w, u) if position[w] < position[u] else (u, w) for w, u in query.edges()
+    ]
+
+
+def _positions(order: List[int]) -> Dict[int, int]:
+    return {u: i for i, u in enumerate(order)}
+
+
+def _resolve_lc(
+    lc: Any,
+    aux_scope: str,
+    kernel: Optional[KernelLike],
+    query: Graph,
+    auxiliary: Optional[AuxiliaryStructure],
+    order: Optional[List[int]] = None,
+    adaptive_state: Any = None,
+) -> Tuple[Any, Optional[List[Tuple[int, int]]]]:
+    """``lc`` with its intersection backend resolved, and the auxiliary
+    pairs Algorithm 5 reads (``None`` for other methods and scopes).
+
+    A spec constructed with an explicit kernel keeps it; the stock
+    default is swapped for the kernel policy (an explicit request, the
+    env var, or auto: bitmap rows when a static order can run on them
+    and they fit the byte budget).
+    """
+    if not isinstance(lc, IntersectionLC):
+        return lc, None
+    backward_pairs = None
+    if aux_scope == "all":
+        position = adaptive_state.position if order is None else _positions(order)
+        backward_pairs = _backward_pairs(query, position)
+    if kernel is not None or lc.uses_default_kernel:
+        on_rows = backward_pairs is not None and order is not None
+        with span("kernel.resolve"):
+            backend = get_kernel(
+                kernel,
+                row_bytes=auxiliary.row_bytes(backward_pairs) if on_rows else None,
+            )
+        lc = IntersectionLC(kernel=backend)
+    return lc, backward_pairs
+
+
 def bind_enumeration(
     lc: Any,
     aux_scope: str,
@@ -343,6 +401,7 @@ def bind_enumeration(
     order: Optional[List[int]] = None,
     adaptive_state: Any = None,
     tree: Any = None,
+    auxiliary: Optional[AuxiliaryStructure] = None,
 ) -> PreparedQuery:
     """Everything between ``(candidates, order)`` and a runnable engine.
 
@@ -353,42 +412,21 @@ def bind_enumeration(
     The one place this wiring exists: :func:`prepare_query`
     feeds it a filter's and an ordering's output, continuous queries
     (:mod:`repro.dynamic.subscribe`) their maintained candidates and a
-    pinned order.
+    pinned order. An existing ``auxiliary`` over the same candidates is
+    bound onto instead of a fresh one: its contents depend only on the
+    candidates, so :func:`race_orders`' racers fill the holes of the
+    incumbent's row tables rather than build their own.
     """
-    auxiliary = None
-    if aux_scope != "none":
+    if auxiliary is None and aux_scope != "none":
         assert candidates is not None, "auxiliary structure needs candidates"
         auxiliary = AuxiliaryStructure.build(
             query, data, candidates, scope=aux_scope, tree=tree
         )
-    # Algorithm 5 reads every query edge in its backward direction.
-    backward_pairs = None
-    if isinstance(lc, IntersectionLC) and aux_scope == "all":
-        position = (
-            adaptive_state.position
-            if order is None
-            else {u: i for i, u in enumerate(order)}
-        )
-        backward_pairs = [
-            (w, u) if position[w] < position[u] else (u, w)
-            for w, u in query.edges()
-        ]
-    # A spec constructed with an explicit kernel keeps it; the stock
-    # default is swapped for the kernel policy (an explicit request, the
-    # env var, or auto: bitmap rows when a static order can run on them
-    # and they fit the byte budget). Either way the result names the
-    # backend Algorithm 5 ran on.
-    kernel_used = None
-    if isinstance(lc, IntersectionLC):
-        if kernel is not None or lc.uses_default_kernel:
-            on_rows = backward_pairs is not None and order is not None
-            with span("kernel.resolve"):
-                backend = get_kernel(
-                    kernel,
-                    row_bytes=auxiliary.row_bytes(backward_pairs) if on_rows else None,
-                )
-            lc = IntersectionLC(kernel=backend)
-        kernel_used = lc.kernel.name
+    lc, backward_pairs = _resolve_lc(
+        lc, aux_scope, kernel, query, auxiliary, order, adaptive_state
+    )
+    # The result names the backend Algorithm 5 runs on.
+    kernel_used = lc.kernel.name if isinstance(lc, IntersectionLC) else None
     if order is not None:
         lc = lc.bind(
             query,
@@ -411,11 +449,38 @@ def bind_enumeration(
     )
 
 
-#: The configurations :func:`race_orders` tries, in tie-break order:
-#: {GraphQL, RI, DP-iso, QuickSI} orderings × failing sets {off, on}.
+#: The named configurations :func:`race_orders` tries first, in tie-break
+#: order: the {GraphQL, RI, DP-iso, QuickSI} orderings with failing sets
+#: on. Failing sets only skip subtrees that hold no match, so no order
+#: takes fewer calls without them: an order's configuration without them
+#: could at best tie, and is not raced (the incumbent, whichever it is,
+#: still takes part).
 RACERS: Tuple[Tuple[str, bool], ...] = tuple(
-    (ordering, fs) for ordering in ("GQL", "RI", "DP", "QSI") for fs in (False, True)
+    (ordering, True) for ordering in ("GQL", "RI", "DP", "QSI")
 )
+#: Then up to this many sampled connected orders, failing sets on, drawn
+#: with :data:`SAMPLE_SEED` (the paper's Table 6 finding is that sampled
+#: orders beat the named ones).
+SAMPLED_RACERS = 24
+SAMPLE_SEED = 2020
+#: Search nodes each racer runs per turn of :func:`race_orders`: a
+#: loser's overshoot past the winner, against one pause and resume of its
+#: machine per turn.
+RACE_QUANTUM = 128
+
+
+def _racers(
+    query: Graph, data: Graph, candidates: Any
+) -> Iterator[Tuple[str, List[int], bool, bool]]:
+    """``(name, order, failing sets, sampled)`` of every racer, in order."""
+    orders: Dict[str, List[int]] = {}
+    for name, fs in RACERS:
+        if name not in orders:
+            orders[name] = ORDERINGS.create(name).order(query, data, candidates)
+        yield name, orders[name], fs, False
+    samples = sample_orders(query, SAMPLED_RACERS, seed=SAMPLE_SEED)
+    for i, order in enumerate(samples):
+        yield f"sampled#{i}", order, True, True
 
 
 def race_orders(
@@ -424,97 +489,111 @@ def race_orders(
     data: Graph,
     prepared: PreparedQuery,
     calls: int,
+    matches: int,
     match_limit: Optional[int] = None,
     cancel: Optional[Callable[[], bool]] = None,
 ) -> Optional[PreparedQuery]:
-    """Race every other :data:`RACERS` configuration against a solved run.
+    """Race the :data:`RACERS` configurations, then :data:`SAMPLED_RACERS`
+    sampled orders, against a solved run.
 
-    ``prepared`` holds a static-order Algorithm 5 plan's artifacts and
-    ``calls`` the ``recursion_calls`` its own run took under
-    ``match_limit``. Each racer orders the same candidates, is bound
-    under the plan's kernel policy — a racer whose order resolves another
-    kernel (say, bitmap rows over the byte budget) sits the race out —
-    and runs count-only through :func:`run_plan` under the same
-    ``match_limit``. Its budget is the fewest calls seen so far, checked
-    through the engine's ``cancel`` poll: every poll stands for at least
-    :data:`~repro.enumeration.support.DEADLINE_STRIDE` more calls, so a
-    racer is stopped once it cannot finish under the budget, less than a
-    stride past it — plus, per poll, the rest of a leaf batch that
-    crossed the stride. The race costs about ``7 × (calls + stride)``
-    calls at most. The racer with strictly fewest calls wins; ties keep
-    the earlier configuration, the incumbent first.
+    ``prepared`` holds a static-order Algorithm 5 plan's artifacts, and
+    ``calls`` and ``matches`` the ``recursion_calls`` and ``num_matches``
+    of its own run under ``match_limit``. Each racer orders the same
+    candidates and binds onto the same auxiliary structure, filling the
+    holes of the row tables it shares with the incumbent. A racer whose
+    order the plan's kernel policy would run on another kernel (say,
+    bitmap rows over the byte budget) sits out, and so does one whose
+    order and failing sets were already raced. The rest run count-only
+    under the same ``match_limit``.
+
+    Every solved racer finds the same ``matches`` and pays one call per
+    match, so fewest calls is fewest interior nodes (calls − matches).
+    The racers run side by side: the one with fewest interior nodes so
+    far runs the next :data:`RACE_QUANTUM` nodes, so the first to finish
+    is (to a quantum) the one with fewest interior nodes. Between turns a
+    racer is stopped once its calls so far plus the matches it still owes
+    pass the fewest calls so far (reach them, for a racer after the
+    holder in tie-break order): it can no longer win, and no racer that
+    still could is stopped. A racer therefore spends at most the
+    winner's interior nodes plus a quantum, and the race's interior
+    nodes are at most ``racers × (winner interior + RACE_QUANTUM)``:
+    every loser must reach the winner's count to lose, so no exact race
+    over the same racers spends much less. The racer with strictly
+    fewest calls wins; ties keep the earlier configuration, the
+    incumbent first. Afterwards the auxiliary structure keeps only the
+    pairs the incumbent or the winner reads.
 
     Returns a copy of ``prepared`` whose :attr:`~PreparedQuery.raced` holds
-    the winner, or ``None`` when ``cancel`` stopped the race, which then
-    leaves nothing behind. Call counts are deterministic, so so is the
-    winner. The race's counters go to sinks of its own, never to the
-    caller's metrics.
+    the winner, or ``None`` when ``cancel`` (polled by every racer) stopped
+    the race, which then leaves nothing behind. Call counts and samples
+    are deterministic, so so is the winner. The race's counters go to
+    sinks of its own, never to the caller's metrics.
     """
     spec = plan.algorithm
-    incumbent = (spec.ordering.name, spec.failing_sets)
-    best = RaceWinner(*incumbent, match_limit, plan, prepared, calls, 0)
-    spent = tried = 0
+    aux = prepared.auxiliary
+    best = RaceWinner(
+        spec.ordering.name, spec.failing_sets, match_limit, plan, prepared, calls, 0
+    )
+    best_at = -1  # the holder's place in tie-break order; the incumbent first
+    seen = {(tuple(prepared.order), spec.failing_sets)}
+    racers: List[Tuple[str, bool, PreparedQuery, FrameMachine]] = []
+    sampled = 0
     with span("plan.race", incumbent_calls=calls) as race_span, collecting(Metrics()):
-        for name, fs in RACERS:
-            if (name, fs) == incumbent:
+        for name, order, fs, is_sample in _racers(query, data, prepared.candidates):
+            if (tuple(order), fs) in seen:
                 continue
-            ordering = ORDERINGS.create(name)
+            seen.add((tuple(order), fs))
+            lc, _ = _resolve_lc(spec.lc, spec.aux_scope, plan.kernel_policy, query, aux, order)
+            if lc.kernel.name != prepared.kernel_used:
+                continue
             racer = bind_enumeration(
-                spec.lc,
-                spec.aux_scope,
-                plan.kernel_policy,
-                query,
-                data,
-                prepared.candidates,
-                order=ordering.order(query, data, prepared.candidates),
+                lc, spec.aux_scope, None, query, data, prepared.candidates,
+                order=order, auxiliary=aux,
             )
-            if racer.kernel_used != prepared.kernel_used:
+            machine = FrameMachine(racer.lc, use_failing_sets=fs).start(
+                query, data, racer.candidates, aux, order,
+                match_limit=match_limit, store_limit=0, cancel=cancel,
+            )
+            racers.append((name, fs, racer, machine))
+            sampled += is_sample
+        # (interior nodes so far, place): the racer furthest behind runs next.
+        queue = [(0, at) for at in range(len(racers))]
+        aborted = False
+        while queue:
+            _, at = heapq.heappop(queue)
+            name, fs, racer, machine = racers[at]
+            over = machine.step(RACE_QUANTUM)
+            so_far, found = machine.stats.recursion_calls, machine.num_matches
+            if over and not machine.solved:
+                aborted = True
+                break
+            # (calls, place) orders racers as the race ranks them.
+            if over:
+                if (so_far, at) < (best.calls, best_at):
+                    winner_plan = replace(plan, algorithm=replace(spec, failing_sets=fs))
+                    best = RaceWinner(name, fs, match_limit, winner_plan, racer, so_far, 0)
+                    best_at = at
                 continue
-            racer_plan = replace(
-                plan, algorithm=replace(spec, ordering=ordering, failing_sets=fs)
-            )
-            budget = best.calls
-            polls = 0
-            aborted = False
-
-            def stop() -> bool:
-                nonlocal polls, aborted
-                if cancel is not None and cancel():
-                    aborted = True
-                    return True
-                polls += 1
-                return polls * DEADLINE_STRIDE >= budget
-
-            result, _ = run_plan(
-                racer_plan,
-                query,
-                data,
-                prepared=racer,
-                match_limit=match_limit,
-                store_limit=0,
-                cancel=stop,
-            )
-            tried += 1
-            spent += result.stats.recursion_calls
-            if aborted:
-                return None
-            if result.solved and result.stats.recursion_calls < budget:
-                best = RaceWinner(
-                    name,
-                    fs,
-                    match_limit,
-                    racer_plan,
-                    racer,
-                    result.stats.recursion_calls,
-                    0,
-                )
+            if (so_far + matches - found, at) < (best.calls, best_at):
+                heapq.heappush(queue, (so_far - found, at))
+        kept = _backward_pairs(query, _positions(prepared.order))
+        if not aborted:
+            kept += _backward_pairs(query, _positions(best.prepared.order))
+        aux.retain(kept)
+        if aborted:
+            return None
+        spent = sum(machine.stats.recursion_calls for *_, machine in racers)
+        found = sum(machine.num_matches for *_, machine in racers)
         best = best._replace(race_calls=spent)
         race_span.annotate(
-            racers=tried,
+            racers=len(racers),
+            sampled=sampled,
             ordering=best.ordering,
             failing_sets=best.failing_sets,
             winner_calls=best.calls,
             race_calls=spent,
+            winner_interior=best.calls - matches,
+            race_interior=spent - found,
         )
     return replace(prepared, raced=best)
 

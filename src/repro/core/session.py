@@ -149,13 +149,14 @@ class MatchSession:
     raced, is answered by the cached configuration as always; if that run
     solved and the call carries no ``time_limit``,
     :func:`~repro.core.plan.race_orders` then tries the other
-    :data:`~repro.core.plan.RACERS` configurations under its
+    :data:`~repro.core.plan.RACERS` configurations and
+    :data:`~repro.core.plan.SAMPLED_RACERS` sampled orders under its
     ``recursion_calls`` and ``match_limit``, and the copy carrying the
     winner replaces the cached prepared query. A call with a deadline
     never waits on a race past its own answer; ``cancel`` stops a race
     like a search, and a stopped race records nothing. Later count-only
     hits with the raced ``match_limit`` use the winner, sequential or
-    fanned out (workers rebuild the winner's order from its plan).
+    fanned out (workers are handed the winner's order).
     Replies carrying embeddings, named presets, cache misses and other
     caps keep the cached configuration. The reply invariant: every
     reply's ``num_matches``, ``solved``, ``algorithm`` and ``kernel``
@@ -505,6 +506,7 @@ class MatchSession:
                 data,
                 race,
                 result.stats.recursion_calls,
+                result.num_matches,
                 match_limit=match_limit,
                 cancel=cancel,
             )

@@ -270,6 +270,7 @@ class FrameMachine:
         self._tick = DEADLINE_STRIDE
         self._match_limit = match_limit
         self._num_matches = 0
+        self._pausing = False
         self._store = EmbeddingStore(store_limit)
         self._emit_rows = emit_rows
         self._full_mask = (1 << n) - 1
@@ -335,6 +336,10 @@ class FrameMachine:
         return self._num_matches
 
     @property
+    def solved(self) -> bool:
+        return self._solved
+
+    @property
     def stats(self) -> EnumerationStats:
         return self._stats
 
@@ -352,15 +357,34 @@ class FrameMachine:
             self._done = True
             return None
 
+    def step(self, calls: int) -> bool:
+        """Count-only (``emit_rows=False``): run about ``calls`` (≥ 1)
+        more search nodes, then pause before the next one; True once the
+        search is over (exhausted, at its match limit, or stopped by the
+        budget). :attr:`stats` and :attr:`num_matches` are current
+        between steps, so a caller can interleave machines and stop the
+        ones it no longer needs — how :func:`~repro.core.plan.race_orders`
+        runs its racers side by side."""
+        self._tick = calls + 1  # the node that spends the last one pauses
+        self._pausing = True
+        try:
+            self.advance()
+        finally:
+            self._pausing = False
+        return self._done
+
     # ------------------------------------------------------------------
     # Machine internals
     # ------------------------------------------------------------------
 
-    def _check_budget(self) -> None:
+    def _poll(self) -> bool:
+        # The stride's check: raise on an expired deadline or a `cancel`;
+        # True when `step` asked for a pause.
         if self._deadline is not None and self._deadline.expired():
             raise BudgetExceeded
         if self._cancel is not None and self._cancel():
             raise BudgetExceeded
+        return self._pausing
 
     def _open_lists(self, depth: int) -> int:
         """``full`` of frame ``depth`` from a method that answers in a
@@ -488,7 +512,11 @@ class FrameMachine:
                     tick -= 1
                     if tick <= 0:
                         tick = DEADLINE_STRIDE
-                        self._check_budget()
+                        if self._poll():
+                            # Pause before this node: resuming enters it.
+                            opening = True
+                            calls -= 1
+                            return None
                     if row_tables is not None:
                         # LC(u, M) is the AND of the backward neighbours'
                         # rows at their mapped positions, built on first read.
@@ -567,7 +595,8 @@ class FrameMachine:
                         tick -= take
                         if tick <= 0:
                             tick = DEADLINE_STRIDE
-                            self._check_budget()
+                            if self._poll():
+                                tick = 0  # pause at the next node's entry
                         if fs:
                             f_fs[d] |= full_mask
                         batch = None

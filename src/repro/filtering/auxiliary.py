@@ -204,6 +204,16 @@ class AuxiliaryStructure:
             self._rows.pop((u_from, u_to), None)
             self._arrays[(u_from, u_to)] = dict(zip(source.tolist(), chunks))
 
+    def retain(self, pairs: Iterable[Pair]) -> None:
+        """Unbind every pair outside ``pairs``, in either form; a later
+        read binds it again. Frees what only a discarded binding read (an
+        order race's losers)."""
+        keep = set(pairs)
+        for tables in (self._rows, self._arrays):
+            for pair in list(tables):
+                if pair not in keep:
+                    tables.pop(pair, None)
+
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------

@@ -214,6 +214,7 @@ class ParallelContext:
                         handle,
                         plan,
                         query,
+                        tuple(prepared.order),
                         bounds,
                         match_limit,
                         deadline_at,
@@ -240,6 +241,7 @@ class ParallelContext:
         handle: SharedGraphHandle,
         plan: MatchPlan,
         query: Graph,
+        order: Tuple[int, ...],
         bounds: Sequence[Tuple[int, int]],
         match_limit: Optional[int],
         deadline_at: Optional[float],
@@ -257,6 +259,7 @@ class ParallelContext:
                         handle,
                         plan,
                         query,
+                        order,
                         index,
                         window,
                         match_limit,

@@ -3,19 +3,25 @@
 Each pool process attaches the cancel-flag segment once at init, then
 serves :func:`_run_chunk` tasks: attach the shared data graph (cached by
 segment name), rebuild/reuse the per-query preprocessing artifacts
-(cached by a structural plan token + exact query), and run the frame
-machine over one window of the root-candidate list. Only the slim
-:class:`ChunkResult` travels back — counts, stats, stored embeddings and
-the chunk's wall-clock — never graphs or candidate structures.
+(cached by a structural plan token + static order + exact query), and run
+the frame machine over one window of the root-candidate list. Only the
+slim :class:`ChunkResult` travels back — counts, stats, stored embeddings
+and the chunk's wall-clock — never graphs or candidate structures.
+
+The static order travels with every chunk: it is the parent's
+``prepared.order``, which the root windows were cut from, and the worker
+prepares with it instead of calling the plan's ordering again. A seeded
+ordering (its rng moved on by the parent's own call) or a raced, sampled
+order could not be derived again.
 
 Cache keying: unpickled ``AlgorithmSpec`` instances never compare equal
 (their components are fresh objects), so the prepared-query cache keys on
 :func:`_plan_token` — the spec/plan's structural identity (names, classes
-and flags) — plus the exact query graph (hash/eq over CSR bytes) and the
-data segment name. Two plans with identical tokens prepare identical
-artifacts by construction: every registry component is parameterless and
-ad-hoc components are distinguished by class (and kernels additionally by
-registry name).
+and flags) — plus the order, the exact query graph (hash/eq over CSR
+bytes) and the data segment name. Two keys that are equal prepare
+identical artifacts by construction: every registry filter and ComputeLC
+is parameterless, ad-hoc components are distinguished by class (and
+kernels additionally by registry name), and the order is given.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.plan import MatchPlan, PreparedQuery, run_plan
+from repro.core.plan import MatchPlan, PreparedQuery, prepare_query, run_plan
 from repro.enumeration.stats import EnumerationStats
 from repro.graph.graph import Graph
 from repro.graph.store import SharedGraphHandle, SharedMemoryStore
@@ -96,7 +102,8 @@ def _component_token(component: object) -> Optional[str]:
 
 
 def _plan_token(plan: MatchPlan) -> tuple:
-    """Structural identity of a plan, stable across pickling."""
+    """Structural identity of a plan, stable across pickling. The
+    ordering is left out: the chunk's order stands in for it."""
     spec = plan.algorithm
     kernel = plan.kernel_policy
     if kernel is not None and not isinstance(kernel, str):
@@ -106,7 +113,6 @@ def _plan_token(plan: MatchPlan) -> tuple:
     return (
         spec.name,
         _component_token(spec.filter),
-        _component_token(spec.ordering),
         _component_token(spec.lc),
         tree_token,
         spec.aux_scope,
@@ -118,28 +124,27 @@ def _plan_token(plan: MatchPlan) -> tuple:
 
 
 def _prepared_for(
-    plan: MatchPlan, query: Graph, graph_name: str
-) -> Optional[PreparedQuery]:
-    key = (graph_name, _plan_token(plan), query)
+    plan: MatchPlan, query: Graph, order: Tuple[int, ...], data: Graph, graph_name: str
+) -> Tuple[PreparedQuery, float]:
+    """The cached artifacts for this chunk's query, or fresh ones; and
+    the preprocessing seconds paid for them (0 on a hit)."""
+    key = (graph_name, _plan_token(plan), order, query)
     prepared = _PREPARED.get(key)
     if prepared is not None:
         _PREPARED.move_to_end(key)
-    return prepared
-
-
-def _remember_prepared(
-    plan: MatchPlan, query: Graph, graph_name: str, prepared: PreparedQuery
-) -> None:
-    key = (graph_name, _plan_token(plan), query)
+        return prepared, 0.0
+    prepared = prepare_query(plan, query, data, Metrics(), order=list(order))
     _PREPARED[key] = prepared
     while len(_PREPARED) > PREP_CACHE_SIZE:
         _PREPARED.popitem(last=False)
+    return prepared, prepared.preprocessing_seconds
 
 
 def _run_chunk(
     handle: SharedGraphHandle,
     plan: MatchPlan,
     query: Graph,
+    order: Tuple[int, ...],
     index: int,
     window: Tuple[int, int],
     match_limit: Optional[int],
@@ -155,8 +160,7 @@ def _run_chunk(
     the budget exactly like the serving tier's admission does.
     """
     data = _attach_graph(handle)
-    prepared = _prepared_for(plan, query, handle.name)
-    had_prepared = prepared is not None
+    prepared, prep_seconds = _prepared_for(plan, query, order, data, handle.name)
 
     time_limit = None
     if deadline_at is not None:
@@ -173,7 +177,7 @@ def _run_chunk(
         def cancel() -> bool:
             return bool(flags[cancel_slot])
 
-    result, prepared = run_plan(
+    result, _ = run_plan(
         plan,
         query,
         data,
@@ -185,8 +189,6 @@ def _run_chunk(
         cancel=cancel,
         root_window=window,
     )
-    if not had_prepared:
-        _remember_prepared(plan, query, handle.name, prepared)
     return ChunkResult(
         index=index,
         num_matches=result.num_matches,
@@ -194,5 +196,5 @@ def _run_chunk(
         embeddings=list(result.embeddings),
         stats=result.stats,
         elapsed=result.enumeration_seconds,
-        prep_seconds=result.preprocessing_seconds,
+        prep_seconds=prep_seconds,
     )

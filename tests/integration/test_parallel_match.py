@@ -10,14 +10,17 @@ session close, nothing leaked by the one-shot API).
 """
 
 import os
+from dataclasses import replace
 
 import pytest
 
+from repro.core.algorithms import get_algorithm
 from repro.core.api import match
 from repro.core.session import MatchSession
 from repro.enumeration.support import DEADLINE_STRIDE
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.query_gen import extract_query
+from repro.ordering import RandomOrdering
 from repro.parallel import DEFAULT_CHUNKS
 
 ALGORITHM = "GQL-opt"  # static order, no failing sets: counters must agree
@@ -203,3 +206,52 @@ class TestFallback:
         )
         assert par.num_matches == seq.num_matches
         assert par.embeddings == seq.embeddings
+
+
+class TestSeededOrdering:
+    """Workers run the parent's order; they never call the ordering again.
+
+    A seeded random ordering's rng has moved on by the time the plan is
+    pickled for a chunk, so an order derived in the worker would be
+    another sample, with another root list for the parent's windows.
+    """
+
+    @staticmethod
+    def _spec(seed):
+        return replace(get_algorithm(ALGORITHM), ordering=RandomOrdering(seed=seed))
+
+    def _sequential(self, query, data, seed):
+        return match(
+            query, data, algorithm=self._spec(seed),
+            match_limit=MATCH_LIMIT, store_limit=MATCH_LIMIT,
+        )
+
+    def test_fan_out_equals_sequential(self, workload):
+        query, data = workload
+        seq = self._sequential(query, data, 11)
+        par = match(
+            query, data, algorithm=self._spec(11),
+            match_limit=MATCH_LIMIT, store_limit=MATCH_LIMIT, n_workers=2,
+        )
+        assert par.metrics.counters["parallel.matches"] == 1
+        assert par.order == seq.order
+        assert par.num_matches == seq.num_matches
+        assert par.embeddings == seq.embeddings
+        assert par.solved and seq.solved
+
+    def test_two_seeds_in_one_pool_keep_their_own_orders(self, workload):
+        query, data = workload
+        session = MatchSession(data, n_workers=2)
+        try:
+            for seed in (11, 12):
+                seq = self._sequential(query, data, seed)
+                par = session.match(
+                    query, algorithm=self._spec(seed),
+                    match_limit=MATCH_LIMIT, store_limit=MATCH_LIMIT,
+                )
+                assert par.metrics.counters["parallel.matches"] == 1
+                assert par.order == seq.order
+                assert par.num_matches == seq.num_matches
+                assert par.embeddings == seq.embeddings
+        finally:
+            session.close()

@@ -1,17 +1,20 @@
 """Order racing: a raced ``recommended`` query answers exactly as before.
 
 A count-only prep-cache hit of ``recommended`` races the other
-:data:`~repro.core.plan.RACERS` configurations once, after answering
-with the incumbent, unless the call has a deadline; later count-only
-hits under the raced ``match_limit`` run the winner, sequential or
-fanned out. A racer whose order the kernel policy would run on another
-kernel sits out. What may change is the work a count costs, never its answer: every
-count reply equals the one-shot ``num_matches``, ``solved`` and
-``kernel``, and every reply that carries embeddings stays byte-identical
-to one-shot (embeddings, order and all five counters). The race itself
-is deterministic, picks the configuration with the fewest
-``recursion_calls`` (a racer over budget never wins), records nothing
-when cancelled, and costs at most ``7 × (incumbent calls + stride)``.
+:data:`~repro.core.plan.RACERS` configurations and
+:data:`~repro.core.plan.SAMPLED_RACERS` sampled orders once, after
+answering with the incumbent, unless the call has a deadline; later
+count-only hits under the raced ``match_limit`` run the winner,
+sequential or fanned out. A racer whose order the kernel policy would run
+on another kernel sits out. What may change is the work a count costs,
+never its answer: every count reply equals the one-shot ``num_matches``,
+``solved`` and ``kernel``, and every reply that carries embeddings stays
+byte-identical to one-shot (embeddings, order and all five counters).
+The race itself is deterministic, picks the first configuration with
+the fewest ``recursion_calls`` (a racer over budget never wins), records
+nothing when cancelled, spends at most ``racers × (winner interior nodes
++ quantum)`` interior nodes, and leaves bound only the auxiliary pairs
+the incumbent or the winner reads.
 """
 
 import sys
@@ -25,11 +28,21 @@ from hypothesis import strategies as st
 from strategies import connected_graphs, graphs
 
 from repro import MatchSession, match
-from repro.core.plan import RACERS, bind_enumeration, race_orders, run_plan
+from repro.core.algorithms import resolve
+from repro.core.plan import (
+    RACE_QUANTUM,
+    RACERS,
+    SAMPLE_SEED,
+    SAMPLED_RACERS,
+    bind_enumeration,
+    race_orders,
+    run_plan,
+)
 from repro.core.registry import ORDERINGS
 from repro.enumeration.support import DEADLINE_STRIDE
-from repro.graph import extract_query, rmat_graph
+from repro.graph import Graph, extract_query, rmat_graph
 from repro.obs import Tracer, tracing
+from repro.ordering import sample_orders
 
 _SETTINGS = settings(
     max_examples=40,
@@ -63,10 +76,11 @@ def _cached(session):
 
 
 def _incumbent(session, query, data, limit):
-    """Prime ``session`` and return (plan, prepared, incumbent calls)."""
+    """Prime ``session`` and return (plan, prepared, incumbent calls,
+    incumbent matches)."""
     result = session.match(query, match_limit=limit, store_limit=0)
     plan, _ = session.compile(query)
-    return plan, _cached(session), result.stats.recursion_calls
+    return plan, _cached(session), result.stats.recursion_calls, result.num_matches
 
 
 def _counts(result):
@@ -146,25 +160,59 @@ def test_named_presets_never_race(dense, preset):
     assert _cached(session).raced is None
 
 
-def _true_calls(plan, query, data, prepared, limit):
-    """Unbudgeted ``recursion_calls`` of every racer configuration that
-    resolves the incumbent's kernel (the others sit the race out)."""
-    spec = plan.algorithm
-    calls = {}
+def _configurations(query, data, candidates):
+    """Every racer's (name, order, failing sets), in tie-break order."""
     for name, fs in RACERS:
+        yield name, ORDERINGS.create(name).order(query, data, candidates), fs
+    for i, order in enumerate(sample_orders(query, SAMPLED_RACERS, seed=SAMPLE_SEED)):
+        yield f"sampled#{i}", order, True
+
+
+@given(race_cases())
+@_SETTINGS
+def test_failing_sets_never_add_calls(case):
+    """Why :data:`RACERS` races every named ordering with failing sets on
+    only: under any order and cap, turning them on keeps the matches and
+    never adds a call, so the configuration without them could at best
+    tie."""
+    query, data, limit = case
+    base = resolve("recommended", query, data)
+    for name in ("GQL", "RI", "DP", "QSI"):
         ordering = ORDERINGS.create(name)
+        on, off = (
+            match(query, data, algorithm=replace(base, ordering=ordering, failing_sets=fs),
+                  match_limit=limit, store_limit=0)
+            for fs in (True, False)
+        )
+        assert (on.num_matches, on.solved) == (off.num_matches, off.solved)
+        assert on.stats.recursion_calls <= off.stats.recursion_calls
+
+
+def _true_calls(plan, query, data, prepared, limit, configurations=None):
+    """Unbudgeted ``recursion_calls`` of every racer that resolves the
+    incumbent's kernel (the others sit the race out), in tie-break order,
+    each bound on a fresh auxiliary structure."""
+    spec = plan.algorithm
+    if configurations is None:
+        configurations = _configurations(query, data, prepared.candidates)
+    calls = []
+    for name, order, fs in configurations:
         bound = bind_enumeration(
             spec.lc, spec.aux_scope, plan.kernel_policy, query, data,
-            prepared.candidates,
-            order=ordering.order(query, data, prepared.candidates),
+            prepared.candidates, order=order,
         )
         if bound.kernel_used != prepared.kernel_used:
             continue
-        racer = replace(plan, algorithm=replace(spec, ordering=ordering, failing_sets=fs))
+        racer = replace(plan, algorithm=replace(spec, failing_sets=fs))
         result, _ = run_plan(racer, query, data, prepared=bound,
                              match_limit=limit, store_limit=0)
-        calls[name, fs] = result.stats.recursion_calls
+        calls.append(((name, fs), result.stats.recursion_calls))
     return calls
+
+
+def _race_span(tracer):
+    (race,) = [s for s in tracer.spans if s.name == "plan.race"]
+    return race.attrs
 
 
 def test_the_fewest_calls_win_and_a_racer_over_budget_never_does(dense):
@@ -172,32 +220,165 @@ def test_the_fewest_calls_win_and_a_racer_over_budget_never_does(dense):
     for query in queries:
         for limit in (None, 300):
             session = MatchSession(data)
-            plan, prepared, calls = _incumbent(session, query, data, limit)
+            plan, prepared, calls, matches = _incumbent(session, query, data, limit)
             spec = plan.algorithm
             incumbent = (spec.ordering.name, spec.failing_sets)
             true = _true_calls(plan, query, data, prepared, limit)
-            assert true[incumbent] == calls
-            ranked = [incumbent] + [c for c in RACERS if c != incumbent and c in true]
-            best = min(ranked, key=lambda c: true[c])  # first of the fewest
-            winner = race_orders(plan, query, data, prepared, calls, limit).raced
+            # The harness reproduces the incumbent's own run.
+            own = [(spec.ordering.name, prepared.order, spec.failing_sets)]
+            assert _true_calls(plan, query, data, prepared, limit, own) == [(incumbent, calls)]
+            ranked = [(incumbent, calls)] + true
+            best, fewest = min(ranked, key=lambda c: c[1])  # first of the fewest
+            tracer = Tracer()
+            with tracing(tracer):
+                winner = race_orders(plan, query, data, prepared, calls, matches, limit).raced
             assert (winner.ordering, winner.failing_sets) == best
-            assert winner.calls == true[best]
-            assert winner.race_calls <= 7 * (calls + DEADLINE_STRIDE)
+            assert winner.calls == fewest
+            race = _race_span(tracer)
+            assert race["winner_interior"] == fewest - matches
+            assert race["race_calls"] == winner.race_calls
+            # Each racer stops before it passes the winner's interior
+            # nodes by a quantum, which is under the incumbent's plus a
+            # stride.
+            racers = len(RACERS) + SAMPLED_RACERS  # the incumbent need not be one
+            assert race["racers"] <= racers
+            assert race["race_interior"] <= race["racers"] * (
+                fewest - matches + RACE_QUANTUM
+            )
+            assert race["race_interior"] <= race["racers"] * (
+                calls - matches + DEADLINE_STRIDE
+            )
             # An incumbent claiming fewer calls than any racer can take
             # keeps the race: everyone else runs over budget.
-            floor = min(true.values())
-            kept = race_orders(plan, query, data, prepared, floor - 1, limit).raced
+            floor = min(c for _, c in true)
+            kept = race_orders(plan, query, data, prepared, floor - 1, matches, limit).raced
             assert (kept.ordering, kept.failing_sets) == incumbent
             assert kept.prepared is prepared and kept.plan is plan
             assert prepared.raced is None  # the cached object is never mutated
+
+
+def test_racers_run_side_by_side(dense, monkeypatch):
+    # With one node a turn, no racer passes the winner's interior nodes
+    # by more than one: racing one after another would, whenever an
+    # early racer's budget is a later winner's count.
+    monkeypatch.setattr("repro.core.plan.RACE_QUANTUM", 1)
+    data, queries = dense
+    for query in queries:
+        session = MatchSession(data)
+        plan, prepared, calls, matches = _incumbent(session, query, data, 300)
+        tracer = Tracer()
+        with tracing(tracer):
+            race_orders(plan, query, data, prepared, calls, matches, 300)
+        race = _race_span(tracer)
+        assert race["race_interior"] <= race["racers"] * (race["winner_interior"] + 1)
+
+
+def test_ties_go_to_the_earlier_racer(dense, monkeypatch):
+    data, _ = dense
+    # A query with no match: calls are interior nodes, and two of these
+    # three orders tie at the fewest.
+    query = Graph([0] * 4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    racers = [("a", [0, 1, 2, 3], True, False), ("b", [3, 0, 1, 2], True, False),
+              ("c", [3, 0, 2, 1], True, False)]
+    monkeypatch.setattr("repro.core.plan._racers", lambda *_: iter(racers))
+    session = MatchSession(data)
+    plan, prepared, calls, matches = _incumbent(session, query, data, 500)
+    true = _true_calls(plan, query, data, prepared, 500,
+                       [(name, order, fs) for name, order, fs, _ in racers])
+    (_, a), (_, b), (_, c) = true
+    assert matches == 0 and b == c < a
+    # An incumbent over every racer's budget leaves them to break the tie.
+    winner = race_orders(plan, query, data, prepared, a + 1, matches, 500).raced
+    assert (winner.ordering, winner.calls) == ("b", b)
+
+
+def _old_race(plan, query, data, prepared, calls, limit):
+    """The race as it ran before interior-node stops and shared rows:
+    the named racers, each bound on a fresh auxiliary structure through
+    :func:`run_plan` and stopped once ``polls × stride`` reach the
+    budget. Returns (winner, winner calls, race calls)."""
+    spec = plan.algorithm
+    incumbent = (spec.ordering.name, spec.failing_sets)
+    best, fewest, spent = incumbent, calls, 0
+    for name, fs in RACERS:
+        if (name, fs) == incumbent:
+            continue
+        bound = bind_enumeration(
+            spec.lc, spec.aux_scope, plan.kernel_policy, query, data,
+            prepared.candidates,
+            order=ORDERINGS.create(name).order(query, data, prepared.candidates),
+        )
+        if bound.kernel_used != prepared.kernel_used:
+            continue
+        budget, polls = fewest, []
+
+        def stop():
+            polls.append(1)
+            return len(polls) * DEADLINE_STRIDE >= budget
+
+        racer = replace(plan, algorithm=replace(spec, failing_sets=fs))
+        result, _ = run_plan(racer, query, data, prepared=bound, match_limit=limit,
+                             store_limit=0, cancel=stop)
+        spent += result.stats.recursion_calls
+        if result.solved and result.stats.recursion_calls < budget:
+            best, fewest = (name, fs), result.stats.recursion_calls
+    return best, fewest, spent
+
+
+def test_the_interior_stop_picks_the_old_stops_winner_for_less(dense, monkeypatch):
+    monkeypatch.setattr("repro.core.plan.SAMPLED_RACERS", 0)
+    data, queries = dense
+    for query in queries:
+        for limit in (None, 300):
+            session = MatchSession(data)
+            plan, prepared, calls, matches = _incumbent(session, query, data, limit)
+            best, fewest, spent = _old_race(plan, query, data, prepared, calls, limit)
+            winner = race_orders(plan, query, data, prepared, calls, matches, limit).raced
+            assert (winner.ordering, winner.failing_sets) == best
+            assert winner.calls == fewest
+            assert winner.race_calls <= spent
+
+
+def _backward_pairs(query, order):
+    position = {u: i for i, u in enumerate(order)}
+    return [(w, u) if position[w] < position[u] else (u, w) for w, u in query.edges()]
+
+
+def _bound_pairs(aux):
+    return {pair for pair in aux.pairs() if aux.form(*pair) is not None}
+
+
+def test_a_race_leaves_bound_only_the_pairs_incumbent_and_winner_read(dense):
+    data, queries = dense
+    for query in queries:
+        one_shot = match(query, data, match_limit=1000, store_limit=0)
+        session = MatchSession(data)
+        for _ in range(2):
+            session.count_matches(query, match_limit=1000)
+        cached = _cached(session)
+        winner = cached.raced
+        aux = cached.auxiliary
+        assert winner.prepared.auxiliary is aux  # racers bound onto it
+        assert _bound_pairs(aux) == set(
+            _backward_pairs(query, cached.order)
+            + _backward_pairs(query, winner.prepared.order)
+        )
+        for _ in range(2):  # the winner, then an embedding reply
+            assert _counts(session.match(query, match_limit=1000, store_limit=0)) \
+                == _counts(one_shot)
+        warm = session.match(query, match_limit=1000, store_limit=10)
+        assert warm.num_matches == one_shot.num_matches
 
 
 def test_a_cancelled_race_records_nothing(dense):
     data, queries = dense
     query = queries[-1]
     session = MatchSession(data)
-    plan, prepared, calls = _incumbent(session, query, data, None)
-    assert race_orders(plan, query, data, prepared, calls, cancel=lambda: True) is None
+    plan, prepared, calls, matches = _incumbent(session, query, data, None)
+    assert race_orders(plan, query, data, prepared, calls, matches,
+                       cancel=lambda: True) is None
+    # Whatever the stopped racer bound is unbound again.
+    assert _bound_pairs(prepared.auxiliary) == set(_backward_pairs(query, prepared.order))
 
     # Through the session: a cancel hook that lets the incumbent's own
     # polls pass and stops the race at its first.
@@ -229,8 +410,8 @@ def test_four_threads_racing_one_prepared_query_agree(dense):
     data, queries = dense
     query = queries[2]
     reference = MatchSession(data)
-    plan, prepared, calls = _incumbent(reference, query, data, 2000)
-    want = race_orders(plan, query, data, prepared, calls, 2000).raced
+    plan, prepared, calls, matches = _incumbent(reference, query, data, 2000)
+    want = race_orders(plan, query, data, prepared, calls, matches, 2000).raced
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -243,7 +424,7 @@ def test_four_threads_racing_one_prepared_query_agree(dense):
 
         def worker(slot):
             barrier.wait()
-            direct = race_orders(plan, query, data, shared, calls, 2000).raced
+            direct = race_orders(plan, query, data, shared, calls, matches, 2000).raced
             replies = [_counts(session.match(query, match_limit=2000, store_limit=0))
                        for _ in range(3)]
             seen[slot] = (direct.ordering, direct.failing_sets, direct.prepared.order,
@@ -279,13 +460,33 @@ def test_parallel_session_returns_the_sequential_count_of_a_raced_query(dense):
         sequential = session.match(query, match_limit=None, store_limit=0, n_workers=0)
         winner = _cached(session).raced
         assert sequential.order == winner.prepared.order
-        # The fan-out runs the winner too: its workers rebuild the
-        # winner's order from the winner's plan.
+        # The fan-out runs the winner too: its workers are handed the
+        # winner's order.
         assert replies[2].metrics.counters["parallel.matches"] == 1
         assert replies[2].order == winner.prepared.order
         assert replies[2].stats.recursion_calls == sequential.stats.recursion_calls
         for reply in replies + [sequential]:
             assert _counts(reply) == _counts(one_shot)
+    finally:
+        session.close()
+
+
+def test_a_sampled_winner_fans_out_to_its_sequential_count_and_calls(dense):
+    data, _ = dense
+    query = extract_query(data, 7, seed=2)
+    one_shot = match(query, data, match_limit=None, store_limit=0)
+    session = MatchSession(data, n_workers=2)
+    try:
+        for _ in range(2):
+            session.match(query, match_limit=None, store_limit=0, n_workers=0)
+        winner = _cached(session).raced
+        assert winner.ordering.startswith("sampled#")
+        sequential = session.match(query, match_limit=None, store_limit=0, n_workers=0)
+        fanned = session.match(query, match_limit=None, store_limit=0)
+        assert fanned.metrics.counters["parallel.matches"] == 1
+        assert fanned.order == sequential.order == winner.prepared.order
+        assert fanned.stats.recursion_calls == sequential.stats.recursion_calls
+        assert _counts(fanned) == _counts(sequential) == _counts(one_shot)
     finally:
         session.close()
 
@@ -330,24 +531,23 @@ def test_a_call_with_a_deadline_never_races(dense):
     assert _counts(reply) == _counts(one_shot)
 
 
-def _backward_pairs(query, order):
-    position = {u: i for i, u in enumerate(order)}
-    return [(w, u) if position[w] < position[u] else (u, w) for w, u in query.edges()]
-
-
 def test_a_racer_refused_rows_sits_out(dense, monkeypatch):
     data, queries = dense
     for query in queries:
         session = MatchSession(data)
-        plan, prepared, calls = _incumbent(session, query, data, None)
+        plan, prepared, calls, matches = _incumbent(session, query, data, None)
         assert prepared.kernel_used == "rows"
         aux = prepared.auxiliary
         budget = aux.row_bytes(_backward_pairs(query, prepared.order))
+        # Distinct (order, failing sets) configurations other than the
+        # incumbent's: a repeated one is never raced twice.
+        distinct = {
+            (tuple(order), fs)
+            for _, order, fs in _configurations(query, data, prepared.candidates)
+        } - {(tuple(prepared.order), plan.algorithm.failing_sets)}
         over = {
-            name for name, _ in RACERS
-            if aux.row_bytes(_backward_pairs(
-                query, ORDERINGS.create(name).order(query, data, prepared.candidates)
-            )) > budget
+            config for config in distinct
+            if aux.row_bytes(_backward_pairs(query, config[0])) > budget
         }
         if over:
             break
@@ -357,11 +557,9 @@ def test_a_racer_refused_rows_sits_out(dense, monkeypatch):
     monkeypatch.setattr("repro.utils.kernels._bitset_cache_budget", lambda: budget)
     tracer = Tracer()
     with tracing(tracer):
-        winner = race_orders(plan, query, data, prepared, calls).raced
-    (race,) = [s for s in tracer.spans if s.name == "plan.race"]
-    assert plan.algorithm.ordering.name not in over
-    assert race.attrs["racers"] == 7 - 2 * len(over)
-    assert winner.ordering not in over
+        winner = race_orders(plan, query, data, prepared, calls, matches).raced
+    assert _race_span(tracer)["racers"] == len(distinct) - len(over)
+    assert (tuple(winner.prepared.order), winner.failing_sets) not in over
     assert winner.prepared.kernel_used == "rows"
 
 

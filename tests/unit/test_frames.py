@@ -1,6 +1,7 @@
 """Unit tests for the iterative frame machine (parity, pause/resume)."""
 
 import itertools
+from dataclasses import astuple
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.enumeration import (
 from repro.filtering import AuxiliaryStructure, CandidateSets, GraphQLFilter
 from repro.graph import extract_query, rmat_graph
 from repro.ordering import GraphQLOrdering
+from repro.utils.kernels import get_kernel
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +235,33 @@ class TestPauseResume:
         while machine.advance() is not None:
             pass
         assert machine.stats.recursion_calls == final
+
+
+    @pytest.mark.parametrize("kernel", ["rows", "scalar"])
+    @pytest.mark.parametrize("fs", [False, True])
+    @pytest.mark.parametrize("quantum", [1, 7, 128])
+    def test_steps_add_up_to_one_run(self, heavy, kernel, fs, quantum):
+        query, data, cand, aux, order = heavy
+
+        def machine():
+            return FrameMachine(
+                IntersectionLC(kernel=get_kernel(kernel)), use_failing_sets=fs
+            )
+
+        whole = machine().run(query, data, cand, aux, order, match_limit=2500)
+        stepped = machine().start(query, data, cand, aux, order, match_limit=2500)
+        interior = 0
+        while True:
+            over = stepped.step(quantum)
+            now = stepped.stats.recursion_calls - stepped.num_matches
+            assert now - interior <= quantum  # a step opens at most `quantum` nodes
+            interior = now
+            if over:
+                break
+        assert stepped.solved and stepped.done
+        assert stepped.num_matches == whole.num_matches
+        assert astuple(stepped.stats) == astuple(whole.stats)
+        assert stepped._store.as_tuples() == whole.embeddings
 
 
 class TestStreamingOnFrames:
