@@ -695,6 +695,7 @@ def run_plan(
         )
         with span("enumerate", kernel=prepared.kernel_used) as enum_span:
             outcome = None
+            compiled = False
             if use_parallel:
                 from repro.parallel.pool import ParallelUnavailable
 
@@ -737,8 +738,16 @@ def run_plan(
                     cancel=cancel,
                     root_window=root_window,
                 )
+                compiled = machine.compiled
+                if machine.compile_seconds:
+                    # The run that paid the compile says so, in its own counter.
+                    metrics.add(
+                        "search.compile_us", round(machine.compile_seconds * 1e6)
+                    )
             enum_span.annotate(
-                num_matches=outcome.num_matches, solved=outcome.solved
+                num_matches=outcome.num_matches,
+                solved=outcome.solved,
+                compiled=compiled,
             )
         metrics.record_phase("enumerate", outcome.elapsed)
         metrics.record_enumeration(outcome.stats)

@@ -2,7 +2,9 @@
 
 The study's third axis. One engine runs every algorithm: the iterative
 :class:`~repro.enumeration.frames.FrameMachine` (explicit frame stacks on
-integer masks, leaf batching, pause/resume, root windows). The recursive
+integer masks, leaf batching, pause/resume, root windows), which runs a
+reused static bitmap-row order as a compiled search
+(:mod:`~repro.enumeration.compiled`). The recursive
 :class:`~repro.enumeration.engine.BacktrackingEngine` is the line-by-line
 transcription of Algorithm 1 that the parity tests construct and compare
 the frame machine against; nothing under ``src/`` constructs it. The
@@ -12,7 +14,7 @@ is a constructor flag.
 """
 
 from repro.enumeration.engine import BacktrackingEngine
-from repro.enumeration.frames import FrameMachine, FrameSnapshot
+from repro.enumeration.frames import FrameMachine
 from repro.enumeration.local_candidates import (
     CandidateScanLC,
     IntersectionLC,
@@ -29,7 +31,6 @@ from repro.enumeration.support import AdaptiveSelector, EmbeddingStore
 __all__ = [
     "BacktrackingEngine",
     "FrameMachine",
-    "FrameSnapshot",
     "AdaptiveSelector",
     "EmbeddingStore",
     "LocalCandidateMethod",

@@ -15,8 +15,9 @@ filter (:func:`~repro.enumeration.local_candidates.universe_sets`):
 next candidate is ``valid & -valid``, a leaf batch is
 ``valid.bit_count()`` matches, and nothing is decoded unless embeddings
 are stored or emitted — then each is a tuple of plain ints built straight
-from the mapping (:meth:`FrameMachine._leaf_batch`). The machine tracks
-``pos[w]``, the position of ``M[w]`` in ``U(w)``, beside ``mapping[w]``.
+from the mapping (:func:`~repro.enumeration.support.leaf_rows`). The
+machine tracks ``pos[w]``, the position of ``M[w]`` in ``U(w)``, beside
+``mapping[w]``.
 
 * ``full`` is, for **Algorithm 5 on bitmap rows** (a static order under
   the ``rows`` kernel, what ``auto`` resolves to), the AND of the
@@ -52,16 +53,31 @@ this.
 Pause/resume: the machine's state lives on the object, so
 :meth:`FrameMachine.advance` yields one leaf batch at a time —
 :func:`repro.enumeration.streaming.iter_matches` is a thin generator over
-it. :meth:`FrameMachine.save_state` / :meth:`FrameMachine.restore_state`
-snapshot and rewind the full search position for checkpointing and fair
-scheduling; masks are immutable ints, so a snapshot is a few lists of
-ints and copies no candidate data.
+it — and :meth:`FrameMachine.step` runs a count-only machine a few nodes
+at a time (the order race).
+
+**Compiled search.** For Algorithm 5 on bitmap rows under a static
+order, :meth:`FrameMachine.run` runs the order as generated Python
+(:mod:`repro.enumeration.compiled`): one nested loop per depth with the
+frame's masks and position in locals, the tables bound as constants —
+the same nodes, counters and embeddings as :meth:`FrameMachine._loop`.
+It compiles on the second :meth:`~FrameMachine.run` over the same bound
+:class:`~repro.enumeration.local_candidates.StaticOrderInfo` (a first
+sighting never pays the compile) and is cached there. ``_loop`` stays
+the definition and runs everything else: adaptive orders, list-answering
+ComputeLC methods, ``emit_rows=True`` streaming, :meth:`~FrameMachine.step`,
+first sightings and orders deeper than
+:data:`~repro.enumeration.compiled.MAX_COMPILED_VERTICES` (CPython's
+limit on nested blocks). The generated source formats only integers
+(depths, query vertices, their bit masks) into fixed names; every table,
+limit and callable a request or graph supplies is a constant or an
+argument, so no request string reaches it.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
-from dataclasses import dataclass, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,6 +86,7 @@ from repro.errors import BudgetExceeded
 from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
+from repro.enumeration.compiled import Search, search_for
 from repro.enumeration.local_candidates import (
     LCContext,
     LocalCandidateMethod,
@@ -80,60 +97,20 @@ from repro.enumeration.support import (
     DEADLINE_STRIDE,
     AdaptiveSelector,
     EmbeddingStore,
+    leaf_rows,
+    lowest_bits,
 )
 from repro.ordering.dpiso import DPisoAdaptiveState
 from repro.utils.kernels import RowsKernel
 from repro.utils.timer import Deadline, Timer
 
-__all__ = ["FrameMachine", "FrameSnapshot"]
-
-#: Leaf batches that build more than this many embeddings decode the
-#: leaf column with one numpy call; narrower ones walk the mask bit by
-#: bit, one ``tuple(mapping)`` per match, as interior steps do (and a
-#: ``match_limit`` cut inside a batch is found the same way). Per batch
-#: of ``k`` (2-CPU x86 box, 3-12 query vertices): the walk costs ~0.21 µs
-#: per match, the decode ~5-7 µs plus ~0.1 µs per match. Crossover ~48,
-#: measured between 8 and 64; at 32 the machine stays within 1.2x of the
-#: better choice. Typical batches hold ~3 matches (the e2e pools),
-#: hub-shaped ones hundreds.
-WIDE_LEAF_BATCH = 32
+__all__ = ["FrameMachine"]
 
 #: A list answer of at most this many vertices is placed into ``U(u)``
 #: one ``bisect`` per vertex; a longer one with one ``searchsorted`` and
 #: a packed flag array (the crossover on a 2-CPU x86 box, for universes
 #: of 50 to 5 000 vertices).
 NARROW_LIST = 16
-
-
-@dataclass
-class FrameSnapshot:
-    """A full search position, produced by :meth:`FrameMachine.save_state`.
-
-    Restoring rewinds the machine to exactly this node of the search tree
-    (mapping, frames, counters, retained-embedding count). Every field is
-    an int, a flag or a list of ints — frame masks index the fixed
-    universes, which the snapshot does not copy. The adaptive selector's
-    memo cache is deliberately not captured — entries self-validate
-    against the current mapping, so a stale cache is semantically inert
-    (only ``adaptive_lc_reused`` may differ after a rewind).
-    """
-
-    depth: int
-    opening: bool
-    f_u: List[int]
-    f_valid: List[int]
-    f_bad: List[int]
-    f_fs: List[int]
-    f_bmask: List[int]
-    f_cbits: List[int]
-    mapping: List[int]
-    pos: List[int]
-    num_matches: int
-    solved: bool
-    done: bool
-    tick: int
-    stats: EnumerationStats
-    store_count: int
 
 
 class FrameMachine:
@@ -154,6 +131,10 @@ class FrameMachine:
         self.lc_method = lc_method
         self.use_failing_sets = use_failing_sets
         self.adaptive = adaptive
+        #: Whether the last :meth:`run` ran a compiled search, and the
+        #: seconds it spent compiling one (0.0 unless it paid the compile).
+        self.compiled = False
+        self.compile_seconds = 0.0
 
     # ------------------------------------------------------------------
     # One-shot API (mirrors the recursive reference's run)
@@ -177,7 +158,10 @@ class FrameMachine:
         engine for the parameter contract. ``cancel`` is polled at the
         deadline stride; returning True aborts the search as unsolved.
         ``root_window`` restricts the search to a slice of the root
-        vertex's local candidates (see :meth:`start`)."""
+        vertex's local candidates (see :meth:`start`). A static
+        bitmap-row order bound to these arguments runs compiled from its
+        second run on (:mod:`repro.enumeration.compiled`); the compile,
+        when this run pays it, is inside ``elapsed``."""
         self.start(
             query,
             data,
@@ -193,8 +177,17 @@ class FrameMachine:
             root_window=root_window,
         )
         with Timer() as timer:
-            while self.advance() is not None:
-                pass
+            search, self.compile_seconds = (
+                search_for(self._static, self.use_failing_sets)
+                if self._static is not None
+                else (None, 0.0)
+            )
+            self.compiled = search is not None
+            if search is not None:
+                self._run_compiled(search)
+            else:
+                while self.advance() is not None:
+                    pass
         return EnumerationOutcome(
             num_matches=self._num_matches,
             solved=self._solved,
@@ -386,6 +379,27 @@ class FrameMachine:
             raise BudgetExceeded
         return self._pausing
 
+    def _run_compiled(self, search: Search) -> None:
+        """:meth:`run`'s search on the compiled form of the bound order:
+        the same nodes, counters and stored embeddings as :meth:`_loop`."""
+        if self._done:
+            return
+        store = self._store
+        try:
+            search(
+                self,
+                self._ctx.auxiliary.build_row,
+                self._ctx.data,
+                self._window_mask() if self._root_window is not None else -1,
+                # No limit is a limit no search reaches.
+                self._match_limit if self._match_limit is not None else sys.maxsize,
+                store.room,
+                store.extend,
+            )
+        except BudgetExceeded:
+            self._solved = False
+        self._done = True
+
     def _open_lists(self, depth: int) -> int:
         """``full`` of frame ``depth`` from a method that answers in a
         list: the list is sorted and inside ``U(u)``, so placing it is a
@@ -438,40 +452,14 @@ class FrameMachine:
         lo, hi = self._root_window
         return (1 << hi) - (1 << lo) if hi > lo else 0
 
-    def _leaf_batch(
-        self, depth: int, taken: int, count: int
-    ) -> List[Tuple[int, ...]]:
-        """The first ``count`` matches the leaf batch ``taken`` completes,
-        as plain-int tuples: the current mapping with the leaf vertex's
-        column set to each taken candidate in turn."""
-        u = self._f_u[depth]
-        mapping = self._mapping
-        if count > WIDE_LEAF_BATCH:
-            # One decode of the whole mask; the tuples come out of one
-            # C-level zip over per-vertex columns.
-            universe = self._universes.array(u)
-            columns = [[v] * count for v in mapping]
-            columns[u] = universe[RowsKernel.decode(taken)[:count]].tolist()
-            return list(zip(*columns))
-        universe = self._lists[u]
-        batch = []
-        for _ in range(count):
-            low = taken & -taken
-            taken ^= low
-            mapping[u] = universe[low.bit_length() - 1]
-            batch.append(tuple(mapping))
-        mapping[u] = -1
-        return batch
-
     def _loop(self) -> Optional[List[Tuple[int, ...]]]:
         # One iteration = (1) resolve the frame if it was just descended
         # into, (2) continue it — leaf batch, interior step or exhaustion —
         # and (3) hand a returned failing set up the stack.
         #
-        # The frame slot lists are bound once: they are mutated in place,
-        # and restore_state (which writes into them) cannot run while this
-        # loop owns the machine. Counters, the budget tick and the match
-        # count run in locals and are written back on every way out.
+        # The frame slot lists are bound once: they are mutated in place.
+        # Counters, the budget tick and the match count run in locals and
+        # are written back on every way out.
         last = self._n - 1
         fs = self.use_failing_sets
         full_mask = self._full_mask
@@ -568,18 +556,8 @@ class FrameMachine:
                             if room < 1:
                                 room = 1
                             if take > room:
-                                # The batch is the lowest `room` bits: cleared
-                                # one at a time when few (no numpy call), cut
-                                # at the room-th bit of one decode when many.
                                 take = room
-                                if room > WIDE_LEAF_BATCH:
-                                    cut = int(RowsKernel.decode(valid)[room - 1])
-                                    taken = valid & ((2 << cut) - 1)
-                                else:
-                                    rest = valid
-                                    for _ in range(room):
-                                        rest &= rest - 1
-                                    taken = valid ^ rest
+                                taken = lowest_bits(valid, room)
                         f_valid[d] = valid ^ taken
                         bad = f_bad[d]
                         if bad:
@@ -601,8 +579,12 @@ class FrameMachine:
                             f_fs[d] |= full_mask
                         batch = None
                         if wants_rows:
-                            batch = self._leaf_batch(
-                                d, taken, take if emit else min(take, store.room)
+                            batch = leaf_rows(
+                                mapping,
+                                f_u[d],
+                                self._universes,
+                                taken,
+                                take if emit else min(take, store.room),
                             )
                             store.extend(batch)
                             wants_rows = emit or not store.full
@@ -678,53 +660,3 @@ class FrameMachine:
             self._opening = opening
             self._tick = tick
             self._num_matches = num_matches
-
-    # ------------------------------------------------------------------
-    # Pause / resume
-    # ------------------------------------------------------------------
-
-    def save_state(self) -> FrameSnapshot:
-        """Snapshot the full search position: O(|V(q)|) ints."""
-        return FrameSnapshot(
-            depth=self._depth,
-            opening=self._opening,
-            f_u=list(self._f_u),
-            f_valid=list(self._f_valid),
-            f_bad=list(self._f_bad),
-            f_fs=list(self._f_fs),
-            f_bmask=list(self._f_bmask),
-            f_cbits=list(self._f_cbits),
-            mapping=list(self._mapping),
-            pos=list(self._pos),
-            num_matches=self._num_matches,
-            solved=self._solved,
-            done=self._done,
-            tick=self._tick,
-            stats=replace(self._stats),
-            store_count=len(self._store),
-        )
-
-    def restore_state(self, snapshot: FrameSnapshot) -> None:
-        """Rewind to a snapshot taken by :meth:`save_state` on this run.
-
-        Everything is copied *into* the live lists (the LC context holds a
-        reference to the mapping); retained embeddings are truncated back
-        to the snapshot's count.
-        """
-        self._depth = snapshot.depth
-        self._opening = snapshot.opening
-        self._f_u[:] = snapshot.f_u
-        self._f_valid[:] = snapshot.f_valid
-        self._f_bad[:] = snapshot.f_bad
-        self._f_fs[:] = snapshot.f_fs
-        self._f_bmask[:] = snapshot.f_bmask
-        self._f_cbits[:] = snapshot.f_cbits
-        self._mapping[:] = snapshot.mapping
-        self._pos[:] = snapshot.pos
-        self._num_matches = snapshot.num_matches
-        self._solved = snapshot.solved
-        self._done = snapshot.done
-        self._tick = snapshot.tick
-        for f in fields(EnumerationStats):
-            setattr(self._stats, f.name, getattr(snapshot.stats, f.name))
-        self._store.truncate(snapshot.store_count)

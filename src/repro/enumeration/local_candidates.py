@@ -40,7 +40,7 @@ import copy
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.filtering.auxiliary import AuxiliaryStructure
@@ -115,6 +115,10 @@ class StaticOrderInfo:
     * ``rows[d]`` — ``(w, row table of (w → u))`` per backward neighbor ``w``.
 
     ``rows`` is ``None`` when the method answers in lists.
+
+    ``compiled`` caches, per failing-sets flag, the search
+    :mod:`repro.enumeration.compiled` generates for these tables (``None``
+    until a run has seen them); it never travels in a pickle.
     """
 
     __slots__ = (
@@ -127,6 +131,7 @@ class StaticOrderInfo:
         "clash",
         "ones",
         "rows",
+        "compiled",
     )
 
     def __init__(
@@ -145,6 +150,7 @@ class StaticOrderInfo:
         self.clash: Optional[List[Tuple[Tuple[int, List[int]], ...]]] = None
         self.ones: Optional[List[int]] = None
         self.rows: Optional[List[Tuple[Tuple[int, List[int]], ...]]] = None
+        self.compiled: Optional[Dict[bool, Optional[Callable[..., None]]]] = None
 
     def __getstate__(self) -> tuple:
         # Holes fill from a weakly held graph, which does not travel.
@@ -152,6 +158,7 @@ class StaticOrderInfo:
             for w, table in bound:
                 self.bound_to[2].fill(w, u, table)
         state = {name: getattr(self, name) for name in self.__slots__}
+        state["compiled"] = None  # generated code: recompiled where it lands
         if self.bound_to is not None and self.bound_to[0] is not None:
             state["bound_to"] = None  # LDF universes: rebound where it lands
         return None, state

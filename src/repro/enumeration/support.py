@@ -7,6 +7,9 @@ here so they cannot drift apart:
 
 * :class:`EmbeddingStore` — the capped list of retained embeddings, each
   a tuple of plain ints built where the match is found;
+* :func:`leaf_rows` and :func:`lowest_bits` — how a leaf batch becomes
+  embeddings and where a ``match_limit`` cuts it, shared by the frame
+  machine and the searches :mod:`repro.enumeration.compiled` generates;
 * :class:`AdaptiveSelector` — DP-iso's extendable-vertex selection with
   ComputeLC memoization: a vertex's local candidates are fully determined
   by its backward neighbors' current mappings (for mapping-determined
@@ -21,16 +24,72 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.enumeration.local_candidates import LCContext, LocalCandidateMethod
 from repro.enumeration.stats import EnumerationStats
+from repro.filtering.candidates import CandidateSets
 from repro.ordering.dpiso import DPisoAdaptiveState
+from repro.utils.kernels import RowsKernel
 
 __all__ = [
     "DEADLINE_STRIDE",
+    "WIDE_LEAF_BATCH",
     "EmbeddingStore",
     "AdaptiveSelector",
+    "leaf_rows",
+    "lowest_bits",
 ]
 
 #: How many Enumerate calls between cooperative deadline checks.
 DEADLINE_STRIDE = 2048
+
+#: Leaf batches that build more than this many embeddings decode the
+#: leaf column with one numpy call; narrower ones walk the mask bit by
+#: bit, one ``tuple(mapping)`` per match, as interior steps do (and a
+#: ``match_limit`` cut inside a batch is found the same way). Per batch
+#: of ``k`` (2-CPU x86 box, 3-12 query vertices): the walk costs ~0.21 µs
+#: per match, the decode ~5-7 µs plus ~0.1 µs per match. Crossover ~48,
+#: measured between 8 and 64; at 32 the machine stays within 1.2x of the
+#: better choice. Typical batches hold ~3 matches (the e2e pools),
+#: hub-shaped ones hundreds.
+WIDE_LEAF_BATCH = 32
+
+
+def lowest_bits(mask: int, k: int) -> int:
+    """The lowest ``k`` set bits of ``mask``: cleared one at a time when
+    few (no numpy call), cut at the k-th bit of one decode when many."""
+    if k > WIDE_LEAF_BATCH:
+        cut = int(RowsKernel.decode(mask)[k - 1])
+        return mask & ((2 << cut) - 1)
+    rest = mask
+    for _ in range(k):
+        rest &= rest - 1
+    return mask ^ rest
+
+
+def leaf_rows(
+    mapping: List[int],
+    u: int,
+    universes: CandidateSets,
+    taken: int,
+    count: int,
+) -> List[Tuple[int, ...]]:
+    """The first ``count`` matches a leaf batch completes, as plain-int
+    tuples: ``mapping`` (every vertex but the leaf vertex ``u`` mapped)
+    with column ``u`` set to each candidate of ``U(u)`` whose position is
+    a bit of ``taken``, lowest first. ``mapping[u]`` is left at -1."""
+    if count > WIDE_LEAF_BATCH:
+        # One decode of the whole mask; the tuples come out of one
+        # C-level zip over per-vertex columns.
+        columns = [[v] * count for v in mapping]
+        columns[u] = universes.array(u)[RowsKernel.decode(taken)[:count]].tolist()
+        return list(zip(*columns))
+    universe = universes[u]
+    batch = []
+    for _ in range(count):
+        low = taken & -taken
+        taken ^= low
+        mapping[u] = universe[low.bit_length() - 1]
+        batch.append(tuple(mapping))
+    mapping[u] = -1
+    return batch
 
 
 class EmbeddingStore:
@@ -67,12 +126,6 @@ class EmbeddingStore:
     def extend(self, embeddings: List[Tuple[int, ...]]) -> None:
         """Store a batch of plain-int tuples, truncated to the room left."""
         self._rows.extend(embeddings[: self.room])
-
-    def truncate(self, count: int) -> None:
-        """Roll back to ``count`` embeddings (pause/resume support)."""
-        if not 0 <= count <= len(self._rows):
-            raise ValueError(f"cannot truncate {len(self._rows)} rows to {count}")
-        del self._rows[count:]
 
     def as_tuples(self) -> List[Tuple[int, ...]]:
         """The stored embeddings, in the order they were found."""

@@ -22,6 +22,7 @@ from repro.graph.generators import erdos_renyi_graph
 from repro.graph.query_gen import extract_query
 from repro.ordering import RandomOrdering
 from repro.parallel import DEFAULT_CHUNKS
+from repro.parallel.pool import get_pool
 
 ALGORITHM = "GQL-opt"  # static order, no failing sets: counters must agree
 MATCH_LIMIT = 500_000  # far above the workload's match count — no capping
@@ -164,6 +165,10 @@ class TestCancellation:
 class TestLifecycle:
     def test_session_close_unlinks_segment(self, workload):
         query, data = workload
+        # The process-wide pool's cancel-flag segment lives until
+        # shutdown_pools(): create it before the window opens, so the
+        # window holds only the session's graph segment.
+        get_pool(2)
         before = _shm_names()
         session = MatchSession(data, algorithm=ALGORITHM, n_workers=2)
         session.match(query, match_limit=1000, store_limit=0)

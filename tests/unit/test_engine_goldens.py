@@ -4,7 +4,9 @@ Each row pins what one seeded ``(graph, query, preset, limits, root
 window)`` case produced — ``num_matches``, ``solved``, a sha256 of the
 stored embeddings (order included) and all five ``EnumerationStats``
 counters — so the frame machine's exactness no longer rests on a second
-engine being kept alive to compare against.
+engine being kept alive to compare against. Every row the compiled search
+can run (a static Algorithm 5 order on bitmap rows) is replayed a second
+time on its second run over one prepared query, which is compiled.
 
 The table was generated from the commit *before* the candidate-space
 rewrite of ``frames.py``; regenerate (only when an intended behaviour
@@ -29,6 +31,7 @@ from repro.core.algorithms import PRESETS
 from repro.core.plan import compile_plan, run_plan
 from repro.core.registry import PresetDef, build_spec
 from repro.graph import extract_query, rmat_graph
+from repro.obs import Tracer, tracing
 
 GOLDENS = Path(__file__).resolve().parent.parent / "corpus" / "engine_goldens.json"
 SCHEMA = "repro.engine-goldens/v1"
@@ -71,21 +74,25 @@ def _data_graph(params: tuple):
     return rmat_graph(**dict(params))
 
 
-def run_case(case: Dict, with_roots: bool = False) -> Dict:
-    """Execute one table row's inputs; returns the fields the row pins."""
+def run_case(case: Dict, with_roots: bool = False, runs: int = 1) -> Dict:
+    """Execute one table row's inputs ``runs`` times over one prepared
+    query; returns the fields the row pins, from the last run."""
     data = _data_graph(tuple(sorted(case["graph"].items())))
     query = extract_query(data, case["query"]["size"], seed=case["query"]["seed"])
     spec = build_spec(PresetDef(**case["preset"]))
     plan = compile_plan(spec, query, data, kernel=case["kernel"])
     window = case["root_window"]
-    result, prepared = run_plan(
-        plan,
-        query,
-        data,
-        match_limit=case["match_limit"],
-        store_limit=case["store_limit"],
-        root_window=tuple(window) if window is not None else None,
-    )
+    prepared = None
+    for _ in range(runs):
+        result, prepared = run_plan(
+            plan,
+            query,
+            data,
+            prepared=prepared,
+            match_limit=case["match_limit"],
+            store_limit=case["store_limit"],
+            root_window=tuple(window) if window is not None else None,
+        )
     rows = json.dumps([list(e) for e in result.embeddings], separators=(",", ":"))
     out = {
         "num_matches": result.num_matches,
@@ -209,6 +216,29 @@ def _case_id(case: Dict) -> str:
 @pytest.mark.parametrize("case", _load() if GOLDENS.exists() else [], ids=_case_id)
 def test_golden_case(case):
     assert run_case(case) == case["expected"]
+
+
+def _compiles(case: Dict) -> bool:
+    """Whether the case's second run is a compiled search: a static
+    Algorithm 5 order on bitmap rows (``auto`` resolves to them here)."""
+    preset = case["preset"]
+    return (
+        preset["lc"] == "ALG5"
+        and not preset["adaptive"]
+        and case["kernel"] in (None, "rows")
+    )
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in _load() if _compiles(c)] if GOLDENS.exists() else [], ids=_case_id
+)
+def test_golden_case_compiled(case):
+    """The second run over one prepared query runs compiled and still
+    replays the row: same matches, embeddings and counters."""
+    with tracing(Tracer()) as tracer:
+        assert run_case(case, runs=2) == case["expected"]
+    compiled = [s.attrs["compiled"] for s in tracer.spans if s.name == "enumerate"]
+    assert compiled == [False, True]
 
 
 def test_table_covers_the_axes():

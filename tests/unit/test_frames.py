@@ -168,75 +168,6 @@ class TestIncremental:
 
 
 class TestPauseResume:
-    def test_restore_replays_identically(self, heavy):
-        query, data, cand, aux, order = heavy
-        machine = FrameMachine(IntersectionLC()).start(
-            query, data, cand, aux, order,
-            match_limit=3000, store_limit=0, emit_rows=True,
-        )
-        # Advance a few batches, snapshot, then record the rest...
-        for _ in range(3):
-            assert machine.advance() is not None
-        snapshot = machine.save_state()
-        first = []
-        while True:
-            batch = machine.advance()
-            if batch is None:
-                break
-            first.extend(batch)
-        total = machine.num_matches
-        # ...rewind and the continuation must replay byte-for-byte.
-        machine.restore_state(snapshot)
-        assert not machine.done
-        second = []
-        while True:
-            batch = machine.advance()
-            if batch is None:
-                break
-            second.extend(batch)
-        assert second == first
-        assert machine.num_matches == total
-
-    def test_restore_truncates_retained_embeddings(self, pipeline):
-        cand, aux, order = pipeline
-        machine = FrameMachine(IntersectionLC()).start(
-            PAPER_QUERY, PAPER_DATA, cand, aux, order, emit_rows=True
-        )
-        snapshot = machine.save_state()
-        while machine.advance() is not None:
-            pass
-        assert machine.num_matches == 2
-        stored = machine._store.as_tuples()
-        assert sorted(stored) == sorted(PAPER_MATCHES)
-        machine.restore_state(snapshot)
-        assert machine.num_matches == 0
-        assert len(machine._store) == 0
-        while machine.advance() is not None:
-            pass
-        assert machine.num_matches == 2
-        assert machine._store.as_tuples() == stored
-        with pytest.raises(ValueError):
-            machine._store.truncate(3)
-
-    def test_snapshot_preserves_stats(self, heavy):
-        query, data, cand, aux, order = heavy
-        machine = FrameMachine(IntersectionLC()).start(
-            query, data, cand, aux, order,
-            match_limit=3000, store_limit=0, emit_rows=True,
-        )
-        machine.advance()
-        snapshot = machine.save_state()
-        calls = machine.stats.recursion_calls
-        while machine.advance() is not None:
-            pass
-        final = machine.stats.recursion_calls
-        machine.restore_state(snapshot)
-        assert machine.stats.recursion_calls == calls
-        while machine.advance() is not None:
-            pass
-        assert machine.stats.recursion_calls == final
-
-
     @pytest.mark.parametrize("kernel", ["rows", "scalar"])
     @pytest.mark.parametrize("fs", [False, True])
     @pytest.mark.parametrize("quantum", [1, 7, 128])

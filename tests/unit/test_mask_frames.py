@@ -7,7 +7,6 @@ import sys
 import threading
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,12 +216,6 @@ def _machine(query, data, algorithm, kernel=None, fs=None, **kwargs):
     )
 
 
-def _only_ints(value):
-    if isinstance(value, (list, tuple)):
-        return all(_only_ints(item) for item in value)
-    return not isinstance(value, np.ndarray)
-
-
 class TestMaskFrames:
     def test_rows_kernel_runs_on_mask_frames(self, heavy):
         """Frames have one form: the rows kernel and an array kernel give
@@ -239,42 +232,6 @@ class TestMaskFrames:
             assert rows.num_matches == numpy.num_matches == 500
             assert rows.embeddings == numpy.embeddings
             assert rows.stats == numpy.stats
-
-    @pytest.mark.parametrize("fs", [False, True])
-    def test_save_restore_replays_the_remainder(self, heavy, fs):
-        query, data = heavy[:2]
-        for algorithm, kernel in FRAME_PRESETS:
-            machine = _machine(
-                query, data, algorithm, kernel, fs,
-                match_limit=400, store_limit=50, emit_rows=True,
-            )
-            for _ in range(7):
-                assert machine.advance() is not None, algorithm
-            snapshot = machine.save_state()
-            # Ints only: no |V(G)| copies, no candidate arrays.
-            assert all(
-                _only_ints(getattr(snapshot, name))
-                for name in vars(snapshot) if name != "stats"
-            ), algorithm
-            first = _drain(machine)
-            first_stats = (machine.num_matches, machine.stats, len(machine._store))
-            machine.restore_state(snapshot)
-            assert not machine.done
-            assert _drain(machine) == first, algorithm
-            assert (
-                machine.num_matches, machine.stats, len(machine._store)
-            ) == first_stats, algorithm
-
-    def test_snapshot_before_the_first_advance(self, heavy):
-        query, data, candidates, auxiliary, order = heavy
-        machine = FrameMachine(IntersectionLC(kernel="rows")).start(
-            query, data, candidates, auxiliary, order, match_limit=60, emit_rows=True
-        )
-        snapshot = machine.save_state()
-        first = _drain(machine)
-        machine.restore_state(snapshot)
-        assert _drain(machine) == first
-        assert machine.stats.recursion_calls > 0
 
     @pytest.mark.parametrize("kernel", ["rows", "numpy"])
     def test_root_windows_concatenate_and_sum(self, heavy, kernel):
