@@ -9,11 +9,17 @@ group. Two flavours:
 * **true twins** — ``L(u) = L(u')``, ``u ~ u'`` and
   ``N(u) ∪ {u} = N(u') ∪ {u'}`` (e.g. the vertices of a same-label clique).
 
-The compressed query has one vertex per class. Enumeration assigns each
-class an (unordered) set of distinct data vertices — adjacent to every
-vertex assigned to neighboring classes, and mutually adjacent for
-true-twin classes — and every assignment then expands to ``Π |class|!``
-original embeddings by permuting the interchangeable members.
+Permuting the data vertices a match gives a class's members yields another
+match, so every match has exactly one *representative* in which, within
+each class, data vertices increase along the matching order; every
+representative expands back to ``Π |class|!`` matches. The search for
+representatives is Algorithm 1 on the one engine
+(:class:`~repro.enumeration.frames.FrameMachine`): GraphQL's filter and
+order with failing sets, on bitmap rows, with each class member after
+the first reading one more row — the positions of its universe above the
+data vertex the previous member holds. Rows are what every search node
+ANDs anyway, so the constraint needs no change to the engine, and its
+budget, ``cancel``, failing sets and spans all apply.
 
 The paper's finding to verify (Section 3.4, quoting the CFL study): "only
 a small number of query vertices could be compressed by the query graph
@@ -24,16 +30,16 @@ compression-friendly shapes (stars, cliques).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.core.plan import compile_plan, prepare_query, run_plan
 from repro.core.result import MatchResult
-from repro.enumeration.support import DEADLINE_STRIDE
-from repro.errors import BudgetExceeded
-from repro.filtering.base import nlf_candidates_for
+from repro.enumeration.local_candidates import StaticOrderInfo
 from repro.graph.graph import Graph
-from repro.utils.timer import Deadline, Timer
+from repro.obs import Metrics
 
 __all__ = [
     "CompressedQuery",
@@ -42,6 +48,10 @@ __all__ = [
     "count_matches_compressed",
     "match_compressed",
 ]
+
+#: The composition representatives are searched with, always on bitmap
+#: rows: the class constraint is a row table.
+ENGINE = "GQLfs"
 
 
 def neighborhood_equivalence_classes(query: Graph) -> List[List[int]]:
@@ -111,16 +121,12 @@ class CompressedQuery:
     """A query graph folded along its NEC classes.
 
     ``classes[i]`` lists the original vertices represented by compressed
-    vertex ``i``; ``clique[i]`` marks true-twin classes (members mutually
-    adjacent); ``edges`` connect classes whose members are adjacent;
-    ``labels[i]`` is the shared label.
+    vertex ``i``; ``labels[i]`` is their shared label.
     """
 
     original: Graph
     classes: Tuple[Tuple[int, ...], ...]
     labels: Tuple[int, ...]
-    edges: Tuple[Tuple[int, int], ...]
-    clique: Tuple[bool, ...]
 
     @property
     def num_classes(self) -> int:
@@ -140,221 +146,74 @@ class CompressedQuery:
                 factor *= k
         return factor
 
-    def neighbor_classes(self, index: int) -> List[int]:
-        result = []
-        for a, b in self.edges:
-            if a == index:
-                result.append(b)
-            elif b == index:
-                result.append(a)
-        return sorted(set(result))
-
 
 def compress_query(query: Graph) -> CompressedQuery:
     """Fold ``query`` along its NEC classes."""
     classes = neighborhood_equivalence_classes(query)
-    index_of = {}
-    for i, members in enumerate(classes):
-        for u in members:
-            index_of[u] = i
-    edges = set()
-    for u, v in query.edges():
-        a, b = index_of[u], index_of[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    clique = tuple(
-        len(members) > 1 and query.has_edge(members[0], members[1])
-        for members in classes
-    )
     return CompressedQuery(
         original=query,
         classes=tuple(tuple(m) for m in classes),
         labels=tuple(query.label(members[0]) for members in classes),
-        edges=tuple(sorted(edges)),
-        clique=clique,
     )
 
 
-class _CompressedEnumerator:
-    """Backtracking over class assignments (sets of data vertices)."""
+class _Above:
+    """The row table of one class constraint ``M[earlier] < M[u]``: row
+    ``p`` is the positions of ``U(u)`` that hold a vertex above
+    ``U(earlier)[p]``. Rows are computed on read, so the table holds no
+    more than the two universes it was given."""
 
-    def __init__(
-        self,
-        compressed: CompressedQuery,
-        data: Graph,
-        match_limit: Optional[int],
-        time_limit: Optional[float],
-        store_limit: int,
-    ) -> None:
-        self.c = compressed
-        self.data = data
-        self.match_limit = match_limit
-        self.store_limit = store_limit
-        self.deadline = Deadline(time_limit) if time_limit else None
-        self._tick = DEADLINE_STRIDE
-        self.num_matches = 0
-        self.embeddings: List[Tuple[int, ...]] = []
-        self.solved = True
+    __slots__ = ("ones", "universe", "earlier")
 
-    def run(self) -> None:
-        c = self.c
-        candidates = [
-            self._base_candidates(i) for i in range(c.num_classes)
-        ]
-        if any(
-            len(candidates[i]) < len(c.classes[i])
-            for i in range(c.num_classes)
+    def __init__(self, ones: int, universe: List[int], earlier: List[int]) -> None:
+        self.ones = ones
+        self.universe = universe
+        self.earlier = earlier
+
+    def __getitem__(self, p: int) -> int:
+        return self.ones & -(1 << bisect_right(self.universe, self.earlier[p]))
+
+
+def _bind_classes(
+    static: StaticOrderInfo, classes: Sequence[Sequence[int]]
+) -> None:
+    """Add each class member's constraint against the member placed just
+    before it to ``static``'s rows, and that member to the depth's
+    backward mask (so the emptyset class and the exhaustion failing set
+    name it)."""
+    depth_of = {u: d for d, u in enumerate(static.order)}
+    universes = static.universes
+    for members in classes:
+        placed = sorted(members, key=depth_of.__getitem__)
+        for earlier, u in zip(placed, placed[1:]):
+            d = depth_of[u]
+            table = _Above(static.ones[d], universes[u], universes[earlier])
+            static.rows[d] += ((earlier, table),)
+            static.backward_mask[d] |= 1 << earlier
+
+
+def _expand(
+    representatives: List[Tuple[int, ...]],
+    classes: Sequence[Sequence[int]],
+    limit: int,
+) -> List[Tuple[int, ...]]:
+    """The first ``limit`` matches the representatives expand to: each
+    with its classes' members permuted over the data vertices it gave
+    them."""
+    groups = [members for members in classes if len(members) > 1]
+    embeddings: List[Tuple[int, ...]] = []
+    for representative in representatives:
+        for arrangement in product(
+            *(permutations([representative[u] for u in g]) for g in groups)
         ):
-            return
-        order = self._class_order(candidates)
-        try:
-            self._extend(order, 0, candidates, [None] * c.num_classes, set())
-        except _Stop:
-            pass
-        except BudgetExceeded:
-            self.solved = False
-
-    # ------------------------------------------------------------------
-
-    def _class_order(self, candidates: List[List[int]]) -> List[int]:
-        """Connected order over compressed vertices, cheapest class first.
-
-        A class of size k fans out over ``C(|local|, k)`` combinations, so
-        the start (and every frontier pick) minimizes ``k · log|base|`` —
-        putting a star's center before its leaf class, for example.
-        """
-        import math
-
-        c = self.c
-        if c.num_classes == 0:
-            return []
-
-        def cost(i: int) -> float:
-            size = len(c.classes[i])
-            return size * math.log2(max(2, len(candidates[i])))
-
-        start = min(range(c.num_classes), key=lambda i: (cost(i), i))
-        order = [start]
-        placed = {start}
-        while len(order) < c.num_classes:
-            frontier = [
-                j
-                for i in placed
-                for j in c.neighbor_classes(i)
-                if j not in placed
-            ]
-            if not frontier:  # disconnected compressed query
-                frontier = [j for j in range(c.num_classes) if j not in placed]
-            nxt = min(frontier, key=lambda j: (cost(j), j))
-            order.append(nxt)
-            placed.add(nxt)
-        return order
-
-    def _base_candidates(self, index: int) -> List[int]:
-        """LDF + NLF candidates of the class representative."""
-        rep = self.c.classes[index][0]
-        return nlf_candidates_for(self.c.original, rep, self.data).tolist()
-
-    def _extend(
-        self,
-        order: List[int],
-        depth: int,
-        candidates: List[List[int]],
-        assignment: List[Optional[Tuple[int, ...]]],
-        used: set,
-    ) -> None:
-        if self.deadline is not None and self.deadline.expired():
-            raise BudgetExceeded
-        c = self.c
-        if depth == len(order):
-            self._record(assignment)
-            return
-        index = order[depth]
-        size = len(c.classes[index])
-
-        # Local candidates: base ∩ adjacency to every assigned neighbor
-        # class member, minus used vertices.
-        anchor_sets = [
-            self.data.neighbor_set(v)
-            for j in c.neighbor_classes(index)
-            if assignment[j] is not None
-            for v in assignment[j]
-        ]
-        local = [
-            v
-            for v in candidates[index]
-            if v not in used and all(v in s for s in anchor_sets)
-        ]
-        if len(local) < size:
-            return
-
-        for chosen in combinations(local, size):
-            # A clique class can reject billions of tuples in a row
-            # without ever re-entering _extend, so the budget is also
-            # checked here, on the engine's stride.
-            self._tick -= 1
-            if self._tick <= 0:
-                self._tick = DEADLINE_STRIDE
-                if self.deadline is not None and self.deadline.expired():
-                    raise BudgetExceeded
-            if c.clique[index] and not self._mutually_adjacent(chosen):
-                continue
-            assignment[index] = chosen
-            used.update(chosen)
-            self._extend(order, depth + 1, candidates, assignment, used)
-            used.difference_update(chosen)
-            assignment[index] = None
-
-    def _mutually_adjacent(self, vertices: Sequence[int]) -> bool:
-        for i, a in enumerate(vertices):
-            nb = self.data.neighbor_set(a)
-            for b in vertices[i + 1:]:
-                if b not in nb:
-                    return False
-        return True
-
-    def _record(self, assignment: List[Optional[Tuple[int, ...]]]) -> None:
-        c = self.c
-        expansion = c.expansion_factor
-        self.num_matches += expansion
-
-        # Materialize original embeddings (up to the store limit) by
-        # permuting class members over the chosen vertex sets.
-        if len(self.embeddings) < self.store_limit:
-            self._expand_embeddings(assignment)
-
-        if (
-            self.match_limit is not None
-            and self.num_matches >= self.match_limit
-        ):
-            raise _Stop
-
-    def _expand_embeddings(
-        self, assignment: List[Optional[Tuple[int, ...]]]
-    ) -> None:
-        c = self.c
-        partial: List[Dict[int, int]] = [dict()]
-        for index, members in enumerate(c.classes):
-            chosen = assignment[index]
-            assert chosen is not None
-            new_partial = []
-            for base in partial:
-                for perm in permutations(chosen):
-                    extended = dict(base)
-                    for u, v in zip(members, perm):
-                        extended[u] = v
-                    new_partial.append(extended)
-            partial = new_partial
-        for mapping in partial:
-            if len(self.embeddings) >= self.store_limit:
-                break
-            self.embeddings.append(
-                tuple(mapping[u] for u in range(c.original.num_vertices))
-            )
-
-
-class _Stop(Exception):
-    """Match cap reached."""
+            if len(embeddings) >= limit:
+                return embeddings
+            embedding = list(representative)
+            for members, vertices in zip(groups, arrangement):
+                for u, v in zip(members, vertices):
+                    embedding[u] = v
+            embeddings.append(tuple(embedding))
+    return embeddings
 
 
 def match_compressed(
@@ -367,25 +226,31 @@ def match_compressed(
     """Enumerate matches through NEC compression.
 
     Returns a regular :class:`MatchResult`; ``num_matches`` counts
-    *original* embeddings (each compressed assignment contributes
-    ``Π |class|!``).
+    *original* embeddings (each representative contributes
+    ``Π |class|!``), so a ``match_limit`` stops at the first multiple of
+    that factor at or past it.
     """
-    with Timer() as prep_timer:
-        compressed = compress_query(query)
-    enumerator = _CompressedEnumerator(
-        compressed, data, match_limit, time_limit, store_limit
+    compressed = compress_query(query)
+    expansion = compressed.expansion_factor
+    plan = compile_plan(ENGINE, query, data, kernel="rows")
+    metrics = Metrics()
+    prepared = prepare_query(plan, query, data, metrics)
+    _bind_classes(prepared.lc.static, compressed.classes)
+    result, _ = run_plan(
+        plan,
+        query,
+        data,
+        prepared,
+        match_limit=None if match_limit is None else -(-match_limit // expansion),
+        time_limit=time_limit,
+        store_limit=-(-store_limit // expansion),
+        metrics=metrics,
     )
-    with Timer() as enum_timer:
-        enumerator.run()
-    return MatchResult(
-        algorithm="NEC",
-        num_matches=enumerator.num_matches,
-        solved=enumerator.solved,
-        embeddings=enumerator.embeddings,
-        order=None,
-        preprocessing_seconds=prep_timer.elapsed,
-        enumeration_seconds=enum_timer.elapsed,
-    )
+    result.algorithm = "NEC"
+    result.num_matches *= expansion
+    result.embeddings = _expand(result.embeddings, compressed.classes, store_limit)
+    result.preprocessing_seconds = prepared.preprocessing_seconds
+    return result
 
 
 def count_matches_compressed(

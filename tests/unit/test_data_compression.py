@@ -1,5 +1,7 @@
 """Unit tests for BoostIso-style data-graph compression."""
 
+import time
+
 import pytest
 
 from fixtures import PAPER_DATA, PAPER_MATCHES, PAPER_QUERY
@@ -10,7 +12,7 @@ from repro.extensions import (
     count_matches_data_compressed,
     match_data_compressed,
 )
-from repro.graph import Graph
+from repro.graph import Graph, rmat_graph
 
 
 class TestCompression:
@@ -99,6 +101,17 @@ class TestMatching:
         star = Graph(labels=[0, 1, 1], edges=[(0, 1), (0, 2)])
         result = match_data_compressed(star, host, match_limit=5)
         assert 5 <= result.num_matches <= 12
+
+    def test_ten_ms_budget_stops_within_fifty_times(self):
+        # Single-label 7-paths on this host run into the billions.
+        host = rmat_graph(300, 12.0, 1, seed=5, clustering=0.3)
+        path = Graph(labels=[0] * 7, edges=[(i, i + 1) for i in range(6)])
+        started = time.perf_counter()
+        result = match_data_compressed(
+            path, host, match_limit=None, time_limit=0.01, store_limit=0
+        )
+        assert not result.solved
+        assert time.perf_counter() - started <= 0.5
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,5 +1,7 @@
 """Unit tests for the backtracking engine (limits, stats, modes)."""
 
+import time
+
 import pytest
 
 from fixtures import PAPER_DATA, PAPER_MATCHES, PAPER_QUERY
@@ -91,6 +93,21 @@ class TestLimits:
         )
         assert not out.solved
         assert out.elapsed < 2.0
+
+    def test_ten_ms_budget_stops_within_fifty_times(self):
+        # Single-label 7-paths on this host run into the billions.
+        data = rmat_graph(300, 12.0, 1, seed=5, clustering=0.3)
+        path = Graph(labels=[0] * 7, edges=[(i, i + 1) for i in range(6)])
+        cand = GraphQLFilter().run(path, data)
+        aux = AuxiliaryStructure.build(path, data, cand, scope="all")
+        order = GraphQLOrdering().order(path, data, cand)
+        started = time.perf_counter()
+        out = BacktrackingEngine(IntersectionLC()).run(
+            path, data, cand, aux, order,
+            match_limit=None, time_limit=0.01, store_limit=0,
+        )
+        assert not out.solved
+        assert time.perf_counter() - started <= 0.5
 
 
 class TestStats:

@@ -1,5 +1,7 @@
 """Unit tests for the Glasgow constraint-programming solver."""
 
+import time
+
 import pytest
 
 from fixtures import PAPER_DATA, PAPER_MATCHES, PAPER_QUERY
@@ -63,6 +65,17 @@ class TestSolve:
         query = extract_query(data, 12, seed=1)
         result = glasgow_match(query, data, match_limit=None, time_limit=0.05)
         assert not result.solved
+
+    def test_ten_ms_budget_stops_within_fifty_times(self):
+        # Single-label 7-paths on this host run into the billions.
+        data = rmat_graph(300, 12.0, 1, seed=5, clustering=0.3)
+        path = Graph(labels=[0] * 7, edges=[(i, i + 1) for i in range(6)])
+        started = time.perf_counter()
+        result = glasgow_match(
+            path, data, match_limit=None, time_limit=0.01, store_limit=0
+        )
+        assert not result.solved
+        assert time.perf_counter() - started <= 0.5
 
     def test_memory_tracking(self):
         solver = GlasgowSolver(PAPER_QUERY, PAPER_DATA)
