@@ -16,7 +16,8 @@ attached to an issue, or pinned forever as a regression fixture
       "transform": {"name": "renumber", "seed": 5} | null,
       "query": {"labels": [...], "edges": [[u, v], ...]},
       "data":  {"labels": [...], "edges": [[u, v], ...]},
-      "planted": [v0, v1, ...] | null
+      "planted": [v0, v1, ...] | null,
+      "match_limit": 7                 # optional: absent = the 20 000 default
     }
 
 :func:`replay_repro` re-executes exactly the recorded comparison via
@@ -72,15 +73,20 @@ def make_record(
     seed: Optional[int] = None,
     detail: str = "",
     planted: Optional[Tuple[int, ...]] = None,
+    match_limit: Optional[int] = None,
 ) -> Dict:
-    """Assemble one corpus record (validated minimally)."""
+    """Assemble one corpus record (validated minimally).
+
+    ``match_limit`` is written only when given, so records made under the
+    default cap keep their bytes.
+    """
     from repro.qa.differential import DIVERGENCE_KINDS
 
     if kind not in DIVERGENCE_KINDS:
         raise ValueError(
             f"unknown divergence kind {kind!r}; known: {DIVERGENCE_KINDS}"
         )
-    return {
+    record = {
         "schema": CORPUS_SCHEMA,
         "kind": kind,
         "seed": seed,
@@ -92,6 +98,9 @@ def make_record(
         "data": graph_to_json(data),
         "planted": list(planted) if planted is not None else None,
     }
+    if match_limit is not None:
+        record["match_limit"] = match_limit
+    return record
 
 
 def save_repro(path: str, record: Dict) -> str:

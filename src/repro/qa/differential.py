@@ -1,36 +1,45 @@
 """The differential runner: one case, every configuration, zero tolerance.
 
-For a planted case this module executes the query across
+:func:`run_case` runs a planted case through one table of
+``(reference, config, contract)`` rows:
 
-* every built-in registry preset (plus ``"recommended"``),
-* every kernel backend on an Algorithm 5 preset,
-* sequential vs chunked parallel enumeration on static-failing-sets and
-  adaptive presets, compared byte-for-byte,
-* :class:`~repro.core.session.MatchSession` (cache miss *and* cache hit)
-  vs the one-shot :func:`~repro.core.api.match`, for ``"recommended"``
-  plus count-only repeats whose last runs the order race's winner,
-* the independent :mod:`repro.baselines` oracles — VF2 always (cases are
-  small by construction), brute force when the assignment space is tiny,
-* the metamorphic transforms of :mod:`repro.qa.generator`,
-* the mutate-then-match differential (:func:`run_mutation_config`): a
-  seeded mutation script applied batch by batch to a
-  :class:`~repro.dynamic.DynamicGraph`, with the incremental match, the
-  incrementally maintained candidate sets and the standing subscription
-  each cross-checked against a from-scratch rebuild after every batch,
+===============================  =========  =============================
+rows                             contract   reference
+===============================  =========  =============================
+every registry preset            set        the first preset
+every kernel on one ALG5 preset  set        the first preset
+fan-out over ``worker_counts``   exact      the same preset, sequential
+each storage backend             exact      the first preset
+VF2; brute force if tiny         oracle     the first preset
+session (miss, hit, repeats)     session    one-shot run of its preset
+===============================  =========  =============================
 
-normalizes embeddings to order-free sets and reports every disagreement
-as a :class:`Divergence`. Each divergence carries a serializable
-``record`` (configs + transform + kind) so that :mod:`repro.qa.shrink`
-and :mod:`repro.qa.corpus` can re-execute *exactly* the failing
-comparison on a mutated or reloaded (query, data) pair via
-:func:`divergence_reproduces`.
+``set`` and ``oracle`` compare counts and order-free embedding sets,
+``exact`` also the order; all three compare nothing when a side hit the
+match cap. ``session`` holds a :class:`MatchSession` run to its own
+cache hit, to the one-shot list and, on every count-only repeat (the
+last runs the order race's winner), to the one-shot count, capped or
+not. :func:`_differ` is that one rule and :func:`divergence_reproduces`
+replays through it too, so each finding re-executes as the comparison
+that found it. Every configuration runs once per case; its crash, an
+invalid embedding or a missing planted embedding is a finding of its
+own. Beside the rows run the metamorphic transforms of
+:mod:`repro.qa.generator` on the first preset and, given a mutation
+script, the mutate-then-match differential (:func:`run_mutation_config`)
+over a slice of the same configurations.
+
+Each :class:`Divergence` carries a serializable ``record`` (kind,
+configs, transform, a non-default match cap) that
+:func:`divergence_reproduces` re-executes on a shrunk or reloaded
+(query, data) pair.
 """
 
 from __future__ import annotations
 
 import tempfile
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -96,6 +105,9 @@ MUTATION_KINDS: Tuple[str, ...] = (
 #: never truncated (capped runs are excluded from set comparisons).
 DEFAULT_MATCH_LIMIT = 20_000
 
+#: The modes that run an independent oracle instead of the framework.
+ORACLES = ("vf2", "bruteforce")
+
 
 @dataclass(frozen=True)
 class Config:
@@ -156,7 +168,7 @@ class Config:
         )
 
     def label(self) -> str:
-        if self.mode in ("vf2", "bruteforce"):
+        if self.mode in ORACLES:
             return self.mode
         kernel = f"/{self.kernel}" if self.kernel else ""
         workers = f"|w{self.n_workers}" if self.n_workers else ""
@@ -206,29 +218,32 @@ def _stored_data(data: Graph, storage: Optional[str]) -> Iterator[Graph]:
     checksum validation on open); ``"shm"`` publishes it to a
     shared-memory segment and yields the view over that segment. Either
     way the backing store is closed (and the segment unlinked / the
-    tempfile removed) when the block exits.
+    tempfile removed) when the block exits. The arrays must be
+    byte-identical across backends, so a store whose fingerprint differs
+    from ``data``'s raises: the configuration crashes, and its record
+    replays by running it again.
     """
     if storage is None:
         yield data
         return
-    if storage == "rgf":
-        with tempfile.TemporaryDirectory(prefix="repro-qa-") as tmp:
+    with ExitStack() as stack:
+        if storage == "rgf":
+            tmp = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-qa-")
+            )
             path = Path(tmp) / "data.rgf"
             write_rgf(data, path)
             store = MmapStore(path, validate=True)
-            try:
-                yield store.graph()
-            finally:
-                store.close()
-        return
-    if storage == "shm":
-        store = SharedMemoryStore.publish(data)
-        try:
-            yield store.graph()
-        finally:
-            store.close()
-        return
-    raise ValueError(f"unknown storage backend: {storage!r}")
+        elif storage == "shm":
+            store = SharedMemoryStore.publish(data)
+        else:
+            raise ValueError(f"unknown storage backend: {storage!r}")
+        stack.callback(store.close)
+        if store.fingerprint() != data.store.fingerprint():
+            raise ValueError(
+                f"{storage} store fingerprint differs from the in-memory graph"
+            )
+        yield store.graph()
 
 
 def run_config(
@@ -279,7 +294,9 @@ def _run_resident(
             if config.algorithm == "recommended":
                 count_repeats = []
                 for _ in range(2):
-                    repeat = session.match(query, match_limit=match_limit, store_limit=0)
+                    repeat = session.match(
+                        query, match_limit=match_limit, store_limit=0
+                    )
                     count_repeats.append((repeat.num_matches, repeat.solved))
         finally:
             session.close()
@@ -441,60 +458,65 @@ def _record(
     config_a: Config,
     config_b: Optional[Config] = None,
     transform: Optional[Dict] = None,
+    match_limit: int = DEFAULT_MATCH_LIMIT,
 ) -> Dict:
-    return {
+    record = {
         "kind": kind,
         "config_a": config_a.to_dict(),
         "config_b": config_b.to_dict() if config_b is not None else None,
         "transform": transform,
     }
+    # Only a non-default cap is written, so default records keep their bytes.
+    if match_limit != DEFAULT_MATCH_LIMIT:
+        record["match_limit"] = match_limit
+    return record
 
 
-def _pair_divergence(
-    kind: str,
-    config_a: Config,
-    config_b: Config,
-    a: Outcome,
-    b: Outcome,
-    case: "PlantedCase",
-    detail: str,
-) -> Divergence:
-    return Divergence(
-        kind=kind,
-        detail=(
-            f"{config_a.label()} vs {config_b.label()}: {detail} "
-            f"({a.count} vs {b.count} matches)"
-        ),
-        record=_record(kind, config_a, config_b),
-        query=case.query,
-        data=case.data,
-        seed=case.seed,
-        planted=case.planted,
-    )
+def _differ(a: Outcome, b: Outcome, contract: str) -> Optional[str]:
+    """What breaks ``contract`` between ``a`` and ``b`` (``None``: nothing).
 
-
-def _outcomes_differ(a: Outcome, b: Outcome) -> Optional[str]:
-    """Why two outcomes disagree (``None`` when they agree).
-
-    Capped runs (the match cap truncated enumeration) compare counts
-    only — different algorithms legally reach different cap subsets.
+    ``"set"``, ``"oracle"`` and ``"exact"`` compare nothing when a side is
+    capped — different algorithms legally reach different cap subsets —
+    and otherwise the counts, then the embedding sets; ``"exact"`` also
+    the embedding order. ``"session"`` takes ``a`` from a session run and
+    ``b`` from the one-shot run, and compares even when capped: ``a``'s
+    cache hit against its miss, ``a``'s list against ``b``'s, and every
+    count-only repeat of ``a`` against ``b``'s count and solved flag.
     """
+    if contract == "session":
+        if a.repeat_list is not None and a.emb_list != a.repeat_list:
+            return "cache hit"
+        if a.emb_list != b.emb_list:
+            return "embedding list"
+        if any(r != (b.count, b.solved) for r in a.count_repeats or ()):
+            return "count-only repeat"
+        return None
     if a.capped or b.capped:
         return None
     if a.count != b.count:
         return "count"
     if a.emb_set != b.emb_set:
-        return "set"
+        return "embedding set"
+    if contract == "exact" and a.emb_list != b.emb_list:
+        return "embedding order"
     return None
 
 
-def _count_repeats_differ(session: Outcome, oneshot: Outcome) -> bool:
-    """Whether a count-only session repeat disagrees with the one-shot
-    outcome on the count or the solved flag."""
-    return any(
-        repeat != (oneshot.count, oneshot.solved)
-        for repeat in session.count_repeats or ()
-    )
+#: The divergence kind of each way a contract can break. An order-only
+#: difference is a ``session_mismatch``: that kind replays by comparing
+#: embedding lists.
+_KINDS: Dict[Tuple[str, str], str] = {
+    ("set", "count"): "count_mismatch",
+    ("set", "embedding set"): "set_mismatch",
+    ("exact", "count"): "count_mismatch",
+    ("exact", "embedding set"): "set_mismatch",
+    ("exact", "embedding order"): "session_mismatch",
+    ("oracle", "count"): "oracle_mismatch",
+    ("oracle", "embedding set"): "oracle_mismatch",
+    ("session", "cache hit"): "session_mismatch",
+    ("session", "embedding list"): "session_mismatch",
+    ("session", "count-only repeat"): "session_mismatch",
+}
 
 
 def default_presets() -> List[str]:
@@ -529,376 +551,137 @@ def run_case(
     """Run one planted case through the full configuration matrix.
 
     Returns every divergence found (empty list = the case is clean). The
-    first preset is the baseline all others are compared against; the
-    oracles are compared against the baseline too, so a systematic
-    framework bug still surfaces as an ``oracle_mismatch``. When
-    ``mutations`` is given, the mutate-then-match differential
-    (:func:`run_mutation_config`) additionally sweeps the script over
-    the baseline preset, the session preset, one kernel config, a
-    failing-sets preset, and every storage backend.
+    rows are the module docstring's table. The first preset is the
+    reference of the preset, kernel, storage and oracle rows, so a
+    systematic framework bug still surfaces as an ``oracle_mismatch``;
+    its crash ends the case. ``mutations`` adds the mutate-then-match
+    differential over the first preset, the session preset, the first
+    kernel, a failing-sets preset and every storage backend.
     """
     presets = list(presets) if presets is not None else default_presets()
     kernels = list(kernels) if kernels is not None else default_kernels()
     divergences: List[Divergence] = []
+    outcomes: Dict[Config, Optional[Outcome]] = {}
+    valid = lru_cache(None)(partial(verify_embedding, case.query, case.data))
 
-    def run_checked(config: Config) -> Optional[Outcome]:
-        try:
-            return run_config(case.query, case.data, config, match_limit)
-        except Exception as exc:  # noqa: BLE001 — any crash is a finding
-            divergences.append(
-                Divergence(
-                    kind="crash",
-                    detail=f"{config.label()} raised {type(exc).__name__}: {exc}",
-                    record=_record("crash", config),
-                    query=case.query,
-                    data=case.data,
-                    seed=case.seed,
-                    planted=case.planted,
-                )
-            )
-            return None
-
-    base_config = Config(algorithm=presets[0])
-    base = run_checked(base_config)
-    if base is None:
-        return divergences
-
-    def compare(kind: str, config: Config, outcome: Outcome) -> None:
-        why = _outcomes_differ(base, outcome)
-        if why is None:
-            return
-        if kind == "count_mismatch" and why == "set":
-            kind = "set_mismatch"
+    def found(
+        kind: str,
+        detail: str,
+        a: Config,
+        b: Optional[Config] = None,
+        transform: Optional[Dict] = None,
+    ) -> None:
+        labels = a.label() if b is None else f"{a.label()} vs {b.label()}"
         divergences.append(
-            _pair_divergence(
-                kind, base_config, config, base, outcome, case,
-                f"{why} differs",
+            Divergence(
+                kind=kind,
+                detail=f"{labels}: {detail}",
+                record=_record(kind, a, b, transform, match_limit),
+                query=case.query,
+                data=case.data,
+                seed=case.seed,
+                planted=case.planted,
             )
         )
 
-    def check_planted_and_valid(config: Config, outcome: Outcome) -> None:
-        if outcome.capped:
-            return
+    def attempt(config: Config, runner):
+        try:
+            return runner(case.query, case.data, config, match_limit)
+        except Exception as exc:  # noqa: BLE001 — any crash is a finding
+            found("crash", f"raised {type(exc).__name__}: {exc}", config)
+            return None
+
+    def run(config: Config) -> Optional[Outcome]:
+        """The outcome of ``config``, run and checked once per case."""
+        if config in outcomes:
+            return outcomes[config]
+        outcome = outcomes[config] = attempt(config, run_config)
+        if outcome is None or outcome.capped or config.mode in ORACLES:
+            return outcome
         for emb in outcome.emb_list:
-            if not verify_embedding(case.query, case.data, emb):
-                divergences.append(
-                    Divergence(
-                        kind="invalid_embedding",
-                        detail=f"{config.label()} returned non-match {emb}",
-                        record=_record("invalid_embedding", config),
-                        query=case.query,
-                        data=case.data,
-                        seed=case.seed,
-                        planted=case.planted,
-                    )
-                )
+            if not valid(emb):
+                found("invalid_embedding", f"returned non-match {emb}", config)
                 break
         if case.planted is not None and case.planted not in outcome.emb_set:
-            divergences.append(
-                Divergence(
-                    kind="missing_planted",
-                    detail=(
-                        f"{config.label()} missed the planted embedding "
-                        f"{case.planted}"
-                    ),
-                    record=_record("missing_planted", config),
-                    query=case.query,
-                    data=case.data,
-                    seed=case.seed,
-                    planted=case.planted,
-                )
+            found(
+                "missing_planted",
+                f"missed the planted embedding {case.planted}",
+                config,
             )
+        return outcome
 
-    check_planted_and_valid(base_config, base)
+    base = Config(algorithm=presets[0])
+    base_outcome = run(base)
+    if base_outcome is None:
+        return divergences
 
-    # Every registry preset against the baseline.
-    for name in presets[1:]:
-        config = Config(algorithm=name)
-        outcome = run_checked(config)
-        if outcome is None:
-            continue
-        compare("count_mismatch", config, outcome)
-        check_planted_and_valid(config, outcome)
-
-    # Every kernel backend on one Algorithm 5 preset.
-    for kernel in kernels:
-        config = Config(algorithm=kernel_algorithm, kernel=kernel)
-        outcome = run_checked(config)
-        if outcome is None:
-            continue
-        why = _outcomes_differ(base, outcome)
-        if why is not None:
-            divergences.append(
-                _pair_divergence(
-                    "count_mismatch" if why == "count" else "set_mismatch",
-                    base_config, config, base, outcome, case,
-                    f"{why} differs",
-                )
-            )
-
-    # Parallel enumeration against the sequential run of the same
-    # preset, held to a *byte identical* contract (embedding order
-    # included), stronger than the set equality presets are held to:
-    # chunked fan-out must reassemble the exact sequential embedding
-    # order. Order-only differences are reported as ``session_mismatch``,
-    # whose replay path compares embedding lists. Small cases fall below
-    # the parallel eligibility floor and silently run sequentially — that
-    # degenerate comparison passing is fine; the axis earns its keep on
-    # the cases with enough root candidates.
-    for algo in PARALLEL_ALGORITHMS:
-        first_config = Config(algorithm=algo)
-        first = run_checked(first_config)
-        if first is None:
-            continue
-        for n_workers in worker_counts:
-            config = Config(algorithm=algo, n_workers=n_workers)
-            outcome = run_checked(config)
-            if outcome is None:
-                continue
-            why = _outcomes_differ(first, outcome)
-            if why is not None:
-                divergences.append(
-                    _pair_divergence(
-                        "count_mismatch" if why == "count" else "set_mismatch",
-                        first_config, config, first, outcome, case,
-                        f"{why} differs between sequential and parallel runs",
-                    )
-                )
-            elif not (first.capped or outcome.capped) and (
-                first.emb_list != outcome.emb_list
-            ):
-                divergences.append(
-                    _pair_divergence(
-                        "session_mismatch", first_config, config,
-                        first, outcome, case,
-                        "parallel run reordered embeddings",
-                    )
-                )
-
-    # Storage-backend axis: the baseline preset rerun with the data
-    # graph resident in each alternate backend (``.rgf`` memmap,
-    # shared memory). The CSR arrays are byte-identical by construction
-    # (store fingerprints are compared first), so the match itself is
-    # held to the byte-identical contract: order-only differences are
-    # ``session_mismatch``, like the parallel sweep.
-    base_fingerprint = case.data.store.fingerprint()
-    for storage in storages:
-        config = Config(algorithm=presets[0], storage=storage)
-        try:
-            with _stored_data(case.data, storage) as resident:
-                fingerprint = resident.store.fingerprint()
-        except Exception as exc:  # noqa: BLE001 — any crash is a finding
-            divergences.append(
-                Divergence(
-                    kind="crash",
-                    detail=(
-                        f"{config.label()} backend raised "
-                        f"{type(exc).__name__}: {exc}"
-                    ),
-                    record=_record("crash", config),
-                    query=case.query,
-                    data=case.data,
-                    seed=case.seed,
-                    planted=case.planted,
-                )
-            )
-            continue
-        if fingerprint != base_fingerprint:
-            divergences.append(
-                _pair_divergence(
-                    "session_mismatch", base_config, config,
-                    base, base, case,
-                    f"{storage} store fingerprint differs from in-memory",
-                )
-            )
-            continue
-        outcome = run_checked(config)
-        if outcome is None:
-            continue
-        why = _outcomes_differ(base, outcome)
-        if why is not None:
-            divergences.append(
-                _pair_divergence(
-                    "count_mismatch" if why == "count" else "set_mismatch",
-                    base_config, config, base, outcome, case,
-                    f"{why} differs across storage backends",
-                )
-            )
-        elif not (base.capped or outcome.capped) and (
-            base.emb_list != outcome.emb_list
-        ):
-            divergences.append(
-                _pair_divergence(
-                    "session_mismatch", base_config, config,
-                    base, outcome, case,
-                    f"{storage} backend reordered embeddings",
-                )
-            )
-
-    # MatchSession (miss then hit) vs the one-shot result of the same
-    # preset; for ``recommended`` also its count-only repeats, the last
-    # of which runs the order race's winner.
-    for algorithm in dict.fromkeys((session_algorithm, "recommended")):
-        session_config = Config(algorithm=algorithm, mode="session")
-        oneshot_config = Config(algorithm=algorithm)
-        session_outcome = run_checked(session_config)
-        oneshot_outcome = run_checked(oneshot_config)
-        if session_outcome is None or oneshot_outcome is None:
-            continue
-        if session_outcome.repeat_list is not None and (
-            session_outcome.emb_list != session_outcome.repeat_list
-        ):
-            divergences.append(
-                Divergence(
-                    kind="session_mismatch",
-                    detail=(
-                        f"{session_config.label()}: cache hit returned "
-                        "different embeddings than cache miss"
-                    ),
-                    record=_record("session_mismatch", session_config,
-                                   oneshot_config),
-                    query=case.query,
-                    data=case.data,
-                    seed=case.seed,
-                    planted=case.planted,
-                )
-            )
-        elif session_outcome.emb_list != oneshot_outcome.emb_list:
-            divergences.append(
-                _pair_divergence(
-                    "session_mismatch", session_config, oneshot_config,
-                    session_outcome, oneshot_outcome, case,
-                    "session and one-shot results differ",
-                )
-            )
-        elif _count_repeats_differ(session_outcome, oneshot_outcome):
-            divergences.append(
-                _pair_divergence(
-                    "session_mismatch", session_config, oneshot_config,
-                    session_outcome, oneshot_outcome, case,
-                    "a count-only repeat differs from the one-shot count",
-                )
-            )
-
-    # Independent oracles. VF2 always (cases are small); brute force only
-    # when the label-restricted assignment space is tiny.
+    rows: List[Tuple[Config, Config, str]] = [
+        *((base, Config(name), "set") for name in presets[1:]),
+        *(
+            (base, Config(kernel_algorithm, kernel=kernel), "set")
+            for kernel in kernels
+        ),
+        *(
+            (Config(algo), Config(algo, n_workers=n_workers), "exact")
+            for algo in PARALLEL_ALGORITHMS
+            for n_workers in worker_counts
+        ),
+        *((base, replace(base, storage=s), "exact") for s in storages),
+        *(
+            (Config(algo, mode="session"), Config(algo), "session")
+            for algo in dict.fromkeys((session_algorithm, "recommended"))
+        ),
+    ]
     if oracle:
-        vf2_config = Config(mode="vf2")
-        vf2_outcome = run_checked(vf2_config)
-        if vf2_outcome is not None:
-            why = _outcomes_differ(base, vf2_outcome)
-            if why is not None:
-                divergences.append(
-                    _pair_divergence(
-                        "oracle_mismatch", base_config, vf2_config,
-                        base, vf2_outcome, case, f"{why} differs",
-                    )
-                )
+        rows.append((base, Config(mode="vf2"), "oracle"))
         if _bruteforce_feasible(case.query, case.data, bruteforce_budget):
-            bf_config = Config(mode="bruteforce")
-            bf_outcome = run_checked(bf_config)
-            if bf_outcome is not None:
-                why = _outcomes_differ(base, bf_outcome)
-                if why is not None:
-                    divergences.append(
-                        _pair_divergence(
-                            "oracle_mismatch", base_config, bf_config,
-                            base, bf_outcome, case, f"{why} differs",
-                        )
-                    )
+            rows.append((base, Config(mode="bruteforce"), "oracle"))
+    for reference, config, contract in rows:
+        a, b = run(reference), run(config)
+        if a is None or b is None:
+            continue
+        reason = _differ(a, b, contract)
+        if reason is not None:
+            found(
+                _KINDS[contract, reason],
+                f"{reason} differs ({a.count} vs {b.count} matches)",
+                reference,
+                config,
+            )
 
-    # Metamorphic invariants on the baseline preset.
-    if metamorphic and not base.capped:
+    # Metamorphic invariants on the first preset.
+    if metamorphic and not base_outcome.capped:
         for transform in ("relabel", "renumber", "edge_shuffle"):
             t_seed = case.seed * 31 + len(transform)
             violation = _metamorphic_violation(
-                case.query, case.data, base_config, transform, t_seed,
-                match_limit, base,
+                case.query, case.data, base, transform, t_seed,
+                match_limit, base_outcome,
             )
             if violation:
-                divergences.append(
-                    Divergence(
-                        kind="metamorphic_mismatch",
-                        detail=(
-                            f"{base_config.label()} under {transform}: "
-                            f"{violation}"
-                        ),
-                        record=_record(
-                            "metamorphic_mismatch", base_config,
-                            transform={"name": transform, "seed": t_seed},
-                        ),
-                        query=case.query,
-                        data=case.data,
-                        seed=case.seed,
-                        planted=case.planted,
-                    )
+                found(
+                    "metamorphic_mismatch",
+                    f"under {transform}: {violation}",
+                    base,
+                    transform={"name": transform, "seed": t_seed},
                 )
 
-    # Mutation axis: the mutate-then-match differential, swept across a
-    # representative slice of the matrix. Every config replays through
+    # Mutation axis: a slice of the same configurations, each run as a
+    # session through the script. Every finding replays through
     # run_mutation_config, so the records need no second side.
     if mutations:
-        mutation_configs: List[Config] = [
-            Config(algorithm=presets[0], mode="session", mutations=mutations),
-            Config(
-                algorithm=session_algorithm, mode="session",
-                mutations=mutations,
-            ),
+        swept = [
+            base,
+            Config(session_algorithm),
+            *(Config(kernel_algorithm, kernel=k) for k in kernels[:1]),
+            Config(PARALLEL_ALGORITHMS[0]),
+            *(replace(base, storage=s) for s in storages),
         ]
-        if kernels:
-            mutation_configs.append(
-                Config(
-                    algorithm=kernel_algorithm, kernel=kernels[0],
-                    mode="session", mutations=mutations,
-                )
-            )
-        mutation_configs.append(
-            Config(
-                algorithm=PARALLEL_ALGORITHMS[0], mode="session",
-                mutations=mutations,
-            )
-        )
-        for storage in storages:
-            mutation_configs.append(
-                Config(
-                    algorithm=presets[0], storage=storage,
-                    mode="session", mutations=mutations,
-                )
-            )
-        for config in dict.fromkeys(mutation_configs):
-            try:
-                finding = run_mutation_config(
-                    case.query, case.data, config, match_limit
-                )
-            except Exception as exc:  # noqa: BLE001 — any crash is a finding
-                divergences.append(
-                    Divergence(
-                        kind="crash",
-                        detail=(
-                            f"{config.label()} raised "
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                        record=_record("crash", config),
-                        query=case.query,
-                        data=case.data,
-                        seed=case.seed,
-                        planted=case.planted,
-                    )
-                )
-                continue
+        for config in dict.fromkeys(
+            replace(c, mode="session", mutations=mutations) for c in swept
+        ):
+            finding = attempt(config, run_mutation_config)
             if finding is not None:
-                kind, detail = finding
-                divergences.append(
-                    Divergence(
-                        kind=kind,
-                        detail=f"{config.label()}: {detail}",
-                        record=_record(kind, config),
-                        query=case.query,
-                        data=case.data,
-                        seed=case.seed,
-                        planted=case.planted,
-                    )
-                )
+                found(*finding, config)
 
     return divergences
 
@@ -989,24 +772,20 @@ def divergence_reproduces(record: Dict, query: Graph, data: Graph) -> bool:
     match_limit = int(record.get("match_limit") or DEFAULT_MATCH_LIMIT)
 
     if kind == "crash":
+        runner = run_mutation_config if config_a.mutations else run_config
         try:
-            if config_a.mutations:
-                run_mutation_config(query, data, config_a, match_limit)
-            else:
-                run_config(query, data, config_a, match_limit)
+            runner(query, data, config_a, match_limit)
         except Exception:  # noqa: BLE001
             return True
         return False
 
     try:
         if kind in MUTATION_KINDS:
-            # The mutation differential is self-contained: any of its
-            # three cross-checks firing (on any batch) counts as
-            # reproducing, so a shrink step that morphs e.g. a
-            # mutation_mismatch into candidate_drift is never declared
-            # "fixed".
-            return run_mutation_config(query, data, config_a, match_limit) \
-                is not None
+            # Any of the mutation differential's cross-checks firing counts,
+            # so a shrink step that morphs e.g. a mutation_mismatch into
+            # candidate_drift is never declared "fixed".
+            finding = run_mutation_config(query, data, config_a, match_limit)
+            return finding is not None
 
         if kind == "invalid_embedding":
             outcome = run_config(query, data, config_a, match_limit)
@@ -1037,16 +816,14 @@ def divergence_reproduces(record: Dict, query: Graph, data: Graph) -> bool:
             )
             a = run_config(query, data, config_a, match_limit)
             b = run_config(query, data, reference, match_limit)
-            return _outcomes_differ(a, b) is not None
+            return _differ(a, b, "set") is not None
 
-        # count/set/oracle/session mismatches: rerun both sides.
+        # count/set/oracle/session mismatches: rerun both sides under the
+        # runner's own rule. Only a session_mismatch compares lists.
         config_b = Config.from_dict(record["config_b"])
         a = run_config(query, data, config_a, match_limit)
         b = run_config(query, data, config_b, match_limit)
-        if kind == "session_mismatch":
-            if a.repeat_list is not None and a.emb_list != a.repeat_list:
-                return True
-            return a.emb_list != b.emb_list or _count_repeats_differ(a, b)
-        return _outcomes_differ(a, b) is not None
+        contract = "session" if kind == "session_mismatch" else "set"
+        return _differ(a, b, contract) is not None
     except Exception:  # noqa: BLE001 — shrink must not mask a crash
         return True

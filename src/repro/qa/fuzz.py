@@ -160,6 +160,7 @@ def _write_repro(
             if data.num_vertices == divergence.data.num_vertices
             else None
         ),
+        match_limit=divergence.record.get("match_limit"),
     )
     suffix = f"-{index}" if index else ""
     name = f"repro-{divergence.kind}-{divergence.seed}{suffix}.json"

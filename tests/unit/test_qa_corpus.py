@@ -51,6 +51,7 @@ class TestRecords:
         assert record["schema"] == CORPUS_SCHEMA
         assert record["kind"] == "count_mismatch"
         assert record["planted"] is None
+        assert "match_limit" not in record
         assert graph_from_json(record["query"]) == QUERY
 
     def test_make_record_rejects_unknown_kind(self):
