@@ -18,9 +18,12 @@ measurement would be fiction — the workers timeshare one core — so the
 benchmark records the *real* per-chunk enumeration seconds reported by
 the workers and computes the speedup a W-worker schedule of those chunks
 achieves (greedy makespan: longest chunk first, always onto the
-least-loaded worker). The payload says which via ``speedup_source``, and
-:func:`repro.obs.schema.validate_bench_parallel` enforces the 2.5x floor
-either way.
+least-loaded worker). ``unit="calls"`` feeds that schedule the chunks'
+``recursion_calls`` instead of their seconds: a deterministic model that
+no load on the host can move, which is what the unit tests gate on. The
+payload says which via ``speedup_source`` (``"measured"``, ``"modeled"``
+or ``"counted"``), and :func:`repro.obs.schema.validate_bench_parallel`
+enforces the 2.5x floor in every case.
 
 Run directly (``python benchmarks/bench_parallel.py``) to write
 ``BENCH_parallel.json``. Flags scale the workload down for CI smoke runs
@@ -79,11 +82,11 @@ def _shm_names() -> set:
         return set()
 
 
-def greedy_makespan(chunk_seconds, workers: int) -> float:
-    """Wall clock of the longest-first greedy schedule on ``workers``."""
+def greedy_makespan(chunk_costs, workers: int) -> float:
+    """Makespan of the longest-first greedy schedule on ``workers``."""
     loads = [0.0] * workers
-    for seconds in sorted(chunk_seconds, reverse=True):
-        loads[loads.index(min(loads))] += seconds
+    for cost in sorted(chunk_costs, reverse=True):
+        loads[loads.index(min(loads))] += cost
     return max(loads)
 
 
@@ -96,10 +99,19 @@ def run_parallel_benchmark(
     algorithm: str = DEFAULT_ALGORITHM,
     degree: float = DEFAULT_DEGREE,
     labels: int = DEFAULT_LABELS,
+    unit: str = "seconds",
 ) -> dict:
-    """Benchmark the fan-out per query; returns the validated payload."""
+    """Benchmark the fan-out per query; returns the validated payload.
+
+    ``unit`` is what the makespan model schedules on hosts with fewer
+    than 4 CPUs: ``"seconds"`` (per-chunk enumeration seconds) or
+    ``"calls"`` (per-chunk ``recursion_calls``, on any host).
+    """
+    if unit not in ("seconds", "calls"):
+        raise ValueError(f"unit must be 'seconds' or 'calls': {unit!r}")
     host_cpus = os.cpu_count() or 1
-    measured = host_cpus >= max(WORKER_COUNTS)
+    counted = unit == "calls"
+    measured = not counted and host_cpus >= max(WORKER_COUNTS)
     shm_before = _shm_names()
 
     data = erdos_renyi_graph(vertices, degree, labels, seed=7)
@@ -142,7 +154,8 @@ def run_parallel_benchmark(
                 match_limit=match_limit, store_limit=match_limit,
                 parallel=timing_ctx,
             )
-            if not timing_ctx.last_chunk_seconds:
+            chunk_calls = list(timing_ctx.last_chunk_calls)
+            if not chunk_calls:
                 raise SystemExit(
                     f"query seed {seed}: plan was not eligible for "
                     "parallel enumeration — the benchmark measured nothing"
@@ -191,6 +204,11 @@ def run_parallel_benchmark(
                 if best is None or wall < best:
                     parallel_walls[max(WORKER_COUNTS)] = wall
 
+            whole, chunks = (
+                (seq_result.stats.recursion_calls, chunk_calls)
+                if counted
+                else (seq_seconds, chunk_seconds)
+            )
             if measured:
                 speedups = {}
                 for workers, ctx in contexts.items():
@@ -203,25 +221,23 @@ def run_parallel_benchmark(
                         for _ in range(repeats)
                     )
                     speedups[str(workers)] = seq_seconds / wall
-                makespan4 = seq_seconds / speedups[str(max(WORKER_COUNTS))]
             else:
                 speedups = {
-                    str(workers): seq_seconds
-                    / greedy_makespan(chunk_seconds, workers)
+                    str(workers): whole / greedy_makespan(chunks, workers)
                     for workers in WORKER_COUNTS
                 }
-                makespan4 = greedy_makespan(
-                    chunk_seconds, max(WORKER_COUNTS)
-                )
 
-            seq_total += seq_seconds
-            makespan4_total += makespan4
+            # In the unit of the speedups: seconds, or calls when counted.
+            seq_total += whole
+            makespan4_total += whole / speedups[str(max(WORKER_COUNTS))]
             query_entries.append(
                 {
                     "seed": seed,
                     "num_matches": seq_result.num_matches,
                     "sequential_seconds": seq_seconds,
                     "chunk_seconds": chunk_seconds,
+                    "sequential_calls": seq_result.stats.recursion_calls,
+                    "chunk_calls": chunk_calls,
                     "speedups": speedups,
                     "embeddings_identical": identical,
                 }
@@ -234,7 +250,9 @@ def run_parallel_benchmark(
         "schema_version": BENCH_PARALLEL_SCHEMA_VERSION,
         "benchmark": "parallel-enumeration",
         "host_cpus": host_cpus,
-        "speedup_source": "measured" if measured else "modeled",
+        "speedup_source": (
+            "measured" if measured else "counted" if counted else "modeled"
+        ),
         "workload": {
             "data_vertices": data.num_vertices,
             "data_degree": degree,

@@ -4,7 +4,7 @@
 so a consumer can stop after any number of matches without paying for
 the rest (``itertools.islice`` composes naturally). The pipeline is the
 paper's recommended one (:func:`repro.core.algorithms.recommended_spec`:
-GraphQL filter, all-edges auxiliary structure, Algorithm 5, the ordering
+NLF filter, all-edges auxiliary structure, Algorithm 5, the ordering
 chosen by data density as in Section 6), compiled and prepared exactly
 as ``match()`` prepares it.
 

@@ -29,10 +29,11 @@ class ConfigurationError(ReproError):
 
 
 class BudgetExceeded(ReproError):
-    """Internal signal: a per-query time budget expired during enumeration.
+    """A per-query time budget expired during enumeration.
 
-    The enumeration engine catches this and reports the query as unsolved;
-    it never escapes the public API.
+    The enumeration engines catch this and report the query as unsolved.
+    Only the VF2 oracle (:mod:`repro.baselines.vf2`), which has no
+    unsolved answer, lets it reach its caller.
     """
 
 

@@ -144,9 +144,10 @@ class ParallelContext:
         #: the session uses it to defer a concurrent close() until no
         #: worker can still be attaching to the shared segment.
         self._guard = guard
-        #: Chunk timings from the last execute() — consumed by
-        #: bench_parallel's makespan model.
+        #: Chunk timings and ``recursion_calls`` from the last execute()
+        #: — consumed by bench_parallel's makespan model.
         self.last_chunk_seconds: List[float] = []
+        self.last_chunk_calls: List[int] = []
 
     # -- gate -----------------------------------------------------------
 
@@ -225,6 +226,7 @@ class ParallelContext:
                 finally:
                     pool.release_slot(slot)
         self.last_chunk_seconds = [c.elapsed for c in results]
+        self.last_chunk_calls = [c.stats.recursion_calls for c in results]
         outcome = merge_chunks(results, match_limit, store_limit)
         outcome.elapsed = timer.elapsed
         add_counter("parallel.matches", 1)

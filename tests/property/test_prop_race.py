@@ -276,8 +276,9 @@ def test_racers_run_side_by_side(dense, monkeypatch):
 def test_ties_go_to_the_earlier_racer(dense, monkeypatch):
     data, _ = dense
     # A query with no match: calls are interior nodes, and two of these
-    # three orders tie at the fewest.
-    query = Graph([0] * 4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    # three orders tie at the fewest (the label-1 vertex first prunes
+    # most).
+    query = Graph([0, 0, 0, 1], [(u, v) for u in range(4) for v in range(u + 1, 4)])
     racers = [("a", [0, 1, 2, 3], True, False), ("b", [3, 0, 1, 2], True, False),
               ("c", [3, 0, 2, 1], True, False)]
     monkeypatch.setattr("repro.core.plan._racers", lambda *_: iter(racers))

@@ -3,7 +3,12 @@
 import pytest
 
 from repro import available_algorithms, match
-from repro.core.algorithms import PRESETS, algorithm_components, get_algorithm
+from repro.core.algorithms import (
+    PRESETS,
+    algorithm_components,
+    get_algorithm,
+    recommended_spec,
+)
 from repro.core.registry import (
     FILTERS,
     LOCAL_CANDIDATES,
@@ -18,8 +23,8 @@ from repro.core.registry import (
     registered_algorithms,
 )
 from repro.errors import ConfigurationError
-from repro.filtering import GraphQLFilter
-from repro.graph import Graph
+from repro.filtering import GraphQLFilter, NLFFilter
+from repro.graph import Graph, extract_query, rmat_graph
 
 
 class TestComponentRegistry:
@@ -110,6 +115,7 @@ class TestDescribePreset:
 
     def test_algorithm_components_recommended_is_symbolic(self):
         parts = algorithm_components("recommended")
+        assert parts["filter"] == "NLF"
         assert parts["ordering"] == "GQL|RI"
         assert parts["failing_sets"] == "auto"
 
@@ -182,3 +188,33 @@ class TestPresetTable:
         names = available_algorithms()
         assert names[-1] == "recommended"
         assert set(PRESETS) <= set(names)
+
+
+class TestRecommended:
+    """``recommended`` filters with NLF: GraphQL's local pruning without
+    its refinement sweep, so its sets are NLF's and its counts GQLfs's."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        cases = []
+        for seed, degree in ((1, 4.0), (2, 8.0), (3, 12.0)):
+            data = rmat_graph(200, degree, 4, seed=seed)
+            # Both orderings (dense from degree 10), failing sets from 9.
+            for size in (4, 6, 9):
+                cases.append((extract_query(data, size, seed=seed + size), data))
+        return cases
+
+    def test_filter_yields_the_nlf_sets_which_are_graphqls_local_pruning(self, cases):
+        for query, data in cases:
+            got = recommended_spec(query, data).filter.run(query, data)
+            nlf = NLFFilter().run(query, data)
+            local = GraphQLFilter(refinement_rounds=0).run(query, data)
+            for u in query.vertices():
+                assert list(got[u]) == list(nlf[u]) == list(local[u])
+
+    def test_uncapped_counts_equal_gqlfs(self, cases):
+        for query, data in cases:
+            ours = match(query, data, algorithm="recommended", match_limit=None)
+            gqlfs = match(query, data, algorithm="GQLfs", match_limit=None)
+            assert ours.solved and gqlfs.solved
+            assert ours.num_matches == gqlfs.num_matches
