@@ -15,15 +15,14 @@ sequential one.
 Speedup provenance is explicit. On hosts with at least 4 CPUs the
 4-worker speedup is measured wall clock. On smaller hosts a wall-clock
 measurement would be fiction — the workers timeshare one core — so the
-benchmark records the *real* per-chunk enumeration seconds reported by
-the workers and computes the speedup a W-worker schedule of those chunks
-achieves (greedy makespan: longest chunk first, always onto the
-least-loaded worker). ``unit="calls"`` feeds that schedule the chunks'
-``recursion_calls`` instead of their seconds: a deterministic model that
-no load on the host can move, which is what the unit tests gate on. The
-payload says which via ``speedup_source`` (``"measured"``, ``"modeled"``
-or ``"counted"``), and :func:`repro.obs.schema.validate_bench_parallel`
-enforces the 2.5x floor in every case.
+benchmark counts instead: it computes the speedup a W-worker schedule of
+the chunks achieves (greedy makespan: longest chunk first, always onto
+the least-loaded worker), with each chunk's ``recursion_calls`` as its
+cost. Calls are deterministic, so no load on the host can move a counted
+speedup; the unit tests count on every host (``measure=False``). The
+payload says which via ``speedup_source`` (``"measured"`` or
+``"counted"``), and :func:`repro.obs.schema.validate_bench_parallel`
+enforces the 2.5x floor either way.
 
 Run directly (``python benchmarks/bench_parallel.py``) to write
 ``BENCH_parallel.json``. Flags scale the workload down for CI smoke runs
@@ -99,19 +98,16 @@ def run_parallel_benchmark(
     algorithm: str = DEFAULT_ALGORITHM,
     degree: float = DEFAULT_DEGREE,
     labels: int = DEFAULT_LABELS,
-    unit: str = "seconds",
+    measure: bool = True,
 ) -> dict:
     """Benchmark the fan-out per query; returns the validated payload.
 
-    ``unit`` is what the makespan model schedules on hosts with fewer
-    than 4 CPUs: ``"seconds"`` (per-chunk enumeration seconds) or
-    ``"calls"`` (per-chunk ``recursion_calls``, on any host).
+    Speedups are measured wall clock when ``measure`` is set and the host
+    has at least 4 CPUs, and counted from per-chunk ``recursion_calls``
+    otherwise.
     """
-    if unit not in ("seconds", "calls"):
-        raise ValueError(f"unit must be 'seconds' or 'calls': {unit!r}")
     host_cpus = os.cpu_count() or 1
-    counted = unit == "calls"
-    measured = not counted and host_cpus >= max(WORKER_COUNTS)
+    measured = measure and host_cpus >= max(WORKER_COUNTS)
     shm_before = _shm_names()
 
     data = erdos_renyi_graph(vertices, degree, labels, seed=7)
@@ -125,10 +121,9 @@ def run_parallel_benchmark(
         workers: ParallelContext(workers, lambda: shared.handle)
         for workers in (WORKER_COUNTS if measured else (1,))
     }
-    # Modeled mode times chunks through a 1-worker pool: chunks run one
-    # at a time, so their enumeration seconds are uncontended — exactly
-    # the inputs the makespan schedule needs. Racing 4 processes on 1
-    # core would only measure timeslicing noise.
+    # Counted mode runs chunks through a 1-worker pool: the counts are
+    # the same on any pool, and racing 4 processes on 1 core would only
+    # add timeslicing noise to the recorded chunk seconds.
     timing_ctx = contexts[max(WORKER_COUNTS)] if measured else contexts[1]
 
     query_entries = []
@@ -189,9 +184,8 @@ def run_parallel_benchmark(
                 for _ in range(repeats)
             )
             chunk_seconds = []
-            parallel_walls = {}
             for _ in range(repeats):
-                result, _ = run_plan(
+                run_plan(
                     plan, query, data, prepared=prepared,
                     match_limit=match_limit, store_limit=0,
                     parallel=timing_ctx,
@@ -199,17 +193,9 @@ def run_parallel_benchmark(
                 chunks = list(timing_ctx.last_chunk_seconds)
                 if not chunk_seconds or sum(chunks) < sum(chunk_seconds):
                     chunk_seconds = chunks
-                wall = result.enumeration_seconds
-                best = parallel_walls.get(max(WORKER_COUNTS))
-                if best is None or wall < best:
-                    parallel_walls[max(WORKER_COUNTS)] = wall
 
-            whole, chunks = (
-                (seq_result.stats.recursion_calls, chunk_calls)
-                if counted
-                else (seq_seconds, chunk_seconds)
-            )
             if measured:
+                whole = seq_seconds
                 speedups = {}
                 for workers, ctx in contexts.items():
                     wall = min(
@@ -222,8 +208,9 @@ def run_parallel_benchmark(
                     )
                     speedups[str(workers)] = seq_seconds / wall
             else:
+                whole = seq_result.stats.recursion_calls
                 speedups = {
-                    str(workers): whole / greedy_makespan(chunks, workers)
+                    str(workers): whole / greedy_makespan(chunk_calls, workers)
                     for workers in WORKER_COUNTS
                 }
 
@@ -250,9 +237,7 @@ def run_parallel_benchmark(
         "schema_version": BENCH_PARALLEL_SCHEMA_VERSION,
         "benchmark": "parallel-enumeration",
         "host_cpus": host_cpus,
-        "speedup_source": (
-            "measured" if measured else "counted" if counted else "modeled"
-        ),
+        "speedup_source": "measured" if measured else "counted",
         "workload": {
             "data_vertices": data.num_vertices,
             "data_degree": degree,

@@ -10,22 +10,18 @@ core feasibility rules:
   neighbor of the data vertex,
 * 1-look-ahead on the *terminal* sets (frontier sizes).
 
-Independent of the framework code, so it serves as an oracle. An
-optional ``time_limit`` is polled every
-:data:`~repro.enumeration.support.DEADLINE_STRIDE` candidates tried, as
-the framework's engines poll theirs. An oracle has no "unsolved" answer,
-so an expired budget raises :class:`~repro.errors.BudgetExceeded` rather
-than return a partial match set.
+Independent of the framework code, so it serves as an oracle. It has
+no time budget, by design: its callers (the QA differential and the
+tests) run it on instances small enough to finish, and an oracle that
+stopped early would have no answer to compare. Budgeted search is the
+framework engines' job (``time_limit`` on :func:`repro.core.api.match`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from repro.enumeration.support import DEADLINE_STRIDE
-from repro.errors import BudgetExceeded
 from repro.graph.graph import Graph
-from repro.utils.timer import Deadline
 
 __all__ = ["vf2_matches", "iter_vf2_matches"]
 
@@ -50,23 +46,14 @@ def _connected_order(query: Graph) -> List[int]:
 
 
 def iter_vf2_matches(
-    query: Graph,
-    data: Graph,
-    limit: Optional[int] = None,
-    time_limit: Optional[float] = None,
+    query: Graph, data: Graph, limit: Optional[int] = None
 ) -> Iterator[Tuple[int, ...]]:
-    """Yield matches as tuples ``t`` with ``t[u]`` the image of ``u``.
-
-    Raises :class:`~repro.errors.BudgetExceeded` once ``time_limit``
-    seconds have passed.
-    """
+    """Yield matches as tuples ``t`` with ``t[u]`` the image of ``u``."""
     order = _connected_order(query)
     n = query.num_vertices
     mapping: Dict[int, int] = {}
     used: set = set()
     found = 0
-    deadline = Deadline(time_limit) if time_limit else None
-    tick = DEADLINE_STRIDE
 
     backward: List[List[int]] = []
     for i, u in enumerate(order):
@@ -97,7 +84,7 @@ def iter_vf2_matches(
         return result
 
     def search(depth: int) -> Iterator[Tuple[int, ...]]:
-        nonlocal found, tick
+        nonlocal found
         if depth == n:
             result = tuple(mapping[u] for u in range(n))
             found += 1
@@ -105,11 +92,6 @@ def iter_vf2_matches(
             return
         u = order[depth]
         for v in candidates(depth):
-            tick -= 1
-            if tick <= 0:
-                tick = DEADLINE_STRIDE
-                if deadline is not None and deadline.expired():
-                    raise BudgetExceeded
             if v in used:
                 continue
             # 1-look-ahead: v must have enough unmapped neighbors to host
@@ -134,16 +116,7 @@ def iter_vf2_matches(
 
 
 def vf2_matches(
-    query: Graph,
-    data: Graph,
-    limit: Optional[int] = None,
-    time_limit: Optional[float] = None,
+    query: Graph, data: Graph, limit: Optional[int] = None
 ) -> FrozenSet[Tuple[int, ...]]:
-    """All (or the first ``limit``) matches of ``query`` in ``data``.
-
-    Raises :class:`~repro.errors.BudgetExceeded` once ``time_limit``
-    seconds have passed.
-    """
-    return frozenset(
-        iter_vf2_matches(query, data, limit=limit, time_limit=time_limit)
-    )
+    """All (or the first ``limit``) matches of ``query`` in ``data``."""
+    return frozenset(iter_vf2_matches(query, data, limit=limit))

@@ -257,6 +257,12 @@ def recommended_spec(
     under GraphQL's filter. Counts never change. The ``GQL``/``GQLfs``
     presets and every study figure keep GraphQL's filter.
 
+    A repeated query still gets the sweep: a session's order race on its
+    second count-only sighting runs over GraphQL-refined candidates
+    (:func:`repro.core.plan.race_repeated`), so the steady state of a
+    repeated count (the ``enum_dense`` workload) searches the same sets
+    as under GraphQL's filter, at the memory of a second prepared query.
+
     Every input here is stable under vertex renumbering of the query
     (``num_vertices``) or belongs to the data graph, which is what makes
     the compiled plan cacheable by query fingerprint (see

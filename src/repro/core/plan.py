@@ -21,7 +21,9 @@ split is made explicit here:
   sampled orders count-only over a prepared query's candidates, each
   stopped once it cannot beat the fewest search calls so far, and returns
   the prepared query with the winner attached
-  (:attr:`PreparedQuery.raced`).
+  (:attr:`PreparedQuery.raced`). :func:`race_repeated` is the race a
+  session runs on a query's second sighting: over GraphQL-refined
+  candidates when the plan filtered with NLF.
 
 Cache-soundness contract: a plan's contents may only depend on
 fingerprint-stable query features (``num_vertices``, ``num_edges``,
@@ -52,7 +54,7 @@ from typing import (
 )
 
 from repro.core.algorithms import resolve
-from repro.core.registry import ORDERINGS
+from repro.core.registry import FILTERS, ORDERINGS
 from repro.core.result import MatchResult
 from repro.core.spec import AlgorithmSpec
 from repro.enumeration.frames import FrameMachine
@@ -76,6 +78,7 @@ __all__ = [
     "prepare_query",
     "bind_enumeration",
     "race_orders",
+    "race_repeated",
     "RACERS",
     "SAMPLED_RACERS",
     "SAMPLE_SEED",
@@ -171,7 +174,9 @@ class RaceWinner(NamedTuple):
 
     ``ordering`` names a :data:`RACERS` ordering or ``sampled#i``, the
     ``i``-th sampled order. ``plan`` is the raced plan with its spec's
-    failing sets swapped for the winner's (name and ordering unchanged);
+    failing sets swapped for the winner's (name and ordering unchanged;
+    its filter is GraphQL's when :func:`race_repeated` raced over refined
+    candidates);
     ``prepared`` holds the winner's order — the one every run reads,
     fanned-out ones too — and bound ComputeLC over the raced query's
     candidates and auxiliary structure. ``match_limit`` is the cap the
@@ -596,6 +601,66 @@ def race_orders(
             race_interior=spent - found,
         )
     return replace(prepared, raced=best)
+
+
+def race_repeated(
+    plan: MatchPlan,
+    query: Graph,
+    data: Graph,
+    prepared: PreparedQuery,
+    calls: int,
+    matches: int,
+    match_limit: Optional[int] = None,
+    cancel: Optional[Callable[[], bool]] = None,
+) -> Optional[RaceWinner]:
+    """The race a session runs once a query repeats; returns its winner.
+
+    A plan that filters with NLF (``recommended``) skipped GraphQL's
+    refinement sweep on the first sighting, where one use may be all a
+    query gets. A repeated query will run again, so its race starts from
+    the query prepared with GraphQL's filter instead — at radius 1 its
+    local pruning is NLF's, so that adds exactly the sweep — run once
+    count-only for the incumbent's ``recursion_calls``; the racers then
+    order and bind over those candidates, and the winner's plan names
+    GraphQL's filter, which a fan-out's workers prepare with. When the
+    sweep removes no candidate, and for every other filter, the race
+    runs over ``prepared`` and its own run's ``calls`` as it stands.
+    Counts are the same either way: the sweep removes only vertices no
+    match uses.
+
+    Nothing runs the refined incumbent again, so its structure keeps
+    only the pairs the winner reads; ``prepared`` keeps its own. Returns
+    :func:`race_orders`' winner, its ``race_calls`` including the
+    refined incumbent's run, or ``None`` when ``cancel`` stopped either.
+    """
+    refined, refined_calls = False, 0
+    spec = plan.algorithm
+    if spec.filter is not None and spec.filter.name == "NLF":
+        swept_plan = replace(
+            plan, algorithm=replace(spec, filter=FILTERS.create("GQL"))
+        )
+        with collecting(Metrics()):
+            swept = prepare_query(swept_plan, query, data, Metrics())
+        if swept.candidates.total_size < prepared.candidates.total_size:
+            result, _ = run_plan(
+                swept_plan, query, data, prepared=swept,
+                match_limit=match_limit, store_limit=0, cancel=cancel,
+            )
+            if not result.solved:
+                return None
+            refined, refined_calls = True, result.stats.recursion_calls
+            plan, prepared, calls = swept_plan, swept, refined_calls
+    raced = race_orders(
+        plan, query, data, prepared, calls, matches,
+        match_limit=match_limit, cancel=cancel,
+    )
+    if raced is None:
+        return None
+    winner = raced.raced
+    if refined:
+        order = winner.prepared.order
+        prepared.auxiliary.retain(_backward_pairs(query, _positions(order)))
+    return winner._replace(race_calls=winner.race_calls + refined_calls)
 
 
 def iter_leaf_batches(

@@ -49,7 +49,7 @@ from __future__ import annotations
 import threading
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.plan import (
@@ -58,7 +58,7 @@ from repro.core.plan import (
     LRUCache,
     MatchPlan,
     compile_plan,
-    race_orders,
+    race_repeated,
     run_plan,
     validate_query,
 )
@@ -148,11 +148,15 @@ class MatchSession:
     :meth:`count_matches` and :meth:`has_match`), on a query that has not
     raced, is answered by the cached configuration as always; if that run
     solved and the call carries no ``time_limit``,
-    :func:`~repro.core.plan.race_orders` then tries the other
+    :func:`~repro.core.plan.race_repeated` then tries the other
     :data:`~repro.core.plan.RACERS` configurations and
     :data:`~repro.core.plan.SAMPLED_RACERS` sampled orders under its
-    ``recursion_calls`` and ``match_limit``, and the copy carrying the
-    winner replaces the cached prepared query. A call with a deadline
+    ``recursion_calls`` and ``match_limit``, and a copy carrying the
+    winner replaces the cached prepared query. ``recommended`` filters
+    with NLF, so that race runs over GraphQL-refined candidates: the
+    refinement sweep a first sighting skips is paid once a query
+    repeats, and the winner holds its own candidates and auxiliary
+    structure beside the cached ones. A call with a deadline
     never waits on a race past its own answer; ``cancel`` stops a race
     like a search, and a stopped race records nothing. Later count-only
     hits with the raced ``match_limit`` use the winner, sequential or
@@ -498,9 +502,9 @@ class MatchSession:
         )
         if prep_enabled and not prep_hit:
             self._prep.put(prep_key, prepared)
-        raced = None
+        winner = None
         if race is not None and result.solved:
-            raced = race_orders(
+            winner = race_repeated(
                 plan,
                 query,
                 data,
@@ -510,8 +514,8 @@ class MatchSession:
                 match_limit=match_limit,
                 cancel=cancel,
             )
-            if raced is not None:
-                self._prep.put(prep_key, raced)
+            if winner is not None:
+                self._prep.put(prep_key, replace(race, raced=winner))
 
         with self._metrics_lock:
             self.metrics.add("session.queries")
@@ -520,8 +524,7 @@ class MatchSession:
             if prep_enabled:
                 self.metrics.add("session.prep_cache_hits", int(prep_hit))
                 self.metrics.add("session.prep_cache_misses", int(not prep_hit))
-            if raced is not None:
-                winner = raced.raced
+            if winner is not None:
                 self.metrics.add("session.races")
                 self.metrics.add(
                     "session.race_switches",

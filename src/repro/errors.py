@@ -29,11 +29,11 @@ class ConfigurationError(ReproError):
 
 
 class BudgetExceeded(ReproError):
-    """A per-query time budget expired during enumeration.
+    """Internal signal: a per-query time budget expired during enumeration.
 
-    The enumeration engines catch this and report the query as unsolved.
-    Only the VF2 oracle (:mod:`repro.baselines.vf2`), which has no
-    unsolved answer, lets it reach its caller.
+    The enumeration engine catches this and reports the query as unsolved;
+    it never escapes the public API. The VF2 and brute-force oracles
+    (:mod:`repro.baselines`) take no budget and never raise it.
     """
 
 

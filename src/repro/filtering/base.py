@@ -96,7 +96,10 @@ class NLFFilter(Filter):
     """LDF plus the neighbor-label-frequency rule.
 
     Not an algorithm on its own in the study, but the common starting point
-    of CFL, CECI and DP-iso, and useful as an intermediate baseline.
+    of CFL, CECI and DP-iso, and the filter of the default ``recommended``
+    preset: at radius 1 it yields GraphQL's local-pruning sets without the
+    refinement sweep (see :func:`repro.core.algorithms.recommended_spec`
+    for why).
     """
 
     name = "NLF"

@@ -453,10 +453,9 @@ def validate_bench_parallel(payload: Dict[str, Any]) -> None:
     identical embedding sequence (``embeddings_identical``), the 4-worker
     speedup must clear :data:`MIN_PARALLEL_SPEEDUP`, the speedup
     provenance must be declared (``"measured"`` wall clock on hosts with
-    at least 4 CPUs, ``"modeled"`` greedy makespan over real per-chunk
-    timings otherwise, ``"counted"`` the same makespan over per-chunk
-    ``recursion_calls``), and the run must not have leaked shared-memory
-    segments.
+    at least 4 CPUs, ``"counted"`` greedy makespan over per-chunk
+    ``recursion_calls`` otherwise), and the run must not have leaked
+    shared-memory segments.
     """
     _require(isinstance(payload, dict), "payload must be an object")
     _require(
@@ -474,8 +473,8 @@ def validate_bench_parallel(payload: Dict[str, Any]) -> None:
     )
     source = payload.get("speedup_source")
     _require(
-        source in ("measured", "modeled", "counted"),
-        f"speedup_source must be 'measured', 'modeled' or 'counted': {source!r}",
+        source in ("measured", "counted"),
+        f"speedup_source must be 'measured' or 'counted': {source!r}",
     )
     if source == "measured":
         _require(
@@ -525,14 +524,13 @@ def validate_bench_parallel(payload: Dict[str, Any]) -> None:
             f"{where}.chunk_seconds must be a non-empty list of at most "
             "workload.chunks non-negative numbers",
         )
-        if source == "counted":
-            chunk_calls = entry.get("chunk_calls")
-            _require(
-                isinstance(chunk_calls, list)
-                and len(chunk_calls) == len(chunk_seconds)
-                and all(isinstance(c, int) and c >= 0 for c in chunk_calls),
-                f"{where}.chunk_calls must list one non-negative int per chunk",
-            )
+        chunk_calls = entry.get("chunk_calls")
+        _require(
+            isinstance(chunk_calls, list)
+            and len(chunk_calls) == len(chunk_seconds)
+            and all(isinstance(c, int) and c >= 0 for c in chunk_calls),
+            f"{where}.chunk_calls must list one non-negative int per chunk",
+        )
         speedups = entry.get("speedups")
         _require(
             isinstance(speedups, dict) and "4" in speedups,

@@ -14,7 +14,9 @@ The race itself is deterministic, picks the first configuration with
 the fewest ``recursion_calls`` (a racer over budget never wins), records
 nothing when cancelled, spends at most ``racers × (winner interior nodes
 + quantum)`` interior nodes, and leaves bound only the auxiliary pairs
-the incumbent or the winner reads.
+the incumbent or the winner reads. ``recommended`` filters with NLF, so
+a session races a repeated query over GraphQL-refined candidates: the
+same race as over a GraphQL-filtered incumbent.
 """
 
 import sys
@@ -38,7 +40,7 @@ from repro.core.plan import (
     race_orders,
     run_plan,
 )
-from repro.core.registry import ORDERINGS
+from repro.core.registry import FILTERS, ORDERINGS
 from repro.enumeration.support import DEADLINE_STRIDE
 from repro.graph import Graph, extract_query, rmat_graph
 from repro.obs import Tracer, tracing
@@ -81,6 +83,13 @@ def _incumbent(session, query, data, limit):
     result = session.match(query, match_limit=limit, store_limit=0)
     plan, _ = session.compile(query)
     return plan, _cached(session), result.stats.recursion_calls, result.num_matches
+
+
+def _with_graphql(plan):
+    """``plan`` filtering with GraphQL's sweep: the one a repeated
+    ``recommended`` query races from."""
+    spec = plan.algorithm
+    return replace(plan, algorithm=replace(spec, filter=FILTERS.create("GQL")))
 
 
 def _counts(result):
@@ -358,17 +367,55 @@ def test_a_race_leaves_bound_only_the_pairs_incumbent_and_winner_read(dense):
             session.count_matches(query, match_limit=1000)
         cached = _cached(session)
         winner = cached.raced
-        aux = cached.auxiliary
-        assert winner.prepared.auxiliary is aux  # racers bound onto it
+        aux = winner.prepared.auxiliary
+        if aux is cached.auxiliary:  # racers bound onto it
+            read = _backward_pairs(query, cached.order)
+        else:
+            # The race ran over the GraphQL-refined incumbent's structure,
+            # which nothing runs again, and left the cached one as its
+            # own run bound it.
+            assert _bound_pairs(cached.auxiliary) == set(
+                _backward_pairs(query, cached.order)
+            )
+            read = []
         assert _bound_pairs(aux) == set(
-            _backward_pairs(query, cached.order)
-            + _backward_pairs(query, winner.prepared.order)
+            read + _backward_pairs(query, winner.prepared.order)
         )
         for _ in range(2):  # the winner, then an embedding reply
             assert _counts(session.match(query, match_limit=1000, store_limit=0)) \
                 == _counts(one_shot)
         warm = session.match(query, match_limit=1000, store_limit=10)
         assert warm.num_matches == one_shot.num_matches
+
+
+def test_a_repeated_query_races_over_graphql_refined_candidates(dense):
+    data, queries = dense
+    refined = 0
+    for query in queries:
+        session = MatchSession(data)
+        for _ in range(2):
+            session.count_matches(query, match_limit=1000)
+        cached = _cached(session)
+        winner = cached.raced
+        sets = FILTERS.create("GQL").run(query, data)
+        if sets.total_size == cached.candidates.total_size:
+            assert winner.prepared.auxiliary is cached.auxiliary
+            continue
+        refined += 1
+        assert winner.plan.algorithm.filter.name == "GQL"
+        assert [winner.prepared.candidates[u] for u in query.vertices()] \
+            == [sets[u] for u in query.vertices()]
+        # The race a GraphQL-filtered incumbent runs, plus that run.
+        plan, _ = session.compile(query)
+        result, prepared = run_plan(_with_graphql(plan), query, data,
+                                    match_limit=1000, store_limit=0)
+        want = race_orders(_with_graphql(plan), query, data, prepared,
+                           result.stats.recursion_calls, result.num_matches, 1000).raced
+        assert (winner.ordering, winner.failing_sets, winner.prepared.order,
+                winner.calls) == (want.ordering, want.failing_sets,
+                                  want.prepared.order, want.calls)
+        assert winner.race_calls == want.race_calls + result.stats.recursion_calls
+    assert refined > 0
 
 
 def test_a_cancelled_race_records_nothing(dense):
@@ -445,9 +492,14 @@ def test_four_threads_racing_one_prepared_query_agree(dense):
     for row in seen:
         assert row[:5] == expected
         assert row[5] == [one_shot] * 3
+    # The session's own race is the one a fresh session runs alone.
+    alone = MatchSession(data)
+    for _ in range(2):
+        alone.count_matches(query, match_limit=2000)
+    want = _cached(alone).raced
     winner = _cached(session).raced
-    assert (winner.ordering, winner.failing_sets, winner.calls) \
-        == (want.ordering, want.failing_sets, want.calls)
+    assert (winner.ordering, winner.failing_sets, winner.prepared.order, winner.calls) \
+        == (want.ordering, want.failing_sets, want.prepared.order, want.calls)
 
 
 def test_parallel_session_returns_the_sequential_count_of_a_raced_query(dense):

@@ -1,15 +1,10 @@
 """Unit tests for the oracle matchers."""
 
-import time
-
-import pytest
-
 from fixtures import PAPER_DATA, PAPER_MATCHES, PAPER_QUERY
 
 from repro.baselines import brute_force_matches, vf2_matches
 from repro.baselines.vf2 import iter_vf2_matches
-from repro.errors import BudgetExceeded
-from repro.graph import Graph, rmat_graph
+from repro.graph import Graph
 
 
 class TestBruteForce:
@@ -58,15 +53,3 @@ class TestVF2:
         it = iter_vf2_matches(path, triangle)
         first = next(it)
         assert len(first) == 3
-
-    def test_a_generous_budget_changes_nothing(self):
-        assert vf2_matches(PAPER_QUERY, PAPER_DATA, time_limit=60.0) == PAPER_MATCHES
-
-    def test_ten_ms_budget_stops_within_fifty_times(self):
-        # Single-label 7-paths on this host run into the billions.
-        host = rmat_graph(300, 12.0, 1, seed=5, clustering=0.3)
-        path = Graph(labels=[0] * 7, edges=[(i, i + 1) for i in range(6)])
-        started = time.perf_counter()
-        with pytest.raises(BudgetExceeded):
-            vf2_matches(path, host, time_limit=0.01)
-        assert time.perf_counter() - started <= 0.5
