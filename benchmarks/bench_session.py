@@ -86,9 +86,7 @@ def run_session_benchmark(
     ]
     one_shot_seconds = time.perf_counter() - start
 
-    session = MatchSession(
-        data, algorithm=algorithm, plan_cache_size=None, prep_cache_size=None
-    )
+    session = MatchSession(data, algorithm=algorithm, prep_cache_size=None)
     start = time.perf_counter()
     session_results = session.match_many(
         workload, match_limit=match_limit, store_limit=0, validate=False

@@ -2,16 +2,16 @@
 """Sessions: serve many queries against one resident data graph.
 
 A ``MatchSession`` owns the data graph and amortizes everything that can
-be amortized: compiled plans are cached by an order-invariant query
-fingerprint (a renumbered copy of a pattern hits), and exact repeats skip
-filtering/ordering entirely and go straight to enumeration. Run with::
+be amortized: an exact repeat of a query reuses its compiled plan and its
+prepared candidates and order, skipping compilation, filtering and
+ordering entirely and going straight to enumeration. Run with::
 
     PYTHONPATH=src python examples/session_throughput.py
 """
 
 import time
 
-from repro import Graph, MatchSession, match, query_fingerprint
+from repro import Graph, MatchSession, match
 
 # A ring of user/group vertices with chords — small but structured.
 data = Graph(
@@ -56,16 +56,6 @@ def main() -> None:
     # The session keeps aggregate counters and cache introspection.
     print("session metrics:", dict(session.metrics.counters))
     print("cache info     :", session.cache_info())
-
-    # Plans are keyed by an order-invariant fingerprint: a renumbered
-    # copy of a pattern is the same plan.
-    renumbered = Graph(labels=[0, 1, 0, 1], edges=[(3, 2), (2, 1), (1, 0), (0, 3)])
-    print("fingerprints   :", query_fingerprint(patterns[2]),
-          "==", query_fingerprint(renumbered))
-    before = session.cache_info()["plan"]["hits"]
-    session.match(renumbered)
-    after = session.cache_info()["plan"]["hits"]
-    print(f"renumbered hit : plan cache hits {before} -> {after}")
 
 
 if __name__ == "__main__":

@@ -275,10 +275,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     data = load_graph(args.data)
     # One session serves every preset: the data graph and kernel indexes
     # are resident once, and only the per-preset pipeline re-runs.
-    session = MatchSession(
-        data, kernel=args.kernel,
-        prep_cache_size=0, record_cache_metrics=False,
-    )
+    session = MatchSession(data, kernel=args.kernel, prep_cache_size=0)
     rows = []
     for name in args.algorithms:
         if name == "GLW":

@@ -8,10 +8,10 @@ study reports.
 
 Since the query-compilation refactor, ``match()`` is a thin back-compat
 wrapper: it builds one throwaway :class:`~repro.core.session.MatchSession`
-(caches off, cache counters suppressed) and runs the query through it, so
-results stay byte-identical to the historical one-shot pipeline. Callers
-issuing many queries against one data graph should hold a
-:class:`~repro.core.session.MatchSession` instead and get plan caching
+(its prepared-query cache off, so no cache counters) and runs the query
+through it, so results stay byte-identical to the historical one-shot
+pipeline. Callers issuing many queries against one data graph should
+hold a :class:`~repro.core.session.MatchSession` instead and get plan
 and preprocessing reuse for free.
 """
 
@@ -105,9 +105,7 @@ def match(
         data,
         algorithm=algorithm,
         kernel=kernel,
-        plan_cache_size=0,
         prep_cache_size=0,
-        record_cache_metrics=False,
         n_workers=n_workers,
     )
     try:

@@ -5,11 +5,9 @@ grows toward — is *many queries against one resident data graph*. That
 split is made explicit here:
 
 * :func:`compile_plan` resolves everything about a ``(algorithm, query,
-  data)`` triple that does **not** depend on the query's vertex
-  numbering: the algorithm spec, the kernel policy and the aux-scope
-  policy. The result is an immutable :class:`MatchPlan`, cacheable by the
-  order-invariant query fingerprint
-  (:func:`repro.graph.fingerprint.query_fingerprint`).
+  data)`` triple that is not a per-query artifact: the algorithm spec,
+  the kernel policy and the aux-scope policy. The result is an immutable
+  :class:`MatchPlan`.
 * :func:`run_plan` executes a plan: filtering, auxiliary structure,
   ordering, kernel resolution, enumeration — the full Algorithm 1
   pipeline. The per-query artifacts it builds (candidates, auxiliary
@@ -20,17 +18,13 @@ split is made explicit here:
 * :func:`race_orders` runs the :data:`RACERS` configurations and
   sampled orders count-only over a prepared query's candidates, each
   stopped once it cannot beat the fewest search calls so far, and returns
-  the prepared query with the winner attached
-  (:attr:`PreparedQuery.raced`). :func:`race_repeated` is the race a
+  the winner (:class:`RaceWinner`). :func:`race_repeated` is the race a
   session runs on a query's second sighting: over GraphQL-refined
   candidates when the plan filtered with NLF.
 
-Cache-soundness contract: a plan's contents may only depend on
-fingerprint-stable query features (``num_vertices``, ``num_edges``,
-label/degree structure) plus the data graph — two queries with equal
-fingerprints must compile to equal plans. A ``PreparedQuery`` is bound to
-the exact query graph (vertex numbering included) and is only reusable
-under exact :class:`~repro.graph.graph.Graph` equality.
+A ``PreparedQuery`` is bound to the exact query graph (vertex numbering
+included) and is only reusable under exact
+:class:`~repro.graph.graph.Graph` equality.
 """
 
 from __future__ import annotations
@@ -61,7 +55,6 @@ from repro.enumeration.frames import FrameMachine
 from repro.enumeration.local_candidates import IntersectionLC
 from repro.errors import InvalidQueryError
 from repro.filtering.auxiliary import AuxiliaryStructure
-from repro.graph.fingerprint import query_fingerprint
 from repro.graph.graph import Graph
 from repro.graph.ops import connected
 from repro.obs import Metrics, collecting, span
@@ -106,15 +99,12 @@ def validate_query(query: Graph) -> None:
 class MatchPlan:
     """A compiled query: resolved spec + kernel policy + aux-scope policy.
 
-    Immutable and reusable across any query sharing the fingerprint; the
-    per-query artifacts (candidates, order, …) live in
+    Immutable; the per-query artifacts (candidates, order, …) live in
     :class:`PreparedQuery` instead.
     """
 
     #: The fully resolved algorithm composition.
     algorithm: AlgorithmSpec
-    #: Order-invariant fingerprint of the query the plan was compiled for.
-    fingerprint: str
     #: The kernel request this plan was compiled under (name, backend
     #: instance or ``None`` for the env/auto default) — resolution to a
     #: concrete backend happens per prepared query, where candidate
@@ -126,10 +116,7 @@ class MatchPlan:
     query_edges: int
 
     def __repr__(self) -> str:
-        return (
-            f"MatchPlan({self.algorithm.name}, {self.fingerprint}, "
-            f"aux={self.aux_scope!r})"
-        )
+        return f"MatchPlan({self.algorithm.name}, aux={self.aux_scope!r})"
 
 
 @dataclass
@@ -150,12 +137,12 @@ class PreparedQuery:
     across repeats — the "build the index once" amortization of CNI-style
     data-side indexing.
 
-    ``raced`` is ``None`` until :func:`race_orders` has run on these
-    artifacts; it then holds the winning configuration, which a session
-    runs for later count-only requests. A race never replaces a field of
-    this object (its racers share the auxiliary structure, as any run
-    does): it returns a copy with ``raced`` set, which replaces it in the
-    cache.
+    ``raced`` is ``None`` until a session has raced these artifacts
+    (:func:`race_repeated`); it then holds the winning configuration,
+    which the session runs for later count-only requests. A race never
+    replaces a field of this object (its racers share the auxiliary
+    structure, as any run does): the session caches a copy with ``raced``
+    set in its place.
     """
 
     candidates: Any = None
@@ -201,8 +188,8 @@ class LRUCache:
     entirely (every :meth:`get` is a miss and :meth:`put` is a no-op).
 
     Every operation holds an internal lock: the serving tier shares one
-    :class:`~repro.core.session.MatchSession` (and therefore one plan and
-    one prep cache) across a worker pool, and the unguarded
+    :class:`~repro.core.session.MatchSession` (and therefore one prep
+    cache) across a worker pool, and the unguarded
     ``hits``/``misses`` read-modify-write plus the ``move_to_end`` /
     eviction reordering are exactly the races the concurrency stress
     suite surfaced. Concurrent misses on one key may both compute and
@@ -271,20 +258,11 @@ def compile_plan(
     query: Graph,
     data: Graph,
     kernel: Optional[KernelLike] = None,
-    fingerprint: Optional[str] = None,
 ) -> MatchPlan:
-    """Compile ``(algorithm, query, data)`` into an immutable plan.
-
-    ``fingerprint`` may be passed in when the caller already computed it
-    for a cache probe. Only fingerprint-stable query features are
-    consulted (``"recommended"`` resolves on ``num_vertices`` and data
-    density), which is the invariant that makes fingerprint-keyed plan
-    caching sound.
-    """
+    """Compile ``(algorithm, query, data)`` into an immutable plan."""
     spec = resolve(algorithm, query, data)
     return MatchPlan(
         algorithm=spec,
-        fingerprint=fingerprint or query_fingerprint(query),
         kernel_policy=kernel,
         aux_scope=spec.aux_scope,
         query_vertices=query.num_vertices,
@@ -497,7 +475,7 @@ def race_orders(
     matches: int,
     match_limit: Optional[int] = None,
     cancel: Optional[Callable[[], bool]] = None,
-) -> Optional[PreparedQuery]:
+) -> Optional[RaceWinner]:
     """Race the :data:`RACERS` configurations, then :data:`SAMPLED_RACERS`
     sampled orders, against a solved run.
 
@@ -528,11 +506,11 @@ def race_orders(
     incumbent first. Afterwards the auxiliary structure keeps only the
     pairs the incumbent or the winner reads.
 
-    Returns a copy of ``prepared`` whose :attr:`~PreparedQuery.raced` holds
-    the winner, or ``None`` when ``cancel`` (polled by every racer) stopped
-    the race, which then leaves nothing behind. Call counts and samples
-    are deterministic, so so is the winner. The race's counters go to
-    sinks of its own, never to the caller's metrics.
+    Returns the winner, or ``None`` when ``cancel`` (polled by every
+    racer) stopped the race, which then leaves nothing behind. Call
+    counts and samples are deterministic, so so is the winner. The
+    race's counters go to sinks of its own, never to the caller's
+    metrics.
     """
     spec = plan.algorithm
     aux = prepared.auxiliary
@@ -600,7 +578,7 @@ def race_orders(
             winner_interior=best.calls - matches,
             race_interior=spent - found,
         )
-    return replace(prepared, raced=best)
+    return best
 
 
 def race_repeated(
@@ -650,13 +628,12 @@ def race_repeated(
                 return None
             refined, refined_calls = True, result.stats.recursion_calls
             plan, prepared, calls = swept_plan, swept, refined_calls
-    raced = race_orders(
+    winner = race_orders(
         plan, query, data, prepared, calls, matches,
         match_limit=match_limit, cancel=cancel,
     )
-    if raced is None:
+    if winner is None:
         return None
-    winner = raced.raced
     if refined:
         order = winner.prepared.order
         prepared.auxiliary.retain(_backward_pairs(query, _positions(order)))

@@ -6,15 +6,13 @@ service does the same at traffic scale. ``match()`` re-resolves and
 rebuilds everything per call; a :class:`MatchSession` instead owns the
 data graph plus the state that amortizes across queries:
 
-* a **plan cache** — compiled :class:`~repro.core.plan.MatchPlan` objects
-  (resolved spec + kernel + aux-scope policy), LRU-keyed by the
-  order-invariant query fingerprint so resubmitted patterns hit even
-  under a different vertex numbering;
-* a **prepared-query cache** — full preprocessing artifacts (candidates,
-  auxiliary adjacency, matching order, the resolved kernel with its warm
-  encode caches), LRU-keyed by *exact* graph equality, so repeating a
-  query skips filtering/ordering entirely and goes straight to
-  enumeration;
+* a **prepared-query cache** — each entry the query's compiled
+  :class:`~repro.core.plan.MatchPlan` (resolved spec + kernel + aux-scope
+  policy) and its full preprocessing artifacts (candidates, auxiliary
+  adjacency, matching order, the resolved kernel with its warm encode
+  caches), LRU-keyed by *exact* graph equality, so repeating a query
+  skips compilation, filtering and ordering entirely and goes straight
+  to enumeration;
 * **hit/miss counters** flowing into :mod:`repro.obs` metrics — per-query
   (``plan.cache_hit`` … on ``MatchResult.metrics``) and session-wide
   (:attr:`MatchSession.metrics`);
@@ -28,10 +26,10 @@ Usage::
     for query in workload:
         result = session.match(query)
     results = session.match_many(more_queries)   # batch form
-    session.cache_info()                          # {'plan': {...}, 'prep': {...}}
+    session.cache_info()                          # {'prep': {...}}
 
-Sessions are **thread-safe**: the plan and prep caches take an internal
-lock per operation (see :class:`~repro.core.plan.LRUCache`) and the
+Sessions are **thread-safe**: the prep cache takes an internal lock per
+operation (see :class:`~repro.core.plan.LRUCache`) and the
 session-wide counters are guarded here, so one session may be shared by
 a worker pool — the shape :mod:`repro.serve` runs at traffic scale.
 Each :meth:`match` call still builds its own per-query state (metrics,
@@ -56,7 +54,6 @@ from repro.core.plan import (
     AlgorithmLike,
     KernelLike,
     LRUCache,
-    MatchPlan,
     compile_plan,
     race_repeated,
     run_plan,
@@ -68,7 +65,6 @@ from repro.errors import ConfigurationError
 from repro.dynamic.mutations import Mutation
 from repro.dynamic.overlay import DynamicGraph, MutationDelta
 from repro.dynamic.subscribe import Subscription, SubscriptionUpdate
-from repro.graph.fingerprint import query_fingerprint
 from repro.graph.graph import Graph
 from repro.graph.store import (
     GraphSource,
@@ -114,8 +110,8 @@ class MatchSession:
         shared-memory), a path to a ``.graph``/``.rgf`` file (resolved
         through :func:`~repro.graph.store.as_graph`), or a
         :class:`~repro.dynamic.overlay.DynamicGraph`. For immutable
-        sources every cache below remains valid for the session's life;
-        for a dynamic graph the caches key on the graph **epoch**, so a
+        sources the cache below remains valid for the session's life;
+        for a dynamic graph the cache keys on the graph **epoch**, so a
         :meth:`mutate` invalidates exactly the entries whose graph
         changed — a cache hit happens iff the epoch is unchanged.
     algorithm:
@@ -123,18 +119,15 @@ class MatchSession:
     kernel:
         Default intersection-backend request (see
         :func:`repro.core.api.match`); per-call ``kernel=`` wins.
-    plan_cache_size:
-        LRU capacity for compiled plans (``None`` unbounded, ``0`` off).
     prep_cache_size:
         LRU capacity for prepared queries (``None`` unbounded, ``0``
         off). Disable for measurement harnesses that must observe real
-        preprocessing on every query, as the study runners do.
-    record_cache_metrics:
-        Attach per-query ``plan.cache_hit`` / ``plan.cache_miss`` (and
-        ``plan.prep_hit`` / ``plan.prep_miss`` when the prep cache is on)
-        counters to each result's metrics. The back-compat one-shot
-        ``match()`` disables this so its results stay byte-identical to
-        the pre-session pipeline.
+        preprocessing on every query, as the study runners do. While it
+        is on, each result's metrics carry the lookup's outcome as
+        ``plan.cache_hit`` / ``plan.cache_miss`` and ``plan.prep_hit`` /
+        ``plan.prep_miss`` (one lookup: the pairs are equal); while it is
+        off they carry no cache counter, so the one-shot ``match()``
+        reports what the pre-session pipeline did.
     n_workers:
         Default intra-query parallelism (see :mod:`repro.parallel`):
         eligible queries fan their enumeration out over this many worker
@@ -179,9 +172,7 @@ class MatchSession:
         data: GraphSource,
         algorithm: AlgorithmLike = "recommended",
         kernel: Optional[KernelLike] = None,
-        plan_cache_size: Optional[int] = 256,
         prep_cache_size: Optional[int] = 64,
-        record_cache_metrics: bool = True,
         n_workers: Optional[int] = None,
     ) -> None:
         if isinstance(data, DynamicGraph):
@@ -215,8 +206,7 @@ class MatchSession:
         # races one defers the release to the last guard exit.
         self._inflight_parallel = 0
         self._close_deferred = False
-        self.record_cache_metrics = record_cache_metrics
-        self._plans = LRUCache(plan_cache_size)
+        # (algorithm, kernel policy, epoch, exact query) -> (plan, prepared)
         self._prep = LRUCache(prep_cache_size)
         #: Session-wide counters: queries served and cache hits/misses,
         #: in the same :class:`~repro.obs.Metrics` currency the study
@@ -345,7 +335,7 @@ class MatchSession:
         )
 
     # ------------------------------------------------------------------
-    # Compilation
+    # Cache keys
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -362,53 +352,6 @@ class MatchSession:
             # A concrete backend instance is its own policy.
             return id(kernel)
         return repr(kernel)
-
-    def compile(
-        self,
-        query: Graph,
-        algorithm: Optional[AlgorithmLike] = None,
-        kernel: Optional[KernelLike] = None,
-    ) -> Tuple[MatchPlan, bool]:
-        """Resolve (or fetch) the plan for ``query``; returns (plan, hit).
-
-        The cache key is ``(algorithm, kernel policy, graph epoch,
-        fingerprint)`` — order-invariant in the query, so
-        isomorphic renumberings share a slot; keyed by epoch, so a
-        mutation invalidates exactly the stale entries (static sessions
-        sit at epoch 0 forever).
-        """
-        epoch, data = self._resident
-        return self._compile_on(epoch, data, query, algorithm, kernel)
-
-    def _compile_on(
-        self,
-        epoch: int,
-        data: Graph,
-        query: Graph,
-        algorithm: Optional[AlgorithmLike],
-        kernel: Optional[KernelLike],
-    ) -> Tuple[MatchPlan, bool]:
-        algo = self.algorithm if algorithm is None else algorithm
-        kern = self.kernel if kernel is None else kernel
-        fingerprint = query_fingerprint(query)
-        key = (
-            self._algorithm_key(algo),
-            self._kernel_key(kern),
-            epoch,
-            fingerprint,
-        )
-        plan = self._plans.get(key)
-        if plan is not None:
-            return plan, True
-        plan = compile_plan(
-            algo,
-            query,
-            data,
-            kernel=kern,
-            fingerprint=fingerprint,
-        )
-        self._plans.put(key, plan)
-        return plan, False
 
     # ------------------------------------------------------------------
     # Execution
@@ -429,9 +372,9 @@ class MatchSession:
         """Find matches of ``query`` in this session's data graph.
 
         Same contract as :func:`repro.core.api.match`, minus the ``data``
-        argument (the session owns it) — plus the session's caches:
-        a repeated query (exact or renumbered) reuses its compiled plan,
-        and an exactly repeated query skips preprocessing outright.
+        argument (the session owns it) — plus the session's cache: an
+        exactly repeated query reuses its compiled plan and skips
+        preprocessing outright.
         ``cancel`` is polled by the enumeration engine between leaf
         batches; once it returns True the run stops as unsolved (the
         serving tier's preemption hook). ``n_workers`` overrides the
@@ -447,12 +390,9 @@ class MatchSession:
         # a concurrent mutate() swaps the pair but never this view.
         epoch, data = self._resident
 
-        plan, plan_hit = self._compile_on(epoch, data, query, algo, kern)
-
-        prep_enabled = self._prep.capacity != 0
-        prep_key = None
-        prepared = None
-        if prep_enabled:
+        cached = self._prep.capacity != 0
+        prep_key = entry = None
+        if cached:
             # Exact-graph key: Graph hashes/compares its label and CSR
             # arrays, so only a byte-identical query reuses artifacts —
             # and only at the same graph epoch (cache hit iff the graph
@@ -463,13 +403,17 @@ class MatchSession:
                 epoch,
                 query,
             )
-            prepared = self._prep.get(prep_key)
-        prep_hit = prepared is not None
+            entry = self._prep.get(prep_key)
+        hit = entry is not None
+        if hit:
+            plan, prepared = entry
+        else:
+            plan, prepared = compile_plan(algo, query, data, kernel=kern), None
 
         # Order racing (see the class docstring): race after answering,
         # or run the winner on a count-only hit under the raced cap.
         race = None
-        if prep_hit and store_limit == 0 and algo == "recommended":
+        if hit and store_limit == 0 and algo == "recommended":
             winner = prepared.raced
             if winner is None:
                 race = None if time_limit else prepared
@@ -477,12 +421,11 @@ class MatchSession:
                 plan, prepared = winner.plan, winner.prepared
 
         metrics = Metrics()
-        if self.record_cache_metrics:
-            metrics.add("plan.cache_hit", int(plan_hit))
-            metrics.add("plan.cache_miss", int(not plan_hit))
-            if prep_enabled:
-                metrics.add("plan.prep_hit", int(prep_hit))
-                metrics.add("plan.prep_miss", int(not prep_hit))
+        if cached:
+            metrics.add("plan.cache_hit", int(hit))
+            metrics.add("plan.cache_miss", int(not hit))
+            metrics.add("plan.prep_hit", int(hit))
+            metrics.add("plan.prep_miss", int(not hit))
         if self.dynamic is not None:
             # Stamp which epoch answered: the snapshot-isolation witness
             # the serving tier (and its stress suite) reads back.
@@ -500,8 +443,8 @@ class MatchSession:
             cancel=cancel,
             parallel=self._parallel_context(n_workers, epoch, data),
         )
-        if prep_enabled and not prep_hit:
-            self._prep.put(prep_key, prepared)
+        if cached and not hit:
+            self._prep.put(prep_key, (plan, prepared))
         winner = None
         if race is not None and result.solved:
             winner = race_repeated(
@@ -515,15 +458,13 @@ class MatchSession:
                 cancel=cancel,
             )
             if winner is not None:
-                self._prep.put(prep_key, replace(race, raced=winner))
+                self._prep.put(prep_key, (plan, replace(race, raced=winner)))
 
         with self._metrics_lock:
             self.metrics.add("session.queries")
-            self.metrics.add("session.plan_cache_hits", int(plan_hit))
-            self.metrics.add("session.plan_cache_misses", int(not plan_hit))
-            if prep_enabled:
-                self.metrics.add("session.prep_cache_hits", int(prep_hit))
-                self.metrics.add("session.prep_cache_misses", int(not prep_hit))
+            if cached:
+                self.metrics.add("session.prep_cache_hits", int(hit))
+                self.metrics.add("session.prep_cache_misses", int(not hit))
             if winner is not None:
                 self.metrics.add("session.races")
                 self.metrics.add(
@@ -547,9 +488,9 @@ class MatchSession:
     ) -> List[MatchResult]:
         """Batch :meth:`match` over ``queries`` (results in input order).
 
-        This is the repeated-query throughput path: every duplicate
-        pattern after the first reuses its plan, and exact duplicates
-        skip preprocessing entirely.
+        This is the repeated-query throughput path: every exact
+        duplicate after the first reuses its plan and skips preprocessing
+        entirely.
         """
         return [
             self.match(
@@ -649,8 +590,8 @@ class MatchSession:
         :meth:`subscribe` query reports its exact embedding delta in the
         returned outcome, and the served snapshot swaps — in-flight
         matches keep the snapshot they captured, later matches see the
-        new epoch, and the epoch-keyed plan/prep caches drop the
-        superseded entries.
+        new epoch, and the epoch-keyed prep cache drops the superseded
+        entries.
         """
         dynamic = self._require_dynamic()
         batch = [
@@ -675,7 +616,7 @@ class MatchSession:
             updates = tuple(sub.on_delta(delta) for sub in self._subscriptions)
             if dynamic.epoch != self._resident[0]:
                 self._resident = dynamic.versioned_snapshot()
-                # Both caches key on the epoch and epochs only advance,
+                # The cache keys on the epoch and epochs only advance,
                 # so every entry is now unreachable; drop them rather
                 # than let them age out of the LRU. (An in-flight match
                 # at the old epoch may re-insert one dead entry.)
@@ -736,12 +677,11 @@ class MatchSession:
     # ------------------------------------------------------------------
 
     def cache_info(self) -> dict:
-        """Hit/miss/size/capacity for both caches."""
-        return {"plan": self._plans.info(), "prep": self._prep.info()}
+        """Hit/miss/size/capacity of the prepared-query cache."""
+        return {"prep": self._prep.info()}
 
     def clear_caches(self) -> None:
         """Drop all cached plans and prepared queries (counters persist)."""
-        self._plans.clear()
         self._prep.clear()
 
     def __repr__(self) -> str:

@@ -1,21 +1,19 @@
-"""Canonical query fingerprints for plan caching.
+"""Order-invariant query fingerprints.
 
-A :class:`~repro.core.session.MatchSession` caches compiled
-:class:`~repro.core.plan.MatchPlan` objects keyed by the *structure* of the
-query, not its vertex numbering: the repeated-query workloads the paper
-evaluates (many queries against one resident data graph) routinely resubmit
-the same pattern under a different vertex ordering, and those must hit the
-same cache slot.
+A fingerprint names the *structure* of a query, not its vertex numbering:
+the same pattern resubmitted under a different vertex ordering gets the
+same fingerprint. The QA metamorphic checks (:mod:`repro.qa.differential`)
+assert exactly that under renumbering, and the end-to-end benchmark times
+it as a per-query cost. Nothing on the matching path computes one: a
+:class:`~repro.core.session.MatchSession` caches each query's plan and
+preprocessing under exact graph equality.
 
 :func:`query_fingerprint` hashes the multiset of per-vertex signatures
 ``(label, degree, sorted NLF)`` plus the multiset of edge signatures (the
 unordered pair of endpoint signatures), so it is invariant under any
 permutation of vertex ids but sensitive to labels, degrees and the
 label-degree-NLF structure of the edge set. It is a 1-WL-style invariant,
-not a full canonical form: non-isomorphic graphs *may* collide, which is
-why plan contents are restricted to fingerprint-stable inputs (see
-:func:`repro.core.plan.compile_plan`) and per-query *preprocessing* is
-cached under exact graph equality instead.
+not a full canonical form: non-isomorphic graphs *may* collide.
 """
 
 from __future__ import annotations

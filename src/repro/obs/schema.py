@@ -334,20 +334,19 @@ def validate_bench_session(payload: Dict[str, Any]) -> None:
     )
     cache = payload.get("cache")
     _require(isinstance(cache, dict), "cache must be an object")
-    for which in ("plan", "prep"):
-        info = cache.get(which)
-        _require(isinstance(info, dict), f"cache.{which} must be an object")
-        for key in ("hits", "misses", "size"):
-            _require(
-                isinstance(info.get(key), int) and info[key] >= 0,
-                f"cache.{which}.{key} must be a non-negative int",
-            )
-        hits, misses = info["hits"], info["misses"]
+    info = cache.get("prep")
+    _require(isinstance(info, dict), "cache.prep must be an object")
+    for key in ("hits", "misses", "size"):
         _require(
-            hits + misses == workload["total_queries"],
-            f"cache.{which} hits+misses ({hits}+{misses}) must equal the "
-            f"{workload['total_queries']}-query workload",
+            isinstance(info.get(key), int) and info[key] >= 0,
+            f"cache.prep.{key} must be a non-negative int",
         )
+    hits, misses = info["hits"], info["misses"]
+    _require(
+        hits + misses == workload["total_queries"],
+        f"cache.prep hits+misses ({hits}+{misses}) must equal the "
+        f"{workload['total_queries']}-query workload",
+    )
     _require(
         payload.get("matches_agree") is True,
         "matches_agree must be true (one-shot and session disagreed)",

@@ -27,14 +27,19 @@ kernels additionally by registry name), and the order is given.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.plan import MatchPlan, PreparedQuery, prepare_query, run_plan
+from repro.core.plan import (
+    LRUCache,
+    MatchPlan,
+    PreparedQuery,
+    prepare_query,
+    run_plan,
+)
 from repro.enumeration.stats import EnumerationStats
 from repro.graph.graph import Graph
 from repro.graph.store import SharedGraphHandle, SharedMemoryStore
@@ -49,8 +54,11 @@ PREP_CACHE_SIZE = 32
 
 _FLAGS: Optional[np.ndarray] = None
 _FLAGS_SHM: Optional[shared_memory.SharedMemory] = None
-_GRAPHS: "OrderedDict[str, Graph]" = OrderedDict()
-_PREPARED: "OrderedDict[tuple, PreparedQuery]" = OrderedDict()
+# Eviction drops the reference only: an attached graph's mapping lives
+# until its arrays die (an eager close would raise BufferError on the
+# exported views).
+_GRAPHS = LRUCache(GRAPH_CACHE_SIZE)
+_PREPARED = LRUCache(PREP_CACHE_SIZE)
 
 
 @dataclass
@@ -78,16 +86,10 @@ def _worker_init(flags_name: str) -> None:
 
 def _attach_graph(handle: SharedGraphHandle) -> Graph:
     graph = _GRAPHS.get(handle.name)
-    if graph is not None:
-        _GRAPHS.move_to_end(handle.name)
-        return graph
-    # The graph view holds its store, and the store the mapping.
-    graph = SharedMemoryStore.attach(handle).graph()
-    _GRAPHS[handle.name] = graph
-    while len(_GRAPHS) > GRAPH_CACHE_SIZE:
-        # Drop the reference only; the mapping lives until the arrays die
-        # (an eager close would raise BufferError on the exported views).
-        _GRAPHS.popitem(last=False)
+    if graph is None:
+        # The graph view holds its store, and the store the mapping.
+        graph = SharedMemoryStore.attach(handle).graph()
+        _GRAPHS.put(handle.name, graph)
     return graph
 
 
@@ -131,12 +133,9 @@ def _prepared_for(
     key = (graph_name, _plan_token(plan), order, query)
     prepared = _PREPARED.get(key)
     if prepared is not None:
-        _PREPARED.move_to_end(key)
         return prepared, 0.0
     prepared = prepare_query(plan, query, data, Metrics(), order=list(order))
-    _PREPARED[key] = prepared
-    while len(_PREPARED) > PREP_CACHE_SIZE:
-        _PREPARED.popitem(last=False)
+    _PREPARED.put(key, prepared)
     return prepared, prepared.preprocessing_seconds
 
 

@@ -14,7 +14,7 @@ Layering::
         │  MatchService.match, on the thread that read the request
     MatchService  (admission, coalescing, deadlines; service.py)
         │  one per (tenant, graph)
-    MatchSession  (plan/prep caches; core/session.py — thread-safe)
+    MatchSession  (prepared-query cache; core/session.py — thread-safe)
         │
     engine + kernels
 

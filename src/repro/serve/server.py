@@ -18,8 +18,7 @@ build the :class:`~repro.graph.graph.Graph` → ``match``, which validates
 a query it has not seen pass, checks the options and admits. Everything
 before admission is a pure function of the payload, so a repeated query
 is the *same object* as last time: its validation is skipped and its
-memoized hash and fingerprint answer the coalescing, plan-cache and
-prep-cache probes.
+memoized hash answers the coalescing and prep-cache probes.
 
 Admission failures (queue full, spent budget, unknown graph, invalid
 query, malformed option) raise synchronously in ``match``; the handler
@@ -58,9 +57,9 @@ __all__ = ["MatchServer"]
 #: graph (or an ``add_graph`` payload), never a data graph of real size.
 _MAX_LINE_BYTES = 16 * 1024 * 1024
 
-#: How many decoded queries the server keeps: the plan cache's default
-#: capacity — a query whose plan was evicted has no claim on staying
-#: decoded.
+#: How many decoded queries the server keeps, one table for every tenant:
+#: four sessions' worth of the default prepared-query capacity (64), so a
+#: query its session still holds stays decoded too.
 _INTERN_CAPACITY = 256
 
 #: Largest query kept, as ``len(labels) + len(edges)`` of its payload:

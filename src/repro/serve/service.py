@@ -9,8 +9,8 @@ built directly on the layers below it:
   Engram/mnemon shape: the graph is the database);
 * **per-tenant session pools** — one thread-safe
   :class:`~repro.core.session.MatchSession` per ``(tenant, graph)``, so
-  every tenant amortizes its own plan/prep caches without cross-tenant
-  interference in cache occupancy;
+  every tenant amortizes its own prepared-query cache without
+  cross-tenant interference in cache occupancy;
 * **admission control** — a bounded pending queue (`max_queue_depth`)
   that rejects with :class:`~repro.errors.QueueFullError` *immediately*
   instead of blocking (backpressure), and per-request budgets that
@@ -249,7 +249,7 @@ class MatchService:
     clock:
         Time source for admission and deadline bookkeeping (tests inject
         :class:`~repro.serve.clock.FakeClock`).
-    plan_cache_size / prep_cache_size:
+    prep_cache_size:
         Forwarded to each tenant session.
     n_workers:
         Intra-query parallelism forwarded to each tenant session (see
@@ -270,7 +270,6 @@ class MatchService:
         algorithm: AlgorithmLike = "recommended",
         kernel: Optional[KernelLike] = None,
         clock: Optional[Clock] = None,
-        plan_cache_size: Optional[int] = 256,
         prep_cache_size: Optional[int] = 64,
         n_workers: Optional[int] = None,
     ) -> None:
@@ -284,7 +283,6 @@ class MatchService:
         self.algorithm = algorithm
         self.kernel = kernel
         self.clock = clock if clock is not None else SystemClock()
-        self._plan_cache_size = plan_cache_size
         self._prep_cache_size = prep_cache_size
         self.n_workers = n_workers
 
@@ -371,7 +369,6 @@ class MatchService:
                 data,
                 algorithm=self.algorithm,
                 kernel=self.kernel,
-                plan_cache_size=self._plan_cache_size,
                 prep_cache_size=self._prep_cache_size,
                 n_workers=self.n_workers,
             )

@@ -30,7 +30,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 from repro.core.session import MatchSession
 from repro.core.spec import AlgorithmSpec
-from repro.glasgow.solver import glasgow_match
 from repro.graph.graph import Graph
 from repro.graph.store import (
     GraphSource,
@@ -41,6 +40,8 @@ from repro.graph.store import (
 from repro.study.runner import (
     QueryRecord,
     RunSummary,
+    _measure,
+    _measurement_session,
     default_match_limit,
     default_time_limit,
 )
@@ -51,11 +52,10 @@ AlgorithmLike = Union[str, AlgorithmSpec]
 
 # Worker-process globals, set once by the pool initializer. Each worker
 # attaches the published data graph (the view holds its store, and the
-# store the mapping) and holds one MatchSession in measurement mode: no
-# preprocessing reuse, no cache counters — records must match the
-# sequential runner's byte for byte. GLW runs have no session.
+# store the mapping) and holds the sequential runner's measurement-mode
+# session — records must match that runner's byte for byte. GLW runs have
+# no session.
 _WORKER_DATA: Optional[Graph] = None
-_WORKER_ALGORITHM: Optional[AlgorithmLike] = None
 _WORKER_SESSION: Optional[MatchSession] = None
 _WORKER_LIMITS: Tuple[Optional[int], Optional[float]] = (None, None)
 
@@ -66,54 +66,16 @@ def _init_worker(
     match_limit: Optional[int],
     time_limit: Optional[float],
 ) -> None:
-    global _WORKER_DATA, _WORKER_ALGORITHM
-    global _WORKER_SESSION, _WORKER_LIMITS
+    global _WORKER_DATA, _WORKER_SESSION, _WORKER_LIMITS
     _WORKER_DATA = SharedMemoryStore.attach(handle).graph()
-    _WORKER_ALGORITHM = algorithm
-    _WORKER_SESSION = (
-        None
-        if algorithm == "GLW"
-        else MatchSession(
-            _WORKER_DATA,
-            algorithm=algorithm,
-            prep_cache_size=0,
-            record_cache_metrics=False,
-        )
-    )
+    _WORKER_SESSION = _measurement_session(_WORKER_DATA, algorithm)
     _WORKER_LIMITS = (match_limit, time_limit)
 
 
 def _run_one(task: Tuple[int, Graph]) -> QueryRecord:
     index, query = task
-    assert _WORKER_DATA is not None and _WORKER_ALGORITHM is not None
-    match_limit, time_limit = _WORKER_LIMITS
-    if _WORKER_SESSION is None:
-        result = glasgow_match(
-            query,
-            _WORKER_DATA,
-            match_limit=match_limit,
-            time_limit=time_limit,
-            store_limit=0,
-        )
-    else:
-        result = _WORKER_SESSION.match(
-            query,
-            match_limit=match_limit,
-            time_limit=time_limit,
-            store_limit=0,
-            validate=False,
-        )
-    return QueryRecord(
-        query_index=index,
-        preprocessing_ms=result.preprocessing_ms,
-        enumeration_ms=result.enumeration_ms,
-        num_matches=result.num_matches,
-        solved=result.solved,
-        candidate_average=result.candidate_average,
-        memory_bytes=result.memory_bytes,
-        recursion_calls=result.stats.recursion_calls,
-        metrics=result.metrics.to_dict(),
-    )
+    assert _WORKER_DATA is not None
+    return _measure(_WORKER_SESSION, _WORKER_DATA, index, query, *_WORKER_LIMITS)
 
 
 def run_algorithm_on_set_parallel(

@@ -186,6 +186,54 @@ def _std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
+def _measurement_session(
+    data: Graph, algorithm: AlgorithmLike, kernel: Optional[str] = None
+) -> Optional[MatchSession]:
+    """The session a study run measures through; ``None`` for ``"GLW"``.
+
+    Measurement mode: no prepared-query cache, so every query compiles
+    and preprocesses afresh and its record is exactly what a standalone
+    ``match()`` would report.
+    """
+    if algorithm == "GLW":
+        return None
+    return MatchSession(data, algorithm=algorithm, kernel=kernel, prep_cache_size=0)
+
+
+def _measure(
+    session: Optional[MatchSession],
+    data: Graph,
+    index: int,
+    query: Graph,
+    match_limit: Optional[int],
+    time_limit: Optional[float],
+) -> QueryRecord:
+    """One query's record, run by ``session`` or (``None``) by Glasgow."""
+    if session is None:
+        result = glasgow_match(
+            query, data, match_limit=match_limit, time_limit=time_limit, store_limit=0
+        )
+    else:
+        result = session.match(
+            query,
+            match_limit=match_limit,
+            time_limit=time_limit,
+            store_limit=0,
+            validate=False,
+        )
+    return QueryRecord(
+        query_index=index,
+        preprocessing_ms=result.preprocessing_ms,
+        enumeration_ms=result.enumeration_ms,
+        num_matches=result.num_matches,
+        solved=result.solved,
+        candidate_average=result.candidate_average,
+        memory_bytes=result.memory_bytes,
+        recursion_calls=result.stats.recursion_calls,
+        metrics=result.metrics.to_dict(),
+    )
+
+
 def run_algorithm_on_set(
     algorithm: AlgorithmLike,
     data: Graph,
@@ -203,9 +251,9 @@ def run_algorithm_on_set(
     ``REPRO_KERNEL`` / the auto rule).
 
     The whole set runs through one :class:`~repro.core.session.MatchSession`
-    in measurement mode: the plan cache amortizes spec/kernel resolution,
-    but preprocessing reuse and cache counters are off so every query's
-    recorded preprocessing time and metrics are exactly what a standalone
+    in measurement mode: the data graph stays resident, but nothing of
+    one query is reused for another, so every query's recorded
+    preprocessing time and metrics are exactly what a standalone
     ``match()`` would report.
     """
     if match_limit is None:
@@ -219,45 +267,9 @@ def run_algorithm_on_set(
         query_set_label=query_set_label,
         time_limit=time_limit,
     )
-    session = (
-        None
-        if algorithm == "GLW"
-        else MatchSession(
-            data,
-            algorithm=algorithm,
-            kernel=kernel,
-            prep_cache_size=0,
-            record_cache_metrics=False,
-        )
-    )
+    session = _measurement_session(data, algorithm, kernel)
     for index, query in enumerate(queries):
-        if session is None:
-            result = glasgow_match(
-                query,
-                data,
-                match_limit=match_limit,
-                time_limit=time_limit,
-                store_limit=0,
-            )
-        else:
-            result = session.match(
-                query,
-                match_limit=match_limit,
-                time_limit=time_limit,
-                store_limit=0,
-                validate=False,
-            )
         summary.records.append(
-            QueryRecord(
-                query_index=index,
-                preprocessing_ms=result.preprocessing_ms,
-                enumeration_ms=result.enumeration_ms,
-                num_matches=result.num_matches,
-                solved=result.solved,
-                candidate_average=result.candidate_average,
-                memory_bytes=result.memory_bytes,
-                recursion_calls=result.stats.recursion_calls,
-                metrics=result.metrics.to_dict(),
-            )
+            _measure(session, data, index, query, match_limit, time_limit)
         )
     return summary

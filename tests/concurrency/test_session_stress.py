@@ -11,11 +11,12 @@ missing lock:
 * the session's counters must balance exactly — ``session.queries``
   equals the submitted total and each cache's ``hits + misses`` equals
   its lookups — which fails under lost ``+= 1`` updates;
-* the plan cache's LRU bookkeeping must survive concurrent reordering.
+* the prep cache's LRU bookkeeping must survive concurrent reordering
+  and eviction.
 
 A barrier lines all workers up before the first query so the cache-miss
-window (every thread compiling the same cold fingerprint at once) is
-actually contested.
+window (every thread preparing the same cold query at once) is actually
+contested.
 """
 
 from __future__ import annotations
@@ -106,7 +107,9 @@ class TestSharedSessionStress:
                 )
 
     def test_counters_balance_exactly(self, data, query_pool):
-        session = MatchSession(data)
+        # Nine distinct queries through four slots: threads evict each
+        # other's entries while others reorder them.
+        session = MatchSession(data, prep_cache_size=4)
 
         def worker(tid):
             for _ in range(ROUNDS):
@@ -121,15 +124,15 @@ class TestSharedSessionStress:
         counters = session.metrics.counters
         assert counters["session.queries"] == total
         assert (
-            counters["session.plan_cache_hits"]
-            + counters["session.plan_cache_misses"]
+            counters["session.prep_cache_hits"]
+            + counters["session.prep_cache_misses"]
             == total
         )
         info = session.cache_info()
-        assert info["plan"]["hits"] + info["plan"]["misses"] == total
+        assert info["prep"]["hits"] + info["prep"]["misses"] == total
         # Lost updates would leave hits+misses short of the lookup count;
         # LRU corruption would typically show as a KeyError/size blowup.
-        assert info["plan"]["size"] <= 1 + THREADS
+        assert info["prep"]["size"] <= 4
 
     def test_count_and_has_match_agree_under_load(self, data, query_pool):
         session = MatchSession(data)

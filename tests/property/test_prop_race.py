@@ -37,6 +37,7 @@ from repro.core.plan import (
     SAMPLE_SEED,
     SAMPLED_RACERS,
     bind_enumeration,
+    compile_plan,
     race_orders,
     run_plan,
 )
@@ -72,17 +73,22 @@ def dense():
     return data, queries
 
 
+def _entry(session):
+    """The session's one cached ``(plan, prepared)``."""
+    (entry,) = session._prep._entries.values()
+    return entry
+
+
 def _cached(session):
-    (prepared,) = session._prep._entries.values()
-    return prepared
+    return _entry(session)[1]
 
 
 def _incumbent(session, query, data, limit):
     """Prime ``session`` and return (plan, prepared, incumbent calls,
     incumbent matches)."""
     result = session.match(query, match_limit=limit, store_limit=0)
-    plan, _ = session.compile(query)
-    return plan, _cached(session), result.stats.recursion_calls, result.num_matches
+    plan, prepared = _entry(session)
+    return plan, prepared, result.stats.recursion_calls, result.num_matches
 
 
 def _with_graphql(plan):
@@ -240,7 +246,7 @@ def test_the_fewest_calls_win_and_a_racer_over_budget_never_does(dense):
             best, fewest = min(ranked, key=lambda c: c[1])  # first of the fewest
             tracer = Tracer()
             with tracing(tracer):
-                winner = race_orders(plan, query, data, prepared, calls, matches, limit).raced
+                winner = race_orders(plan, query, data, prepared, calls, matches, limit)
             assert (winner.ordering, winner.failing_sets) == best
             assert winner.calls == fewest
             race = _race_span(tracer)
@@ -260,7 +266,7 @@ def test_the_fewest_calls_win_and_a_racer_over_budget_never_does(dense):
             # An incumbent claiming fewer calls than any racer can take
             # keeps the race: everyone else runs over budget.
             floor = min(c for _, c in true)
-            kept = race_orders(plan, query, data, prepared, floor - 1, matches, limit).raced
+            kept = race_orders(plan, query, data, prepared, floor - 1, matches, limit)
             assert (kept.ordering, kept.failing_sets) == incumbent
             assert kept.prepared is prepared and kept.plan is plan
             assert prepared.raced is None  # the cached object is never mutated
@@ -298,7 +304,7 @@ def test_ties_go_to_the_earlier_racer(dense, monkeypatch):
     (_, a), (_, b), (_, c) = true
     assert matches == 0 and b == c < a
     # An incumbent over every racer's budget leaves them to break the tie.
-    winner = race_orders(plan, query, data, prepared, a + 1, matches, 500).raced
+    winner = race_orders(plan, query, data, prepared, a + 1, matches, 500)
     assert (winner.ordering, winner.calls) == ("b", b)
 
 
@@ -343,7 +349,7 @@ def test_the_interior_stop_picks_the_old_stops_winner_for_less(dense, monkeypatc
             session = MatchSession(data)
             plan, prepared, calls, matches = _incumbent(session, query, data, limit)
             best, fewest, spent = _old_race(plan, query, data, prepared, calls, limit)
-            winner = race_orders(plan, query, data, prepared, calls, matches, limit).raced
+            winner = race_orders(plan, query, data, prepared, calls, matches, limit)
             assert (winner.ordering, winner.failing_sets) == best
             assert winner.calls == fewest
             assert winner.race_calls <= spent
@@ -406,11 +412,11 @@ def test_a_repeated_query_races_over_graphql_refined_candidates(dense):
         assert [winner.prepared.candidates[u] for u in query.vertices()] \
             == [sets[u] for u in query.vertices()]
         # The race a GraphQL-filtered incumbent runs, plus that run.
-        plan, _ = session.compile(query)
+        plan = compile_plan("recommended", query, data)
         result, prepared = run_plan(_with_graphql(plan), query, data,
                                     match_limit=1000, store_limit=0)
         want = race_orders(_with_graphql(plan), query, data, prepared,
-                           result.stats.recursion_calls, result.num_matches, 1000).raced
+                           result.stats.recursion_calls, result.num_matches, 1000)
         assert (winner.ordering, winner.failing_sets, winner.prepared.order,
                 winner.calls) == (want.ordering, want.failing_sets,
                                   want.prepared.order, want.calls)
@@ -459,7 +465,7 @@ def test_four_threads_racing_one_prepared_query_agree(dense):
     query = queries[2]
     reference = MatchSession(data)
     plan, prepared, calls, matches = _incumbent(reference, query, data, 2000)
-    want = race_orders(plan, query, data, prepared, calls, matches, 2000).raced
+    want = race_orders(plan, query, data, prepared, calls, matches, 2000)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -472,7 +478,7 @@ def test_four_threads_racing_one_prepared_query_agree(dense):
 
         def worker(slot):
             barrier.wait()
-            direct = race_orders(plan, query, data, shared, calls, matches, 2000).raced
+            direct = race_orders(plan, query, data, shared, calls, matches, 2000)
             replies = [_counts(session.match(query, match_limit=2000, store_limit=0))
                        for _ in range(3)]
             seen[slot] = (direct.ordering, direct.failing_sets, direct.prepared.order,
@@ -610,7 +616,7 @@ def test_a_racer_refused_rows_sits_out(dense, monkeypatch):
     monkeypatch.setattr("repro.utils.kernels._bitset_cache_budget", lambda: budget)
     tracer = Tracer()
     with tracing(tracer):
-        winner = race_orders(plan, query, data, prepared, calls, matches).raced
+        winner = race_orders(plan, query, data, prepared, calls, matches)
     assert _race_span(tracer)["racers"] == len(distinct) - len(over)
     assert (tuple(winner.prepared.order), winner.failing_sets) not in over
     assert winner.prepared.kernel_used == "rows"

@@ -4,11 +4,11 @@ Two families of invariants:
 
 * **Fingerprint** — invariant under any permutation of vertex ids,
   and two graphs with different fingerprints are never isomorphic
-  renumberings of each other (soundness of the plan-cache key).
+  renumberings of each other.
 * **Session accounting** — for any workload, every query is exactly one
-  plan hit or one plan miss; misses equal the number of distinct
-  fingerprints (unbounded cache); and every result equals a fresh
-  one-shot ``match()``.
+  prep hit or one prep miss; misses equal the number of distinct exact
+  queries (unbounded cache); and every result equals a fresh one-shot
+  ``match()``.
 """
 
 from hypothesis import given, settings
@@ -81,12 +81,10 @@ def session_workloads(draw):
 @SETTINGS
 def test_session_cache_accounting(case):
     data, workload = case
-    session = MatchSession(
-        data, algorithm="GQLfs", plan_cache_size=None, prep_cache_size=None
-    )
+    session = MatchSession(data, algorithm="GQLfs", prep_cache_size=None)
     results = session.match_many(workload, validate=False)
 
-    # Per-query: exactly one of hit/miss, for both caches.
+    # Per-query: exactly one of hit/miss, reported under both names.
     for result in results:
         counters = result.metrics.counters
         assert counters["plan.cache_hit"] + counters["plan.cache_miss"] == 1
@@ -94,21 +92,16 @@ def test_session_cache_accounting(case):
 
     info = session.cache_info()
     total = len(workload)
-    assert info["plan"]["hits"] + info["plan"]["misses"] == total
     assert info["prep"]["hits"] + info["prep"]["misses"] == total
 
-    # Unbounded caches: misses are exactly the distinct key populations.
-    distinct_fingerprints = len({query_fingerprint(q) for q in workload})
+    # Unbounded cache: misses are exactly the distinct exact queries.
     distinct_graphs = len(set(workload))
-    assert info["plan"]["misses"] == distinct_fingerprints
-    assert info["plan"]["size"] == distinct_fingerprints
     assert info["prep"]["misses"] == distinct_graphs
     assert info["prep"]["size"] == distinct_graphs
 
     # Session-wide counters agree with cache introspection.
     counters = session.metrics.counters
     assert counters["session.queries"] == total
-    assert counters["session.plan_cache_hits"] == info["plan"]["hits"]
     assert counters["session.prep_cache_hits"] == info["prep"]["hits"]
 
 

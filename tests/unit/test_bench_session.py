@@ -51,10 +51,9 @@ class TestPayload:
         assert payload["matches_agree"] is True
 
     def test_cache_accounting(self, payload):
-        for which in ("plan", "prep"):
-            info = payload["cache"][which]
-            assert info["hits"] + info["misses"] == 6
-            assert info["misses"] == 2     # one per distinct pattern
+        info = payload["cache"]["prep"]
+        assert info["hits"] + info["misses"] == 6
+        assert info["misses"] == 2     # one per distinct pattern
 
     def test_speedup_is_consistent(self, payload):
         assert payload["speedup_session_vs_one_shot"] == pytest.approx(
@@ -84,7 +83,7 @@ class TestValidatorRejects:
 
     def test_cache_counters_must_cover_workload(self, payload):
         bad = copy.deepcopy(payload)
-        bad["cache"]["plan"]["hits"] += 1
+        bad["cache"]["prep"]["hits"] += 1
         with pytest.raises(TraceSchemaError, match="hits"):
             validate_bench_session(bad)
 

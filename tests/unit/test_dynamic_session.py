@@ -108,17 +108,16 @@ class TestSessionMutation:
             session.match(triangle())
             session.match(triangle())
             before = session.cache_info()
-            assert before["plan"]["size"] == before["prep"]["size"] == 1
+            assert before["prep"]["size"] == 1
 
             session.mutate([("add_edge", 0, 1)])  # no-op: epoch unchanged
             assert session.cache_info() == before
 
             session.mutate([("add_edge", 6, 0)])
-            after = session.cache_info()
-            for cache in ("plan", "prep"):
-                assert after[cache]["size"] == 0
-                assert after[cache]["hits"] == before[cache]["hits"]
-                assert after[cache]["misses"] == before[cache]["misses"]
+            after = session.cache_info()["prep"]
+            assert after["size"] == 0
+            assert after["hits"] == before["prep"]["hits"]
+            assert after["misses"] == before["prep"]["misses"]
         finally:
             session.close()
 

@@ -35,7 +35,6 @@ class TestSpecAndPlanPickling:
         plan = compile_plan(name, query, data)
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.algorithm.name == plan.algorithm.name
-        assert clone.fingerprint == plan.fingerprint
         assert clone.aux_scope == plan.aux_scope
 
     @pytest.mark.parametrize("name", sorted(PRESETS))

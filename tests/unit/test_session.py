@@ -1,4 +1,6 @@
-"""Unit tests for MatchSession, MatchPlan and the LRU plan/prep caches."""
+"""Unit tests for MatchSession, MatchPlan and the LRU prep cache."""
+
+import json
 
 import pytest
 
@@ -6,6 +8,8 @@ from repro import MatchSession, compile_plan, count_matches, has_match, match
 from repro.core.plan import LRUCache, run_plan
 from repro.errors import InvalidQueryError
 from repro.graph import Graph
+from repro.serve import MatchServer, MatchService
+from repro.serve.protocol import graph_to_payload
 from fixtures import PAPER_DATA, PAPER_MATCHES, PAPER_QUERY
 
 RING = Graph(
@@ -60,34 +64,38 @@ class TestLRUCache:
 
 
 class TestCompile:
-    def test_plan_is_cached_by_fingerprint(self):
-        session = MatchSession(PAPER_DATA, algorithm="GQL")
-        plan1, hit1 = session.compile(PAPER_QUERY)
-        plan2, hit2 = session.compile(PAPER_QUERY)
-        assert (hit1, hit2) == (False, True)
-        assert plan1 is plan2
-        assert plan1.algorithm.name == "GQL"
-        assert plan1.query_vertices == PAPER_QUERY.num_vertices
+    def test_exact_repeat_reuses_plan_and_prepared(self, monkeypatch):
+        compiled = []
 
-    def test_renumbered_query_hits_same_plan(self):
-        session = MatchSession(RING, algorithm="GQL")
-        session.compile(PATH)
-        renumbered = Graph(labels=[0, 1, 0, 1],
-                           edges=[(3, 2), (2, 1), (1, 0)])
-        _, hit = session.compile(renumbered)
-        assert hit
+        def counting_compile(*args, **kwargs):
+            compiled.append(compile_plan(*args, **kwargs))
+            return compiled[-1]
+
+        monkeypatch.setattr("repro.core.session.compile_plan", counting_compile)
+        session = MatchSession(PAPER_DATA, algorithm="GQL")
+        session.match(PAPER_QUERY)
+        (entry,) = session._prep._entries.values()
+        session.match(PAPER_QUERY)
+        assert len(compiled) == 1
+        (again,) = session._prep._entries.values()
+        assert again is entry  # the hit neither recompiled nor re-put
+        plan, _ = entry
+        assert plan is compiled[0]
+        assert plan.algorithm.name == "GQL"
+        assert plan.query_vertices == PAPER_QUERY.num_vertices
 
     def test_distinct_algorithms_get_distinct_plans(self):
         session = MatchSession(RING)
-        plan_gql, _ = session.compile(PATH, algorithm="GQL")
-        plan_ri, hit = session.compile(PATH, algorithm="RI")
-        assert not hit
-        assert plan_gql.algorithm.name != plan_ri.algorithm.name
+        gql = session.match(PATH, algorithm="GQL")
+        ri = session.match(PATH, algorithm="RI")
+        assert ri.metrics.counters["plan.cache_miss"] == 1
+        assert (gql.algorithm, ri.algorithm) == ("GQL", "RI")
+        plans = [plan for plan, _ in session._prep._entries.values()]
+        assert [p.algorithm.name for p in plans] == ["GQL", "RI"]
 
     def test_compile_plan_standalone(self):
         plan = compile_plan("GQLfs", PAPER_QUERY, PAPER_DATA)
         assert plan.algorithm.failing_sets
-        assert plan.fingerprint.startswith("q4e")
         result, prepared = run_plan(plan, PAPER_QUERY, PAPER_DATA)
         assert result.num_matches == len(PAPER_MATCHES)
         # Reusing the prepared artifacts reproduces the result with zero
@@ -95,6 +103,43 @@ class TestCompile:
         again, _ = run_plan(plan, PAPER_QUERY, PAPER_DATA, prepared=prepared)
         assert again.num_matches == result.num_matches
         assert again.preprocessing_ms == 0.0
+
+
+class TestNoFingerprintOnRequestPath:
+    """Matching never fingerprints a query: the prep cache keys on the
+    exact graph, so a miss, a hit and a never-seen wire payload all
+    answer with the fingerprint unavailable."""
+
+    @pytest.fixture(autouse=True)
+    def no_fingerprint(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("query fingerprinted on the request path")
+
+        monkeypatch.setattr("repro.graph.fingerprint._compute_fingerprint", refuse)
+
+    def test_session_miss_and_hit(self):
+        # A fresh graph: a shared fixture may carry a memoized fingerprint.
+        query = Graph(
+            labels=[PAPER_QUERY.label(u) for u in PAPER_QUERY.vertices()],
+            edges=list(PAPER_QUERY.edges()),
+        )
+        session = MatchSession(PAPER_DATA, algorithm="GQL")
+        first = session.match(query)
+        second = session.match(query)
+        assert first.metrics.counters["plan.cache_miss"] == 1
+        assert second.metrics.counters["plan.cache_hit"] == 1
+        assert first.num_matches == second.num_matches == len(PAPER_MATCHES)
+
+    def test_server_dispatch_of_unseen_payload(self):
+        with MatchService(workers=1) as service:
+            service.add_graph("paper", PAPER_DATA)
+            server = MatchServer(service, port=0)
+            reply = server._dispatch(json.dumps({
+                "op": "match", "graph": "paper",
+                "query": graph_to_payload(PAPER_QUERY),
+            }))
+        assert reply["ok"] is True, reply
+        assert reply["num_matches"] == len(PAPER_MATCHES)
 
 
 class TestSessionMatch:
@@ -126,30 +171,11 @@ class TestSessionMatch:
             session.match(PAPER_QUERY)
         counters = session.metrics.counters
         assert counters["session.queries"] == 3
-        assert counters["session.plan_cache_hits"] == 2
-        assert counters["session.plan_cache_misses"] == 1
         assert counters["session.prep_cache_hits"] == 2
         assert counters["session.prep_cache_misses"] == 1
-        info = session.cache_info()
-        assert info["plan"]["hits"] == 2 and info["plan"]["size"] == 1
-        assert info["prep"]["hits"] == 2 and info["prep"]["size"] == 1
-
-    def test_renumbered_query_hits_plan_but_not_prep(self):
-        session = MatchSession(RING, algorithm="GQL")
-        session.match(PATH)
-        renumbered = Graph(labels=[0, 1, 0, 1],
-                           edges=[(3, 2), (2, 1), (1, 0)])
-        result = session.match(renumbered)
-        assert result.metrics.counters["plan.cache_hit"] == 1
-        assert result.metrics.counters["plan.prep_miss"] == 1
-
-    def test_record_cache_metrics_off_hides_counters(self):
-        session = MatchSession(
-            PAPER_DATA, algorithm="GQL", record_cache_metrics=False
-        )
-        result = session.match(PAPER_QUERY)
-        assert not any(k.startswith("plan.") for k in result.metrics.counters)
-        assert not session.metrics.counters.get("plan.cache_hit")
+        assert session.cache_info() == {
+            "prep": {"hits": 2, "misses": 1, "size": 1, "capacity": 64},
+        }
 
     def test_one_shot_match_has_no_cache_counters(self):
         result = match(PAPER_QUERY, PAPER_DATA, algorithm="GQL")
@@ -197,7 +223,7 @@ class TestSessionMatch:
         assert [r.num_matches for r in results] \
             == [s.num_matches for s in singles]
         assert session.metrics.counters["session.queries"] == 5
-        assert session.metrics.counters["session.plan_cache_misses"] == 2
+        assert session.metrics.counters["session.prep_cache_misses"] == 2
 
     def test_count_and_has_match(self):
         session = MatchSession(PAPER_DATA, algorithm="GQL")
