@@ -14,8 +14,9 @@ first-class output of every run:
   :class:`~repro.core.result.MatchResult` and
   :class:`~repro.study.runner.QueryRecord`, with an associative +
   commutative merge for study aggregation;
-* :mod:`repro.obs.schema` — the documented trace/benchmark file formats
-  and their validators.
+* :mod:`repro.obs.schema` — the trace and ``BENCH_*.json`` file formats:
+  one walker checks each benchmark's rule table of field kinds, and a
+  claims function per benchmark holds its cross-field facts and floors.
 
 See the "Observability" section of ``docs/architecture.md`` for the span
 API, the trace schema and the counter glossary.

@@ -1,4 +1,4 @@
-"""Schemas for the observability artifacts, with hand-rolled validators.
+"""Schemas for the observability artifacts, checked against rule tables.
 
 Two file formats are stamped and validated here (no external jsonschema
 dependency):
@@ -16,54 +16,27 @@ dependency):
   (``parent.start <= start`` and ``end <= parent.end`` up to clock
   jitter), ``depth`` is parent's depth + 1, ``end >= start``.
 
-* **BENCH_kernels.json** (``benchmarks/bench_kernels.py``): the kernel
-  shoot-out payload, stamped with ``schema_version`` and the resolved
-  backend name per registry entry.
+* **BENCH_*.json**, written by ``benchmarks/bench_<name>.py``:
 
-* **BENCH_session.json** (``benchmarks/bench_session.py``): the
-  session-throughput payload — one-shot ``match()`` vs
-  :class:`~repro.core.session.MatchSession` batch latency on a
-  repeated-query workload, with the session's cache counters.
+  - ``BENCH_kernels.json``: the intersection-kernel shoot-out;
+  - ``BENCH_session.json``: one-shot ``match()`` vs a session;
+  - ``BENCH_server.json``: serving throughput, coalescing on vs off;
+  - ``BENCH_parallel.json``: root-chunked parallel vs sequential search;
+  - ``BENCH_storage.json``: warm memmap overhead, out-of-core peak RSS;
+  - ``BENCH_dynamic.json``: incremental candidates vs a full rebuild.
 
-* **BENCH_server.json** (``benchmarks/bench_server.py``): the serving
-  tier under a duplicate-heavy multi-tenant workload — sustained QPS and
-  p50/p99 latency through :class:`~repro.serve.service.MatchService`
-  with request coalescing on vs off, plus the ``serve.*`` counters and a
-  results-agree attestation.
-
-* **BENCH_parallel.json** (``benchmarks/bench_parallel.py``): the
-  intra-query parallel enumeration payload — root-chunked fan-out via
-  :mod:`repro.parallel` vs the sequential frame machine on a Fig-16
-  style counting workload, with per-chunk enumeration seconds, the
-  4-worker speedup (measured wall clock on hosts with >= 4 CPUs, a
-  greedy-makespan model over the real chunk timings otherwise —
-  ``speedup_source`` says which), a byte-identical-embeddings
-  attestation, and a shared-memory leak count.
-
-* **BENCH_storage.json** (``benchmarks/bench_storage.py``): the graph
-  storage-backend payload — warm-run overhead of matching off an
-  ``.rgf`` memmap vs the in-memory arrays on a resident workload, and
-  peak RSS of an out-of-core workload whose CSR arrays exceed the
-  declared memory budget, matched from
-  :class:`~repro.graph.store.MmapStore` vs fully materialized. Both
-  halves carry a results-identical attestation; the validator enforces
-  the overhead and RSS ceilings plus tempfile/shared-memory leak
-  counts.
-
-* **BENCH_dynamic.json** (``benchmarks/bench_dynamic.py``): the
-  mutate-then-match payload — per-batch incremental candidate
-  maintenance (:class:`~repro.dynamic.IncrementalCandidates` over a
-  :class:`~repro.dynamic.DynamicGraph`) vs a from-scratch graph rebuild
-  plus a full candidate build, on a 1%-churn mutation script. The
-  validator enforces the ``MIN_DYNAMIC_SPEEDUP`` floor, the
-  states-identical and final-match-identical attestations, and zero
-  shared-memory/tempfile leaks.
+Each benchmark's contract is data: its stamp, a table of ``(path, kind)``
+rule rows and a claims function for the cross-field facts (products,
+derived ratios, floors, ceilings). Paths are ``/``-separated, so a key may
+hold dots (``serve.completed``); ``*`` spans the values of a non-empty
+object or the items of a non-empty list.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+import reprlib
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -137,6 +110,89 @@ def _require(condition: bool, message: str) -> None:
         raise TraceSchemaError(message)
 
 
+class _Kind(NamedTuple):
+    """A field kind: the text its message uses and its predicate."""
+
+    text: str
+    accepts: Callable[[Any], bool]
+
+
+_NUMBER = (int, float)
+
+#: The field kinds a rule row names.
+_KINDS: Dict[str, _Kind] = {
+    "pos_int": _Kind("a positive int", lambda v: isinstance(v, int) and v > 0),
+    "nonneg_int": _Kind("a non-negative int", lambda v: isinstance(v, int) and v >= 0),
+    "pos_num": _Kind("a positive number", lambda v: isinstance(v, _NUMBER) and v > 0),
+    "nonneg_num": _Kind(
+        "a non-negative number", lambda v: isinstance(v, _NUMBER) and v >= 0
+    ),
+    "text": _Kind("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "true": _Kind("true", lambda v: v is True),
+    "zero": _Kind("0", lambda v: v == 0),
+}
+
+#: Stands in for an absent key; no kind accepts it.
+_MISSING = object()
+
+_Rules = Tuple[Tuple[str, _Kind], ...]
+
+
+def _show(value: Any) -> str:
+    return "missing" if value is _MISSING else reprlib.repr(value)
+
+
+def _rules(**table: str) -> _Rules:
+    """``kind="path ..."`` as ``(path, kind)`` rows; ``{a,b}`` is one row per option."""
+    return tuple(
+        (path, _KINDS[kind])
+        for kind, patterns in table.items()
+        for pattern in patterns.split()
+        for path in _expand(pattern)
+    )
+
+
+def _expand(pattern: str) -> List[str]:
+    head, brace, tail = pattern.partition("{")
+    if not brace:
+        return [pattern]
+    options, _, rest = tail.partition("}")
+    return [p for o in options.split(",") for p in _expand(head + o + rest)]
+
+
+def _walk(node: Any, steps: Sequence[str], name: str, kind: _Kind) -> None:
+    """Check that every field ``steps`` reach from ``node`` is ``kind``."""
+    if not steps:
+        _require(kind.accepts(node), f"{name} must be {kind.text}: {_show(node)}")
+        return
+    step, rest = steps[0], steps[1:]
+    if step == "*":
+        _require(
+            isinstance(node, (dict, list)) and len(node) > 0,
+            f"{name} must be a non-empty object or list",
+        )
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            _walk(value, rest, f"{name}[{key!r}]", kind)
+        return
+    _require(isinstance(node, dict), f"{name or 'payload'} must be an object")
+    if "." in step:
+        child = f"{name}[{step!r}]"
+    else:
+        child = f"{name}.{step}" if name else step
+    _walk(node.get(step, _MISSING), rest, child, kind)
+
+
+def _check_rules(node: Dict[str, Any], rules: _Rules, name: str = "") -> None:
+    for path, kind in rules:
+        _walk(node, path.split("/"), name, kind)
+
+
+_SPAN_RULES = _rules(
+    nonneg_int="id depth", text="name", nonneg_num="start end duration"
+)
+
+
 def validate_trace_record(record: Dict[str, Any]) -> None:
     """Validate one parsed JSONL record (header or span) in isolation."""
     _require(isinstance(record, dict), f"record is not an object: {record!r}")
@@ -147,35 +203,15 @@ def validate_trace_record(record: Dict[str, Any]) -> None:
             f"unknown trace schema {record.get('schema')!r} "
             f"(expected {TRACE_SCHEMA!r})",
         )
-        _require(
-            isinstance(record.get("spans"), int) and record["spans"] >= 0,
-            "meta record needs a non-negative integer 'spans' count",
-        )
+        _walk(record, ["spans"], "meta", _KINDS["nonneg_int"])
         return
     _require(rtype == "span", f"unknown record type {rtype!r}")
+    _check_rules(record, _SPAN_RULES, "span")
+    parent = record.get("parent", _MISSING)
     _require(
-        isinstance(record.get("id"), int) and record["id"] >= 0,
-        f"span id must be a non-negative int: {record.get('id')!r}",
+        parent is None or _KINDS["nonneg_int"].accepts(parent),
+        f"span.parent must be null or a non-negative int: {_show(parent)}",
     )
-    parent = record.get("parent")
-    _require(
-        parent is None or (isinstance(parent, int) and parent >= 0),
-        f"span parent must be null or a non-negative int: {parent!r}",
-    )
-    _require(
-        isinstance(record.get("name"), str) and record["name"] != "",
-        "span name must be a non-empty string",
-    )
-    _require(
-        isinstance(record.get("depth"), int) and record["depth"] >= 0,
-        "span depth must be a non-negative int",
-    )
-    for key in ("start", "end", "duration"):
-        value = record.get(key)
-        _require(
-            isinstance(value, (int, float)) and value >= 0,
-            f"span {key} must be a non-negative number: {value!r}",
-        )
     _require(
         record["end"] >= record["start"],
         f"span {record['name']!r} ends before it starts",
@@ -246,111 +282,129 @@ def validate_trace_file(path: str) -> Dict[str, Any]:
     return validate_trace_lines(lines)
 
 
-def validate_bench_kernels(payload: Dict[str, Any]) -> None:
-    """Validate a BENCH_kernels.json payload against the current schema."""
+class _Contract(NamedTuple):
+    """A benchmark payload's stamp, rule rows and claims function."""
+
+    version: int
+    benchmark: str
+    rules: _Rules
+    claims: Callable[[Dict[str, Any]], None]
+
+
+def _check(payload: Dict[str, Any], contract: _Contract) -> None:
+    """Check the stamp, then every rule row, then the claims."""
     _require(isinstance(payload, dict), "payload must be an object")
     _require(
-        payload.get("schema_version") == BENCH_KERNELS_SCHEMA_VERSION,
-        f"schema_version must be {BENCH_KERNELS_SCHEMA_VERSION}: "
-        f"{payload.get('schema_version')!r}",
+        payload.get("schema_version") == contract.version,
+        f"schema_version must be {contract.version}: {payload.get('schema_version')!r}",
     )
     _require(
-        payload.get("benchmark") == "kernel-backend-shootout",
+        payload.get("benchmark") == contract.benchmark,
         f"unexpected benchmark id {payload.get('benchmark')!r}",
     )
-    for key in ("universe", "array_size"):
-        _require(
-            isinstance(payload.get(key), int) and payload[key] > 0,
-            f"{key} must be a positive int",
-        )
-    timings = payload.get("seconds_per_call")
+    _check_rules(payload, contract.rules)
+    contract.claims(payload)
+
+
+def _kernels_claims(p: Dict[str, Any]) -> None:
+    kernels, timings = p["kernels"], p["seconds_per_call"]
     _require(
-        isinstance(timings, dict) and timings,
-        "seconds_per_call must be a non-empty object",
-    )
-    for name, seconds in timings.items():
-        _require(
-            isinstance(seconds, (int, float)) and seconds > 0,
-            f"seconds_per_call[{name!r}] must be a positive number",
-        )
-    kernels = payload.get("kernels")
-    _require(
-        isinstance(kernels, dict) and set(kernels) == set(timings),
+        isinstance(kernels, dict) and isinstance(timings, dict)
+        and set(kernels) == set(timings),
         "kernels must map every timed backend to its resolved name",
     )
-    for requested, resolved in kernels.items():
-        _require(
-            isinstance(resolved, str) and resolved != "",
-            f"kernels[{requested!r}] must be a non-empty resolved name",
-        )
-    for key in ("speedup_numpy_vs_scalar", "speedup_bitset_vs_scalar"):
-        value = payload.get(key)
-        _require(
-            isinstance(value, (int, float)) and value > 0,
-            f"{key} must be a positive number",
-        )
+
+
+_KERNELS = _Contract(
+    BENCH_KERNELS_SCHEMA_VERSION, "kernel-backend-shootout",
+    _rules(
+        pos_int="universe array_size",
+        pos_num="seconds_per_call/* speedup_{numpy,bitset}_vs_scalar",
+        text="kernels/*",
+    ),
+    _kernels_claims,
+)
+
+
+def validate_bench_kernels(payload: Dict[str, Any]) -> None:
+    """Validate a BENCH_kernels.json payload against the current schema."""
+    _check(payload, _KERNELS)
+
+
+def _session_claims(p: Dict[str, Any]) -> None:
+    workload, prep = p["workload"], p["cache"]["prep"]
+    total = workload["total_queries"]
+    _require(
+        total == workload["distinct_queries"] * workload["repeats"],
+        "workload.total_queries must equal distinct_queries * repeats",
+    )
+    _require(
+        prep["hits"] + prep["misses"] == total,
+        f"cache.prep hits+misses ({prep['hits']}+{prep['misses']}) must "
+        f"equal the {total}-query workload",
+    )
+
+
+_SESSION = _Contract(
+    BENCH_SESSION_SCHEMA_VERSION, "session-throughput",
+    _rules(
+        text="algorithm",
+        pos_int="workload/{data_vertices,distinct_queries,repeats,total_queries}",
+        pos_num="{one_shot,session}/{seconds_total,seconds_per_query} "
+        "speedup_session_vs_one_shot",
+        nonneg_int="cache/prep/{hits,misses,size}",
+        true="matches_agree",
+    ),
+    _session_claims,
+)
 
 
 def validate_bench_session(payload: Dict[str, Any]) -> None:
     """Validate a BENCH_session.json payload against the current schema."""
-    _require(isinstance(payload, dict), "payload must be an object")
+    _check(payload, _SESSION)
+
+
+def _server_claims(p: Dict[str, Any]) -> None:
+    workload = p["workload"]
+    total = workload["total_requests"]
     _require(
-        payload.get("schema_version") == BENCH_SESSION_SCHEMA_VERSION,
-        f"schema_version must be {BENCH_SESSION_SCHEMA_VERSION}: "
-        f"{payload.get('schema_version')!r}",
+        total == workload["clients"] * workload["requests_per_client"],
+        "workload.total_requests must equal clients * requests_per_client",
     )
-    _require(
-        payload.get("benchmark") == "session-throughput",
-        f"unexpected benchmark id {payload.get('benchmark')!r}",
-    )
-    _require(
-        isinstance(payload.get("algorithm"), str) and payload["algorithm"],
-        "algorithm must be a non-empty string",
-    )
-    workload = payload.get("workload")
-    _require(isinstance(workload, dict), "workload must be an object")
-    for key in ("data_vertices", "distinct_queries", "repeats", "total_queries"):
+    for mode in ("coalescing_on", "coalescing_off"):
+        stats = p[mode]
         _require(
-            isinstance(workload.get(key), int) and workload[key] > 0,
-            f"workload.{key} must be a positive int",
+            stats["p99_ms"] + 1e-9 >= stats["p50_ms"],
+            f"{mode}: p99_ms must be >= p50_ms",
+        )
+        completed = stats["counters"]["serve.completed"]
+        _require(
+            completed == total,
+            f"{mode}: serve.completed ({completed}) must equal the "
+            f"{total}-request workload",
         )
     _require(
-        workload["total_queries"]
-        == workload["distinct_queries"] * workload["repeats"],
-        "workload.total_queries must equal distinct_queries * repeats",
+        p["coalescing_on"]["counters"]["serve.executed"]
+        <= p["coalescing_off"]["counters"]["serve.executed"],
+        "coalescing_on must not execute more often than coalescing_off",
     )
-    for mode in ("one_shot", "session"):
-        stats = payload.get(mode)
-        _require(isinstance(stats, dict), f"{mode} must be an object")
-        for key in ("seconds_total", "seconds_per_query"):
-            _require(
-                isinstance(stats.get(key), (int, float)) and stats[key] > 0,
-                f"{mode}.{key} must be a positive number",
-            )
-    _require(
-        isinstance(payload.get("speedup_session_vs_one_shot"), (int, float))
-        and payload["speedup_session_vs_one_shot"] > 0,
-        "speedup_session_vs_one_shot must be a positive number",
-    )
-    cache = payload.get("cache")
-    _require(isinstance(cache, dict), "cache must be an object")
-    info = cache.get("prep")
-    _require(isinstance(info, dict), "cache.prep must be an object")
-    for key in ("hits", "misses", "size"):
-        _require(
-            isinstance(info.get(key), int) and info[key] >= 0,
-            f"cache.prep.{key} must be a non-negative int",
-        )
-    hits, misses = info["hits"], info["misses"]
-    _require(
-        hits + misses == workload["total_queries"],
-        f"cache.prep hits+misses ({hits}+{misses}) must equal the "
-        f"{workload['total_queries']}-query workload",
-    )
-    _require(
-        payload.get("matches_agree") is True,
-        "matches_agree must be true (one-shot and session disagreed)",
-    )
+
+
+_SERVER = _Contract(
+    BENCH_SERVER_SCHEMA_VERSION, "server-throughput",
+    _rules(
+        # The duplicate-heavy workload must have coalesced; the
+        # uncoalesced run may omit serve.coalesced.
+        pos_int="workload/{data_vertices,tenants,clients,workers,"
+        "distinct_queries,requests_per_client,total_requests} "
+        "coalescing_on/counters/serve.coalesced",
+        pos_num="coalescing_{on,off}/{seconds_total,qps,p50_ms,p99_ms} "
+        "speedup_coalescing_effective_qps",
+        nonneg_int="coalescing_{on,off}/counters/serve.{admitted,executed,completed}",
+        true="results_agree",
+    ),
+    _server_claims,
+)
 
 
 def validate_bench_server(payload: Dict[str, Any]) -> None:
@@ -365,81 +419,58 @@ def validate_bench_server(payload: Dict[str, Any]) -> None:
     (``results_agree``) — a service that goes faster by answering
     differently fails here.
     """
-    _require(isinstance(payload, dict), "payload must be an object")
+    _check(payload, _SERVER)
+
+
+def _parallel_claims(p: Dict[str, Any]) -> None:
+    source = p.get("speedup_source")
     _require(
-        payload.get("schema_version") == BENCH_SERVER_SCHEMA_VERSION,
-        f"schema_version must be {BENCH_SERVER_SCHEMA_VERSION}: "
-        f"{payload.get('schema_version')!r}",
+        source in ("measured", "counted"),
+        f"speedup_source must be 'measured' or 'counted': {source!r}",
     )
+    if source == "measured":
+        _require(p["host_cpus"] >= 4, "measured speedups require at least 4 host CPUs")
+    workload, queries = p["workload"], p["queries"]
     _require(
-        payload.get("benchmark") == "server-throughput",
-        f"unexpected benchmark id {payload.get('benchmark')!r}",
+        isinstance(queries, list) and len(queries) == workload["num_queries"],
+        "queries must be a list of workload.num_queries entries",
     )
-    workload = payload.get("workload")
-    _require(isinstance(workload, dict), "workload must be an object")
-    for key in (
-        "data_vertices",
-        "tenants",
-        "clients",
-        "workers",
-        "distinct_queries",
-        "requests_per_client",
-        "total_requests",
-    ):
+    for i, entry in enumerate(queries):
+        seconds, calls = entry["chunk_seconds"], entry["chunk_calls"]
         _require(
-            isinstance(workload.get(key), int) and workload[key] > 0,
-            f"workload.{key} must be a positive int",
+            isinstance(seconds, list) and len(seconds) <= workload["chunks"],
+            f"queries[{i}].chunk_seconds must be a non-empty list of at most "
+            "workload.chunks non-negative numbers",
         )
-    _require(
-        workload["total_requests"]
-        == workload["clients"] * workload["requests_per_client"],
-        "workload.total_requests must equal clients * requests_per_client",
-    )
-    modes = {}
-    for mode in ("coalescing_on", "coalescing_off"):
-        stats = payload.get(mode)
-        _require(isinstance(stats, dict), f"{mode} must be an object")
-        for key in ("seconds_total", "qps", "p50_ms", "p99_ms"):
-            _require(
-                isinstance(stats.get(key), (int, float)) and stats[key] > 0,
-                f"{mode}.{key} must be a positive number",
-            )
         _require(
-            stats["p99_ms"] + 1e-9 >= stats["p50_ms"],
-            f"{mode}: p99_ms must be >= p50_ms",
+            isinstance(calls, list) and len(calls) == len(seconds),
+            f"queries[{i}].chunk_calls must list one non-negative int per chunk",
         )
-        counters = stats.get("counters")
-        _require(isinstance(counters, dict), f"{mode}.counters must be an object")
-        for key in ("serve.admitted", "serve.executed", "serve.completed"):
-            _require(
-                isinstance(counters.get(key), int) and counters[key] >= 0,
-                f"{mode}.counters[{key!r}] must be a non-negative int",
-            )
         _require(
-            counters["serve.completed"] == workload["total_requests"],
-            f"{mode}: serve.completed ({counters.get('serve.completed')}) "
-            f"must equal the {workload['total_requests']}-request workload",
+            isinstance(entry["speedups"], dict) and "4" in entry["speedups"],
+            f"queries[{i}].speedups must map worker counts and include '4'",
         )
-        modes[mode] = stats
-    on, off = modes["coalescing_on"], modes["coalescing_off"]
+    speedup = p["overall_speedup_4_workers"]
     _require(
-        on["counters"].get("serve.coalesced", 0) > 0,
-        "coalescing_on must report serve.coalesced > 0 "
-        "(the duplicate-heavy workload never coalesced)",
+        speedup >= MIN_PARALLEL_SPEEDUP,
+        f"overall_speedup_4_workers ({speedup}) is below the "
+        f"{MIN_PARALLEL_SPEEDUP}x floor",
     )
-    _require(
-        on["counters"]["serve.executed"] <= off["counters"]["serve.executed"],
-        "coalescing_on must not execute more often than coalescing_off",
-    )
-    speedup = payload.get("speedup_coalescing_effective_qps")
-    _require(
-        isinstance(speedup, (int, float)) and speedup > 0,
-        "speedup_coalescing_effective_qps must be a positive number",
-    )
-    _require(
-        payload.get("results_agree") is True,
-        "results_agree must be true (modes returned different match counts)",
-    )
+
+
+_PARALLEL = _Contract(
+    BENCH_PARALLEL_SCHEMA_VERSION, "parallel-enumeration",
+    _rules(
+        pos_int="host_cpus workload/{data_vertices,query_vertices,num_queries,"
+        "match_limit,chunks} queries/*/num_matches",
+        pos_num="queries/*/{sequential_seconds,speedups/*} overall_speedup_4_workers",
+        nonneg_num="queries/*/chunk_seconds/*",
+        nonneg_int="queries/*/chunk_calls/*",
+        true="queries/*/embeddings_identical embeddings_identical",
+        zero="shm_segments_leaked",
+    ),
+    _parallel_claims,
+)
 
 
 def validate_bench_parallel(payload: Dict[str, Any]) -> None:
@@ -456,114 +487,55 @@ def validate_bench_parallel(payload: Dict[str, Any]) -> None:
     ``recursion_calls`` otherwise), and the run must not have leaked
     shared-memory segments.
     """
-    _require(isinstance(payload, dict), "payload must be an object")
+    _check(payload, _PARALLEL)
+
+
+def _storage_claims(p: Dict[str, Any]) -> None:
+    warm, ooc = p["warm"], p["out_of_core"]
+    overhead, ratio = warm["mmap_overhead"], ooc["rss_ratio"]
+    workload = ooc["workload"]
     _require(
-        payload.get("schema_version") == BENCH_PARALLEL_SCHEMA_VERSION,
-        f"schema_version must be {BENCH_PARALLEL_SCHEMA_VERSION}: "
-        f"{payload.get('schema_version')!r}",
+        abs(overhead - warm["mmap_seconds"] / warm["in_memory_seconds"]) < 1e-6,
+        "warm.mmap_overhead must equal mmap_seconds / in_memory_seconds",
     )
     _require(
-        payload.get("benchmark") == "parallel-enumeration",
-        f"unexpected benchmark id {payload.get('benchmark')!r}",
+        overhead <= MAX_MMAP_WARM_OVERHEAD,
+        f"warm.mmap_overhead ({overhead}) exceeds the "
+        f"{MAX_MMAP_WARM_OVERHEAD}x ceiling",
     )
     _require(
-        isinstance(payload.get("host_cpus"), int) and payload["host_cpus"] > 0,
-        "host_cpus must be a positive int",
-    )
-    source = payload.get("speedup_source")
-    _require(
-        source in ("measured", "counted"),
-        f"speedup_source must be 'measured' or 'counted': {source!r}",
-    )
-    if source == "measured":
-        _require(
-            payload["host_cpus"] >= 4,
-            "measured speedups require at least 4 host CPUs",
-        )
-    workload = payload.get("workload")
-    _require(isinstance(workload, dict), "workload must be an object")
-    for key in (
-        "data_vertices",
-        "query_vertices",
-        "num_queries",
-        "match_limit",
-        "chunks",
-    ):
-        _require(
-            isinstance(workload.get(key), int) and workload[key] > 0,
-            f"workload.{key} must be a positive int",
-        )
-    queries = payload.get("queries")
-    _require(
-        isinstance(queries, list)
-        and len(queries) == workload["num_queries"],
-        "queries must be a list of workload.num_queries entries",
-    )
-    for i, entry in enumerate(queries):
-        where = f"queries[{i}]"
-        _require(isinstance(entry, dict), f"{where} must be an object")
-        _require(
-            isinstance(entry.get("num_matches"), int)
-            and entry["num_matches"] > 0,
-            f"{where}.num_matches must be a positive int",
-        )
-        _require(
-            isinstance(entry.get("sequential_seconds"), (int, float))
-            and entry["sequential_seconds"] > 0,
-            f"{where}.sequential_seconds must be positive",
-        )
-        chunk_seconds = entry.get("chunk_seconds")
-        _require(
-            isinstance(chunk_seconds, list)
-            and chunk_seconds
-            and len(chunk_seconds) <= workload["chunks"]
-            and all(
-                isinstance(s, (int, float)) and s >= 0 for s in chunk_seconds
-            ),
-            f"{where}.chunk_seconds must be a non-empty list of at most "
-            "workload.chunks non-negative numbers",
-        )
-        chunk_calls = entry.get("chunk_calls")
-        _require(
-            isinstance(chunk_calls, list)
-            and len(chunk_calls) == len(chunk_seconds)
-            and all(isinstance(c, int) and c >= 0 for c in chunk_calls),
-            f"{where}.chunk_calls must list one non-negative int per chunk",
-        )
-        speedups = entry.get("speedups")
-        _require(
-            isinstance(speedups, dict) and "4" in speedups,
-            f"{where}.speedups must map worker counts and include '4'",
-        )
-        for workers, value in speedups.items():
-            _require(
-                isinstance(value, (int, float)) and value > 0,
-                f"{where}.speedups[{workers!r}] must be positive",
-            )
-        _require(
-            entry.get("embeddings_identical") is True,
-            f"{where}.embeddings_identical must be true (parallel run "
-            "returned different embeddings)",
-        )
-    speedup = payload.get("overall_speedup_4_workers")
-    _require(
-        isinstance(speedup, (int, float)) and speedup > 0,
-        "overall_speedup_4_workers must be a positive number",
+        workload["array_bytes"] > workload["memory_budget_bytes"],
+        "out_of_core workload does not exceed the memory budget "
+        f"({workload['array_bytes']} <= {workload['memory_budget_bytes']} "
+        "bytes) — the run was not out-of-core",
     )
     _require(
-        speedup >= MIN_PARALLEL_SPEEDUP,
-        f"overall_speedup_4_workers ({speedup}) is below the "
-        f"{MIN_PARALLEL_SPEEDUP}x floor",
+        abs(ratio - ooc["mmap_peak_rss_bytes"] / ooc["in_memory_peak_rss_bytes"])
+        < 1e-6,
+        "out_of_core.rss_ratio must equal mmap_peak_rss_bytes / "
+        "in_memory_peak_rss_bytes",
     )
     _require(
-        payload.get("embeddings_identical") is True,
-        "embeddings_identical must be true (a parallel run returned "
-        "different embeddings)",
+        ratio <= MAX_OUT_OF_CORE_RSS_RATIO,
+        f"out_of_core.rss_ratio ({ratio}) exceeds the "
+        f"{MAX_OUT_OF_CORE_RSS_RATIO} ceiling",
     )
-    _require(
-        payload.get("shm_segments_leaked") == 0,
-        f"shm_segments_leaked must be 0: {payload.get('shm_segments_leaked')!r}",
-    )
+
+
+_STORAGE = _Contract(
+    BENCH_STORAGE_SCHEMA_VERSION, "storage-backends",
+    _rules(
+        pos_int="warm/workload/{data_vertices,num_queries,match_limit,repeats} "
+        "out_of_core/workload/{data_vertices,data_edges,array_bytes,"
+        "memory_budget_bytes,num_queries,match_limit} "
+        "out_of_core/{in_memory,mmap}_peak_rss_bytes",
+        pos_num="warm/{in_memory,mmap,shm}_seconds warm/mmap_overhead "
+        "out_of_core/rss_ratio",
+        true="{warm,out_of_core}/results_identical",
+        zero="shm_segments_leaked tempfiles_leaked",
+    ),
+    _storage_claims,
+)
 
 
 def validate_bench_storage(payload: Dict[str, Any]) -> None:
@@ -581,114 +553,37 @@ def validate_bench_storage(payload: Dict[str, Any]) -> None:
       :data:`MAX_OUT_OF_CORE_RSS_RATIO` of the materialized run's,
     * the run must not have leaked tempfiles or ``/dev/shm`` segments.
     """
-    _require(isinstance(payload, dict), "payload must be an object")
-    _require(
-        payload.get("schema_version") == BENCH_STORAGE_SCHEMA_VERSION,
-        f"schema_version must be {BENCH_STORAGE_SCHEMA_VERSION}: "
-        f"{payload.get('schema_version')!r}",
-    )
-    _require(
-        payload.get("benchmark") == "storage-backends",
-        f"unexpected benchmark id {payload.get('benchmark')!r}",
-    )
+    _check(payload, _STORAGE)
 
-    warm = payload.get("warm")
-    _require(isinstance(warm, dict), "warm must be an object")
-    workload = warm.get("workload")
-    _require(isinstance(workload, dict), "warm.workload must be an object")
-    for key in ("data_vertices", "num_queries", "match_limit", "repeats"):
-        _require(
-            isinstance(workload.get(key), int) and workload[key] > 0,
-            f"warm.workload.{key} must be a positive int",
-        )
-    for key in ("in_memory_seconds", "mmap_seconds", "shm_seconds"):
-        _require(
-            isinstance(warm.get(key), (int, float)) and warm[key] > 0,
-            f"warm.{key} must be a positive number",
-        )
-    overhead = warm.get("mmap_overhead")
+
+def _dynamic_claims(p: Dict[str, Any]) -> None:
+    timings, speedup = p["timings"], p["speedup_incremental_vs_scratch"]
+    _require(p["workload"]["churn_fraction"] <= 1, "workload.churn_fraction must be <= 1")
     _require(
-        isinstance(overhead, (int, float)) and overhead > 0,
-        "warm.mmap_overhead must be a positive number",
-    )
-    _require(
-        abs(overhead - warm["mmap_seconds"] / warm["in_memory_seconds"])
+        abs(speedup - timings["scratch_seconds"] / timings["incremental_seconds"])
         < 1e-6,
-        "warm.mmap_overhead must equal mmap_seconds / in_memory_seconds",
+        "speedup_incremental_vs_scratch must equal "
+        "scratch_seconds / incremental_seconds",
     )
     _require(
-        overhead <= MAX_MMAP_WARM_OVERHEAD,
-        f"warm.mmap_overhead ({overhead}) exceeds the "
-        f"{MAX_MMAP_WARM_OVERHEAD}x ceiling",
-    )
-    _require(
-        warm.get("results_identical") is True,
-        "warm.results_identical must be true (backends returned "
-        "different embeddings)",
+        speedup >= MIN_DYNAMIC_SPEEDUP,
+        f"speedup_incremental_vs_scratch ({speedup}) is below the "
+        f"{MIN_DYNAMIC_SPEEDUP}x floor",
     )
 
-    ooc = payload.get("out_of_core")
-    _require(isinstance(ooc, dict), "out_of_core must be an object")
-    workload = ooc.get("workload")
-    _require(
-        isinstance(workload, dict), "out_of_core.workload must be an object"
-    )
-    for key in (
-        "data_vertices",
-        "data_edges",
-        "array_bytes",
-        "memory_budget_bytes",
-        "num_queries",
-        "match_limit",
-    ):
-        _require(
-            isinstance(workload.get(key), int) and workload[key] > 0,
-            f"out_of_core.workload.{key} must be a positive int",
-        )
-    _require(
-        workload["array_bytes"] > workload["memory_budget_bytes"],
-        "out_of_core workload does not exceed the memory budget "
-        f"({workload['array_bytes']} <= {workload['memory_budget_bytes']} "
-        "bytes) — the run was not out-of-core",
-    )
-    for key in ("in_memory_peak_rss_bytes", "mmap_peak_rss_bytes"):
-        _require(
-            isinstance(ooc.get(key), int) and ooc[key] > 0,
-            f"out_of_core.{key} must be a positive int",
-        )
-    ratio = ooc.get("rss_ratio")
-    _require(
-        isinstance(ratio, (int, float)) and ratio > 0,
-        "out_of_core.rss_ratio must be a positive number",
-    )
-    _require(
-        abs(
-            ratio
-            - ooc["mmap_peak_rss_bytes"] / ooc["in_memory_peak_rss_bytes"]
-        )
-        < 1e-6,
-        "out_of_core.rss_ratio must equal mmap_peak_rss_bytes / "
-        "in_memory_peak_rss_bytes",
-    )
-    _require(
-        ratio <= MAX_OUT_OF_CORE_RSS_RATIO,
-        f"out_of_core.rss_ratio ({ratio}) exceeds the "
-        f"{MAX_OUT_OF_CORE_RSS_RATIO} ceiling",
-    )
-    _require(
-        ooc.get("results_identical") is True,
-        "out_of_core.results_identical must be true (backends returned "
-        "different results)",
-    )
 
-    _require(
-        payload.get("shm_segments_leaked") == 0,
-        f"shm_segments_leaked must be 0: {payload.get('shm_segments_leaked')!r}",
-    )
-    _require(
-        payload.get("tempfiles_leaked") == 0,
-        f"tempfiles_leaked must be 0: {payload.get('tempfiles_leaked')!r}",
-    )
+_DYNAMIC = _Contract(
+    BENCH_DYNAMIC_SCHEMA_VERSION, "dynamic-mutation",
+    _rules(
+        pos_int="workload/{data_vertices,data_edges,query_vertices,num_batches,"
+        "ops_total}",
+        pos_num="workload/churn_fraction timings/{incremental,scratch}_seconds "
+        "speedup_incremental_vs_scratch",
+        true="states_identical final_match_identical",
+        zero="shm_segments_leaked tempfiles_leaked",
+    ),
+    _dynamic_claims,
+)
 
 
 def validate_bench_dynamic(payload: Dict[str, Any]) -> None:
@@ -700,79 +595,4 @@ def validate_bench_dynamic(payload: Dict[str, Any]) -> None:
     state equality after every batch, byte-identical final match) must
     hold, and the run must not leak shared-memory segments or tempfiles.
     """
-    _require(isinstance(payload, dict), "payload must be an object")
-    _require(
-        payload.get("schema_version") == BENCH_DYNAMIC_SCHEMA_VERSION,
-        f"schema_version must be {BENCH_DYNAMIC_SCHEMA_VERSION}: "
-        f"{payload.get('schema_version')!r}",
-    )
-    _require(
-        payload.get("benchmark") == "dynamic-mutation",
-        f"unexpected benchmark id {payload.get('benchmark')!r}",
-    )
-
-    workload = payload.get("workload")
-    _require(isinstance(workload, dict), "workload must be an object")
-    for key in (
-        "data_vertices",
-        "data_edges",
-        "query_vertices",
-        "num_batches",
-        "ops_total",
-    ):
-        _require(
-            isinstance(workload.get(key), int) and workload[key] > 0,
-            f"workload.{key} must be a positive int",
-        )
-    churn = workload.get("churn_fraction")
-    _require(
-        isinstance(churn, (int, float)) and 0 < churn <= 1,
-        "workload.churn_fraction must be in (0, 1]",
-    )
-
-    timings = payload.get("timings")
-    _require(isinstance(timings, dict), "timings must be an object")
-    for key in ("incremental_seconds", "scratch_seconds"):
-        _require(
-            isinstance(timings.get(key), (int, float)) and timings[key] > 0,
-            f"timings.{key} must be a positive number",
-        )
-
-    speedup = payload.get("speedup_incremental_vs_scratch")
-    _require(
-        isinstance(speedup, (int, float)) and speedup > 0,
-        "speedup_incremental_vs_scratch must be a positive number",
-    )
-    _require(
-        abs(
-            speedup
-            - timings["scratch_seconds"] / timings["incremental_seconds"]
-        )
-        < 1e-6,
-        "speedup_incremental_vs_scratch must equal "
-        "scratch_seconds / incremental_seconds",
-    )
-    _require(
-        speedup >= MIN_DYNAMIC_SPEEDUP,
-        f"speedup_incremental_vs_scratch ({speedup}) is below the "
-        f"{MIN_DYNAMIC_SPEEDUP}x floor",
-    )
-
-    _require(
-        payload.get("states_identical") is True,
-        "states_identical must be true (incremental candidate state "
-        "diverged from the from-scratch rebuild)",
-    )
-    _require(
-        payload.get("final_match_identical") is True,
-        "final_match_identical must be true (post-script match results "
-        "diverged)",
-    )
-    _require(
-        payload.get("shm_segments_leaked") == 0,
-        f"shm_segments_leaked must be 0: {payload.get('shm_segments_leaked')!r}",
-    )
-    _require(
-        payload.get("tempfiles_leaked") == 0,
-        f"tempfiles_leaked must be 0: {payload.get('tempfiles_leaked')!r}",
-    )
+    _check(payload, _DYNAMIC)

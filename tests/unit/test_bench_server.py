@@ -131,6 +131,16 @@ class TestValidatorRejections:
         with pytest.raises(TraceSchemaError, match="results_agree"):
             validate_bench_server(valid)
 
+    @pytest.mark.parametrize("value", [None, "3", [], {}, [1], {"n": 1}])
+    def test_malformed_coalesced_counter(self, valid, value):
+        valid["coalescing_on"]["counters"]["serve.coalesced"] = value
+        with pytest.raises(TraceSchemaError, match="serve.coalesced"):
+            validate_bench_server(valid)
+
+    def test_uncoalesced_run_may_omit_coalesced_counter(self, valid):
+        valid["coalescing_off"]["counters"].pop("serve.coalesced", None)
+        validate_bench_server(valid)
+
     def test_inverted_percentiles(self, valid):
         valid["coalescing_on"]["p50_ms"] = (
             valid["coalescing_on"]["p99_ms"] + 1.0

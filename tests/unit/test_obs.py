@@ -246,6 +246,14 @@ class TestTraceSchema:
         with pytest.raises(TraceSchemaError, match="not valid JSON"):
             validate_trace_lines(["{nope"])
 
+    def test_span_without_parent_rejected(self):
+        lines = self._trace_lines()
+        child = json.loads(lines[2])
+        del child["parent"]
+        lines[2] = json.dumps(child)
+        with pytest.raises(TraceSchemaError, match="parent"):
+            validate_trace_lines(lines)
+
     def test_negative_duration_rejected(self):
         bad = {
             "type": "span", "id": 0, "parent": None, "name": "x",
