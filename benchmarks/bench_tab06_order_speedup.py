@@ -10,9 +10,9 @@ some queries run >10x faster under a sampled order, with GQL leaving more
 headroom than RI on this sparse dataset.
 
 The ``raced`` rows run what a session does for a repeated count-only
-``recommended`` query: its own run, then
-:func:`repro.core.plan.race_repeated` (GraphQL's refinement sweep over
-its NLF candidates, then the race over the refined ones). They report the
+``recommended`` query: its own run, then :func:`repro.core.plan.race_orders`
+(GraphQL's refinement sweep over its NLF candidates, then the race over
+the refined ones, its own configuration first). They report the
 best sampled order's speedup over the winner, and (second table, geometric
 means over the set) how much of GQL's headroom the winner captures —
 ``log(GQL / raced) / log(GQL / best)`` — beside the race's own wall time.
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from conftest import bench_match_cap, bench_time_limit
 from shared import DEFAULT_SIZE, dataset, query_set
 
-from repro.core.plan import RaceWinner, compile_plan, race_repeated, run_plan
+from repro.core.plan import RaceWinner, compile_plan, race_orders, run_plan
 from repro.filtering import GraphQLFilter
 from repro.ordering import (
     CECIOrdering,
@@ -69,10 +69,7 @@ def _race(query, data) -> Tuple[Optional[RaceWinner], float]:
     if not result.solved:
         return None, 0.0
     began = time.perf_counter()
-    winner = race_repeated(
-        plan, query, data, prepared, result.stats.recursion_calls,
-        result.num_matches, match_limit=bench_match_cap(),
-    )
+    winner = race_orders(plan, query, data, prepared, match_limit=bench_match_cap())
     return winner, (time.perf_counter() - began) * 1000.0
 
 

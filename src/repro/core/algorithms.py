@@ -259,9 +259,11 @@ def recommended_spec(
 
     A repeated query still gets the sweep: a session's order race on its
     second count-only sighting runs over GraphQL-refined candidates
-    (:func:`repro.core.plan.race_repeated`), so the steady state of a
+    (:func:`repro.core.plan.race_orders`), so the steady state of a
     repeated count (the ``enum_dense`` workload) searches the same sets
-    as under GraphQL's filter, at the memory of a second prepared query.
+    as under GraphQL's filter. The session then keeps the winner's
+    prepared query alone, and prepares the NLF one again only for a reply
+    that runs it (embeddings, or another cap).
 
     Every input here is stable under vertex renumbering of the query
     (``num_vertices``) or belongs to the data graph, which is what makes

@@ -5,9 +5,8 @@ grows toward — is *many queries against one resident data graph*. That
 split is made explicit here:
 
 * :func:`compile_plan` resolves everything about a ``(algorithm, query,
-  data)`` triple that is not a per-query artifact: the algorithm spec,
-  the kernel policy and the aux-scope policy. The result is an immutable
-  :class:`MatchPlan`.
+  data)`` triple that is not a per-query artifact: the algorithm spec
+  and the kernel policy. The result is an immutable :class:`MatchPlan`.
 * :func:`run_plan` executes a plan: filtering, auxiliary structure,
   ordering, kernel resolution, enumeration — the full Algorithm 1
   pipeline. The per-query artifacts it builds (candidates, auxiliary
@@ -15,12 +14,12 @@ split is made explicit here:
   come back as a :class:`PreparedQuery`, which a
   :class:`~repro.core.session.MatchSession` may hand back on a later call
   with the *identical* query to skip the whole preprocessing phase.
-* :func:`race_orders` runs the :data:`RACERS` configurations and
-  sampled orders count-only over a prepared query's candidates, each
-  stopped once it cannot beat the fewest search calls so far, and returns
-  the winner (:class:`RaceWinner`). :func:`race_repeated` is the race a
-  session runs on a query's second sighting: over GraphQL-refined
-  candidates when the plan filtered with NLF.
+* :func:`race_orders` runs the plan's own configuration, the
+  :data:`RACERS` configurations and sampled orders count-only over a
+  prepared query's candidates (GraphQL-refined ones when the plan
+  filtered with NLF), each stopped once it cannot beat the fewest search
+  calls so far, and returns the winner (:class:`RaceWinner`): the race a
+  session runs on a query's second sighting.
 
 A ``PreparedQuery`` is bound to the exact query graph (vertex numbering
 included) and is only reusable under exact
@@ -71,7 +70,6 @@ __all__ = [
     "prepare_query",
     "bind_enumeration",
     "race_orders",
-    "race_repeated",
     "RACERS",
     "SAMPLED_RACERS",
     "SAMPLE_SEED",
@@ -97,7 +95,7 @@ def validate_query(query: Graph) -> None:
 
 @dataclass(frozen=True)
 class MatchPlan:
-    """A compiled query: resolved spec + kernel policy + aux-scope policy.
+    """A compiled query: resolved spec + kernel policy.
 
     Immutable; the per-query artifacts (candidates, order, …) live in
     :class:`PreparedQuery` instead.
@@ -110,13 +108,9 @@ class MatchPlan:
     #: concrete backend happens per prepared query, where candidate
     #: density is known.
     kernel_policy: Optional[KernelLike]
-    #: Which query edges the auxiliary structure will materialize.
-    aux_scope: str
-    query_vertices: int
-    query_edges: int
 
     def __repr__(self) -> str:
-        return f"MatchPlan({self.algorithm.name}, aux={self.aux_scope!r})"
+        return f"MatchPlan({self.algorithm.name}, aux={self.algorithm.aux_scope!r})"
 
 
 @dataclass
@@ -136,13 +130,6 @@ class PreparedQuery:
     caches (bitset/QFilter layouts over the auxiliary arrays) stay warm
     across repeats — the "build the index once" amortization of CNI-style
     data-side indexing.
-
-    ``raced`` is ``None`` until a session has raced these artifacts
-    (:func:`race_repeated`); it then holds the winning configuration,
-    which the session runs for later count-only requests. A race never
-    replaces a field of this object (its racers share the auxiliary
-    structure, as any run does): the session caches a copy with ``raced``
-    set in its place.
     """
 
     candidates: Any = None
@@ -153,7 +140,6 @@ class PreparedQuery:
     lc: Any = None
     kernel_used: Optional[str] = None
     preprocessing_seconds: float = 0.0
-    raced: Optional["RaceWinner"] = None
 
 
 class RaceWinner(NamedTuple):
@@ -162,8 +148,7 @@ class RaceWinner(NamedTuple):
     ``ordering`` names a :data:`RACERS` ordering or ``sampled#i``, the
     ``i``-th sampled order. ``plan`` is the raced plan with its spec's
     failing sets swapped for the winner's (name and ordering unchanged;
-    its filter is GraphQL's when :func:`race_repeated` raced over refined
-    candidates);
+    its filter is GraphQL's when the race ran over refined candidates);
     ``prepared`` holds the winner's order — the one every run reads,
     fanned-out ones too — and bound ComputeLC over the raced query's
     candidates and auxiliary structure. ``match_limit`` is the cap the
@@ -176,7 +161,8 @@ class RaceWinner(NamedTuple):
     match_limit: Optional[int]
     plan: MatchPlan
     prepared: PreparedQuery
-    #: ``recursion_calls`` of the winner's run, and of the whole race.
+    #: ``recursion_calls`` of the winner's run, and of the whole race
+    #: (the incumbent's run included).
     calls: int
     race_calls: int
 
@@ -261,13 +247,7 @@ def compile_plan(
 ) -> MatchPlan:
     """Compile ``(algorithm, query, data)`` into an immutable plan."""
     spec = resolve(algorithm, query, data)
-    return MatchPlan(
-        algorithm=spec,
-        kernel_policy=kernel,
-        aux_scope=spec.aux_scope,
-        query_vertices=query.num_vertices,
-        query_edges=query.num_edges,
-    )
+    return MatchPlan(algorithm=spec, kernel_policy=kernel)
 
 
 def prepare_query(
@@ -471,40 +451,50 @@ def race_orders(
     query: Graph,
     data: Graph,
     prepared: PreparedQuery,
-    calls: int,
-    matches: int,
     match_limit: Optional[int] = None,
     cancel: Optional[Callable[[], bool]] = None,
 ) -> Optional[RaceWinner]:
-    """Race the :data:`RACERS` configurations, then :data:`SAMPLED_RACERS`
-    sampled orders, against a solved run.
+    """Race the plan's own configuration, the :data:`RACERS`
+    configurations and :data:`SAMPLED_RACERS` sampled orders count-only
+    under ``match_limit``; returns the winner.
 
-    ``prepared`` holds a static-order Algorithm 5 plan's artifacts, and
-    ``calls`` and ``matches`` the ``recursion_calls`` and ``num_matches``
-    of its own run under ``match_limit``. Each racer orders the same
-    candidates and binds onto the same auxiliary structure, filling the
-    holes of the row tables it shares with the incumbent. A racer whose
-    order the plan's kernel policy would run on another kernel (say,
-    bitmap rows over the byte budget) sits out, and so does one whose
-    order and failing sets were already raced. The rest run count-only
-    under the same ``match_limit``.
+    ``prepared`` holds a static-order Algorithm 5 plan's artifacts. A
+    plan that filters with NLF (``recommended``) skipped GraphQL's
+    refinement sweep, where one use may be all a query gets; a raced
+    query will run again, so the query is prepared with GraphQL's filter
+    — at radius 1 its local pruning is NLF's, so that adds exactly the
+    sweep — and when the sweep removes a candidate the race runs over
+    those candidates, and the winner's plan names GraphQL's filter, which
+    a fan-out's workers prepare with. Otherwise it runs over ``prepared``.
+    Counts are the same either way: the sweep removes only vertices no
+    match uses.
 
-    Every solved racer finds the same ``matches`` and pays one call per
+    Racer 0 is the incumbent: the plan's ordering and failing sets, over
+    ``prepared`` itself when the race runs over it. Every other racer
+    orders the same candidates and binds onto the same auxiliary
+    structure, filling the holes of the row tables it shares with the
+    others. A racer whose order the plan's kernel policy would run on
+    another kernel (say, bitmap rows over the byte budget) sits out, and
+    so does one whose order and failing sets were already raced.
+
+    Every solved racer finds the same matches and pays one call per
     match, so fewest calls is fewest interior nodes (calls − matches).
     The racers run side by side: the one with fewest interior nodes so
     far runs the next :data:`RACE_QUANTUM` nodes, so the first to finish
-    is (to a quantum) the one with fewest interior nodes. Between turns a
-    racer is stopped once its calls so far plus the matches it still owes
-    pass the fewest calls so far (reach them, for a racer after the
-    holder in tie-break order): it can no longer win, and no racer that
-    still could is stopped. A racer therefore spends at most the
-    winner's interior nodes plus a quantum, and the race's interior
-    nodes are at most ``racers × (winner interior + RACE_QUANTUM)``:
-    every loser must reach the winner's count to lose, so no exact race
-    over the same racers spends much less. The racer with strictly
-    fewest calls wins; ties keep the earlier configuration, the
-    incumbent first. Afterwards the auxiliary structure keeps only the
-    pairs the incumbent or the winner reads.
+    is (to a quantum) the one with fewest interior nodes, and its count
+    is the matches every other racer owes. No racer is stopped before
+    then; afterwards a racer is stopped once its calls so far plus the
+    matches it still owes pass the fewest calls so far (reach them, for a
+    racer after the holder in tie-break order): it can no longer win, and
+    no racer that still could is stopped. A racer therefore spends at
+    most the winner's interior nodes plus a quantum, and the race's
+    interior nodes are at most ``racers × (winner interior +
+    RACE_QUANTUM)``: every loser must reach the winner's count to lose,
+    so no exact race over the same racers spends much less. The racer
+    with strictly fewest calls wins; ties keep the earlier configuration,
+    the incumbent first. Afterwards the auxiliary structure keeps only
+    the pairs the winner reads, and the incumbent's too when the race ran
+    over ``prepared``.
 
     Returns the winner, or ``None`` when ``cancel`` (polled by every
     racer) stopped the race, which then leaves nothing behind. Call
@@ -513,15 +503,18 @@ def race_orders(
     metrics.
     """
     spec = plan.algorithm
-    aux = prepared.auxiliary
-    best = RaceWinner(
-        spec.ordering.name, spec.failing_sets, match_limit, plan, prepared, calls, 0
-    )
-    best_at = -1  # the holder's place in tie-break order; the incumbent first
-    seen = {(tuple(prepared.order), spec.failing_sets)}
-    racers: List[Tuple[str, bool, PreparedQuery, FrameMachine]] = []
-    sampled = 0
-    with span("plan.race", incumbent_calls=calls) as race_span, collecting(Metrics()):
+    with span("plan.race") as race_span, collecting(Metrics()):
+        refined = False
+        if spec.filter is not None and spec.filter.name == "NLF":
+            swept_plan = replace(plan, algorithm=replace(spec, filter=FILTERS.create("GQL")))
+            swept = prepare_query(swept_plan, query, data, Metrics())
+            refined = swept.candidates.total_size < prepared.candidates.total_size
+            if refined:
+                plan, spec, prepared = swept_plan, swept_plan.algorithm, swept
+        aux = prepared.auxiliary
+        racers = [(spec.ordering.name, spec.failing_sets, prepared)]
+        seen = {(tuple(prepared.order), spec.failing_sets)}
+        sampled = 0
         for name, order, fs, is_sample in _racers(query, data, prepared.candidates):
             if (tuple(order), fs) in seen:
                 continue
@@ -533,40 +526,44 @@ def race_orders(
                 lc, spec.aux_scope, None, query, data, prepared.candidates,
                 order=order, auxiliary=aux,
             )
-            machine = FrameMachine(racer.lc, use_failing_sets=fs).start(
-                query, data, racer.candidates, aux, order,
+            racers.append((name, fs, racer))
+            sampled += is_sample
+        machines = [
+            FrameMachine(racer.lc, use_failing_sets=fs).start(
+                query, data, racer.candidates, aux, racer.order,
                 match_limit=match_limit, store_limit=0, cancel=cancel,
             )
-            racers.append((name, fs, racer, machine))
-            sampled += is_sample
+            for _, fs, racer in racers
+        ]
         # (interior nodes so far, place): the racer furthest behind runs next.
         queue = [(0, at) for at in range(len(racers))]
-        aborted = False
+        best, best_at, matches = None, 0, 0
         while queue:
             _, at = heapq.heappop(queue)
-            name, fs, racer, machine = racers[at]
+            name, fs, racer = racers[at]
+            machine = machines[at]
             over = machine.step(RACE_QUANTUM)
             so_far, found = machine.stats.recursion_calls, machine.num_matches
             if over and not machine.solved:
-                aborted = True
+                best = None
                 break
             # (calls, place) orders racers as the race ranks them.
             if over:
-                if (so_far, at) < (best.calls, best_at):
+                if best is None or (so_far, at) < (best.calls, best_at):
                     winner_plan = replace(plan, algorithm=replace(spec, failing_sets=fs))
                     best = RaceWinner(name, fs, match_limit, winner_plan, racer, so_far, 0)
-                    best_at = at
+                    best_at, matches = at, found
                 continue
-            if (so_far + matches - found, at) < (best.calls, best_at):
+            if best is None or (so_far + matches - found, at) < (best.calls, best_at):
                 heapq.heappush(queue, (so_far - found, at))
-        kept = _backward_pairs(query, _positions(prepared.order))
-        if not aborted:
+        kept = [] if refined else _backward_pairs(query, _positions(prepared.order))
+        if best is not None:
             kept += _backward_pairs(query, _positions(best.prepared.order))
         aux.retain(kept)
-        if aborted:
+        if best is None:
             return None
-        spent = sum(machine.stats.recursion_calls for *_, machine in racers)
-        found = sum(machine.num_matches for *_, machine in racers)
+        spent = sum(machine.stats.recursion_calls for machine in machines)
+        found = sum(machine.num_matches for machine in machines)
         best = best._replace(race_calls=spent)
         race_span.annotate(
             racers=len(racers),
@@ -579,65 +576,6 @@ def race_orders(
             race_interior=spent - found,
         )
     return best
-
-
-def race_repeated(
-    plan: MatchPlan,
-    query: Graph,
-    data: Graph,
-    prepared: PreparedQuery,
-    calls: int,
-    matches: int,
-    match_limit: Optional[int] = None,
-    cancel: Optional[Callable[[], bool]] = None,
-) -> Optional[RaceWinner]:
-    """The race a session runs once a query repeats; returns its winner.
-
-    A plan that filters with NLF (``recommended``) skipped GraphQL's
-    refinement sweep on the first sighting, where one use may be all a
-    query gets. A repeated query will run again, so its race starts from
-    the query prepared with GraphQL's filter instead — at radius 1 its
-    local pruning is NLF's, so that adds exactly the sweep — run once
-    count-only for the incumbent's ``recursion_calls``; the racers then
-    order and bind over those candidates, and the winner's plan names
-    GraphQL's filter, which a fan-out's workers prepare with. When the
-    sweep removes no candidate, and for every other filter, the race
-    runs over ``prepared`` and its own run's ``calls`` as it stands.
-    Counts are the same either way: the sweep removes only vertices no
-    match uses.
-
-    Nothing runs the refined incumbent again, so its structure keeps
-    only the pairs the winner reads; ``prepared`` keeps its own. Returns
-    :func:`race_orders`' winner, its ``race_calls`` including the
-    refined incumbent's run, or ``None`` when ``cancel`` stopped either.
-    """
-    refined, refined_calls = False, 0
-    spec = plan.algorithm
-    if spec.filter is not None and spec.filter.name == "NLF":
-        swept_plan = replace(
-            plan, algorithm=replace(spec, filter=FILTERS.create("GQL"))
-        )
-        with collecting(Metrics()):
-            swept = prepare_query(swept_plan, query, data, Metrics())
-        if swept.candidates.total_size < prepared.candidates.total_size:
-            result, _ = run_plan(
-                swept_plan, query, data, prepared=swept,
-                match_limit=match_limit, store_limit=0, cancel=cancel,
-            )
-            if not result.solved:
-                return None
-            refined, refined_calls = True, result.stats.recursion_calls
-            plan, prepared, calls = swept_plan, swept, refined_calls
-    winner = race_orders(
-        plan, query, data, prepared, calls, matches,
-        match_limit=match_limit, cancel=cancel,
-    )
-    if winner is None:
-        return None
-    if refined:
-        order = winner.prepared.order
-        prepared.auxiliary.retain(_backward_pairs(query, _positions(order)))
-    return winner._replace(race_calls=winner.race_calls + refined_calls)
 
 
 def iter_leaf_batches(

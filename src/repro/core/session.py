@@ -7,12 +7,12 @@ rebuilds everything per call; a :class:`MatchSession` instead owns the
 data graph plus the state that amortizes across queries:
 
 * a **prepared-query cache** — each entry the query's compiled
-  :class:`~repro.core.plan.MatchPlan` (resolved spec + kernel + aux-scope
-  policy) and its full preprocessing artifacts (candidates, auxiliary
+  :class:`~repro.core.plan.MatchPlan` (resolved spec + kernel policy),
+  its full preprocessing artifacts (candidates, auxiliary
   adjacency, matching order, the resolved kernel with its warm encode
-  caches), LRU-keyed by *exact* graph equality, so repeating a query
-  skips compilation, filtering and ordering entirely and goes straight
-  to enumeration;
+  caches) and its order race's winner, if any, LRU-keyed by *exact*
+  graph equality, so repeating a query skips compilation, filtering and
+  ordering entirely and goes straight to enumeration;
 * **hit/miss counters** flowing into :mod:`repro.obs` metrics — per-query
   (``plan.cache_hit`` … on ``MatchResult.metrics``) and session-wide
   (:attr:`MatchSession.metrics`);
@@ -47,7 +47,7 @@ from __future__ import annotations
 import threading
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.plan import (
@@ -55,7 +55,7 @@ from repro.core.plan import (
     KernelLike,
     LRUCache,
     compile_plan,
-    race_repeated,
+    race_orders,
     run_plan,
     validate_query,
 )
@@ -141,21 +141,22 @@ class MatchSession:
     :meth:`count_matches` and :meth:`has_match`), on a query that has not
     raced, is answered by the cached configuration as always; if that run
     solved and the call carries no ``time_limit``,
-    :func:`~repro.core.plan.race_repeated` then tries the other
+    :func:`~repro.core.plan.race_orders` then races it against the
     :data:`~repro.core.plan.RACERS` configurations and
     :data:`~repro.core.plan.SAMPLED_RACERS` sampled orders under its
-    ``recursion_calls`` and ``match_limit``, and a copy carrying the
-    winner replaces the cached prepared query. ``recommended`` filters
-    with NLF, so that race runs over GraphQL-refined candidates: the
-    refinement sweep a first sighting skips is paid once a query
-    repeats, and the winner holds its own candidates and auxiliary
-    structure beside the cached ones. A call with a deadline
-    never waits on a race past its own answer; ``cancel`` stops a race
-    like a search, and a stopped race records nothing. Later count-only
-    hits with the raced ``match_limit`` use the winner, sequential or
-    fanned out (workers are handed the winner's order).
-    Replies carrying embeddings, named presets, cache misses and other
-    caps keep the cached configuration. The reply invariant: every
+    ``match_limit``, and the entry keeps the winner. ``recommended``
+    filters with NLF, so that race runs over GraphQL-refined candidates
+    whenever the sweep removes one: the refinement sweep a first sighting
+    skips is paid once a query repeats, and the entry then keeps the
+    winner's artifacts only. A call with a deadline never waits on a race
+    past its own answer; ``cancel`` stops a race like a search, and a
+    stopped race records nothing. Later count-only hits with the raced
+    ``match_limit`` use the winner, sequential or fanned out (workers are
+    handed the winner's order). Replies carrying embeddings, named
+    presets, cache misses and other caps run the unraced configuration;
+    after a refined race its first such reply prepares it again (as a
+    miss would: preparation is deterministic, so the artifacts are the
+    ones the race dropped) and the entry keeps it. The reply invariant: every
     reply's ``num_matches``, ``solved``, ``algorithm`` and ``kernel``
     (racers resolve the same kernel or sit out) are those of the unraced
     configuration — a solved count is the same under any order — and
@@ -206,7 +207,8 @@ class MatchSession:
         # races one defers the release to the last guard exit.
         self._inflight_parallel = 0
         self._close_deferred = False
-        # (algorithm, kernel policy, epoch, exact query) -> (plan, prepared)
+        # (algorithm, kernel policy, epoch, exact query) ->
+        # (plan, prepared or None, race winner or None)
         self._prep = LRUCache(prep_cache_size)
         #: Session-wide counters: queries served and cache hits/misses,
         #: in the same :class:`~repro.obs.Metrics` currency the study
@@ -406,19 +408,18 @@ class MatchSession:
             entry = self._prep.get(prep_key)
         hit = entry is not None
         if hit:
-            plan, prepared = entry
+            plan, prepared, winner = entry
         else:
-            plan, prepared = compile_plan(algo, query, data, kernel=kern), None
+            plan, prepared, winner = compile_plan(algo, query, data, kernel=kern), None, None
 
         # Order racing (see the class docstring): race after answering,
         # or run the winner on a count-only hit under the raced cap.
-        race = None
+        runs, race = (plan, prepared), False
         if hit and store_limit == 0 and algo == "recommended":
-            winner = prepared.raced
             if winner is None:
-                race = None if time_limit else prepared
+                race = not time_limit
             elif winner.match_limit == match_limit:
-                plan, prepared = winner.plan, winner.prepared
+                runs = (winner.plan, winner.prepared)
 
         metrics = Metrics()
         if cached:
@@ -431,11 +432,11 @@ class MatchSession:
             # the serving tier (and its stress suite) reads back.
             metrics.add("session.data_epoch", epoch)
 
-        result, prepared = run_plan(
-            plan,
+        result, built = run_plan(
+            runs[0],
             query,
             data,
-            prepared=prepared,
+            prepared=runs[1],
             match_limit=match_limit,
             time_limit=time_limit,
             store_limit=store_limit,
@@ -443,35 +444,31 @@ class MatchSession:
             cancel=cancel,
             parallel=self._parallel_context(n_workers, epoch, data),
         )
-        if cached and not hit:
-            self._prep.put(prep_key, (plan, prepared))
-        winner = None
-        if race is not None and result.solved:
-            winner = race_repeated(
-                plan,
-                query,
-                data,
-                race,
-                result.stats.recursion_calls,
-                result.num_matches,
-                match_limit=match_limit,
-                cancel=cancel,
+        if cached and runs[1] is None:
+            # A miss, or a hit whose artifacts a refined race dropped.
+            self._prep.put(prep_key, (plan, built, winner))
+        raced = None
+        if race and result.solved:
+            raced = race_orders(
+                plan, query, data, prepared, match_limit=match_limit, cancel=cancel
             )
-            if winner is not None:
-                self._prep.put(prep_key, (plan, replace(race, raced=winner)))
+            if raced is not None:
+                # A winner over refined candidates is all the entry keeps.
+                keep = raced.prepared.candidates is prepared.candidates
+                self._prep.put(prep_key, (plan, prepared if keep else None, raced))
 
         with self._metrics_lock:
             self.metrics.add("session.queries")
             if cached:
                 self.metrics.add("session.prep_cache_hits", int(hit))
                 self.metrics.add("session.prep_cache_misses", int(not hit))
-            if winner is not None:
+            if raced is not None:
                 self.metrics.add("session.races")
                 self.metrics.add(
                     "session.race_switches",
-                    int(winner.prepared is not race),
+                    int(raced.prepared is not prepared),
                 )
-                self.metrics.add("session.race_calls", winner.race_calls)
+                self.metrics.add("session.race_calls", raced.race_calls)
         return result
 
     def match_many(

@@ -36,7 +36,7 @@ class CandidateSets:
         Each is deduplicated and sorted on construction.
     """
 
-    __slots__ = ("_query", "_lists", "_sets", "_arrays", "_translations")
+    __slots__ = ("_query", "_lists", "_sets", "_arrays", "_translations", "__weakref__")
 
     def __init__(self, query: Graph, sets: Sequence[Iterable[int]]) -> None:
         if len(sets) != query.num_vertices:

@@ -121,7 +121,6 @@ def _plan_token(plan: MatchPlan) -> tuple:
         spec.adaptive,
         spec.failing_sets,
         kernel,
-        plan.aux_scope,
     )
 
 

@@ -244,13 +244,12 @@ class MatchService:
         (``None`` = unbounded).
     coalesce:
         Share one execution among identical in-flight requests.
-    algorithm / kernel:
-        Service-wide defaults, overridable per request.
+    algorithm:
+        Service-wide default, overridable per request (as is the
+        ``kernel``, which otherwise is the sessions' default).
     clock:
         Time source for admission and deadline bookkeeping (tests inject
         :class:`~repro.serve.clock.FakeClock`).
-    prep_cache_size:
-        Forwarded to each tenant session.
     n_workers:
         Intra-query parallelism forwarded to each tenant session (see
         :mod:`repro.parallel`): eligible big queries fan their
@@ -268,9 +267,7 @@ class MatchService:
         default_budget: Optional[float] = None,
         coalesce: bool = True,
         algorithm: AlgorithmLike = "recommended",
-        kernel: Optional[KernelLike] = None,
         clock: Optional[Clock] = None,
-        prep_cache_size: Optional[int] = 64,
         n_workers: Optional[int] = None,
     ) -> None:
         if workers < 1:
@@ -281,9 +278,7 @@ class MatchService:
         self.default_budget = default_budget
         self.coalesce = coalesce
         self.algorithm = algorithm
-        self.kernel = kernel
         self.clock = clock if clock is not None else SystemClock()
-        self._prep_cache_size = prep_cache_size
         self.n_workers = n_workers
 
         self._graphs: Dict[str, Graph] = {}
@@ -366,11 +361,7 @@ class MatchService:
                     f"no resident graph named {graph_name!r}"
                 ) from None
             session = MatchSession(
-                data,
-                algorithm=self.algorithm,
-                kernel=self.kernel,
-                prep_cache_size=self._prep_cache_size,
-                n_workers=self.n_workers,
+                data, algorithm=self.algorithm, n_workers=self.n_workers
             )
             self._sessions[(tenant, graph_name)] = session
             return session
@@ -492,10 +483,9 @@ class MatchService:
             now + effective_budget if effective_budget is not None else None
         )
         algo = self.algorithm if algorithm is None else algorithm
-        kern = self.kernel if kernel is None else kernel
         options = (
             MatchSession._algorithm_key(algo),
-            MatchSession._kernel_key(kern),
+            MatchSession._kernel_key(kernel),
             match_limit,
             store_limit,
         )
@@ -552,7 +542,8 @@ class MatchService:
         """Admit one request; returns a future resolving to its response.
 
         Options, all by keyword: ``graph="default"``, ``tenant="public"``,
-        ``algorithm`` / ``kernel`` (``None`` = the service's),
+        ``algorithm`` (``None`` = the service's) / ``kernel`` (``None`` =
+        the session's default),
         ``match_limit=100_000``, ``store_limit=10_000``, ``budget``
         (seconds; ``None`` = the service's default) and ``validate``.
         Rejections raise synchronously — :class:`UnknownGraphError`,

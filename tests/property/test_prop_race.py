@@ -10,17 +10,21 @@ on another kernel sits out. What may change is the work a count costs,
 never its answer: every count reply equals the one-shot ``num_matches``,
 ``solved`` and ``kernel``, and every reply that carries embeddings stays
 byte-identical to one-shot (embeddings, order and all five counters).
-The race itself is deterministic, picks the first configuration with
-the fewest ``recursion_calls`` (a racer over budget never wins), records
-nothing when cancelled, spends at most ``racers × (winner interior nodes
-+ quantum)`` interior nodes, and leaves bound only the auxiliary pairs
-the incumbent or the winner reads. ``recommended`` filters with NLF, so
-a session races a repeated query over GraphQL-refined candidates: the
-same race as over a GraphQL-filtered incumbent.
+The race itself is deterministic, runs the incumbent as racer 0, picks
+the first configuration with the fewest ``recursion_calls`` (a racer
+over budget never wins), records nothing when cancelled, spends at most
+``racers × (winner interior nodes + quantum)`` interior nodes, and leaves
+bound only the auxiliary pairs the incumbent or the winner reads.
+``recommended`` filters with NLF, so a session races a repeated query
+over GraphQL-refined candidates: the same race as from a GraphQL-filtered
+incumbent, after which the session keeps the winner's prepared query
+only.
 """
 
+import gc
 import sys
 import threading
+import weakref
 from dataclasses import astuple, replace
 
 import pytest
@@ -38,13 +42,14 @@ from repro.core.plan import (
     SAMPLED_RACERS,
     bind_enumeration,
     compile_plan,
+    prepare_query,
     race_orders,
     run_plan,
 )
 from repro.core.registry import FILTERS, ORDERINGS
 from repro.enumeration.support import DEADLINE_STRIDE
 from repro.graph import Graph, extract_query, rmat_graph
-from repro.obs import Tracer, tracing
+from repro.obs import Metrics, Tracer, tracing
 from repro.ordering import sample_orders
 
 _SETTINGS = settings(
@@ -74,7 +79,7 @@ def dense():
 
 
 def _entry(session):
-    """The session's one cached ``(plan, prepared)``."""
+    """The session's one cached ``(plan, prepared, winner)``."""
     (entry,) = session._prep._entries.values()
     return entry
 
@@ -83,12 +88,8 @@ def _cached(session):
     return _entry(session)[1]
 
 
-def _incumbent(session, query, data, limit):
-    """Prime ``session`` and return (plan, prepared, incumbent calls,
-    incumbent matches)."""
-    result = session.match(query, match_limit=limit, store_limit=0)
-    plan, prepared = _entry(session)
-    return plan, prepared, result.stats.recursion_calls, result.num_matches
+def _winner(session):
+    return _entry(session)[2]
 
 
 def _with_graphql(plan):
@@ -96,6 +97,14 @@ def _with_graphql(plan):
     ``recommended`` query races from."""
     spec = plan.algorithm
     return replace(plan, algorithm=replace(spec, filter=FILTERS.create("GQL")))
+
+
+def _incumbent(query, data, limit):
+    """``recommended`` filtering with GraphQL's sweep, so its race sweeps
+    nothing: (plan, prepared, incumbent calls, incumbent matches)."""
+    plan = _with_graphql(compile_plan("recommended", query, data))
+    result, prepared = run_plan(plan, query, data, match_limit=limit, store_limit=0)
+    return plan, prepared, result.stats.recursion_calls, result.num_matches
 
 
 def _counts(result):
@@ -117,7 +126,7 @@ def test_every_count_reply_equals_one_shot(case):
     races = session.metrics.counters.get("session.races", 0)
     assert races == (1 if one_shot.solved else 0)
     if races:
-        assert _cached(session).raced is not None
+        assert _winner(session) is not None
 
 
 def test_raced_counts_equal_one_shot_and_switch(dense):
@@ -158,7 +167,7 @@ def test_two_fresh_sessions_pick_the_same_winner(dense):
             session = MatchSession(data)
             for _ in range(3):
                 session.count_matches(query, match_limit=1000)
-            winner = _cached(session).raced
+            winner = _winner(session)
             picked.append((winner.ordering, winner.failing_sets,
                            winner.prepared.order, winner.calls, winner.race_calls))
         winners.append(picked)
@@ -172,7 +181,7 @@ def test_named_presets_never_race(dense, preset):
     for _ in range(3):
         session.count_matches(queries[0], match_limit=1000)
     assert "session.races" not in session.metrics.counters
-    assert _cached(session).raced is None
+    assert _winner(session) is None
 
 
 def _configurations(query, data, candidates):
@@ -234,8 +243,7 @@ def test_the_fewest_calls_win_and_a_racer_over_budget_never_does(dense):
     data, queries = dense
     for query in queries:
         for limit in (None, 300):
-            session = MatchSession(data)
-            plan, prepared, calls, matches = _incumbent(session, query, data, limit)
+            plan, prepared, calls, matches = _incumbent(query, data, limit)
             spec = plan.algorithm
             incumbent = (spec.ordering.name, spec.failing_sets)
             true = _true_calls(plan, query, data, prepared, limit)
@@ -246,7 +254,7 @@ def test_the_fewest_calls_win_and_a_racer_over_budget_never_does(dense):
             best, fewest = min(ranked, key=lambda c: c[1])  # first of the fewest
             tracer = Tracer()
             with tracing(tracer):
-                winner = race_orders(plan, query, data, prepared, calls, matches, limit)
+                winner = race_orders(plan, query, data, prepared, limit)
             assert (winner.ordering, winner.failing_sets) == best
             assert winner.calls == fewest
             race = _race_span(tracer)
@@ -255,21 +263,13 @@ def test_the_fewest_calls_win_and_a_racer_over_budget_never_does(dense):
             # Each racer stops before it passes the winner's interior
             # nodes by a quantum, which is under the incumbent's plus a
             # stride.
-            racers = len(RACERS) + SAMPLED_RACERS  # the incumbent need not be one
-            assert race["racers"] <= racers
+            assert race["racers"] <= 1 + len(RACERS) + SAMPLED_RACERS
             assert race["race_interior"] <= race["racers"] * (
                 fewest - matches + RACE_QUANTUM
             )
             assert race["race_interior"] <= race["racers"] * (
                 calls - matches + DEADLINE_STRIDE
             )
-            # An incumbent claiming fewer calls than any racer can take
-            # keeps the race: everyone else runs over budget.
-            floor = min(c for _, c in true)
-            kept = race_orders(plan, query, data, prepared, floor - 1, matches, limit)
-            assert (kept.ordering, kept.failing_sets) == incumbent
-            assert kept.prepared is prepared and kept.plan is plan
-            assert prepared.raced is None  # the cached object is never mutated
 
 
 def test_racers_run_side_by_side(dense, monkeypatch):
@@ -279,33 +279,35 @@ def test_racers_run_side_by_side(dense, monkeypatch):
     monkeypatch.setattr("repro.core.plan.RACE_QUANTUM", 1)
     data, queries = dense
     for query in queries:
-        session = MatchSession(data)
-        plan, prepared, calls, matches = _incumbent(session, query, data, 300)
+        plan, prepared, _, _ = _incumbent(query, data, 300)
         tracer = Tracer()
         with tracing(tracer):
-            race_orders(plan, query, data, prepared, calls, matches, 300)
+            race_orders(plan, query, data, prepared, 300)
         race = _race_span(tracer)
         assert race["race_interior"] <= race["racers"] * (race["winner_interior"] + 1)
 
 
 def test_ties_go_to_the_earlier_racer(dense, monkeypatch):
     data, _ = dense
-    # A query with no match: calls are interior nodes, and two of these
-    # three orders tie at the fewest (the label-1 vertex first prunes
-    # most).
+    # A query with no match: calls are interior nodes. The incumbent's
+    # order ties "b" at the fewest, and "c" and "d" tie below "a" (the
+    # label-1 vertex first prunes most).
     query = Graph([0, 0, 0, 1], [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    racers = [("a", [0, 1, 2, 3], True, False), ("b", [3, 0, 1, 2], True, False),
-              ("c", [3, 0, 2, 1], True, False)]
+    racers = [("a", [0, 1, 2, 3], True, False), ("b", [3, 2, 1, 0], True, False),
+              ("c", [2, 3, 0, 1], True, False), ("d", [2, 3, 1, 0], True, False)]
     monkeypatch.setattr("repro.core.plan._racers", lambda *_: iter(racers))
-    session = MatchSession(data)
-    plan, prepared, calls, matches = _incumbent(session, query, data, 500)
+    plan, prepared, calls, matches = _incumbent(query, data, 500)
     true = _true_calls(plan, query, data, prepared, 500,
                        [(name, order, fs) for name, order, fs, _ in racers])
-    (_, a), (_, b), (_, c) = true
-    assert matches == 0 and b == c < a
-    # An incumbent over every racer's budget leaves them to break the tie.
-    winner = race_orders(plan, query, data, prepared, a + 1, matches, 500)
-    assert (winner.ordering, winner.calls) == ("b", b)
+    (_, a), (_, b), (_, c), (_, d) = true
+    assert matches == 0 and calls == b < c == d < a
+    winner = race_orders(plan, query, data, prepared, 500)
+    assert winner.prepared is prepared and winner.plan == plan and winner.calls == calls
+    # An incumbent behind both leaves "c" and "d" to break their tie.
+    del racers[:2]
+    slow = prepare_query(plan, query, data, Metrics(), order=[0, 1, 2, 3])
+    winner = race_orders(plan, query, data, slow, 500)
+    assert (winner.ordering, winner.calls) == ("c", c)
 
 
 def _old_race(plan, query, data, prepared, calls, limit):
@@ -346,13 +348,13 @@ def test_the_interior_stop_picks_the_old_stops_winner_for_less(dense, monkeypatc
     data, queries = dense
     for query in queries:
         for limit in (None, 300):
-            session = MatchSession(data)
-            plan, prepared, calls, matches = _incumbent(session, query, data, limit)
+            plan, prepared, calls, _ = _incumbent(query, data, limit)
             best, fewest, spent = _old_race(plan, query, data, prepared, calls, limit)
-            winner = race_orders(plan, query, data, prepared, calls, matches, limit)
+            winner = race_orders(plan, query, data, prepared, limit)
             assert (winner.ordering, winner.failing_sets) == best
             assert winner.calls == fewest
-            assert winner.race_calls <= spent
+            # The old race started from the incumbent's own run.
+            assert winner.race_calls <= spent + calls
 
 
 def _backward_pairs(query, order):
@@ -371,18 +373,14 @@ def test_a_race_leaves_bound_only_the_pairs_incumbent_and_winner_read(dense):
         session = MatchSession(data)
         for _ in range(2):
             session.count_matches(query, match_limit=1000)
-        cached = _cached(session)
-        winner = cached.raced
+        _, cached, winner = _entry(session)
         aux = winner.prepared.auxiliary
-        if aux is cached.auxiliary:  # racers bound onto it
+        if cached is not None:  # racers bound onto its structure
+            assert aux is cached.auxiliary
             read = _backward_pairs(query, cached.order)
         else:
             # The race ran over the GraphQL-refined incumbent's structure,
-            # which nothing runs again, and left the cached one as its
-            # own run bound it.
-            assert _bound_pairs(cached.auxiliary) == set(
-                _backward_pairs(query, cached.order)
-            )
+            # which nothing but the winner runs again.
             read = []
         assert _bound_pairs(aux) == set(
             read + _backward_pairs(query, winner.prepared.order)
@@ -401,36 +399,65 @@ def test_a_repeated_query_races_over_graphql_refined_candidates(dense):
         session = MatchSession(data)
         for _ in range(2):
             session.count_matches(query, match_limit=1000)
-        cached = _cached(session)
-        winner = cached.raced
+        _, cached, winner = _entry(session)
         sets = FILTERS.create("GQL").run(query, data)
-        if sets.total_size == cached.candidates.total_size:
+        if cached is not None:
+            assert sets.total_size == cached.candidates.total_size
             assert winner.prepared.auxiliary is cached.auxiliary
             continue
         refined += 1
         assert winner.plan.algorithm.filter.name == "GQL"
         assert [winner.prepared.candidates[u] for u in query.vertices()] \
             == [sets[u] for u in query.vertices()]
-        # The race a GraphQL-filtered incumbent runs, plus that run.
-        plan = compile_plan("recommended", query, data)
-        result, prepared = run_plan(_with_graphql(plan), query, data,
-                                    match_limit=1000, store_limit=0)
-        want = race_orders(_with_graphql(plan), query, data, prepared,
-                           result.stats.recursion_calls, result.num_matches, 1000)
+        # The race a GraphQL-filtered incumbent runs.
+        plan, prepared, _, _ = _incumbent(query, data, 1000)
+        want = race_orders(plan, query, data, prepared, 1000)
         assert (winner.ordering, winner.failing_sets, winner.prepared.order,
                 winner.calls) == (want.ordering, want.failing_sets,
                                   want.prepared.order, want.calls)
-        assert winner.race_calls == want.race_calls + result.stats.recursion_calls
+        assert winner.race_calls == want.race_calls
     assert refined > 0
+
+
+def test_a_refined_race_keeps_one_prepared_query(dense):
+    """After a race over refined candidates the entry holds the winner's
+    artifacts only: the incumbent's are freed, and the next embedding
+    reply prepares them again as one-shot does."""
+    data, queries = dense
+    sets = FILTERS.create("GQL")
+    refined = [q for q in queries
+               if sets.run(q, data).total_size < FILTERS.create("NLF").run(q, data).total_size]
+    query = refined[0]
+    session = MatchSession(data)
+    replies = [session.match(query, match_limit=1000, store_limit=0)]
+    (entry,) = session._prep._entries.values()
+    incumbent = weakref.ref(entry[1].candidates)
+    del entry
+    replies.append(session.match(query, match_limit=1000, store_limit=0))  # races
+    assert session.metrics.counters["session.races"] == 1
+    del replies
+    gc.collect()
+    assert incumbent() is None
+
+    one_shot = match(query, data, match_limit=1000, store_limit=100)
+    warm = session.match(query, match_limit=1000, store_limit=100)
+    assert warm.embeddings == one_shot.embeddings
+    assert warm.order == one_shot.order
+    assert astuple(warm.stats) == astuple(one_shot.stats)
+    assert _counts(warm) == _counts(one_shot)
+    counted = session.match(query, match_limit=1000, store_limit=0)
+    assert counted.order == _winner(session).prepared.order
+    assert _counts(counted) == _counts(one_shot)
+    assert session.metrics.counters["session.races"] == 1
 
 
 def test_a_cancelled_race_records_nothing(dense):
     data, queries = dense
     query = queries[-1]
     session = MatchSession(data)
-    plan, prepared, calls, matches = _incumbent(session, query, data, None)
-    assert race_orders(plan, query, data, prepared, calls, matches,
-                       cancel=lambda: True) is None
+    session.count_matches(query)
+    plan, prepared, _ = _entry(session)
+    assert race_orders(plan, query, data, prepared, cancel=lambda: True) is None
     # Whatever the stopped racer bound is unbound again.
     assert _bound_pairs(prepared.auxiliary) == set(_backward_pairs(query, prepared.order))
 
@@ -455,7 +482,7 @@ def test_a_cancelled_race_records_nothing(dense):
     assert _counts(reply) == _counts(one_shot)
     assert astuple(reply.stats) == astuple(one_shot.stats)
     assert "session.races" not in session.metrics.counters
-    assert _cached(session).raced is None
+    assert _winner(session) is None
     session.match(query, match_limit=None, store_limit=0)  # races again
     assert session.metrics.counters["session.races"] == 1
 
@@ -464,8 +491,9 @@ def test_four_threads_racing_one_prepared_query_agree(dense):
     data, queries = dense
     query = queries[2]
     reference = MatchSession(data)
-    plan, prepared, calls, matches = _incumbent(reference, query, data, 2000)
-    want = race_orders(plan, query, data, prepared, calls, matches, 2000)
+    reference.count_matches(query, match_limit=2000)
+    plan, prepared, _ = _entry(reference)
+    want = race_orders(plan, query, data, prepared, 2000)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -478,7 +506,7 @@ def test_four_threads_racing_one_prepared_query_agree(dense):
 
         def worker(slot):
             barrier.wait()
-            direct = race_orders(plan, query, data, shared, calls, matches, 2000)
+            direct = race_orders(plan, query, data, shared, 2000)
             replies = [_counts(session.match(query, match_limit=2000, store_limit=0))
                        for _ in range(3)]
             seen[slot] = (direct.ordering, direct.failing_sets, direct.prepared.order,
@@ -502,8 +530,8 @@ def test_four_threads_racing_one_prepared_query_agree(dense):
     alone = MatchSession(data)
     for _ in range(2):
         alone.count_matches(query, match_limit=2000)
-    want = _cached(alone).raced
-    winner = _cached(session).raced
+    want = _winner(alone)
+    winner = _winner(session)
     assert (winner.ordering, winner.failing_sets, winner.prepared.order, winner.calls) \
         == (want.ordering, want.failing_sets, want.prepared.order, want.calls)
 
@@ -517,7 +545,7 @@ def test_parallel_session_returns_the_sequential_count_of_a_raced_query(dense):
         replies = [session.match(query, match_limit=None, store_limit=0) for _ in range(3)]
         assert session.metrics.counters["session.races"] == 1
         sequential = session.match(query, match_limit=None, store_limit=0, n_workers=0)
-        winner = _cached(session).raced
+        winner = _winner(session)
         assert sequential.order == winner.prepared.order
         # The fan-out runs the winner too: its workers are handed the
         # winner's order.
@@ -538,7 +566,7 @@ def test_a_sampled_winner_fans_out_to_its_sequential_count_and_calls(dense):
     try:
         for _ in range(2):
             session.match(query, match_limit=None, store_limit=0, n_workers=0)
-        winner = _cached(session).raced
+        winner = _winner(session)
         assert winner.ordering.startswith("sampled#")
         sequential = session.match(query, match_limit=None, store_limit=0, n_workers=0)
         fanned = session.match(query, match_limit=None, store_limit=0)
@@ -558,7 +586,7 @@ def test_a_winner_runs_only_under_the_cap_it_raced(case):
     session = MatchSession(data)
     session.has_match(query)
     session.has_match(query)  # races under match_limit=1
-    winner = _cached(session).raced
+    winner = _winner(session)
     if winner is None:  # the first-match run did not solve
         return
     assert winner.match_limit == 1
@@ -582,19 +610,18 @@ def test_a_call_with_a_deadline_never_races(dense):
         assert _counts(reply) == _counts(one_shot)
         assert astuple(reply.stats) == astuple(one_shot.stats)
     assert "session.races" not in session.metrics.counters
-    assert _cached(session).raced is None
+    assert _winner(session) is None
     session.match(query, match_limit=None, store_limit=0)  # no deadline: races
     assert session.metrics.counters["session.races"] == 1
     reply = session.match(query, match_limit=None, store_limit=0, time_limit=30.0)
-    assert reply.order == _cached(session).raced.prepared.order
+    assert reply.order == _winner(session).prepared.order
     assert _counts(reply) == _counts(one_shot)
 
 
 def test_a_racer_refused_rows_sits_out(dense, monkeypatch):
     data, queries = dense
     for query in queries:
-        session = MatchSession(data)
-        plan, prepared, calls, matches = _incumbent(session, query, data, None)
+        plan, prepared, _, _ = _incumbent(query, data, None)
         assert prepared.kernel_used == "rows"
         aux = prepared.auxiliary
         budget = aux.row_bytes(_backward_pairs(query, prepared.order))
@@ -616,8 +643,8 @@ def test_a_racer_refused_rows_sits_out(dense, monkeypatch):
     monkeypatch.setattr("repro.utils.kernels._bitset_cache_budget", lambda: budget)
     tracer = Tracer()
     with tracing(tracer):
-        winner = race_orders(plan, query, data, prepared, calls, matches)
-    assert _race_span(tracer)["racers"] == len(distinct) - len(over)
+        winner = race_orders(plan, query, data, prepared)
+    assert _race_span(tracer)["racers"] == 1 + len(distinct) - len(over)
     assert (tuple(winner.prepared.order), winner.failing_sets) not in over
     assert winner.prepared.kernel_used == "rows"
 

@@ -35,7 +35,7 @@ class TestSpecAndPlanPickling:
         plan = compile_plan(name, query, data)
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.algorithm.name == plan.algorithm.name
-        assert clone.aux_scope == plan.aux_scope
+        assert clone.algorithm.aux_scope == plan.algorithm.aux_scope
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_unpickled_plan_still_answers(self, name, workload):

@@ -79,10 +79,10 @@ class TestCompile:
         assert len(compiled) == 1
         (again,) = session._prep._entries.values()
         assert again is entry  # the hit neither recompiled nor re-put
-        plan, _ = entry
+        plan, _, winner = entry
         assert plan is compiled[0]
         assert plan.algorithm.name == "GQL"
-        assert plan.query_vertices == PAPER_QUERY.num_vertices
+        assert winner is None
 
     def test_distinct_algorithms_get_distinct_plans(self):
         session = MatchSession(RING)
@@ -90,7 +90,7 @@ class TestCompile:
         ri = session.match(PATH, algorithm="RI")
         assert ri.metrics.counters["plan.cache_miss"] == 1
         assert (gql.algorithm, ri.algorithm) == ("GQL", "RI")
-        plans = [plan for plan, _ in session._prep._entries.values()]
+        plans = [plan for plan, _, _ in session._prep._entries.values()]
         assert [p.algorithm.name for p in plans] == ["GQL", "RI"]
 
     def test_compile_plan_standalone(self):
