@@ -16,10 +16,12 @@ current. Two ways to stay current:
   graph).
 
 Correctness rides along, twice: before timing, the script replays once
-with ``equal_state`` checked against a full rebuild *after every
-batch*, and the final graph's match result must be byte-identical
-between the overlay snapshot and a from-scratch graph. The benchmark
-refuses to emit a payload otherwise.
+with the overlay snapshot checked against the from-scratch graph of
+:func:`repro.qa.replay_script`'s plain edge-set replay and
+``equal_state`` against a full rebuild *after every batch*, and the
+final graph's match result must be byte-identical between the overlay
+snapshot and the from-scratch graph. The benchmark refuses to emit a
+payload otherwise.
 
 Run directly (``python benchmarks/bench_dynamic.py``) to write
 ``BENCH_dynamic.json``, schema-stamped and validated by
@@ -53,6 +55,7 @@ from repro.obs.schema import (
     BENCH_DYNAMIC_SCHEMA_VERSION,
     validate_bench_dynamic,
 )
+from repro.qa import replay_script
 
 DEFAULT_VERTICES = 2_000
 DEFAULT_DEGREE = 8.0
@@ -133,25 +136,6 @@ def build_workload(
     return data, query, script
 
 
-def _replay_scratch(data: Graph, script) -> list:
-    """The per-batch edge lists a from-scratch consumer would rebuild."""
-    labels = data.labels.tolist()
-    edges = set(data.edges())
-    states = []
-    for batch in script:
-        for mutation in batch:
-            if mutation.op == "add_vertex":
-                labels = labels + [mutation.a]
-            else:
-                edge = (min(mutation.a, mutation.b), max(mutation.a, mutation.b))
-                if mutation.op == "add_edge":
-                    edges.add(edge)
-                else:
-                    edges.discard(edge)
-        states.append((list(labels), sorted(edges)))
-    return states
-
-
 def run_dynamic_benchmark(
     vertices: int = DEFAULT_VERTICES,
     degree: float = DEFAULT_DEGREE,
@@ -167,18 +151,21 @@ def run_dynamic_benchmark(
     data, query, script = build_workload(
         vertices, degree, labels, query_size, churn_fraction, batch_size
     )
-    scratch_states = _replay_scratch(data, script)
+    scratch_states = list(replay_script(data, script))
     ops_total = sum(len(batch) for batch in script)
 
-    # Verification replay (untimed): incremental state must equal a full
-    # rebuild after every batch, and the final match must be
-    # byte-identical between the overlay snapshot and a fresh graph.
+    # Verification replay (untimed): after every batch the overlay
+    # snapshot must equal the from-scratch graph of the plain edge-set
+    # replay and the incremental state a full rebuild, and the final
+    # match must be byte-identical between the two graphs.
     dyn = DynamicGraph(data)
     inc = IncrementalCandidates(query, dyn)
     states_identical = True
-    for batch in script:
+    for batch, (state_labels, state_edges) in zip(script, scratch_states):
         inc.apply_delta(dyn.apply(batch))
-        if not inc.equal_state(inc.rebuild()):
+        if dyn.snapshot() != Graph(
+            labels=state_labels, edges=state_edges
+        ) or not inc.equal_state(inc.rebuild()):
             states_identical = False
             break
     final_scratch = Graph(labels=scratch_states[-1][0], edges=scratch_states[-1][1])

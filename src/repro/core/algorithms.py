@@ -265,10 +265,12 @@ def recommended_spec(
     prepared query alone, and prepares the NLF one again only for a reply
     that runs it (embeddings, or another cap).
 
-    Every input here is stable under vertex renumbering of the query
-    (``num_vertices``) or belongs to the data graph, which is what makes
-    the compiled plan cacheable by query fingerprint (see
-    :mod:`repro.core.plan`).
+    The inputs are the query's vertex count and the data graph's average
+    degree, nothing else of either. A session caches the compiled plan
+    beside the prepared query, keyed on the exact query with the
+    algorithm, kernel policy and graph epoch (see
+    :mod:`repro.core.session`); nothing on the request path fingerprints
+    the query.
     """
     dense = data.average_degree >= dense_degree
     large_query = query.num_vertices >= 3 * DENSE_THRESHOLD  # >= 9 vertices

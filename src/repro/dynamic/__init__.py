@@ -3,8 +3,8 @@
 The study's pipeline assumes an immutable data graph; this package adds
 the serving-side mutation story (ROADMAP item 4):
 
-* :class:`DynamicGraph` — a mutable overlay over the CSR store layer
-  with epoch-versioned snapshots and periodic compaction;
+* :class:`DynamicGraph` — a mutable overlay over its last snapshot,
+  with epoch-versioned snapshots spliced from the CSR store layer;
 * :class:`IncrementalCandidates` — exact delta maintenance of candidate
   sets via support counters and a frontier worklist;
 * :class:`Subscription` — continuous queries reporting the embedding

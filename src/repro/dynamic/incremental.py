@@ -46,7 +46,7 @@ what the mutate-then-match differential layer in ``repro.qa`` asserts.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -232,13 +232,7 @@ class IncrementalCandidates:
 
         # (a) seed re-evaluation at touched endpoints: only their degree
         # and NLF changed; everyone else's seed verdict is untouched.
-        affected = set()
-        for a, b in delta.added_edges:
-            affected.update((a, b))
-        for a, b in delta.removed_edges:
-            affected.update((a, b))
-        affected.update(v for v, _ in delta.added_vertices)
-        for v in affected:
+        for v in delta.touched:
             for u in range(nq):
                 now = self._seed_ok(u, v)
                 if now != bool(self.seed[u, v]):
@@ -325,14 +319,8 @@ class IncrementalCandidates:
         """The maintained sets as the pipeline's shared container."""
         return CandidateSets(
             self.query,
-            [np.flatnonzero(self.d2[u]).tolist() for u in range(self.query.num_vertices)],
+            [np.flatnonzero(self.d2[u]) for u in range(self.query.num_vertices)],
         )
-
-    def as_dict(self) -> Dict[int, List[int]]:
-        return {
-            u: np.flatnonzero(self.d2[u]).tolist()
-            for u in range(self.query.num_vertices)
-        }
 
     def equal_state(self, other: "IncrementalCandidates") -> bool:
         """Whether the full maintained state (sets *and* counters) matches."""

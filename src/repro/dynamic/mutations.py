@@ -27,7 +27,7 @@ corpus format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ADD_EDGE",
@@ -36,6 +36,7 @@ __all__ = [
     "MUTATION_OPS",
     "Mutation",
     "MutationScript",
+    "op_error",
     "sanitize_batch",
     "script_to_json",
     "script_from_json",
@@ -82,10 +83,25 @@ class Mutation:
 MutationScript = Tuple[Tuple[Mutation, ...], ...]
 
 
+def op_error(mutation: Mutation, num_vertices: int) -> Optional[str]:
+    """Why ``mutation`` is invalid against ``num_vertices`` vertices (a self
+    loop, an endpoint out of range, a negative label), or ``None``: the one
+    rule :meth:`~repro.dynamic.overlay.DynamicGraph.apply` raises by and
+    :func:`sanitize_batch` drops by."""
+    if mutation.op == ADD_VERTEX:
+        return None if mutation.a >= 0 else "labels must be non-negative integers"
+    u, v = mutation.a, mutation.b
+    if u == v:
+        return f"self loop on vertex {u} is not allowed"
+    if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+        return f"edge ({u}, {v}) out of range for {num_vertices} vertices"
+    return None
+
+
 def sanitize_batch(
     batch: Sequence[Mutation], num_vertices: int
 ) -> Tuple[Tuple[Mutation, ...], int]:
-    """Drop ops that are invalid against a graph of ``num_vertices``.
+    """Drop the ops :func:`op_error` refuses against ``num_vertices``.
 
     The QA shrinker deletes data vertices underneath a recorded mutation
     script, so replay must tolerate edge ops whose endpoints no longer
@@ -97,16 +113,9 @@ def sanitize_batch(
     kept: List[Mutation] = []
     n = int(num_vertices)
     for mutation in batch:
-        if mutation.op == ADD_VERTEX:
-            if mutation.a >= 0:
-                kept.append(mutation)
-                n += 1
-        elif (
-            0 <= mutation.a < n
-            and 0 <= mutation.b < n
-            and mutation.a != mutation.b
-        ):
+        if op_error(mutation, n) is None:
             kept.append(mutation)
+            n += mutation.op == ADD_VERTEX
     return tuple(kept), n
 
 

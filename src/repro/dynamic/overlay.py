@@ -4,11 +4,11 @@ The study's pipeline assumes an immutable data graph; serving traffic
 does not. :class:`DynamicGraph` reconciles the two with the classic
 log-structured split:
 
-* an immutable **base** graph in canonical CSR form (any
-  :class:`~repro.graph.store.GraphStore` backend — heap, ``.rgf``
-  memmap, or shared memory — since the base is just a ``Graph`` view);
-* a small mutable **overlay**: per-vertex sets of added and removed
-  edges plus labels of appended vertices;
+* an immutable **base** graph in canonical CSR form: the graph it was
+  built over (any :class:`~repro.graph.store.GraphStore` backend — heap,
+  ``.rgf`` memmap, or shared memory), later the last snapshot;
+* a small mutable **overlay**: per-vertex sets of edges added and
+  removed since the base, plus labels of appended vertices;
 * an **epoch** counter, bumped once per applied mutation batch. Two
   reads at the same epoch observe the same graph; every cache in the
   stack (plan/prep caches in :class:`~repro.core.session.MatchSession`)
@@ -19,32 +19,31 @@ Reads that matter to incremental candidate maintenance (``degree``,
 ``neighbors``, ``nlf``, ``has_edge``) are answered through the overlay
 in O(overlay) extra work, so a delta pass never pays for a CSR rebuild.
 :meth:`DynamicGraph.snapshot` materializes the current edge set as a
-plain immutable ``Graph`` by **splicing**: it keeps the last
-materialized snapshot (the base at epoch 0) and the set of vertices
-touched since, copies the untouched neighbor runs of that snapshot in
-bulk array slices, writes the overlay-resolved run of each touched
-vertex between them and re-derives the offsets with one cumulative
-sum. Per-vertex runs are sorted and the layout is canonical, so the
-result is byte-identical to ``Graph(labels_list(), list(edges()))`` —
-the from-scratch constructor call, which stays the independent oracle
-of the property suite and of ``repro.qa``'s mutate-then-match
-differential (a byte-level comparison, not a set-level one). The
-constructor's per-edge validation is not skipped: :meth:`apply` has
+plain immutable ``Graph`` by **splicing**: it copies the base's neighbor
+runs in bulk array slices, writes the overlay-resolved run of each
+vertex the overlay names between them and re-derives the offsets with
+one cumulative sum. Runs are sorted and the layout is canonical, so the
+result is byte-identical to the graph built from scratch — which the
+property suite and ``repro.qa``'s mutate-then-match differential build
+from a plain edge-set replay of the mutation script
+(:func:`repro.qa.replay_script`), reading nothing this class writes.
+The constructor's per-edge validation is not skipped: :meth:`apply` has
 already rejected out-of-range endpoints and self loops and skipped
 duplicates.
 
-When the overlay grows past ``compact_threshold`` × |E(base)| ops,
-:meth:`compact` makes the current snapshot the base and empties the
-overlay. Compaction changes the representation, never the graph: the
-epoch does not move, and the property suite pins snapshot byte-parity
-across arbitrary mutate/compact interleavings.
+An :meth:`apply` that finds the snapshot current rebases onto it: the
+snapshot becomes the base and the overlay empties, so the overlay holds
+only the changes since the last snapshot. With nobody reading, ``apply``
+snapshots and rebases once the overlay passes ``OVERLAY_SHARE`` ×
+|E(base)| ops (at least ``OVERLAY_FLOOR``). Rebasing changes the
+representation, never the graph: the epoch does not move.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,9 +54,16 @@ from repro.dynamic.mutations import (
     ADD_VERTEX,
     REMOVE_EDGE,
     Mutation,
+    op_error,
 )
 
-__all__ = ["DynamicGraph", "MutationDelta"]
+__all__ = ["DynamicGraph", "MutationDelta", "OVERLAY_FLOOR", "OVERLAY_SHARE"]
+
+#: Once the overlay holds more edge ops than this share of the base's
+#: edges, :meth:`DynamicGraph.apply` snapshots and rebases ...
+OVERLAY_SHARE = 0.25
+#: ... and never below this many ops, so tiny graphs do not thrash.
+OVERLAY_FLOOR = 64
 
 
 @dataclass(frozen=True)
@@ -90,11 +96,6 @@ class DynamicGraph:
     ----------
     base:
         The initial immutable graph (any store backend).
-    compact_threshold:
-        Fold the overlay into a fresh canonical CSR base once the number
-        of overlay edge ops exceeds this fraction of the base edge count
-        (minimum 64 ops so tiny graphs don't thrash). ``None`` disables
-        automatic compaction; :meth:`compact` stays available.
 
     Examples
     --------
@@ -106,29 +107,20 @@ class DynamicGraph:
     3
     """
 
-    def __init__(
-        self,
-        base: Graph,
-        *,
-        compact_threshold: Optional[float] = 0.25,
-    ) -> None:
-        if compact_threshold is not None and compact_threshold <= 0:
-            raise ValueError("compact_threshold must be positive or None")
+    def __init__(self, base: Graph) -> None:
         self._lock = threading.RLock()
         self._base = base
-        self._compact_threshold = compact_threshold
         self._epoch = 0
         self._added_adj: Dict[int, Set[int]] = {}
         self._removed_adj: Dict[int, Set[int]] = {}
         self._extra_labels: List[int] = []
         self._num_edges = base.num_edges
         self._overlay_ops = 0
-        # The last materialized snapshot and the vertices whose neighbor
-        # runs changed since it; snapshot() splices the two.
+        # The last materialized snapshot: the base itself until a splice,
+        # and the next base once an apply() finds it current.
         self._snapshot = base
         self._snapshot_epoch = 0
-        self._dirty: Set[int] = set()
-        self._compactions = 0
+        self._rebases = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -140,11 +132,6 @@ class DynamicGraph:
         return self._epoch
 
     @property
-    def base(self) -> Graph:
-        """The current immutable base (advances on :meth:`compact`)."""
-        return self._base
-
-    @property
     def num_vertices(self) -> int:
         return self._base.num_vertices + len(self._extra_labels)
 
@@ -154,13 +141,13 @@ class DynamicGraph:
 
     @property
     def overlay_size(self) -> int:
-        """Number of live overlay edge ops (added + removed)."""
+        """Live overlay edge ops (added + removed) since the last rebase."""
         return self._overlay_ops
 
     @property
     def compactions(self) -> int:
-        """How many times the overlay has been folded into the base."""
-        return self._compactions
+        """How many times :meth:`apply` has rebased onto a snapshot."""
+        return self._rebases
 
     def label(self, v: int) -> int:
         base_n = self._base.num_vertices
@@ -182,10 +169,14 @@ class DynamicGraph:
             return True
         if v in self._removed_adj.get(u, ()):
             return False
-        base_n = self._base.num_vertices
-        if u < base_n and v < base_n:
-            return self._base.has_edge(u, v)
-        return False
+        base = self._base
+        if u >= base.num_vertices or v >= base.num_vertices:
+            return False
+        # A binary search in u's CSR run: Graph.has_edge would build a
+        # frozenset per vertex on a base that was spliced a moment ago.
+        run = base.neighbors(u)
+        i = int(run.searchsorted(v))
+        return i < run.size and int(run[i]) == v
 
     def neighbors(self, v: int) -> List[int]:
         """Sorted neighbor list of ``v`` through the overlay."""
@@ -212,19 +203,6 @@ class DynamicGraph:
             counts[lbl] = counts.get(lbl, 0) + 1
         return counts
 
-    def labels_list(self) -> List[int]:
-        return self._base.labels.tolist() + list(self._extra_labels)
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        """Yield each live undirected edge once as ``(u, v)``, ``u < v``."""
-        for u, v in self._base.edges():
-            if v not in self._removed_adj.get(u, ()):
-                yield (u, v)
-        for u in sorted(self._added_adj):
-            for v in sorted(self._added_adj[u]):
-                if u < v:
-                    yield (u, v)
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -248,11 +226,19 @@ class DynamicGraph:
         batch (an ``add_vertex`` followed by an ``add_edge`` to the new
         id is the canonical insert pattern). An entirely no-op batch
         leaves the epoch unchanged and returns an empty delta. A batch
-        with an invalid op raises :class:`InvalidGraphError` before any
-        op is recorded, and leaves the graph as it was.
+        with an invalid op (:func:`~repro.dynamic.mutations.op_error`)
+        raises :class:`InvalidGraphError` before any op is recorded, and
+        leaves the graph as it was.
         """
         with self._lock:
-            self._check(batch)
+            n = self.num_vertices
+            for mut in batch:
+                reason = op_error(mut, n)
+                if reason is not None:
+                    raise InvalidGraphError(reason)
+                n += mut.op == ADD_VERTEX
+            if self._snapshot is not self._base and self._snapshot_epoch == self._epoch:
+                self._rebase()
             added: List[Tuple[int, int]] = []
             removed: List[Tuple[int, int]] = []
             new_vertices: List[Tuple[int, int]] = []
@@ -263,17 +249,14 @@ class DynamicGraph:
                     self._extra_labels.append(int(mut.a))
                     new_vertices.append((vid, int(mut.a)))
                     touched.add(vid)
-                    self._dirty.add(vid)
                     continue
                 u, v = int(mut.a), int(mut.b)
-                base_n = self._base.num_vertices
-                in_base = (
-                    u < base_n and v < base_n and self._base.has_edge(u, v)
-                )
+                # The overlay never adds a base edge nor removes an absent
+                # one, so presence and the two records decide every case.
                 if mut.op == ADD_EDGE:
                     if self.has_edge(u, v):
                         continue
-                    if in_base:
+                    if v in self._removed_adj.get(u, ()):
                         # Re-adding a base edge cancels its removal record.
                         self._discard(self._removed_adj, u, v)
                     else:
@@ -283,15 +266,14 @@ class DynamicGraph:
                 else:
                     if not self.has_edge(u, v):
                         continue
-                    if in_base:
-                        self._record(self._removed_adj, u, v)
-                    else:
+                    if v in self._added_adj.get(u, ()):
                         # Removing an overlay edge cancels its insertion.
                         self._discard(self._added_adj, u, v)
+                    else:
+                        self._record(self._removed_adj, u, v)
                     self._num_edges -= 1
                     removed.append(_norm(u, v))
                 touched.update((u, v))
-                self._dirty.update((u, v))
 
             if not (added or removed or new_vertices):
                 return MutationDelta(epoch=self._epoch)
@@ -303,29 +285,10 @@ class DynamicGraph:
                 added_vertices=tuple(new_vertices),
                 touched=frozenset(touched),
             )
-            if self._compact_due():
-                self.compact()
+            bound = max(OVERLAY_FLOOR, int(OVERLAY_SHARE * self._base.num_edges))
+            if self._overlay_ops > bound:
+                self._rebase()
             return delta
-
-    def _check(self, batch: Sequence[Mutation]) -> None:
-        """Reject ``batch`` if any op in it is invalid — a self loop, an
-        endpoint out of range, a negative label — before :meth:`apply`
-        records anything. Ranges count the vertices the batch's own
-        earlier ``add_vertex`` ops append."""
-        n = self.num_vertices
-        for mut in batch:
-            if mut.op == ADD_VERTEX:
-                if int(mut.a) < 0:
-                    raise InvalidGraphError("labels must be non-negative integers")
-                n += 1
-                continue
-            u, v = int(mut.a), int(mut.b)
-            if u == v:
-                raise InvalidGraphError(f"self loop on vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidGraphError(
-                    f"edge ({u}, {v}) out of range for {n} vertices"
-                )
 
     # apply() records an op only when it is absent and discards one only
     # when it is present, so each call moves the live op count by one.
@@ -343,11 +306,15 @@ class DynamicGraph:
                 del adj[a]
         self._overlay_ops -= 1
 
-    def _compact_due(self) -> bool:
-        if self._compact_threshold is None:
-            return False
-        floor = max(64, int(self._compact_threshold * self._base.num_edges))
-        return self.overlay_size > floor
+    def _rebase(self) -> None:
+        """Make the current snapshot the base and empty the overlay (inside
+        :meth:`apply` only, under the graph lock)."""
+        self._base = self.snapshot()
+        self._added_adj = {}
+        self._removed_adj = {}
+        self._extra_labels = []
+        self._overlay_ops = 0
+        self._rebases += 1
 
     # ------------------------------------------------------------------
     # Materialization
@@ -357,41 +324,41 @@ class DynamicGraph:
         """The current graph as an immutable canonical-CSR ``Graph``.
 
         Cached per epoch. A new epoch's snapshot is spliced from the
-        previous one: the neighbor runs of untouched vertices are copied
-        in bulk slices, the runs of vertices touched since are written
-        from :meth:`neighbors`, and the offsets follow from one
-        ``cumsum`` over the patched degrees — work proportional to the
-        touched set plus a ``memcpy`` of the rest, and byte-identical
-        (labels/offsets/neighbors arrays) to
-        ``Graph(labels_list(), list(edges()))`` built from scratch.
-        Every array is freshly allocated except ``labels`` and the label
-        index, which are shared with the previous snapshot while no vertex
-        was appended; the neighbour-label columns the previous snapshot
-        holds are handed on, to be patched at the touched vertices when
-        first read (:meth:`Graph._inherit_label_counts`). Nothing an
-        earlier snapshot holds is ever written again.
+        base: the neighbor runs of vertices the overlay does not name are
+        copied in bulk slices, the others are written from
+        :meth:`neighbors`, and the offsets follow from one ``cumsum``
+        over the patched degrees — work proportional to the overlay plus
+        a ``memcpy`` of the rest. Every array is freshly allocated except
+        ``labels`` and the label index, which are shared with the base
+        while no vertex was appended; the neighbour-label columns the
+        base holds are handed on, to be patched at the rewritten vertices
+        when first read (:meth:`Graph._inherit_label_counts`). Nothing an
+        earlier snapshot holds is ever written again, and nothing here
+        writes the overlay: a reader may call this beside another's
+        overlay reads.
         """
         with self._lock:
             if self._snapshot_epoch != self._epoch:
-                self._snapshot = self._splice(self._snapshot)
+                self._snapshot = self._splice()
                 self._snapshot_epoch = self._epoch
-                self._dirty = set()
             return self._snapshot
 
-    def _splice(self, prev: Graph) -> Graph:
-        """``prev`` with the runs of every dirty vertex rewritten."""
+    def _splice(self) -> Graph:
+        """The base with the run of every vertex the overlay touches rewritten."""
+        prev = self._base
         prev_n = prev.num_vertices
         n = self.num_vertices
         prev_offsets, prev_neighbors = prev.csr
         prev_m = int(prev_neighbors.size)
         labels = prev.labels
-        if n > prev_n:
-            appended = self._extra_labels[prev_n - n:]
+        if self._extra_labels:
             labels = np.concatenate(
-                [labels, np.asarray(appended, dtype=np.int64)]
+                [labels, np.asarray(self._extra_labels, dtype=np.int64)]
             )
 
-        dirty = sorted(self._dirty)
+        dirty = sorted(
+            self._added_adj.keys() | self._removed_adj.keys() | set(range(prev_n, n))
+        )
         runs = [self.neighbors(v) for v in dirty]
         degrees = np.zeros(n, dtype=np.int64)
         degrees[:prev_n] = prev.degrees
@@ -431,22 +398,6 @@ class DynamicGraph:
         """
         with self._lock:
             return self._epoch, self.snapshot()
-
-    def compact(self) -> Graph:
-        """Make the current snapshot the base and empty the overlay.
-
-        The epoch is untouched — compaction changes the representation,
-        not the graph. Returns the new base.
-        """
-        with self._lock:
-            base = self.snapshot()
-            self._base = base
-            self._added_adj = {}
-            self._removed_adj = {}
-            self._extra_labels = []
-            self._overlay_ops = 0
-            self._compactions += 1
-            return base
 
     def __repr__(self) -> str:
         return (

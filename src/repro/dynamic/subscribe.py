@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import InvalidQueryError
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
-from repro.graph.ops import connected
 from repro.enumeration.local_candidates import IntersectionLC
 from repro.dynamic.incremental import IncrementalCandidates
 from repro.dynamic.overlay import DynamicGraph, MutationDelta
@@ -80,16 +79,19 @@ class Subscription:
         kernel: Optional[str] = None,
         match_limit: int = 100_000,
     ) -> None:
-        if query.num_vertices < 3:
-            raise InvalidQueryError("queries must have at least 3 vertices")
-        if not connected(query):
-            raise InvalidQueryError("query graphs must be connected")
+        # The plan layer imports this package (sessions own subscriptions),
+        # so its helpers are imported at the call, not at module level.
+        from repro.core.plan import validate_query
+
+        validate_query(query)
         self.query = query
         self.data = data
         self._kernel = kernel
         self._match_limit = match_limit
         self.candidates = IncrementalCandidates(query, data)
-        self._matches: Set[Embedding] = set(self._enumerate(restrict=None))
+        self._matches: Set[Embedding] = set(
+            self._enumerate(self.candidates.candidate_sets())
+        )
         self._guard_limit()
         self.epoch = data.epoch
 
@@ -139,13 +141,13 @@ class Subscription:
 
         added: List[Embedding] = []
         if delta.added_edges:
-            member = [set(lst) for lst in self.candidates.as_dict().values()]
+            candidates = self.candidates.candidate_sets()
             for a, b in delta.added_edges:
                 for u0, u1 in self.query.edges():
                     for x, y in ((a, b), (b, a)):
-                        if x not in member[u0] or y not in member[u1]:
+                        if not (candidates.contains(u0, x) and candidates.contains(u1, y)):
                             continue
-                        for emb in self._enumerate(restrict={u0: x, u1: y}):
+                        for emb in self._enumerate(candidates, {u0: [x], u1: [y]}):
                             if emb not in self._matches:
                                 self._matches.add(emb)
                                 added.append(emb)
@@ -175,26 +177,25 @@ class Subscription:
             i += 1
         return order
 
-    def _enumerate(self, restrict: Optional[Dict[int, int]]) -> List[Embedding]:
+    def _enumerate(
+        self, candidates: CandidateSets, pinned: Optional[Dict[int, List[int]]] = None
+    ) -> List[Embedding]:
         """Enumerate embeddings over the maintained candidate sets.
 
-        ``restrict`` pins query vertices to single data vertices (the
-        added-edge anchors); ``None`` enumerates the full set. At most
-        ``match_limit + 1`` embeddings are enumerated: a truncated list
-        already exceeds the cap, so :meth:`_guard_limit` raises as it
-        would on the full list.
+        ``pinned`` replaces the sets of a few query vertices (an added
+        edge's anchors, each a candidate already); ``None`` enumerates
+        the full set. At most ``match_limit + 1`` embeddings are
+        enumerated: a truncated list already exceeds the cap, so
+        :meth:`_guard_limit` raises as it would on the full list.
         """
         snapshot = self.data.snapshot()
-        nq = self.query.num_vertices
-        base = self.candidates.as_dict()
-        if restrict:
-            for u, v in restrict.items():
-                base[u] = [v] if v in set(base[u]) else []
-        candidates = CandidateSets(self.query, [base[u] for u in range(nq)])
+        if pinned:
+            candidates = CandidateSets(
+                self.query,
+                [pinned.get(u, candidates.array(u)) for u in range(len(candidates))],
+            )
         if candidates.has_empty_set:
             return []
-        # The plan layer imports this package (sessions own subscriptions),
-        # so its wiring helper is imported at the call, not at module level.
         from repro.core.plan import bind_enumeration, iter_leaf_batches
 
         prepared = bind_enumeration(
@@ -204,7 +205,7 @@ class Subscription:
             self.query,
             snapshot,
             candidates,
-            order=self._order_from(next(iter(restrict)) if restrict else 0),
+            order=self._order_from(next(iter(pinned)) if pinned else 0),
         )
         return [
             row

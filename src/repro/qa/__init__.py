@@ -10,7 +10,8 @@ disagreements before users do:
   is embedded into a random RMAT/ER background, so at least one match is
   ground truth by construction, plus metamorphic transforms (label
   permutation, vertex renumbering, edge-order shuffling) whose results
-  must be invariant;
+  must be invariant, and mutation scripts with their plain edge-set
+  replay (``replay_script``), the one oracle of every dynamic snapshot;
 * :mod:`~repro.qa.differential` — runs each case across every registry
   preset, every kernel backend, :class:`~repro.core.session.MatchSession`
   vs one-shot ``match()`` and the :mod:`repro.baselines` oracles,
@@ -52,6 +53,7 @@ from repro.qa.generator import (
     plant_case,
     plant_mutation_script,
     renumber_vertices,
+    replay_script,
     shuffle_edges,
 )
 from repro.qa.shrink import shrink_case
@@ -60,6 +62,7 @@ __all__ = [
     "PlantedCase",
     "plant_case",
     "plant_mutation_script",
+    "replay_script",
     "TRANSFORMS",
     "apply_transform",
     "renumber_vertices",

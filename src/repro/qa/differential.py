@@ -59,7 +59,7 @@ from repro.dynamic import (
 from repro.graph.fingerprint import query_fingerprint
 from repro.graph.graph import Graph
 from repro.graph.store import MmapStore, SharedMemoryStore, write_rgf
-from repro.qa.generator import PlantedCase, apply_transform
+from repro.qa.generator import PlantedCase, apply_transform, replay_script
 from repro.utils.kernels import available_kernels
 
 __all__ = [
@@ -340,7 +340,10 @@ def run_mutation_config(
     underneath recorded scripts) to a :class:`DynamicGraph` resident in
     a :class:`MatchSession`, with a standing subscription riding along.
     After **every** batch, three cross-checks against a from-scratch
-    rebuild of the post-batch graph:
+    :class:`Graph` of the post-batch graph, built from
+    :func:`~repro.qa.generator.replay_script`'s plain edge-set replay of
+    the sanitized script (it reads nothing the overlay writes, so a
+    bookkeeping fault in ``DynamicGraph.apply`` cannot hide in it):
 
     * ``mutation_mismatch`` — the session's incremental match (epoch-
       keyed caches, maintained snapshot) must be byte-identical to a
@@ -353,13 +356,17 @@ def run_mutation_config(
       set (initial set plus every reported delta) must equal the
       from-scratch match set.
     """
-    script = config.mutations or ()
     with _stored_data(data, config.storage) as resident:
         # Materialize the resident view into plain arrays: the dynamic
         # overlay outlives the storage context (mmap/shm close on exit).
         base = Graph(
             labels=resident.labels.tolist(), edges=list(resident.edges())
         )
+    script = []
+    n = base.num_vertices
+    for batch in config.mutations or ():
+        kept, n = sanitize_batch(batch, n)
+        script.append(kept)
     dyn = DynamicGraph(base)
     incremental = IncrementalCandidates(query, dyn)
     session = MatchSession(
@@ -369,15 +376,12 @@ def run_mutation_config(
     )
     try:
         subscription = session.subscribe(query, match_limit=match_limit)
-        n = dyn.num_vertices
-        for index, batch in enumerate(script):
-            kept, n = sanitize_batch(batch, n)
-            outcome = session.mutate(kept)
+        replayed = replay_script(base, script)
+        for index, (batch, (labels, edges)) in enumerate(zip(script, replayed)):
+            outcome = session.mutate(batch)
             incremental.apply_delta(outcome.delta)
 
-            rebuilt = Graph(
-                labels=dyn.labels_list(), edges=list(dyn.edges())
-            )
+            rebuilt = Graph(labels=labels, edges=edges)
             if dyn.snapshot() != rebuilt:
                 return (
                     "mutation_mismatch",

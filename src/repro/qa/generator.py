@@ -24,7 +24,7 @@ The metamorphic transforms encode invariants every correct matcher obeys:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,6 +207,35 @@ def plant_mutation_script(
         final.append(Mutation(ADD_EDGE, hosts[u], hosts[v]))
     script.append(tuple(final))
     return tuple(script)
+
+
+def replay_script(
+    data: Graph, script: Sequence[Sequence[Mutation]]
+) -> Iterator[Tuple[List[int], List[Tuple[int, int]]]]:
+    """The graph after each batch of ``script``, replayed on plain sets.
+
+    Yields ``(labels, edges)`` per batch — the label list and the sorted
+    ``u < v`` edge list that ``Graph(labels=..., edges=...)`` builds from
+    scratch. Each op folds into a Python edge set in order, so re-adding
+    a present edge or removing an absent one changes nothing, as in
+    :meth:`~repro.dynamic.overlay.DynamicGraph.apply`; the ops must be
+    valid (:func:`~repro.dynamic.mutations.sanitize_batch`). Nothing here
+    reads a ``DynamicGraph``: this is the oracle its snapshots are held to.
+    """
+    labels = data.labels.tolist()
+    edges = set(data.edges())
+    for batch in script:
+        for mutation in batch:
+            if mutation.op == ADD_VERTEX:
+                labels.append(int(mutation.a))
+                continue
+            u, v = int(mutation.a), int(mutation.b)
+            edge = (u, v) if u < v else (v, u)
+            if mutation.op == ADD_EDGE:
+                edges.add(edge)
+            else:
+                edges.discard(edge)
+        yield list(labels), sorted(edges)
 
 
 # ----------------------------------------------------------------------

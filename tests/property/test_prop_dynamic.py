@@ -1,10 +1,14 @@
-"""Dynamic-graph properties: mutation, compaction, epoch invalidation.
+"""Dynamic-graph properties: mutation, rebasing, epoch invalidation.
 
-Three invariants Hypothesis explores over random graphs, mutation
-batches, and compaction points:
+The oracle of every snapshot here is a from-scratch
+:class:`~repro.graph.graph.Graph` built from
+:func:`repro.qa.replay_script`'s plain edge-set replay of the mutation
+script — it reads nothing ``DynamicGraph`` writes. Three invariants
+Hypothesis explores over random graphs, mutation batches, and snapshot
+points (an ``apply`` after a snapshot rebases onto it):
 
 * **candidate equality** — after any interleaving of mutation batches
-  and ``compact()`` calls, the incrementally maintained
+  and snapshots, the incrementally maintained
   :class:`~repro.dynamic.IncrementalCandidates` state equals a
   ground-up rebuild on the same graph (seed, d1, d2 *and* the support
   counters — the internal state, not just the visible sets);
@@ -12,11 +16,10 @@ batches, and compaction points:
   cache hits iff the graph epoch is unchanged: a repeated query hits, a
   query after a non-empty batch misses, a query after an *empty* batch
   (all-no-op mutations bump nothing) hits again;
-* **overlay ↔ compacted byte parity** — the overlay's snapshot, a
-  from-scratch :class:`~repro.graph.graph.Graph` on the same
-  labels/edges, and the post-``compact()`` base all carry byte-identical
-  CSR arrays (construction is canonical, so parity is exact, not just
-  set-equal).
+* **overlay ↔ rebased byte parity** — the overlay's snapshot, the
+  replay oracle, and the base an ``apply`` rebases onto all carry
+  byte-identical CSR arrays (construction is canonical, so parity is
+  exact, not just set-equal).
 
 :class:`TestSnapshotSplice` holds the spliced ``snapshot()`` to the same
 oracle array by array, over scripts built to hit the splice's corners,
@@ -39,7 +42,7 @@ from repro.dynamic import (
 )
 from repro.graph.graph import Graph
 from repro.graph.store import MmapStore, write_rgf
-from repro.qa import plant_case
+from repro.qa import plant_case, replay_script
 
 _SETTINGS = settings(
     max_examples=20,
@@ -52,7 +55,7 @@ SEEDS = st.integers(0, 2**16)
 
 @st.composite
 def programs(draw):
-    """A planted case plus an interleaving of batches and compactions.
+    """A planted case plus an interleaving of batches and snapshots.
 
     Ops are drawn raw (endpoints may be out of range or self-loops) and
     sanitized at apply time against the graph's current vertex count —
@@ -75,7 +78,7 @@ def programs(draw):
     steps = draw(
         st.lists(
             st.one_of(
-                st.just("compact"),
+                st.just("snapshot"),
                 st.lists(raw_op, min_size=0, max_size=5),
             ),
             min_size=1,
@@ -87,6 +90,14 @@ def programs(draw):
 
 def _as_batch(raw):
     return tuple(Mutation(*op) for op in raw)
+
+
+def _replayed(base: Graph, script) -> Graph:
+    """The from-scratch graph after ``script``: the replay oracle."""
+    labels, edges = base.labels.tolist(), sorted(base.edges())
+    for labels, edges in replay_script(base, script):
+        pass
+    return Graph(labels=labels, edges=edges)
 
 
 def _assert_byte_parity(left: Graph, right: Graph) -> None:
@@ -101,14 +112,14 @@ def _assert_byte_parity(left: Graph, right: Graph) -> None:
 @given(program=programs())
 def test_candidates_track_any_mutate_compact_interleaving(program):
     case, steps = program
-    dyn = DynamicGraph(case.data, compact_threshold=0.5)
+    dyn = DynamicGraph(case.data)
     incremental = IncrementalCandidates(case.query, dyn)
     n = dyn.num_vertices
     for step in steps:
-        if step == "compact":
+        if step == "snapshot":
             epoch = dyn.epoch
-            dyn.compact()
-            assert dyn.epoch == epoch, "compaction must not bump the epoch"
+            dyn.snapshot()
+            assert dyn.epoch == epoch, "a snapshot must not bump the epoch"
         else:
             kept, n = sanitize_batch(_as_batch(step), n)
             delta = dyn.apply(kept)
@@ -116,26 +127,31 @@ def test_candidates_track_any_mutate_compact_interleaving(program):
         assert incremental.equal_state(incremental.rebuild())
     # The visible candidate sets agree with a cold build as well.
     cold = IncrementalCandidates(case.query, dyn)
-    assert incremental.as_dict() == cold.as_dict()
+    assert (
+        incremental.candidate_sets().as_dict() == cold.candidate_sets().as_dict()
+    )
 
 
 @_SETTINGS
 @given(program=programs())
 def test_overlay_snapshot_and_compacted_base_byte_parity(program):
     case, steps = program
-    dyn = DynamicGraph(case.data, compact_threshold=0.5)
+    dyn = DynamicGraph(case.data)
+    script = []
     n = dyn.num_vertices
     for step in steps:
-        if step == "compact":
-            dyn.compact()
+        if step == "snapshot":
+            _assert_byte_parity(dyn.snapshot(), _replayed(case.data, script))
         else:
             kept, n = sanitize_batch(_as_batch(step), n)
+            script.append(kept)
             dyn.apply(kept)
-    rebuilt = Graph(labels=dyn.labels_list(), edges=list(dyn.edges()))
+    rebuilt = _replayed(case.data, script)
     _assert_byte_parity(dyn.snapshot(), rebuilt)
-    dyn.compact()
-    assert dyn.overlay_size == 0
-    _assert_byte_parity(dyn.base, rebuilt)
+    epoch = dyn.epoch
+    dyn.apply([])  # finds the snapshot current: rebases onto it
+    assert dyn.epoch == epoch and dyn.overlay_size == 0
+    _assert_byte_parity(dyn._base, rebuilt)
     _assert_byte_parity(dyn.snapshot(), rebuilt)
 
 
@@ -199,7 +215,6 @@ MACRO_OP = st.one_of(
 )
 SPLICE_STEP = st.one_of(
     st.just("snapshot"),
-    st.just("compact"),
     st.lists(MACRO_OP, min_size=1, max_size=4),
 )
 
@@ -240,9 +255,10 @@ def _expand(dyn: DynamicGraph, macros) -> list:
     return batch
 
 
-def _assert_is_constructor_rebuild(dyn: DynamicGraph, snap: Graph) -> None:
-    """``snap`` equals the from-scratch oracle, array by array."""
-    oracle = Graph(labels=dyn.labels_list(), edges=list(dyn.edges()))
+def _assert_is_constructor_rebuild(
+    dyn: DynamicGraph, snap: Graph, oracle: Graph
+) -> None:
+    """``snap`` equals the from-scratch replay oracle, array by array."""
     offsets, neighbors = snap.csr
     oracle_offsets, oracle_neighbors = oracle.csr
     for got, want in (
@@ -270,19 +286,20 @@ def _frozen(snap: Graph) -> tuple:
 class TestSnapshotSplice:
     @staticmethod
     def _run_script(dyn: DynamicGraph, steps) -> None:
+        base = dyn.snapshot()
+        script = []
         captured = []  # (snapshot, its bytes when it was taken)
         for step in steps:
-            if step == "compact":
-                dyn.compact()
-            elif step == "snapshot":
+            if step == "snapshot":
                 snap = dyn.snapshot()
-                _assert_is_constructor_rebuild(dyn, snap)
+                _assert_is_constructor_rebuild(dyn, snap, _replayed(base, script))
                 captured.append((snap, _frozen(snap)))
             else:
-                dyn.apply(_expand(dyn, step))
-        _assert_is_constructor_rebuild(dyn, dyn.snapshot())
+                script.append(_expand(dyn, step))
+                dyn.apply(script[-1])
+        _assert_is_constructor_rebuild(dyn, dyn.snapshot(), _replayed(base, script))
         # Snapshot isolation: no buffer an earlier snapshot holds was
-        # written by a later splice or compaction.
+        # written by a later splice or rebase.
         for snap, frozen in captured:
             assert _frozen(snap) == frozen
 
@@ -290,9 +307,7 @@ class TestSnapshotSplice:
     @given(seed=SEEDS, steps=st.lists(SPLICE_STEP, min_size=2, max_size=10))
     def test_spliced_snapshot_is_the_constructor_rebuild(self, seed, steps):
         case = plant_case(seed, max_data=20)
-        self._run_script(
-            DynamicGraph(case.data, compact_threshold=None), steps
-        )
+        self._run_script(DynamicGraph(case.data), steps)
 
     @_SETTINGS
     @given(seed=SEEDS, steps=st.lists(SPLICE_STEP, min_size=2, max_size=10))
@@ -303,9 +318,7 @@ class TestSnapshotSplice:
         path = tmp_path_factory.mktemp("splice") / "base.rgf"
         write_rgf(case.data, path)
         with MmapStore(path) as store:
-            self._run_script(
-                DynamicGraph(store.graph(), compact_threshold=None), steps
-            )
+            self._run_script(DynamicGraph(store.graph()), steps)
 
     @_SETTINGS
     @given(seed=SEEDS, steps=st.lists(SPLICE_STEP, min_size=2, max_size=10))
@@ -319,25 +332,25 @@ class TestSnapshotSplice:
         taken, the rest only at the end: neither later splices nor late
         patches may disturb what an earlier snapshot holds."""
         case = plant_case(seed, max_data=20)
-        dyn = DynamicGraph(case.data, compact_threshold=None)
+        dyn = DynamicGraph(case.data)
         labels = sorted(case.data.label_set | {0, 1, 2, 3, 99})  # 99 never occurs
         for label in labels:
             dyn.snapshot().neighbor_label_counts(label)
+        script = []
 
         def oracle():
-            return Graph(labels=dyn.labels_list(), edges=list(dyn.edges()))
+            return _replayed(case.data, script)
 
         captured = []
         for step in steps:
-            if step == "compact":
-                dyn.compact()
-            elif step == "snapshot":
+            if step == "snapshot":
                 snap = dyn.snapshot()
                 for label in labels[::2]:
                     snap.neighbor_label_counts(label)
                 captured.append((snap, oracle()))
             else:
-                dyn.apply(_expand(dyn, step))
+                script.append(_expand(dyn, step))
+                dyn.apply(script[-1])
         captured.append((dyn.snapshot(), oracle()))
         for snap, want in captured:
             for label in labels:
@@ -349,7 +362,7 @@ class TestSnapshotSplice:
     def test_splice_never_reaches_the_graph_constructor(self, monkeypatch):
         """An accidental fallback to the rebuild must not pass silently."""
         base = Graph(labels=[0, 1, 0, 1], edges=[(0, 1), (1, 2), (2, 3)])
-        dyn = DynamicGraph(base, compact_threshold=None)
+        dyn = DynamicGraph(base)
 
         def rebuilt(*args, **kwargs):
             raise AssertionError("snapshot() fell back to Graph.__init__")
@@ -358,8 +371,7 @@ class TestSnapshotSplice:
         dyn.apply([Mutation(ADD_EDGE, 0, 2), Mutation(REMOVE_EDGE, 2, 3)])
         dyn.apply([Mutation(ADD_VERTEX, 2), Mutation(ADD_EDGE, 4, 3)])
         first = dyn.snapshot()
-        dyn.compact()
-        dyn.apply([Mutation(REMOVE_EDGE, 4, 3)])
+        dyn.apply([Mutation(REMOVE_EDGE, 4, 3)])  # rebases onto first
         second = dyn.snapshot()
         monkeypatch.undo()
         assert first == Graph(

@@ -59,7 +59,7 @@ def test_query_dag_is_deterministic_and_covers_every_edge():
 
 def test_initial_build_contains_the_embedded_triangles():
     inc = IncrementalCandidates(triangle(), host())
-    sets = inc.as_dict()
+    sets = inc.candidate_sets().as_dict()
     assert {0, 3} <= set(sets[0])
     assert {1, 4} <= set(sets[1])
     assert {2, 5} <= set(sets[2])
@@ -72,16 +72,20 @@ def test_candidate_sets_container_matches_as_dict():
     inc = IncrementalCandidates(triangle(), host())
     container = inc.candidate_sets()
     assert isinstance(container, CandidateSets)
-    assert container.as_dict() == inc.as_dict()
+    # C(u) is the maintained top-down membership row D2(u).
+    assert container.as_dict() == {
+        u: [v for v, member in enumerate(inc.d2[u]) if member]
+        for u in range(inc.query.num_vertices)
+    }
 
 
 def test_added_edge_cascades_into_the_candidate_sets():
     dyn = DynamicGraph(host())
     inc = IncrementalCandidates(triangle(), dyn)
-    assert 6 not in inc.as_dict()[1]
+    assert 6 not in inc.candidate_sets().as_dict()[1]
     # Wiring 6-0 closes the triangle (0, 6, 2).
     inc.apply_delta(dyn.add_edge(6, 0))
-    assert 6 in inc.as_dict()[1]
+    assert 6 in inc.candidate_sets().as_dict()[1]
     assert inc.equal_state(inc.rebuild())
 
 
@@ -90,7 +94,7 @@ def test_removed_edge_cascades_out_of_the_candidate_sets():
     inc = IncrementalCandidates(triangle(), dyn)
     # Breaking triangle (3, 4, 5) must evict all three vertices.
     inc.apply_delta(dyn.remove_edge(3, 4))
-    sets = inc.as_dict()
+    sets = inc.candidate_sets().as_dict()
     assert 3 not in sets[0] and 4 not in sets[1] and 5 not in sets[2]
     assert sets[0] == [0] and sets[1] == [1] and sets[2] == [2]
     assert inc.equal_state(inc.rebuild())
@@ -108,16 +112,16 @@ def test_added_vertex_grows_the_state_and_can_join_matches():
     )
     inc.apply_delta(delta)
     assert inc.seed.shape[1] == dyn.num_vertices
-    assert 7 in inc.as_dict()[0]  # (7, 4, 5) is a fresh triangle
+    assert 7 in inc.candidate_sets().as_dict()[0]  # (7, 4, 5) is a fresh triangle
     assert inc.equal_state(inc.rebuild())
 
 
 def test_empty_delta_is_a_noop():
     dyn = DynamicGraph(host())
     inc = IncrementalCandidates(triangle(), dyn)
-    before = inc.as_dict()
+    before = inc.candidate_sets().as_dict()
     inc.apply_delta(dyn.apply([Mutation(ADD_EDGE, 0, 1)]))  # already present
-    assert inc.as_dict() == before
+    assert inc.candidate_sets().as_dict() == before
 
 
 def test_apply_delta_requires_a_dynamic_graph():

@@ -2,7 +2,9 @@
 
 Covers apply semantics (atomic batches, tolerant no-ops, strict
 validation), epoch rules, overlay cancellation, snapshot caching and
-byte parity, and manual/automatic compaction.
+byte parity against a plain edge-set replay of the script, and the
+rebase onto the last snapshot (after a snapshot, and past the overlay
+bound).
 """
 
 import random
@@ -17,8 +19,10 @@ from repro.dynamic import (
     DynamicGraph,
     Mutation,
 )
+from repro.dynamic.overlay import OVERLAY_FLOOR
 from repro.errors import InvalidGraphError
 from repro.graph.graph import Graph
+from repro.qa import replay_script
 
 
 def square():
@@ -34,13 +38,12 @@ def same_bytes(left: Graph, right: Graph) -> bool:
     )
 
 
-def test_compact_threshold_must_be_positive():
-    with pytest.raises(ValueError):
-        DynamicGraph(square(), compact_threshold=0)
-    with pytest.raises(ValueError):
-        DynamicGraph(square(), compact_threshold=-0.5)
-    # None disables auto-compaction but is a valid configuration.
-    assert DynamicGraph(square(), compact_threshold=None).epoch == 0
+def replayed(base: Graph, script) -> Graph:
+    """The from-scratch graph after ``script``: the replay oracle."""
+    labels, edges = base.labels.tolist(), sorted(base.edges())
+    for labels, edges in replay_script(base, script):
+        pass
+    return Graph(labels=labels, edges=edges)
 
 
 def test_add_edge_bumps_epoch_and_reports_delta():
@@ -82,7 +85,7 @@ def test_batch_applies_atomically_with_one_epoch_bump():
     assert delta.added_edges == ((1, 4),)
     assert delta.touched == frozenset({0, 1, 2, 4})
     assert dyn.num_vertices == 5
-    assert dyn.labels_list() == [0, 1, 0, 1, 2]
+    assert [dyn.label(v) for v in range(5)] == [0, 1, 0, 1, 2]
 
 
 def test_ops_within_a_batch_see_earlier_ops():
@@ -126,13 +129,14 @@ def test_invalid_mutations_raise(batch):
 )
 def test_a_batch_that_fails_part_way_leaves_no_trace(batch):
     base = Graph(labels=[0, 1, 0, 1], edges=[(0, 1), (1, 2)])
-    dyn = DynamicGraph(base, compact_threshold=None)
+    dyn = DynamicGraph(base)
     with pytest.raises(InvalidGraphError):
         dyn.apply(batch)
     assert dyn.epoch == 0
     assert dyn.num_vertices == 4 and dyn.num_edges == 2
     assert dyn.has_edge(0, 1) and not dyn.has_edge(0, 3)
-    assert dyn.overlay_size == 0 and dyn._dirty == set()
+    assert dyn.overlay_size == 0
+    assert dyn._added_adj == dyn._removed_adj == {}
     assert dyn.snapshot() is base
     # The next batch's delta and its snapshot agree: nothing rode along.
     delta = dyn.apply([Mutation(ADD_EDGE, 2, 3)])
@@ -184,7 +188,7 @@ def test_overlay_size_counter_equals_the_sum_over_the_overlay():
         labels=[0] * n,
         edges=[(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3],
     )
-    dyn = DynamicGraph(base, compact_threshold=None)
+    dyn = DynamicGraph(base)
     for step in range(300):
         u, v = rng.sample(range(dyn.num_vertices), 2)
         roll = rng.random()
@@ -202,38 +206,45 @@ def test_overlay_size_counter_equals_the_sum_over_the_overlay():
         assert dyn.overlay_size == summed(dyn)
         if step == 150:
             assert dyn.overlay_size > 0
-            dyn.compact()
+            dyn.snapshot()
+            dyn.apply([])  # finds the snapshot current: rebases onto it
             assert dyn.overlay_size == summed(dyn) == 0
     assert dyn.overlay_size > 0
 
 
 def test_reads_through_the_overlay_match_a_rebuild():
     dyn = DynamicGraph(square())
-    dyn.apply(
-        [
-            Mutation(REMOVE_EDGE, 1, 2),
-            Mutation(ADD_VERTEX, 1),
-            Mutation(ADD_EDGE, 2, 4),
-            Mutation(ADD_EDGE, 0, 4),
-        ]
-    )
-    rebuilt = Graph(labels=dyn.labels_list(), edges=list(dyn.edges()))
+    batch = [
+        Mutation(REMOVE_EDGE, 1, 2),
+        Mutation(ADD_VERTEX, 1),
+        Mutation(ADD_EDGE, 2, 4),
+        Mutation(ADD_EDGE, 0, 4),
+    ]
+    dyn.apply(batch)
+    rebuilt = replayed(square(), [batch])
     assert dyn.num_vertices == rebuilt.num_vertices
     assert dyn.num_edges == rebuilt.num_edges
     for v in range(dyn.num_vertices):
+        assert dyn.label(v) == rebuilt.label(v)
         assert dyn.degree(v) == rebuilt.degree(v)
         assert dyn.neighbors(v) == rebuilt.neighbors(v).tolist()
         assert dyn.nlf(v) == rebuilt.nlf(v)
-    assert sorted(dyn.edges()) == sorted(rebuilt.edges())
+        for w in range(dyn.num_vertices):
+            assert dyn.has_edge(v, w) == rebuilt.has_edge(v, w)
     assert same_bytes(dyn.snapshot(), rebuilt)
 
 
 def test_spliced_snapshots_keep_a_correct_label_index():
     dyn = DynamicGraph(square())
     first = dyn.snapshot()
+    script = []
+
+    def apply(batch):
+        script.append(batch)
+        dyn.apply(batch)
 
     def assert_index_matches_a_rebuild(snap):
-        rebuilt = Graph(labels=dyn.labels_list(), edges=list(dyn.edges()))
+        rebuilt = replayed(square(), script)
         assert same_bytes(snap, rebuilt)
         assert snap.label_set == rebuilt.label_set
         for label in rebuilt.label_set | {7}:
@@ -242,11 +253,11 @@ def test_spliced_snapshots_keep_a_correct_label_index():
                 == rebuilt.vertices_with_label(label).tobytes()
             )
 
-    dyn.apply([Mutation(ADD_EDGE, 1, 3), Mutation(REMOVE_EDGE, 0, 2)])
+    apply([Mutation(ADD_EDGE, 1, 3), Mutation(REMOVE_EDGE, 0, 2)])
     edges_only = dyn.snapshot()
     assert edges_only.labels is first.labels  # shared, so is its index
     assert_index_matches_a_rebuild(edges_only)
-    dyn.apply([Mutation(ADD_VERTEX, 7), Mutation(ADD_VERTEX, 0), Mutation(ADD_EDGE, 4, 0)])
+    apply([Mutation(ADD_VERTEX, 7), Mutation(ADD_VERTEX, 0), Mutation(ADD_EDGE, 4, 0)])
     grown = dyn.snapshot()
     assert grown.labels is not edges_only.labels  # appended: rebuilt
     assert_index_matches_a_rebuild(grown)
@@ -271,13 +282,17 @@ def test_spliced_snapshots_patch_inherited_columns_when_read(monkeypatch):
     )
     for label in (0, 1, 2):
         base.neighbor_label_counts(label)
-    dyn = DynamicGraph(base, compact_threshold=None)
-    dyn.apply([Mutation(ADD_EDGE, 0, 2)])
+    dyn = DynamicGraph(base)
+    script = [
+        [Mutation(ADD_EDGE, 0, 2)],
+        [Mutation(REMOVE_EDGE, 4, 5), Mutation(ADD_VERTEX, 1), Mutation(ADD_EDGE, n, 4)],
+    ]
+    dyn.apply(script[0])
     dyn.snapshot()
-    dyn.apply([Mutation(REMOVE_EDGE, 4, 5), Mutation(ADD_VERTEX, 1), Mutation(ADD_EDGE, n, 4)])
+    dyn.apply(script[1])
     snap = dyn.snapshot()
     assert snap._label_counts == {}
-    rebuilt = Graph(labels=dyn.labels_list(), edges=list(dyn.edges()))
+    rebuilt = replayed(base, script)
     rewritten = (0, 2, 4, 5, n)
     monkeypatch.setattr(graph_module, "_count_label", recording)
     for label in (0, 1, 2):
@@ -313,17 +328,68 @@ def test_versioned_snapshot_pairs_epoch_with_view():
 
 
 def test_manual_compact_preserves_epoch_and_graph():
+    """A snapshot then an apply is the manual compaction: the apply
+    rebases onto the snapshot, so the overlay holds its own ops only."""
     dyn = DynamicGraph(square())
-    dyn.apply([Mutation(REMOVE_EDGE, 0, 2), Mutation(ADD_EDGE, 1, 3)])
+    first = [Mutation(REMOVE_EDGE, 0, 2), Mutation(ADD_EDGE, 1, 3)]
+    dyn.apply(first)
     view = dyn.snapshot()
+    assert dyn.compactions == 0 and dyn.overlay_size == 2
     epoch = dyn.epoch
-    base = dyn.compact()
+    assert dyn.apply([]).empty  # nothing changes, but the base does
     assert dyn.epoch == epoch
     assert dyn.overlay_size == 0
     assert dyn.compactions == 1
-    assert base is dyn.base
-    assert same_bytes(dyn.base, view)
-    assert same_bytes(dyn.snapshot(), view)
+    assert dyn._base is view
+    assert dyn.snapshot() is view
+    second = [Mutation(ADD_EDGE, 0, 2)]
+    dyn.apply(second)
+    assert dyn.compactions == 1 and dyn.overlay_size == 1
+    assert dyn._added_adj == {0: {2}, 2: {0}} and dyn._removed_adj == {}
+    assert same_bytes(dyn.snapshot(), replayed(square(), [first, second]))
+    assert same_bytes(view, replayed(square(), [first]))
+
+
+def test_a_snapshot_nobody_applies_after_stays_out_of_the_base():
+    """Snapshots alone never rebase, and read nothing but the overlay."""
+    dyn = DynamicGraph(square())
+    base = dyn._base
+    dyn.add_edge(1, 3)
+    added, removed = dyn._added_adj, dyn._removed_adj
+    frozen = {k: set(v) for k, v in added.items()}
+    snap = dyn.snapshot()
+    assert dyn.snapshot() is snap
+    assert dyn._base is base and dyn.compactions == 0
+    assert dyn._added_adj is added and dyn._removed_adj is removed
+    assert added == frozen and removed == {} and dyn.overlay_size == 1
+
+
+def test_membership_on_a_fresh_base_builds_no_neighbor_sets(monkeypatch):
+    """apply() tests base membership by binary search in the CSR run: a
+    base spliced a moment ago is never asked for its neighbour sets."""
+    dyn = DynamicGraph(square())
+    dyn.apply([Mutation(ADD_EDGE, 1, 3)])
+    dyn.snapshot()
+
+    def built(self):
+        raise AssertionError("a neighbour frozenset was built")
+
+    monkeypatch.setattr(Graph, "_ensure_neighbor_sets", built)
+    delta = dyn.apply(
+        [
+            Mutation(REMOVE_EDGE, 1, 3),  # in the new base
+            Mutation(ADD_EDGE, 0, 1),  # present: a no-op
+            Mutation(REMOVE_EDGE, 0, 2),
+            Mutation(ADD_EDGE, 0, 2),  # cancels its removal
+            Mutation(ADD_VERTEX, 0),
+            Mutation(ADD_EDGE, 4, 3),
+        ]
+    )
+    assert dyn.compactions == 1
+    assert delta.removed_edges == ((1, 3), (0, 2))
+    assert delta.added_edges == ((0, 2), (3, 4))
+    assert dyn.has_edge(0, 2) and not dyn.has_edge(1, 3) and dyn.has_edge(3, 4)
+    assert not dyn.has_edge(4, 0)
 
 
 def test_auto_compaction_past_the_op_floor():
@@ -336,15 +402,14 @@ def test_auto_compaction_past_the_op_floor():
         for i in range(n)
         for j in range(i + 2, n, 17)
     ][:65]
-    assert len(batch) == 65  # strictly past the 64-op floor
-    dyn.apply(batch)
+    assert len(batch) == 65 == OVERLAY_FLOOR + 1  # strictly past the floor
+    dyn.apply(batch[:-1])
+    assert dyn.compactions == 0  # at the floor: not past it
+    assert dyn.overlay_size == OVERLAY_FLOOR
+    dyn.apply(batch[-1:])
     assert dyn.compactions == 1
     assert dyn.overlay_size == 0
-    assert dyn.epoch == 1
-    assert dyn.base.num_edges == base.num_edges + 65
-    # With compaction disabled the same batch leaves the overlay alone.
-    manual = DynamicGraph(base, compact_threshold=None)
-    manual.apply(batch)
-    assert manual.compactions == 0
-    assert manual.overlay_size == 65
-    assert same_bytes(manual.snapshot(), dyn.snapshot())
+    assert dyn.epoch == 2
+    assert dyn._base is dyn.snapshot()
+    assert dyn.snapshot().num_edges == base.num_edges + 65
+    assert same_bytes(dyn.snapshot(), replayed(base, [batch]))

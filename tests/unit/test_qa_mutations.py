@@ -1,9 +1,11 @@
 """Unit tests for the QA harness's mutation axis.
 
 Script serialization, batch sanitization, the planted mutation-script
-generator, the mutate-then-match differential, and the shrinker's
-mutation pass.
+generator and its plain edge-set replay, the mutate-then-match
+differential, and the shrinker's mutation pass.
 """
+
+import re
 
 import pytest
 
@@ -15,7 +17,8 @@ from repro.dynamic import (
     Mutation,
     sanitize_batch,
 )
-from repro.dynamic.mutations import script_from_json, script_to_json
+from repro.dynamic.mutations import op_error, script_from_json, script_to_json
+from repro.errors import InvalidGraphError
 from repro.graph.graph import Graph
 from repro.qa import (
     DIVERGENCE_KINDS,
@@ -23,6 +26,7 @@ from repro.qa import (
     Config,
     plant_case,
     plant_mutation_script,
+    replay_script,
     run_case,
     run_mutation_config,
 )
@@ -68,6 +72,27 @@ def test_sanitize_batch_drops_invalid_ops_and_tracks_growth():
     dyn = DynamicGraph(Graph(labels=[0, 1, 0, 1], edges=[(0, 1), (1, 2), (2, 3)]))
     dyn.apply(kept)
     assert dyn.num_vertices == 5 and dyn.has_edge(0, 4)
+
+
+def test_apply_refuses_exactly_the_ops_sanitize_drops():
+    """One validity rule: an op alone in a batch applies iff the
+    sanitizer keeps it, and the error names op_error's reason."""
+    base = Graph(labels=[0, 1, 0, 1], edges=[(0, 1), (1, 2), (2, 3)])
+    for op in (ADD_EDGE, REMOVE_EDGE):
+        for u in range(-1, 6):
+            for v in range(-1, 6):
+                mutation = Mutation(op, u, v)
+                kept, _ = sanitize_batch((mutation,), 4)
+                reason = op_error(mutation, 4)
+                assert (kept == (mutation,)) == (reason is None)
+                if reason is None:
+                    DynamicGraph(base).apply([mutation])
+                else:
+                    with pytest.raises(InvalidGraphError, match=re.escape(reason)):
+                        DynamicGraph(base).apply([mutation])
+    for label in (-2, -1, 0, 3):
+        kept, n = sanitize_batch((Mutation(ADD_VERTEX, label),), 4)
+        assert (n == 5) == (label >= 0) == (kept != ())
 
 
 def test_config_mutations_round_trip_and_label():
@@ -123,6 +148,21 @@ def test_plant_mutation_script_final_batch_plants_the_query():
         assert dyn.has_edge(hosts[u], hosts[w])
 
 
+def test_replay_script_folds_ops_on_plain_sets():
+    base = Graph(labels=[0, 1, 0, 1], edges=[(0, 1), (1, 2), (2, 3)])
+    script = (
+        (Mutation(ADD_EDGE, 3, 0), Mutation(ADD_EDGE, 1, 0)),  # new / present
+        (Mutation(REMOVE_EDGE, 2, 1), Mutation(REMOVE_EDGE, 0, 2)),  # live / absent
+        (Mutation(ADD_VERTEX, 5), Mutation(ADD_EDGE, 4, 2), Mutation(REMOVE_EDGE, 4, 2)),
+    )
+    assert list(replay_script(base, script)) == [
+        ([0, 1, 0, 1], [(0, 1), (0, 3), (1, 2), (2, 3)]),
+        ([0, 1, 0, 1], [(0, 1), (0, 3), (2, 3)]),
+        ([0, 1, 0, 1, 5], [(0, 1), (0, 3), (2, 3)]),
+    ]
+    assert list(replay_script(base, ())) == []
+
+
 # ----------------------------------------------------------------------
 # The differential and its shrinker pass
 # ----------------------------------------------------------------------
@@ -133,6 +173,42 @@ def test_run_mutation_config_is_clean_on_a_planted_case():
     script = plant_mutation_script(case, num_batches=2)
     config = Config(mode="session", algorithm="GQL", mutations=script)
     assert run_mutation_config(case.query, case.data, config) is None
+
+
+def test_an_apply_bookkeeping_fault_is_a_mutation_mismatch(monkeypatch):
+    """Removing an edge the same batch inserted must cancel its overlay
+    insertion. A fault that records a removal instead leaves the edge in
+    neighbors() and in every snapshot. The differential's oracle replays
+    the script on plain sets, so it sees the edge gone; an oracle read
+    back from the overlay would agree with the faulty snapshot."""
+    case = plant_case(7, max_data=18)
+    u, v = next(
+        (u, v)
+        for u in range(case.data.num_vertices)
+        for v in range(u + 1, case.data.num_vertices)
+        if not case.data.has_edge(u, v)
+    )
+    script = ((Mutation(ADD_EDGE, u, v), Mutation(REMOVE_EDGE, u, v)),)
+    config = Config(mode="session", algorithm="GQL", mutations=script)
+    assert run_mutation_config(case.query, case.data, config) is None
+
+    discard = DynamicGraph._discard
+
+    def faulty(self, adj, a, b):
+        if adj is self._added_adj:
+            self._record(self._removed_adj, a, b)
+        else:
+            discard(self, adj, a, b)
+
+    monkeypatch.setattr(DynamicGraph, "_discard", faulty)
+    dyn = DynamicGraph(case.data)
+    dyn.apply(script[0])
+    assert dyn.has_edge(u, v) and v in dyn.neighbors(u)  # the fault stands
+    finding = run_mutation_config(case.query, case.data, config)
+    assert finding is not None
+    kind, detail = finding
+    assert kind == "mutation_mismatch"
+    assert "overlay snapshot differs" in detail
 
 
 def test_run_case_with_mutations_is_clean():
