@@ -23,12 +23,20 @@ final graph's match result must be byte-identical between the overlay
 snapshot and the from-scratch graph. The benchmark refuses to emit a
 payload otherwise.
 
+The speedup is reported twice. ``speedup_incremental_vs_scratch`` is
+wall clock. ``speedup_counted`` divides the candidate-state entries the
+rebuilds write (every seed, ``d1``/``d2`` membership and support-counter
+slot, per batch) by the entries the incremental path touches (its seed
+checks, counter updates and rechecks). Counts are deterministic, so no
+load on the host can move the counted figure.
+
 Run directly (``python benchmarks/bench_dynamic.py``) to write
 ``BENCH_dynamic.json``, schema-stamped and validated by
 :func:`repro.obs.schema.validate_bench_dynamic` — which enforces the
-``MIN_DYNAMIC_SPEEDUP`` floor and zero shared-memory/tempfile leaks.
-Flags scale the workload down for CI smoke runs
-(``--vertices 400 --batch-size 2``).
+``MIN_DYNAMIC_SPEEDUP`` floor on the counted speedup and zero
+shared-memory/tempfile leaks (CI's ``dynamic-smoke`` job holds the
+wall-clock speedup to the same floor). Flags scale the workload down for
+CI smoke runs (``--vertices 400 --batch-size 2``).
 """
 
 from __future__ import annotations
@@ -136,6 +144,29 @@ def build_workload(
     return data, query, script
 
 
+def _state_entries(candidates: IncrementalCandidates) -> int:
+    """The entries a from-scratch build of ``candidates`` writes: its
+    seed, ``d1`` and ``d2`` memberships and every support counter."""
+    return (
+        candidates.seed.size
+        + candidates.d1.size
+        + candidates.d2.size
+        + sum(c.size for c in candidates.cnt1.values())
+        + sum(c.size for c in candidates.cnt2.values())
+    )
+
+
+def _touched_entries(candidates: IncrementalCandidates) -> int:
+    """The entries the incremental path has touched: seed re-evaluations,
+    support-counter updates and membership rechecks."""
+    counters = candidates.counters
+    return (
+        counters["dynamic.seed_checks"]
+        + counters["dynamic.cnt_updates"]
+        + counters["dynamic.rechecks"]
+    )
+
+
 def run_dynamic_benchmark(
     vertices: int = DEFAULT_VERTICES,
     degree: float = DEFAULT_DEGREE,
@@ -192,12 +223,14 @@ def run_dynamic_benchmark(
     for batch in script:
         inc.apply_delta(dyn.apply(batch))
     incremental_seconds = time.perf_counter() - start
+    incremental_entries = _touched_entries(inc)
 
     # Timed: rebuild the graph and the candidate structure per batch.
+    scratch_entries = 0
     start = time.perf_counter()
     for state_labels, state_edges in scratch_states:
         rebuilt = Graph(labels=state_labels, edges=state_edges)
-        IncrementalCandidates(query, rebuilt)
+        scratch_entries += _state_entries(IncrementalCandidates(query, rebuilt))
     scratch_seconds = time.perf_counter() - start
 
     payload = {
@@ -222,6 +255,11 @@ def run_dynamic_benchmark(
             "scratch_seconds_per_batch": scratch_seconds / len(script),
         },
         "speedup_incremental_vs_scratch": scratch_seconds / incremental_seconds,
+        "counted": {
+            "incremental_entries": incremental_entries,
+            "scratch_entries": scratch_entries,
+        },
+        "speedup_counted": scratch_entries / incremental_entries,
         "final_matches": incremental_result.num_matches,
         "states_identical": states_identical,
         "final_match_identical": final_match_identical,

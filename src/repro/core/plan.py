@@ -675,7 +675,6 @@ def run_plan(
         )
         with span("enumerate", kernel=prepared.kernel_used) as enum_span:
             outcome = None
-            compiled = False
             if use_parallel:
                 from repro.parallel.pool import ParallelUnavailable
 
@@ -718,7 +717,8 @@ def run_plan(
                     cancel=cancel,
                     root_window=root_window,
                 )
-                compiled = machine.compiled
+                # A fan-out's chunks name theirs in their own spans.
+                enum_span.annotate(search=machine.search)
                 if machine.compile_seconds:
                     # The run that paid the compile says so, in its own counter.
                     metrics.add(
@@ -727,7 +727,6 @@ def run_plan(
             enum_span.annotate(
                 num_matches=outcome.num_matches,
                 solved=outcome.solved,
-                compiled=compiled,
             )
         metrics.record_phase("enumerate", outcome.elapsed)
         metrics.record_enumeration(outcome.stats)

@@ -3,8 +3,9 @@
 The study's third axis. One engine runs every algorithm: the iterative
 :class:`~repro.enumeration.frames.FrameMachine` (explicit frame stacks on
 integer masks, leaf batching, pause/resume, root windows), which runs a
-reused static bitmap-row order as a compiled search
-(:mod:`~repro.enumeration.compiled`). The recursive
+static bitmap-row order as a compiled search
+(:mod:`~repro.enumeration.compiled`): the generic search of its size on
+a first sighting, the order's specialised search once reused. The recursive
 :class:`~repro.enumeration.engine.BacktrackingEngine` is the line-by-line
 transcription of Algorithm 1 that the parity tests construct and compare
 the frame machine against; nothing under ``src/`` constructs it. The

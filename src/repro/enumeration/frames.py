@@ -59,19 +59,20 @@ at a time (the order race).
 **Compiled search.** For Algorithm 5 on bitmap rows under a static
 order, :meth:`FrameMachine.run` runs the order as generated Python
 (:mod:`repro.enumeration.compiled`): one nested loop per depth with the
-frame's masks and position in locals, the tables bound as constants —
-the same nodes, counters and embeddings as :meth:`FrameMachine._loop`.
-It compiles on the second :meth:`~FrameMachine.run` over the same bound
-:class:`~repro.enumeration.local_candidates.StaticOrderInfo` (a first
-sighting never pays the compile) and is cached there. ``_loop`` stays
-the definition and runs everything else: adaptive orders, list-answering
-ComputeLC methods, ``emit_rows=True`` streaming, :meth:`~FrameMachine.step`,
-first sightings and orders deeper than
+frame's masks in locals — the same nodes, counters and embeddings as
+:meth:`FrameMachine._loop`. The first :meth:`~FrameMachine.run` over a
+bound :class:`~repro.enumeration.local_candidates.StaticOrderInfo` runs
+the generic search of its size (compiled once per process, the query's
+tables passed as data); the second compiles the order's specialised
+search (the tables bound as constants) and caches it there. ``_loop``
+stays the definition and runs everything else: adaptive orders,
+list-answering ComputeLC methods, ``emit_rows=True`` streaming,
+:meth:`~FrameMachine.step` and orders deeper than
 :data:`~repro.enumeration.compiled.MAX_COMPILED_VERTICES` (CPython's
-limit on nested blocks). The generated source formats only integers
-(depths, query vertices, their bit masks) into fixed names; every table,
-limit and callable a request or graph supplies is a constant or an
-argument, so no request string reaches it.
+limit on nested blocks). The generated sources format only integers
+(sizes, depths, query vertices, their bit masks) into fixed names; every
+table, limit and callable a request or graph supplies is a constant or
+an argument, so no request string reaches them.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from repro.errors import BudgetExceeded
 from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
-from repro.enumeration.compiled import Search, search_for
+from repro.enumeration.compiled import INTERPRETED, Search, search_for
 from repro.enumeration.local_candidates import (
     LCContext,
     LocalCandidateMethod,
@@ -131,9 +132,10 @@ class FrameMachine:
         self.lc_method = lc_method
         self.use_failing_sets = use_failing_sets
         self.adaptive = adaptive
-        #: Whether the last :meth:`run` ran a compiled search, and the
-        #: seconds it spent compiling one (0.0 unless it paid the compile).
-        self.compiled = False
+        #: Which search the last :meth:`run` ran (``"interpreted"``,
+        #: ``"generic"`` or ``"specialised"``), and the seconds it spent
+        #: compiling one (0.0 unless it paid a compile).
+        self.search = INTERPRETED
         self.compile_seconds = 0.0
 
     # ------------------------------------------------------------------
@@ -159,8 +161,9 @@ class FrameMachine:
         deadline stride; returning True aborts the search as unsolved.
         ``root_window`` restricts the search to a slice of the root
         vertex's local candidates (see :meth:`start`). A static
-        bitmap-row order bound to these arguments runs compiled from its
-        second run on (:mod:`repro.enumeration.compiled`); the compile,
+        bitmap-row order runs compiled (:mod:`repro.enumeration.compiled`):
+        the generic search of its size on its first run over these
+        arguments, its specialised search from the second on; a compile,
         when this run pays it, is inside ``elapsed``."""
         self.start(
             query,
@@ -177,12 +180,11 @@ class FrameMachine:
             root_window=root_window,
         )
         with Timer() as timer:
-            search, self.compile_seconds = (
+            search, self.search, self.compile_seconds = (
                 search_for(self._static, self.use_failing_sets)
                 if self._static is not None
-                else (None, 0.0)
+                else (None, INTERPRETED, 0.0)
             )
-            self.compiled = search is not None
             if search is not None:
                 self._run_compiled(search)
             else:
@@ -370,34 +372,43 @@ class FrameMachine:
     # Machine internals
     # ------------------------------------------------------------------
 
+    def _expired(self) -> bool:
+        # The stride's check: the deadline passed or `cancel` said stop.
+        return (self._deadline is not None and self._deadline.expired()) or (
+            self._cancel is not None and self._cancel()
+        )
+
     def _poll(self) -> bool:
-        # The stride's check: raise on an expired deadline or a `cancel`;
-        # True when `step` asked for a pause.
-        if self._deadline is not None and self._deadline.expired():
-            raise BudgetExceeded
-        if self._cancel is not None and self._cancel():
+        # Raise when expired; True when `step` asked for a pause.
+        if self._expired():
             raise BudgetExceeded
         return self._pausing
 
     def _run_compiled(self, search: Search) -> None:
-        """:meth:`run`'s search on the compiled form of the bound order:
+        """:meth:`run`'s search on a compiled form of the bound order:
         the same nodes, counters and stored embeddings as :meth:`_loop`."""
         if self._done:
             return
         store = self._store
-        try:
-            search(
-                self,
-                self._ctx.auxiliary.build_row,
-                self._ctx.data,
-                self._window_mask() if self._root_window is not None else -1,
-                # No limit is a limit no search reaches.
-                self._match_limit if self._match_limit is not None else sys.maxsize,
-                store.room,
-                store.extend,
-            )
-        except BudgetExceeded:
-            self._solved = False
+        calls, conflicts, prunes, self._num_matches, next_poll, self._solved = search(
+            self,
+            self._ctx.auxiliary.build_row,
+            self._ctx.data,
+            self._window_mask() if self._root_window is not None else -1,
+            # No limit is a limit no search reaches.
+            self._match_limit if self._match_limit is not None else sys.maxsize,
+            store.room,
+            store.extend,
+        )
+        stats = self._stats
+        stats.recursion_calls += calls
+        # Every scanned candidate that is not a conflict opened one node
+        # (a leaf batch's take counts as its calls), and nothing opened
+        # the root, which is always entered.
+        stats.candidates_scanned += calls - 1 + conflicts
+        stats.conflicts += conflicts
+        stats.failing_set_prunes += prunes
+        self._tick = next_poll - calls
         self._done = True
 
     def _open_lists(self, depth: int) -> int:

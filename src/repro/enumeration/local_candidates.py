@@ -116,9 +116,10 @@ class StaticOrderInfo:
 
     ``rows`` is ``None`` when the method answers in lists.
 
-    ``compiled`` caches, per failing-sets flag, the search
+    ``compiled`` caches, per failing-sets flag, the specialised search
     :mod:`repro.enumeration.compiled` generates for these tables (``None``
-    until a run has seen them); it never travels in a pickle.
+    after the first run, which runs the generic search); it never
+    travels in a pickle.
     """
 
     __slots__ = (

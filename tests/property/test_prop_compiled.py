@@ -1,16 +1,19 @@
 """Compiled-search parity: a compiled ``run()`` IS the interpreted machine.
 
-The frame machine runs a reused static bitmap-row order as a generated
-search (``repro.enumeration.compiled``); the interpreted loop, driven
-here through ``start``/``advance``, stays the definition. Over random
-graphs and queries, failing sets on and off, every ``match_limit`` and
-``store_limit`` shape, covering root windows and a ``cancel`` that fires
-after k polls, the compiled run must report the same matches, the same
-embeddings in the same order and all five counters. The rest pins the
-policy around it: the second run compiles, a 10 ms budget stops a
-multi-second search, an order past the nesting limit stays interpreted,
-pickles drop the compiled search, threads racing the compile agree, and
-the ``enumerate`` span and counters say which run paid it.
+The frame machine runs a static bitmap-row order as a generated search
+(``repro.enumeration.compiled``): a first sighting the generic search of
+its size, a reused order its specialised search. The interpreted loop,
+driven here through ``start``/``advance``, stays the definition. Over
+random graphs and queries, failing sets on and off, every
+``match_limit`` and ``store_limit`` shape, covering root windows and a
+``cancel`` that fires after k polls, both compiled runs must report the
+same matches, the same embeddings in the same order and all five
+counters. The rest pins the policy around them: the first run is
+generic and the second specialised, one generic search serves every
+order of a size, a 10 ms budget stops a multi-second search, an order
+past the nesting limit stays interpreted, pickles drop the specialised
+search, threads racing either compile agree, and the ``enumerate`` span
+and counters say which run paid a compile.
 """
 
 import pickle
@@ -24,8 +27,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import compile_plan, prepare_query, run_plan
-from repro.enumeration import FrameMachine
-from repro.enumeration.compiled import MAX_COMPILED_VERTICES
+from repro.enumeration import FrameMachine, compiled
+from repro.enumeration.compiled import MAX_COMPILED_VERTICES, search_for
 from repro.errors import InvalidQueryError
 from repro.graph import Graph, extract_query, rmat_graph
 from repro.obs import Metrics, Tracer, tracing
@@ -73,19 +76,27 @@ def _interpreted(prepared, query, data, fs, **limits):
 
 
 def _run(prepared, query, data, fs, **limits):
-    """``(compiled?, outcome)`` of one ``run()`` on a fresh machine."""
+    """``(search, outcome)`` of one ``run()`` on a fresh machine."""
     machine = _machine(prepared, fs)
     out = machine.run(*_args(prepared, query, data), **limits)
-    return machine.compiled, (
+    return machine.search, (
         out.num_matches, out.solved, out.embeddings, astuple(out.stats)
     )
 
 
+def _generic(algorithm, query, data, fs, **limits):
+    """A first sighting's ``run()``: the generic search, on a newly
+    prepared query whose rows are still holes."""
+    search, outcome = _run(_prepared(algorithm, query, data), query, data, fs, **limits)
+    assert search == "generic"
+    return outcome
+
+
 def _compiled(prepared, query, data, fs, **limits):
-    """A compiled ``run()``: the first sighting of the order runs first."""
+    """A specialised ``run()``: the first sighting of the order runs first."""
     _run(prepared, query, data, fs, match_limit=1, store_limit=0)
-    compiled, outcome = _run(prepared, query, data, fs, **limits)
-    assert compiled
+    search, outcome = _run(prepared, query, data, fs, **limits)
+    assert search == "specialised"
     return outcome
 
 
@@ -129,6 +140,7 @@ def test_compiled_run_equals_the_interpreted_machine(
         assume(probe[0] <= UNLIMITED_CAP)
     limits = dict(match_limit=match_limit, store_limit=store_limit)
     expected = _interpreted(prepared, query, data, fs, **limits)
+    assert _generic(algorithm, query, data, fs, **limits) == expected
     assert _compiled(prepared, query, data, fs, **limits) == expected
 
 
@@ -148,6 +160,7 @@ def test_queries_of_one_to_three_vertices(query, fs, match_limit):
     prepared = _prepared("GQL-opt", query, data)
     limits = dict(match_limit=match_limit, store_limit=3)
     expected = _interpreted(prepared, query, data, fs, **limits)
+    assert _generic("GQL-opt", query, data, fs, **limits) == expected
     assert _compiled(prepared, query, data, fs, **limits) == expected
 
 
@@ -171,8 +184,11 @@ def test_covering_root_windows_equal_the_interpreted_machine(
     _run(prepared, query, data, fs, match_limit=1, store_limit=0)  # first sighting
     for window in zip(bounds, bounds[1:]):
         expected = _interpreted(prepared, query, data, fs, root_window=window, **limits)
-        compiled, outcome = _run(prepared, query, data, fs, root_window=window, **limits)
-        assert compiled and outcome == expected, window
+        # A parallel worker's first run of its window is generic.
+        generic = _generic(algorithm, query, data, fs, root_window=window, **limits)
+        assert generic == expected, window
+        search, outcome = _run(prepared, query, data, fs, root_window=window, **limits)
+        assert search == "specialised" and outcome == expected, window
 
 
 @settings(max_examples=12, deadline=None)
@@ -190,6 +206,7 @@ def test_a_cancel_after_k_polls_stops_at_the_same_node(heavy, polls, fs, store_l
 
     expected = _interpreted(prepared, query, data, fs, **limits())
     assert expected[1] is False  # the search was cut, not finished
+    assert _generic("GQL-opt", query, data, fs, **limits()) == expected
     assert _compiled(prepared, query, data, fs, **limits()) == expected
 
 
@@ -200,11 +217,26 @@ def test_the_second_run_compiles(heavy):
     first = _run(prepared, query, data, False, **limits)
     second = _run(prepared, query, data, False, **limits)
     third = _run(prepared, query, data, False, **limits)
-    assert (first[0], second[0], third[0]) == (False, True, True)
+    assert (first[0], second[0], third[0]) == ("generic", "specialised", "specialised")
     assert first[1] == second[1] == third[1]
-    # Failing sets on is another compiled search, with its own sighting.
-    assert _run(prepared, query, data, True, **limits)[0] is False
-    assert _run(prepared, query, data, True, **limits)[0] is True
+    # Failing sets on is another specialised search, with its own sighting.
+    assert _run(prepared, query, data, True, **limits)[0] == "generic"
+    assert _run(prepared, query, data, True, **limits)[0] == "specialised"
+
+
+@pytest.mark.parametrize("fs", [False, True])
+def test_one_generic_search_serves_every_order_of_a_size(fs):
+    data = rmat_graph(200, 6.0, 2, seed=3, clustering=0.2)
+    queries = [extract_query(data, 5, seed=seed) for seed in (1, 2)]
+    assert queries[0] != queries[1]
+    found = []
+    for query in queries:
+        search, kind, _ = search_for(_prepared("GQL-opt", query, data).lc.static, fs)
+        assert kind == "generic"
+        found.append(search.func)  # the search with this query's tables bound
+    # One compiled source per (n, failing_sets): the same function object.
+    assert found[0] is found[1]
+    assert found[0].__code__ is found[1].__code__
 
 
 def test_a_10ms_budget_stops_a_multisecond_search(heavy):
@@ -217,7 +249,18 @@ def test_a_10ms_budget_stops_a_multisecond_search(heavy):
         time_limit=0.01,
     )
     elapsed = time.perf_counter() - started
-    assert machine.compiled
+    assert machine.search == "specialised"
+    assert not outcome.solved
+    assert elapsed < 50 * 0.01, elapsed
+    # A first sighting stops as soon, on the generic search.
+    fresh = _prepared("GQL-opt", query, data)
+    machine = _machine(fresh, False)
+    started = time.perf_counter()
+    outcome = machine.run(
+        *_args(fresh, query, data), match_limit=None, store_limit=0, time_limit=0.01
+    )
+    elapsed = time.perf_counter() - started
+    assert machine.search == "generic"
     assert not outcome.solved
     assert elapsed < 50 * 0.01, elapsed
 
@@ -231,10 +274,13 @@ def test_an_order_past_the_nesting_limit_runs_interpreted(size):
     prepared = _prepared("GQLfs", query, data)
     limits = dict(match_limit=50, store_limit=50)
     expected = _interpreted(prepared, query, data, True, **limits)
-    _run(prepared, query, data, True, **limits)
-    compiled, outcome = _run(prepared, query, data, True, **limits)
-    assert compiled is (size <= MAX_COMPILED_VERTICES)
-    assert outcome == expected
+    runs = [_run(prepared, query, data, True, **limits) for _ in range(2)]
+    assert [search for search, _ in runs] == (
+        ["generic", "specialised"]
+        if size <= MAX_COMPILED_VERTICES
+        else ["interpreted", "interpreted"]
+    )
+    assert [outcome for _, outcome in runs] == [expected, expected]
 
 
 def test_pickling_drops_the_compiled_search(heavy):
@@ -246,8 +292,8 @@ def test_pickling_drops_the_compiled_search(heavy):
     assert copy.lc.static.compiled is None
     assert prepared.lc.static.compiled[False] is not None
     # The copy starts over: a first sighting, then its own compile.
-    assert _run(copy, query, data, False, **limits) == (False, expected)
-    assert _run(copy, query, data, False, **limits) == (True, expected)
+    assert _run(copy, query, data, False, **limits) == ("generic", expected)
+    assert _run(copy, query, data, False, **limits) == ("specialised", expected)
 
 
 def test_threads_racing_the_compile_agree(heavy):
@@ -274,23 +320,74 @@ def test_threads_racing_the_compile_agree(heavy):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert results == [(True, expected)] * 4
+    assert results == [("specialised", expected)] * 4
 
 
-def test_the_enumerate_span_says_which_run_compiled():
+def test_threads_racing_the_first_generic_compile_agree(heavy, monkeypatch):
+    query, data, prepared = heavy
+    monkeypatch.setattr(compiled, "_GENERIC", {})  # nothing compiled yet
+    limits = dict(match_limit=2000, store_limit=100)
+    expected = _interpreted(prepared, query, data, True, **limits)
+    copies = [_prepared("GQL-opt", query, data) for _ in range(4)]
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(i):
+        barrier.wait()
+        machine = _machine(copies[i], True)
+        out = machine.run(*_args(copies[i], query, data), **limits)
+        results[i] = (
+            machine.search,
+            machine.compile_seconds > 0,
+            (out.num_matches, out.solved, out.embeddings, astuple(out.stats)),
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [(search, outcome) for search, _, outcome in results] == [
+        ("generic", expected)
+    ] * 4
+    # The process compiles the generic search once, and one run pays it.
+    assert sum(paid for _, paid, _ in results) == 1
+    assert list(compiled._GENERIC) == [(query.num_vertices, True)]
+
+
+def test_the_enumerate_span_says_which_run_compiled(monkeypatch):
+    monkeypatch.setattr(compiled, "_GENERIC", {})  # nothing compiled yet
     data = rmat_graph(200, 6.0, 2, seed=3, clustering=0.2)
     query = extract_query(data, 6, seed=2)
     plan = compile_plan("GQL-opt", query, data, kernel="rows")
     prepared = None
     seen = []
-    for _ in range(3):
+    for reuse in (False, True, True, False):
         with tracing(Tracer()) as tracer:
             result, prepared = run_plan(
-                plan, query, data, prepared=prepared, match_limit=100, store_limit=0
+                plan,
+                query,
+                data,
+                prepared=prepared if reuse else None,
+                match_limit=100,
+                store_limit=0,
             )
         (enum,) = [s for s in tracer.spans if s.name == "enumerate"]
         seen.append(
-            (enum.attrs["compiled"], "search.compile_us" in result.metrics.counters)
+            (enum.attrs["search"], "search.compile_us" in result.metrics.counters)
         )
-    # Only the run that paid the compile carries its counter.
-    assert seen == [(False, False), (True, True), (True, False)]
+    # Only a run that paid a compile carries its counter: the process's
+    # first generic search of the size, then the query's specialised one.
+    # A new prepared query of the same size runs the generic search free.
+    assert seen == [
+        ("generic", True),
+        ("specialised", True),
+        ("specialised", False),
+        ("generic", False),
+    ]

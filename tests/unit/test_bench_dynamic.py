@@ -26,20 +26,24 @@ def bench_module():
     return module
 
 
+#: Tiny scale: the schema, the correctness attestations and the counted
+#: floor are under test here, not the wall-clock headline, which a loaded
+#: host can push under the floor at this scale (CI's dynamic-smoke job
+#: holds it to the floor).
+_TINY = dict(
+    vertices=300,
+    degree=6.0,
+    labels=3,
+    query_size=4,
+    churn_fraction=0.02,
+    batch_size=2,
+    match_limit=5_000,
+)
+
+
 @pytest.fixture(scope="module")
 def payload(bench_module):
-    # Tiny scale: the schema and the correctness attestations are under
-    # test here, not the speedup headline (though even at this scale the
-    # per-batch rebuild loses by far more than the floor).
-    return bench_module.run_dynamic_benchmark(
-        vertices=300,
-        degree=6.0,
-        labels=3,
-        query_size=4,
-        churn_fraction=0.02,
-        batch_size=2,
-        match_limit=5_000,
-    )
+    return bench_module.run_dynamic_benchmark(**_TINY)
 
 
 class TestPayload:
@@ -56,11 +60,19 @@ class TestPayload:
         assert payload["final_match_identical"] is True
 
     def test_speedup_clears_the_floor_and_is_consistent(self, payload):
-        assert payload["speedup_incremental_vs_scratch"] >= MIN_DYNAMIC_SPEEDUP
+        counted = payload["counted"]
+        assert payload["speedup_counted"] >= MIN_DYNAMIC_SPEEDUP
+        assert payload["speedup_counted"] == pytest.approx(
+            counted["scratch_entries"] / counted["incremental_entries"]
+        )
         assert payload["speedup_incremental_vs_scratch"] == pytest.approx(
             payload["timings"]["scratch_seconds"]
             / payload["timings"]["incremental_seconds"]
         )
+
+    def test_counted_work_is_deterministic(self, bench_module, payload):
+        again = bench_module.run_dynamic_benchmark(**_TINY)
+        assert again["counted"] == payload["counted"]
 
     def test_no_leaks(self, payload):
         assert payload["shm_segments_leaked"] == 0
@@ -94,16 +106,25 @@ class TestValidatorRejects:
 
     def test_speedup_below_floor_rejected(self, payload):
         bad = copy.deepcopy(payload)
-        bad["timings"]["scratch_seconds"] = bad["timings"]["incremental_seconds"]
-        bad["speedup_incremental_vs_scratch"] = 1.0
+        bad["counted"]["scratch_entries"] = bad["counted"]["incremental_entries"]
+        bad["speedup_counted"] = 1.0
         with pytest.raises(TraceSchemaError, match="floor"):
             validate_bench_dynamic(bad)
 
+    def test_a_slow_wall_clock_is_left_to_ci(self, payload):
+        # Seconds move with the host's load; the validator holds them to
+        # their ratio only, and CI's dynamic-smoke job to the floor.
+        slow = copy.deepcopy(payload)
+        slow["timings"]["scratch_seconds"] = slow["timings"]["incremental_seconds"]
+        slow["speedup_incremental_vs_scratch"] = 1.0
+        validate_bench_dynamic(slow)
+
     def test_inconsistent_speedup_rejected(self, payload):
-        bad = copy.deepcopy(payload)
-        bad["speedup_incremental_vs_scratch"] += 1.0
-        with pytest.raises(TraceSchemaError, match="must equal"):
-            validate_bench_dynamic(bad)
+        for key in ("speedup_incremental_vs_scratch", "speedup_counted"):
+            bad = copy.deepcopy(payload)
+            bad[key] += 1.0
+            with pytest.raises(TraceSchemaError, match="must equal"):
+                validate_bench_dynamic(bad)
 
     def test_diverged_states_rejected(self, payload):
         bad = copy.deepcopy(payload)

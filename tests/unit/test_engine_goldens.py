@@ -4,9 +4,10 @@ Each row pins what one seeded ``(graph, query, preset, limits, root
 window)`` case produced — ``num_matches``, ``solved``, a sha256 of the
 stored embeddings (order included) and all five ``EnumerationStats``
 counters — so the frame machine's exactness no longer rests on a second
-engine being kept alive to compare against. Every row the compiled search
-can run (a static Algorithm 5 order on bitmap rows) is replayed a second
-time on its second run over one prepared query, which is compiled.
+engine being kept alive to compare against. A row the compiled searches
+can run (a static Algorithm 5 order on bitmap rows) replays on the generic
+search, and a second time on its second run over one prepared query,
+which runs the specialised search.
 
 The table was generated from the commit *before* the candidate-space
 rewrite of ``frames.py``; regenerate (only when an intended behaviour
@@ -219,8 +220,8 @@ def test_golden_case(case):
 
 
 def _compiles(case: Dict) -> bool:
-    """Whether the case's second run is a compiled search: a static
-    Algorithm 5 order on bitmap rows (``auto`` resolves to them here)."""
+    """Whether the case's runs are compiled searches: a static Algorithm 5
+    order on bitmap rows (``auto`` resolves to them here)."""
     preset = case["preset"]
     return (
         preset["lc"] == "ALG5"
@@ -233,12 +234,14 @@ def _compiles(case: Dict) -> bool:
     "case", [c for c in _load() if _compiles(c)] if GOLDENS.exists() else [], ids=_case_id
 )
 def test_golden_case_compiled(case):
-    """The second run over one prepared query runs compiled and still
-    replays the row: same matches, embeddings and counters."""
+    """The first run over one prepared query runs the generic search (so
+    does every ``test_golden_case`` row it can), the second the
+    specialised one, and it still replays the row: same matches,
+    embeddings and counters."""
     with tracing(Tracer()) as tracer:
         assert run_case(case, runs=2) == case["expected"]
-    compiled = [s.attrs["compiled"] for s in tracer.spans if s.name == "enumerate"]
-    assert compiled == [False, True]
+    searches = [s.attrs["search"] for s in tracer.spans if s.name == "enumerate"]
+    assert searches == ["generic", "specialised"]
 
 
 def test_table_covers_the_axes():
