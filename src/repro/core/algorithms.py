@@ -38,6 +38,10 @@ from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.graph.query_gen import DENSE_THRESHOLD
 
+#: A data graph of at least this average degree is dense: the
+#: recommendation orders it with GraphQL's ordering, a sparser one with RI's.
+DENSE_DEGREE = 10.0
+
 __all__ = [
     "ORIGINAL_NAMES",
     "OPTIMIZED_NAMES",
@@ -216,9 +220,7 @@ def algorithm_components(name: str) -> Dict[str, str]:
     return describe_preset(preset)
 
 
-def recommended_spec(
-    query: Graph, data: Graph, dense_degree: float = 10.0
-) -> AlgorithmSpec:
+def recommended_spec(query: Graph, data: Graph) -> AlgorithmSpec:
     """The Section 6 recommendation, instantiated for one query/data pair.
 
     The NLF filter; GraphQL's ordering on dense data graphs and RI's on
@@ -252,7 +254,7 @@ def recommended_spec(
     sweep would gather. Each is its best threshold fitted in sample. None
     beats the constant by 3 %, so the constant stands. The GQL ordering
     still reads ``|C(u)|``. The e2e "sparse" graph has average degree 12,
-    above ``dense_degree``, so every e2e workload orders with GQL, and a
+    above :data:`DENSE_DEGREE`, so every e2e workload orders with GQL, and a
     capped reply may list other (equally valid) embeddings than it did
     under GraphQL's filter. Counts never change. The ``GQL``/``GQLfs``
     presets and every study figure keep GraphQL's filter.
@@ -272,7 +274,7 @@ def recommended_spec(
     :mod:`repro.core.session`); nothing on the request path fingerprints
     the query.
     """
-    dense = data.average_degree >= dense_degree
+    dense = data.average_degree >= DENSE_DEGREE
     large_query = query.num_vertices >= 3 * DENSE_THRESHOLD  # >= 9 vertices
     return build_spec(
         PresetDef(

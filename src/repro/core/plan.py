@@ -51,7 +51,7 @@ from repro.core.registry import FILTERS, ORDERINGS
 from repro.core.result import MatchResult
 from repro.core.spec import AlgorithmSpec
 from repro.enumeration.frames import FrameMachine
-from repro.enumeration.local_candidates import IntersectionLC
+from repro.enumeration.local_candidates import IntersectionLC, StaticOrderInfo
 from repro.errors import InvalidQueryError
 from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.graph.graph import Graph
@@ -74,7 +74,6 @@ __all__ = [
     "SAMPLED_RACERS",
     "SAMPLE_SEED",
     "RaceWinner",
-    "iter_leaf_batches",
     "run_plan",
     "validate_query",
 ]
@@ -120,16 +119,17 @@ class PreparedQuery:
     Enumeration changes nothing here but the holes of row tables and
     the translation tables of an adaptive order, each filled once with
     the value the candidates determine, so one ``PreparedQuery`` can
-    serve any number of runs, from any number of threads. ``lc`` is the
-    ComputeLC method *bound* to these artifacts
-    (:meth:`~repro.enumeration.local_candidates.LocalCandidateMethod.bind`):
-    it carries the static order's per-depth tables — the universes and
-    translation tables every frame indexes and, for Algorithm 5 on
-    bitmap rows, the row tables the frame machine ANDs. The
-    resolved kernel instance rides along inside it: identity-keyed encode
-    caches (bitset/QFilter layouts over the auxiliary arrays) stay warm
-    across repeats — the "build the index once" amortization of CNI-style
-    data-side indexing.
+    serve any number of runs, from any number of threads: it is what a
+    :class:`~repro.enumeration.frames.FrameMachine` runs. ``lc`` is the
+    ComputeLC method with its kernel resolved; ``static`` holds a static
+    order's per-depth tables
+    (:meth:`~repro.enumeration.local_candidates.LocalCandidateMethod.static_order`)
+    — the universes and translation tables every frame indexes and, for
+    Algorithm 5 on bitmap rows, the row tables the frame machine ANDs.
+    The resolved kernel instance rides along inside ``lc``: identity-keyed
+    encode caches (bitset/QFilter layouts over the auxiliary arrays) stay
+    warm across repeats — the "build the index once" amortization of
+    CNI-style data-side indexing.
     """
 
     candidates: Any = None
@@ -138,6 +138,7 @@ class PreparedQuery:
     order: Optional[List[int]] = None
     adaptive_state: Any = None
     lc: Any = None
+    static: Optional[StaticOrderInfo] = None
     kernel_used: Optional[str] = None
     preprocessing_seconds: float = 0.0
 
@@ -150,10 +151,10 @@ class RaceWinner(NamedTuple):
     failing sets swapped for the winner's (name and ordering unchanged;
     its filter is GraphQL's when the race ran over refined candidates);
     ``prepared`` holds the winner's order — the one every run reads,
-    fanned-out ones too — and bound ComputeLC over the raced query's
-    candidates and auxiliary structure. ``match_limit`` is the cap the
-    race ran under: fewest calls under one cap says nothing about
-    another, so only requests with that cap run it.
+    fanned-out ones too — and its static-order tables over the raced
+    query's candidates and auxiliary structure. ``match_limit`` is the
+    cap the race ran under: fewest calls under one cap says nothing
+    about another, so only requests with that cap run it.
     """
 
     ordering: str
@@ -369,9 +370,10 @@ def bind_enumeration(
     """Everything between ``(candidates, order)`` and a runnable engine.
 
     Scopes the auxiliary structure, resolves the intersection backend for
-    the Algorithm 5 hot path, and binds the ComputeLC method to the order
-    — which binds exactly the auxiliary pairs enumeration reads, in the
-    form it reads them (row tables for mask frames, arrays otherwise).
+    the Algorithm 5 hot path, and builds a static order's tables once
+    (``PreparedQuery.static``) — which binds exactly the auxiliary pairs
+    enumeration reads, in the form it reads them (row tables for mask
+    frames, arrays otherwise).
     The one place this wiring exists: :func:`prepare_query`
     feeds it a filter's and an ordering's output, continuous queries
     (:mod:`repro.dynamic.subscribe`) their maintained candidates and a
@@ -380,6 +382,8 @@ def bind_enumeration(
     candidates, so :func:`race_orders`' racers fill the holes of the
     incumbent's row tables rather than build their own.
     """
+    if order is None and adaptive_state is None:
+        raise ValueError("static mode requires a matching order")
     if auxiliary is None and aux_scope != "none":
         assert candidates is not None, "auxiliary structure needs candidates"
         auxiliary = AuxiliaryStructure.build(
@@ -390,8 +394,9 @@ def bind_enumeration(
     )
     # The result names the backend Algorithm 5 runs on.
     kernel_used = lc.kernel.name if isinstance(lc, IntersectionLC) else None
+    static = None
     if order is not None:
-        lc = lc.bind(
+        static = lc.static_order(
             query,
             data,
             candidates,
@@ -408,6 +413,7 @@ def bind_enumeration(
         order=order,
         adaptive_state=adaptive_state,
         lc=lc,
+        static=static,
         kernel_used=kernel_used,
     )
 
@@ -529,9 +535,8 @@ def race_orders(
             racers.append((name, fs, racer))
             sampled += is_sample
         machines = [
-            FrameMachine(racer.lc, use_failing_sets=fs).start(
-                query, data, racer.candidates, aux, racer.order,
-                match_limit=match_limit, store_limit=0, cancel=cancel,
+            FrameMachine(racer, use_failing_sets=fs).start(
+                query, data, match_limit=match_limit, store_limit=0, cancel=cancel
             )
             for _, fs, racer in racers
         ]
@@ -576,36 +581,6 @@ def race_orders(
             race_interior=spent - found,
         )
     return best
-
-
-def iter_leaf_batches(
-    prepared: PreparedQuery,
-    query: Graph,
-    data: Graph,
-    failing_sets: bool = False,
-    match_limit: Optional[int] = None,
-) -> Iterator[List[Tuple[int, ...]]]:
-    """Lazily enumerate a prepared static-order query, one leaf batch (a
-    list of plain-int tuples, one per match, indexed by query vertex) at a
-    time — the frame machine's pause/resume protocol as a generator.
-    ``match_limit`` stops the search after that many matches."""
-    machine = FrameMachine(prepared.lc, use_failing_sets=failing_sets)
-    machine.start(
-        query,
-        data,
-        prepared.candidates,
-        prepared.auxiliary,
-        prepared.order,
-        tree_parent=prepared.tree.parent if prepared.tree is not None else None,
-        match_limit=match_limit,
-        store_limit=0,
-        emit_rows=True,
-    )
-    while True:
-        rows = machine.advance()
-        if rows is None:
-            return
-        yield rows
 
 
 def _memory_bytes(prepared: PreparedQuery, data: Graph) -> int:
@@ -695,22 +670,10 @@ def run_plan(
                     # always available, and results are identical.
                     outcome = None
             if outcome is None:
-                machine = FrameMachine(
-                    prepared.lc,
-                    use_failing_sets=spec.failing_sets,
-                    adaptive=prepared.adaptive_state,
-                )
+                machine = FrameMachine(prepared, use_failing_sets=spec.failing_sets)
                 outcome = machine.run(
                     query,
                     data,
-                    prepared.candidates,
-                    prepared.auxiliary,
-                    prepared.order,
-                    tree_parent=(
-                        prepared.tree.parent
-                        if prepared.tree is not None
-                        else None
-                    ),
                     match_limit=match_limit,
                     time_limit=time_limit,
                     store_limit=store_limit,

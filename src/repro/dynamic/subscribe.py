@@ -13,11 +13,10 @@ batch, reports the exact embedding delta:
   incrementally-maintained candidate sets, restricted so ``C(u0) = {a}``
   and ``C(u1) = {b}``.
 
-The per-edge enumeration rides the frame machine's pause/resume
-protocol — ``start(..., emit_rows=True)`` then one ``advance()`` per
-leaf batch, exactly like :func:`repro.enumeration.streaming.iter_matches`
-— so delta work is proportional to the delta (plus the candidate
-maintenance), never to the number of embeddings that did not change.
+Each per-edge enumeration is one frame-machine ``run()`` over a prepared
+query of the pinned candidates, so delta work is proportional to the
+delta (plus the candidate maintenance), never to the number of
+embeddings that did not change.
 Duplicates (an embedding using two new edges is discovered from both)
 collapse in the result set.
 """
@@ -30,6 +29,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import InvalidQueryError
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
+from repro.enumeration.frames import FrameMachine
 from repro.enumeration.local_candidates import IntersectionLC
 from repro.dynamic.incremental import IncrementalCandidates
 from repro.dynamic.overlay import DynamicGraph, MutationDelta
@@ -196,7 +196,7 @@ class Subscription:
             )
         if candidates.has_empty_set:
             return []
-        from repro.core.plan import bind_enumeration, iter_leaf_batches
+        from repro.core.plan import bind_enumeration
 
         prepared = bind_enumeration(
             IntersectionLC(),
@@ -207,10 +207,7 @@ class Subscription:
             candidates,
             order=self._order_from(next(iter(pinned)) if pinned else 0),
         )
-        return [
-            row
-            for batch in iter_leaf_batches(
-                prepared, self.query, snapshot, match_limit=self._match_limit + 1
-            )
-            for row in batch
-        ]
+        limit = self._match_limit + 1
+        return FrameMachine(prepared).run(
+            self.query, snapshot, match_limit=limit, store_limit=limit
+        ).embeddings

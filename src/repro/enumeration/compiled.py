@@ -57,10 +57,10 @@ over candidates, limits, the deadline) is data — a closure constant or
 an argument — never text.
 
 :func:`search_for` is the policy: the first
-:meth:`~repro.enumeration.frames.FrameMachine.run` over a bound
-:class:`~repro.enumeration.local_candidates.StaticOrderInfo` runs the
-generic search, the second compiles the specialised one and caches it
-there, and neither runs an order deeper than CPython's limit of
+:meth:`~repro.enumeration.frames.FrameMachine.run` over a prepared
+query's :class:`~repro.enumeration.local_candidates.StaticOrderInfo`
+(``prepared.static``) runs the generic search, the second compiles the
+specialised one and caches it there, and neither runs an order deeper than CPython's limit of
 statically nested blocks allows (:data:`MAX_COMPILED_VERTICES`).
 """
 
@@ -326,7 +326,7 @@ class _Specialised(_Source):
         self.finish(1, True)
         return self.out
 
-    def bind(self, name: str, value: object) -> str:
+    def constant(self, name: str, value: object) -> str:
         self.constants[name] = value
         return name
 
@@ -361,9 +361,9 @@ class _Specialised(_Source):
         # (1) Enter the node: count it, poll at the stride, AND the rows.
         emit(level, "calls += 1")
         self.poll(level)
-        full = self.bind(f"O{d}", static.ones[d])
+        full = self.constant(f"O{d}", static.ones[d])
         for j, (w, table) in enumerate(static.rows[d]):
-            rows, p = self.bind(f"R{d}_{j}", table), f"p{self.depth_of[w]}"
+            rows, p = self.constant(f"R{d}_{j}", table), f"p{self.depth_of[w]}"
             emit(level, f"row = {rows}[{p}]")
             emit(level, "if row is None:")
             emit(level + 1, f"row = {rows}[{p}] = build_row(data, {w}, {u}, {p})")
@@ -389,7 +389,7 @@ class _Specialised(_Source):
             if fs:
                 emit(level, f"owners{d} = 0")
             for j, (w, translation) in enumerate(clash):
-                table = self.bind(f"X{d}_{j}", translation)
+                table = self.constant(f"X{d}_{j}", translation)
                 emit(level, f"at = {table}[p{self.depth_of[w]}]")
                 emit(level, "if at >= 0 and full >> at & 1:")
                 emit(level + 1, f"bad{d} |= 1 << at")
@@ -480,7 +480,7 @@ class _Specialised(_Source):
 
     def _value(self, w: int) -> str:
         """The data vertex mapped to query vertex ``w``, as an expression."""
-        lst = self.bind(f"L{w}", self.static.universes[w])
+        lst = self.constant(f"L{w}", self.static.universes[w])
         return f"{lst}[p{self.depth_of[w]}]"
 
 

@@ -1,6 +1,8 @@
 """The enumeration engine: Algorithm 1 as an iterative frame machine.
 
 The one engine every plan, parallel worker and study run constructs. It
+runs a :class:`~repro.core.plan.PreparedQuery` — the one artifact the
+paper's preprocessing (filter, order, auxiliary structure) produces — and
 replaces the recursive descent of the reference implementation
 (:mod:`repro.enumeration.engine`) with an explicit machine over per-depth
 *frames*. A DFS visits at most one search node per depth at a time, so the
@@ -22,12 +24,12 @@ machine tracks ``pos[w]``, the position of ``M[w]`` in ``U(w)``, beside
 * ``full`` is, for **Algorithm 5 on bitmap rows** (a static order under
   the ``rows`` kernel, what ``auto`` resolves to), the AND of the
   backward neighbors' rows ``A_u^w`` at their mapped positions: row
-  tables are bound once per prepared query as holes the AND fills on
-  first read, and a search node costs a few integer ANDs and no numpy
-  call. Every other method (Algorithms 2–4, ``2PP-LC``, Algorithm 5 under
-  an explicit array kernel, the adaptive selector) keeps answering in a
-  sorted list inside ``U(u)``, which the frame places into ``U(u)``
-  positions when it opens.
+  tables are bound once per prepared query (``prepared.static``) as
+  holes the AND fills on first read, and a search node costs a few
+  integer ANDs and no numpy call. Every other method (Algorithms 2–4,
+  ``2PP-LC``, Algorithm 5 under an explicit array kernel, the adaptive
+  selector) keeps answering in a sorted list inside ``U(u)``, which the
+  frame places into ``U(u)`` positions when it opens.
 * ``bad`` ORs, for each earlier query vertex ``w`` whose universe
   overlaps ``U(u)``, the position of ``M[w]`` in ``U(u)`` — one
   translation table per such pair
@@ -60,11 +62,11 @@ at a time (the order race).
 order, :meth:`FrameMachine.run` runs the order as generated Python
 (:mod:`repro.enumeration.compiled`): one nested loop per depth with the
 frame's masks in locals — the same nodes, counters and embeddings as
-:meth:`FrameMachine._loop`. The first :meth:`~FrameMachine.run` over a
-bound :class:`~repro.enumeration.local_candidates.StaticOrderInfo` runs
-the generic search of its size (compiled once per process, the query's
-tables passed as data); the second compiles the order's specialised
-search (the tables bound as constants) and caches it there. ``_loop``
+:meth:`FrameMachine._loop`. The first :meth:`~FrameMachine.run` of a
+prepared query's :class:`~repro.enumeration.local_candidates.StaticOrderInfo`
+runs the generic search of its size (compiled once per process, the
+query's tables passed as data); the second compiles the order's
+specialised search (the tables bound as constants) and caches it there. ``_loop``
 stays the definition and runs everything else: adaptive orders,
 list-answering ComputeLC methods, ``emit_rows=True`` streaming,
 :meth:`~FrameMachine.step` and orders deeper than
@@ -79,20 +81,14 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import BudgetExceeded
-from repro.filtering.auxiliary import AuxiliaryStructure
-from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
 from repro.enumeration.compiled import INTERPRETED, Search, search_for
-from repro.enumeration.local_candidates import (
-    LCContext,
-    LocalCandidateMethod,
-    universe_sets,
-)
+from repro.enumeration.local_candidates import LCContext, universe_sets
 from repro.enumeration.stats import EnumerationOutcome, EnumerationStats
 from repro.enumeration.support import (
     DEADLINE_STRIDE,
@@ -101,9 +97,11 @@ from repro.enumeration.support import (
     leaf_rows,
     lowest_bits,
 )
-from repro.ordering.dpiso import DPisoAdaptiveState
 from repro.utils.kernels import RowsKernel
 from repro.utils.timer import Deadline, Timer
+
+if TYPE_CHECKING:  # the plan layer imports this module
+    from repro.core.plan import PreparedQuery
 
 __all__ = ["FrameMachine"]
 
@@ -117,21 +115,20 @@ NARROW_LIST = 16
 class FrameMachine:
     """Iterative Algorithm 1: frames instead of recursion.
 
-    Same constructor and :meth:`run` contract as the recursive
-    reference (:mod:`repro.enumeration.engine`), same embeddings and
-    counters. Additionally exposes the incremental
-    :meth:`start` / :meth:`advance` protocol for streaming consumers.
+    Runs one :class:`~repro.core.plan.PreparedQuery` — its candidates,
+    auxiliary structure, ComputeLC method and either its static order's
+    tables (``prepared.static``) or its adaptive state — with the same
+    embeddings and counters as the recursive reference
+    (:mod:`repro.enumeration.engine`) over the same artifacts.
+    Additionally exposes the incremental :meth:`start` / :meth:`advance`
+    protocol for streaming consumers.
     """
 
     def __init__(
-        self,
-        lc_method: LocalCandidateMethod,
-        use_failing_sets: bool = False,
-        adaptive: Optional[DPisoAdaptiveState] = None,
+        self, prepared: "PreparedQuery", use_failing_sets: bool = False
     ) -> None:
-        self.lc_method = lc_method
+        self.prepared = prepared
         self.use_failing_sets = use_failing_sets
-        self.adaptive = adaptive
         #: Which search the last :meth:`run` ran (``"interpreted"``,
         #: ``"generic"`` or ``"specialised"``), and the seconds it spent
         #: compiling one (0.0 unless it paid a compile).
@@ -139,17 +136,13 @@ class FrameMachine:
         self.compile_seconds = 0.0
 
     # ------------------------------------------------------------------
-    # One-shot API (mirrors the recursive reference's run)
+    # One-shot API (the recursive reference's run, over a prepared query)
     # ------------------------------------------------------------------
 
     def run(
         self,
         query: Graph,
         data: Graph,
-        candidates: Optional[CandidateSets],
-        auxiliary: Optional[AuxiliaryStructure],
-        order: Optional[Sequence[int]],
-        tree_parent: Optional[Sequence[int]] = None,
         match_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
         store_limit: int = 10_000,
@@ -162,16 +155,12 @@ class FrameMachine:
         ``root_window`` restricts the search to a slice of the root
         vertex's local candidates (see :meth:`start`). A static
         bitmap-row order runs compiled (:mod:`repro.enumeration.compiled`):
-        the generic search of its size on its first run over these
-        arguments, its specialised search from the second on; a compile,
-        when this run pays it, is inside ``elapsed``."""
+        the generic search of its size on the prepared query's first run,
+        its specialised search from the second on; a compile, when this
+        run pays it, is inside ``elapsed``."""
         self.start(
             query,
             data,
-            candidates,
-            auxiliary,
-            order,
-            tree_parent=tree_parent,
             match_limit=match_limit,
             time_limit=time_limit,
             store_limit=store_limit,
@@ -206,10 +195,6 @@ class FrameMachine:
         self,
         query: Graph,
         data: Graph,
-        candidates: Optional[CandidateSets],
-        auxiliary: Optional[AuxiliaryStructure],
-        order: Optional[Sequence[int]],
-        tree_parent: Optional[Sequence[int]] = None,
         match_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
         store_limit: int = 10_000,
@@ -217,7 +202,9 @@ class FrameMachine:
         cancel: Optional[Callable[[], bool]] = None,
         root_window: Optional[Tuple[int, int]] = None,
     ) -> "FrameMachine":
-        """Initialize the machine at the root of the search tree.
+        """Initialize the machine at the root of the search tree of the
+        prepared query on ``data``, the graph this run reads (a cached
+        prepared query may outlive the graph object it was prepared on).
 
         With ``emit_rows=True`` each :meth:`advance` call returns the next
         leaf batch as a list of plain-int tuples (one per match, indexed
@@ -242,20 +229,23 @@ class FrameMachine:
         runs. Static orders only (adaptive selection has no fixed root
         list).
         """
-        if root_window is not None and self.adaptive is not None:
+        prepared = self.prepared
+        static, adaptive = prepared.static, prepared.adaptive_state
+        if root_window is not None and adaptive is not None:
             raise ValueError("root_window requires a static matching order")
         n = query.num_vertices
         self._n = n
         self._mapping = [-1] * n
         self._pos = [0] * n
+        candidates = prepared.candidates
         ctx = LCContext(
             query=query,
             data=data,
             candidates=candidates,
-            auxiliary=auxiliary,
+            auxiliary=prepared.auxiliary,
             mapping=self._mapping,
         )
-        self.lc_method.prepare(ctx)
+        prepared.lc.prepare(ctx)
 
         self._ctx = ctx
         self._stats = EnumerationStats()
@@ -272,12 +262,7 @@ class FrameMachine:
         self._solved = True
         self._done = False
 
-        if self.adaptive is None:
-            if order is None:
-                raise ValueError("static mode requires a matching order")
-            static = self.lc_method.static_info(
-                query, data, candidates, auxiliary, order, tree_parent
-            )
+        if adaptive is None:
             universes = static.universes
             self._selector = None
             self._f_u = list(static.order)
@@ -286,7 +271,7 @@ class FrameMachine:
             static = None
             universes = universe_sets(query, data, candidates)
             self._selector = AdaptiveSelector(
-                self.lc_method, self.adaptive, ctx, self._stats
+                prepared.lc, adaptive, ctx, self._stats
             )
             #: Per query vertex u, (w, translation of U(w) into U(u)) for
             #: every other w whose universe overlaps U(u).
@@ -420,7 +405,7 @@ class FrameMachine:
         static = self._static
         if static is not None:
             u = static.order[depth]
-            lc = self.lc_method.compute(
+            lc = self.prepared.lc.compute(
                 self._ctx, u, static.backward[depth], static.parent[depth]
             )
         else:

@@ -26,18 +26,17 @@ method answers inside a fixed per-vertex *universe* ``U(u)``: the filter's
 ``U(u)``, and the frame machine indexes every frame by positions in it.
 
 A static matching order fixes, per depth, which backward neighbors a
-method will consult; :meth:`LocalCandidateMethod.bind` resolves that once
-(:class:`StaticOrderInfo`), builds the universes and the position
-translation tables between them, and binds the auxiliary pairs the method
-will read. Algorithm 5 under the ``rows`` kernel additionally binds the
-per-depth row tables (filled on first read): there the local candidates
-of a node are the AND of a few integers and ``compute`` is never called.
+method will consult; :meth:`LocalCandidateMethod.static_order` resolves
+that once per prepared query (:class:`StaticOrderInfo`), builds the
+universes and the position translation tables between them, and binds
+the auxiliary pairs the method will read. Algorithm 5 under the ``rows``
+kernel additionally binds the per-depth row tables (filled on first
+read): there the local candidates of a node are the AND of a few
+integers and ``compute`` is never called.
 """
 
 from __future__ import annotations
 
-import copy
-import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -100,9 +99,9 @@ class StaticOrderInfo:
     """Per-depth artifacts of a static matching order φ.
 
     ``order``/``backward``/``parent``/``backward_mask`` are what
-    :func:`prepare_static_order` derives from the query alone. A method
-    bound to one query's artifacts (:meth:`LocalCandidateMethod.bind`)
-    also records what it was bound to and the tables of its frames:
+    :func:`prepare_static_order` derives from the query alone. Built for
+    one prepared query (:meth:`LocalCandidateMethod.static_order`), it
+    also holds the tables of its frames:
 
     * ``universes`` — :func:`universe_sets`; the masks of the frame at
       depth ``d`` are over the positions of ``U(order[d])``;
@@ -127,7 +126,6 @@ class StaticOrderInfo:
         "backward",
         "parent",
         "backward_mask",
-        "bound_to",
         "universes",
         "clash",
         "ones",
@@ -146,7 +144,6 @@ class StaticOrderInfo:
         self.backward = backward
         self.parent = parent
         self.backward_mask = backward_mask
-        self.bound_to: Optional[tuple] = None
         self.universes: Optional[CandidateSets] = None
         self.clash: Optional[List[Tuple[Tuple[int, List[int]], ...]]] = None
         self.ones: Optional[List[int]] = None
@@ -154,14 +151,10 @@ class StaticOrderInfo:
         self.compiled: Optional[Dict[bool, Optional[Callable[..., None]]]] = None
 
     def __getstate__(self) -> tuple:
-        # Holes fill from a weakly held graph, which does not travel.
-        for u, bound in zip(self.order, self.rows or ()):
-            for w, table in bound:
-                self.bound_to[2].fill(w, u, table)
+        # The row tables are the auxiliary structure's own lists, which
+        # its pickle fills (a prepared query pickles it first).
         state = {name: getattr(self, name) for name in self.__slots__}
         state["compiled"] = None  # generated code: recompiled where it lands
-        if self.bound_to is not None and self.bound_to[0] is not None:
-            state["bound_to"] = None  # LDF universes: rebound where it lands
         return None, state
 
 
@@ -199,22 +192,6 @@ def prepare_static_order(
     return StaticOrderInfo(order, backward_lists, parents, masks)
 
 
-def _binding(data, candidates, auxiliary, order, tree_parent) -> tuple:
-    """What a :class:`StaticOrderInfo` was computed for: the per-query
-    artifacts themselves (neither defines ``__eq__``, so tuples compare
-    them by identity), the value of the order and — with no candidate
-    sets, where the universes are the graph's LDF sets — the graph, held
-    weakly (one ref object while it lives; an equal graph has equal LDF
-    sets)."""
-    return (
-        weakref.ref(data) if candidates is None else None,
-        candidates,
-        auxiliary,
-        tuple(order),
-        None if tree_parent is None else tuple(tree_parent),
-    )
-
-
 class LocalCandidateMethod(ABC):
     """One ComputeLC strategy. Stateless across runs; bound via prepare()."""
 
@@ -233,34 +210,7 @@ class LocalCandidateMethod(ABC):
     #: list.
     mapping_determined: bool = True
 
-    #: Set on the copy :meth:`bind` returns: the static-order artifacts of
-    #: the one prepared query that copy belongs to.
-    static: Optional[StaticOrderInfo] = None
-
-    def bind(
-        self,
-        query: Graph,
-        data: Graph,
-        candidates: Optional[CandidateSets],
-        auxiliary: Optional[AuxiliaryStructure],
-        order: Sequence[int],
-        tree_parent: Optional[Sequence[int]] = None,
-    ) -> "LocalCandidateMethod":
-        """A copy of this method bound to one query's static order.
-
-        Preprocessing calls this once per prepared query: the copy carries
-        the :class:`StaticOrderInfo` every later run over the same
-        artifacts reuses, and the auxiliary pairs the method reads are
-        bound in the form it reads them. ``self`` is left untouched:
-        spec-level methods are shared between queries and threads.
-        """
-        bound = copy.copy(self)
-        bound.static = self.static_info(
-            query, data, candidates, auxiliary, order, tree_parent
-        )
-        return bound
-
-    def static_info(
+    def static_order(
         self,
         query: Graph,
         data: Graph,
@@ -269,27 +219,25 @@ class LocalCandidateMethod(ABC):
         order: Sequence[int],
         tree_parent: Optional[Sequence[int]] = None,
     ) -> StaticOrderInfo:
-        """The static-order artifacts for a run over these arguments: the
-        bound ones when this method was bound to exactly them, fresh ones
-        otherwise."""
-        binding = _binding(data, candidates, auxiliary, order, tree_parent)
-        static = self.static
-        if static is None or static.bound_to != binding:
-            static = prepare_static_order(query, list(order), tree_parent)
-            static.bound_to = binding
-            static.universes = universes = universe_sets(query, data, candidates)
-            order = static.order
-            static.clash = [
-                tuple(
-                    (w, table)
-                    for w in order[:depth]
-                    for table in (universes.translation(w, u),)
-                    if table is not None
-                )
-                for depth, u in enumerate(order)
-            ]
-            if candidates is not None and auxiliary is not None:
-                self._materialize(static, candidates, auxiliary)
+        """The static-order artifacts of one prepared query: built once,
+        when the query is prepared, and read by every later run of it.
+        Binds the auxiliary pairs this method reads in the form it reads
+        them; ``self`` is left untouched, so spec-level methods stay
+        shared between queries and threads."""
+        static = prepare_static_order(query, list(order), tree_parent)
+        static.universes = universes = universe_sets(query, data, candidates)
+        order = static.order
+        static.clash = [
+            tuple(
+                (w, table)
+                for w in order[:depth]
+                for table in (universes.translation(w, u),)
+                if table is not None
+            )
+            for depth, u in enumerate(order)
+        ]
+        if candidates is not None and auxiliary is not None:
+            self._materialize(static, candidates, auxiliary)
         return static
 
     def _materialize(

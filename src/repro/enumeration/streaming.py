@@ -18,17 +18,40 @@ frame machine's pause/resume contract.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
+from repro.enumeration.frames import FrameMachine
 from repro.graph.graph import Graph
 
-__all__ = ["iter_matches"]
+if TYPE_CHECKING:  # the plan layer sits above this package
+    from repro.core.plan import PreparedQuery
+
+__all__ = ["iter_leaf_batches", "iter_matches"]
+
+
+def iter_leaf_batches(
+    prepared: "PreparedQuery",
+    query: Graph,
+    data: Graph,
+    failing_sets: bool = False,
+    match_limit: Optional[int] = None,
+) -> Iterator[List[Tuple[int, ...]]]:
+    """Lazily enumerate a prepared static-order query, one leaf batch (a
+    list of plain-int tuples, one per match, indexed by query vertex) at a
+    time — the frame machine's pause/resume protocol as a generator.
+    ``match_limit`` stops the search after that many matches."""
+    machine = FrameMachine(prepared, use_failing_sets=failing_sets)
+    machine.start(query, data, match_limit=match_limit, store_limit=0, emit_rows=True)
+    while True:
+        rows = machine.advance()
+        if rows is None:
+            return
+        yield rows
 
 
 def iter_matches(
     query: Graph,
     data: Graph,
-    dense_degree: float = 10.0,
     kernel: Optional[str] = None,
 ) -> Iterator[Dict[int, int]]:
     """Yield matches lazily as ``{query_vertex: data_vertex}`` dicts.
@@ -48,16 +71,11 @@ def iter_matches(
     # The plan layer sits above this package; imported here, not at module
     # level, so ``repro.enumeration`` stays importable on its own.
     from repro.core.algorithms import recommended_spec
-    from repro.core.plan import (
-        compile_plan,
-        iter_leaf_batches,
-        prepare_query,
-        validate_query,
-    )
+    from repro.core.plan import compile_plan, prepare_query, validate_query
     from repro.obs import Metrics
 
     validate_query(query)
-    spec = recommended_spec(query, data, dense_degree=dense_degree)
+    spec = recommended_spec(query, data)
     plan = compile_plan(spec, query, data, kernel=kernel)
     prepared = prepare_query(plan, query, data, Metrics())
     n = query.num_vertices

@@ -235,7 +235,7 @@ def match_compressed(
     plan = compile_plan(ENGINE, query, data, kernel="rows")
     metrics = Metrics()
     prepared = prepare_query(plan, query, data, metrics)
-    _bind_classes(prepared.lc.static, compressed.classes)
+    _bind_classes(prepared.static, compressed.classes)
     result, _ = run_plan(
         plan,
         query,

@@ -31,7 +31,7 @@ The position-translation tables a frame's injectivity mask reads are not
 here: they map ``C(w)`` into ``C(u)`` and read nothing else, so they live
 on :meth:`~repro.filtering.candidates.CandidateSets.translation`.
 
-Preparation (:meth:`repro.enumeration.local_candidates.LocalCandidateMethod.bind`)
+Preparation (:meth:`repro.enumeration.local_candidates.LocalCandidateMethod.static_order`)
 binds exactly the pairs enumeration will read — the backward direction
 under the matching order, ``|E(q)|`` of the ``2|E(q)|`` directed pairs —
 in the one form its engine path uses; a pair is never held in both. A

@@ -194,9 +194,8 @@ def time_order(
         IntersectionLC(), "all", None, query, data, candidates,
         order=list(order),
     )
-    outcome = FrameMachine(prepared.lc, use_failing_sets=failing_sets).run(
-        query, data, candidates, prepared.auxiliary, prepared.order,
-        match_limit=match_limit, time_limit=time_limit, store_limit=0,
+    outcome = FrameMachine(prepared, use_failing_sets=failing_sets).run(
+        query, data, match_limit=match_limit, time_limit=time_limit, store_limit=0
     )
     return outcome.elapsed * 1000.0 if outcome.solved else None
 

@@ -49,7 +49,7 @@ _SETTINGS = settings(
 def _prepared(algorithm, query, data):
     plan = compile_plan(algorithm, query, data, kernel="rows")
     prepared = prepare_query(plan, query, data, Metrics())
-    assert prepared.lc.static.rows is not None
+    assert prepared.static.rows is not None
     return prepared
 
 
@@ -59,16 +59,12 @@ def _fresh(prepared):
 
 
 def _machine(prepared, fs):
-    return FrameMachine(prepared.lc, use_failing_sets=fs)
-
-
-def _args(prepared, query, data):
-    return (query, data, prepared.candidates, prepared.auxiliary, prepared.order)
+    return FrameMachine(prepared, use_failing_sets=fs)
 
 
 def _interpreted(prepared, query, data, fs, **limits):
     """The definition: the interpreted loop, one ``advance`` to the end."""
-    machine = _machine(prepared, fs).start(*_args(prepared, query, data), **limits)
+    machine = _machine(prepared, fs).start(query, data, **limits)
     while machine.advance() is not None:
         pass
     stored = machine._store.as_tuples()
@@ -78,7 +74,7 @@ def _interpreted(prepared, query, data, fs, **limits):
 def _run(prepared, query, data, fs, **limits):
     """``(search, outcome)`` of one ``run()`` on a fresh machine."""
     machine = _machine(prepared, fs)
-    out = machine.run(*_args(prepared, query, data), **limits)
+    out = machine.run(query, data, **limits)
     return machine.search, (
         out.num_matches, out.solved, out.embeddings, astuple(out.stats)
     )
@@ -231,7 +227,7 @@ def test_one_generic_search_serves_every_order_of_a_size(fs):
     assert queries[0] != queries[1]
     found = []
     for query in queries:
-        search, kind, _ = search_for(_prepared("GQL-opt", query, data).lc.static, fs)
+        search, kind, _ = search_for(_prepared("GQL-opt", query, data).static, fs)
         assert kind == "generic"
         found.append(search.func)  # the search with this query's tables bound
     # One compiled source per (n, failing_sets): the same function object.
@@ -245,7 +241,7 @@ def test_a_10ms_budget_stops_a_multisecond_search(heavy):
     machine = _machine(prepared, False)
     started = time.perf_counter()
     outcome = machine.run(
-        *_args(prepared, query, data), match_limit=None, store_limit=0,
+        query, data, match_limit=None, store_limit=0,
         time_limit=0.01,
     )
     elapsed = time.perf_counter() - started
@@ -257,7 +253,7 @@ def test_a_10ms_budget_stops_a_multisecond_search(heavy):
     machine = _machine(fresh, False)
     started = time.perf_counter()
     outcome = machine.run(
-        *_args(fresh, query, data), match_limit=None, store_limit=0, time_limit=0.01
+        query, data, match_limit=None, store_limit=0, time_limit=0.01
     )
     elapsed = time.perf_counter() - started
     assert machine.search == "generic"
@@ -287,10 +283,10 @@ def test_pickling_drops_the_compiled_search(heavy):
     query, data, prepared = heavy
     limits = dict(match_limit=500, store_limit=500)
     expected = _compiled(prepared, query, data, False, **limits)
-    assert prepared.lc.static.compiled[False] is not None
+    assert prepared.static.compiled[False] is not None
     copy = pickle.loads(pickle.dumps(prepared))
-    assert copy.lc.static.compiled is None
-    assert prepared.lc.static.compiled[False] is not None
+    assert copy.static.compiled is None
+    assert prepared.static.compiled[False] is not None
     # The copy starts over: a first sighting, then its own compile.
     assert _run(copy, query, data, False, **limits) == ("generic", expected)
     assert _run(copy, query, data, False, **limits) == ("specialised", expected)
@@ -335,7 +331,7 @@ def test_threads_racing_the_first_generic_compile_agree(heavy, monkeypatch):
     def worker(i):
         barrier.wait()
         machine = _machine(copies[i], True)
-        out = machine.run(*_args(copies[i], query, data), **limits)
+        out = machine.run(query, data, **limits)
         results[i] = (
             machine.search,
             machine.compile_seconds > 0,

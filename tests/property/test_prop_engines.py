@@ -22,9 +22,10 @@ from strategies import corpus_seeds
 
 from repro.core.algorithms import PRESETS
 from repro.core.api import match
-from repro.core.plan import compile_plan, iter_leaf_batches, prepare_query
+from repro.core.plan import compile_plan, prepare_query
 from repro.dynamic import DynamicGraph, Subscription
 from repro.enumeration import iter_matches
+from repro.enumeration.streaming import iter_leaf_batches
 from repro.obs import Metrics
 from repro.qa import plant_case
 from repro.serve import MatchServer, MatchService

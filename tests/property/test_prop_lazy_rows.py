@@ -53,7 +53,7 @@ def test_filled_slots_and_completed_tables_equal_the_definition(
     plan = compile_plan(algorithm, query, data, kernel=kernel)
     prepared = prepare_query(plan, query, data, Metrics())
     assert prepared.kernel_used == "rows"
-    candidates, aux, static = prepared.candidates, prepared.auxiliary, prepared.lc.static
+    candidates, aux, static = prepared.candidates, prepared.auxiliary, prepared.static
     tables = [
         (w, u, table)
         for u, bound in zip(static.order, static.rows)

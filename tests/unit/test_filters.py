@@ -276,9 +276,7 @@ class TestNoDataGraphSizedPythonWork:
                 prepared = bind_enumeration(
                     IntersectionLC(), "all", "rows", query, data, candidates, order=order
                 )
-                outcome = FrameMachine(prepared.lc).run(
-                    query, data, candidates, prepared.auxiliary, order, match_limit=50
-                )
+                outcome = FrameMachine(prepared).run(query, data, match_limit=50)
                 _, top = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -306,20 +304,11 @@ class TestNoDataGraphSizedPythonWork:
         def peak(data):
             plan = compile_plan(algorithm, query, data, kernel=kernel)
             prepared = prepare_query(plan, query, data, Metrics())
-            machine = FrameMachine(
-                prepared.lc,
-                use_failing_sets=plan.algorithm.failing_sets,
-                adaptive=prepared.adaptive_state,
-            )
-            tree = prepared.tree
+            machine = FrameMachine(prepared, use_failing_sets=plan.algorithm.failing_sets)
             gc.collect()
             tracemalloc.start()
             try:
-                outcome = machine.run(
-                    query, data, prepared.candidates, prepared.auxiliary,
-                    prepared.order, tree.parent if tree is not None else None,
-                    match_limit=50,
-                )
+                outcome = machine.run(query, data, match_limit=50)
                 _, top = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -5,6 +5,7 @@ from dataclasses import astuple
 
 import pytest
 
+from engine_parity import bind
 from fixtures import PAPER_DATA, PAPER_MATCHES, PAPER_QUERY
 
 from repro.enumeration import (
@@ -41,13 +42,19 @@ def heavy():
     return query, data, cand, aux, order
 
 
+def machine(lc, query, data, cand, aux, order, fs=False):
+    """A frame machine over ``lc`` bound to hand-built artifacts."""
+    return FrameMachine(bind(lc, query, data, cand, aux, order), use_failing_sets=fs)
+
+
 class TestRunParity:
-    """run() is a drop-in for the recursive engine."""
+    """run() over a prepared query matches the recursive engine over the
+    same artifacts."""
 
     def test_paper_example(self, pipeline):
         cand, aux, order = pipeline
-        out = FrameMachine(IntersectionLC()).run(
-            PAPER_QUERY, PAPER_DATA, cand, aux, order
+        out = machine(IntersectionLC(), PAPER_QUERY, PAPER_DATA, cand, aux, order).run(
+            PAPER_QUERY, PAPER_DATA
         )
         assert out.solved
         assert out.num_matches == 2
@@ -58,8 +65,8 @@ class TestRunParity:
         rec = BacktrackingEngine(IntersectionLC(), use_failing_sets=True).run(
             query, data, cand, aux, order, match_limit=2000
         )
-        it = FrameMachine(IntersectionLC(), use_failing_sets=True).run(
-            query, data, cand, aux, order, match_limit=2000
+        it = machine(IntersectionLC(), query, data, cand, aux, order, fs=True).run(
+            query, data, match_limit=2000
         )
         assert it.num_matches == rec.num_matches
         assert it.embeddings == rec.embeddings
@@ -70,8 +77,8 @@ class TestRunParity:
 
     def test_embeddings_are_plain_ints(self, pipeline):
         cand, aux, order = pipeline
-        out = FrameMachine(IntersectionLC()).run(
-            PAPER_QUERY, PAPER_DATA, cand, aux, order
+        out = machine(IntersectionLC(), PAPER_QUERY, PAPER_DATA, cand, aux, order).run(
+            PAPER_QUERY, PAPER_DATA
         )
         for emb in out.embeddings:
             assert all(type(v) is int for v in emb)
@@ -79,8 +86,8 @@ class TestRunParity:
     def test_empty_candidate_set_short_circuits(self, pipeline):
         _, aux, order = pipeline
         empty = CandidateSets(PAPER_QUERY, [[0], [], [3, 5], [10]])
-        out = FrameMachine(CandidateScanLC()).run(
-            PAPER_QUERY, PAPER_DATA, empty, None, order
+        out = machine(CandidateScanLC(), PAPER_QUERY, PAPER_DATA, empty, None, order).run(
+            PAPER_QUERY, PAPER_DATA
         )
         assert out.num_matches == 0
         assert out.solved
@@ -89,30 +96,48 @@ class TestRunParity:
     def test_static_mode_requires_order(self, pipeline):
         cand, aux, _ = pipeline
         with pytest.raises(ValueError, match="requires a matching order"):
-            FrameMachine(IntersectionLC()).run(
-                PAPER_QUERY, PAPER_DATA, cand, aux, None
+            machine(IntersectionLC(), PAPER_QUERY, PAPER_DATA, cand, aux, None).run(
+                PAPER_QUERY, PAPER_DATA
             )
 
     def test_direct_enumeration_without_candidates(self):
-        out = FrameMachine(NeighborScanLC()).run(
-            PAPER_QUERY, PAPER_DATA, None, None, [0, 1, 2, 3]
-        )
+        out = machine(
+            NeighborScanLC(), PAPER_QUERY, PAPER_DATA, None, None, [0, 1, 2, 3]
+        ).run(PAPER_QUERY, PAPER_DATA)
         assert set(out.embeddings) == PAPER_MATCHES
+
+
+class TestOnePreparedQuery:
+    def test_machines_share_its_static_tables(self, heavy, monkeypatch):
+        """Preparation builds a static order's tables once: two machines
+        started over one prepared query read the same ``prepared.static``
+        object, and no run builds another."""
+        query, data, cand, aux, order = heavy
+        prepared = bind(IntersectionLC(kernel="rows"), query, data, cand, aux, order)
+        static = prepared.static
+        monkeypatch.setattr(
+            IntersectionLC, "static_order", lambda *args: pytest.fail("rebuilt")
+        )
+        first = FrameMachine(prepared).start(query, data, match_limit=100)
+        second = FrameMachine(prepared, use_failing_sets=True)
+        second.run(query, data, match_limit=100)
+        assert first._static is second._static is prepared.static is static
+        assert first._universes is second._universes is static.universes
 
 
 class TestLimits:
     def test_match_limit(self, pipeline):
         cand, aux, order = pipeline
-        out = FrameMachine(IntersectionLC()).run(
-            PAPER_QUERY, PAPER_DATA, cand, aux, order, match_limit=1
+        out = machine(IntersectionLC(), PAPER_QUERY, PAPER_DATA, cand, aux, order).run(
+            PAPER_QUERY, PAPER_DATA, match_limit=1
         )
         assert out.num_matches == 1
         assert out.solved
 
     def test_store_limit(self, pipeline):
         cand, aux, order = pipeline
-        out = FrameMachine(IntersectionLC()).run(
-            PAPER_QUERY, PAPER_DATA, cand, aux, order, store_limit=1
+        out = machine(IntersectionLC(), PAPER_QUERY, PAPER_DATA, cand, aux, order).run(
+            PAPER_QUERY, PAPER_DATA, store_limit=1
         )
         assert out.num_matches == 2
         assert len(out.embeddings) == 1
@@ -123,8 +148,8 @@ class TestLimits:
         cand = GraphQLFilter().run(query, data)
         aux = AuxiliaryStructure.build(query, data, cand, scope="all")
         order = GraphQLOrdering().order(query, data, cand)
-        out = FrameMachine(IntersectionLC()).run(
-            query, data, cand, aux, order, match_limit=None, time_limit=0.05
+        out = machine(IntersectionLC(), query, data, cand, aux, order).run(
+            query, data, match_limit=None, time_limit=0.05
         )
         assert not out.solved
         assert out.elapsed < 2.0
@@ -139,13 +164,12 @@ class TestIncremental:
         rec = BacktrackingEngine(IntersectionLC()).run(
             query, data, cand, aux, order, match_limit=3000, store_limit=3000
         )
-        machine = FrameMachine(IntersectionLC()).start(
-            query, data, cand, aux, order,
-            match_limit=3000, store_limit=0, emit_rows=True,
+        stream = machine(IntersectionLC(), query, data, cand, aux, order).start(
+            query, data, match_limit=3000, store_limit=0, emit_rows=True
         )
         rows = []
         while True:
-            batch = machine.advance()
+            batch = stream.advance()
             if batch is None:
                 break
             assert isinstance(batch, list) and batch
@@ -154,17 +178,17 @@ class TestIncremental:
                 assert all(type(v) is int for v in row)
             rows.extend(batch)
         assert rows == rec.embeddings
-        assert machine.num_matches == rec.num_matches
+        assert stream.num_matches == rec.num_matches
 
     def test_advance_after_done_returns_none(self, pipeline):
         cand, aux, order = pipeline
-        machine = FrameMachine(IntersectionLC()).start(
-            PAPER_QUERY, PAPER_DATA, cand, aux, order, emit_rows=True
+        stream = machine(IntersectionLC(), PAPER_QUERY, PAPER_DATA, cand, aux, order).start(
+            PAPER_QUERY, PAPER_DATA, emit_rows=True
         )
-        while machine.advance() is not None:
+        while stream.advance() is not None:
             pass
-        assert machine.done
-        assert machine.advance() is None
+        assert stream.done
+        assert stream.advance() is None
 
 
 class TestPauseResume:
@@ -174,13 +198,12 @@ class TestPauseResume:
     def test_steps_add_up_to_one_run(self, heavy, kernel, fs, quantum):
         query, data, cand, aux, order = heavy
 
-        def machine():
-            return FrameMachine(
-                IntersectionLC(kernel=get_kernel(kernel)), use_failing_sets=fs
-            )
+        def fresh():
+            lc = IntersectionLC(kernel=get_kernel(kernel))
+            return machine(lc, query, data, cand, aux, order, fs=fs)
 
-        whole = machine().run(query, data, cand, aux, order, match_limit=2500)
-        stepped = machine().start(query, data, cand, aux, order, match_limit=2500)
+        whole = fresh().run(query, data, match_limit=2500)
+        stepped = fresh().start(query, data, match_limit=2500)
         interior = 0
         while True:
             over = stepped.step(quantum)

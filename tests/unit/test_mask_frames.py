@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engine_parity import bind
 from repro.core.api import match
 from repro.core.plan import compile_plan, prepare_query, run_plan
 from repro.core.session import MatchSession
@@ -113,7 +114,7 @@ class TestRows:
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        static = prepared.lc.static
+        static = prepared.static
         entries = sum(len(table) for clash in static.clash for _, table in clash)
         assert entries == 15 * n
         universes = sum(static.universes.array(u).nbytes for u in range(6))
@@ -206,14 +207,8 @@ def _machine(query, data, algorithm, kernel=None, fs=None, **kwargs):
     plan = compile_plan(algorithm, query, data, kernel=kernel)
     prepared = prepare_query(plan, query, data, Metrics())
     return FrameMachine(
-        prepared.lc,
-        use_failing_sets=plan.algorithm.failing_sets if fs is None else fs,
-        adaptive=prepared.adaptive_state,
-    ).start(
-        query, data, prepared.candidates, prepared.auxiliary, prepared.order,
-        tree_parent=prepared.tree.parent if prepared.tree is not None else None,
-        **kwargs,
-    )
+        prepared, use_failing_sets=plan.algorithm.failing_sets if fs is None else fs
+    ).start(query, data, **kwargs)
 
 
 class TestMaskFrames:
@@ -222,9 +217,10 @@ class TestMaskFrames:
         the same outcome, embeddings and counters alike."""
         query, data, candidates, auxiliary, order = heavy
         outcomes = [
-            FrameMachine(IntersectionLC(kernel=kernel), use_failing_sets=fs).run(
-                query, data, candidates, auxiliary, order, match_limit=500
-            )
+            FrameMachine(
+                bind(IntersectionLC(kernel=kernel), query, data, candidates, auxiliary, order),
+                use_failing_sets=fs,
+            ).run(query, data, match_limit=500)
             for fs in (False, True)
             for kernel in ("rows", "numpy")
         ]
@@ -240,9 +236,11 @@ class TestMaskFrames:
         assert roots > 20
 
         def run(window):
-            return FrameMachine(IntersectionLC(kernel=kernel)).run(
-                query, data, candidates, auxiliary, order,
-                match_limit=None, store_limit=10**6, root_window=window,
+            prepared = bind(
+                IntersectionLC(kernel=kernel), query, data, candidates, auxiliary, order
+            )
+            return FrameMachine(prepared).run(
+                query, data, match_limit=None, store_limit=10**6, root_window=window
             )
 
         whole = run(None)
@@ -274,11 +272,12 @@ class TestMaskFrames:
             for kernel, fs in itertools.product(["rows", "numpy"], [False, True]):
 
                 def machine(**kwargs):
-                    return FrameMachine(
-                        IntersectionLC(kernel=kernel), use_failing_sets=fs
-                    ).start(
-                        query, data, candidates, auxiliary, order,
-                        match_limit=limit, **kwargs,
+                    prepared = bind(
+                        IntersectionLC(kernel=kernel), query, data, candidates,
+                        auxiliary, order,
+                    )
+                    return FrameMachine(prepared, use_failing_sets=fs).start(
+                        query, data, match_limit=limit, **kwargs
                     )
 
                 reference = BacktrackingEngine(
@@ -354,14 +353,8 @@ def test_bad_is_what_the_mapping_holds(seed, algorithm, fs):
     query = extract_query(data, 5, seed=seed)
     plan = compile_plan(algorithm, query, data)
     prepared = prepare_query(plan, query, data, Metrics())
-    machine = _OpeningMachine(
-        prepared.lc,
-        use_failing_sets=fs,
-        adaptive=prepared.adaptive_state,
-    ).start(
-        query, data, prepared.candidates, prepared.auxiliary, prepared.order,
-        tree_parent=prepared.tree.parent if prepared.tree is not None else None,
-        match_limit=300,
+    machine = _OpeningMachine(prepared, use_failing_sets=fs).start(
+        query, data, match_limit=300
     )
     machine._f_bad = probe = _BadProbe(machine)
     machine.advance()
@@ -472,7 +465,7 @@ def test_a_pickle_ships_complete_tables(case):
         clone.fill(*next(iter(tables)), [None])  # the graph stayed behind
     # The bound tables travel the same way inside a prepared query.
     fresh = prepare_query(plan, query, data, Metrics())
-    shipped = pickle.loads(pickle.dumps(fresh.lc))
+    shipped = pickle.loads(pickle.dumps(fresh))
     assert all(
         None not in table for bound in shipped.static.rows for _, table in bound
     )
@@ -506,7 +499,7 @@ def test_threads_share_one_prepared_query(case):
     prepared = prepare_query(plan, query, data, Metrics())
     assert prepared.kernel_used == "rows"
     assert all(
-        set(table) == {None} for bound in prepared.lc.static.rows for _, table in bound
+        set(table) == {None} for bound in prepared.static.rows for _, table in bound
     )
     results, errors = [], []
 
