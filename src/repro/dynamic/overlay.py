@@ -377,14 +377,16 @@ class DynamicGraph:
             dst += len(run)
             src = int(prev_offsets[v + 1]) if v < prev_n else prev_m
         neighbors[dst:] = prev_neighbors[src:]
-        if labels is prev.labels:
-            # The label index is a function of the labels alone and is
-            # never written: share it instead of re-sorting |V| labels.
-            graph = Graph._adopt(
-                labels, offsets, neighbors, self._num_edges, prev._label_index
-            )
-        else:
-            graph = Graph.from_csr(labels, offsets, neighbors, self._num_edges)
+        # The label index is a function of the labels alone and is never
+        # written: share it instead of re-sorting |V| labels.
+        label_index = (
+            prev._label_index
+            if labels is prev.labels
+            else Graph._build_label_index(labels, None)
+        )
+        graph = Graph._adopt(
+            labels, offsets, neighbors, degrees, self._num_edges, label_index
+        )
         graph._inherit_label_counts(prev, np.asarray(dirty, dtype=np.int64))
         return graph
 

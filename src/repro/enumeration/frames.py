@@ -88,7 +88,11 @@ import numpy as np
 from repro.errors import BudgetExceeded
 from repro.graph.graph import Graph
 from repro.enumeration.compiled import INTERPRETED, Search, search_for
-from repro.enumeration.local_candidates import LCContext, universe_sets
+from repro.enumeration.local_candidates import (
+    LCContext,
+    clash_partners,
+    universe_sets,
+)
 from repro.enumeration.stats import EnumerationOutcome, EnumerationStats
 from repro.enumeration.support import (
     DEADLINE_STRIDE,
@@ -274,16 +278,16 @@ class FrameMachine:
                 prepared.lc, adaptive, ctx, self._stats
             )
             #: Per query vertex u, (w, translation of U(w) into U(u)) for
-            #: every other w whose universe overlaps U(u).
+            #: every other w whose universe overlaps U(u) (same-label
+            #: vertices only, by the label invariant).
             self._overlaps = [
                 [
                     (w, table)
-                    for w in range(n)
-                    if w != u
+                    for w in partners
                     for table in (universes.translation(w, u),)
                     if table is not None
                 ]
-                for u in range(n)
+                for u, partners in enumerate(clash_partners(query, data, universes))
             ]
             self._f_u = [0] * n
             self._f_bmask = [0] * n

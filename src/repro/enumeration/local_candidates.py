@@ -41,6 +41,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.filtering.base import ldf_candidates_for
@@ -53,6 +55,7 @@ __all__ = [
     "StaticOrderInfo",
     "prepare_static_order",
     "universe_sets",
+    "clash_partners",
     "LocalCandidateMethod",
     "NeighborScanLC",
     "VF2ppLC",
@@ -87,12 +90,39 @@ def universe_sets(
     """The universe ``U(u)`` of every query vertex: ``C(u)``, or — with no
     filter — LDF(u), the set Algorithm 2's label-and-degree check admits.
     These belong to the engine, not the plan: they are never reported as
-    candidates."""
+    candidates.
+
+    The label invariant: ``U(u)`` holds only data vertices of ``u``'s own
+    label, as every filter's sets and LDF do, so two universes can share
+    a vertex only when their query vertices share a label
+    (:func:`clash_partners`)."""
     if candidates is not None:
         return candidates
     return CandidateSets(
         query, [ldf_candidates_for(query, u, data) for u in query.vertices()]
     )
+
+
+def clash_partners(
+    query: Graph, data: Graph, universes: CandidateSets
+) -> List[List[int]]:
+    """Per query vertex ``u``, every other query vertex whose universe may
+    share a data vertex with ``U(u)``: those of ``u``'s label, under the
+    label invariant (:func:`universe_sets`). Universes that break it (sets
+    built by hand) make every pair partners, so a clash is probed, never
+    lost."""
+    n = query.num_vertices
+    arrays = [universes.array(u) for u in range(n)]
+    if n and not (
+        data.labels[np.concatenate(arrays)]
+        == np.repeat(query.labels, [a.size for a in arrays])
+    ).all():
+        return [[w for w in range(n) if w != u] for u in range(n)]
+    same: Dict[int, List[int]] = {}
+    label_of = query.labels.tolist()
+    for u, label in enumerate(label_of):
+        same.setdefault(label, []).append(u)
+    return [[w for w in same[label] if w != u] for u, label in enumerate(label_of)]
 
 
 class StaticOrderInfo:
@@ -106,7 +136,9 @@ class StaticOrderInfo:
     * ``universes`` — :func:`universe_sets`; the masks of the frame at
       depth ``d`` are over the positions of ``U(order[d])``;
     * ``clash[d]`` — ``(w, translation of U(w) into U(u))`` for every
-      earlier vertex whose universe overlaps ``U(u)``;
+      earlier vertex whose universe overlaps ``U(u)``; by the label
+      invariant (:func:`universe_sets`) only vertices of ``u``'s label
+      are probed (:func:`clash_partners`);
 
     and, for Algorithm 5 on bitmap rows, indexed by depth:
 
@@ -227,10 +259,12 @@ class LocalCandidateMethod(ABC):
         static = prepare_static_order(query, list(order), tree_parent)
         static.universes = universes = universe_sets(query, data, candidates)
         order = static.order
+        partners = clash_partners(query, data, universes)
         static.clash = [
             tuple(
                 (w, table)
                 for w in order[:depth]
+                if w in partners[u]
                 for table in (universes.translation(w, u),)
                 if table is not None
             )

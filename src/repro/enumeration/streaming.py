@@ -34,14 +34,13 @@ def iter_leaf_batches(
     query: Graph,
     data: Graph,
     failing_sets: bool = False,
-    match_limit: Optional[int] = None,
 ) -> Iterator[List[Tuple[int, ...]]]:
     """Lazily enumerate a prepared static-order query, one leaf batch (a
     list of plain-int tuples, one per match, indexed by query vertex) at a
-    time — the frame machine's pause/resume protocol as a generator.
-    ``match_limit`` stops the search after that many matches."""
+    time — the frame machine's pause/resume protocol as a generator; a
+    consumer that wants fewer matches stops drawing batches."""
     machine = FrameMachine(prepared, use_failing_sets=failing_sets)
-    machine.start(query, data, match_limit=match_limit, store_limit=0, emit_rows=True)
+    machine.start(query, data, store_limit=0, emit_rows=True)
     while True:
         rows = machine.advance()
         if rows is None:

@@ -52,7 +52,7 @@ class CandidateSets:
         )
         self._lists: List[Optional[List[int]]] = [None] * len(self._arrays)
         self._sets: List[Optional[frozenset]] = [None] * len(self._arrays)
-        self._translations: Optional[Dict[Tuple[int, int], Optional[array]]] = None
+        self._translations: Dict[Tuple[int, int], Optional[array]] = {}
 
     @property
     def query(self) -> Graph:
@@ -98,46 +98,28 @@ class CandidateSets:
 
         Entry ``i`` is the position of ``C(u_from)[i]`` in ``C(u_to)``, or
         -1 when it is not a candidate there, in a C ``int`` array; ``None``
-        when the two sets are disjoint. The first call finds every
-        overlapping pair from one sort of all the sets; a table is built on
-        its first call and kept. The frame machine reads these to mark the
+        when the two sets are disjoint. Exact for any two sets: the first
+        call for a pair finds the positions by binary search and keeps the
+        table (or ``None``). The frame machine reads these to mark the
         data vertices earlier query vertices hold in a frame over
         ``C(u_to)``: the only ones they can take away are those both sets
-        hold.
+        hold. It asks only for pairs that can overlap
+        (:func:`~repro.enumeration.local_candidates.clash_partners`).
         """
-        if self._translations is None:
-            self._translations = dict.fromkeys(self._overlapping_pairs())
         pair = (u_from, u_to)
-        if pair not in self._translations:
-            return None
-        table = self._translations[pair]
-        if table is None:
-            source, target = self._arrays[u_from], self._arrays[u_to]
+        try:
+            return self._translations[pair]
+        except KeyError:
+            pass
+        source, target = self._arrays[u_from], self._arrays[u_to]
+        table = None
+        if source.size and target.size:
             at = np.searchsorted(target, source)
             found = target[np.minimum(at, target.size - 1)] == source
-            table = array("i", np.where(found, at, -1).astype(np.intc).tobytes())
-            self._translations[pair] = table
+            if found.any():
+                table = array("i", np.where(found, at, -1).astype(np.intc).tobytes())
+        self._translations[pair] = table
         return table
-
-    def _overlapping_pairs(self) -> List[Tuple[int, int]]:
-        """Every ordered pair ``(a, b)``, ``a ≠ b``, with
-        ``C(a) ∩ C(b) ≠ ∅``."""
-        n = len(self._arrays)
-        values = np.concatenate(self._arrays)
-        owners = np.repeat(np.arange(n), [arr.size for arr in self._arrays])
-        by_value = np.argsort(values, kind="stable")
-        values, owners = values[by_value], owners[by_value]
-        # A vertex held by k sets is a run of k equal values, one per set
-        # in set order; pairs at distance 1..k-1 in the run name all of
-        # its pairs.
-        codes = [owners[:0]]
-        for gap in range(1, n):
-            same = values[gap:] == values[:-gap]
-            if not same.any():
-                break
-            codes.append(owners[:-gap][same] * n + owners[gap:][same])
-        found = [divmod(code, n) for code in np.unique(np.concatenate(codes)).tolist()]
-        return found + [(b, a) for a, b in found]
 
     @property
     def total_size(self) -> int:

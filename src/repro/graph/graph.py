@@ -49,19 +49,31 @@ def _normalize_edges(
     return normalized
 
 
-def _count_label(
-    neighbor_labels: np.ndarray, bounds: np.ndarray, label: int
-) -> np.ndarray:
-    """How many entries of each run ``neighbor_labels[bounds[s]:bounds[s + 1]]``
-    equal ``label`` (int32) — the one place neighbour labels are counted."""
-    hits = np.flatnonzero(neighbor_labels == label)
-    return np.diff(np.searchsorted(hits, bounds)).astype(np.int32)
+def _count_labels(codes: np.ndarray, bounds: np.ndarray, k: int) -> np.ndarray:
+    """How many entries of each run ``codes[bounds[s]:bounds[s + 1]]`` hold
+    each dense label code ``0 .. k - 1`` (code ``k`` is not counted): an
+    int32 block with one row per run and one column per code — the one
+    place neighbour labels are counted."""
+    runs = bounds.size - 1
+    if k == 1:
+        # One label over a whole CSR: locate its hits, no |E|-sized cells.
+        hits = np.flatnonzero(codes == 0)
+        cells = (np.searchsorted(bounds, hits, side="right") - 1) * 2
+    else:
+        cells = codes + np.repeat(np.arange(0, runs * (k + 1), k + 1), np.diff(bounds))
+    counts = np.bincount(cells, minlength=runs * (k + 1)).reshape(runs, k + 1)
+    return counts[:, :k].astype(np.int32)
 
 
 #: An inherited neighbour-label column: exact for some earlier snapshot,
 #: the vertex arrays rewritten since as a linked list ``(newest, (older,
 #: ... None))``, and their total length.
 _StaleColumn = Tuple[np.ndarray, Optional[tuple], int]
+
+#: Every stale column's counts at the vertices rewritten since the oldest
+#: was exact: those vertices ``U`` (sorted), each stale label's dense code
+#: (its rank among them) and the ``|U| × |labels|`` int32 block.
+_Patch = Tuple[np.ndarray, Dict[int, int], np.ndarray]
 
 
 class Graph:
@@ -91,10 +103,14 @@ class Graph:
     4 B × ``|V|`` × ``|Σ|``; a label the graph lacks is never kept —
     built in one pass over the CSR on first touch. A spliced
     snapshot (:class:`~repro.dynamic.overlay.DynamicGraph`) inherits its
-    predecessor's columns and, the first time it is asked for one,
-    recounts only the vertices rewritten since, so a graph one mutation
-    old answers as cheaply as a resident one and a write copies nothing.
-    The columns do not ride a pickle either.
+    predecessor's columns, and a write copies nothing. The first read of
+    any inherited column counts every inherited label at once, over dense
+    label codes, at the vertices rewritten since the oldest was exact: one
+    gather and one ``|U| × |Σ|`` block, kept until the last inherited
+    column is read. Each column read then costs a copy and a scatter, so a
+    graph a few mutations old answers almost as cheaply as a resident one.
+    The codes (int32, one per vertex) are shared by every snapshot over
+    the same labels. None of this rides a pickle either.
 
     Examples
     --------
@@ -117,6 +133,8 @@ class Graph:
         "_nlf_cache",
         "_label_counts",
         "_stale_counts",
+        "_patch",
+        "_label_codes",
         "_num_edges",
         "_store",
         "_hash",
@@ -167,6 +185,8 @@ class Graph:
         self._nlf_cache: Dict[int, Dict[int, int]] = {}
         self._label_counts: Dict[int, np.ndarray] = {}
         self._stale_counts: Dict[int, _StaleColumn] = {}
+        self._patch: Optional[_Patch] = None
+        self._label_codes: Optional[Tuple[np.ndarray, Dict[int, int]]] = None
         self._store = None
         self._hash: Optional[int] = None
         self._fingerprint: Optional[str] = None
@@ -219,6 +239,7 @@ class Graph:
             labels,
             offsets,
             neighbors,
+            np.diff(offsets),
             num_edges,
             cls._build_label_index(labels, by_label),
             store,
@@ -230,23 +251,27 @@ class Graph:
         labels: np.ndarray,
         offsets: np.ndarray,
         neighbors: np.ndarray,
+        degrees: np.ndarray,
         num_edges: int,
         label_index: Dict[int, np.ndarray],
         store: Optional[object] = None,
     ) -> "Graph":
-        """:meth:`from_csr` with the label index already built — a spliced
-        snapshot that shares its predecessor's ``labels`` shares its index."""
+        """:meth:`from_csr` with the degrees and the label index already
+        built — a spliced snapshot has its degrees from the splice, and
+        one that shares its predecessor's ``labels`` shares its index."""
         graph = cls.__new__(cls)
         graph._labels = labels
         graph._offsets = offsets
         graph._neighbors = neighbors
-        graph._degrees = np.diff(offsets)
+        graph._degrees = degrees
         graph._num_edges = int(num_edges)
         graph._neighbor_sets = None
         graph._label_index = label_index
         graph._nlf_cache = {}
         graph._label_counts = {}
         graph._stale_counts = {}
+        graph._patch = None
+        graph._label_codes = None
         graph._store = store
         graph._hash = None
         graph._fingerprint = None
@@ -400,8 +425,10 @@ class Graph:
         of ``Σ`` asked about; it spans all of ``V(G)`` because a caller's
         pool may mix labels. A label no vertex carries gets a fresh zero
         column that is not kept, so what a graph holds is bounded by its
-        own ``|Σ|`` whatever labels callers ask about. A spliced snapshot
-        patches an inherited column instead (:meth:`_inherit_label_counts`).
+        own ``|Σ|`` whatever labels callers ask about. On a spliced
+        snapshot an inherited column is copied and patched instead, from
+        one block that the first such read counts for every stale label
+        (:meth:`_inherit_label_counts`).
         """
         column = self._label_counts.get(label)
         if column is not None:
@@ -410,33 +437,72 @@ class Graph:
             return np.zeros(self.num_vertices, dtype=np.int32)
         stale = self._stale_counts.get(label)
         if stale is None:
-            column = _count_label(
-                self._labels[self._neighbors], self._offsets, label
-            )
+            # One label over the whole CSR: code 0 is the label, 1 the rest.
+            column = _count_labels(
+                self._labels[self._neighbors] != label, self._offsets, 1
+            )[:, 0]
         else:
-            inherited, pending, _ = stale
-            parts = []
-            while pending is not None:
-                part, pending = pending
-                parts.append(part)
-            rewritten = np.unique(np.concatenate(parts))
-            starts = self._offsets[rewritten]
-            lengths = self._offsets[rewritten + 1] - starts
-            bounds = np.zeros(rewritten.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=bounds[1:])
-            runs = np.repeat(starts - bounds[:-1], lengths) + np.arange(
-                bounds[-1], dtype=np.int64
-            )
+            patch = self._patch
+            # A block another reader counted after this label was patched
+            # and released (by a third) lacks it.
+            if patch is None or label not in patch[1]:
+                patch = self._patch = self._count_stale(label, stale)
+            rewritten, codes, block = patch
             column = np.zeros(self.num_vertices, dtype=np.int32)
-            column[:inherited.size] = inherited
-            column[rewritten] = _count_label(
-                self._labels[self._neighbors[runs]], bounds, label
-            )
+            column[:stale[0].size] = stale[0]
+            column[rewritten] = block[:, codes[label]]
         # Publish before releasing the inherited column, so a concurrent
         # reader or splice always finds one of the two.
         self._label_counts[label] = column
         self._stale_counts.pop(label, None)
+        if not self._stale_counts:
+            self._patch = None
         return column
+
+    def _count_stale(self, label: int, entry: _StaleColumn) -> _Patch:
+        """Count every stale label (``label`` among them) at once, at the
+        union ``U`` of the vertices rewritten since the oldest inherited
+        column was exact: one gather of their runs and one ``|U| ×
+        |labels|`` block. Every stale column's rewrites are a suffix of the
+        same chain of writes, so ``U`` covers each of them."""
+        stale = dict(self._stale_counts)
+        stale[label] = entry
+        pending = max(stale.values(), key=lambda item: item[2])[1]
+        parts = []
+        while pending is not None:
+            part, pending = pending
+            parts.append(part)
+        rewritten = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
+        starts = self._offsets[rewritten]
+        lengths = self._offsets[rewritten + 1] - starts
+        bounds = np.zeros(rewritten.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=bounds[1:])
+        runs = np.repeat(starts - bounds[:-1], lengths) + np.arange(
+            bounds[-1], dtype=np.int64
+        )
+        # Graph-wide dense codes renumbered: the stale labels 0 .. k - 1,
+        # every other label k, which is not counted.
+        vertex_codes, code_of = self._dense_label_codes()
+        stale_codes = {label: code for code, label in enumerate(stale)}
+        renumber = np.full(len(code_of), len(stale), dtype=np.int32)
+        renumber[[code_of[label] for label in stale]] = np.arange(len(stale))
+        block = _count_labels(
+            renumber[vertex_codes[self._neighbors[runs]]], bounds, len(stale)
+        )
+        return rewritten, stale_codes, block
+
+    def _dense_label_codes(self) -> Tuple[np.ndarray, Dict[int, int]]:
+        """Each vertex's label as its rank in ``Σ`` (int32), and label →
+        rank: built on the first patch and shared by every snapshot spliced
+        over the same ``labels`` (:meth:`_inherit_label_counts`)."""
+        codes = self._label_codes
+        if codes is None:
+            keys = np.fromiter(self._label_index, dtype=np.int64)
+            codes = self._label_codes = (
+                np.searchsorted(keys, self._labels).astype(np.int32),
+                {label: code for code, label in enumerate(keys.tolist())},
+            )
+        return codes
 
     def _inherit_label_counts(self, prev: "Graph", rewritten: np.ndarray) -> None:
         """Hand this snapshot ``prev``'s neighbour-label columns, to be
@@ -447,9 +513,13 @@ class Graph:
         ``prev``'s, appended ones included; labels never change, so no
         other vertex's counts can. Nothing is copied or counted here — a
         write costs a tuple per column — and nothing ``prev`` holds is
-        written. A column whose pending rewrites add up to ``|V|``
-        vertices is dropped instead and rebuilt when next asked for, which
-        bounds both what the pending lists hold and what a patch recounts.
+        written. The first read of a stale column counts all of them at
+        once (:meth:`_count_stale`) and keeps that block until the last
+        stale column is read; each read then costs a copy of the inherited
+        column and one scatter. A column whose pending rewrites add up to
+        ``|V|`` vertices is dropped instead and rebuilt when next asked
+        for, which bounds both what the pending lists hold and what the
+        block counts.
         """
         n = self.num_vertices
         size = int(rewritten.size)
@@ -466,6 +536,8 @@ class Graph:
         for label, column in list(prev._label_counts.items()):
             inherited[label] = (column, (rewritten, None), size)
         self._stale_counts = inherited
+        if self._labels is prev._labels:
+            self._label_codes = prev._label_codes
 
     def edge_label_frequency(self, label_a: int, label_b: int) -> int:
         """Number of edges whose endpoint labels are ``{label_a, label_b}``.
@@ -568,6 +640,8 @@ class Graph:
         self._nlf_cache = {}
         self._label_counts = {}
         self._stale_counts = {}
+        self._patch = None
+        self._label_codes = None
         self._store = None
         self._hash = None
         self._fingerprint = None

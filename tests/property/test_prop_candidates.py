@@ -2,14 +2,16 @@
 
 :class:`~repro.filtering.candidates.CandidateSets` keeps each ``C(u)``
 as a sorted int64 array and builds the Python list and frozenset of a
-set when it is first read; translation tables come from one sort over
-all the sets. Whatever order views are read in, and from however many
-threads, they must equal the eager ones, and every table must equal the
-definition: ``None`` for disjoint sets, else the position in ``C(b)`` of
-each element of ``C(a)``, -1 where it has none. The sets are drawn
-without regard to the query's labels, so differently labelled query
-vertices overlap too, and up to 70 of them, more than one 63-bit mask
-could tell apart.
+set when it is first read; a translation table is built by binary
+search on the first call for its pair and kept. Whatever order views
+are read in, and from however many threads, they must equal the eager
+ones, and every table must equal the definition: ``None`` for disjoint
+sets, else the position in ``C(b)`` of each element of ``C(a)``, -1
+where it has none. The container is exact for arbitrary sets: they are
+drawn without regard to the query's labels, so differently labelled
+query vertices overlap too (the engine probes only same-label pairs,
+which ``test_label_invariant.py`` holds the producers to), and up to 70
+of them, more than one 63-bit mask could tell apart.
 """
 
 import pickle

@@ -359,6 +359,55 @@ class TestSnapshotSplice:
                     == want.neighbor_label_counts(label).tobytes()
                 )
 
+    @_SETTINGS
+    @given(
+        seed=SEEDS,
+        batches=st.lists(
+            st.lists(MACRO_OP, min_size=1, max_size=4), min_size=1, max_size=12
+        ),
+        reads=st.lists(st.sets(st.integers(0, 7)), min_size=12, max_size=12),
+    )
+    def test_columns_read_in_any_pattern_equal_a_rebuild(
+        self, seed, batches, reads
+    ):
+        """Every epoch reads a random subset of labels on its snapshot;
+        one label is read on the base and then not again until the end,
+        vertices are appended, and on these small graphs the pending
+        rewrites of a column often add up to ``|V|``, which drops it. Every
+        column read equals a from-scratch graph's, no pending list reaches
+        ``|V|``, and a snapshot whose stale columns were all read holds
+        no block."""
+        case = plant_case(seed, max_data=12)
+        dyn = DynamicGraph(case.data)
+        labels = sorted(case.data.label_set | {0, 1, 2, 3})
+        unread = labels[seed % len(labels)]
+        for label in labels:
+            dyn.snapshot().neighbor_label_counts(label)
+        script = []
+        for batch, chosen in zip(batches, reads):
+            script.append(_expand(dyn, batch))
+            dyn.apply(script[-1])
+            snap = dyn.snapshot()
+            assert all(
+                size < snap.num_vertices
+                for _, _, size in snap._stale_counts.values()
+            )
+            want = _replayed(case.data, script)
+            for label in sorted({labels[i % len(labels)] for i in chosen} - {unread}):
+                assert (
+                    snap.neighbor_label_counts(label).tobytes()
+                    == want.neighbor_label_counts(label).tobytes()
+                )
+            if not snap._stale_counts:
+                assert snap._patch is None
+        snap, want = dyn.snapshot(), _replayed(case.data, script)
+        for label in [unread] + labels:
+            assert (
+                snap.neighbor_label_counts(label).tobytes()
+                == want.neighbor_label_counts(label).tobytes()
+            )
+        assert snap._stale_counts == {} and snap._patch is None
+
     def test_splice_never_reaches_the_graph_constructor(self, monkeypatch):
         """An accidental fallback to the rebuild must not pass silently."""
         base = Graph(labels=[0, 1, 0, 1], edges=[(0, 1), (1, 2), (2, 3)])

@@ -122,11 +122,12 @@ def test_every_embedding_surface_is_plain_ints(seed):
             assert result.embeddings and _plain(result.embeddings)
         plan = compile_plan("GQLfs", query, data, kernel=kernel)
         prepared = prepare_query(plan, query, data, Metrics())
-        batches = list(
-            iter_leaf_batches(
-                prepared, query, data, failing_sets=True, match_limit=2000
-            )
-        )
+        batches, held = [], 0
+        for batch in iter_leaf_batches(prepared, query, data, failing_sets=True):
+            batches.append(batch)
+            held += len(batch)
+            if held >= 2000:
+                break
         assert batches and all(type(batch) is list for batch in batches)
         assert _plain([row for batch in batches for row in batch])
         streamed = list(itertools.islice(iter_matches(query, data, kernel=kernel), 2000))

@@ -266,14 +266,15 @@ def test_spliced_snapshots_keep_a_correct_label_index():
 
 def test_spliced_snapshots_patch_inherited_columns_when_read(monkeypatch):
     """A write copies no neighbour-label column; the first read of one on
-    a snapshot two writes later recounts only the vertices both rewrote,
-    and then lets the inherited column go."""
+    a snapshot two writes later recounts the vertices both rewrote once,
+    for every inherited label, the later reads recount nothing, and each
+    read lets its inherited column go."""
     recounted = []
-    count_label = graph_module._count_label
+    count_labels = graph_module._count_labels
 
-    def recording(neighbor_labels, bounds, label):
-        recounted.append((bounds.size - 1, neighbor_labels.size))
-        return count_label(neighbor_labels, bounds, label)
+    def recording(codes, bounds, k):
+        recounted.append((bounds.size - 1, codes.size, k))
+        return count_labels(codes, bounds, k)
 
     n = 30
     base = Graph(
@@ -293,18 +294,17 @@ def test_spliced_snapshots_patch_inherited_columns_when_read(monkeypatch):
     snap = dyn.snapshot()
     assert snap._label_counts == {}
     rebuilt = replayed(base, script)
+    want = {label: rebuilt.neighbor_label_counts(label).tobytes() for label in (0, 1, 2)}
     rewritten = (0, 2, 4, 5, n)
-    monkeypatch.setattr(graph_module, "_count_label", recording)
+    once = [(len(rewritten), sum(rebuilt.degree(v) for v in rewritten), 3)]
+    monkeypatch.setattr(graph_module, "_count_labels", recording)
     for label in (0, 1, 2):
         column = snap.neighbor_label_counts(label)
-        assert recounted.pop() == (
-            len(rewritten), sum(rebuilt.degree(v) for v in rewritten)
-        )
+        assert recounted == once  # the first read counted all three
         assert label not in snap._stale_counts
-        assert column.tobytes() == rebuilt.neighbor_label_counts(label).tobytes()
-        recounted.clear()  # the oracle's full build
+        assert column.tobytes() == want[label]
         assert snap.neighbor_label_counts(label) is column
-        assert recounted == []
+    assert snap._stale_counts == {} and snap._patch is None
 
 
 def test_snapshot_is_cached_per_epoch():
