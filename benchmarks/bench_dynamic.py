@@ -20,8 +20,8 @@ with the overlay snapshot checked against the from-scratch graph of
 :func:`repro.qa.replay_script`'s plain edge-set replay and
 ``equal_state`` against a full rebuild *after every batch*, and the
 final graph's match result must be byte-identical between the overlay
-snapshot and the from-scratch graph. The benchmark refuses to emit a
-payload otherwise.
+snapshot and the from-scratch graph. The benchmark refuses to emit
+records otherwise.
 
 The speedup is reported twice. ``speedup_incremental_vs_scratch`` is
 wall clock. ``speedup_counted`` divides the candidate-state entries the
@@ -30,11 +30,10 @@ slot, per batch) by the entries the incremental path touches (its seed
 checks, counter updates and rechecks). Counts are deterministic, so no
 load on the host can move the counted figure.
 
-Run directly (``python benchmarks/bench_dynamic.py``) to write
-``BENCH_dynamic.json``, schema-stamped and validated by
-:func:`repro.obs.schema.validate_bench_dynamic` — which enforces the
-``MIN_DYNAMIC_SPEEDUP`` floor on the counted speedup and zero
-shared-memory/tempfile leaks (CI's ``dynamic-smoke`` job holds the
+Run directly (``python benchmarks/bench_dynamic.py``) to append the
+``maintenance`` record to ``benchmarks/results/dynamic.jsonl``;
+``claims.py`` holds the counted speedup to ``MIN_DYNAMIC_SPEEDUP`` and
+the leak counters to zero (CI's ``dynamic-smoke`` job holds the
 wall-clock speedup to the same floor). Flags scale the workload down for
 CI smoke runs (``--vertices 400 --batch-size 2``).
 """
@@ -42,10 +41,7 @@ CI smoke runs (``--vertices 400 --batch-size 2``).
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -59,11 +55,9 @@ from repro.dynamic import DynamicGraph, IncrementalCandidates, Mutation
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.graph import Graph
 from repro.graph.query_gen import extract_query
-from repro.obs.schema import (
-    BENCH_DYNAMIC_SCHEMA_VERSION,
-    validate_bench_dynamic,
-)
 from repro.qa import replay_script
+
+import records
 
 DEFAULT_VERTICES = 2_000
 DEFAULT_DEGREE = 8.0
@@ -72,20 +66,6 @@ DEFAULT_QUERY_SIZE = 5
 DEFAULT_CHURN = 0.01
 DEFAULT_BATCH_SIZE = 4
 DEFAULT_MATCH_LIMIT = 100_000
-
-
-def _shm_names() -> set:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:  # non-Linux: no visible segment directory
-        return set()
-
-
-def _temp_entries() -> set:
-    try:
-        return set(os.listdir(tempfile.gettempdir()))
-    except OSError:
-        return set()
 
 
 def build_workload(
@@ -175,10 +155,9 @@ def run_dynamic_benchmark(
     churn_fraction: float = DEFAULT_CHURN,
     batch_size: int = DEFAULT_BATCH_SIZE,
     match_limit: int = DEFAULT_MATCH_LIMIT,
-) -> dict:
-    """Time both maintenance strategies; returns the validated payload."""
-    shm_before = _shm_names()
-    tmp_before = _temp_entries()
+) -> list:
+    """Time both maintenance strategies; returns the ``maintenance`` record."""
+    before = records.open_entries()
     data, query, script = build_workload(
         vertices, degree, labels, query_size, churn_fraction, batch_size
     )
@@ -213,7 +192,7 @@ def run_dynamic_benchmark(
     if not (states_identical and final_match_identical):
         raise SystemExit(
             "incremental maintenance diverged from the from-scratch rebuild "
-            "— refusing to write a benchmark payload for a broken path"
+            "— refusing to write records for a broken path"
         )
 
     # Timed: the shipped incremental path.
@@ -233,41 +212,33 @@ def run_dynamic_benchmark(
         scratch_entries += _state_entries(IncrementalCandidates(query, rebuilt))
     scratch_seconds = time.perf_counter() - start
 
-    payload = {
-        "schema_version": BENCH_DYNAMIC_SCHEMA_VERSION,
-        "benchmark": "dynamic-mutation",
-        "workload": {
-            "data_vertices": data.num_vertices,
-            "data_edges": data.num_edges,
-            "data_degree": degree,
-            "num_labels": labels,
-            "query_vertices": query.num_vertices,
-            "num_batches": len(script),
-            "ops_total": ops_total,
-            "churn_fraction": churn_fraction,
-            "batch_size": batch_size,
-            "match_limit": match_limit,
-        },
-        "timings": {
-            "incremental_seconds": incremental_seconds,
-            "scratch_seconds": scratch_seconds,
-            "incremental_seconds_per_batch": incremental_seconds / len(script),
-            "scratch_seconds_per_batch": scratch_seconds / len(script),
-        },
-        "speedup_incremental_vs_scratch": scratch_seconds / incremental_seconds,
-        "counted": {
-            "incremental_entries": incremental_entries,
-            "scratch_entries": scratch_entries,
-        },
-        "speedup_counted": scratch_entries / incremental_entries,
-        "final_matches": incremental_result.num_matches,
-        "states_identical": states_identical,
-        "final_match_identical": final_match_identical,
-        "shm_segments_leaked": len(_shm_names() - shm_before),
-        "tempfiles_leaked": len(_temp_entries() - tmp_before),
+    key = {
+        "vertices": vertices, "degree": degree, "labels": labels,
+        "query_size": query_size, "churn_fraction": churn_fraction,
+        "batch_size": batch_size, "match_limit": match_limit,
     }
-    validate_bench_dynamic(payload)
-    return payload
+    metrics = {
+        "incremental_seconds": incremental_seconds,
+        "scratch_seconds": scratch_seconds,
+        "incremental_seconds_per_batch": incremental_seconds / len(script),
+        "scratch_seconds_per_batch": scratch_seconds / len(script),
+        "speedup_incremental_vs_scratch": scratch_seconds / incremental_seconds,
+        "speedup_counted": scratch_entries / incremental_entries,
+    }
+    counters = {
+        "data_vertices": data.num_vertices,
+        "data_edges": data.num_edges,
+        "query_vertices": query.num_vertices,
+        "num_batches": len(script),
+        "ops_total": ops_total,
+        "incremental_entries": incremental_entries,
+        "scratch_entries": scratch_entries,
+        "final_matches": incremental_result.num_matches,
+        "states_identical": int(states_identical),
+        "final_match_identical": int(final_match_identical),
+        **records.leaks_since(before),
+    }
+    return [records.record("dynamic", "maintenance", key, metrics, counters)]
 
 
 def main(argv=None) -> int:
@@ -276,30 +247,12 @@ def main(argv=None) -> int:
     parser.add_argument("--degree", type=float, default=DEFAULT_DEGREE)
     parser.add_argument("--labels", type=int, default=DEFAULT_LABELS)
     parser.add_argument("--query-size", type=int, default=DEFAULT_QUERY_SIZE)
-    parser.add_argument("--churn", type=float, default=DEFAULT_CHURN)
+    parser.add_argument(
+        "--churn", type=float, default=DEFAULT_CHURN, dest="churn_fraction"
+    )
     parser.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     parser.add_argument("--match-limit", type=int, default=DEFAULT_MATCH_LIMIT)
-    parser.add_argument(
-        "--output", default="BENCH_dynamic.json",
-        help="payload path",
-    )
-    args = parser.parse_args(argv)
-
-    results = run_dynamic_benchmark(
-        vertices=args.vertices,
-        degree=args.degree,
-        labels=args.labels,
-        query_size=args.query_size,
-        churn_fraction=args.churn,
-        batch_size=args.batch_size,
-        match_limit=args.match_limit,
-    )
-    payload = json.dumps(results, indent=2) + "\n"
-    out = Path(args.output)
-    out.write_text(payload)
-    print(payload, end="")
-    print(f"wrote {out.resolve()}", file=sys.stderr)
-    return 0
+    return records.main("dynamic", run_dynamic_benchmark, parser, argv)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ dense neighborhoods.
 
 Run directly (``python benchmarks/bench_kernels.py``) to time the
 registered kernel *backends* (every registry name) on
-10k-element sorted arrays and write ``BENCH_kernels.json``. The ``rows``
+10k-element sorted arrays and append one record per backend to
+``benchmarks/results/kernels.jsonl``. The ``rows``
 row times that backend's *list* interface (encode against the smaller
 list, AND, decode) — the price of entering and leaving position space,
 which the engine pays once per prepared query rather than per
@@ -16,7 +17,7 @@ intersection.
 
 from __future__ import annotations
 
-import json
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -26,7 +27,6 @@ import numpy as np
 if __name__ == "__main__":  # standalone run: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.obs.schema import BENCH_KERNELS_SCHEMA_VERSION, validate_bench_kernels
 from repro.utils.kernels import (
     available_kernels,
     get_kernel,
@@ -34,6 +34,8 @@ from repro.utils.kernels import (
     intersect_hybrid,
     intersect_merge,
 )
+
+import records
 
 _RNG = np.random.default_rng(7)
 
@@ -151,7 +153,7 @@ def bench_backend_bitset_similar_warm(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Standalone backend shoot-out: writes BENCH_kernels.json
+# Standalone backend shoot-out: one record per backend
 # ----------------------------------------------------------------------
 
 #: The acceptance micro-benchmark: 10k-element sorted arrays drawn from a
@@ -173,13 +175,11 @@ def _time_per_call(fn, *args, repeat: int = 5, number: int = 10) -> float:
 
 def run_backend_shootout(
     universe: int = SHOOTOUT_UNIVERSE, size: int = SHOOTOUT_SIZE
-) -> dict:
+) -> list:
     """Time each registered backend's hybrid intersect on the 10k arrays.
 
-    The payload is stamped with ``schema_version`` and the resolved
-    backend name per registry entry (``kernels``), so downstream BENCH
-    deltas are attributable to a concrete backend; see
-    :func:`repro.obs.schema.validate_bench_kernels` for the contract.
+    One record per registry name; its key names the backend that ran
+    (``kernel``), so a delta is attributable to a concrete backend.
     """
     rng = np.random.default_rng(7)
     a = np.sort(rng.choice(universe, size=size, replace=False)).astype(np.int64)
@@ -193,28 +193,22 @@ def run_backend_shootout(
         kernel.intersect(a, b)  # warm caches / JIT-free sanity check
         timings[name] = _time_per_call(kernel.intersect, a, b)
 
-    payload = {
-        "schema_version": BENCH_KERNELS_SCHEMA_VERSION,
-        "benchmark": "kernel-backend-shootout",
-        "universe": universe,
-        "array_size": size,
-        "kernels": resolved,
-        "seconds_per_call": timings,
-        "speedup_numpy_vs_scalar": timings["scalar"] / timings["numpy"],
-        "speedup_bitset_vs_scalar": timings["scalar"] / timings["bitset"],
-    }
-    validate_bench_kernels(payload)
-    return payload
+    return [
+        records.record(
+            "kernels", name,
+            {"universe": universe, "array_size": size, "kernel": resolved[name]},
+            {
+                "seconds_per_call": seconds,
+                "speedup_vs_scalar": timings["scalar"] / seconds,
+            },
+        )
+        for name, seconds in timings.items()
+    ]
 
 
-def main() -> int:
-    results = run_backend_shootout()
-    payload = json.dumps(results, indent=2) + "\n"
-    out = Path("BENCH_kernels.json")
-    out.write_text(payload)
-    print(payload, end="")
-    print(f"wrote {out.resolve()}", file=sys.stderr)
-    return 0
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    return records.main("kernels", run_backend_shootout, parser, argv)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ pool and merges the per-chunk outcomes.
 
 Correctness rides along: before timing, every query runs once through
 the pool with embeddings retained, and the benchmark refuses to produce
-a payload unless the merged embedding sequence is byte-identical to the
+records unless the merged embedding sequence is byte-identical to the
 sequential one.
 
 Speedup provenance is explicit. On hosts with at least 4 CPUs the
@@ -20,19 +20,18 @@ the chunks achieves (greedy makespan: longest chunk first, always onto
 the least-loaded worker), with each chunk's ``recursion_calls`` as its
 cost. Calls are deterministic, so no load on the host can move a counted
 speedup; the unit tests count on every host (``measure=False``). The
-payload says which via ``speedup_source`` (``"measured"`` or
-``"counted"``), and :func:`repro.obs.schema.validate_bench_parallel`
-enforces the 2.5x floor either way.
+records' key says which via ``speedup_source`` (``"measured"`` or
+``"counted"``), and ``claims.py`` enforces the 2.5x floor either way.
 
-Run directly (``python benchmarks/bench_parallel.py``) to write
-``BENCH_parallel.json``. Flags scale the workload down for CI smoke runs
-(``--vertices 600 --queries 2 --repeats 1``).
+Run directly (``python benchmarks/bench_parallel.py``) to append one
+record per query (``query<seed>``) and an ``overall`` record to
+``benchmarks/results/parallel.jsonl``. Flags scale the workload down for
+CI smoke runs (``--vertices 600 --queries 2 --repeats 1``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -44,15 +43,13 @@ from repro.core.plan import compile_plan, run_plan
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.query_gen import extract_query
 from repro.graph.store import SharedMemoryStore
-from repro.obs.schema import (
-    BENCH_PARALLEL_SCHEMA_VERSION,
-    validate_bench_parallel,
-)
 from repro.parallel import (
     DEFAULT_CHUNKS,
     ParallelContext,
     shutdown_pools,
 )
+
+import records
 
 #: Enumeration-bound, with two deliberate choices.
 #: The workload *finishes under* the match cap: a capped sequential run
@@ -74,13 +71,6 @@ DEFAULT_ALGORITHM = "GQL-opt"
 WORKER_COUNTS = (1, 2, 4)
 
 
-def _shm_names() -> set:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:  # non-Linux: no visible segment directory
-        return set()
-
-
 def greedy_makespan(chunk_costs, workers: int) -> float:
     """Makespan of the longest-first greedy schedule on ``workers``."""
     loads = [0.0] * workers
@@ -99,8 +89,9 @@ def run_parallel_benchmark(
     degree: float = DEFAULT_DEGREE,
     labels: int = DEFAULT_LABELS,
     measure: bool = True,
-) -> dict:
-    """Benchmark the fan-out per query; returns the validated payload.
+) -> list:
+    """Benchmark the fan-out per query; returns one record per query,
+    then the ``overall`` record.
 
     Speedups are measured wall clock when ``measure`` is set and the host
     has at least 4 CPUs, and counted from per-chunk ``recursion_calls``
@@ -108,7 +99,14 @@ def run_parallel_benchmark(
     """
     host_cpus = os.cpu_count() or 1
     measured = measure and host_cpus >= max(WORKER_COUNTS)
-    shm_before = _shm_names()
+    before = records.open_entries()
+    key = {
+        "vertices": vertices, "degree": degree, "labels": labels,
+        "queries": num_queries, "repeats": repeats,
+        "query_size": query_size, "match_limit": match_limit,
+        "algorithm": algorithm, "chunks": DEFAULT_CHUNKS,
+        "speedup_source": "measured" if measured else "counted",
+    }
 
     data = erdos_renyi_graph(vertices, degree, labels, seed=7)
     pool = [
@@ -126,7 +124,7 @@ def run_parallel_benchmark(
     # add timeslicing noise to the recorded chunk seconds.
     timing_ctx = contexts[max(WORKER_COUNTS)] if measured else contexts[1]
 
-    query_entries = []
+    run = []
     seq_total = 0.0
     makespan4_total = 0.0
     all_identical = True
@@ -171,7 +169,7 @@ def run_parallel_benchmark(
             if not identical:
                 raise SystemExit(
                     f"query seed {seed}: parallel embeddings differ from "
-                    "sequential — refusing to write a payload for a "
+                    "sequential — refusing to write records for a "
                     "broken fan-out"
                 )
 
@@ -217,45 +215,35 @@ def run_parallel_benchmark(
             # In the unit of the speedups: seconds, or calls when counted.
             seq_total += whole
             makespan4_total += whole / speedups[str(max(WORKER_COUNTS))]
-            query_entries.append(
-                {
-                    "seed": seed,
-                    "num_matches": seq_result.num_matches,
-                    "sequential_seconds": seq_seconds,
-                    "chunk_seconds": chunk_seconds,
-                    "sequential_calls": seq_result.stats.recursion_calls,
-                    "chunk_calls": chunk_calls,
-                    "speedups": speedups,
-                    "embeddings_identical": identical,
-                }
+            metrics = {
+                "sequential_seconds": seq_seconds,
+                **{f"speedup_{w}": x for w, x in speedups.items()},
+                **{f"chunk_seconds.{i}": x for i, x in enumerate(chunk_seconds)},
+            }
+            counters = {
+                "num_matches": seq_result.num_matches,
+                "sequential_calls": seq_result.stats.recursion_calls,
+                **{f"chunk_calls.{i}": x for i, x in enumerate(chunk_calls)},
+                "embeddings_identical": int(identical),
+            }
+            run.append(
+                records.record("parallel", f"query{seed}", key, metrics, counters)
             )
     finally:
         shared.close()
         shutdown_pools()
 
-    payload = {
-        "schema_version": BENCH_PARALLEL_SCHEMA_VERSION,
-        "benchmark": "parallel-enumeration",
-        "host_cpus": host_cpus,
-        "speedup_source": "measured" if measured else "counted",
-        "workload": {
-            "data_vertices": data.num_vertices,
-            "data_degree": degree,
-            "num_labels": labels,
-            "query_vertices": query_size,
-            "num_queries": num_queries,
-            "repeats": repeats,
-            "match_limit": match_limit,
-            "algorithm": algorithm,
-            "chunks": DEFAULT_CHUNKS,
-        },
-        "queries": query_entries,
-        "overall_speedup_4_workers": seq_total / makespan4_total,
-        "embeddings_identical": all_identical,
-        "shm_segments_leaked": len(_shm_names() - shm_before),
-    }
-    validate_bench_parallel(payload)
-    return payload
+    run.append(
+        records.record(
+            "parallel", "overall", key,
+            {"speedup_4": seq_total / makespan4_total},
+            {"embeddings_identical": int(all_identical)},
+        )
+    )
+    leaked = records.leaks_since(before)["shm_segments_leaked"]
+    for r in run:
+        r["counters"]["shm_segments_leaked"] = leaked
+    return run
 
 
 def main(argv=None) -> int:
@@ -263,7 +251,9 @@ def main(argv=None) -> int:
     parser.add_argument("--vertices", type=int, default=DEFAULT_VERTICES)
     parser.add_argument("--degree", type=float, default=DEFAULT_DEGREE)
     parser.add_argument("--labels", type=int, default=DEFAULT_LABELS)
-    parser.add_argument("--queries", type=int, default=DEFAULT_QUERIES)
+    parser.add_argument(
+        "--queries", type=int, default=DEFAULT_QUERIES, dest="num_queries"
+    )
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     parser.add_argument("--query-size", type=int, default=DEFAULT_QUERY_SIZE)
     parser.add_argument("--match-limit", type=int, default=DEFAULT_MATCH_LIMIT)
@@ -271,28 +261,7 @@ def main(argv=None) -> int:
         "--algorithm", default=DEFAULT_ALGORITHM,
         help="algorithm preset to enumerate with",
     )
-    parser.add_argument(
-        "--output", default="BENCH_parallel.json",
-        help="payload path",
-    )
-    args = parser.parse_args(argv)
-
-    results = run_parallel_benchmark(
-        vertices=args.vertices,
-        num_queries=args.queries,
-        repeats=args.repeats,
-        query_size=args.query_size,
-        match_limit=args.match_limit,
-        algorithm=args.algorithm,
-        degree=args.degree,
-        labels=args.labels,
-    )
-    payload = json.dumps(results, indent=2) + "\n"
-    out = Path(args.output)
-    out.write_text(payload)
-    print(payload, end="")
-    print(f"wrote {out.resolve()}", file=sys.stderr)
-    return 0
+    return records.main("parallel", run_parallel_benchmark, parser, argv)
 
 
 if __name__ == "__main__":

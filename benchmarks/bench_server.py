@@ -19,17 +19,16 @@ requests, not below ``--vertices 800 --match-limit 30000``. A barrier
 lines all client threads up before the clock starts so the burst
 actually overlaps.
 
-Run directly (``python benchmarks/bench_server.py``) to write
-``BENCH_server.json``, schema-stamped and validated by
-:func:`repro.obs.schema.validate_bench_server`. Flags scale the workload
-down for CI smoke runs (``--vertices 800 --clients 4 --requests 8
---match-limit 30000``).
+Run directly (``python benchmarks/bench_server.py``) to append the
+``coalescing_on`` and ``coalescing_off`` records to
+``benchmarks/results/server.jsonl``. Flags scale the workload down for CI
+smoke runs (``--vertices 800 --clients 4 --requests 8 --match-limit
+30000``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
 import time
@@ -40,8 +39,9 @@ if __name__ == "__main__":  # standalone run: make src/ importable
 
 from repro.graph.generators import rmat_graph
 from repro.graph.query_gen import extract_query
-from repro.obs.schema import BENCH_SERVER_SCHEMA_VERSION, validate_bench_server
 from repro.serve import MatchService
+
+import records
 
 #: Defaults sized so enumeration dominates per-request cost (coalescing
 #: then saves real work even when plan/prep caches are warm) while the
@@ -167,14 +167,26 @@ def run_server_benchmark(
     query_size: int = DEFAULT_QUERY_SIZE,
     match_limit: int = DEFAULT_MATCH_LIMIT,
     algorithm: str = DEFAULT_ALGORITHM,
-) -> dict:
-    """Run both modes on one workload; returns the validated payload."""
+) -> list:
+    """Run both modes on one workload; returns one record per mode.
+
+    The ``coalescing_on`` record also carries the cross-mode facts: its
+    effective-QPS speedup over the uncoalesced run and whether both
+    modes returned the same match count for every request.
+    """
     data, pool = build_workload(vertices, distinct, query_size)
     total = clients * requests_per_client
+    key = {
+        "vertices": vertices, "tenants": tenants, "clients": clients,
+        "workers": workers, "distinct": distinct,
+        "requests_per_client": requests_per_client,
+        "query_size": query_size, "match_limit": match_limit,
+        "algorithm": algorithm,
+    }
 
-    modes = {}
+    by_mode = {}
     mode_counts = {}
-    for key, coalesce in (("coalescing_on", True), ("coalescing_off", False)):
+    for name, coalesce in (("coalescing_on", True), ("coalescing_off", False)):
         seconds, latencies, counts, counters = run_mode(
             data,
             pool,
@@ -186,41 +198,24 @@ def run_server_benchmark(
             match_limit=match_limit,
             algorithm=algorithm,
         )
-        modes[key] = {
+        metrics = {
             "seconds_total": seconds,
             "qps": total / seconds,
             "p50_ms": _percentile(latencies, 0.50) * 1000.0,
             "p99_ms": _percentile(latencies, 0.99) * 1000.0,
-            "counters": counters,
         }
-        mode_counts[key] = counts
+        counters = dict(counters, total_requests=total)
+        by_mode[name] = records.record("server", name, key, metrics, counters)
+        mode_counts[name] = counts
 
-    payload = {
-        "schema_version": BENCH_SERVER_SCHEMA_VERSION,
-        "benchmark": "server-throughput",
-        "algorithm": algorithm,
-        "workload": {
-            "data_vertices": data.num_vertices,
-            "tenants": tenants,
-            "clients": clients,
-            "workers": workers,
-            "distinct_queries": distinct,
-            "requests_per_client": requests_per_client,
-            "total_requests": total,
-            "query_size": query_size,
-            "match_limit": match_limit,
-        },
-        "coalescing_on": modes["coalescing_on"],
-        "coalescing_off": modes["coalescing_off"],
-        "speedup_coalescing_effective_qps": (
-            modes["coalescing_on"]["qps"] / modes["coalescing_off"]["qps"]
-        ),
-        "results_agree": (
-            mode_counts["coalescing_on"] == mode_counts["coalescing_off"]
-        ),
-    }
-    validate_bench_server(payload)
-    return payload
+    on, off = by_mode["coalescing_on"], by_mode["coalescing_off"]
+    on["metrics"]["speedup_effective_qps"] = (
+        on["metrics"]["qps"] / off["metrics"]["qps"]
+    )
+    on["counters"]["results_agree"] = int(
+        mode_counts["coalescing_on"] == mode_counts["coalescing_off"]
+    )
+    return [on, off]
 
 
 def main(argv=None) -> int:
@@ -232,34 +227,12 @@ def main(argv=None) -> int:
     parser.add_argument("--distinct", type=int, default=DEFAULT_DISTINCT)
     parser.add_argument(
         "--requests", type=int, default=DEFAULT_REQUESTS,
-        help="requests per client thread",
+        dest="requests_per_client", help="requests per client thread",
     )
     parser.add_argument("--query-size", type=int, default=DEFAULT_QUERY_SIZE)
     parser.add_argument("--match-limit", type=int, default=DEFAULT_MATCH_LIMIT)
     parser.add_argument("--algorithm", default=DEFAULT_ALGORITHM)
-    parser.add_argument(
-        "--output", default="BENCH_server.json",
-        help="payload path",
-    )
-    args = parser.parse_args(argv)
-
-    results = run_server_benchmark(
-        vertices=args.vertices,
-        tenants=args.tenants,
-        clients=args.clients,
-        workers=args.workers,
-        distinct=args.distinct,
-        requests_per_client=args.requests,
-        query_size=args.query_size,
-        match_limit=args.match_limit,
-        algorithm=args.algorithm,
-    )
-    payload = json.dumps(results, indent=2) + "\n"
-    out = Path(args.output)
-    out.write_text(payload)
-    print(payload, end="")
-    print(f"wrote {out.resolve()}", file=sys.stderr)
-    return 0
+    return records.main("server", run_server_benchmark, parser, argv)
 
 
 if __name__ == "__main__":

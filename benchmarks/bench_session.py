@@ -8,16 +8,15 @@ session compiles each pattern once, reuses the prepared candidates /
 auxiliary structure / order on every repeat, and keeps the kernel's
 encode caches warm.
 
-Run directly (``python benchmarks/bench_session.py``) to write
-``BENCH_session.json``, schema-stamped and validated by
-:func:`repro.obs.schema.validate_bench_session`. Flags scale the workload
-down for CI smoke runs (``--vertices 300 --distinct 2 --repeats 3``).
+Run directly (``python benchmarks/bench_session.py``) to append the
+``repeated_queries`` record to ``benchmarks/results/session.jsonl``.
+Flags scale the workload down for CI smoke runs (``--vertices 300
+--distinct 2 --repeats 3``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -29,7 +28,8 @@ from repro.core.api import match
 from repro.core.session import MatchSession
 from repro.graph.generators import rmat_graph
 from repro.graph.query_gen import extract_query
-from repro.obs.schema import BENCH_SESSION_SCHEMA_VERSION, validate_bench_session
+
+import records
 
 #: Defaults sized so preprocessing is a real fraction of per-query time
 #: (the regime the paper's Figure 7 measures) while the whole benchmark
@@ -63,8 +63,8 @@ def run_session_benchmark(
     query_size: int = DEFAULT_QUERY_SIZE,
     match_limit: int = DEFAULT_MATCH_LIMIT,
     algorithm: str = DEFAULT_ALGORITHM,
-) -> dict:
-    """Time the repeated-query workload both ways; returns the payload."""
+) -> list:
+    """Time the repeated-query workload both ways; returns the record."""
     data, _pool, workload = build_workload(
         vertices, distinct, repeats, query_size
     )
@@ -95,33 +95,28 @@ def run_session_benchmark(
     session_counts = [r.num_matches for r in session_results]
 
     total = len(workload)
-    cache = session.cache_info()
-    payload = {
-        "schema_version": BENCH_SESSION_SCHEMA_VERSION,
-        "benchmark": "session-throughput",
+    prep = session.cache_info()["prep"]
+    key = {
+        "vertices": vertices, "distinct": distinct, "repeats": repeats,
+        "query_size": query_size, "match_limit": match_limit,
         "algorithm": algorithm,
-        "workload": {
-            "data_vertices": data.num_vertices,
-            "distinct_queries": distinct,
-            "repeats": repeats,
-            "total_queries": total,
-            "query_size": query_size,
-            "match_limit": match_limit,
-        },
-        "one_shot": {
-            "seconds_total": one_shot_seconds,
-            "seconds_per_query": one_shot_seconds / total,
-        },
-        "session": {
-            "seconds_total": session_seconds,
-            "seconds_per_query": session_seconds / total,
-        },
-        "speedup_session_vs_one_shot": one_shot_seconds / session_seconds,
-        "cache": cache,
-        "matches_agree": one_shot_counts == session_counts,
     }
-    validate_bench_session(payload)
-    return payload
+    metrics = {
+        "one_shot_seconds": one_shot_seconds,
+        "session_seconds": session_seconds,
+        "one_shot_seconds_per_query": one_shot_seconds / total,
+        "session_seconds_per_query": session_seconds / total,
+        "speedup_session_vs_one_shot": one_shot_seconds / session_seconds,
+    }
+    counters = {
+        "data_vertices": data.num_vertices,
+        "total_queries": total,
+        "prep_hits": prep["hits"],
+        "prep_misses": prep["misses"],
+        "prep_size": prep["size"],
+        "matches_agree": int(one_shot_counts == session_counts),
+    }
+    return [records.record("session", "repeated_queries", key, metrics, counters)]
 
 
 def main(argv=None) -> int:
@@ -132,26 +127,7 @@ def main(argv=None) -> int:
     parser.add_argument("--query-size", type=int, default=DEFAULT_QUERY_SIZE)
     parser.add_argument("--match-limit", type=int, default=DEFAULT_MATCH_LIMIT)
     parser.add_argument("--algorithm", default=DEFAULT_ALGORITHM)
-    parser.add_argument(
-        "--output", default="BENCH_session.json",
-        help="payload path",
-    )
-    args = parser.parse_args(argv)
-
-    results = run_session_benchmark(
-        vertices=args.vertices,
-        distinct=args.distinct,
-        repeats=args.repeats,
-        query_size=args.query_size,
-        match_limit=args.match_limit,
-        algorithm=args.algorithm,
-    )
-    payload = json.dumps(results, indent=2) + "\n"
-    out = Path(args.output)
-    out.write_text(payload)
-    print(payload, end="")
-    print(f"wrote {out.resolve()}", file=sys.stderr)
-    return 0
+    return records.main("session", run_session_benchmark, parser, argv)
 
 
 if __name__ == "__main__":

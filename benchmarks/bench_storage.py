@@ -7,9 +7,9 @@ its correctness attestation baked in:
   memmap (or a shared-memory segment) must cost essentially the same as
   matching off heap arrays: the enumeration reads the same bytes through
   the same numpy views. A resident-scale workload runs the same query
-  set against all three backends; the payload records the per-backend
-  seconds and :func:`repro.obs.schema.validate_bench_storage` enforces
-  the 1.3x memmap ceiling.
+  set against all three backends; the ``warm`` record holds the
+  per-backend seconds and ``claims.py`` enforces the 1.3x memmap
+  ceiling.
 
 * **Out-of-core peak RSS** — the point of the ``.rgf`` format is opening
   graphs whose CSR arrays exceed the memory budget in O(header) and
@@ -19,12 +19,13 @@ its correctness attestation baked in:
   the same label-local queries, one fully materializing the arrays, one
   matching straight off :class:`~repro.graph.store.MmapStore`. Each
   child reports ``resource.getrusage`` peak RSS and a digest of its
-  embeddings; the benchmark refuses to produce a payload unless the
-  digests agree, and the validator enforces the 50% RSS ceiling and that
+  embeddings; the benchmark refuses to produce records unless the
+  digests agree, and ``claims.py`` enforces the 50% RSS ceiling and that
   the arrays genuinely exceed the declared budget.
 
-Run directly (``python benchmarks/bench_storage.py``) to write
-``BENCH_storage.json``. Flags scale the workload (CI smoke: ``--warm-vertices 1000 --queries 2
+Run directly (``python benchmarks/bench_storage.py``) to append the
+``warm`` and ``out_of_core`` records to
+``benchmarks/results/storage.jsonl``. Flags scale the workload (CI smoke: ``--warm-vertices 1000 --queries 2
 --repeats 1 --ooc-vertices 750000``; shrinking the out-of-core graph
 much below that makes the interpreter's own footprint dominate both
 children and the RSS ratio meaningless).
@@ -53,10 +54,8 @@ from repro.graph.generators import erdos_renyi_graph
 from repro.graph.graph import Graph
 from repro.graph.query_gen import extract_query
 from repro.graph.store import MmapStore, SharedMemoryStore, write_rgf
-from repro.obs.schema import (
-    BENCH_STORAGE_SCHEMA_VERSION,
-    validate_bench_storage,
-)
+
+import records
 
 DEFAULT_WARM_VERTICES = 4_000
 DEFAULT_WARM_DEGREE = 16.0
@@ -95,9 +94,7 @@ from repro.core.registry import PresetDef, build_spec
 from repro.graph.graph import Graph
 from repro.graph.store import MmapStore, read_rgf_header
 
-mode, rgf_path, spec_path = sys.argv[1], sys.argv[2], sys.argv[3]
-with open(spec_path) as fh:
-    spec = json.load(fh)
+mode, rgf_path, spec = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 
 if mode == "mmap":
     store = MmapStore(rgf_path)
@@ -150,13 +147,6 @@ print(json.dumps({"peak_rss_bytes": peak_rss_bytes(), "queries": out}))
 """
 
 
-def _shm_names() -> set:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:  # non-Linux: no visible segment directory
-        return set()
-
-
 def build_ring_lattice_rgf(
     path: Path, vertices: int, half_degree: int, num_labels: int
 ) -> dict:
@@ -200,15 +190,14 @@ def _ooc_queries(num_labels: int, count: int) -> list:
     return queries
 
 
-def _run_child(mode: str, rgf_path: Path, spec_path: Path) -> dict:
+def _run_child(mode: str, rgf_path: Path, spec: str) -> dict:
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD_SCRIPT, mode, str(rgf_path),
-         str(spec_path)],
+        [sys.executable, "-c", _CHILD_SCRIPT, mode, str(rgf_path), spec],
         capture_output=True, text=True, env=env, check=False,
     )
     if proc.returncode != 0:
@@ -229,30 +218,27 @@ def run_storage_benchmark(
     ooc_half_degree: int = DEFAULT_OOC_HALF_DEGREE,
     ooc_labels: int = DEFAULT_OOC_LABELS,
     ooc_queries: int = DEFAULT_OOC_QUERIES,
-) -> dict:
-    """Run both halves; returns the validated payload."""
-    shm_before = _shm_names()
-    tmpdir = tempfile.mkdtemp(prefix="repro-bench-storage-")
-    tmp = Path(tmpdir)
+) -> list:
+    """Run both halves; returns the ``warm`` and ``out_of_core`` records."""
+    before = records.open_entries()
+    tmp = Path(tempfile.mkdtemp(prefix="repro-bench-storage-"))
     try:
-        payload = {
-            "schema_version": BENCH_STORAGE_SCHEMA_VERSION,
-            "benchmark": "storage-backends",
-            "warm": _run_warm_half(
+        run = [
+            _run_warm_half(
                 tmp, warm_vertices, num_queries, repeats, query_size,
                 match_limit, algorithm,
             ),
-            "out_of_core": _run_ooc_half(
+            _run_ooc_half(
                 tmp, ooc_vertices, ooc_half_degree, ooc_labels,
                 ooc_queries, match_limit,
             ),
-        }
+        ]
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    payload["shm_segments_leaked"] = len(_shm_names() - shm_before)
-    payload["tempfiles_leaked"] = 1 if tmp.exists() else 0
-    validate_bench_storage(payload)
-    return payload
+    leaks = records.leaks_since(before)
+    for r in run:
+        r["counters"].update(leaks)
+    return run
 
 
 def _run_warm_half(
@@ -297,8 +283,8 @@ def _run_warm_half(
             elif embeddings != reference:
                 raise SystemExit(
                     f"warm workload: {name} backend returned different "
-                    "embeddings than in-memory — refusing to write a "
-                    "payload for a broken storage layer"
+                    "embeddings than in-memory — refusing to write "
+                    "records for a broken storage layer"
                 )
         for name, graph in backends.items():
             total = 0.0
@@ -316,24 +302,22 @@ def _run_warm_half(
         mmap_store.close()
         shm_store.close()
 
-    return {
-        "workload": {
-            "data_vertices": vertices,
-            "data_degree": DEFAULT_WARM_DEGREE,
-            "num_labels": DEFAULT_WARM_LABELS,
-            "query_vertices": query_size,
-            "num_queries": num_queries,
-            "match_limit": match_limit,
-            "repeats": repeats,
-            "algorithm": algorithm,
-        },
+    key = {
+        "warm_vertices": vertices, "degree": DEFAULT_WARM_DEGREE,
+        "labels": DEFAULT_WARM_LABELS, "query_size": query_size,
+        "queries": num_queries, "match_limit": match_limit,
+        "repeats": repeats, "algorithm": algorithm,
+    }
+    metrics = {
         "in_memory_seconds": seconds["in_memory"],
         "mmap_seconds": seconds["mmap"],
         "shm_seconds": seconds["shm"],
         "mmap_overhead": seconds["mmap"] / seconds["in_memory"],
         "shm_overhead": seconds["shm"] / seconds["in_memory"],
-        "results_identical": True,
     }
+    return records.record(
+        "storage", "warm", key, metrics, {"results_identical": 1}
+    )
 
 
 def _run_ooc_half(
@@ -351,45 +335,44 @@ def _run_ooc_half(
     if facts["array_bytes"] <= budget:
         raise SystemExit("out-of-core arrays do not exceed the budget")
 
-    spec_path = tmp / "ooc-queries.json"
-    spec_path.write_text(json.dumps({
+    spec = json.dumps({
         "queries": _ooc_queries(num_labels, num_queries),
         "match_limit": match_limit,
-    }))
-
-    memory = _run_child("memory", rgf_path, spec_path)
-    mmap = _run_child("mmap", rgf_path, spec_path)
+    })
+    memory = _run_child("memory", rgf_path, spec)
+    mmap = _run_child("mmap", rgf_path, spec)
     if memory["queries"] != mmap["queries"]:
         raise SystemExit(
             "out-of-core workload: memmap results differ from in-memory "
             f"({memory['queries']} vs {mmap['queries']}) — refusing to "
-            "write a payload for a broken storage layer"
+            "write records for a broken storage layer"
         )
 
-    return {
-        "workload": {
-            "data_vertices": facts["data_vertices"],
-            "data_edges": facts["data_edges"],
-            "half_degree": half_degree,
-            "num_labels": num_labels,
-            "array_bytes": facts["array_bytes"],
-            "memory_budget_bytes": budget,
-            "num_queries": num_queries,
-            "match_limit": match_limit,
-        },
+    key = {
+        "ooc_vertices": vertices, "half_degree": half_degree,
+        "labels": num_labels, "queries": num_queries,
+        "match_limit": match_limit,
+    }
+    metrics = {"rss_ratio": mmap["peak_rss_bytes"] / memory["peak_rss_bytes"]}
+    counters = {
+        "data_vertices": facts["data_vertices"],
+        "data_edges": facts["data_edges"],
+        "array_bytes": facts["array_bytes"],
+        "memory_budget_bytes": budget,
         "in_memory_peak_rss_bytes": memory["peak_rss_bytes"],
         "mmap_peak_rss_bytes": mmap["peak_rss_bytes"],
-        "rss_ratio": mmap["peak_rss_bytes"] / memory["peak_rss_bytes"],
-        "queries": memory["queries"],
-        "results_identical": True,
+        "results_identical": 1,
     }
+    return records.record("storage", "out_of_core", key, metrics, counters)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--warm-vertices", type=int,
                         default=DEFAULT_WARM_VERTICES)
-    parser.add_argument("--queries", type=int, default=DEFAULT_QUERIES)
+    parser.add_argument(
+        "--queries", type=int, default=DEFAULT_QUERIES, dest="num_queries"
+    )
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     parser.add_argument("--query-size", type=int, default=DEFAULT_QUERY_SIZE)
     parser.add_argument("--match-limit", type=int,
@@ -402,30 +385,7 @@ def main(argv=None) -> int:
     parser.add_argument("--ooc-labels", type=int, default=DEFAULT_OOC_LABELS)
     parser.add_argument("--ooc-queries", type=int,
                         default=DEFAULT_OOC_QUERIES)
-    parser.add_argument(
-        "--output", default="BENCH_storage.json",
-        help="payload path",
-    )
-    args = parser.parse_args(argv)
-
-    results = run_storage_benchmark(
-        warm_vertices=args.warm_vertices,
-        num_queries=args.queries,
-        repeats=args.repeats,
-        query_size=args.query_size,
-        match_limit=args.match_limit,
-        algorithm=args.algorithm,
-        ooc_vertices=args.ooc_vertices,
-        ooc_half_degree=args.ooc_half_degree,
-        ooc_labels=args.ooc_labels,
-        ooc_queries=args.ooc_queries,
-    )
-    payload = json.dumps(results, indent=2) + "\n"
-    out = Path(args.output)
-    out.write_text(payload)
-    print(payload, end="")
-    print(f"wrote {out.resolve()}", file=sys.stderr)
-    return 0
+    return records.main("storage", run_storage_benchmark, parser, argv)
 
 
 if __name__ == "__main__":

@@ -71,7 +71,7 @@ def match(
         :class:`~repro.utils.kernels.KernelBackend` instance. ``None``
         defers to the ``REPRO_KERNEL`` environment variable, falling back
         to ``"auto"`` (candidate-space bitmap rows whenever a static order
-        reads them and they fit ``REPRO_BITSET_CACHE_MB``, numpy
+        reads them and they fit ``BITSET_CACHE_BYTES``, numpy
         otherwise). Any other value raises
         :class:`~repro.errors.ConfigurationError`. An explicit argument
         always wins; with ``None``, a spec constructed with its own

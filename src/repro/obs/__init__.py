@@ -14,9 +14,10 @@ first-class output of every run:
   :class:`~repro.core.result.MatchResult` and
   :class:`~repro.study.runner.QueryRecord`, with an associative +
   commutative merge for study aggregation;
-* :mod:`repro.obs.schema` — the trace and ``BENCH_*.json`` file formats:
-  one walker checks each benchmark's rule table of field kinds, and a
-  claims function per benchmark holds its cross-field facts and floors.
+* :mod:`repro.obs.schema` — the trace and benchmark-record file formats:
+  one walker checks each format's rule table of field kinds (the floors
+  and cross-field facts of benchmark records live in
+  ``benchmarks/claims.py``).
 
 See the "Observability" section of ``docs/architecture.md`` for the span
 API, the trace schema and the counter glossary.
@@ -33,24 +34,9 @@ from repro.obs.metrics import (
     total_candidates,
 )
 from repro.obs.schema import (
-    BENCH_DYNAMIC_SCHEMA_VERSION,
-    BENCH_KERNELS_SCHEMA_VERSION,
-    BENCH_PARALLEL_SCHEMA_VERSION,
-    BENCH_SERVER_SCHEMA_VERSION,
-    BENCH_SESSION_SCHEMA_VERSION,
-    BENCH_STORAGE_SCHEMA_VERSION,
-    MAX_MMAP_WARM_OVERHEAD,
-    MAX_OUT_OF_CORE_RSS_RATIO,
-    MIN_DYNAMIC_SPEEDUP,
-    MIN_PARALLEL_SPEEDUP,
     TRACE_SCHEMA,
     TraceSchemaError,
-    validate_bench_dynamic,
-    validate_bench_kernels,
-    validate_bench_parallel,
-    validate_bench_server,
-    validate_bench_session,
-    validate_bench_storage,
+    validate_record,
     validate_trace_file,
     validate_trace_lines,
     validate_trace_record,
@@ -83,23 +69,8 @@ __all__ = [
     "total_candidates",
     # schema
     "TRACE_SCHEMA",
-    "BENCH_DYNAMIC_SCHEMA_VERSION",
-    "BENCH_KERNELS_SCHEMA_VERSION",
-    "BENCH_PARALLEL_SCHEMA_VERSION",
-    "BENCH_SERVER_SCHEMA_VERSION",
-    "BENCH_SESSION_SCHEMA_VERSION",
-    "BENCH_STORAGE_SCHEMA_VERSION",
-    "MAX_MMAP_WARM_OVERHEAD",
-    "MAX_OUT_OF_CORE_RSS_RATIO",
-    "MIN_DYNAMIC_SPEEDUP",
-    "MIN_PARALLEL_SPEEDUP",
     "TraceSchemaError",
-    "validate_bench_dynamic",
-    "validate_bench_kernels",
-    "validate_bench_parallel",
-    "validate_bench_server",
-    "validate_bench_session",
-    "validate_bench_storage",
+    "validate_record",
     "validate_trace_file",
     "validate_trace_lines",
     "validate_trace_record",

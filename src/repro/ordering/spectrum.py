@@ -47,10 +47,8 @@ def random_connected_order(
     return phi
 
 
-def sample_orders(
-    query: Graph, count: int, seed: int, deduplicate: bool = True
-) -> Iterator[List[int]]:
-    """Yield up to ``count`` sampled connected orders (distinct by default).
+def sample_orders(query: Graph, count: int, seed: int) -> Iterator[List[int]]:
+    """Yield up to ``count`` distinct sampled connected orders.
 
     Small queries have fewer distinct connected orders than requested; the
     iterator simply stops early in that case rather than looping forever.
@@ -63,11 +61,10 @@ def sample_orders(
     while produced < count and attempts < max_attempts:
         attempts += 1
         order = random_connected_order(query, rng)
-        if deduplicate:
-            key = tuple(order)
-            if key in seen:
-                continue
-            seen.add(key)
+        key = tuple(order)
+        if key in seen:
+            continue
+        seen.add(key)
         produced += 1
         yield order
 

@@ -134,12 +134,10 @@ class ParallelContext:
         self,
         n_workers: int,
         handle_provider: Callable[[], SharedGraphHandle],
-        chunks: int = DEFAULT_CHUNKS,
         guard: Optional[Callable[[], ContextManager[None]]] = None,
     ) -> None:
         self.n_workers = n_workers
         self._handle_provider = handle_provider
-        self.chunks = chunks
         #: Optional context-manager factory held for the whole dispatch —
         #: the session uses it to defer a concurrent close() until no
         #: worker can still be attaching to the shared segment.
@@ -190,7 +188,7 @@ class ParallelContext:
         ``run_plan`` then falls through to the sequential engine.
         """
         roots = prepared.candidates.size(prepared.order[0])
-        bounds = chunk_bounds(roots, self.chunks)
+        bounds = chunk_bounds(roots, DEFAULT_CHUNKS)
         with ExitStack() as stack:
             if self._guard is not None:
                 stack.enter_context(self._guard())

@@ -25,7 +25,7 @@ registry name:
 Backends are resolved by name through :func:`get_kernel`; ``"auto"``
 (the default, also the ``REPRO_KERNEL`` environment fallback) picks the
 rows whenever the caller states how many bytes the rows it will read
-take and that fits the bitset byte budget (``REPRO_BITSET_CACHE_MB``,
+take and that fits the bitset byte budget (:data:`BITSET_CACHE_BYTES`,
 dense rows cost ``|C(w)|·|C(u)|/8`` bytes per directed pair), and the
 numpy hybrid otherwise.
 
@@ -69,31 +69,11 @@ GALLOP_RATIO = 32
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
-#: Default byte budget for bitmap encodings, in MB: the bitset kernel's
-#: encode cache and the candidate-space rows of one prepared query.
-#: Overridable via the ``REPRO_BITSET_CACHE_MB`` environment variable —
-#: the out-of-core regime (memmap-backed graphs larger than RAM) needs
-#: both to stop growing with the graph.
-DEFAULT_BITSET_CACHE_MB = 64.0
-
-
-def _bitset_cache_budget() -> int:
-    """Resolve the encode-cache byte budget from the environment."""
-    raw = os.environ.get("REPRO_BITSET_CACHE_MB")
-    if raw is None:
-        mb = DEFAULT_BITSET_CACHE_MB
-    else:
-        try:
-            mb = float(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_BITSET_CACHE_MB must be a number, got {raw!r}"
-            ) from None
-        if mb < 0:
-            raise ConfigurationError(
-                f"REPRO_BITSET_CACHE_MB must be >= 0, got {raw!r}"
-            )
-    return int(mb * 1024 * 1024)
+#: Byte budget for bitmap encodings: the bitset kernel's encode cache and
+#: the candidate-space rows of one prepared query (64 MB). The
+#: out-of-core regime (memmap-backed graphs larger than RAM) needs both
+#: to stop growing with the graph.
+BITSET_CACHE_BYTES = 64 * 1024 * 1024
 
 
 def _as_i64(values: Sequence[int]) -> np.ndarray:
@@ -295,7 +275,7 @@ class BitsetKernel(KernelBackend):
             OrderedDict()
         )
         self._budget_bytes = (
-            _bitset_cache_budget() if budget_bytes is None else budget_bytes
+            BITSET_CACHE_BYTES if budget_bytes is None else budget_bytes
         )
         self._cached_bytes = 0
 
@@ -324,7 +304,7 @@ class BitsetKernel(KernelBackend):
 
         Candidate adjacency arrays are immutable once built, so identity
         caching is sound; pass long-lived arrays, not temporaries. The
-        cache holds at most ``REPRO_BITSET_CACHE_MB`` of encodings,
+        cache holds at most :data:`BITSET_CACHE_BYTES` of encodings,
         evicting least-recently-used entries past the budget; an
         encoding alone larger than the whole budget is returned uncached.
         """
@@ -389,9 +369,7 @@ class BitsetKernel(KernelBackend):
     def __setstate__(self, state: dict) -> None:
         self._cache = OrderedDict()
         self._cached_bytes = 0
-        self._budget_bytes = state.get(
-            "budget_bytes", _bitset_cache_budget()
-        )
+        self._budget_bytes = state.get("budget_bytes", BITSET_CACHE_BYTES)
 
 
 #: A BSR encoding: parallel ``(bases, states)`` arrays.
@@ -617,7 +595,7 @@ def _auto_backend(row_bytes: Optional[int]) -> KernelBackend:
     ``row_bytes`` is what the rows the caller is about to read would
     occupy (``None``: the caller cannot run on rows at all).
     """
-    if row_bytes is not None and row_bytes <= _bitset_cache_budget():
+    if row_bytes is not None and row_bytes <= BITSET_CACHE_BYTES:
         return RowsKernel()
     return NumpyKernel()
 
@@ -635,7 +613,7 @@ def get_kernel(
     ``None`` falls back to the ``REPRO_KERNEL`` environment variable, then
     to ``"auto"``. ``"auto"`` returns :class:`RowsKernel` when the caller
     passes the size of the rows it would read (``row_bytes``) and that
-    fits ``REPRO_BITSET_CACHE_MB``, :class:`NumpyKernel` otherwise.
+    fits :data:`BITSET_CACHE_BYTES`, :class:`NumpyKernel` otherwise.
     Backend instances pass through unchanged. Unknown names, and values
     that are none of the three accepted forms, raise
     :class:`~repro.errors.ConfigurationError`.

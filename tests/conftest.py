@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
-# Make `from fixtures import ...` work from any test subdirectory.
+# Make `from fixtures import ...` work from any test subdirectory, and
+# the benchmark mains with their record writer and claims importable
+# (`import bench_dynamic`, `import claims`).
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 from fixtures import PAPER_DATA, PAPER_QUERY  # noqa: E402
 

@@ -640,7 +640,7 @@ def test_a_racer_refused_rows_sits_out(dense, monkeypatch):
     else:
         pytest.skip("every racer's rows fit the incumbent's")
     # The auto policy's budget is now exactly the incumbent's rows.
-    monkeypatch.setattr("repro.utils.kernels._bitset_cache_budget", lambda: budget)
+    monkeypatch.setattr("repro.utils.kernels.BITSET_CACHE_BYTES", budget)
     tracer = Tracer()
     with tracing(tracer):
         winner = race_orders(plan, query, data, prepared)

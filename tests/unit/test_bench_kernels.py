@@ -1,78 +1,65 @@
-"""Unit tests for the kernel shoot-out's BENCH_kernels.json contract."""
-
-import importlib.util
-import json
-from pathlib import Path
+"""Unit tests for the kernel shoot-out's records."""
 
 import pytest
 
-from repro.obs import (
-    BENCH_KERNELS_SCHEMA_VERSION,
-    TraceSchemaError,
-    validate_bench_kernels,
-)
+import bench_kernels
+import claims
+import records
+from repro.obs import TraceSchemaError
 from repro.utils.kernels import available_kernels
 
-_BENCH_PATH = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_kernels.py"
-
 
 @pytest.fixture(scope="module")
-def bench_module():
-    spec = importlib.util.spec_from_file_location("bench_kernels", _BENCH_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def payload(bench_module):
-    # Small arrays: the schema is under test here, not the timings.
-    return bench_module.run_backend_shootout(universe=4_000, size=256)
+def run():
+    # Small arrays: the records are under test here, not the timings.
+    return bench_kernels.run_backend_shootout(universe=4_000, size=256)
 
 
 class TestShootoutPayload:
-    def test_schema_version_stamped(self, payload):
-        assert payload["schema_version"] == BENCH_KERNELS_SCHEMA_VERSION
+    def test_schema_version_stamped(self, run):
+        # The one record format carries provenance, not a version stamp.
+        for r in run:
+            assert r["suite"] == "kernels"
+            assert r["nproc"] >= 1
+            assert r["sha"] == records.head_sha()
+            assert "schema_version" not in r
 
-    def test_resolved_kernel_names_stamped(self, payload):
+    def test_resolved_kernel_names_stamped(self, run):
         names = [n for n in available_kernels() if n != "auto"]
-        assert payload["kernels"] == {name: name for name in names}
+        assert {r["name"]: r["key"]["kernel"] for r in run} == {n: n for n in names}
         assert "qfilter" in names
 
-    def test_payload_validates(self, payload):
-        validate_bench_kernels(payload)
+    def test_payload_validates(self, run):
+        claims.check(run, "kernels")
 
-    def test_written_file_round_trips_through_validator(self, payload, tmp_path):
-        path = tmp_path / "BENCH_kernels.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        validate_bench_kernels(json.loads(path.read_text()))
+    def test_written_file_round_trips_through_validator(self, run, tmp_path):
+        path = tmp_path / "kernels.jsonl"
+        records.append(run, path)
+        records.append(run, path)
+        assert list(claims.runs(claims.load(path))) == [run, run]
+        assert claims.main([str(path)]) == 0
 
-    def test_timings_positive(self, payload):
-        assert all(t > 0 for t in payload["seconds_per_call"].values())
-        assert payload["speedup_numpy_vs_scalar"] > 0
-        assert payload["speedup_bitset_vs_scalar"] > 0
+    def test_timings_positive(self, run):
+        assert all(r["metrics"]["seconds_per_call"] > 0 for r in run)
+        assert all(r["metrics"]["speedup_vs_scalar"] > 0 for r in run)
 
 
 class TestCheckedInArtifact:
-    """The repository's committed BENCH_kernels.json matches the schema."""
+    """The repository's checked-in kernels records hold their claims."""
 
-    @pytest.mark.parametrize("relative", ["BENCH_kernels.json"])
+    @pytest.mark.parametrize("relative", ["benchmarks/results/kernels.jsonl"])
     def test_artifact_validates(self, relative):
-        path = Path(__file__).resolve().parents[2] / relative
-        if not path.exists():  # pragma: no cover - fresh clone without runs
-            pytest.skip(f"{relative} not generated yet")
-        validate_bench_kernels(json.loads(path.read_text()))
+        assert claims.main([str(records.RESULTS_DIR.parent.parent / relative)]) == 0
 
 
 class TestValidatorRejections:
-    def test_missing_kernels_key(self, payload):
-        bad = dict(payload)
-        bad.pop("kernels")
-        with pytest.raises(TraceSchemaError):
-            validate_bench_kernels(bad)
+    def test_missing_kernels_key(self, run):
+        bad = [dict(r, key={"universe": 4_000, "array_size": 256}) for r in run]
+        with pytest.raises(TraceSchemaError, match="names the kernel"):
+            claims.check(bad)
 
-    def test_stale_schema_version(self, payload):
-        bad = dict(payload)
-        bad["schema_version"] = BENCH_KERNELS_SCHEMA_VERSION - 1
-        with pytest.raises(TraceSchemaError):
-            validate_bench_kernels(bad)
+    def test_stale_schema_version(self, run):
+        bad = [dict(r) for r in run]
+        bad[0]["schema_version"] = 2
+        with pytest.raises(TraceSchemaError, match="schema_version is not a record field"):
+            claims.check(bad)

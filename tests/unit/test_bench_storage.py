@@ -1,135 +1,128 @@
-"""Unit tests for the storage benchmark's BENCH_storage.json contract.
+"""Unit tests for the storage benchmark's records.
 
 The live benchmark (subprocess out-of-core half included) is exercised
-by the CI storage-smoke job; here we pin the validator's honesty rules
-against the checked-in payload and targeted mutations of it.
+by the CI storage-smoke job; here we pin the claims against the
+checked-in records and targeted mutations of them.
 """
 
 import copy
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.obs import (
-    BENCH_STORAGE_SCHEMA_VERSION,
-    MAX_MMAP_WARM_OVERHEAD,
-    MAX_OUT_OF_CORE_RSS_RATIO,
-    TraceSchemaError,
-    validate_bench_storage,
-)
-
-_REPO = Path(__file__).resolve().parents[2]
+import claims
+import records
+from repro.obs import TraceSchemaError
 
 
 @pytest.fixture(scope="module")
 def payload():
-    return json.loads((_REPO / "BENCH_storage.json").read_text())
+    return list(claims.runs(claims.load(records.RESULTS_DIR / "storage.jsonl")))[-1]
+
+
+def _half(run, name):
+    return next(r for r in run if r["name"] == name)
 
 
 class TestCheckedInPayload:
     def test_repo_payload_validates(self, payload):
-        validate_bench_storage(payload)
+        claims.check(payload, "storage")
         json.dumps(payload)
 
     def test_schema_stamp(self, payload):
-        assert payload["schema_version"] == BENCH_STORAGE_SCHEMA_VERSION
-        assert payload["benchmark"] == "storage-backends"
+        assert [(r["suite"], r["name"]) for r in payload] == [
+            ("storage", "warm"), ("storage", "out_of_core"),
+        ]
+        assert all(r["sha"] and r["nproc"] >= 1 for r in payload)
 
     def test_out_of_core_claim_is_genuine(self, payload):
-        workload = payload["out_of_core"]["workload"]
-        assert workload["array_bytes"] > workload["memory_budget_bytes"]
-        assert payload["out_of_core"]["rss_ratio"] <= MAX_OUT_OF_CORE_RSS_RATIO
+        ooc = _half(payload, "out_of_core")
+        assert ooc["counters"]["array_bytes"] > ooc["counters"]["memory_budget_bytes"]
+        assert ooc["metrics"]["rss_ratio"] <= claims.MAX_OUT_OF_CORE_RSS_RATIO
 
     def test_warm_overhead_within_ceiling(self, payload):
-        assert payload["warm"]["mmap_overhead"] <= MAX_MMAP_WARM_OVERHEAD
+        warm = _half(payload, "warm")
+        assert warm["metrics"]["mmap_overhead"] <= claims.MAX_MMAP_WARM_OVERHEAD
 
     def test_nothing_leaked(self, payload):
-        assert payload["shm_segments_leaked"] == 0
-        assert payload["tempfiles_leaked"] == 0
+        for r in payload:
+            assert r["counters"]["shm_segments_leaked"] == 0
+            assert r["counters"]["tempfiles_leaked"] == 0
 
 
 class TestValidatorRejections:
-    def test_wrong_schema_version(self, payload):
-        bad = copy.deepcopy(payload)
-        bad["schema_version"] = 99
+    @pytest.fixture
+    def bad(self, payload):
+        return copy.deepcopy(payload)
+
+    def test_wrong_schema_version(self, bad):
+        # An older payload format's version stamp is no record field.
+        bad[0]["schema_version"] = 99
         with pytest.raises(TraceSchemaError, match="schema_version"):
-            validate_bench_storage(bad)
+            claims.check(bad)
 
-    def test_wrong_benchmark_id(self, payload):
-        bad = copy.deepcopy(payload)
-        bad["benchmark"] = "storage"
-        with pytest.raises(TraceSchemaError, match="benchmark id"):
-            validate_bench_storage(bad)
+    def test_wrong_benchmark_id(self, bad):
+        bad[0]["suite"] = "storage-backends"
+        with pytest.raises(TraceSchemaError, match="known suite"):
+            claims.check(bad)
 
-    def test_warm_overhead_above_ceiling(self, payload):
-        bad = copy.deepcopy(payload)
-        bad["warm"]["mmap_seconds"] = bad["warm"]["in_memory_seconds"] * 2.0
-        bad["warm"]["mmap_overhead"] = 2.0
-        with pytest.raises(TraceSchemaError, match="ceiling"):
-            validate_bench_storage(bad)
+    def test_warm_overhead_above_ceiling(self, bad):
+        warm = _half(bad, "warm")["metrics"]
+        warm["mmap_seconds"] = warm["in_memory_seconds"] * 2.0
+        warm["mmap_overhead"] = 2.0
+        with pytest.raises(TraceSchemaError, match="mmap_overhead <= 1.3"):
+            claims.check(bad)
 
-    def test_warm_overhead_must_be_derived(self, payload):
+    def test_warm_overhead_must_be_derived(self, bad):
         # The recorded ratio has to equal the recorded timings — a
         # hand-edited overhead is rejected even when under the ceiling.
-        bad = copy.deepcopy(payload)
-        bad["warm"]["mmap_overhead"] = 1.0
-        with pytest.raises(TraceSchemaError, match="must equal"):
-            validate_bench_storage(bad)
+        _half(bad, "warm")["metrics"]["mmap_overhead"] = 1.0
+        with pytest.raises(TraceSchemaError, match="mmap_overhead = "):
+            claims.check(bad)
 
-    def test_warm_results_must_be_identical(self, payload):
-        bad = copy.deepcopy(payload)
-        bad["warm"]["results_identical"] = False
-        with pytest.raises(TraceSchemaError, match="results_identical"):
-            validate_bench_storage(bad)
+    def test_warm_results_must_be_identical(self, bad):
+        _half(bad, "warm")["counters"]["results_identical"] = 0
+        with pytest.raises(TraceSchemaError, match="identical results"):
+            claims.check(bad)
 
-    def test_workload_must_exceed_budget(self, payload):
-        bad = copy.deepcopy(payload)
-        workload = bad["out_of_core"]["workload"]
-        workload["memory_budget_bytes"] = workload["array_bytes"] + 1
-        with pytest.raises(TraceSchemaError, match="not out-of-core"):
-            validate_bench_storage(bad)
+    def test_workload_must_exceed_budget(self, bad):
+        counters = _half(bad, "out_of_core")["counters"]
+        counters["memory_budget_bytes"] = counters["array_bytes"] + 1
+        with pytest.raises(TraceSchemaError, match="exceed the memory budget"):
+            claims.check(bad)
 
-    def test_rss_ratio_above_ceiling(self, payload):
-        bad = copy.deepcopy(payload)
-        ooc = bad["out_of_core"]
-        ooc["mmap_peak_rss_bytes"] = ooc["in_memory_peak_rss_bytes"]
-        ooc["rss_ratio"] = 1.0
-        with pytest.raises(TraceSchemaError, match="ceiling"):
-            validate_bench_storage(bad)
+    def test_rss_ratio_above_ceiling(self, bad):
+        ooc = _half(bad, "out_of_core")
+        ooc["counters"]["mmap_peak_rss_bytes"] = ooc["counters"]["in_memory_peak_rss_bytes"]
+        ooc["metrics"]["rss_ratio"] = 1.0
+        with pytest.raises(TraceSchemaError, match="rss_ratio <= 0.5"):
+            claims.check(bad)
 
-    def test_rss_ratio_must_be_derived(self, payload):
-        bad = copy.deepcopy(payload)
-        bad["out_of_core"]["rss_ratio"] = 0.1
-        with pytest.raises(TraceSchemaError, match="must equal"):
-            validate_bench_storage(bad)
+    def test_rss_ratio_must_be_derived(self, bad):
+        _half(bad, "out_of_core")["metrics"]["rss_ratio"] = 0.1
+        with pytest.raises(TraceSchemaError, match="rss_ratio = "):
+            claims.check(bad)
 
-    def test_ooc_results_must_be_identical(self, payload):
-        bad = copy.deepcopy(payload)
-        bad["out_of_core"]["results_identical"] = False
-        with pytest.raises(TraceSchemaError, match="results_identical"):
-            validate_bench_storage(bad)
+    def test_ooc_results_must_be_identical(self, bad):
+        _half(bad, "out_of_core")["counters"]["results_identical"] = 0
+        with pytest.raises(TraceSchemaError, match="identical results"):
+            claims.check(bad)
 
-    def test_leaked_segments(self, payload):
-        bad = copy.deepcopy(payload)
-        bad["shm_segments_leaked"] = 1
-        with pytest.raises(TraceSchemaError, match="shm_segments_leaked"):
-            validate_bench_storage(bad)
+    def test_leaked_segments(self, bad):
+        bad[0]["counters"]["shm_segments_leaked"] = 1
+        with pytest.raises(TraceSchemaError, match="nothing leaked"):
+            claims.check(bad)
 
-    def test_leaked_tempfiles(self, payload):
-        bad = copy.deepcopy(payload)
-        bad["tempfiles_leaked"] = 1
-        with pytest.raises(TraceSchemaError, match="tempfiles_leaked"):
-            validate_bench_storage(bad)
+    def test_leaked_tempfiles(self, bad):
+        bad[1]["counters"]["tempfiles_leaked"] = 1
+        with pytest.raises(TraceSchemaError, match="nothing leaked"):
+            claims.check(bad)
 
-    def test_missing_half_rejected(self, payload):
-        bad = copy.deepcopy(payload)
-        del bad["out_of_core"]
-        with pytest.raises(TraceSchemaError, match="out_of_core"):
-            validate_bench_storage(bad)
+    def test_missing_half_rejected(self, bad):
+        with pytest.raises(TraceSchemaError, match="exceed the memory budget"):
+            claims.check(bad[:1])
 
-    def test_nonpositive_timing_rejected(self, payload):
-        bad = copy.deepcopy(payload)
-        bad["warm"]["shm_seconds"] = 0
+    def test_nonpositive_timing_rejected(self, bad):
+        _half(bad, "warm")["metrics"]["shm_seconds"] = 0
         with pytest.raises(TraceSchemaError, match="shm_seconds"):
-            validate_bench_storage(bad)
+            claims.check(bad)

@@ -93,19 +93,19 @@ class TestAutoHeuristic:
     """``auto`` = the rows when the caller's rows fit the byte budget."""
 
     def test_rows_within_budget_pick_rows(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BITSET_CACHE_MB", "1")
+        monkeypatch.setattr(kernels, "BITSET_CACHE_BYTES", 2**20)
         assert isinstance(get_kernel("auto", row_bytes=2**20), RowsKernel)
         assert isinstance(get_kernel("auto", row_bytes=0), RowsKernel)
 
     def test_rows_over_budget_pick_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BITSET_CACHE_MB", "1")
+        monkeypatch.setattr(kernels, "BITSET_CACHE_BYTES", 2**20)
         assert isinstance(get_kernel("auto", row_bytes=2**20 + 1), NumpyKernel)
 
     def test_no_context_picks_numpy(self):
         assert isinstance(get_kernel("auto"), NumpyKernel)
 
     def test_explicit_names_ignore_the_rule(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BITSET_CACHE_MB", "0")
+        monkeypatch.setattr(kernels, "BITSET_CACHE_BYTES", 0)
         assert isinstance(get_kernel("rows", row_bytes=2**30), RowsKernel)
         assert isinstance(get_kernel("bitset", row_bytes=0), BitsetKernel)
 
@@ -246,25 +246,16 @@ class TestMultiIntersectShortCircuit:
 
 
 class TestBitsetCacheBudget:
-    """The encode cache is a byte-budgeted LRU (REPRO_BITSET_CACHE_MB)."""
+    """The encode cache is a byte-budgeted LRU (``BITSET_CACHE_BYTES``)."""
 
-    def test_default_budget_from_env(self, monkeypatch):
-        from repro.utils.kernels import _bitset_cache_budget
+    def test_default_budget_is_a_constant(self):
+        assert kernels.BITSET_CACHE_BYTES == 64 * 1024 * 1024
+        assert BitsetKernel()._budget_bytes == kernels.BITSET_CACHE_BYTES
 
-        monkeypatch.delenv("REPRO_BITSET_CACHE_MB", raising=False)
-        assert _bitset_cache_budget() == int(64.0 * 1024 * 1024)
-        monkeypatch.setenv("REPRO_BITSET_CACHE_MB", "0.5")
-        assert _bitset_cache_budget() == int(0.5 * 1024 * 1024)
-
-    def test_invalid_env_raises(self, monkeypatch):
-        from repro.utils.kernels import _bitset_cache_budget
-
+    def test_environment_is_not_read(self, monkeypatch):
         monkeypatch.setenv("REPRO_BITSET_CACHE_MB", "lots")
-        with pytest.raises(ConfigurationError):
-            _bitset_cache_budget()
-        monkeypatch.setenv("REPRO_BITSET_CACHE_MB", "-1")
-        with pytest.raises(ConfigurationError):
-            _bitset_cache_budget()
+        assert BitsetKernel()._budget_bytes == kernels.BITSET_CACHE_BYTES
+        assert isinstance(get_kernel("auto", row_bytes=2**20), RowsKernel)
 
     def test_eviction_is_lru(self):
         # Budget fits exactly two encodings of [0..63] (one word = 8

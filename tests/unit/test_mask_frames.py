@@ -400,7 +400,7 @@ class TestAutoResolution:
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         query, data = case
         on_rows = match(query, data, algorithm="GQLfs", match_limit=2000)
-        monkeypatch.setenv("REPRO_BITSET_CACHE_MB", "0.00001")  # ~10 bytes
+        monkeypatch.setattr("repro.utils.kernels.BITSET_CACHE_BYTES", 10)
         fallback = match(query, data, algorithm="GQLfs", match_limit=2000)
         assert (on_rows.kernel, fallback.kernel) == ("rows", "numpy")
         assert _fields(fallback) == _fields(on_rows)

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+import claims
 from fixtures import PAPER_DATA, PAPER_QUERY
 
 from repro.core import match
@@ -21,7 +22,7 @@ from repro.obs import (
     set_tracer,
     span,
     tracing,
-    validate_bench_kernels,
+    validate_record,
     validate_trace_file,
     validate_trace_lines,
 )
@@ -266,38 +267,43 @@ class TestTraceSchema:
 
 
 class TestBenchKernelsSchema:
-    def _payload(self):
-        return {
-            "schema_version": 2,
-            "benchmark": "kernel-backend-shootout",
-            "universe": 1000,
-            "array_size": 100,
-            "kernels": {"scalar": "scalar", "numpy": "numpy"},
-            "seconds_per_call": {"scalar": 1e-3, "numpy": 1e-4},
-            "speedup_numpy_vs_scalar": 10.0,
-            "speedup_bitset_vs_scalar": 5.0,
-        }
+    """A kernels record against the one record contract and its claims."""
+
+    def _run(self):
+        def record(name, seconds):
+            return {
+                "suite": "kernels", "name": name,
+                "key": {"universe": 1000, "array_size": 100, "kernel": name},
+                "sha": None, "nproc": 2,
+                "metrics": {"seconds_per_call": seconds,
+                            "speedup_vs_scalar": 1e-3 / seconds},
+                "counters": {},
+            }
+
+        return [record("scalar", 1e-3), record("numpy", 1e-4)]
 
     def test_valid_payload_passes(self):
-        validate_bench_kernels(self._payload())
+        for record in self._run():
+            validate_record(record)
+        claims.check(self._run(), "kernels")
 
     def test_wrong_version_rejected(self):
-        payload = self._payload()
-        payload["schema_version"] = 1
+        record = self._run()[0]
+        record["schema_version"] = 1
         with pytest.raises(TraceSchemaError, match="schema_version"):
-            validate_bench_kernels(payload)
+            validate_record(record)
 
     def test_kernels_must_cover_timings(self):
-        payload = self._payload()
-        del payload["kernels"]["numpy"]
-        with pytest.raises(TraceSchemaError, match="kernels"):
-            validate_bench_kernels(payload)
+        run = self._run()
+        del run[1]["key"]["kernel"]
+        with pytest.raises(TraceSchemaError, match="names the kernel"):
+            claims.check(run)
 
     def test_nonpositive_timing_rejected(self):
-        payload = self._payload()
-        payload["seconds_per_call"]["scalar"] = 0.0
+        run = self._run()
+        run[0]["metrics"]["seconds_per_call"] = 0.0
         with pytest.raises(TraceSchemaError, match="seconds_per_call"):
-            validate_bench_kernels(payload)
+            claims.check(run)
 
 
 class TestMatchIntegration:
