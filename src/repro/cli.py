@@ -21,6 +21,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core import MatchSession, algorithm_components, available_algorithms, match
+from repro.core.plan import DEFAULT_MATCH_LIMIT
 from repro.glasgow import glasgow_match
 from repro.graph import (
     erdos_renyi_graph,
@@ -43,19 +44,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_match = sub.add_parser("match", help="match a query against a data graph")
+    # The request flags `match` and `compare` share; their values are
+    # checked where they become a MatchRequest.
+    request = argparse.ArgumentParser(add_help=False)
+    request.add_argument("--match-limit", type=int, default=DEFAULT_MATCH_LIMIT)
+    request.add_argument("--time-limit", type=float, default=None)
+    request.add_argument(
+        "--kernel", "-k", choices=available_kernels(), default=None,
+        help="intersection backend for the Algorithm 5 hot path "
+        "(default: $REPRO_KERNEL, else auto: rows when they fit, numpy otherwise)",
+    )
+
+    p_match = sub.add_parser(
+        "match", parents=[request], help="match a query against a data graph"
+    )
     p_match.add_argument("--query", "-q", required=True, help=".graph file")
     p_match.add_argument("--data", "-d", required=True, help=".graph file")
     p_match.add_argument(
         "--algorithm", "-a", default="recommended",
         help="preset name, 'GLW' for Glasgow, or 'recommended'",
-    )
-    p_match.add_argument("--match-limit", type=int, default=100_000)
-    p_match.add_argument("--time-limit", type=float, default=None)
-    p_match.add_argument(
-        "--kernel", "-k", choices=available_kernels(), default=None,
-        help="intersection backend for the Algorithm 5 hot path "
-        "(default: $REPRO_KERNEL, else auto: rows when they fit, numpy otherwise)",
     )
     p_match.add_argument(
         "--workers", "-w", type=int, default=None,
@@ -76,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_compare = sub.add_parser(
-        "compare", help="run several presets on one query/data pair"
+        "compare", parents=[request],
+        help="run several presets on one query/data pair",
     )
     p_compare.add_argument("--query", "-q", required=True)
     p_compare.add_argument("--data", "-d", required=True)
@@ -85,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-a",
         nargs="+",
         default=["GQLfs", "RIfs", "CECI", "DP", "QSI", "GLW"],
-    )
-    p_compare.add_argument("--match-limit", type=int, default=100_000)
-    p_compare.add_argument("--time-limit", type=float, default=None)
-    p_compare.add_argument(
-        "--kernel", "-k", choices=available_kernels(), default=None,
-        help="intersection backend used by every preset",
     )
 
     p_convert = sub.add_parser(

@@ -6,37 +6,41 @@ structure, matching order, enumeration — with the paper's two limits
 :class:`~repro.core.result.MatchResult` carrying the split timings the
 study reports.
 
-Since the query-compilation refactor, ``match()`` is a thin back-compat
-wrapper: it builds one throwaway :class:`~repro.core.session.MatchSession`
-(its prepared-query cache off, so no cache counters) and runs the query
-through it, so results stay byte-identical to the historical one-shot
-pipeline. Callers issuing many queries against one data graph should
-hold a :class:`~repro.core.session.MatchSession` instead and get plan
-and preprocessing reuse for free.
+``match()`` checks its options into one
+:class:`~repro.core.plan.MatchRequest`, which also holds their defaults,
+and runs it through a throwaway :class:`~repro.core.session.MatchSession`
+(its prepared-query cache off, so no cache counters), so results stay
+byte-identical to the historical one-shot pipeline. Callers issuing many
+queries against one data graph should hold a
+:class:`~repro.core.session.MatchSession` instead and get plan and
+preprocessing reuse for free.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
+from repro.core.plan import (
+    DEFAULT_MATCH_LIMIT,
+    DEFAULT_STORE_LIMIT,
+    AlgorithmLike,
+    MatchRequest,
+)
 from repro.core.result import MatchResult
 from repro.core.session import MatchSession
-from repro.core.spec import AlgorithmSpec
 from repro.graph.graph import Graph
 from repro.utils.kernels import KernelLike
 
 __all__ = ["match", "count_matches", "has_match"]
-
-AlgorithmLike = Union[str, AlgorithmSpec]
 
 
 def match(
     query: Graph,
     data: Graph,
     algorithm: AlgorithmLike = "recommended",
-    match_limit: Optional[int] = 100_000,
+    match_limit: Optional[int] = DEFAULT_MATCH_LIMIT,
     time_limit: Optional[float] = None,
-    store_limit: int = 10_000,
+    store_limit: int = DEFAULT_STORE_LIMIT,
     validate: bool = True,
     kernel: Optional[KernelLike] = None,
     cancel: Optional[Callable[[], bool]] = None,
@@ -55,8 +59,8 @@ def match(
         ``"recommended"`` (the paper's Section 6 composition, resolved per
         query/data pair), or an explicit :class:`AlgorithmSpec`.
     match_limit:
-        Stop after this many matches (paper default 10^5); ``None`` finds
-        all.
+        Stop after this many matches (paper default 10^5,
+        :data:`~repro.core.plan.DEFAULT_MATCH_LIMIT`); ``None`` finds all.
     time_limit:
         Wall-clock budget in seconds for the enumeration phase; on expiry
         the result has ``solved=False`` (the paper's unsolved query).
@@ -93,6 +97,10 @@ def match(
         shared graph every time — hold a
         :class:`~repro.core.session.MatchSession` to amortize that.
 
+    A malformed option raises before anything runs:
+    :class:`~repro.errors.GraphFormatError` for a wrong type or range,
+    :class:`~repro.errors.ConfigurationError` for an unknown name.
+
     Examples
     --------
     >>> from repro.graph import Graph
@@ -101,22 +109,12 @@ def match(
     >>> match(triangle_free, data, algorithm="GQL").num_matches
     4
     """
-    session = MatchSession(
-        data,
-        algorithm=algorithm,
-        kernel=kernel,
-        prep_cache_size=0,
-        n_workers=n_workers,
+    request = MatchRequest(
+        algorithm, kernel, match_limit, time_limit, store_limit, n_workers
     )
+    session = MatchSession(data, prep_cache_size=0)
     try:
-        return session.match(
-            query,
-            match_limit=match_limit,
-            time_limit=time_limit,
-            store_limit=store_limit,
-            validate=validate,
-            cancel=cancel,
-        )
+        return session._execute(query, request, cancel, validate)
     finally:
         # Throwaway session: release its shared-memory segment (if a
         # parallel match published one) deterministically, not at gc.

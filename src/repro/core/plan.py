@@ -4,6 +4,9 @@ The paper's evaluation shape — and the production shape this repository
 grows toward — is *many queries against one resident data graph*. That
 split is made explicit here:
 
+* A :class:`MatchRequest` holds what one call asks for — algorithm,
+  kernel, the paper's two limits, the retained-embedding cap and the
+  worker count — checked once, with the defaults every entry point shares.
 * :func:`compile_plan` resolves everything about a ``(algorithm, query,
   data)`` triple that is not a per-query artifact: the algorithm spec
   and the kernel policy. The result is an immutable :class:`MatchPlan`.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import (
     Any,
@@ -46,24 +49,28 @@ from typing import (
     Union,
 )
 
-from repro.core.algorithms import resolve
+from repro.core.algorithms import get_algorithm, resolve
 from repro.core.registry import FILTERS, ORDERINGS
 from repro.core.result import MatchResult
 from repro.core.spec import AlgorithmSpec
 from repro.enumeration.frames import FrameMachine
 from repro.enumeration.local_candidates import IntersectionLC, StaticOrderInfo
-from repro.errors import InvalidQueryError
+from repro.enumeration.support import DEFAULT_MATCH_LIMIT, DEFAULT_STORE_LIMIT
+from repro.errors import GraphFormatError, InvalidQueryError
 from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.graph.graph import Graph
 from repro.graph.ops import connected
 from repro.obs import Metrics, collecting, span
 from repro.ordering.dpiso import DPisoOrdering
 from repro.ordering.spectrum import sample_orders
-from repro.utils.kernels import KernelLike, get_kernel
+from repro.utils.kernels import KernelBackend, KernelLike, get_kernel
 from repro.utils.timer import Timer
 
 __all__ = [
+    "DEFAULT_MATCH_LIMIT",
+    "DEFAULT_STORE_LIMIT",
     "MatchPlan",
+    "MatchRequest",
     "PreparedQuery",
     "LRUCache",
     "compile_plan",
@@ -110,6 +117,64 @@ class MatchPlan:
 
     def __repr__(self) -> str:
         return f"MatchPlan({self.algorithm.name}, aux={self.algorithm.aux_scope!r})"
+
+
+@dataclass(slots=True)
+class MatchRequest:
+    """What one call asks a session to compute, checked once.
+
+    Every entry point builds one — ``match()`` and its two shorthands,
+    the four :class:`~repro.core.session.MatchSession` methods, the
+    service's admission, the CLI and the study runner — and
+    :meth:`MatchSession._execute <repro.core.session.MatchSession._execute>`
+    runs it. The constructor rejects an option that could only fail
+    later, inside the engine: a wrong type or range raises
+    :class:`~repro.errors.GraphFormatError`, a name nothing is registered
+    under :class:`~repro.errors.ConfigurationError` (from the resolvers
+    themselves, so it accepts exactly what they do). ``time_limit`` and
+    ``n_workers`` are passed on as given; ``n_workers=None`` defers to
+    ``REPRO_WORKERS``. A request is read-only once built (a copy with
+    another field is :func:`dataclasses.replace`'s, which checks again);
+    it is not frozen because a frozen dataclass costs a microsecond more
+    to build on every served request.
+    """
+
+    algorithm: AlgorithmLike = "recommended"
+    kernel: Optional[KernelLike] = None
+    match_limit: Optional[int] = DEFAULT_MATCH_LIMIT
+    time_limit: Optional[float] = None
+    store_limit: int = DEFAULT_STORE_LIMIT
+    n_workers: Optional[int] = None
+    #: ``(algorithm, kernel policy)``: what the plan depends on. The prep
+    #: cache keys on it, and coalescing on it plus the two caps.
+    key: Tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        match_limit, store_limit = self.match_limit, self.store_limit
+        if match_limit is not None and not (
+            isinstance(match_limit, int) and match_limit >= 0
+        ):
+            raise GraphFormatError(
+                f"'match_limit' must be null or an integer >= 0, got {match_limit!r}"
+            )
+        if not (isinstance(store_limit, int) and store_limit >= 0):
+            raise GraphFormatError(
+                f"'store_limit' must be an integer >= 0, got {store_limit!r}"
+            )
+        algorithm, kernel = self.algorithm, self.kernel
+        if isinstance(algorithm, str):
+            if algorithm != "recommended":  # resolves per query, always known
+                get_algorithm(algorithm)
+        elif not isinstance(algorithm, AlgorithmSpec):
+            raise GraphFormatError(
+                f"'algorithm' must be a preset name, got {algorithm!r}"
+            )
+        if kernel is not None:
+            get_kernel(kernel)
+        # Specs are frozen dataclasses and names strings, so either keys
+        # as itself; a backend instance is its own policy.
+        policy = id(kernel) if isinstance(kernel, KernelBackend) else kernel
+        self.key = (algorithm, policy)
 
 
 @dataclass
@@ -594,9 +659,9 @@ def run_plan(
     query: Graph,
     data: Graph,
     prepared: Optional[PreparedQuery] = None,
-    match_limit: Optional[int] = 100_000,
+    match_limit: Optional[int] = DEFAULT_MATCH_LIMIT,
     time_limit: Optional[float] = None,
-    store_limit: int = 10_000,
+    store_limit: int = DEFAULT_STORE_LIMIT,
     metrics: Optional[Metrics] = None,
     cancel: Optional[Callable[[], bool]] = None,
     root_window: Optional[Tuple[int, int]] = None,

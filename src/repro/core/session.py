@@ -51,16 +51,18 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.plan import (
+    DEFAULT_MATCH_LIMIT,
+    DEFAULT_STORE_LIMIT,
     AlgorithmLike,
     KernelLike,
     LRUCache,
+    MatchRequest,
     compile_plan,
     race_orders,
     run_plan,
     validate_query,
 )
 from repro.core.result import MatchResult
-from repro.core.spec import AlgorithmSpec
 from repro.errors import ConfigurationError
 from repro.dynamic.mutations import Mutation
 from repro.dynamic.overlay import DynamicGraph, MutationDelta
@@ -75,7 +77,6 @@ from repro.graph.store import (
 from repro.obs import Metrics
 from repro.parallel.executor import ParallelContext
 from repro.parallel.pool import resolve_workers
-from repro.utils.kernels import KernelBackend
 
 __all__ = ["MatchSession", "MutationOutcome"]
 
@@ -318,18 +319,11 @@ class MatchSession:
                         self._release_shared_locked(keep=self._resident[0])
 
     def _parallel_context(
-        self,
-        n_workers: Optional[int],
-        epoch: Optional[int] = None,
-        data: Optional[Graph] = None,
+        self, n_workers: Optional[int], epoch: int, data: Graph
     ) -> Optional[ParallelContext]:
-        effective = resolve_workers(
-            self.n_workers if n_workers is None else n_workers
-        )
+        effective = resolve_workers(n_workers)
         if effective <= 0:
             return None
-        if data is None:
-            epoch, data = self._resident
         return ParallelContext(
             effective,
             lambda: self._shared_handle_for(epoch, data),
@@ -337,35 +331,35 @@ class MatchSession:
         )
 
     # ------------------------------------------------------------------
-    # Cache keys
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _algorithm_key(algorithm: AlgorithmLike):
-        # Specs are frozen dataclasses (hashable by field identity);
-        # names are strings. Either is a sound cache-key component.
-        return algorithm if isinstance(algorithm, (str, AlgorithmSpec)) else repr(algorithm)
-
-    @staticmethod
-    def _kernel_key(kernel: Optional[KernelLike]):
-        if kernel is None or isinstance(kernel, str):
-            return kernel
-        if isinstance(kernel, KernelBackend):
-            # A concrete backend instance is its own policy.
-            return id(kernel)
-        return repr(kernel)
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+
+    def _request(
+        self,
+        algorithm: Optional[AlgorithmLike],
+        kernel: Optional[KernelLike],
+        match_limit: Optional[int],
+        time_limit: Optional[float],
+        store_limit: int,
+        n_workers: Optional[int],
+    ) -> MatchRequest:
+        """One call's options over this session's defaults, checked."""
+        return MatchRequest(
+            self.algorithm if algorithm is None else algorithm,
+            self.kernel if kernel is None else kernel,
+            match_limit,
+            time_limit,
+            store_limit,
+            self.n_workers if n_workers is None else n_workers,
+        )
 
     def match(
         self,
         query: Graph,
         algorithm: Optional[AlgorithmLike] = None,
-        match_limit: Optional[int] = 100_000,
+        match_limit: Optional[int] = DEFAULT_MATCH_LIMIT,
         time_limit: Optional[float] = None,
-        store_limit: int = 10_000,
+        store_limit: int = DEFAULT_STORE_LIMIT,
         validate: bool = True,
         kernel: Optional[KernelLike] = None,
         cancel: Optional[Callable[[], bool]] = None,
@@ -383,10 +377,23 @@ class MatchSession:
         session's intra-query parallelism for this call (``0`` forces
         sequential); results are identical either way.
         """
+        request = self._request(
+            algorithm, kernel, match_limit, time_limit, store_limit, n_workers
+        )
+        return self._execute(query, request, cancel, validate)
+
+    def _execute(
+        self,
+        query: Graph,
+        request: MatchRequest,
+        cancel: Optional[Callable[[], bool]] = None,
+        validate: bool = True,
+    ) -> MatchResult:
+        """Run one checked request: the path every entry point takes."""
         if validate:
             validate_query(query)
-        algo = self.algorithm if algorithm is None else algorithm
-        kern = self.kernel if kernel is None else kernel
+        algo = request.algorithm
+        match_limit = request.match_limit
 
         # One atomic read pins this call to a single epoch's snapshot;
         # a concurrent mutate() swaps the pair but never this view.
@@ -399,25 +406,21 @@ class MatchSession:
             # arrays, so only a byte-identical query reuses artifacts —
             # and only at the same graph epoch (cache hit iff the graph
             # is unchanged).
-            prep_key = (
-                self._algorithm_key(algo),
-                self._kernel_key(kern),
-                epoch,
-                query,
-            )
+            prep_key = (request.key, epoch, query)
             entry = self._prep.get(prep_key)
         hit = entry is not None
         if hit:
             plan, prepared, winner = entry
         else:
-            plan, prepared, winner = compile_plan(algo, query, data, kernel=kern), None, None
+            plan = compile_plan(algo, query, data, kernel=request.kernel)
+            prepared = winner = None
 
         # Order racing (see the class docstring): race after answering,
         # or run the winner on a count-only hit under the raced cap.
         runs, race = (plan, prepared), False
-        if hit and store_limit == 0 and algo == "recommended":
+        if hit and request.store_limit == 0 and algo == "recommended":
             if winner is None:
-                race = not time_limit
+                race = not request.time_limit
             elif winner.match_limit == match_limit:
                 runs = (winner.plan, winner.prepared)
 
@@ -438,11 +441,11 @@ class MatchSession:
             data,
             prepared=runs[1],
             match_limit=match_limit,
-            time_limit=time_limit,
-            store_limit=store_limit,
+            time_limit=request.time_limit,
+            store_limit=request.store_limit,
             metrics=metrics,
             cancel=cancel,
-            parallel=self._parallel_context(n_workers, epoch, data),
+            parallel=self._parallel_context(request.n_workers, epoch, data),
         )
         if cached and runs[1] is None:
             # A miss, or a hit whose artifacts a refined race dropped.
@@ -475,9 +478,9 @@ class MatchSession:
         self,
         queries: Iterable[Graph],
         algorithm: Optional[AlgorithmLike] = None,
-        match_limit: Optional[int] = 100_000,
+        match_limit: Optional[int] = DEFAULT_MATCH_LIMIT,
         time_limit: Optional[float] = None,
-        store_limit: int = 10_000,
+        store_limit: int = DEFAULT_STORE_LIMIT,
         validate: bool = True,
         kernel: Optional[KernelLike] = None,
         cancel: Optional[Callable[[], bool]] = None,
@@ -489,20 +492,10 @@ class MatchSession:
         duplicate after the first reuses its plan and skips preprocessing
         entirely.
         """
-        return [
-            self.match(
-                query,
-                algorithm=algorithm,
-                match_limit=match_limit,
-                time_limit=time_limit,
-                store_limit=store_limit,
-                validate=validate,
-                kernel=kernel,
-                cancel=cancel,
-                n_workers=n_workers,
-            )
-            for query in queries
-        ]
+        request = self._request(
+            algorithm, kernel, match_limit, time_limit, store_limit, n_workers
+        )
+        return [self._execute(query, request, cancel, validate) for query in queries]
 
     def count_matches(
         self,
@@ -518,22 +511,15 @@ class MatchSession:
     ) -> int:
         """Number of matches (all of them by default); stores no embeddings.
 
-        Delegates to :meth:`match`, so a per-call ``kernel`` override
-        resolves — and is recorded on the underlying
+        Runs the same path as :meth:`match`, so a per-call ``kernel``
+        override resolves — and is recorded on the underlying
         :class:`~repro.core.result.MatchResult` — exactly as it does for
         a direct :meth:`match` call (pinned by a regression test).
         """
-        return self.match(
-            query,
-            algorithm=algorithm,
-            match_limit=match_limit,
-            time_limit=time_limit,
-            store_limit=store_limit,
-            validate=validate,
-            kernel=kernel,
-            cancel=cancel,
-            n_workers=n_workers,
-        ).num_matches
+        request = self._request(
+            algorithm, kernel, match_limit, time_limit, store_limit, n_workers
+        )
+        return self._execute(query, request, cancel, validate).num_matches
 
     def has_match(
         self,
@@ -547,23 +533,11 @@ class MatchSession:
     ) -> bool:
         """Whether at least one match exists (stops at the first).
 
-        Delegates to :meth:`match`; per-call overrides behave exactly as
-        they do there (see :meth:`count_matches`).
+        Runs the same path as :meth:`match`; per-call overrides behave
+        exactly as they do there (see :meth:`count_matches`).
         """
-        return (
-            self.match(
-                query,
-                algorithm=algorithm,
-                match_limit=1,
-                time_limit=time_limit,
-                store_limit=0,
-                validate=validate,
-                kernel=kernel,
-                cancel=cancel,
-                n_workers=n_workers,
-            ).num_matches
-            > 0
-        )
+        request = self._request(algorithm, kernel, 1, time_limit, 0, n_workers)
+        return self._execute(query, request, cancel, validate).num_matches > 0
 
     # ------------------------------------------------------------------
     # Mutation and continuous queries (dynamic sessions)
@@ -639,7 +613,7 @@ class MatchSession:
         self,
         query: Graph,
         kernel: Optional[str] = None,
-        match_limit: int = 100_000,
+        match_limit: int = DEFAULT_MATCH_LIMIT,
     ) -> Subscription:
         """Register ``query`` as a standing (continuous) query.
 

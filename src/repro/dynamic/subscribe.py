@@ -30,6 +30,7 @@ from repro.errors import InvalidQueryError
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
 from repro.enumeration.frames import FrameMachine
+from repro.enumeration.support import DEFAULT_MATCH_LIMIT
 from repro.enumeration.local_candidates import IntersectionLC
 from repro.dynamic.incremental import IncrementalCandidates
 from repro.dynamic.overlay import DynamicGraph, MutationDelta
@@ -77,7 +78,7 @@ class Subscription:
         query: Graph,
         data: DynamicGraph,
         kernel: Optional[str] = None,
-        match_limit: int = 100_000,
+        match_limit: int = DEFAULT_MATCH_LIMIT,
     ) -> None:
         # The plan layer imports this package (sessions own subscriptions),
         # so its helpers are imported at the call, not at module level.

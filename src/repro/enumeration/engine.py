@@ -38,7 +38,12 @@ from repro.enumeration.local_candidates import (
     universe_sets,
 )
 from repro.enumeration.stats import EnumerationOutcome, EnumerationStats
-from repro.enumeration.support import DEADLINE_STRIDE, AdaptiveSelector, EmbeddingStore
+from repro.enumeration.support import (
+    DEADLINE_STRIDE,
+    DEFAULT_STORE_LIMIT,
+    AdaptiveSelector,
+    EmbeddingStore,
+)
 from repro.ordering.dpiso import DPisoAdaptiveState
 from repro.utils.timer import Deadline, Timer
 
@@ -85,7 +90,7 @@ class BacktrackingEngine:
         tree_parent: Optional[Sequence[int]] = None,
         match_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
-        store_limit: int = 10_000,
+        store_limit: int = DEFAULT_STORE_LIMIT,
         cancel: Optional[Callable[[], bool]] = None,
     ) -> EnumerationOutcome:
         """Enumerate matches of ``query`` in ``data``.

@@ -96,6 +96,7 @@ from repro.enumeration.local_candidates import (
 from repro.enumeration.stats import EnumerationOutcome, EnumerationStats
 from repro.enumeration.support import (
     DEADLINE_STRIDE,
+    DEFAULT_STORE_LIMIT,
     AdaptiveSelector,
     EmbeddingStore,
     leaf_rows,
@@ -149,7 +150,7 @@ class FrameMachine:
         data: Graph,
         match_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
-        store_limit: int = 10_000,
+        store_limit: int = DEFAULT_STORE_LIMIT,
         cancel: Optional[Callable[[], bool]] = None,
         root_window: Optional[Tuple[int, int]] = None,
     ) -> EnumerationOutcome:
@@ -201,7 +202,7 @@ class FrameMachine:
         data: Graph,
         match_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
-        store_limit: int = 10_000,
+        store_limit: int = DEFAULT_STORE_LIMIT,
         emit_rows: bool = False,
         cancel: Optional[Callable[[], bool]] = None,
         root_window: Optional[Tuple[int, int]] = None,

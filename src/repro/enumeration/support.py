@@ -29,6 +29,8 @@ from repro.ordering.dpiso import DPisoAdaptiveState
 from repro.utils.kernels import RowsKernel
 
 __all__ = [
+    "DEFAULT_MATCH_LIMIT",
+    "DEFAULT_STORE_LIMIT",
     "DEADLINE_STRIDE",
     "WIDE_LEAF_BATCH",
     "EmbeddingStore",
@@ -36,6 +38,14 @@ __all__ = [
     "leaf_rows",
     "lowest_bits",
 ]
+
+#: The paper's match cap: a run stops after 10^5 embeddings. Every entry
+#: point defaults to it (:class:`repro.core.plan.MatchRequest` and the
+#: engines below it); ``None`` asks for every match.
+DEFAULT_MATCH_LIMIT = 100_000
+
+#: Embeddings a run retains by default; counting goes on past it.
+DEFAULT_STORE_LIMIT = 10_000
 
 #: How many Enumerate calls between cooperative deadline checks.
 DEADLINE_STRIDE = 2048

@@ -35,7 +35,13 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.plan import compile_plan, prepare_query, run_plan
+from repro.core.plan import (
+    DEFAULT_MATCH_LIMIT,
+    DEFAULT_STORE_LIMIT,
+    compile_plan,
+    prepare_query,
+    run_plan,
+)
 from repro.core.result import MatchResult
 from repro.enumeration.local_candidates import StaticOrderInfo
 from repro.graph.graph import Graph
@@ -219,9 +225,9 @@ def _expand(
 def match_compressed(
     query: Graph,
     data: Graph,
-    match_limit: Optional[int] = 100_000,
+    match_limit: Optional[int] = DEFAULT_MATCH_LIMIT,
     time_limit: Optional[float] = None,
-    store_limit: int = 10_000,
+    store_limit: int = DEFAULT_STORE_LIMIT,
 ) -> MatchResult:
     """Enumerate matches through NEC compression.
 

@@ -34,6 +34,7 @@ from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.result import MatchResult
+from repro.enumeration.support import DEFAULT_MATCH_LIMIT, DEFAULT_STORE_LIMIT
 from repro.errors import BudgetExceeded
 from repro.graph.graph import Graph
 from repro.utils.timer import Deadline, Timer
@@ -316,9 +317,9 @@ class _Stop(Exception):
 def match_data_compressed(
     query: Graph,
     data: Graph,
-    match_limit: Optional[int] = 100_000,
+    match_limit: Optional[int] = DEFAULT_MATCH_LIMIT,
     time_limit: Optional[float] = None,
-    store_limit: int = 10_000,
+    store_limit: int = DEFAULT_STORE_LIMIT,
     compressed: Optional[CompressedData] = None,
 ) -> MatchResult:
     """Enumerate matches through data-graph compression.

@@ -43,14 +43,13 @@ while ``d(u) ≤`` :data:`HALL_MAX_DEGREE`, and
 Hall's condition is *the* characterisation of a semi-perfect matching,
 so nothing is approximated: candidate sets are identical to the scalar
 loop's. :func:`profile`, :func:`is_subsequence` and
-:func:`has_semi_perfect_matching` remain the scalar definitions (and the
-``r > 1`` path and the high-degree residue, respectively).
+:func:`has_semi_perfect_matching` remain the scalar definitions (the
+last one also decides the high-degree residue).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -58,7 +57,6 @@ from repro.filtering._common import (
     _EMPTY_I64,
     MASK_BITS,
     _gather_neighbors,
-    as_vertex_array,
     nlf_keep,
     refine_keep,
     segment_starts,
@@ -71,6 +69,7 @@ from repro.obs import add_counter, record_stage, span, total_candidates
 __all__ = [
     "GraphQLFilter",
     "HALL_MAX_DEGREE",
+    "PROFILE_RADIUS",
     "profile",
     "is_subsequence",
     "has_semi_perfect_matching",
@@ -78,28 +77,19 @@ __all__ = [
 ]
 
 
-def profile(graph: Graph, v: int, radius: int = 1) -> Tuple[int, ...]:
-    """Sorted labels of ``v`` and every vertex within ``radius`` hops.
+#: The profile radius ``r``: the paper's 1, the only radius at which the
+#: profile test is NLF containment.
+PROFILE_RADIUS = 1
 
-    With ``radius=1`` this is the paper's running example: the profile of
-    ``u1`` in Figure 1(a) is ``ABCD``.
+
+def profile(graph: Graph, v: int) -> Tuple[int, ...]:
+    """Sorted labels of ``v`` and every vertex within :data:`PROFILE_RADIUS` hops.
+
+    This is the paper's running example: the profile of ``u1`` in
+    Figure 1(a) is ``ABCD``.
     """
-    if radius == 1:
-        # Fast path; r=1 is the paper's default.
-        labels = [graph.label(v)]
-        labels.extend(graph.label(w) for w in graph.neighbors(v).tolist())
-        return tuple(sorted(labels))
-    seen = {v}
-    frontier = deque([(v, 0)])
-    labels = []
-    while frontier:
-        w, dist = frontier.popleft()
-        labels.append(graph.label(w))
-        if dist < radius:
-            for x in graph.neighbors(w).tolist():
-                if x not in seen:
-                    seen.add(x)
-                    frontier.append((x, dist + 1))
+    labels = [graph.label(v)]
+    labels.extend(graph.label(w) for w in graph.neighbors(v).tolist())
     return tuple(sorted(labels))
 
 
@@ -295,10 +285,10 @@ def _scalar_test(
 class GraphQLFilter(Filter):
     """GraphQL's local pruning + global pseudo-isomorphism refinement.
 
+    The profile radius is :data:`PROFILE_RADIUS`.
+
     Parameters
     ----------
-    radius:
-        Profile radius ``r`` (paper default 1).
     refinement_rounds:
         Number of global-refinement sweeps ``k`` (paper default 1; the
         pseudo-isomorphism test "repeats the above procedure k times").
@@ -306,12 +296,9 @@ class GraphQLFilter(Filter):
 
     name = "GQL"
 
-    def __init__(self, radius: int = 1, refinement_rounds: int = 1) -> None:
-        if radius < 1:
-            raise ValueError("profile radius must be >= 1")
+    def __init__(self, refinement_rounds: int = 1) -> None:
         if refinement_rounds < 0:
             raise ValueError("refinement rounds must be >= 0")
-        self.radius = radius
         self.refinement_rounds = refinement_rounds
 
     def run(self, query: Graph, data: Graph) -> CandidateSets:
@@ -325,29 +312,10 @@ class GraphQLFilter(Filter):
 
     def _local_pruning(self, query: Graph, data: Graph) -> List[np.ndarray]:
         """LDF + profile containment per query vertex."""
-        if self.radius > 1:
-            return self._profile_pruning(query, data)
         return [
             nlf_keep(data, ldf_candidates_for(query, u, data), query.nlf(u))
             for u in query.vertices()
         ]
-
-    def _profile_pruning(self, query: Graph, data: Graph) -> List[np.ndarray]:
-        """The definition, candidate by candidate: profile sub-sequence."""
-        data_profiles: Dict[int, Tuple[int, ...]] = {}
-        lists: List[np.ndarray] = []
-        for u in query.vertices():
-            u_profile = profile(query, u, self.radius)
-            survivors = []
-            for v in ldf_candidates_for(query, u, data).tolist():
-                v_profile = data_profiles.get(v)
-                if v_profile is None:
-                    v_profile = profile(data, v, self.radius)
-                    data_profiles[v] = v_profile
-                if is_subsequence(u_profile, v_profile):
-                    survivors.append(v)
-            lists.append(as_vertex_array(survivors))
-        return lists
 
     def _global_refinement(
         self, query: Graph, data: Graph, lists: List[np.ndarray]

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.result import MatchResult
+from repro.enumeration.support import DEFAULT_MATCH_LIMIT, DEFAULT_STORE_LIMIT
 from repro.errors import BudgetExceeded
 from repro.graph.graph import Graph
 from repro.utils.timer import Deadline, Timer
@@ -118,7 +119,7 @@ class GlasgowSolver:
         self,
         match_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
-        store_limit: int = 10_000,
+        store_limit: int = DEFAULT_STORE_LIMIT,
     ) -> MatchResult:
         """Enumerate all matches (up to the limits)."""
         self.nodes_explored = 0
@@ -277,9 +278,9 @@ class GlasgowSolver:
 def glasgow_match(
     query: Graph,
     data: Graph,
-    match_limit: Optional[int] = 100_000,
+    match_limit: Optional[int] = DEFAULT_MATCH_LIMIT,
     time_limit: Optional[float] = None,
-    store_limit: int = 10_000,
+    store_limit: int = DEFAULT_STORE_LIMIT,
 ) -> MatchResult:
     """Convenience wrapper: build a solver and enumerate matches."""
     return GlasgowSolver(query, data).solve(

@@ -72,14 +72,19 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.algorithms import get_algorithm
-from repro.core.plan import AlgorithmLike, KernelLike, validate_query
+from repro.core.plan import (
+    DEFAULT_MATCH_LIMIT,
+    DEFAULT_STORE_LIMIT,
+    AlgorithmLike,
+    KernelLike,
+    MatchRequest,
+    validate_query,
+)
 from repro.core.result import MatchResult
 from repro.core.session import MatchSession
-from repro.core.spec import AlgorithmSpec
 from repro.dynamic.mutations import Mutation
 from repro.dynamic.overlay import DynamicGraph, MutationDelta
 from repro.dynamic.subscribe import SubscriptionUpdate
@@ -96,7 +101,6 @@ from repro.graph.graph import Graph
 from repro.graph.store import GraphSource, as_graph
 from repro.obs import Metrics, span
 from repro.serve.clock import Clock, SystemClock
-from repro.utils.kernels import get_kernel
 
 __all__ = ["MatchService", "ServeResponse", "ServiceMutation"]
 
@@ -173,57 +177,25 @@ class _Entry:
     query: Graph
     graph_name: str
     tenant: str
-    algorithm: Optional[AlgorithmLike]
-    kernel: Optional[KernelLike]
-    match_limit: Optional[int]
-    store_limit: int
+    request: MatchRequest
     waiters: List[_Waiter] = field(default_factory=list)
     #: Once True the entry left the in-flight map; no waiter may attach.
     closed: bool = False
 
 
-def _check_options(
-    graph: Any,
-    tenant: Any,
-    algorithm: Any,
-    kernel: Any,
-    match_limit: Any,
-    store_limit: Any,
-    budget: Any,
-) -> None:
-    """Reject a request whose options could only fail later, in a worker.
+def _check_options(graph: Any, tenant: Any, budget: Any) -> None:
+    """Reject a request whose service options could only fail later.
 
-    The server hands wire values through verbatim, so this is where
-    ``"match_limit": "ten"`` becomes a typed error instead of a
-    ``TypeError`` from inside the engine: wrong types raise
-    :class:`~repro.errors.GraphFormatError`, names nothing is registered
-    under :class:`~repro.errors.ConfigurationError` (from the resolvers
-    themselves, so the check accepts exactly what they do).
+    The server hands wire values through verbatim, so this is where a
+    malformed ``graph``, ``tenant`` or ``budget`` becomes a
+    :class:`~repro.errors.GraphFormatError`; the options that decide what
+    a run computes are checked by :class:`~repro.core.plan.MatchRequest`.
     """
     for name, value in (("graph", graph), ("tenant", tenant)):
         if not isinstance(value, str):
             raise GraphFormatError(f"{name!r} must be a string, got {value!r}")
-    if match_limit is not None and not (
-        isinstance(match_limit, int) and match_limit >= 0
-    ):
-        raise GraphFormatError(
-            f"'match_limit' must be null or an integer >= 0, got {match_limit!r}"
-        )
-    if not (isinstance(store_limit, int) and store_limit >= 0):
-        raise GraphFormatError(
-            f"'store_limit' must be an integer >= 0, got {store_limit!r}"
-        )
     if budget is not None and not isinstance(budget, (int, float)):
         raise GraphFormatError(f"budget must be null or a number, got {budget!r}")
-    if isinstance(algorithm, str):
-        if algorithm != "recommended":  # resolves per query, always known
-            get_algorithm(algorithm)
-    elif algorithm is not None and not isinstance(algorithm, AlgorithmSpec):
-        raise GraphFormatError(
-            f"'algorithm' must be a preset name, got {algorithm!r}"
-        )
-    if kernel is not None:
-        get_kernel(kernel)
 
 
 class MatchService:
@@ -449,8 +421,8 @@ class MatchService:
         tenant: str = "public",
         algorithm: Optional[AlgorithmLike] = None,
         kernel: Optional[KernelLike] = None,
-        match_limit: Optional[int] = 100_000,
-        store_limit: int = 10_000,
+        match_limit: Optional[int] = DEFAULT_MATCH_LIMIT,
+        store_limit: int = DEFAULT_STORE_LIMIT,
         budget: Optional[float] = None,
         validate: bool = True,
     ) -> Tuple[_Waiter, Optional[_Entry]]:
@@ -464,8 +436,14 @@ class MatchService:
         try:
             if validate:
                 validate_query(query)
-            _check_options(
-                graph, tenant, algorithm, kernel, match_limit, store_limit, budget
+            _check_options(graph, tenant, budget)
+            request = MatchRequest(
+                self.algorithm if algorithm is None else algorithm,
+                kernel,
+                match_limit,
+                None,
+                store_limit,
+                self.n_workers,
             )
         except (InvalidQueryError, GraphFormatError, ConfigurationError):
             self.count("serve.rejected_invalid")
@@ -482,13 +460,6 @@ class MatchService:
         deadline = (
             now + effective_budget if effective_budget is not None else None
         )
-        algo = self.algorithm if algorithm is None else algorithm
-        options = (
-            MatchSession._algorithm_key(algo),
-            MatchSession._kernel_key(kernel),
-            match_limit,
-            store_limit,
-        )
 
         with self._lock:
             if self._closed:
@@ -504,7 +475,7 @@ class MatchService:
             # admitted after a mutation must not ride an execution
             # answering from the pre-mutation snapshot.
             epoch = target.epoch if isinstance(target, DynamicGraph) else 0
-            key = (graph, epoch, *options, query)
+            key = (graph, epoch, request.key, match_limit, store_limit, query)
             entry = self._inflight.get(key) if self.coalesce else None
             if entry is not None and not entry.closed:
                 waiter = _Waiter(tenant, now, deadline, coalesced=True)
@@ -527,10 +498,7 @@ class MatchService:
                 query=query,
                 graph_name=graph,
                 tenant=tenant,
-                algorithm=algorithm,
-                kernel=kernel,
-                match_limit=match_limit,
-                store_limit=store_limit,
+                request=request,
                 waiters=[waiter],
             )
             if self.coalesce:
@@ -543,8 +511,8 @@ class MatchService:
 
         Options, all by keyword: ``graph="default"``, ``tenant="public"``,
         ``algorithm`` (``None`` = the service's) / ``kernel`` (``None`` =
-        the session's default),
-        ``match_limit=100_000``, ``store_limit=10_000``, ``budget``
+        the session's default), ``match_limit`` and ``store_limit``
+        (:class:`~repro.core.plan.MatchRequest`'s defaults), ``budget``
         (seconds; ``None`` = the service's default) and ``validate``.
         Rejections raise synchronously — :class:`UnknownGraphError`,
         :class:`InvalidQueryError`, :class:`GraphFormatError` /
@@ -635,12 +603,12 @@ class MatchService:
 
         # The most generous live deadline drives the execution: every
         # live waiter shares this one run.
+        request = entry.request
         if any(w.deadline is None for w in live):
             exec_deadline = None
-            time_limit = None
         else:
             exec_deadline = max(w.deadline for w in live)
-            time_limit = max(exec_deadline - started, 1e-6)
+            request = replace(request, time_limit=max(exec_deadline - started, 1e-6))
 
         def cancelled() -> bool:
             # Polled by the engine between leaf batches: stop when the
@@ -662,16 +630,8 @@ class MatchService:
                 graph=entry.graph_name,
                 tenant=entry.tenant,
             ):
-                result = session.match(
-                    entry.query,
-                    algorithm=entry.algorithm,
-                    match_limit=entry.match_limit,
-                    time_limit=time_limit,
-                    store_limit=entry.store_limit,
-                    validate=False,  # validated at admission
-                    kernel=entry.kernel,
-                    cancel=cancelled,
-                )
+                # Query and options were checked at admission.
+                result = session._execute(entry.query, request, cancelled, False)
             self.count("serve.executed")
             if not result.solved:
                 self.count("serve.unsolved")

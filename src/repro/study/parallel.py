@@ -26,9 +26,9 @@ identity-keyed caches at the process boundary.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
-from repro.core.session import MatchSession
+from repro.core.result import MatchResult
 from repro.core.spec import AlgorithmSpec
 from repro.graph.graph import Graph
 from repro.graph.store import (
@@ -41,7 +41,7 @@ from repro.study.runner import (
     QueryRecord,
     RunSummary,
     _measure,
-    _measurement_session,
+    _measurement_run,
     default_match_limit,
     default_time_limit,
 )
@@ -50,14 +50,11 @@ __all__ = ["run_algorithm_on_set_parallel"]
 
 AlgorithmLike = Union[str, AlgorithmSpec]
 
-# Worker-process globals, set once by the pool initializer. Each worker
-# attaches the published data graph (the view holds its store, and the
-# store the mapping) and holds the sequential runner's measurement-mode
-# session — records must match that runner's byte for byte. GLW runs have
-# no session.
-_WORKER_DATA: Optional[Graph] = None
-_WORKER_SESSION: Optional[MatchSession] = None
-_WORKER_LIMITS: Tuple[Optional[int], Optional[float]] = (None, None)
+# Worker-process global, set once by the pool initializer: the sequential
+# runner's measurement over the attached data graph (which holds its
+# store, and the store the mapping) — records must match that runner's
+# byte for byte.
+_WORKER_RUN: Optional[Callable[[Graph], MatchResult]] = None
 
 
 def _init_worker(
@@ -66,16 +63,15 @@ def _init_worker(
     match_limit: Optional[int],
     time_limit: Optional[float],
 ) -> None:
-    global _WORKER_DATA, _WORKER_SESSION, _WORKER_LIMITS
-    _WORKER_DATA = SharedMemoryStore.attach(handle).graph()
-    _WORKER_SESSION = _measurement_session(_WORKER_DATA, algorithm)
-    _WORKER_LIMITS = (match_limit, time_limit)
+    global _WORKER_RUN
+    data = SharedMemoryStore.attach(handle).graph()
+    _WORKER_RUN = _measurement_run(data, algorithm, match_limit, time_limit)
 
 
 def _run_one(task: Tuple[int, Graph]) -> QueryRecord:
     index, query = task
-    assert _WORKER_DATA is not None
-    return _measure(_WORKER_SESSION, _WORKER_DATA, index, query, *_WORKER_LIMITS)
+    assert _WORKER_RUN is not None
+    return _measure(_WORKER_RUN, index, query)
 
 
 def run_algorithm_on_set_parallel(

@@ -18,8 +18,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.core.plan import MatchRequest
+from repro.core.result import MatchResult
 from repro.core.session import MatchSession
 from repro.core.spec import AlgorithmSpec
 from repro.glasgow.solver import glasgow_match
@@ -186,41 +189,33 @@ def _std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
-def _measurement_session(
-    data: Graph, algorithm: AlgorithmLike, kernel: Optional[str] = None
-) -> Optional[MatchSession]:
-    """The session a study run measures through; ``None`` for ``"GLW"``.
+def _measurement_run(
+    data: Graph,
+    algorithm: AlgorithmLike,
+    match_limit: Optional[int],
+    time_limit: Optional[float],
+    kernel: Optional[str] = None,
+) -> Callable[[Graph], MatchResult]:
+    """How a study run measures one query: ``"GLW"`` through the Glasgow
+    solver, anything else as one request on one session.
 
     Measurement mode: no prepared-query cache, so every query compiles
     and preprocesses afresh and its record is exactly what a standalone
-    ``match()`` would report.
+    ``match()`` would report. Records count matches and keep none.
     """
     if algorithm == "GLW":
-        return None
-    return MatchSession(data, algorithm=algorithm, kernel=kernel, prep_cache_size=0)
+        return partial(
+            glasgow_match, data=data,
+            match_limit=match_limit, time_limit=time_limit, store_limit=0,
+        )
+    request = MatchRequest(algorithm, kernel, match_limit, time_limit, store_limit=0)
+    session = MatchSession(data, prep_cache_size=0)
+    return lambda query: session._execute(query, request, validate=False)
 
 
-def _measure(
-    session: Optional[MatchSession],
-    data: Graph,
-    index: int,
-    query: Graph,
-    match_limit: Optional[int],
-    time_limit: Optional[float],
-) -> QueryRecord:
-    """One query's record, run by ``session`` or (``None``) by Glasgow."""
-    if session is None:
-        result = glasgow_match(
-            query, data, match_limit=match_limit, time_limit=time_limit, store_limit=0
-        )
-    else:
-        result = session.match(
-            query,
-            match_limit=match_limit,
-            time_limit=time_limit,
-            store_limit=0,
-            validate=False,
-        )
+def _measure(run: Callable[[Graph], MatchResult], index: int, query: Graph) -> QueryRecord:
+    """One query's record, measured by ``run`` (see :func:`_measurement_run`)."""
+    result = run(query)
     return QueryRecord(
         query_index=index,
         preprocessing_ms=result.preprocessing_ms,
@@ -267,9 +262,7 @@ def run_algorithm_on_set(
         query_set_label=query_set_label,
         time_limit=time_limit,
     )
-    session = _measurement_session(data, algorithm, kernel)
+    run = _measurement_run(data, algorithm, match_limit, time_limit, kernel)
     for index, query in enumerate(queries):
-        summary.records.append(
-            _measure(session, data, index, query, match_limit, time_limit)
-        )
+        summary.records.append(_measure(run, index, query))
     return summary

@@ -40,7 +40,7 @@ def test_mixed_caller_run_and_pooled_executions_balance(data, queries):
     service = MatchService(workers=WORKERS, max_queue_depth=CLIENTS + 1)
     service.add_graph("g", data)
     session = service.session_for("public", "g")
-    inner, gauge = session.match, threading.Lock()
+    inner, gauge = session._execute, threading.Lock()
     inside = peak = 0
 
     def counted_match(*args, **kwargs):
@@ -54,7 +54,7 @@ def test_mixed_caller_run_and_pooled_executions_balance(data, queries):
             with gauge:
                 inside -= 1
 
-    session.match = counted_match
+    session._execute = counted_match
     wrong, errors = [], []
     barrier = threading.Barrier(CLIENTS)
 

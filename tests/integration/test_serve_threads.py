@@ -6,7 +6,7 @@ costs only its own connection, ``stop()`` is prompt and leaves no thread
 behind, and the service's bounds — ``workers``, ``max_queue_depth``,
 queued expiry, coalescing — hold when the execution runs on the thread
 that read the request. Executions are parked on an injected hook inside
-``session.match``, so every scenario is driven to its exact state and
+``session._execute``, so every scenario is driven to its exact state and
 nothing here depends on how long a query takes.
 """
 
@@ -72,7 +72,7 @@ def wait_until(condition, what):
 
 
 class Harness:
-    """A served service whose executions park inside ``session.match``."""
+    """A served service whose executions park inside ``session._execute``."""
 
     def __init__(self, data, **service_kwargs):
         self.service = MatchService(**service_kwargs)
@@ -85,7 +85,7 @@ class Harness:
         self.inside_peak = 0
         self._lock = threading.Lock()
         session = self.service.session_for("public", "g")
-        inner = session.match
+        inner = session._execute
 
         def parked_match(*args, **kwargs):
             with self._lock:
@@ -99,7 +99,7 @@ class Harness:
                 with self._lock:
                     self.inside -= 1
 
-        session.match = parked_match
+        session._execute = parked_match
         self.clients = []
 
     def connect(self):
@@ -246,7 +246,7 @@ class TestCallerRunsBounds:
         service.add_graph("g", data)
         gate, running = threading.Event(), threading.Event()
         session = service.session_for("public", "g")
-        inner, calls = session.match, []
+        inner, calls = session._execute, []
 
         def parked_match(*args, **kwargs):
             calls.append(args[0])
@@ -254,7 +254,7 @@ class TestCallerRunsBounds:
             assert gate.wait(timeout=60)
             return inner(*args, **kwargs)
 
-        session.match = parked_match
+        session._execute = parked_match
         try:
             blocker = service.submit(queries[0], graph="g")  # holds the slot
             assert running.wait(timeout=30)

@@ -51,7 +51,6 @@ _SETTINGS = settings(
 
 SEEDS = st.integers(0, 2**16)
 ROUNDS = st.sampled_from([0, 1, 2, 3])
-RADIUS = st.sampled_from([1, 2])
 
 
 def _pin_corpus_seeds(test):
@@ -61,17 +60,17 @@ def _pin_corpus_seeds(test):
 
 
 def scalar_graphql(
-    query: Graph, data: Graph, radius: int = 1, refinement_rounds: int = 1
+    query: Graph, data: Graph, refinement_rounds: int = 1
 ) -> CandidateSets:
     """The definition, one candidate at a time (Section 3.1.1)."""
     profiles = {}
     lists = []
     for u in query.vertices():
-        u_profile = profile(query, u, radius)
+        u_profile = profile(query, u)
         survivors = []
         for v in ldf_candidates_for(query, u, data).tolist():
             if v not in profiles:
-                profiles[v] = profile(data, v, radius)
+                profiles[v] = profile(data, v)
             if is_subsequence(u_profile, profiles[v]):
                 survivors.append(v)
         lists.append(survivors)
@@ -128,12 +127,12 @@ def charge_neighbor_reads(data, target, u_neighbors, membership):
         add_counter("filter.neighbors_gathered", read)
 
 
-def assert_parity(query, data, radius=1, rounds=1):
+def assert_parity(query, data, rounds=1):
     got_metrics, want_metrics = Metrics(), Metrics()
     with collecting(got_metrics):
-        got = GraphQLFilter(radius, rounds).run(query, data)
+        got = GraphQLFilter(rounds).run(query, data)
     with collecting(want_metrics):
-        want = scalar_graphql(query, data, radius, rounds)
+        want = scalar_graphql(query, data, rounds)
     assert got.as_dict() == want.as_dict()
     assert got_metrics.filter_stages == want_metrics.filter_stages
     assert got_metrics.counters == want_metrics.counters
@@ -146,11 +145,10 @@ def assert_parity(query, data, radius=1, rounds=1):
 @given(
     query=graphs(min_vertices=1, max_vertices=5, max_labels=2),
     data=graphs(max_vertices=12, max_labels=3, edge_probability=0.3),
-    radius=RADIUS,
     rounds=ROUNDS,
 )
-def test_array_filter_matches_the_scalar_definition(query, data, radius, rounds):
-    assert_parity(query, data, radius, rounds)
+def test_array_filter_matches_the_scalar_definition(query, data, rounds):
+    assert_parity(query, data, rounds)
 
 
 @st.composite
@@ -257,19 +255,6 @@ def test_star_query_wider_than_the_anchor_mask():
     assert_parity(query, data)
     assert GraphQLFilter().run(query, data)[0] == [0]
     assert GraphQLFilter(refinement_rounds=0).run(query, data)[0] == [0, len(labels)]
-
-
-def test_radius_two_stays_on_the_scalar_profile_path(monkeypatch):
-    """NLF containment is the profile test only at ``r = 1``."""
-    case = plant_case(7, max_data=30)
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("radius 2 took the NLF shortcut")
-
-    monkeypatch.setattr(graphql, "nlf_keep", unreachable)
-    assert_parity(case.query, case.data, radius=2)
-    with pytest.raises(AssertionError, match="NLF shortcut"):
-        GraphQLFilter().run(case.query, case.data)
 
 
 def test_a_set_emptied_earlier_in_the_sweep_is_not_charged():

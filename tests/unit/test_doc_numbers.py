@@ -20,20 +20,20 @@ _REPO = Path(__file__).resolve().parents[2]
 
 #: (document, quoted text, suite, record name, field, tolerance)
 _QUOTES = [
-    ("README.md", "rebuild 40× in wall", "dynamic", "maintenance",
+    ("README.md", "rebuild 41× in wall", "dynamic", "maintenance",
      "speedup_incremental_vs_scratch", 0.5),
-    ("README.md", "38–40× over five runs", "dynamic", "maintenance",
+    ("README.md", "26–41× over six runs", "dynamic", "maintenance",
      "speedup_incremental_vs_scratch", 0.5),
     ("README.md", "625× fewer", "dynamic", "maintenance", "speedup_counted", 0.5),
-    ("README.md", "5.1× on", "session", "repeated_queries",
+    ("README.md", "5.5× on", "session", "repeated_queries",
      "speedup_session_vs_one_shot", 0.05),
-    ("README.md", "5.1–5.6× over five runs", "session", "repeated_queries",
+    ("README.md", "4.8–5.5× over six runs", "session", "repeated_queries",
      "speedup_session_vs_one_shot", 0.05),
-    ("EXPERIMENTS.md", "**2.27×**", "server", "coalescing_on",
+    ("EXPERIMENTS.md", "**1.80×**", "server", "coalescing_on",
      "speedup_effective_qps", 0.005),
-    ("EXPERIMENTS.md", "(91 executions", "server", "coalescing_on",
+    ("EXPERIMENTS.md", "(69 executions", "server", "coalescing_on",
      "serve.executed", 0),
-    ("EXPERIMENTS.md", "2.18–2.61× over five runs", "server", "coalescing_on",
+    ("EXPERIMENTS.md", "1.80–3.66× over six runs", "server", "coalescing_on",
      "speedup_effective_qps", 0.005),
     ("EXPERIMENTS.md", "**3.85×**", "parallel", "overall", "speedup_4", 0.005),
     ("EXPERIMENTS.md", "(3.97 /", "parallel", "query0", "speedup_4", 0.005),
@@ -41,9 +41,9 @@ _QUOTES = [
     ("EXPERIMENTS.md", "/ 3.84× per query", "parallel", "query2", "speedup_4", 0.005),
     ("EXPERIMENTS.md", "overhead **1.01×**", "storage", "warm", "mmap_overhead", 0.005),
     ("EXPERIMENTS.md", "ratio **0.42**", "storage", "out_of_core", "rss_ratio", 0.005),
-    ("EXPERIMENTS.md", "**40×** in wall", "dynamic", "maintenance",
+    ("EXPERIMENTS.md", "**41×** in wall", "dynamic", "maintenance",
      "speedup_incremental_vs_scratch", 0.5),
-    ("EXPERIMENTS.md", "38–40× over", "dynamic", "maintenance",
+    ("EXPERIMENTS.md", "26–41× over", "dynamic", "maintenance",
      "speedup_incremental_vs_scratch", 0.5),
     ("EXPERIMENTS.md", "**625×** in counted", "dynamic", "maintenance",
      "speedup_counted", 0.5),

@@ -81,10 +81,6 @@ class TestGraphQLHelpers:
         # Paper: the profile of u1 within distance 1 is ABCD.
         assert profile(PAPER_QUERY, 1) == (0, 1, 2, 3)
 
-    def test_profile_radius_two(self):
-        g = Graph(labels=[0, 1, 2], edges=[(0, 1), (1, 2)])
-        assert profile(g, 0, radius=2) == (0, 1, 2)
-
     def test_is_subsequence(self):
         assert is_subsequence((1, 2, 2), (1, 2, 2, 3))
         assert not is_subsequence((1, 2, 2), (1, 2, 3))
@@ -117,8 +113,6 @@ class TestGraphQLFilter:
         assert result.as_dict() == REFINED_CANDIDATES
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            GraphQLFilter(radius=0)
         with pytest.raises(ValueError):
             GraphQLFilter(refinement_rounds=-1)
 

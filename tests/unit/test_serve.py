@@ -169,7 +169,7 @@ class TestServiceBasics:
         def boom(*args, **kwargs):
             raise RuntimeError("engine failure")
 
-        monkeypatch.setattr(service.session_for("public", "g"), "match", boom)
+        monkeypatch.setattr(service.session_for("public", "g"), "_execute", boom)
         try:
             future = service.submit(query, graph="g")
             with pytest.raises(RuntimeError, match="engine failure"):
