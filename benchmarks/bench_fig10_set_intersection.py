@@ -1,8 +1,8 @@
 """Figure 10: Hybrid vs QFilter-style intersection in the enumeration.
 
 The optimized GQL algorithm runs once per registered intersection backend
-(:mod:`repro.utils.kernels`); every series is an explicit registry name,
-so the table compares exactly the substrates it names.
+(:mod:`repro.utils.kernels`); every series is a registry name on the
+request, so the table compares exactly the substrates it names.
 
 The paper's three:
 
@@ -32,18 +32,16 @@ sparse graphs to layout overhead.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List
 
 from conftest import bench_queries
 from shared import ALL_DATASETS, DEFAULT_SIZE, SIZE_LADDER, query_set, run
 
-from repro.core import get_algorithm
-from repro.core.spec import AlgorithmSpec
-from repro.enumeration import IntersectionLC
 from repro.study import format_series
 
-#: Series label -> registry name.
+#: Series label -> registry name. Every run resolves its name afresh, so
+#: the caching backends encode the long-lived auxiliary lists once per
+#: query (QFilter's one-time layout).
 SERIES = {
     "Hybrid": "scalar",
     "QFilter/BSR": "qfilter",
@@ -53,28 +51,15 @@ SERIES = {
 }
 
 
-def _variants() -> Dict[str, AlgorithmSpec]:
-    # One backend instance per series: the caching backends encode the
-    # long-lived auxiliary lists once (QFilter's one-time layout).
-    return {
-        label: dataclasses.replace(
-            get_algorithm("GQL-opt"),
-            name=f"GQL-{kernel}",
-            lc=IntersectionLC(kernel=kernel),
-        )
-        for label, kernel in SERIES.items()
-    }
-
-
 def _experiment() -> str:
     blocks: List[str] = []
 
-    variants = _variants()
-    series: Dict[str, List[float]] = {name: [] for name in variants}
+    series: Dict[str, List[float]] = {label: [] for label in SERIES}
     for key in ALL_DATASETS:
         qs = query_set(key, DEFAULT_SIZE[key], "dense")
-        for name, spec in variants.items():
-            series[name].append(run(spec, key, qs).avg_enumeration_ms)
+        for label, kernel in SERIES.items():
+            result = run("GQL-opt", key, qs, kernel=kernel)
+            series[label].append(result.avg_enumeration_ms)
     blocks.append(
         format_series(
             "Figure 10(a) — optimized GQL enumeration time (ms) by intersection kernel",
@@ -84,12 +69,12 @@ def _experiment() -> str:
     )
 
     sizes = SIZE_LADDER["yt"]
-    variants = _variants()
-    series_b: Dict[str, List[float]] = {name: [] for name in variants}
+    series_b: Dict[str, List[float]] = {label: [] for label in SERIES}
     for size in sizes:
         qs = query_set("yt", size, "dense" if size > 4 else None)
-        for name, spec in variants.items():
-            series_b[name].append(run(spec, "yt", qs).avg_enumeration_ms)
+        for label, kernel in SERIES.items():
+            result = run("GQL-opt", "yt", qs, kernel=kernel)
+            series_b[label].append(result.avg_enumeration_ms)
     blocks.append(
         format_series(
             "Figure 10(b) — dense queries on yt, |V(q)| varied",

@@ -57,8 +57,15 @@ def default_sets(key: str) -> List[QuerySet]:
     return [query_set(key, size, "dense"), query_set(key, size, "sparse")]
 
 
-def run(algorithm, key: str, qs: QuerySet, time_limit: Optional[float] = None):
-    """Run one algorithm over one query set with benchmark limits."""
+def run(
+    algorithm,
+    key: str,
+    qs: QuerySet,
+    time_limit: Optional[float] = None,
+    kernel: Optional[str] = None,
+):
+    """Run one algorithm over one query set with benchmark limits
+    (``kernel``: the intersection backend's registry name)."""
     return run_algorithm_on_set(
         algorithm,
         dataset(key),
@@ -67,6 +74,7 @@ def run(algorithm, key: str, qs: QuerySet, time_limit: Optional[float] = None):
         query_set_label=qs.label,
         match_limit=bench_match_cap(),
         time_limit=time_limit if time_limit is not None else bench_time_limit(),
+        kernel=kernel,
     )
 
 

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from repro.core import MatchSession, algorithm_components, available_algorithms, match
 from repro.core.plan import DEFAULT_MATCH_LIMIT
+from repro.errors import ReproError
 from repro.glasgow import glasgow_match
 from repro.graph import (
     erdos_renyi_graph,
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     request.add_argument(
         "--kernel", "-k", choices=available_kernels(), default=None,
         help="intersection backend for the Algorithm 5 hot path "
-        "(default: $REPRO_KERNEL, else auto: rows when they fit, numpy otherwise)",
+        "(default: auto, rows when they fit, numpy otherwise)",
     )
 
     p_match = sub.add_parser(
@@ -495,7 +496,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A library error (a malformed option, an unknown preset, a bad graph
+    file, …) prints one ``error:`` line to stderr and exits 2, the status
+    argparse uses for a bad command line.
+    """
     args = build_parser().parse_args(argv)
     handlers = {
         "match": lambda: _cmd_match(args),
@@ -508,7 +514,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fuzz": lambda: _cmd_fuzz(args),
         "serve": lambda: _cmd_serve(args),
     }
-    return handlers[args.command]()
+    try:
+        return handlers[args.command]()
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

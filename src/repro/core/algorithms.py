@@ -270,7 +270,7 @@ def recommended_spec(query: Graph, data: Graph) -> AlgorithmSpec:
     The inputs are the query's vertex count and the data graph's average
     degree, nothing else of either. A session caches the compiled plan
     beside the prepared query, keyed on the exact query with the
-    algorithm, kernel policy and graph epoch (see
+    algorithm, kernel name and graph epoch (see
     :mod:`repro.core.session`); nothing on the request path fingerprints
     the query.
     """

@@ -29,7 +29,6 @@ from repro.core.plan import (
 from repro.core.result import MatchResult
 from repro.core.session import MatchSession
 from repro.graph.graph import Graph
-from repro.utils.kernels import KernelLike
 
 __all__ = ["match", "count_matches", "has_match"]
 
@@ -42,7 +41,7 @@ def match(
     time_limit: Optional[float] = None,
     store_limit: int = DEFAULT_STORE_LIMIT,
     validate: bool = True,
-    kernel: Optional[KernelLike] = None,
+    kernel: Optional[str] = None,
     cancel: Optional[Callable[[], bool]] = None,
     n_workers: Optional[int] = None,
 ) -> MatchResult:
@@ -69,19 +68,15 @@ def match(
     validate:
         Check the query's preconditions up front (disable in tight loops).
     kernel:
-        Intersection backend for the Algorithm 5 hot path: a registry name
-        (``"rows"``, ``"scalar"``, ``"numpy"``, ``"bitset"``,
-        ``"qfilter"``, ``"auto"``) or a
-        :class:`~repro.utils.kernels.KernelBackend` instance. ``None``
-        defers to the ``REPRO_KERNEL`` environment variable, falling back
-        to ``"auto"`` (candidate-space bitmap rows whenever a static order
-        reads them and they fit ``BITSET_CACHE_BYTES``, numpy
-        otherwise). Any other value raises
-        :class:`~repro.errors.ConfigurationError`. An explicit argument
-        always wins; with ``None``, a spec constructed with its own
-        explicit kernel keeps it, and the result's ``kernel`` names the
-        backend that ran either way. Ignored (and recorded as ``None`` on
-        the result) when the algorithm's ComputeLC is not Algorithm 5.
+        Intersection backend for the Algorithm 5 hot path, by registry
+        name (``"rows"``, ``"scalar"``, ``"numpy"``, ``"bitset"``,
+        ``"qfilter"``, ``"auto"``, or one added with
+        :func:`~repro.utils.kernels.register_kernel`). ``None`` is
+        ``"auto"``: candidate-space bitmap rows whenever a static order
+        reads them and they fit ``BITSET_CACHE_BYTES``, numpy otherwise.
+        The result's ``kernel`` names the backend that ran. Ignored (and
+        recorded as ``None`` on the result) when the algorithm's
+        ComputeLC is not Algorithm 5.
     cancel:
         Optional zero-argument callable polled by the engine at the
         deadline stride; once it returns True the enumeration stops and
@@ -127,7 +122,7 @@ def count_matches(
     algorithm: AlgorithmLike = "recommended",
     match_limit: Optional[int] = None,
     time_limit: Optional[float] = None,
-    kernel: Optional[KernelLike] = None,
+    kernel: Optional[str] = None,
     store_limit: int = 0,
     validate: bool = True,
     n_workers: Optional[int] = None,
@@ -156,7 +151,7 @@ def has_match(
     data: Graph,
     algorithm: AlgorithmLike = "recommended",
     time_limit: Optional[float] = None,
-    kernel: Optional[KernelLike] = None,
+    kernel: Optional[str] = None,
     store_limit: int = 0,
     validate: bool = True,
     n_workers: Optional[int] = None,

@@ -9,11 +9,11 @@ split is made explicit here:
   worker count — checked once, with the defaults every entry point shares.
 * :func:`compile_plan` resolves everything about a ``(algorithm, query,
   data)`` triple that is not a per-query artifact: the algorithm spec
-  and the kernel policy. The result is an immutable :class:`MatchPlan`.
+  and the kernel name. The result is an immutable :class:`MatchPlan`.
 * :func:`run_plan` executes a plan: filtering, auxiliary structure,
   ordering, kernel resolution, enumeration — the full Algorithm 1
   pipeline. The per-query artifacts it builds (candidates, auxiliary
-  adjacency, matching order, the resolved kernel with its encode caches)
+  adjacency, matching order, the resolved backend with its encode caches)
   come back as a :class:`PreparedQuery`, which a
   :class:`~repro.core.session.MatchSession` may hand back on a later call
   with the *identical* query to skip the whole preprocessing phase.
@@ -63,7 +63,7 @@ from repro.graph.ops import connected
 from repro.obs import Metrics, collecting, span
 from repro.ordering.dpiso import DPisoOrdering
 from repro.ordering.spectrum import sample_orders
-from repro.utils.kernels import KernelBackend, KernelLike, get_kernel
+from repro.utils.kernels import KernelBackend, get_kernel
 from repro.utils.timer import Timer
 
 __all__ = [
@@ -101,7 +101,7 @@ def validate_query(query: Graph) -> None:
 
 @dataclass(frozen=True)
 class MatchPlan:
-    """A compiled query: resolved spec + kernel policy.
+    """A compiled query: resolved spec + kernel name.
 
     Immutable; the per-query artifacts (candidates, order, …) live in
     :class:`PreparedQuery` instead.
@@ -109,11 +109,10 @@ class MatchPlan:
 
     #: The fully resolved algorithm composition.
     algorithm: AlgorithmSpec
-    #: The kernel request this plan was compiled under (name, backend
-    #: instance or ``None`` for the env/auto default) — resolution to a
-    #: concrete backend happens per prepared query, where candidate
-    #: density is known.
-    kernel_policy: Optional[KernelLike]
+    #: The kernel name this plan was compiled under (``None``: ``auto``)
+    #: — resolution to a concrete backend happens per prepared query,
+    #: where candidate density is known.
+    kernel_policy: Optional[str]
 
     def __repr__(self) -> str:
         return f"MatchPlan({self.algorithm.name}, aux={self.algorithm.aux_scope!r})"
@@ -140,12 +139,12 @@ class MatchRequest:
     """
 
     algorithm: AlgorithmLike = "recommended"
-    kernel: Optional[KernelLike] = None
+    kernel: Optional[str] = None
     match_limit: Optional[int] = DEFAULT_MATCH_LIMIT
     time_limit: Optional[float] = None
     store_limit: int = DEFAULT_STORE_LIMIT
     n_workers: Optional[int] = None
-    #: ``(algorithm, kernel policy)``: what the plan depends on. The prep
+    #: ``(algorithm, kernel)``: what the plan depends on. The prep
     #: cache keys on it, and coalescing on it plus the two caps.
     key: Tuple = field(init=False, repr=False, compare=False)
 
@@ -170,11 +169,13 @@ class MatchRequest:
                 f"'algorithm' must be a preset name, got {algorithm!r}"
             )
         if kernel is not None:
+            if not isinstance(kernel, str):
+                raise GraphFormatError(
+                    f"'kernel' must be null or a registry name, got {kernel!r}"
+                )
             get_kernel(kernel)
-        # Specs are frozen dataclasses and names strings, so either keys
-        # as itself; a backend instance is its own policy.
-        policy = id(kernel) if isinstance(kernel, KernelBackend) else kernel
-        self.key = (algorithm, policy)
+        # Specs are frozen dataclasses and names strings: each keys as itself.
+        self.key = (algorithm, kernel)
 
 
 @dataclass
@@ -186,15 +187,16 @@ class PreparedQuery:
     the value the candidates determine, so one ``PreparedQuery`` can
     serve any number of runs, from any number of threads: it is what a
     :class:`~repro.enumeration.frames.FrameMachine` runs. ``lc`` is the
-    ComputeLC method with its kernel resolved; ``static`` holds a static
-    order's per-depth tables
+    spec's ComputeLC method; ``static`` holds a static order's per-depth
+    tables
     (:meth:`~repro.enumeration.local_candidates.LocalCandidateMethod.static_order`)
     — the universes and translation tables every frame indexes and, for
     Algorithm 5 on bitmap rows, the row tables the frame machine ANDs.
-    The resolved kernel instance rides along inside ``lc``: identity-keyed
-    encode caches (bitset/QFilter layouts over the auxiliary arrays) stay
-    warm across repeats — the "build the index once" amortization of
-    CNI-style data-side indexing.
+    ``kernel`` is the backend Algorithm 5 intersects on (``None`` for the
+    other methods), resolved once from the request's name; its
+    identity-keyed encode caches (bitset/QFilter layouts over the
+    auxiliary arrays) stay warm across repeats — the "build the index
+    once" amortization of CNI-style data-side indexing.
     """
 
     candidates: Any = None
@@ -204,7 +206,7 @@ class PreparedQuery:
     adaptive_state: Any = None
     lc: Any = None
     static: Optional[StaticOrderInfo] = None
-    kernel_used: Optional[str] = None
+    kernel: Optional[KernelBackend] = None
     preprocessing_seconds: float = 0.0
 
 
@@ -309,7 +311,7 @@ def compile_plan(
     algorithm: AlgorithmLike,
     query: Graph,
     data: Graph,
-    kernel: Optional[KernelLike] = None,
+    kernel: Optional[str] = None,
 ) -> MatchPlan:
     """Compile ``(algorithm, query, data)`` into an immutable plan."""
     spec = resolve(algorithm, query, data)
@@ -386,44 +388,10 @@ def _positions(order: List[int]) -> Dict[int, int]:
     return {u: i for i, u in enumerate(order)}
 
 
-def _resolve_lc(
-    lc: Any,
-    aux_scope: str,
-    kernel: Optional[KernelLike],
-    query: Graph,
-    auxiliary: Optional[AuxiliaryStructure],
-    order: Optional[List[int]] = None,
-    adaptive_state: Any = None,
-) -> Tuple[Any, Optional[List[Tuple[int, int]]]]:
-    """``lc`` with its intersection backend resolved, and the auxiliary
-    pairs Algorithm 5 reads (``None`` for other methods and scopes).
-
-    A spec constructed with an explicit kernel keeps it; the stock
-    default is swapped for the kernel policy (an explicit request, the
-    env var, or auto: bitmap rows when a static order can run on them
-    and they fit the byte budget).
-    """
-    if not isinstance(lc, IntersectionLC):
-        return lc, None
-    backward_pairs = None
-    if aux_scope == "all":
-        position = adaptive_state.position if order is None else _positions(order)
-        backward_pairs = _backward_pairs(query, position)
-    if kernel is not None or lc.uses_default_kernel:
-        on_rows = backward_pairs is not None and order is not None
-        with span("kernel.resolve"):
-            backend = get_kernel(
-                kernel,
-                row_bytes=auxiliary.row_bytes(backward_pairs) if on_rows else None,
-            )
-        lc = IntersectionLC(kernel=backend)
-    return lc, backward_pairs
-
-
 def bind_enumeration(
     lc: Any,
     aux_scope: str,
-    kernel: Optional[KernelLike],
+    kernel: Optional[str],
     query: Graph,
     data: Graph,
     candidates: Any,
@@ -434,8 +402,10 @@ def bind_enumeration(
 ) -> PreparedQuery:
     """Everything between ``(candidates, order)`` and a runnable engine.
 
-    Scopes the auxiliary structure, resolves the intersection backend for
-    the Algorithm 5 hot path, and builds a static order's tables once
+    Scopes the auxiliary structure, resolves the ``kernel`` name into the
+    backend Algorithm 5 intersects on (``auto``: bitmap rows when a static
+    order reads them and they fit the byte budget, numpy otherwise), and
+    builds a static order's tables once
     (``PreparedQuery.static``) — which binds exactly the auxiliary pairs
     enumeration reads, in the form it reads them (row tables for mask
     frames, arrays otherwise).
@@ -454,11 +424,17 @@ def bind_enumeration(
         auxiliary = AuxiliaryStructure.build(
             query, data, candidates, scope=aux_scope, tree=tree
         )
-    lc, backward_pairs = _resolve_lc(
-        lc, aux_scope, kernel, query, auxiliary, order, adaptive_state
-    )
-    # The result names the backend Algorithm 5 runs on.
-    kernel_used = lc.kernel.name if isinstance(lc, IntersectionLC) else None
+    backend = backward_pairs = None
+    if isinstance(lc, IntersectionLC):
+        if aux_scope == "all":
+            position = adaptive_state.position if order is None else _positions(order)
+            backward_pairs = _backward_pairs(query, position)
+        on_rows = backward_pairs is not None and order is not None
+        with span("kernel.resolve"):
+            backend = get_kernel(
+                kernel,
+                row_bytes=auxiliary.row_bytes(backward_pairs) if on_rows else None,
+            )
     static = None
     if order is not None:
         static = lc.static_order(
@@ -468,6 +444,7 @@ def bind_enumeration(
             auxiliary,
             order,
             tree.parent if tree is not None else None,
+            backend,
         )
     elif backward_pairs is not None:
         auxiliary.build_arrays(backward_pairs)  # the adaptive selector's reads
@@ -479,7 +456,7 @@ def bind_enumeration(
         adaptive_state=adaptive_state,
         lc=lc,
         static=static,
-        kernel_used=kernel_used,
+        kernel=backend,
     )
 
 
@@ -544,7 +521,7 @@ def race_orders(
     ``prepared`` itself when the race runs over it. Every other racer
     orders the same candidates and binds onto the same auxiliary
     structure, filling the holes of the row tables it shares with the
-    others. A racer whose order the plan's kernel policy would run on
+    others. A racer whose order the plan's kernel name would run on
     another kernel (say, bitmap rows over the byte budget) sits out, and
     so does one whose order and failing sets were already raced.
 
@@ -590,12 +567,13 @@ def race_orders(
             if (tuple(order), fs) in seen:
                 continue
             seen.add((tuple(order), fs))
-            lc, _ = _resolve_lc(spec.lc, spec.aux_scope, plan.kernel_policy, query, aux, order)
-            if lc.kernel.name != prepared.kernel_used:
+            row_bytes = aux.row_bytes(_backward_pairs(query, _positions(order)))
+            backend = get_kernel(plan.kernel_policy, row_bytes=row_bytes)
+            if backend.name != prepared.kernel.name:
                 continue
             racer = bind_enumeration(
-                lc, spec.aux_scope, None, query, data, prepared.candidates,
-                order=order, auxiliary=aux,
+                spec.lc, spec.aux_scope, plan.kernel_policy, query, data,
+                prepared.candidates, order=order, auxiliary=aux,
             )
             racers.append((name, fs, racer))
             sampled += is_sample
@@ -713,7 +691,8 @@ def run_plan(
             and root_window is None
             and parallel.eligible(prepared)
         )
-        with span("enumerate", kernel=prepared.kernel_used) as enum_span:
+        kernel = prepared.kernel.name if prepared.kernel is not None else None
+        with span("enumerate", kernel=kernel) as enum_span:
             outcome = None
             if use_parallel:
                 from repro.parallel.pool import ParallelUnavailable
@@ -767,7 +746,7 @@ def run_plan(
         # A copy: the prepared order may be cached and served to later
         # runs, so the result must not alias it.
         order=list(prepared.order) if prepared.order is not None else None,
-        kernel=prepared.kernel_used,
+        kernel=kernel,
         preprocessing_seconds=preprocessing_seconds,
         enumeration_seconds=outcome.elapsed,
         candidate_average=getattr(prepared.candidates, "average_size", None),

@@ -7,9 +7,9 @@ rebuilds everything per call; a :class:`MatchSession` instead owns the
 data graph plus the state that amortizes across queries:
 
 * a **prepared-query cache** — each entry the query's compiled
-  :class:`~repro.core.plan.MatchPlan` (resolved spec + kernel policy),
+  :class:`~repro.core.plan.MatchPlan` (resolved spec + kernel name),
   its full preprocessing artifacts (candidates, auxiliary
-  adjacency, matching order, the resolved kernel with its warm encode
+  adjacency, matching order, the resolved backend with its warm encode
   caches) and its order race's winner, if any, LRU-keyed by *exact*
   graph equality, so repeating a query skips compilation, filtering and
   ordering entirely and goes straight to enumeration;
@@ -54,7 +54,6 @@ from repro.core.plan import (
     DEFAULT_MATCH_LIMIT,
     DEFAULT_STORE_LIMIT,
     AlgorithmLike,
-    KernelLike,
     LRUCache,
     MatchRequest,
     compile_plan,
@@ -118,8 +117,9 @@ class MatchSession:
     algorithm:
         Default algorithm for :meth:`match` calls that don't name one.
     kernel:
-        Default intersection-backend request (see
-        :func:`repro.core.api.match`); per-call ``kernel=`` wins.
+        Default intersection-backend name (see
+        :func:`repro.core.api.match`) for every call and for the standing
+        queries of :meth:`subscribe`; per-call ``kernel=`` wins.
     prep_cache_size:
         LRU capacity for prepared queries (``None`` unbounded, ``0``
         off). Disable for measurement harnesses that must observe real
@@ -173,7 +173,7 @@ class MatchSession:
         self,
         data: GraphSource,
         algorithm: AlgorithmLike = "recommended",
-        kernel: Optional[KernelLike] = None,
+        kernel: Optional[str] = None,
         prep_cache_size: Optional[int] = 64,
         n_workers: Optional[int] = None,
     ) -> None:
@@ -208,7 +208,7 @@ class MatchSession:
         # races one defers the release to the last guard exit.
         self._inflight_parallel = 0
         self._close_deferred = False
-        # (algorithm, kernel policy, epoch, exact query) ->
+        # (algorithm, kernel, epoch, exact query) ->
         # (plan, prepared or None, race winner or None)
         self._prep = LRUCache(prep_cache_size)
         #: Session-wide counters: queries served and cache hits/misses,
@@ -337,7 +337,7 @@ class MatchSession:
     def _request(
         self,
         algorithm: Optional[AlgorithmLike],
-        kernel: Optional[KernelLike],
+        kernel: Optional[str],
         match_limit: Optional[int],
         time_limit: Optional[float],
         store_limit: int,
@@ -361,7 +361,7 @@ class MatchSession:
         time_limit: Optional[float] = None,
         store_limit: int = DEFAULT_STORE_LIMIT,
         validate: bool = True,
-        kernel: Optional[KernelLike] = None,
+        kernel: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
         n_workers: Optional[int] = None,
     ) -> MatchResult:
@@ -482,7 +482,7 @@ class MatchSession:
         time_limit: Optional[float] = None,
         store_limit: int = DEFAULT_STORE_LIMIT,
         validate: bool = True,
-        kernel: Optional[KernelLike] = None,
+        kernel: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
         n_workers: Optional[int] = None,
     ) -> List[MatchResult]:
@@ -505,7 +505,7 @@ class MatchSession:
         time_limit: Optional[float] = None,
         store_limit: int = 0,
         validate: bool = True,
-        kernel: Optional[KernelLike] = None,
+        kernel: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
         n_workers: Optional[int] = None,
     ) -> int:
@@ -527,7 +527,7 @@ class MatchSession:
         algorithm: Optional[AlgorithmLike] = None,
         time_limit: Optional[float] = None,
         validate: bool = True,
-        kernel: Optional[KernelLike] = None,
+        kernel: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
         n_workers: Optional[int] = None,
     ) -> bool:
@@ -622,7 +622,7 @@ class MatchSession:
         :meth:`mutate` outcome carries its exact embedding delta.
         """
         dynamic = self._require_dynamic()
-        if kernel is None and isinstance(self.kernel, str):
+        if kernel is None:
             kernel = self.kernel
         with self._mutate_lock:
             sub = Subscription(

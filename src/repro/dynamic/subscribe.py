@@ -64,8 +64,8 @@ class Subscription:
     data:
         The resident :class:`DynamicGraph`.
     kernel:
-        Intersection-kernel registry name for the enumeration (``None``
-        defers to ``REPRO_KERNEL`` / the auto rule).
+        Intersection-kernel registry name for the enumeration (``None``:
+        the auto rule).
     match_limit:
         Safety cap on stored embeddings; exceeding it raises rather
         than silently truncating the standing result set. Each

@@ -45,6 +45,7 @@ from repro.enumeration.support import (
     EmbeddingStore,
 )
 from repro.ordering.dpiso import DPisoAdaptiveState
+from repro.utils.kernels import KernelBackend, ScalarKernel
 from repro.utils.timer import Deadline, Timer
 
 __all__ = ["BacktrackingEngine"]
@@ -66,6 +67,9 @@ class BacktrackingEngine:
     adaptive:
         When given, ignore the static order and run DP-iso's adaptive
         extendable-vertex selection against this state.
+    kernel:
+        The intersection backend Algorithm 5 runs on (default: the
+        paper's scalar hybrid).
     """
 
     def __init__(
@@ -73,10 +77,12 @@ class BacktrackingEngine:
         lc_method: LocalCandidateMethod,
         use_failing_sets: bool = False,
         adaptive: Optional[DPisoAdaptiveState] = None,
+        kernel: Optional[KernelBackend] = None,
     ) -> None:
         self.lc_method = lc_method
         self.use_failing_sets = use_failing_sets
         self.adaptive = adaptive
+        self.kernel = ScalarKernel() if kernel is None else kernel
 
     # ------------------------------------------------------------------
 
@@ -110,6 +116,7 @@ class BacktrackingEngine:
             candidates=candidates,
             auxiliary=auxiliary,
             mapping=[-1] * n,
+            kernel=self.kernel,
         )
         self.lc_method.prepare(ctx)
         ctx.candidates = universe_sets(query, data, candidates)

@@ -121,8 +121,9 @@ class FrameMachine:
     """Iterative Algorithm 1: frames instead of recursion.
 
     Runs one :class:`~repro.core.plan.PreparedQuery` — its candidates,
-    auxiliary structure, ComputeLC method and either its static order's
-    tables (``prepared.static``) or its adaptive state — with the same
+    auxiliary structure, ComputeLC method, intersection backend and either
+    its static order's tables (``prepared.static``) or its adaptive state
+    — with the same
     embeddings and counters as the recursive reference
     (:mod:`repro.enumeration.engine`) over the same artifacts.
     Additionally exposes the incremental :meth:`start` / :meth:`advance`
@@ -249,6 +250,7 @@ class FrameMachine:
             candidates=candidates,
             auxiliary=prepared.auxiliary,
             mapping=self._mapping,
+            kernel=prepared.kernel,
         )
         prepared.lc.prepare(ctx)
 

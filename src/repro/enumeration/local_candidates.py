@@ -33,6 +33,11 @@ the auxiliary pairs the method will read. Algorithm 5 under the ``rows``
 kernel additionally binds the per-depth row tables (filled on first
 read): there the local candidates of a node are the AND of a few
 integers and ``compute`` is never called.
+
+Like the methods themselves, Algorithm 5 holds no intersection backend:
+the backend belongs to the prepared query it runs
+(:func:`~repro.core.plan.bind_enumeration` resolves the request's kernel
+name once), and reaches ``compute`` as ``ctx.kernel``.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.filtering.base import ldf_candidates_for
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
-from repro.utils.kernels import KernelLike, RowsKernel, ScalarKernel, get_kernel
+from repro.utils.kernels import KernelBackend, RowsKernel
 
 __all__ = [
     "LCContext",
@@ -74,7 +79,9 @@ class LCContext:
     what :meth:`LocalCandidateMethod.prepare` validates — the plan's sets,
     ``None`` for direct-enumeration algorithms — and, once the engine has
     substituted them, the universes ``U(u)`` every method answers inside
-    (:func:`universe_sets`). ``auxiliary`` may be ``None``.
+    (:func:`universe_sets`). ``auxiliary`` may be ``None``. ``kernel`` is
+    the intersection backend Algorithm 5 runs on (``None`` for the other
+    methods, which intersect nothing).
     """
 
     query: Graph
@@ -82,6 +89,7 @@ class LCContext:
     candidates: Optional[CandidateSets]
     auxiliary: Optional[AuxiliaryStructure]
     mapping: List[int]
+    kernel: Optional[KernelBackend] = None
 
 
 def universe_sets(
@@ -149,8 +157,7 @@ class StaticOrderInfo:
 
     ``compiled`` caches, per failing-sets flag, the specialised search
     :mod:`repro.enumeration.compiled` generates for these tables (``None``
-    after the first run, which runs the generic search); it never
-    travels in a pickle.
+    after the first run, which runs the generic search).
     """
 
     __slots__ = (
@@ -181,13 +188,6 @@ class StaticOrderInfo:
         self.ones: Optional[List[int]] = None
         self.rows: Optional[List[Tuple[Tuple[int, List[int]], ...]]] = None
         self.compiled: Optional[Dict[bool, Optional[Callable[..., None]]]] = None
-
-    def __getstate__(self) -> tuple:
-        # The row tables are the auxiliary structure's own lists, which
-        # its pickle fills (a prepared query pickles it first).
-        state = {name: getattr(self, name) for name in self.__slots__}
-        state["compiled"] = None  # generated code: recompiled where it lands
-        return None, state
 
 
 def prepare_static_order(
@@ -250,12 +250,14 @@ class LocalCandidateMethod(ABC):
         auxiliary: Optional[AuxiliaryStructure],
         order: Sequence[int],
         tree_parent: Optional[Sequence[int]] = None,
+        kernel: Optional[KernelBackend] = None,
     ) -> StaticOrderInfo:
         """The static-order artifacts of one prepared query: built once,
         when the query is prepared, and read by every later run of it.
         Binds the auxiliary pairs this method reads in the form it reads
-        them; ``self`` is left untouched, so spec-level methods stay
-        shared between queries and threads."""
+        them (under ``kernel``, the prepared query's backend); ``self`` is
+        left untouched, so spec-level methods stay shared between queries
+        and threads."""
         static = prepare_static_order(query, list(order), tree_parent)
         static.universes = universes = universe_sets(query, data, candidates)
         order = static.order
@@ -271,7 +273,7 @@ class LocalCandidateMethod(ABC):
             for depth, u in enumerate(order)
         ]
         if candidates is not None and auxiliary is not None:
-            self._materialize(static, candidates, auxiliary)
+            self._materialize(static, candidates, auxiliary, kernel)
         return static
 
     def _materialize(
@@ -279,6 +281,7 @@ class LocalCandidateMethod(ABC):
         static: StaticOrderInfo,
         candidates: CandidateSets,
         auxiliary: AuxiliaryStructure,
+        kernel: Optional[KernelBackend],
     ) -> None:
         """Build what ``compute`` will read from ``auxiliary`` under
         ``static`` (methods that read nothing build nothing)."""
@@ -427,6 +430,7 @@ class TreeAdjacencyLC(LocalCandidateMethod):
         static: StaticOrderInfo,
         candidates: CandidateSets,
         auxiliary: AuxiliaryStructure,
+        kernel: Optional[KernelBackend],
     ) -> None:
         auxiliary.build_arrays(
             (parent, u)
@@ -456,21 +460,12 @@ class TreeAdjacencyLC(LocalCandidateMethod):
 class IntersectionLC(LocalCandidateMethod):
     """Algorithm 5: intersect candidate adjacency over all backward neighbors.
 
-    ``kernel`` selects the intersection backend, in one of three forms:
-
-    * ``None`` (default) — the paper's scalar hybrid merge/galloping
-      method. :func:`repro.core.api.match` swaps in the session's
-      resolved :class:`~repro.utils.kernels.KernelBackend` for this
-      default; an explicitly passed kernel is never overridden.
-    * a registered backend name (``"scalar"``, ``"numpy"``, ``"bitset"``,
-      ``"qfilter"``, ``"rows"``, ``"auto"``) — resolved via
-      :func:`repro.utils.kernels.get_kernel`.
-    * a :class:`~repro.utils.kernels.KernelBackend` instance. The caching
-      backends (``bitset``, ``qfilter``) intersect in their packed domain
-      and encode-cache the long-lived auxiliary lists, which is how
-      Figure 10 models QFilter's one-time layout conversion.
-
-    Anything else raises :class:`~repro.errors.ConfigurationError`.
+    The intersection runs on ``ctx.kernel``, the backend of the prepared
+    query (:func:`~repro.core.plan.bind_enumeration` resolves the
+    request's kernel name into it). The caching backends (``bitset``,
+    ``qfilter``) intersect in their packed domain and encode-cache the
+    long-lived auxiliary lists, which is how Figure 10 models QFilter's
+    one-time layout conversion.
 
     Under a :class:`~repro.utils.kernels.RowsKernel` and a static order
     the method *answers in mask form*: binding fills the
@@ -484,18 +479,12 @@ class IntersectionLC(LocalCandidateMethod):
     needs_candidates = True
     needs_auxiliary = True
 
-    def __init__(self, kernel: Optional[KernelLike] = None) -> None:
-        #: True when no kernel was requested, letting ``match(kernel=...)``
-        #: substitute the session backend without clobbering an explicit
-        #: choice.
-        self.uses_default_kernel = kernel is None
-        self.kernel = ScalarKernel() if kernel is None else get_kernel(kernel)
-
     def _materialize(
         self,
         static: StaticOrderInfo,
         candidates: CandidateSets,
         auxiliary: AuxiliaryStructure,
+        kernel: Optional[KernelBackend],
     ) -> None:
         order = static.order
         pairs = [
@@ -503,7 +492,7 @@ class IntersectionLC(LocalCandidateMethod):
         ]
         if not all(auxiliary.has_pair(w, u) for w, u in pairs):
             return  # mis-scoped structure: the read raises, as it always did
-        if not isinstance(self.kernel, RowsKernel):
+        if not isinstance(kernel, RowsKernel):
             auxiliary.build_arrays(pairs)
             return
         static.ones = [(1 << candidates.size(u)) - 1 for u in order]
@@ -529,4 +518,4 @@ class IntersectionLC(LocalCandidateMethod):
             aux.neighbors(w, u, mapping[w])  # type: ignore[union-attr]
             for w in backward
         ]
-        return self.kernel.multi_intersect(lists)
+        return ctx.kernel.multi_intersect(lists)  # type: ignore[union-attr]

@@ -56,8 +56,8 @@ def iter_matches(
     """Yield matches lazily as ``{query_vertex: data_vertex}`` dicts.
 
     ``kernel`` selects the intersection backend by registry name (see
-    :func:`repro.utils.kernels.available_kernels`); ``None`` defers to
-    ``REPRO_KERNEL`` / the auto rule.
+    :func:`repro.utils.kernels.available_kernels`); ``None`` is the auto
+    rule.
 
     >>> from repro.graph import Graph
     >>> from itertools import islice

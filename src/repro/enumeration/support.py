@@ -152,7 +152,8 @@ class AdaptiveSelector:
     neighbors (under the δ order), so it is memoized per vertex keyed by
     that mapping tuple; the estimated-work score rides along. Both engines
     share one selector implementation, which keeps their selection — and
-    therefore their whole search trees — identical.
+    therefore their whole search trees — identical. It computes in the
+    engine's ``ctx``, so Algorithm 5 intersects on ``ctx.kernel``.
     """
 
     __slots__ = (

@@ -46,7 +46,8 @@ is a scan of its own, run when first read.
 The data graph is referenced *weakly*: a prepared query sits in caches
 long after its request, and must not keep a replaced snapshot (or a
 worker's shared-memory mapping) alive. A build after the graph is gone
-fails with a ``ReferenceError``, so a pickle fills every hole first.
+fails with a ``ReferenceError``. A structure never crosses a process
+boundary: a worker prepares its own from the plan, query and order.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ Scope = Literal["none", "tree", "all"]
 Pair = Tuple[int, int]
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _gone() -> None:
-    """A dead graph reference (what an unpickled structure holds)."""
-    return None
 
 
 class AuxiliaryStructure:
@@ -338,22 +334,6 @@ class AuxiliaryStructure:
     def memory_bytes(self) -> int:
         """Estimated footprint at 8 bytes per stored endpoint."""
         return 8 * self.num_entries
-
-    def __getstate__(self) -> dict:
-        # A weak reference cannot cross a process boundary, and the copy of
-        # the graph that would travel has no owner on the other side: read
-        # everything from it here, then ship without it.
-        for (u_from, u_to), table in list(self._rows.items()):
-            self.fill(u_from, u_to, table)
-        self.num_entries
-        return {
-            name: getattr(self, name) for name in self.__slots__ if name != "_data"
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._data = _gone
 
     def __repr__(self) -> str:
         return (

@@ -20,8 +20,8 @@ Cache keying: unpickled ``AlgorithmSpec`` instances never compare equal
 and flags) — plus the order, the exact query graph (hash/eq over CSR
 bytes) and the data segment name. Two keys that are equal prepare
 identical artifacts by construction: every registry filter and ComputeLC
-is parameterless, ad-hoc components are distinguished by class (and
-kernels additionally by registry name), and the order is given.
+is parameterless, ad-hoc components are distinguished by class, the
+kernel is a registry name, and the order is given.
 """
 
 from __future__ import annotations
@@ -94,22 +94,13 @@ def _attach_graph(handle: SharedGraphHandle) -> Graph:
 
 
 def _component_token(component: object) -> Optional[str]:
-    if component is None:
-        return None
-    token = type(component).__name__
-    kernel = getattr(component, "kernel", None)
-    if kernel is not None:
-        token += f"[{type(kernel).__name__}:{getattr(kernel, 'name', '?')}]"
-    return token
+    return None if component is None else type(component).__name__
 
 
 def _plan_token(plan: MatchPlan) -> tuple:
     """Structural identity of a plan, stable across pickling. The
     ordering is left out: the chunk's order stands in for it."""
     spec = plan.algorithm
-    kernel = plan.kernel_policy
-    if kernel is not None and not isinstance(kernel, str):
-        kernel = f"{type(kernel).__name__}:{getattr(kernel, 'name', '?')}"
     tree = spec.tree_source
     tree_token = getattr(tree, "__qualname__", None) if tree else None
     return (
@@ -120,7 +111,7 @@ def _plan_token(plan: MatchPlan) -> tuple:
         spec.aux_scope,
         spec.adaptive,
         spec.failing_sets,
-        kernel,
+        plan.kernel_policy,
     )
 
 

@@ -79,7 +79,6 @@ from repro.core.plan import (
     DEFAULT_MATCH_LIMIT,
     DEFAULT_STORE_LIMIT,
     AlgorithmLike,
-    KernelLike,
     MatchRequest,
     validate_query,
 )
@@ -420,7 +419,7 @@ class MatchService:
         graph: str = "default",
         tenant: str = "public",
         algorithm: Optional[AlgorithmLike] = None,
-        kernel: Optional[KernelLike] = None,
+        kernel: Optional[str] = None,
         match_limit: Optional[int] = DEFAULT_MATCH_LIMIT,
         store_limit: int = DEFAULT_STORE_LIMIT,
         budget: Optional[float] = None,

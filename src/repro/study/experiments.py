@@ -184,7 +184,7 @@ def time_order(
     """Enumeration milliseconds of ``order``; ``None`` if the limit kills it.
 
     The optimized GQL configuration of Section 5.3 (Algorithm 5 over the
-    full candidate space) on the engine and ``auto`` kernel policy every
+    full candidate space) on the engine and ``auto`` kernel every
     preset runs with, wired by :func:`~repro.core.plan.bind_enumeration`;
     only the search itself is timed, so orders compared on one candidate
     space differ in nothing but the ordering axis (and ``failing_sets``,

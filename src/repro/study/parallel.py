@@ -18,9 +18,9 @@ runner is for users who want answers, not measurements — e.g. scanning a
 large workload for hard queries.
 
 Algorithms may be preset names, ``"GLW"``, or explicit
-:class:`~repro.core.spec.AlgorithmSpec` instances — specs (and the plans
-compiled from them) pickle since the kernels learned to drop their
-identity-keyed caches at the process boundary.
+:class:`~repro.core.spec.AlgorithmSpec` instances — a spec holds no
+kernel (a kernel is a name on the request), so it pickles as plain
+components.
 """
 
 from __future__ import annotations

@@ -242,8 +242,8 @@ def run_algorithm_on_set(
     """Run one algorithm over every query of a set, collecting Section 4
     metrics. ``algorithm`` may be any preset name, an
     :class:`AlgorithmSpec`, or ``"GLW"`` for the Glasgow solver.
-    ``kernel`` pins the intersection backend for every query (default:
-    ``REPRO_KERNEL`` / the auto rule).
+    ``kernel`` names the intersection backend for every query (default:
+    the auto rule).
 
     The whole set runs through one :class:`~repro.core.session.MatchSession`
     in measurement mode: the data graph stays resident, but nothing of

@@ -22,12 +22,12 @@ registry name:
   actually intersected (bit ``j`` = the ``j``-th candidate of ``C(u)``),
   which the auxiliary structure stores and the frame machine ANDs.
 
-Backends are resolved by name through :func:`get_kernel`; ``"auto"``
-(the default, also the ``REPRO_KERNEL`` environment fallback) picks the
-rows whenever the caller states how many bytes the rows it will read
-take and that fits the bitset byte budget (:data:`BITSET_CACHE_BYTES`,
-dense rows cost ``|C(w)|·|C(u)|/8`` bytes per directed pair), and the
-numpy hybrid otherwise.
+A kernel is a registry name, resolved through :func:`get_kernel`;
+:func:`register_kernel` is how a custom backend enters. ``"auto"`` (the
+default) picks the rows whenever the caller states how many bytes the
+rows it will read take and that fits the bitset byte budget
+(:data:`BITSET_CACHE_BYTES`, dense rows cost ``|C(w)|·|C(u)|/8`` bytes
+per directed pair), and the numpy hybrid otherwise.
 
 All kernels expect **sorted, duplicate-free arrays (or lists) of
 non-negative ints** and return sorted results: ``scalar`` and ``qfilter``
@@ -36,11 +36,10 @@ return lists, the numpy-backed kernels ``int64`` arrays.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +51,6 @@ __all__ = [
     "intersect_hybrid",
     "multi_intersect",
     "KernelBackend",
-    "KernelLike",
     "ScalarKernel",
     "NumpyKernel",
     "BitsetKernel",
@@ -600,22 +598,15 @@ def _auto_backend(row_bytes: Optional[int]) -> KernelBackend:
     return NumpyKernel()
 
 
-#: The two spellable forms of a kernel request; ``None`` (everywhere
-#: ``Optional[KernelLike]``) defers to ``REPRO_KERNEL``, then ``"auto"``.
-KernelLike = Union[str, KernelBackend]
-
-
 def get_kernel(
-    name: Optional[KernelLike] = None, *, row_bytes: Optional[int] = None
+    name: Optional[str] = None, *, row_bytes: Optional[int] = None
 ) -> KernelBackend:
-    """Resolve a backend by name.
+    """Resolve a backend by registry name (``None`` is ``"auto"``).
 
-    ``None`` falls back to the ``REPRO_KERNEL`` environment variable, then
-    to ``"auto"``. ``"auto"`` returns :class:`RowsKernel` when the caller
-    passes the size of the rows it would read (``row_bytes``) and that
-    fits :data:`BITSET_CACHE_BYTES`, :class:`NumpyKernel` otherwise.
-    Backend instances pass through unchanged. Unknown names, and values
-    that are none of the three accepted forms, raise
+    ``"auto"`` returns :class:`RowsKernel` when the caller passes the size
+    of the rows it would read (``row_bytes``) and that fits
+    :data:`BITSET_CACHE_BYTES`, :class:`NumpyKernel` otherwise. Unknown
+    names, and values that are not names, raise
     :class:`~repro.errors.ConfigurationError`.
 
     >>> get_kernel("scalar").name
@@ -623,14 +614,11 @@ def get_kernel(
     >>> get_kernel("numpy").multi_intersect([[1, 2, 3], [2, 3, 4]]).tolist()
     [2, 3]
     """
-    if isinstance(name, KernelBackend):
-        return name
     if name is None:
-        name = os.environ.get("REPRO_KERNEL") or "auto"
+        name = "auto"
     if not isinstance(name, str):
         raise ConfigurationError(
-            "kernel must be None, a registry name or a KernelBackend "
-            f"instance, got {name!r}"
+            f"kernel must be None or a registry name, got {name!r}"
         )
     key = name.strip().lower()
     if key == "auto":

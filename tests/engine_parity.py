@@ -18,14 +18,15 @@ from repro.enumeration import BacktrackingEngine, FrameMachine
 from repro.obs import Metrics
 
 
-def bind(lc, query, data, candidates, auxiliary, order) -> PreparedQuery:
+def bind(lc, query, data, candidates, auxiliary, order, kernel=None) -> PreparedQuery:
     """The prepared query of a ComputeLC method over hand-built artifacts,
     wired by ``bind_enumeration`` onto ``auxiliary`` (``None``: no
-    structure). An Algorithm 5 method keeps its own kernel."""
+    structure); Algorithm 5 intersects on the backend the registry name
+    ``kernel`` resolves to (``None``: ``auto``)."""
     return bind_enumeration(
         lc,
         "none" if auxiliary is None else auxiliary.scope,
-        getattr(lc, "kernel", None),
+        kernel,
         query,
         data,
         candidates,
@@ -53,7 +54,10 @@ def run_both(
     tree = prepared.tree
     fs = plan.algorithm.failing_sets
     reference = BacktrackingEngine(
-        prepared.lc, use_failing_sets=fs, adaptive=prepared.adaptive_state
+        prepared.lc,
+        use_failing_sets=fs,
+        adaptive=prepared.adaptive_state,
+        kernel=prepared.kernel,
     ).run(
         query,
         data,

@@ -12,8 +12,7 @@ import pytest
 
 from fixtures import PAPER_DATA, PAPER_QUERY
 
-from repro.core import get_algorithm, match
-from repro.enumeration import IntersectionLC
+from repro.core import MatchSession, get_algorithm, match
 from repro.graph import extract_query, rmat_graph
 
 KERNELS = ["scalar", "numpy", "bitset", "qfilter", "rows"]
@@ -56,13 +55,16 @@ class TestPaperFixture:
         result = match(PAPER_QUERY, PAPER_DATA, algorithm="CECI")
         assert result.kernel in KERNELS
 
-    def test_spec_with_its_own_kernel_records_it(self):
-        # How Figure 10 builds its series: the kernel rides in the spec,
-        # no kernel= argument — the result still names what ALG5 ran on.
-        spec = dataclasses.replace(
-            get_algorithm("GQL-opt"), lc=IntersectionLC(kernel="qfilter")
-        )
-        assert match(PAPER_QUERY, PAPER_DATA, algorithm=spec).kernel == "qfilter"
+    def test_request_kernel_records_it(self):
+        # How Figure 10 builds its series: one spec, the kernel named on
+        # each request (here also as a session default) — the result
+        # names what ALG5 ran on.
+        spec = dataclasses.replace(get_algorithm("GQL-opt"), name="GQL-custom")
+        result = match(PAPER_QUERY, PAPER_DATA, algorithm=spec, kernel="qfilter")
+        assert result.kernel == "qfilter"
+        session = MatchSession(PAPER_DATA, algorithm=spec, kernel="bitset")
+        assert session.match(PAPER_QUERY).kernel == "bitset"
+        assert session.match(PAPER_QUERY, kernel="scalar").kernel == "scalar"
 
     def test_non_intersection_algorithm_records_none(self):
         result = match(PAPER_QUERY, PAPER_DATA, algorithm="QSI", kernel="numpy")

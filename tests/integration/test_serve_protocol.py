@@ -242,7 +242,9 @@ class TestServeProtocol:
         assert spent["code"] == "DeadlineExceededError"
         assert alive["ok"]
 
-    def test_malformed_kernel_answers_configuration_error(self, service, query):
+    def test_malformed_kernel_answers_a_typed_error(self, service, query):
+        # A kernel is a registry name: a non-string is malformed, as a
+        # non-string algorithm is; an unknown name is a configuration error.
         request = {"op": "match", "graph": "g", "query": graph_to_payload(query)}
 
         async def scenario(server):
@@ -255,7 +257,7 @@ class TestServeProtocol:
 
         not_a_name, unknown, alive = run(with_server(service, scenario))
         assert not not_a_name["ok"] and not unknown["ok"]
-        assert not_a_name["code"] == "ConfigurationError"
+        assert not_a_name["code"] == "GraphFormatError"
         assert unknown["code"] == "ConfigurationError"
         assert alive["ok"]
 
@@ -271,7 +273,7 @@ class TestServeProtocol:
             ("tenant", ["a"], "GraphFormatError"),
             ("algorithm", 5, "GraphFormatError"),
             ("algorithm", "nope", "ConfigurationError"),
-            ("kernel", 5, "ConfigurationError"),
+            ("kernel", 5, "GraphFormatError"),
             ("kernel", "nope", "ConfigurationError"),
         ],
     )

@@ -11,12 +11,11 @@ same matches, the same embeddings in the same order and all five
 counters. The rest pins the policy around them: the first run is
 generic and the second specialised, one generic search serves every
 order of a size, a 10 ms budget stops a multi-second search, an order
-past the nesting limit stays interpreted, pickles drop the specialised
-search, threads racing either compile agree, and the ``enumerate`` span
+past the nesting limit stays interpreted, threads racing either compile
+agree, and the ``enumerate`` span
 and counters say which run paid a compile.
 """
 
-import pickle
 import sys
 import threading
 import time
@@ -53,9 +52,9 @@ def _prepared(algorithm, query, data):
     return prepared
 
 
-def _fresh(prepared):
-    """A copy of ``prepared`` no run has seen (pickles drop the search)."""
-    return pickle.loads(pickle.dumps(prepared))
+def _fresh(query, data):
+    """The ``heavy`` query prepared again: a prepared query no run has seen."""
+    return _prepared("GQL-opt", query, data)
 
 
 def _machine(prepared, fs):
@@ -208,7 +207,7 @@ def test_a_cancel_after_k_polls_stops_at_the_same_node(heavy, polls, fs, store_l
 
 def test_the_second_run_compiles(heavy):
     query, data, prepared = heavy
-    prepared = _fresh(prepared)
+    prepared = _fresh(query, data)
     limits = dict(match_limit=3000, store_limit=40)
     first = _run(prepared, query, data, False, **limits)
     second = _run(prepared, query, data, False, **limits)
@@ -279,22 +278,9 @@ def test_an_order_past_the_nesting_limit_runs_interpreted(size):
     assert [outcome for _, outcome in runs] == [expected, expected]
 
 
-def test_pickling_drops_the_compiled_search(heavy):
-    query, data, prepared = heavy
-    limits = dict(match_limit=500, store_limit=500)
-    expected = _compiled(prepared, query, data, False, **limits)
-    assert prepared.static.compiled[False] is not None
-    copy = pickle.loads(pickle.dumps(prepared))
-    assert copy.static.compiled is None
-    assert prepared.static.compiled[False] is not None
-    # The copy starts over: a first sighting, then its own compile.
-    assert _run(copy, query, data, False, **limits) == ("generic", expected)
-    assert _run(copy, query, data, False, **limits) == ("specialised", expected)
-
-
 def test_threads_racing_the_compile_agree(heavy):
     query, data, prepared = heavy
-    prepared = _fresh(prepared)
+    prepared = _fresh(query, data)
     limits = dict(match_limit=2000, store_limit=100)
     expected = _interpreted(prepared, query, data, True, **limits)
     _run(prepared, query, data, True, **limits)  # the first sighting

@@ -105,12 +105,13 @@ def test_every_candidate_producer_is_label_homogeneous(seed):
 
     for algorithm in ("GQL", "DP", "QSI"):
         plan = compile_plan(algorithm, query, data)
-        prepared = pickle.loads(pickle.dumps(prepare_query(plan, query, data, Metrics())))
+        prepared = prepare_query(plan, query, data, Metrics())
         if prepared.candidates is not None:
-            _assert_homogeneous(query, data, prepared.candidates, algorithm + " pickled")
+            sets = pickle.loads(pickle.dumps(prepared.candidates))
+            _assert_homogeneous(query, data, sets, algorithm + " pickled")
         if prepared.static is not None:
             _assert_homogeneous(
-                query, data, prepared.static.universes, algorithm + " pickled universes"
+                query, data, prepared.static.universes, algorithm + " universes"
             )
 
 

@@ -52,7 +52,7 @@ def test_filled_slots_and_completed_tables_equal_the_definition(
         return  # no connected walk that large
     plan = compile_plan(algorithm, query, data, kernel=kernel)
     prepared = prepare_query(plan, query, data, Metrics())
-    assert prepared.kernel_used == "rows"
+    assert prepared.kernel.name == "rows"
     candidates, aux, static = prepared.candidates, prepared.auxiliary, prepared.static
     tables = [
         (w, u, table)

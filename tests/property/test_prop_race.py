@@ -225,7 +225,7 @@ def _true_calls(plan, query, data, prepared, limit, configurations=None):
             spec.lc, spec.aux_scope, plan.kernel_policy, query, data,
             prepared.candidates, order=order,
         )
-        if bound.kernel_used != prepared.kernel_used:
+        if bound.kernel.name != prepared.kernel.name:
             continue
         racer = replace(plan, algorithm=replace(spec, failing_sets=fs))
         result, _ = run_plan(racer, query, data, prepared=bound,
@@ -326,7 +326,7 @@ def _old_race(plan, query, data, prepared, calls, limit):
             prepared.candidates,
             order=ORDERINGS.create(name).order(query, data, prepared.candidates),
         )
-        if bound.kernel_used != prepared.kernel_used:
+        if bound.kernel.name != prepared.kernel.name:
             continue
         budget, polls = fewest, []
 
@@ -622,7 +622,7 @@ def test_a_racer_refused_rows_sits_out(dense, monkeypatch):
     data, queries = dense
     for query in queries:
         plan, prepared, _, _ = _incumbent(query, data, None)
-        assert prepared.kernel_used == "rows"
+        assert prepared.kernel.name == "rows"
         aux = prepared.auxiliary
         budget = aux.row_bytes(_backward_pairs(query, prepared.order))
         # Distinct (order, failing sets) configurations other than the
@@ -646,7 +646,7 @@ def test_a_racer_refused_rows_sits_out(dense, monkeypatch):
         winner = race_orders(plan, query, data, prepared)
     assert _race_span(tracer)["racers"] == 1 + len(distinct) - len(over)
     assert (tuple(winner.prepared.order), winner.failing_sets) not in over
-    assert winner.prepared.kernel_used == "rows"
+    assert winner.prepared.kernel.name == "rows"
 
 
 def test_service_stats_carry_the_race_counters(dense):

@@ -139,6 +139,27 @@ class TestCompareCommand:
             assert name in out
 
 
+class TestLibraryErrors:
+    """A library error is one ``error:`` line on stderr and exit status 2,
+    the status argparse gives a bad command line — never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["match", "--match-limit", "-1"], "'match_limit' must be"),
+            (["compare", "-a", "NOPE"], "NOPE"),
+        ],
+        ids=["match --match-limit -1", "compare -a NOPE"],
+    )
+    def test_prints_the_error_and_exits_two(self, graph_files, capsys, argv, message):
+        query_path, data_path = graph_files
+        command, *options = argv
+        assert main([command, "-q", query_path, "-d", data_path, *options]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
 class TestGenerateAndExtract:
     def test_generate_rmat(self, tmp_path, capsys):
         out_path = tmp_path / "g.graph"

@@ -19,7 +19,6 @@ from repro.enumeration import (
 from repro.filtering import AuxiliaryStructure, CandidateSets, GraphQLFilter
 from repro.graph import extract_query, rmat_graph
 from repro.ordering import GraphQLOrdering
-from repro.utils.kernels import get_kernel
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +112,7 @@ class TestOnePreparedQuery:
         started over one prepared query read the same ``prepared.static``
         object, and no run builds another."""
         query, data, cand, aux, order = heavy
-        prepared = bind(IntersectionLC(kernel="rows"), query, data, cand, aux, order)
+        prepared = bind(IntersectionLC(), query, data, cand, aux, order, "rows")
         static = prepared.static
         monkeypatch.setattr(
             IntersectionLC, "static_order", lambda *args: pytest.fail("rebuilt")
@@ -199,8 +198,8 @@ class TestPauseResume:
         query, data, cand, aux, order = heavy
 
         def fresh():
-            lc = IntersectionLC(kernel=get_kernel(kernel))
-            return machine(lc, query, data, cand, aux, order, fs=fs)
+            prepared = bind(IntersectionLC(), query, data, cand, aux, order, kernel)
+            return FrameMachine(prepared, use_failing_sets=fs)
 
         whole = fresh().run(query, data, match_limit=2500)
         stepped = fresh().start(query, data, match_limit=2500)

@@ -51,24 +51,21 @@ class TestRegistry:
         # singleton would grow its cache without bound across match runs.
         assert get_kernel("bitset") is not get_kernel("bitset")
 
-    def test_backend_instance_passes_through(self):
-        kernel = NumpyKernel()
-        assert get_kernel(kernel) is kernel
-
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError, match="unknown kernel"):
             get_kernel("simd512")
 
     @pytest.mark.parametrize("bad", [5, intersect_merge], ids=["int", "callable"])
     def test_non_name_non_backend_raises_typed_error(self, bad):
-        # Only None, a registry name or a KernelBackend are accepted; the
-        # rest must not surface as AttributeError from ``.strip()``.
+        # Only None or a registry name is accepted; the rest must not
+        # surface as AttributeError from ``.strip()``.
         with pytest.raises(ConfigurationError, match="registry name"):
             get_kernel(bad)
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert isinstance(get_kernel(), ScalarKernel)
+    def test_a_backend_instance_is_not_a_name(self):
+        # A custom backend enters through register_kernel, not by value.
+        with pytest.raises(ConfigurationError, match="registry name"):
+            get_kernel(NumpyKernel())
 
     def test_env_var_unset_falls_back_to_auto(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fixtures import PAPER_DATA, PAPER_QUERY
 
+from repro.core.plan import MatchRequest
 from repro.enumeration.local_candidates import (
     CandidateScanLC,
     IntersectionLC,
@@ -18,12 +19,17 @@ from repro.enumeration.local_candidates import (
     prepare_static_order,
     universe_sets,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GraphFormatError
 from repro.filtering import AuxiliaryStructure, GraphQLFilter
 from repro.filtering.base import ldf_candidates_for, ldf_check
 from repro.graph import extract_query, rmat_graph
 from repro.graph.ops import bfs_tree
-from repro.utils.kernels import KernelBackend, available_kernels, intersect_merge
+from repro.utils.kernels import (
+    KernelBackend,
+    available_kernels,
+    get_kernel,
+    intersect_merge,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,15 +42,17 @@ def auxiliary(candidates):
     return AuxiliaryStructure.build(PAPER_QUERY, PAPER_DATA, candidates, scope="all")
 
 
-def make_ctx(candidates=None, auxiliary=None, mapping=None):
+def make_ctx(candidates=None, auxiliary=None, mapping=None, kernel="scalar"):
     """The context a method computes in: the engines substitute the
-    universes (``C(u)``, or LDF(u) with no filter) for the plan's sets."""
+    universes (``C(u)``, or LDF(u) with no filter) for the plan's sets,
+    and Algorithm 5 intersects on the backend ``kernel`` names."""
     return LCContext(
         query=PAPER_QUERY,
         data=PAPER_DATA,
         candidates=universe_sets(PAPER_QUERY, PAPER_DATA, candidates),
         auxiliary=auxiliary,
         mapping=mapping if mapping is not None else [-1] * 4,
+        kernel=get_kernel(kernel),
     )
 
 
@@ -151,9 +159,9 @@ class TestIntersection:
             def intersect(self, a, b):
                 return intersect_merge(a, b)
 
-        lc_method = IntersectionLC(kernel=MergeKernel())
         ctx = make_ctx(candidates=candidates, auxiliary=auxiliary, mapping=[0, 4, 3, -1])
-        assert lc_method.compute(ctx, 3, [1, 2], 1) == [10]
+        ctx.kernel = MergeKernel()
+        assert IntersectionLC().compute(ctx, 3, [1, 2], 1) == [10]
 
     @pytest.mark.parametrize(
         "name", [n for n in available_kernels() if n != "auto"]
@@ -167,13 +175,15 @@ class TestIntersection:
             (2, [0, 1], [0, 4, -1, -1]),
         ]:
             ctx = make_ctx(candidates, auxiliary, list(mapping))
-            expected = IntersectionLC(kernel="scalar").compute(ctx, u, backward, backward[0])
-            got = IntersectionLC(kernel=name).compute(ctx, u, backward, backward[0])
+            expected = IntersectionLC().compute(ctx, u, backward, backward[0])
+            ctx = make_ctx(candidates, auxiliary, list(mapping), kernel=name)
+            got = IntersectionLC().compute(ctx, u, backward, backward[0])
             assert [int(v) for v in got] == [int(v) for v in expected]
 
     def test_rejects_a_pairwise_callable(self):
-        with pytest.raises(ConfigurationError, match="registry name"):
-            IntersectionLC(kernel=intersect_merge)
+        # Algorithm 5's backend is named on the request, by registry name.
+        with pytest.raises(GraphFormatError, match="registry name"):
+            MatchRequest("CECI", intersect_merge)
 
     def test_prepare_validates_scope(self, candidates):
         none_aux = AuxiliaryStructure.build(

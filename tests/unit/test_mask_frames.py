@@ -2,7 +2,6 @@
 
 import gc
 import itertools
-import pickle
 import sys
 import threading
 import tracemalloc
@@ -20,7 +19,7 @@ from repro.filtering import AuxiliaryStructure, CandidateSets, GraphQLFilter
 from repro.graph import Graph, extract_query, rmat_graph
 from repro.obs import Metrics
 from repro.ordering import GraphQLOrdering
-from repro.utils.kernels import RowsKernel
+from repro.utils.kernels import NumpyKernel, RowsKernel
 
 PATH3 = Graph(labels=[0, 0, 0], edges=[(0, 1), (1, 2)])
 
@@ -218,7 +217,7 @@ class TestMaskFrames:
         query, data, candidates, auxiliary, order = heavy
         outcomes = [
             FrameMachine(
-                bind(IntersectionLC(kernel=kernel), query, data, candidates, auxiliary, order),
+                bind(IntersectionLC(), query, data, candidates, auxiliary, order, kernel),
                 use_failing_sets=fs,
             ).run(query, data, match_limit=500)
             for fs in (False, True)
@@ -237,7 +236,7 @@ class TestMaskFrames:
 
         def run(window):
             prepared = bind(
-                IntersectionLC(kernel=kernel), query, data, candidates, auxiliary, order
+                IntersectionLC(), query, data, candidates, auxiliary, order, kernel
             )
             return FrameMachine(prepared).run(
                 query, data, match_limit=None, store_limit=10**6, root_window=window
@@ -273,15 +272,15 @@ class TestMaskFrames:
 
                 def machine(**kwargs):
                     prepared = bind(
-                        IntersectionLC(kernel=kernel), query, data, candidates,
-                        auxiliary, order,
+                        IntersectionLC(), query, data, candidates, auxiliary,
+                        order, kernel,
                     )
                     return FrameMachine(prepared, use_failing_sets=fs).start(
                         query, data, match_limit=limit, **kwargs
                     )
 
                 reference = BacktrackingEngine(
-                    IntersectionLC(kernel="numpy"), use_failing_sets=fs
+                    IntersectionLC(), use_failing_sets=fs, kernel=NumpyKernel()
                 ).run(
                     query, data, candidates, auxiliary, order,
                     match_limit=limit, store_limit=10**6,
@@ -389,15 +388,13 @@ def _fields(result):
 
 
 class TestAutoResolution:
-    def test_auto_runs_on_rows(self, case, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_auto_runs_on_rows(self, case):
         query, data = case
         assert match(query, data, algorithm="GQL-opt").kernel == "rows"
         # Adaptive selection consumes lists: auto stays on arrays there.
         assert match(query, data, algorithm="DP").kernel == "numpy"
 
     def test_tiny_budget_falls_back_to_numpy(self, case, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         query, data = case
         on_rows = match(query, data, algorithm="GQLfs", match_limit=2000)
         monkeypatch.setattr("repro.utils.kernels.BITSET_CACHE_BYTES", 10)
@@ -447,30 +444,6 @@ class TestAutoResolution:
         )
 
 
-def test_a_pickle_ships_complete_tables(case):
-    """Row tables fill from a graph held weakly: a pickle cannot carry
-    it, so it fills every hole while the graph is alive."""
-    query, data = case
-    plan = compile_plan("GQLfs", query, data)
-    prepared = prepare_query(plan, query, data, Metrics())
-    aux = prepared.auxiliary
-    tables = {p: aux.table(*p) for p in aux.pairs() if aux.form(*p) == "rows"}
-    assert all(set(t) == {None} for t in tables.values())
-    clone = pickle.loads(pickle.dumps(aux))
-    for pair, table in tables.items():
-        assert None not in table  # filled in place, before it was copied
-        assert clone.table(*pair) == aux.rows(*pair)
-    assert clone.num_entries == aux.num_entries
-    with pytest.raises(ReferenceError):
-        clone.fill(*next(iter(tables)), [None])  # the graph stayed behind
-    # The bound tables travel the same way inside a prepared query.
-    fresh = prepare_query(plan, query, data, Metrics())
-    shipped = pickle.loads(pickle.dumps(fresh))
-    assert all(
-        None not in table for bound in shipped.static.rows for _, table in bound
-    )
-
-
 def test_a_cached_prepared_query_fills_from_the_graph_it_runs_on(case):
     """A prepared query may outlive the graph object it was bound on (a
     pool worker re-attaches an evicted graph and hits its prepared
@@ -497,7 +470,7 @@ def test_threads_share_one_prepared_query(case):
         for limit in limits
     }
     prepared = prepare_query(plan, query, data, Metrics())
-    assert prepared.kernel_used == "rows"
+    assert prepared.kernel.name == "rows"
     assert all(
         set(table) == {None} for bound in prepared.static.rows for _, table in bound
     )

@@ -1,10 +1,11 @@
-"""Pickle round-trips for plans, prepared queries, specs and kernels.
+"""Pickle round-trips for plans, specs, graphs and kernels.
 
-The parallel fan-out ships compiled :class:`MatchPlan`s and
-:class:`PreparedQuery` artifacts to worker processes, so everything a
-plan closes over must survive ``pickle`` — including the kernel objects
-whose caches are keyed by ``id()`` and therefore must be dropped, not
-serialized, at the process boundary.
+The parallel fan-out ships compiled :class:`MatchPlan`s, query graphs and
+static orders to worker processes, which prepare their own
+:class:`PreparedQuery` from them, so everything a plan closes over must
+survive ``pickle``. The caching kernels key their encodings by ``id()``,
+so a kernel pickle drops them rather than carry ids that another process
+would read as different objects.
 """
 
 import pickle
@@ -12,12 +13,11 @@ import pickle
 import pytest
 
 from repro.core.algorithms import PRESETS
-from repro.core.plan import compile_plan, prepare_query, run_plan
+from repro.core.plan import compile_plan, run_plan
 from repro.graph import Graph, query_fingerprint
 from repro.graph.generators import rmat_graph
 from repro.graph.query_gen import extract_query
 from repro.graph.store import MmapStore, SharedMemoryStore, write_rgf
-from repro.obs.metrics import Metrics
 from repro.utils.kernels import BitsetKernel, QFilterKernel, available_kernels
 
 
@@ -47,22 +47,6 @@ class TestSpecAndPlanPickling:
         clone = pickle.loads(pickle.dumps(plan))
         result, _ = run_plan(
             clone, query, data, match_limit=200, store_limit=200
-        )
-        assert result.num_matches == expected.num_matches
-        assert result.embeddings == expected.embeddings
-
-    def test_prepared_query_round_trips(self, workload):
-        query, data = workload
-        plan = compile_plan("GQL-opt", query, data)
-        prepared = prepare_query(plan, query, data, Metrics())
-        clone = pickle.loads(pickle.dumps(prepared))
-        expected, _ = run_plan(
-            plan, query, data, prepared=prepared,
-            match_limit=200, store_limit=200,
-        )
-        result, _ = run_plan(
-            plan, query, data, prepared=clone,
-            match_limit=200, store_limit=200,
         )
         assert result.num_matches == expected.num_matches
         assert result.embeddings == expected.embeddings

@@ -89,6 +89,12 @@ GATES = [
     Gate("one dynamic graph (no compaction knob, no overlay-derived oracle, "
          "no second dirty set)",
          r"compact_threshold\|def compact(\|labels_list\|_dirty", ("src/repro",)),
+    # One kernel knob: the request names the backend, by registry name;
+    # no environment fallback and no backend held by a ComputeLC method.
+    Gate("no kernel environment fallback or spec-held kernel",
+         r"REPRO_KERNEL\|uses_default_kernel", ("src/repro",)),
+    Gate("no ComputeLC constructed with a kernel",
+         r"IntersectionLC(kernel", ("src/repro", "benchmarks")),
     # One request: the paper's default limits are spelled in their
     # constants only (the number format is not an option).
     Gate("the default match and store limits are spelled once",
