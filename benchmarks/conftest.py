@@ -4,8 +4,9 @@ Every ``bench_*.py`` module reproduces one figure or table of the paper's
 evaluation (see DESIGN.md's experiment index). Each experiment runs once
 under ``benchmark.pedantic`` (so pytest-benchmark records its wall time),
 prints the paper-style table through the ``report`` fixture (bypassing
-pytest's capture so it lands in the console / bench_output.txt), and saves
-a copy under ``benchmarks/results/``.
+pytest's capture so it lands in the console / bench_output.txt), and, at
+the default scale and query count only, saves a copy under
+``benchmarks/results/`` (:func:`archive`).
 
 Scale knobs (environment variables):
 
@@ -29,9 +30,26 @@ sys.path.insert(0, str(Path(__file__).parent))
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
+#: The scale and queries per set the archived tables were run at.
+DEFAULT_SCALE = 1.0
+DEFAULT_QUERIES = 5
+
+
 def bench_queries() -> int:
     """Queries per set in benchmark workloads."""
-    return int(os.environ.get("REPRO_BENCH_QUERIES", "5"))
+    return int(os.environ.get("REPRO_BENCH_QUERIES", str(DEFAULT_QUERIES)))
+
+
+def archive(name: str, text: str) -> None:
+    """Save ``text`` as ``results/<name>.txt`` when this run is at the
+    default scale and query count, the ones the checked-in tables were
+    run at. A scaled-down run prints its table and leaves the archived
+    one as it is."""
+    scale = float(os.environ.get("REPRO_SCALE", str(DEFAULT_SCALE)))
+    if scale != DEFAULT_SCALE or bench_queries() != DEFAULT_QUERIES:
+        return
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
 def bench_time_limit() -> float:
@@ -45,13 +63,12 @@ def bench_match_cap() -> int:
 
 @pytest.fixture
 def report(pytestconfig, request):
-    """Print experiment tables through pytest's capture and archive them."""
+    """Print experiment tables through pytest's capture and archive them
+    (:func:`archive`)."""
     capman = pytestconfig.pluginmanager.getplugin("capturemanager")
 
     def _report(text: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        name = request.node.name.replace("/", "_")
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        archive(request.node.name.replace("/", "_"), text)
         if capman is not None:
             with capman.global_and_fixture_disabled():
                 print("\n" + text, flush=True)

@@ -42,6 +42,7 @@ representation, never the graph: the epoch does not move.
 from __future__ import annotations
 
 import threading
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -121,6 +122,12 @@ class DynamicGraph:
         self._snapshot = base
         self._snapshot_epoch = 0
         self._rebases = 0
+        # Per vertex, the generation of the last splice that rewrote its
+        # run; generations count splices on from the base's, so a
+        # snapshot's inherited label-pair slices know which vertices went
+        # stale (Graph._inherit_slices). Written under the lock only.
+        self._generation = base._generation
+        self._stamps = array("i", [0]) * base.num_vertices
 
     # ------------------------------------------------------------------
     # Introspection
@@ -329,13 +336,16 @@ class DynamicGraph:
         :meth:`neighbors`, and the offsets follow from one ``cumsum``
         over the patched degrees — work proportional to the overlay plus
         a ``memcpy`` of the rest. Every array is freshly allocated except
-        ``labels`` and the label index, which are shared with the base
-        while no vertex was appended; the neighbour-label columns the
-        base holds are handed on, to be patched at the rewritten vertices
-        when first read (:meth:`Graph._inherit_label_counts`). Nothing an
-        earlier snapshot holds is ever written again, and nothing here
-        writes the overlay: a reader may call this beside another's
-        overlay reads.
+        ``labels``, the label index and the ranks, which are shared with
+        the base while no vertex was appended; the neighbour-label columns
+        the base holds are handed on, to be patched at the rewritten
+        vertices when first read (:meth:`Graph._inherit_label_counts`),
+        and so are its label-pair slices, which the rewritten vertices
+        stop reading: the splice stamps them with its generation
+        (:meth:`Graph._inherit_slices`). Those stamps, which only move up,
+        are the one thing an earlier snapshot reads that is written again;
+        nothing here writes the overlay, so a reader may call this beside
+        another's overlay reads.
         """
         with self._lock:
             if self._snapshot_epoch != self._epoch:
@@ -377,17 +387,25 @@ class DynamicGraph:
             dst += len(run)
             src = int(prev_offsets[v + 1]) if v < prev_n else prev_m
         neighbors[dst:] = prev_neighbors[src:]
-        # The label index is a function of the labels alone and is never
-        # written: share it instead of re-sorting |V| labels.
-        label_index = (
-            prev._label_index
+        # The label index and ranks are a function of the labels alone and
+        # are never written: share them instead of re-sorting |V| labels.
+        label_index, ranks = (
+            (prev._label_index, prev._ranks)
             if labels is prev.labels
             else Graph._build_label_index(labels, None)
         )
         graph = Graph._adopt(
-            labels, offsets, neighbors, degrees, self._num_edges, label_index
+            labels, offsets, neighbors, degrees, self._num_edges, label_index, ranks
         )
-        graph._inherit_label_counts(prev, np.asarray(dirty, dtype=np.int64))
+        self._generation += 1
+        stamps = self._stamps
+        if n > len(stamps):
+            stamps.extend(array("i", [0]) * (n - len(stamps)))
+        for v in dirty:
+            stamps[v] = self._generation
+        rewritten = np.asarray(dirty, dtype=np.int64)
+        graph._inherit_label_counts(prev, rewritten)
+        graph._inherit_slices(prev, rewritten, stamps, self._generation)
         return graph
 
     def versioned_snapshot(self) -> Tuple[int, Graph]:

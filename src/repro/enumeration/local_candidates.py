@@ -46,8 +46,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.filtering.base import ldf_candidates_for
@@ -120,11 +118,7 @@ def clash_partners(
     built by hand) make every pair partners, so a clash is probed, never
     lost."""
     n = query.num_vertices
-    arrays = [universes.array(u) for u in range(n)]
-    if n and not (
-        data.labels[np.concatenate(arrays)]
-        == np.repeat(query.labels, [a.size for a in arrays])
-    ).all():
+    if not universes.label_homogeneous(data):
         return [[w for w in range(n) if w != u] for u in range(n)]
     same: Dict[int, List[int]] = {}
     label_of = query.labels.tolist()

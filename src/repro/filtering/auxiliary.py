@@ -53,7 +53,6 @@ boundary: a worker prepares its own from the plan, query and order.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Literal, Optional, Tuple
 
 import numpy as np
@@ -91,6 +90,7 @@ class AuxiliaryStructure:
         "_pairs",
         "_rows",
         "_arrays",
+        "_labels",
         "_num_entries",
     )
 
@@ -112,6 +112,11 @@ class AuxiliaryStructure:
             self._pairs[(u2, u)] = None
         self._rows: Dict[Pair, List[Optional[int]]] = {}
         self._arrays: Dict[Pair, Dict[int, np.ndarray]] = {}
+        #: The query's labels once a row table is bound and the candidate
+        #: sets keep the label invariant: rows then read label-pair
+        #: slices. ``None`` (sets that break it, no table yet, or a graph
+        #: already gone when the first was bound): rows read whole runs.
+        self._labels: Optional[List[int]] = None
         self._num_entries: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -154,10 +159,10 @@ class AuxiliaryStructure:
         ``C(u_from)[rows[k]]`` is adjacent to ``C(u_to)[positions[k]]``,
         sorted by ``(row, position)``. Pairs are grouped by source vertex:
         one ragged gather over the CSR slices of all of ``C(u_from)``
-        serves every target, a target costs one scatter of its positions
-        into a ``|V(G)|`` scratch (allocated once per call) and one lookup
-        — no per-candidate Python loop. Raises ``KeyError`` for a pair
-        out of scope.
+        serves every target, and a target costs one binary search of the
+        gathered neighbours into ``C(u_to)`` and a compare — no
+        per-candidate Python loop and nothing ``|V(G)|``-sized. Raises
+        ``KeyError`` for a pair out of scope.
         """
         by_source: Dict[int, List[int]] = {}
         for pair in dict.fromkeys(pairs):
@@ -167,7 +172,6 @@ class AuxiliaryStructure:
         if not by_source:
             return
         offsets, neighbors = self._graph().csr
-        where = np.full(offsets.size - 1, -1, dtype=np.int32)
         for u_from, targets in by_source.items():
             source = self._candidates.array(u_from)
             starts = offsets[source]
@@ -180,10 +184,11 @@ class AuxiliaryStructure:
             segment = np.repeat(np.arange(source.size), lengths)
             for u_to in targets:
                 target = self._candidates.array(u_to)
-                where[target] = np.arange(target.size, dtype=np.int32)
-                positions = where[gathered]
-                where[target] = -1
-                keep = positions >= 0
+                if not target.size:
+                    yield (u_from, u_to), segment[:0], segment[:0]
+                    continue
+                positions = np.searchsorted(target, gathered)
+                keep = target[np.minimum(positions, target.size - 1)] == gathered
                 # data.neighbors(v) and C(u_to) are sorted, so positions
                 # ascend within each row.
                 yield (u_from, u_to), segment[keep], positions[keep]
@@ -245,6 +250,10 @@ class AuxiliaryStructure:
         if table is None:
             if pair not in self._pairs:
                 raise KeyError(pair)
+            if not self._rows:
+                data = self._data()
+                if data is not None and self._candidates.label_homogeneous(data):
+                    self._labels = self._candidates.query.labels.tolist()
             self._arrays.pop(pair, None)
             table = self._rows.setdefault(pair, [None] * self._candidates.size(u_from))
         return table
@@ -258,13 +267,24 @@ class AuxiliaryStructure:
     def build_row(self, data: Graph, u_from: int, u_to: int, i: int) -> int:
         """Row ``i`` of the pair, computed from ``data`` (not stored): bit
         ``j`` is set iff ``C(u_to)[j] ∈ N(C(u_from)[i])``. A search passes
-        the graph it runs on, which a cached prepared query may outlive."""
-        universe = self._candidates[u_to]
+        the graph it runs on, which a cached prepared query may outlive.
+
+        Under the label invariant only neighbours of ``label(u_to)`` can
+        hit, so the row looks up those alone
+        (:meth:`~repro.graph.graph.Graph.labelled_neighbors`); sets that
+        break it read the whole run. The row is the same either way."""
+        v = self._candidates[u_from][i]
+        labels = self._labels
+        if labels is None:
+            run = data.neighbors(v).tolist()
+        else:
+            run = data.labelled_neighbors(v, labels[u_from], labels[u_to])
+        where = self._candidates.positions(u_to)
         row = 0
-        for x in self._candidates.membership(u_to).intersection(
-            data.neighbors(self._candidates[u_from][i]).tolist()
-        ):
-            row |= 1 << bisect_left(universe, x)
+        for x in run:
+            j = where.get(x)
+            if j is not None:
+                row |= 1 << j
         return row
 
     def fill(self, u_from: int, u_to: int, table: List[Optional[int]]) -> List[int]:
@@ -294,9 +314,9 @@ class AuxiliaryStructure:
         if table is None:
             rows = self._rows.get(pair)
             if rows is not None:
-                if v not in self._candidates.membership(u_from):
+                i = self._candidates.positions(u_from).get(v)
+                if i is None:
                     return _EMPTY
-                i = bisect_left(self._candidates[u_from], v)
                 row = rows[i]
                 if row is None:
                     row = rows[i] = self.build_row(self._graph(), u_from, u_to, i)

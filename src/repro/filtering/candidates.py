@@ -36,7 +36,15 @@ class CandidateSets:
         Each is deduplicated and sorted on construction.
     """
 
-    __slots__ = ("_query", "_lists", "_sets", "_arrays", "_translations", "__weakref__")
+    __slots__ = (
+        "_query",
+        "_lists",
+        "_sets",
+        "_positions",
+        "_arrays",
+        "_translations",
+        "__weakref__",
+    )
 
     def __init__(self, query: Graph, sets: Sequence[Iterable[int]]) -> None:
         if len(sets) != query.num_vertices:
@@ -52,6 +60,7 @@ class CandidateSets:
         )
         self._lists: List[Optional[List[int]]] = [None] * len(self._arrays)
         self._sets: List[Optional[frozenset]] = [None] * len(self._arrays)
+        self._positions: List[Optional[Dict[int, int]]] = [None] * len(self._arrays)
         self._translations: Dict[Tuple[int, int], Optional[array]] = {}
 
     @property
@@ -76,6 +85,15 @@ class CandidateSets:
             members = self._sets[u] = frozenset(self[u])
         return members
 
+    def positions(self, u: int) -> Dict[int, int]:
+        """``C(u)`` as ``{v: its position in C(u)}`` (do not mutate): a
+        bitmap row's bit for ``v``, found by one dict read."""
+        where = self._positions[u]
+        if where is None:
+            members = self[u]
+            where = self._positions[u] = dict(zip(members, range(len(members))))
+        return where
+
     def array(self, u: int) -> np.ndarray:
         """``C(u)`` as a sorted int64 array (do not mutate).
 
@@ -88,6 +106,18 @@ class CandidateSets:
     def contains(self, u: int, v: int) -> bool:
         """Whether data vertex ``v`` is a candidate of query vertex ``u``."""
         return v in self.membership(u)
+
+    def label_homogeneous(self, data: Graph) -> bool:
+        """Whether every ``C(u)`` holds only data vertices of ``u``'s own
+        label: the invariant every filter's sets and LDF keep, which sets
+        built by hand may break."""
+        arrays = self._arrays
+        return not arrays or bool(
+            (
+                data.labels[np.concatenate(arrays)]
+                == np.repeat(self._query.labels, [a.size for a in arrays])
+            ).all()
+        )
 
     def size(self, u: int) -> int:
         """``|C(u)|``."""

@@ -13,7 +13,8 @@ cache derived data freely.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,6 +66,39 @@ def _count_labels(codes: np.ndarray, bounds: np.ndarray, k: int) -> np.ndarray:
     return counts[:, :k].astype(np.int32)
 
 
+def _runs(offsets: np.ndarray, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One ragged gather over the CSR runs of ``vertices``: the bounds of
+    each run in the gathered order and the flat CSR indices to gather."""
+    starts = offsets[vertices]
+    lengths = offsets[vertices + 1] - starts
+    bounds = np.zeros(vertices.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    return bounds, np.repeat(starts - bounds[:-1], lengths) + np.arange(
+        bounds[-1], dtype=np.int64
+    )
+
+
+def _int_array(values: np.ndarray) -> array:
+    """``values`` as a C ``int`` array: an element read is a slot read,
+    not a numpy scalar."""
+    out = array("i")
+    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.intc)).cast("B"))
+    return out
+
+
+#: A label-pair neighbour slice (:meth:`Graph.labelled_neighbors`): per
+#: vertex of the source label, in rank order, where its run of
+#: target-label neighbours starts and ends in ``targets`` (``|V(label)| +
+#: 1`` offsets, then the targets), the generation of the snapshot it was
+#: exact for, and how many source-label vertices that snapshot's line
+#: had rewritten by then.
+_Slice = Tuple[array, array, int, int]
+
+#: Once the source-label vertices rewritten since a slice was exact pass
+#: this share of its group, a spliced snapshot builds the slice again
+#: instead of adopting it (:meth:`Graph._slice`).
+SLICE_STALE_SHARE = 0.5
+
 #: An inherited neighbour-label column: exact for some earlier snapshot,
 #: the vertex arrays rewritten since as a linked list ``(newest, (older,
 #: ... None))``, and their total length.
@@ -110,7 +144,21 @@ class Graph:
     column is read. Each column read then costs a copy and a scatter, so a
     graph a few mutations old answers almost as cheaply as a resident one.
     The codes (int32, one per vertex) are shared by every snapshot over
-    the same labels. None of this rides a pickle either.
+    the same labels.
+
+    The one fact it caches *for the row fills* of the bitmap path
+    (:meth:`~repro.filtering.auxiliary.AuxiliaryStructure.build_row`) is
+    :meth:`labelled_neighbors`: per ``(label, target)`` pair somebody read,
+    every ``label`` vertex's ``target`` neighbours in one int32 slice, with
+    offsets over the ``label`` group only, built on first read by one
+    gather over that group's runs. A vertex finds its entry by its rank
+    inside its label group, a C ``int`` per vertex built with the label
+    index and shared, like the index, by every snapshot over the same
+    ``labels``. A spliced snapshot inherits its predecessor's slices; a
+    vertex rewritten since a slice was exact (the
+    :class:`~repro.dynamic.overlay.DynamicGraph`'s rewrite stamps say
+    which) reads its whole run instead. None of this rides a pickle
+    either: an unpickled graph builds its ranks again.
 
     Examples
     --------
@@ -130,6 +178,12 @@ class Graph:
         "_degrees",
         "_neighbor_sets",
         "_label_index",
+        "_ranks",
+        "_slices",
+        "_inherited",
+        "_rewrites",
+        "_stamps",
+        "_generation",
         "_nlf_cache",
         "_label_counts",
         "_stale_counts",
@@ -181,7 +235,12 @@ class Graph:
         # so consumers that stay on the CSR arrays (the frame machine,
         # shared-memory workers) never pay for them.
         self._neighbor_sets: Optional[Tuple[frozenset, ...]] = None
-        self._label_index = self._build_label_index(labels_arr, None)
+        self._label_index, self._ranks = self._build_label_index(labels_arr, None)
+        self._slices: Dict[Tuple[int, int], _Slice] = {}
+        self._inherited: Dict[Tuple[int, int], _Slice] = {}
+        self._rewrites: Dict[int, int] = {}
+        self._stamps: Optional[array] = None
+        self._generation = 0
         self._nlf_cache: Dict[int, Dict[int, int]] = {}
         self._label_counts: Dict[int, np.ndarray] = {}
         self._stale_counts: Dict[int, _StaleColumn] = {}
@@ -194,8 +253,9 @@ class Graph:
     @staticmethod
     def _build_label_index(
         labels_arr: np.ndarray, by_label: Optional[np.ndarray]
-    ) -> Dict[int, np.ndarray]:
-        """Label → sorted vertex array, loop-free.
+    ) -> Tuple[Dict[int, np.ndarray], array]:
+        """Label → sorted vertex array, and each vertex's rank inside its
+        label group as a C ``int`` array, loop-free.
 
         A stable argsort groups vertices by label while keeping ids
         ascending inside each group; callers that already hold the sorted
@@ -203,6 +263,7 @@ class Graph:
         """
         index: Dict[int, np.ndarray] = {}
         n = int(labels_arr.size)
+        ranks = np.zeros(n, dtype=np.intc)
         if n:
             if by_label is None:
                 by_label = np.argsort(labels_arr, kind="stable")
@@ -210,7 +271,10 @@ class Graph:
             bounds = np.append(starts, n)
             for i, label in enumerate(uniq.tolist()):
                 index[int(label)] = by_label[bounds[i]:bounds[i + 1]]
-        return index
+            within = np.arange(n, dtype=np.intc)
+            within -= np.repeat(starts.astype(np.intc), np.diff(bounds))
+            ranks[by_label] = within
+        return index, _int_array(ranks)
 
     @classmethod
     def from_csr(
@@ -241,7 +305,7 @@ class Graph:
             neighbors,
             np.diff(offsets),
             num_edges,
-            cls._build_label_index(labels, by_label),
+            *cls._build_label_index(labels, by_label),
             store,
         )
 
@@ -254,11 +318,13 @@ class Graph:
         degrees: np.ndarray,
         num_edges: int,
         label_index: Dict[int, np.ndarray],
+        ranks: array,
         store: Optional[object] = None,
     ) -> "Graph":
-        """:meth:`from_csr` with the degrees and the label index already
-        built — a spliced snapshot has its degrees from the splice, and
-        one that shares its predecessor's ``labels`` shares its index."""
+        """:meth:`from_csr` with the degrees, the label index and the
+        ranks already built — a spliced snapshot has its degrees from the
+        splice, and one that shares its predecessor's ``labels`` shares
+        its index and ranks."""
         graph = cls.__new__(cls)
         graph._labels = labels
         graph._offsets = offsets
@@ -267,6 +333,12 @@ class Graph:
         graph._num_edges = int(num_edges)
         graph._neighbor_sets = None
         graph._label_index = label_index
+        graph._ranks = ranks
+        graph._slices = {}
+        graph._inherited = {}
+        graph._rewrites = {}
+        graph._stamps = None
+        graph._generation = 0
         graph._nlf_cache = {}
         graph._label_counts = {}
         graph._stale_counts = {}
@@ -473,13 +545,7 @@ class Graph:
             part, pending = pending
             parts.append(part)
         rewritten = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-        starts = self._offsets[rewritten]
-        lengths = self._offsets[rewritten + 1] - starts
-        bounds = np.zeros(rewritten.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=bounds[1:])
-        runs = np.repeat(starts - bounds[:-1], lengths) + np.arange(
-            bounds[-1], dtype=np.int64
-        )
+        bounds, runs = _runs(self._offsets, rewritten)
         # Graph-wide dense codes renumbered: the stale labels 0 .. k - 1,
         # every other label k, which is not counted.
         vertex_codes, code_of = self._dense_label_codes()
@@ -538,6 +604,102 @@ class Graph:
         self._stale_counts = inherited
         if self._labels is prev._labels:
             self._label_codes = prev._label_codes
+
+    def labelled_neighbors(
+        self, v: int, label: int, target: int
+    ) -> Union[array, List[int]]:
+        """Every neighbour of ``v`` that carries ``target``, sorted, where
+        ``label`` is ``v``'s own label: a slice of the ``(label, target)``
+        neighbour slice, as a C ``int`` array (do not mutate).
+
+        What a bitmap row over a label-homogeneous ``C(u')`` can hit, read
+        without the rest of ``N(v)``. The caller vouches for ``label``:
+        ``v`` finds its entry by its rank inside that group. The slice is
+        built or inherited on its first read here (:meth:`_slice`). A
+        vertex rewritten since an inherited slice was exact answers its
+        whole run as a list instead, which holds the same ``target``
+        neighbours among others, so callers intersect the answer with a
+        set of ``target`` vertices.
+        """
+        entry = self._slices.get((label, target))
+        if entry is None:
+            entry = self._slice(label, target)
+        offsets, targets, exact, _ = entry
+        if exact != self._generation and self._stamps[v] > exact:
+            return self._neighbors[self._offsets[v]:self._offsets[v + 1]].tolist()
+        rank = self._ranks[v]
+        return targets[offsets[rank]:offsets[rank + 1]]
+
+    def _slice(self, label: int, target: int) -> _Slice:
+        """The ``(label, target)`` slice on its first read here, kept.
+
+        An inherited slice is adopted as it is while the ``label``
+        vertices rewritten since it was exact stay within
+        ``SLICE_STALE_SHARE`` of its group. Otherwise it is built by one
+        gather over the runs of the ``label`` group: ``|V(label)| + 1``
+        offsets and the ``target`` entries, 4 B each. A slice toward a
+        label no vertex carries is empty and not kept, so what a graph
+        holds is bounded by its own labels.
+        """
+        key = (label, target)
+        rewrites = self._rewrites.get(label, 0)
+        entry = self._inherited.get(key)
+        stale = entry is None or (
+            rewrites - entry[3] > SLICE_STALE_SHARE * (len(entry[0]) - 1)
+        )
+        if stale:
+            group = self.vertices_with_label(label)
+            bounds, runs = _runs(self._offsets, group)
+            gathered = self._neighbors[runs]
+            hits = np.flatnonzero(self._labels[gathered] == target)
+            entry = (
+                _int_array(np.searchsorted(hits, bounds)),
+                _int_array(gathered[hits]),
+                self._generation,
+                rewrites,
+            )
+            if target not in self._label_index:
+                return entry
+        self._slices[key] = entry
+        return entry
+
+    def _inherit_slices(
+        self, prev: "Graph", rewritten: np.ndarray, stamps: array, generation: int
+    ) -> None:
+        """Hand this snapshot ``prev``'s label-pair slices, to be adopted
+        on first read (:meth:`_slice`), with the rewrite stamps that say
+        which of their vertices went stale.
+
+        ``generation`` is this snapshot's, and ``stamps[v]`` the
+        generation of the last snapshot that rewrote ``v``: monotone, and
+        written by the :class:`~repro.dynamic.overlay.DynamicGraph` under
+        its lock before it publishes that snapshot. A slice exact at
+        generation ``g`` still holds every vertex whose stamp is ``≤ g``.
+        A reader racing a later splice may see the stamp it wrote, so a
+        vertex can look more rewritten than it is, never less. A slice is
+        handed on only where these stamps cover its history: exact on
+        ``prev``, or inherited under the same stamps. How many vertices of
+        each label were rewritten is counted along the line of snapshots
+        (``rewritten`` are those since ``prev``), which is how a read
+        tells a slice gone too stale. A write costs a dict copy and a
+        count per label; no slice is copied or looked at.
+        """
+        self._stamps = stamps
+        self._generation = generation
+        rewrites = dict(prev._rewrites)
+        for label in self._labels[rewritten].tolist():
+            rewrites[label] = rewrites.get(label, 0) + 1
+        self._rewrites = rewrites
+        if prev._stamps is stamps:
+            inherited = dict(prev._inherited)
+            inherited.update(prev._slices)
+        else:
+            inherited = {
+                key: entry
+                for key, entry in list(prev._slices.items())
+                if entry[2] == prev._generation
+            }
+        self._inherited = inherited
 
     def edge_label_frequency(self, label_a: int, label_b: int) -> int:
         """Number of edges whose endpoint labels are ``{label_a, label_b}``.
@@ -636,7 +798,12 @@ class Graph:
         self._num_edges = state["_num_edges"]
         self._degrees = np.diff(self._offsets)
         self._neighbor_sets = None
-        self._label_index = self._build_label_index(self._labels, None)
+        self._label_index, self._ranks = self._build_label_index(self._labels, None)
+        self._slices = {}
+        self._inherited = {}
+        self._rewrites = {}
+        self._stamps = None
+        self._generation = 0
         self._nlf_cache = {}
         self._label_counts = {}
         self._stale_counts = {}

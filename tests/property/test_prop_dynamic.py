@@ -40,6 +40,8 @@ from repro.dynamic import (
     Mutation,
     sanitize_batch,
 )
+from repro.filtering import LDFFilter
+from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.graph.graph import Graph
 from repro.graph.store import MmapStore, write_rgf
 from repro.qa import plant_case, replay_script
@@ -278,6 +280,24 @@ def _assert_is_constructor_rebuild(
         )
 
 
+def _rows(query: Graph, data: Graph) -> dict:
+    """Every bitmap row of every in-scope pair, built on ``data``."""
+    candidates = LDFFilter().run(query, data)
+    auxiliary = AuxiliaryStructure.build(query, data, candidates, "all")
+    return {pair: auxiliary.rows(*pair) for pair in auxiliary.pairs()}
+
+
+def _assert_slices_match(snap: Graph, want: Graph) -> None:
+    """Each label-pair slice ``snap`` holds answers like ``want``'s CSR."""
+    for (label, target), (offsets, targets, exact, _) in list(snap._slices.items()):
+        for rank, v in enumerate(snap.vertices_with_label(label).tolist()):
+            run = [w for w in want.neighbors(v).tolist() if want.label(w) == target]
+            answer = snap.labelled_neighbors(v, label, target)
+            assert [w for w in answer if snap.label(w) == target] == run
+            if exact == snap._generation or snap._stamps[v] <= exact:
+                assert list(targets[offsets[rank]:offsets[rank + 1]]) == run
+
+
 def _frozen(snap: Graph) -> tuple:
     offsets, neighbors = snap.csr
     return (snap.labels.tobytes(), offsets.tobytes(), neighbors.tobytes())
@@ -407,6 +427,42 @@ class TestSnapshotSplice:
                 == want.neighbor_label_counts(label).tobytes()
             )
         assert snap._stale_counts == {} and snap._patch is None
+
+    @_SETTINGS
+    @given(
+        seed=SEEDS,
+        batches=st.lists(
+            st.lists(MACRO_OP, min_size=1, max_size=4), min_size=1, max_size=12
+        ),
+        reads=st.lists(st.booleans(), min_size=12, max_size=12),
+    )
+    def test_rows_on_spliced_snapshots_equal_a_rebuilds(self, seed, batches, reads):
+        """Bitmap rows read label-pair neighbour slices, which a splice
+        hands on. The base builds every row of a planted query; each epoch
+        whose draw says so builds them again on its snapshot, and each
+        equals the row built on a from-scratch graph. Every slice the
+        snapshot then holds, inherited or built there, answers each
+        vertex with exactly the rebuild's target neighbours, and holds the
+        rebuild's run for every vertex not rewritten since it was exact.
+        Vertices are appended, and on these small graphs a group's
+        rewrites often pass the share that makes a read build the slice
+        again."""
+        case = plant_case(seed, max_data=12)
+        dyn = DynamicGraph(case.data)
+        assert _rows(case.query, dyn.snapshot()) == _rows(case.query, Graph(
+            labels=case.data.labels.tolist(), edges=sorted(case.data.edges())
+        ))
+        script = []
+        for batch, read in zip(batches, reads):
+            script.append(_expand(dyn, batch))
+            dyn.apply(script[-1])
+            if read:
+                snap, want = dyn.snapshot(), _replayed(case.data, script)
+                assert _rows(case.query, snap) == _rows(case.query, want)
+                _assert_slices_match(snap, want)
+        snap, want = dyn.snapshot(), _replayed(case.data, script)
+        assert _rows(case.query, snap) == _rows(case.query, want)
+        _assert_slices_match(snap, want)
 
     def test_splice_never_reaches_the_graph_constructor(self, monkeypatch):
         """An accidental fallback to the rebuild must not pass silently."""

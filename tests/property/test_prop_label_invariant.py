@@ -9,7 +9,9 @@ between same-label query vertices only
 producer is held to the invariant; the same-label tables, static and
 adaptive, are held to the all-pairs tables on planted cases; and hand-built
 sets that break the invariant make every pair a partner, so no clash is
-lost.
+lost. Bitmap rows rely on it too: they read only the neighbours of
+``u'``'s label when the sets keep it, and whole runs when they do not,
+with the same rows either way.
 """
 
 import pickle
@@ -33,6 +35,7 @@ from repro.filtering import (
     NLFFilter,
     SteadyFilter,
 )
+from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.graph import Graph
 from repro.obs import Metrics
 from repro.ordering import DPisoOrdering
@@ -179,3 +182,32 @@ def test_a_mixed_label_candidate_set_loses_no_clash():
     )
     outcome = FrameMachine(prepared).run(query, data)
     assert sorted(map(tuple, outcome.embeddings)) == want
+
+
+@_SETTINGS
+@given(seed=SEEDS)
+def test_rows_over_any_candidate_sets_equal_the_whole_run_rows(seed):
+    """Bitmap rows read label-pair neighbour slices only when the sets
+    keep the label invariant. Over a planted case's filtered sets and over
+    hand-built sets drawn from every label, every row equals the row built
+    from each candidate's whole neighbour run."""
+    case = plant_case(seed)
+    query, data = case.query, case.data
+    rng = random.Random(seed)
+    drawn = CandidateSets(
+        query,
+        [rng.sample(range(data.num_vertices), data.num_vertices // 2) for _ in query.vertices()],
+    )
+    for candidates in (GraphQLFilter().run(query, data), drawn):
+        auxiliary = AuxiliaryStructure.build(query, data, candidates, "all")
+        reads_slices = candidates.label_homogeneous(data)
+        for u_from, u_to in auxiliary.pairs():
+            rows = auxiliary.rows(u_from, u_to)
+            assert (auxiliary._labels is not None) == reads_slices
+            position = {x: j for j, x in enumerate(candidates[u_to])}
+            for i, v in enumerate(candidates[u_from]):
+                want = 0
+                for x in data.neighbors(v).tolist():
+                    if x in position:
+                        want |= 1 << position[x]
+                assert rows[i] == want, (u_from, u_to, v)

@@ -84,6 +84,10 @@ GATES = [
     Gate("GraphQL gathers in its sweep", "_gather_neighbors(",
          ("src/repro/filtering/graphql.py:/def _global_refinement/,$",),
          {"src/repro/filtering/graphql.py": 1}),
+    # The auxiliary structure allocates by candidates: positions in C(u')
+    # by binary search, not through a |V(G)| scratch.
+    Gate("no |V(G)|-sized scratch in the auxiliary structure",
+         r"np\.full(\|num_vertices\|offsets\.size", ("src/repro/filtering/auxiliary.py",)),
     Gate("one race (no second race entry point, no raced copy of a prepared query)",
          r"race_repeated\|raced:", ("src/repro",)),
     Gate("one dynamic graph (no compaction knob, no overlay-derived oracle, "
