@@ -123,9 +123,9 @@ class DynamicGraph:
         self._snapshot_epoch = 0
         self._rebases = 0
         # Per vertex, the generation of the last splice that rewrote its
-        # run; generations count splices on from the base's, so a
-        # snapshot's inherited label-pair slices know which vertices went
-        # stale (Graph._inherit_slices). Written under the lock only.
+        # run, counted on from the base's: the one record of what changed,
+        # which a snapshot's inherited neighbour-label facts read
+        # (Graph._inherit). Written under the lock only.
         self._generation = base._generation
         self._stamps = array("i", [0]) * base.num_vertices
 
@@ -336,16 +336,14 @@ class DynamicGraph:
         :meth:`neighbors`, and the offsets follow from one ``cumsum``
         over the patched degrees — work proportional to the overlay plus
         a ``memcpy`` of the rest. Every array is freshly allocated except
-        ``labels``, the label index and the ranks, which are shared with
-        the base while no vertex was appended; the neighbour-label columns
-        the base holds are handed on, to be patched at the rewritten
-        vertices when first read (:meth:`Graph._inherit_label_counts`),
-        and so are its label-pair slices, which the rewritten vertices
-        stop reading: the splice stamps them with its generation
-        (:meth:`Graph._inherit_slices`). Those stamps, which only move up,
-        are the one thing an earlier snapshot reads that is written again;
-        nothing here writes the overlay, so a reader may call this beside
-        another's overlay reads.
+        ``labels`` and what derives from them alone, shared with the base
+        while no vertex was appended. The splice stamps every vertex it
+        rewrites with its generation, and the base's neighbour-label
+        columns and label-pair slices are handed on under those stamps,
+        to be patched or adopted when first read (:meth:`Graph._inherit`).
+        Those stamps, which only move up, are the one thing an earlier
+        snapshot reads that is written again; nothing here writes the
+        overlay, so a reader may call this beside another's overlay reads.
         """
         with self._lock:
             if self._snapshot_epoch != self._epoch:
@@ -387,25 +385,14 @@ class DynamicGraph:
             dst += len(run)
             src = int(prev_offsets[v + 1]) if v < prev_n else prev_m
         neighbors[dst:] = prev_neighbors[src:]
-        # The label index and ranks are a function of the labels alone and
-        # are never written: share them instead of re-sorting |V| labels.
-        label_index, ranks = (
-            (prev._label_index, prev._ranks)
-            if labels is prev.labels
-            else Graph._build_label_index(labels, None)
-        )
-        graph = Graph._adopt(
-            labels, offsets, neighbors, degrees, self._num_edges, label_index, ranks
-        )
+        graph = Graph._adopt(labels, offsets, neighbors, degrees, self._num_edges)
         self._generation += 1
         stamps = self._stamps
         if n > len(stamps):
             stamps.extend(array("i", [0]) * (n - len(stamps)))
         for v in dirty:
             stamps[v] = self._generation
-        rewritten = np.asarray(dirty, dtype=np.int64)
-        graph._inherit_label_counts(prev, rewritten)
-        graph._inherit_slices(prev, rewritten, stamps, self._generation)
+        graph._inherit(prev, dirty, stamps, self._generation)
         return graph
 
     def versioned_snapshot(self) -> Tuple[int, Graph]:

@@ -9,6 +9,7 @@ memory footprint of Section 5.6.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -43,6 +44,7 @@ class CandidateSets:
         "_positions",
         "_arrays",
         "_translations",
+        "_homogeneous",
         "__weakref__",
     )
 
@@ -62,6 +64,11 @@ class CandidateSets:
         self._sets: List[Optional[frozenset]] = [None] * len(self._arrays)
         self._positions: List[Optional[Dict[int, int]]] = [None] * len(self._arrays)
         self._translations: Dict[Tuple[int, int], Optional[array]] = {}
+        self._homogeneous: Optional[Tuple[weakref.ref, bool]] = None
+
+    def __reduce__(self) -> tuple:
+        # Only the sets ride a pickle: the memos are built again on need.
+        return CandidateSets, (self._query, self._arrays)
 
     @property
     def query(self) -> Graph:
@@ -110,7 +117,14 @@ class CandidateSets:
     def label_homogeneous(self, data: Graph) -> bool:
         """Whether every ``C(u)`` holds only data vertices of ``u``'s own
         label: the invariant every filter's sets and LDF keep, which sets
-        built by hand may break."""
+        built by hand may break. Checked once per data graph (held
+        weakly), however many readers bind onto these sets."""
+        memo = self._homogeneous
+        if memo is None or memo[0]() is not data:
+            memo = self._homogeneous = (weakref.ref(data), self._label_check(data))
+        return memo[1]
+
+    def _label_check(self, data: Graph) -> bool:
         arrays = self._arrays
         return not arrays or bool(
             (

@@ -86,28 +86,43 @@ def _int_array(values: np.ndarray) -> array:
     return out
 
 
+#: A neighbour-label column (:meth:`Graph.neighbor_label_counts`), then
+#: the two stamps every neighbour-label fact carries: the generation of
+#: the snapshot it was exact for, and how many vertices of its group that
+#: snapshot's line had rewritten by then. A column's group is all of
+#: ``V``.
+_Column = Tuple[np.ndarray, int, int]
+
 #: A label-pair neighbour slice (:meth:`Graph.labelled_neighbors`): per
 #: vertex of the source label, in rank order, where its run of
 #: target-label neighbours starts and ends in ``targets`` (``|V(label)| +
-#: 1`` offsets, then the targets), the generation of the snapshot it was
-#: exact for, and how many source-label vertices that snapshot's line
-#: had rewritten by then.
+#: 1`` offsets, then the targets), then the same two stamps; its group is
+#: the source label's vertices.
 _Slice = Tuple[array, array, int, int]
 
-#: Once the source-label vertices rewritten since a slice was exact pass
-#: this share of its group, a spliced snapshot builds the slice again
-#: instead of adopting it (:meth:`Graph._slice`).
-SLICE_STALE_SHARE = 0.5
-
-#: An inherited neighbour-label column: exact for some earlier snapshot,
-#: the vertex arrays rewritten since as a linked list ``(newest, (older,
-#: ... None))``, and their total length.
-_StaleColumn = Tuple[np.ndarray, Optional[tuple], int]
+#: Once the vertices of its group rewritten since an inherited fact was
+#: exact pass this share of the group, a spliced snapshot builds the fact
+#: again instead of patching (a column) or adopting (a slice) it
+#: (:meth:`Graph._stale`).
+STALE_SHARE = 0.5
 
 #: Every stale column's counts at the vertices rewritten since the oldest
 #: was exact: those vertices ``U`` (sorted), each stale label's dense code
 #: (its rank among them) and the ``|U| × |labels|`` int32 block.
 _Patch = Tuple[np.ndarray, Dict[int, int], np.ndarray]
+
+
+def _handed_on(inherited: dict, held: dict, same_stamps: bool, generation: int) -> dict:
+    """The facts of one kind a spliced snapshot inherits from ``prev``:
+    all it inherited and holds under the same rewrite stamps, else only
+    those exact on ``prev`` (at ``generation``). A reader of ``prev`` may
+    be publishing a fact — adding it to ``held``, then popping it from
+    ``inherited`` — so each is copied in one C-level call, that first."""
+    if same_stamps:
+        out = dict(inherited)
+        out.update(held)
+        return out
+    return {key: entry for key, entry in list(held.items()) if entry[-2] == generation}
 
 
 class Graph:
@@ -135,16 +150,7 @@ class Graph:
     :meth:`neighbor_label_counts`: one int32 column of ``|N(v, l)|`` over
     all of ``V(G)`` per label ``l ∈ Σ`` somebody asked about — at most
     4 B × ``|V|`` × ``|Σ|``; a label the graph lacks is never kept —
-    built in one pass over the CSR on first touch. A spliced
-    snapshot (:class:`~repro.dynamic.overlay.DynamicGraph`) inherits its
-    predecessor's columns, and a write copies nothing. The first read of
-    any inherited column counts every inherited label at once, over dense
-    label codes, at the vertices rewritten since the oldest was exact: one
-    gather and one ``|U| × |Σ|`` block, kept until the last inherited
-    column is read. Each column read then costs a copy and a scatter, so a
-    graph a few mutations old answers almost as cheaply as a resident one.
-    The codes (int32, one per vertex) are shared by every snapshot over
-    the same labels.
+    built in one pass over the CSR on first touch.
 
     The one fact it caches *for the row fills* of the bitmap path
     (:meth:`~repro.filtering.auxiliary.AuxiliaryStructure.build_row`) is
@@ -152,13 +158,27 @@ class Graph:
     every ``label`` vertex's ``target`` neighbours in one int32 slice, with
     offsets over the ``label`` group only, built on first read by one
     gather over that group's runs. A vertex finds its entry by its rank
-    inside its label group, a C ``int`` per vertex built with the label
-    index and shared, like the index, by every snapshot over the same
-    ``labels``. A spliced snapshot inherits its predecessor's slices; a
-    vertex rewritten since a slice was exact (the
-    :class:`~repro.dynamic.overlay.DynamicGraph`'s rewrite stamps say
-    which) reads its whole run instead. None of this rides a pickle
-    either: an unpickled graph builds its ranks again.
+    inside its label group, a C ``int`` per vertex that an attached data
+    graph (:meth:`from_csr`) builds with its label index and any other
+    graph on its first slice read, so a query graph never holds one.
+
+    A spliced snapshot (:class:`~repro.dynamic.overlay.DynamicGraph`)
+    inherits both kinds by one rule (:meth:`_inherit`), and a write copies
+    nothing. Each fact carries the generation it was exact at and how many
+    vertices of its group — all of ``V`` for a column, the ``label`` group
+    for a slice — its line had rewritten by then; the dynamic graph's
+    per-vertex rewrite stamps say which vertices changed since. A fact
+    whose group was rewritten past ``STALE_SHARE`` is built again on its
+    first read here. Otherwise a slice is adopted, and a vertex stamped
+    after it reads its whole run instead; and the first read of any
+    inherited column counts every inherited label at once, over dense
+    label codes, at the vertices stamped since the oldest was exact: one
+    gather and one ``|U| × |Σ|`` block, kept until the last inherited
+    column is read. Each column read then costs a copy and a scatter, so
+    a graph a few mutations old answers almost as cheaply as a resident
+    one. The ranks and the codes (int32, one per vertex) are handed on
+    to every snapshot spliced over the same ``labels``. None of this
+    rides a pickle either: an unpickled graph builds them again on need.
 
     Examples
     --------
@@ -231,50 +251,53 @@ class Graph:
         self._neighbors = neighbors
         self._degrees = degrees
         self._num_edges = len(edge_list)
+        self._label_index = self._build_label_index(labels_arr, None)
+        self._forget()
+
+    def _forget(self, store: Optional[object] = None) -> None:
+        """Start every derived cache empty (``__init__``, :meth:`_adopt`
+        and ``__setstate__``)."""
         # Per-vertex frozensets are a Python loop over |V|; built lazily
         # so consumers that stay on the CSR arrays (the frame machine,
         # shared-memory workers) never pay for them.
         self._neighbor_sets: Optional[Tuple[frozenset, ...]] = None
-        self._label_index, self._ranks = self._build_label_index(labels_arr, None)
+        self._ranks: Optional[array] = None
+        self._nlf_cache: Dict[int, Dict[int, int]] = {}
+        # Neighbour-label facts held here (built, patched or adopted), and
+        # those a splice handed on that nobody has read here yet.
+        self._label_counts: Dict[int, _Column] = {}
+        self._stale_counts: Dict[int, _Column] = {}
         self._slices: Dict[Tuple[int, int], _Slice] = {}
         self._inherited: Dict[Tuple[int, int], _Slice] = {}
-        self._rewrites: Dict[int, int] = {}
+        # Vertices rewritten along the line, per label and under None for
+        # all of V; the line's stamps; this snapshot's generation.
+        self._rewrites: Dict[Optional[int], int] = {}
         self._stamps: Optional[array] = None
         self._generation = 0
-        self._nlf_cache: Dict[int, Dict[int, int]] = {}
-        self._label_counts: Dict[int, np.ndarray] = {}
-        self._stale_counts: Dict[int, _StaleColumn] = {}
         self._patch: Optional[_Patch] = None
         self._label_codes: Optional[Tuple[np.ndarray, Dict[int, int]]] = None
-        self._store = None
+        self._store = store
         self._hash: Optional[int] = None
         self._fingerprint: Optional[str] = None
 
     @staticmethod
     def _build_label_index(
         labels_arr: np.ndarray, by_label: Optional[np.ndarray]
-    ) -> Tuple[Dict[int, np.ndarray], array]:
-        """Label → sorted vertex array, and each vertex's rank inside its
-        label group as a C ``int`` array, loop-free.
+    ) -> Dict[int, np.ndarray]:
+        """Label → sorted vertex array, loop-free over the vertices.
 
         A stable argsort groups vertices by label while keeping ids
         ascending inside each group; callers that already hold the sorted
         permutation (a shared-memory attach) pass it in and skip the sort.
         """
         index: Dict[int, np.ndarray] = {}
-        n = int(labels_arr.size)
-        ranks = np.zeros(n, dtype=np.intc)
-        if n:
-            if by_label is None:
-                by_label = np.argsort(labels_arr, kind="stable")
-            uniq, starts = np.unique(labels_arr[by_label], return_index=True)
-            bounds = np.append(starts, n)
-            for i, label in enumerate(uniq.tolist()):
-                index[int(label)] = by_label[bounds[i]:bounds[i + 1]]
-            within = np.arange(n, dtype=np.intc)
-            within -= np.repeat(starts.astype(np.intc), np.diff(bounds))
-            ranks[by_label] = within
-        return index, _int_array(ranks)
+        if by_label is None:
+            by_label = np.argsort(labels_arr, kind="stable")
+        uniq, starts = np.unique(labels_arr[by_label], return_index=True)
+        bounds = np.append(starts, labels_arr.size)
+        for i, label in enumerate(uniq.tolist()):
+            index[int(label)] = by_label[bounds[i]:bounds[i + 1]]
+        return index
 
     @classmethod
     def from_csr(
@@ -298,16 +321,22 @@ class Graph:
         is the :class:`~repro.graph.store.GraphStore` that owns the
         arrays; the graph keeps a reference so the backing buffer (a
         memmap or shared-memory segment) outlives any cached views.
+
+        An attached graph is a data graph, so it builds the ranks its
+        slices read with its label index: a request's row fills then
+        allocate nothing ``|V|``-sized.
         """
-        return cls._adopt(
+        graph = cls._adopt(
             labels,
             offsets,
             neighbors,
             np.diff(offsets),
             num_edges,
-            *cls._build_label_index(labels, by_label),
+            cls._build_label_index(labels, by_label),
             store,
         )
+        graph._ranks = graph._rank_array()
+        return graph
 
     @classmethod
     def _adopt(
@@ -317,36 +346,20 @@ class Graph:
         neighbors: np.ndarray,
         degrees: np.ndarray,
         num_edges: int,
-        label_index: Dict[int, np.ndarray],
-        ranks: array,
+        label_index: Optional[Dict[int, np.ndarray]] = None,
         store: Optional[object] = None,
     ) -> "Graph":
-        """:meth:`from_csr` with the degrees, the label index and the
-        ranks already built — a spliced snapshot has its degrees from the
-        splice, and one that shares its predecessor's ``labels`` shares
-        its index and ranks."""
+        """:meth:`from_csr` with the degrees already built — a spliced
+        snapshot has them from the splice, and its label index from
+        :meth:`_inherit`."""
         graph = cls.__new__(cls)
         graph._labels = labels
         graph._offsets = offsets
         graph._neighbors = neighbors
         graph._degrees = degrees
         graph._num_edges = int(num_edges)
-        graph._neighbor_sets = None
         graph._label_index = label_index
-        graph._ranks = ranks
-        graph._slices = {}
-        graph._inherited = {}
-        graph._rewrites = {}
-        graph._stamps = None
-        graph._generation = 0
-        graph._nlf_cache = {}
-        graph._label_counts = {}
-        graph._stale_counts = {}
-        graph._patch = None
-        graph._label_codes = None
-        graph._store = store
-        graph._hash = None
-        graph._fingerprint = None
+        graph._forget(store)
         return graph
 
     @classmethod
@@ -500,15 +513,15 @@ class Graph:
         own ``|Σ|`` whatever labels callers ask about. On a spliced
         snapshot an inherited column is copied and patched instead, from
         one block that the first such read counts for every stale label
-        (:meth:`_inherit_label_counts`).
+        (:meth:`_count_stale`).
         """
-        column = self._label_counts.get(label)
-        if column is not None:
-            return column
+        entry = self._label_counts.get(label)
+        if entry is not None:
+            return entry[0]
         if label not in self._label_index:
             return np.zeros(self.num_vertices, dtype=np.int32)
         stale = self._stale_counts.get(label)
-        if stale is None:
+        if self._stale(stale, None):
             # One label over the whole CSR: code 0 is the label, 1 the rest.
             column = _count_labels(
                 self._labels[self._neighbors] != label, self._offsets, 1
@@ -525,26 +538,30 @@ class Graph:
             column[rewritten] = block[:, codes[label]]
         # Publish before releasing the inherited column, so a concurrent
         # reader or splice always finds one of the two.
-        self._label_counts[label] = column
+        rewrites = self._rewrites.get(None, 0)
+        self._label_counts[label] = (column, self._generation, rewrites)
         self._stale_counts.pop(label, None)
         if not self._stale_counts:
             self._patch = None
         return column
 
-    def _count_stale(self, label: int, entry: _StaleColumn) -> _Patch:
-        """Count every stale label (``label`` among them) at once, at the
-        union ``U`` of the vertices rewritten since the oldest inherited
-        column was exact: one gather of their runs and one ``|U| ×
-        |labels|`` block. Every stale column's rewrites are a suffix of the
-        same chain of writes, so ``U`` covers each of them."""
-        stale = dict(self._stale_counts)
+    def _count_stale(self, label: int, entry: _Column) -> _Patch:
+        """Count every inherited label still fit to patch (``label`` among
+        them) at once, at the vertices ``U`` stamped after the oldest of
+        them was exact: one gather of their runs and one ``|U| × |labels|``
+        block. ``U`` may hold a vertex a later splice stamped, counted from
+        this snapshot's own runs all the same."""
+        stale = {
+            other: column
+            for other, column in list(self._stale_counts.items())
+            if not self._stale(column, None)
+        }
         stale[label] = entry
-        pending = max(stale.values(), key=lambda item: item[2])[1]
-        parts = []
-        while pending is not None:
-            part, pending = pending
-            parts.append(part)
-        rewritten = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
+        oldest = min(column[1] for column in stale.values())
+        # A slice of the stamps is a copy: a live view would make the
+        # writer's next ``stamps.extend`` raise BufferError.
+        stamps = np.frombuffer(self._stamps[: self.num_vertices], dtype=np.intc)
+        rewritten = np.flatnonzero(stamps > oldest)
         bounds, runs = _runs(self._offsets, rewritten)
         # Graph-wide dense codes renumbered: the stale labels 0 .. k - 1,
         # every other label k, which is not counted.
@@ -559,8 +576,8 @@ class Graph:
 
     def _dense_label_codes(self) -> Tuple[np.ndarray, Dict[int, int]]:
         """Each vertex's label as its rank in ``Σ`` (int32), and label →
-        rank: built on the first patch and shared by every snapshot spliced
-        over the same ``labels`` (:meth:`_inherit_label_counts`)."""
+        rank: built on the first patch and handed on to every snapshot
+        spliced over the same ``labels`` (:meth:`_inherit`)."""
         codes = self._label_codes
         if codes is None:
             keys = np.fromiter(self._label_index, dtype=np.int64)
@@ -569,41 +586,6 @@ class Graph:
                 {label: code for code, label in enumerate(keys.tolist())},
             )
         return codes
-
-    def _inherit_label_counts(self, prev: "Graph", rewritten: np.ndarray) -> None:
-        """Hand this snapshot ``prev``'s neighbour-label columns, to be
-        patched at the vertices rewritten since each was exact the first
-        time it is asked for (:meth:`neighbor_label_counts`).
-
-        ``rewritten`` holds the vertices whose neighbour run differs from
-        ``prev``'s, appended ones included; labels never change, so no
-        other vertex's counts can. Nothing is copied or counted here — a
-        write costs a tuple per column — and nothing ``prev`` holds is
-        written. The first read of a stale column counts all of them at
-        once (:meth:`_count_stale`) and keeps that block until the last
-        stale column is read; each read then costs a copy of the inherited
-        column and one scatter. A column whose pending rewrites add up to
-        ``|V|`` vertices is dropped instead and rebuilt when next asked
-        for, which bounds both what the pending lists hold and what the
-        block counts.
-        """
-        n = self.num_vertices
-        size = int(rewritten.size)
-        # A reader of prev may be patching a column right now — adding it
-        # to _label_counts, then popping it from _stale_counts: iterate over
-        # copies taken in one C-level call each, stale first.
-        inherited = {
-            label: (column, (rewritten, pending), pending_size + size)
-            for label, (column, pending, pending_size) in list(
-                prev._stale_counts.items()
-            )
-            if pending_size + size < n
-        }
-        for label, column in list(prev._label_counts.items()):
-            inherited[label] = (column, (rewritten, None), size)
-        self._stale_counts = inherited
-        if self._labels is prev._labels:
-            self._label_codes = prev._label_codes
 
     def labelled_neighbors(
         self, v: int, label: int, target: int
@@ -633,21 +615,19 @@ class Graph:
     def _slice(self, label: int, target: int) -> _Slice:
         """The ``(label, target)`` slice on its first read here, kept.
 
-        An inherited slice is adopted as it is while the ``label``
-        vertices rewritten since it was exact stay within
-        ``SLICE_STALE_SHARE`` of its group. Otherwise it is built by one
-        gather over the runs of the ``label`` group: ``|V(label)| + 1``
-        offsets and the ``target`` entries, 4 B each. A slice toward a
-        label no vertex carries is empty and not kept, so what a graph
-        holds is bounded by its own labels.
+        An inherited slice is adopted unless it is stale
+        (:meth:`_stale`). Otherwise it is built by one gather over the runs
+        of the ``label`` group: ``|V(label)| + 1`` offsets and the
+        ``target`` entries, 4 B each. A slice toward a label no vertex
+        carries is empty and not kept, so what a graph holds is bounded by
+        its own labels. The first slice of a graph that has no ranks yet
+        builds them, before any slice is published.
         """
+        if self._ranks is None:
+            self._ranks = self._rank_array()
         key = (label, target)
-        rewrites = self._rewrites.get(label, 0)
         entry = self._inherited.get(key)
-        stale = entry is None or (
-            rewrites - entry[3] > SLICE_STALE_SHARE * (len(entry[0]) - 1)
-        )
-        if stale:
+        if self._stale(entry, label):
             group = self.vertices_with_label(label)
             bounds, runs = _runs(self._offsets, group)
             gathered = self._neighbors[runs]
@@ -656,50 +636,77 @@ class Graph:
                 _int_array(np.searchsorted(hits, bounds)),
                 _int_array(gathered[hits]),
                 self._generation,
-                rewrites,
+                self._rewrites.get(label, 0),
             )
             if target not in self._label_index:
                 return entry
         self._slices[key] = entry
         return entry
 
-    def _inherit_slices(
-        self, prev: "Graph", rewritten: np.ndarray, stamps: array, generation: int
+    def _rank_array(self) -> array:
+        """Each vertex's rank inside its label group, as a C ``int``
+        array."""
+        ranks = np.zeros(self.num_vertices, dtype=np.intc)
+        for group in self._label_index.values():
+            ranks[group] = np.arange(group.size, dtype=np.intc)
+        return _int_array(ranks)
+
+    def _stale(self, entry: Optional[tuple], label: Optional[int]) -> bool:
+        """The one staleness rule: whether an inherited fact — a column
+        (``label`` ``None``, its group all of ``V``) or a slice of source
+        ``label`` (its group ``V(label)``) — must be built again instead
+        of patched or adopted: it is missing, or the vertices of its group
+        rewritten since it was exact pass ``STALE_SHARE`` of the group."""
+        if entry is None:
+            return True
+        size = self.num_vertices if label is None else self.label_frequency(label)
+        return self._rewrites.get(label, 0) - entry[-1] > STALE_SHARE * size
+
+    def _inherit(
+        self, prev: "Graph", rewritten: List[int], stamps: array, generation: int
     ) -> None:
-        """Hand this snapshot ``prev``'s label-pair slices, to be adopted
-        on first read (:meth:`_slice`), with the rewrite stamps that say
-        which of their vertices went stale.
+        """Hand this snapshot what ``prev`` knows of its labels and its
+        neighbour labels: the label index (and the ranks and codes), and
+        the columns and label-pair slices, to be patched or adopted on
+        first read under the rewrite stamps.
 
         ``generation`` is this snapshot's, and ``stamps[v]`` the
         generation of the last snapshot that rewrote ``v``: monotone, and
         written by the :class:`~repro.dynamic.overlay.DynamicGraph` under
-        its lock before it publishes that snapshot. A slice exact at
-        generation ``g`` still holds every vertex whose stamp is ``≤ g``.
-        A reader racing a later splice may see the stamp it wrote, so a
-        vertex can look more rewritten than it is, never less. A slice is
-        handed on only where these stamps cover its history: exact on
-        ``prev``, or inherited under the same stamps. How many vertices of
-        each label were rewritten is counted along the line of snapshots
-        (``rewritten`` are those since ``prev``), which is how a read
-        tells a slice gone too stale. A write costs a dict copy and a
-        count per label; no slice is copied or looked at.
+        its lock before it publishes that snapshot. ``rewritten`` holds the
+        vertices whose run differs from ``prev``'s, appended ones included;
+        labels never change, so no other vertex's facts can. A fact exact
+        at generation ``g`` still holds every vertex stamped ``≤ g``; a
+        reader racing a later splice may see a vertex as more rewritten
+        than it is, never less. A fact is handed on only where these stamps
+        cover its history (:func:`_handed_on`). The rewrites per label and
+        of all of ``V`` are counted along the line of snapshots, which is
+        how a read tells a fact gone stale (:meth:`_stale`). A write costs
+        two dict copies and a count per label; no fact is copied or looked
+        at, and nothing ``prev`` holds is written.
         """
         self._stamps = stamps
         self._generation = generation
         rewrites = dict(prev._rewrites)
         for label in self._labels[rewritten].tolist():
             rewrites[label] = rewrites.get(label, 0) + 1
+        rewrites[None] = rewrites.get(None, 0) + len(rewritten)
         self._rewrites = rewrites
-        if prev._stamps is stamps:
-            inherited = dict(prev._inherited)
-            inherited.update(prev._slices)
+        same = prev._stamps is stamps
+        self._stale_counts = _handed_on(
+            prev._stale_counts, prev._label_counts, same, prev._generation
+        )
+        self._inherited = _handed_on(
+            prev._inherited, prev._slices, same, prev._generation
+        )
+        # What derives from the labels alone is never written: share it
+        # instead of re-sorting |V| labels.
+        if self._labels is prev._labels:
+            self._label_index = prev._label_index
+            self._ranks = prev._ranks
+            self._label_codes = prev._label_codes
         else:
-            inherited = {
-                key: entry
-                for key, entry in list(prev._slices.items())
-                if entry[2] == prev._generation
-            }
-        self._inherited = inherited
+            self._label_index = self._build_label_index(self._labels, None)
 
     def edge_label_frequency(self, label_a: int, label_b: int) -> int:
         """Number of edges whose endpoint labels are ``{label_a, label_b}``.
@@ -797,21 +804,8 @@ class Graph:
         self._neighbors = state["_neighbors"]
         self._num_edges = state["_num_edges"]
         self._degrees = np.diff(self._offsets)
-        self._neighbor_sets = None
-        self._label_index, self._ranks = self._build_label_index(self._labels, None)
-        self._slices = {}
-        self._inherited = {}
-        self._rewrites = {}
-        self._stamps = None
-        self._generation = 0
-        self._nlf_cache = {}
-        self._label_counts = {}
-        self._stale_counts = {}
-        self._patch = None
-        self._label_codes = None
-        self._store = None
-        self._hash = None
-        self._fingerprint = None
+        self._label_index = self._build_label_index(self._labels, None)
+        self._forget()
 
     def __repr__(self) -> str:
         return (

@@ -42,7 +42,7 @@ from repro.dynamic import (
 )
 from repro.filtering import LDFFilter
 from repro.filtering.auxiliary import AuxiliaryStructure
-from repro.graph.graph import Graph
+from repro.graph.graph import STALE_SHARE, Graph
 from repro.graph.store import MmapStore, write_rgf
 from repro.qa import plant_case, replay_script
 
@@ -392,11 +392,11 @@ class TestSnapshotSplice:
     ):
         """Every epoch reads a random subset of labels on its snapshot;
         one label is read on the base and then not again until the end,
-        vertices are appended, and on these small graphs the pending
-        rewrites of a column often add up to ``|V|``, which drops it. Every
-        column read equals a from-scratch graph's, no pending list reaches
-        ``|V|``, and a snapshot whose stale columns were all read holds
-        no block."""
+        vertices are appended, and on these small graphs the rewrites
+        since a column was exact often pass ``STALE_SHARE`` of ``|V|``,
+        which builds it again. Every column read equals a from-scratch
+        graph's, no block counts more than that share of ``|V|``, and a
+        snapshot whose stale columns were all read holds no block."""
         case = plant_case(seed, max_data=12)
         dyn = DynamicGraph(case.data)
         labels = sorted(case.data.label_set | {0, 1, 2, 3})
@@ -408,18 +408,16 @@ class TestSnapshotSplice:
             script.append(_expand(dyn, batch))
             dyn.apply(script[-1])
             snap = dyn.snapshot()
-            assert all(
-                size < snap.num_vertices
-                for _, _, size in snap._stale_counts.values()
-            )
             want = _replayed(case.data, script)
             for label in sorted({labels[i % len(labels)] for i in chosen} - {unread}):
                 assert (
                     snap.neighbor_label_counts(label).tobytes()
                     == want.neighbor_label_counts(label).tobytes()
                 )
+            patch = snap._patch
+            assert patch is None or patch[0].size <= STALE_SHARE * snap.num_vertices
             if not snap._stale_counts:
-                assert snap._patch is None
+                assert patch is None
         snap, want = dyn.snapshot(), _replayed(case.data, script)
         for label in [unread] + labels:
             assert (
@@ -427,6 +425,50 @@ class TestSnapshotSplice:
                 == want.neighbor_label_counts(label).tobytes()
             )
         assert snap._stale_counts == {} and snap._patch is None
+
+    @_SETTINGS
+    @given(
+        seed=SEEDS,
+        batches=st.lists(
+            st.lists(MACRO_OP, min_size=1, max_size=4), min_size=2, max_size=10
+        ),
+        cut=st.integers(0, 8),
+        reads=st.lists(st.sets(st.integers(0, 7)), min_size=10, max_size=10),
+    )
+    def test_columns_across_two_dynamic_graphs_equal_a_rebuild(
+        self, seed, batches, cut, reads
+    ):
+        """A dynamic graph built over another one's snapshot has rewrite
+        stamps of its own, which know nothing of the first one's rewrites.
+        The first line reads every column on its base and a random subset
+        per epoch, so the snapshot the second starts from holds some
+        columns exact and inherited others unread; the second reads random
+        subsets on. Every column read on either line equals a from-scratch
+        graph's."""
+        case = plant_case(seed, max_data=12)
+        labels = sorted(case.data.label_set | {0, 1, 2, 3})
+        dyn = DynamicGraph(case.data)
+        for label in labels:
+            dyn.snapshot().neighbor_label_counts(label)
+        script = []
+        cut = 1 + cut % (len(batches) - 1)
+        for epoch, (batch, chosen) in enumerate(zip(batches, reads)):
+            if epoch == cut:
+                dyn = DynamicGraph(dyn.snapshot())
+            script.append(_expand(dyn, batch))
+            dyn.apply(script[-1])
+            snap, want = dyn.snapshot(), _replayed(case.data, script)
+            for label in sorted({labels[i % len(labels)] for i in chosen}):
+                assert (
+                    snap.neighbor_label_counts(label).tobytes()
+                    == want.neighbor_label_counts(label).tobytes()
+                )
+        snap, want = dyn.snapshot(), _replayed(case.data, script)
+        for label in labels:
+            assert (
+                snap.neighbor_label_counts(label).tobytes()
+                == want.neighbor_label_counts(label).tobytes()
+            )
 
     @_SETTINGS
     @given(

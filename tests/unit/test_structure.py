@@ -93,6 +93,10 @@ GATES = [
     Gate("one dynamic graph (no compaction knob, no overlay-derived oracle, "
          "no second dirty set)",
          r"compact_threshold\|def compact(\|labels_list\|_dirty", ("src/repro",)),
+    # One staleness rule: NLF columns and label-pair slices are handed to
+    # a spliced snapshot by one method and go stale by the same stamps.
+    Gate("one inherit method for neighbour-label facts",
+         r"_inherit_label_counts\|_inherit_slices\|_StaleColumn", ("src/repro",)),
     # One kernel knob: the request names the backend, by registry name;
     # no environment fallback and no backend held by a ComputeLC method.
     Gate("no kernel environment fallback or spec-held kernel",
